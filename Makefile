@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test verify lint fuzz bench bench-check bench-overhead fmt serve cluster
+.PHONY: build test verify lint fuzz bench bench-check bench-overhead bench-smoke bench-repo fmt serve cluster
 
 build:
 	$(GO) build ./...
@@ -30,24 +30,45 @@ lint:
 	fi
 
 # fuzz is the CI smoke leg: short coverage-guided runs over the
-# untrusted-input decoders — format sniffing (ReadAuto) and the Projections
-# log reader. The checked-in corpora under internal/tracefile/testdata/fuzz
-# replay on every plain `go test`. Each run targets one fuzz function:
-# `go test -fuzz` requires the pattern to match exactly one target.
+# untrusted-input decoders — format sniffing (ReadAuto, which for inputs
+# with the binary magic also holds the windowed decoder and flat index
+# against the field-by-field decoder and naive maps they replaced) and the
+# Projections log reader. The checked-in corpora under
+# internal/tracefile/testdata/fuzz replay on every plain `go test`. Each run
+# targets one fuzz function: `go test -fuzz` requires the pattern to match
+# exactly one target.
 fuzz:
 	$(GO) test -fuzz=FuzzReadAuto -fuzztime=20s -fuzzminimizetime=1s ./internal/tracefile
 	$(GO) test -fuzz=FuzzReadProjections -fuzztime=20s -fuzzminimizetime=1s ./internal/tracefile
 
-# bench regenerates BENCH_extract.json, the machine-readable perf
-# trajectory (merge-tree extraction + ExtractBatch at parallelism 1/2/4).
+# bench-smoke runs the repository benchmark (bench/, BENCHMARK.json) at toy
+# sizes in about ten seconds: all four workloads, real child processes,
+# every answer checked. It proves the benchmark runs, not a number.
+bench-smoke:
+	$(GO) run ./bench -quick
+
+# bench-repo is the full repository benchmark: four workloads, each
+# untraced (eight end-to-end metrics) then traced (per-layer metrics),
+# written to bench/out/ with one trajectory line appended to
+# bench/out/history.jsonl. Performance claims are made against this
+# benchmark and only by the rule in bench/README.md "Claiming a gain"
+# (alternating pairs against the parent commit).
+bench-repo:
+	$(GO) run ./bench -seed 1 -append bench/out/history.jsonl
+
+# bench regenerates BENCH_extract.json: a single-shot GOMAXPROCS=1
+# micro-benchmark snapshot (merge-tree extraction, ExtractBatch at
+# parallelism 1/2/4, Serve/Query/Lod rows). It is a regression tripwire for
+# those rows and no longer the basis for performance claims — see bench-repo.
 bench:
 	$(GO) run ./cmd/experiments -bench-json BENCH_extract.json
 
-# bench-check is the perf-regression guard: a fresh bench run compared
-# against the committed baseline by cmd/benchdiff, failing on >30% wall
-# or >20% alloc growth in the enforced rows (Fig10MergeTree, Serve). CI
-# runs it as an advisory leg; run it locally before re-recording the
-# baseline. BENCH_fresh.json is scratch output (gitignored).
+# bench-check is the micro-benchmark's regression guard: a fresh `bench`
+# run compared against the committed snapshot by cmd/benchdiff, failing on
+# >30% wall or >20% alloc growth in the enforced rows (Fig10MergeTree,
+# Serve, Lod). Like `bench` it is GOMAXPROCS=1 and single-shot, so it
+# catches a row falling off a cliff, not a gain. BENCH_fresh.json is scratch
+# output (gitignored).
 bench-check:
 	$(GO) run ./cmd/experiments -bench-json BENCH_fresh.json
 	$(GO) run ./cmd/benchdiff -new BENCH_fresh.json

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"charmtrace/internal/apps/nasbt"
+	"charmtrace/internal/conformance"
 	"charmtrace/internal/core"
 	"charmtrace/internal/trace"
 )
@@ -92,5 +93,40 @@ func TestHighDifferentialEventsEmptyWhenUniform(t *testing.T) {
 	}
 	if max, _ := r.MaxDifferentialDuration(); max != 0 {
 		t.Fatalf("uniform trace max differential = %d", max)
+	}
+}
+
+// TestDenseTablesMatchMapGrouping: computeDifferential and Lateness group
+// events through dense tables (phase prefix offset + local step, and global
+// step); on all nine conformance workloads they must give exactly what
+// grouping through a map keyed by the pair, or the step, gives.
+func TestDenseTablesMatchMapGrouping(t *testing.T) {
+	for _, w := range conformance.Zoo() {
+		s, err := core.Extract(w.MustGen(), w.Opts)
+		if err != nil {
+			t.Fatalf("%s: %v", w.Name, err)
+		}
+		r := Compute(s)
+		type group struct{ phase, step int32 }
+		minDur := map[group]trace.Time{}
+		minTime := map[int32]trace.Time{}
+		for e, ev := range s.Trace.Events {
+			g := group{s.PhaseOf[e], s.LocalStep[e]}
+			if cur, ok := minDur[g]; !ok || r.SubDur[e] < cur {
+				minDur[g] = r.SubDur[e]
+			}
+			if cur, ok := minTime[s.Step[e]]; !ok || ev.Time < cur {
+				minTime[s.Step[e]] = ev.Time
+			}
+		}
+		late := Lateness(s)
+		for e, ev := range s.Trace.Events {
+			if want := r.SubDur[e] - minDur[group{s.PhaseOf[e], s.LocalStep[e]}]; r.DifferentialDuration[e] != want {
+				t.Fatalf("%s: differential duration of event %d = %d, map grouping says %d", w.Name, e, r.DifferentialDuration[e], want)
+			}
+			if want := ev.Time - minTime[s.Step[e]]; late[e] != want {
+				t.Fatalf("%s: lateness of event %d = %d, map grouping says %d", w.Name, e, late[e], want)
+			}
+		}
 	}
 }

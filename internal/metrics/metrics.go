@@ -6,6 +6,7 @@
 package metrics
 
 import (
+	"math"
 	"sort"
 
 	"charmtrace/internal/core"
@@ -90,23 +91,33 @@ func Compute(s *core.Structure) *Report {
 }
 
 // computeDifferential groups sub-blocks by (phase, local step) and assigns
-// each event its excess over the group's minimum.
+// each event its excess over the group's minimum. The groups are the slots
+// of one dense table: phase p owns MaxLocalStep+1 consecutive slots starting
+// at base[p], and one slot past the last phase collects events that were
+// left without a phase.
 func (r *Report) computeDifferential() {
 	s := r.Structure
-	type key struct {
-		phase int32
-		step  int32
+	base := make([]int, len(s.Phases)+1)
+	for pi := range s.Phases {
+		base[pi+1] = base[pi] + int(s.Phases[pi].MaxLocalStep) + 1
 	}
-	min := make(map[key]trace.Time)
+	slot := func(e int) int {
+		if pi := s.PhaseOf[e]; pi >= 0 {
+			return base[pi] + int(s.LocalStep[e])
+		}
+		return base[len(s.Phases)]
+	}
+	min := make([]trace.Time, base[len(s.Phases)]+1)
+	for i := range min {
+		min[i] = math.MaxInt64
+	}
 	for e := range s.Trace.Events {
-		k := key{s.PhaseOf[e], s.LocalStep[e]}
-		if cur, ok := min[k]; !ok || r.SubDur[e] < cur {
+		if k := slot(e); r.SubDur[e] < min[k] {
 			min[k] = r.SubDur[e]
 		}
 	}
 	for e := range s.Trace.Events {
-		k := key{s.PhaseOf[e], s.LocalStep[e]}
-		r.DifferentialDuration[e] = r.SubDur[e] - min[k]
+		r.DifferentialDuration[e] = r.SubDur[e] - min[slot(e)]
 	}
 }
 
@@ -248,16 +259,19 @@ func (r *Report) HighDifferentialEvents(frac float64) []trace.EventID {
 // logical step. The paper argues it suits bulk-synchronous programs but not
 // task-based ones (§4); it is provided for the MPI-side comparisons.
 func Lateness(s *core.Structure) []trace.Time {
-	earliest := make(map[int32]trace.Time)
+	// earliest[st+1]: step -1 (an event left without a phase) has a slot too.
+	earliest := make([]trace.Time, s.MaxStep()+2)
+	for i := range earliest {
+		earliest[i] = math.MaxInt64
+	}
 	for e := range s.Trace.Events {
-		st := s.Step[e]
-		if cur, ok := earliest[st]; !ok || s.Trace.Events[e].Time < cur {
+		if st := s.Step[e] + 1; s.Trace.Events[e].Time < earliest[st] {
 			earliest[st] = s.Trace.Events[e].Time
 		}
 	}
 	out := make([]trace.Time, len(s.Trace.Events))
 	for e := range s.Trace.Events {
-		out[e] = s.Trace.Events[e].Time - earliest[s.Step[e]]
+		out[e] = s.Trace.Events[e].Time - earliest[s.Step[e]+1]
 	}
 	return out
 }

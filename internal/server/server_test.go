@@ -14,6 +14,7 @@ import (
 	"charmtrace/internal/conformance"
 	"charmtrace/internal/core"
 	"charmtrace/internal/telemetry"
+	"charmtrace/internal/trace"
 	"charmtrace/internal/tracefile"
 )
 
@@ -468,6 +469,55 @@ func TestFormatMisdetectionUploadsAre400s(t *testing.T) {
 	}
 	digest := upload(t, ts, proj.Bytes())
 	mustGet(t, ts, "/v1/traces/"+digest+"/structure")
+}
+
+// TestOutOfRangePEUploadsAre400s: an event or idle record naming a PE the
+// trace's machine does not have used to upload cleanly and then panic the
+// handler goroutine in /metrics, /lod and the query-index build (per-PE
+// tables indexed by the unchecked value). Each format's way of carrying
+// such a record must be refused at upload with a 400 whose reason names the
+// range — not a 500, not a dropped connection — and leave the server
+// serving.
+func TestOutOfRangePEUploadsAre400s(t *testing.T) {
+	_, ts := newTestServer(t, Config{DataDir: t.TempDir()})
+	binary := func(mutate func(*trace.Trace)) []byte {
+		tr := jacobi.MustTrace(jacobi.DefaultConfig())
+		mutate(tr)
+		var buf bytes.Buffer
+		if err := tracefile.WriteBinary(&buf, tr); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	const text = "charmtrace 1\npe 2\nentry 0 -1 false e\nchare 0 -1 -1 false 0 c\nblock 0 0 0 0 0 10\n"
+	const proj = "PROJECTIONS-RECORD 1\nPROCESSORS 2\nENTRY 0 -1 0 e\nCHARE 0 -1 -1 0 0 c\nEND_STS\n"
+	cases := []struct {
+		name, reason string
+		body         []byte
+	}{
+		{"binary idle pe", "out of range", binary(func(tr *trace.Trace) { tr.Idles[0].PE = trace.PE(tr.NumPE) })},
+		{"binary negative idle pe", "out of range", binary(func(tr *trace.Trace) { tr.Idles[0].PE = -1 })},
+		{"binary event pe", "out of range", binary(func(tr *trace.Trace) { tr.Events[0].PE = trace.PE(tr.NumPE) + 40 })},
+		{"binary idle span", "before it begins", binary(func(tr *trace.Trace) { tr.Idles[0].End = tr.Idles[0].Begin - 1 })},
+		{"text idle pe", "out of range", []byte(text + "idle 2 5 10\n")},
+		{"text event pe", "out of range", []byte(text + "ev 0 send 5 0 9 3 0\n")},
+		{"projections log pe", "out of range", []byte(proj + "BEGIN_LOG 2\n14 0\n15 9\nEND_LOG\n")},
+		{"projections idle span", "before it begins", []byte(proj + "BEGIN_LOG 0\n14 9\n15 3\nEND_LOG\nBEGIN_LOG 1\nEND_LOG\n")},
+	}
+	for _, tc := range cases {
+		resp, err := http.Post(ts.URL+"/v1/traces", "application/octet-stream", bytes.NewReader(tc.body))
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err) // a dropped connection is a handler panic
+		}
+		data, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(data), tc.reason) {
+			t.Errorf("%s: status %d body %s, want 400 naming %q", tc.name, resp.StatusCode, data, tc.reason)
+		}
+	}
+	digest := upload(t, ts, encodedJacobi(t, 0))
+	mustGet(t, ts, "/v1/traces/"+digest+"/metrics")
+	mustGet(t, ts, "/v1/traces/"+digest+"/lod")
 }
 
 // TestZooEndToEndMatrix: every conformance-zoo workload — the six paper

@@ -1,9 +1,13 @@
 package trace
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"math"
+	"math/bits"
+	"math/rand/v2"
+	"slices"
 )
 
 // Trace is a complete recorded execution. Slices are indexed by the
@@ -11,6 +15,11 @@ import (
 // be dense with IDs equal to positions. Call Index after construction (or
 // use a Builder, which does so) to populate the lookup structures and
 // validate the trace.
+//
+// The lookup structures are flat (DESIGN.md §3a): one open-addressing table
+// for messages and three CSR row sets (offsets into one shared ID array
+// each), so indexing a trace costs a fixed handful of allocations however
+// many messages, chares or processors it has.
 type Trace struct {
 	NumPE   int
 	Chares  []Chare
@@ -20,20 +29,85 @@ type Trace struct {
 	Idles   []Idle
 
 	indexed bool
-	// sendOf maps a message to its send event.
-	sendOf map[MsgID]EventID
-	// recvsOf maps a message to its receive events (one for point-to-point,
-	// several for broadcasts).
-	recvsOf map[MsgID][]EventID
+	// msgTab maps a message to its send event: linear probing over a
+	// power-of-two table at most half full, slots ordered by the seeded
+	// hashMsg. Only the probe order depends on the seed; what a lookup
+	// returns does not.
+	msgTab []msgSlot
+	// recvs lists, per send event, the receive events of its message in
+	// event order (one for point-to-point, several for broadcasts).
+	recvs rows[EventID]
 	// matchSend[e] is the send event of receive e's message (NoEvent for
 	// non-receives and unmatched receives): the O(1) dense form of
-	// SendOf(Events[e].Msg), for the extraction hot path where the map
-	// lookup dominates.
+	// SendOf(Events[e].Msg), for the extraction hot path.
 	matchSend []EventID
-	// blocksByChare lists each chare's blocks in begin-time order.
-	blocksByChare [][]BlockID
-	// blocksByPE lists each processor's blocks in begin-time order.
-	blocksByPE [][]BlockID
+	// blocksByChare lists each chare's blocks in (Begin, ID) order.
+	blocksByChare rows[BlockID]
+	// blocksByPE lists each processor's blocks in (Begin, ID) order.
+	blocksByPE rows[BlockID]
+}
+
+// rows is a CSR row set: row i is ids[off[i]:off[i+1]].
+type rows[T ~int32] struct {
+	off []int32
+	ids []T
+}
+
+// groupRows counting-sorts the IDs 0..m-1 into n rows: ID i goes to row
+// key(i), or nowhere if key(i) is negative, and every row lists its IDs in
+// increasing order.
+func groupRows[T ~int32](n, m int, key func(i int) int32) rows[T] {
+	// Count into off[k+2] and prefix-sum, so that off[k+1] is row k's start;
+	// filling advances it to the row's end, which leaves off[k], off[k+1] as
+	// the row's bounds without a separate cursor array.
+	off := make([]int32, n+2)
+	for i := 0; i < m; i++ {
+		if k := key(i); k >= 0 {
+			off[k+2]++
+		}
+	}
+	for i := 2; i < len(off); i++ {
+		off[i] += off[i-1]
+	}
+	ids := make([]T, off[n+1])
+	for i := 0; i < m; i++ {
+		if k := key(i); k >= 0 {
+			ids[off[k+1]] = T(i)
+			off[k+1]++
+		}
+	}
+	return rows[T]{off: off[:n+1], ids: ids}
+}
+
+// row returns row i as a full-capacity sub-slice (an append by the caller
+// reallocates instead of clobbering the next row), nil when empty.
+func (r rows[T]) row(i int) []T {
+	lo, hi := r.off[i], r.off[i+1]
+	if lo == hi {
+		return nil
+	}
+	return r.ids[lo:hi:hi]
+}
+
+// msgSlot is one slot of the message table; send1 is the send event's ID
+// plus one, so the zero slot is empty.
+type msgSlot struct {
+	msg   MsgID
+	send1 int32
+}
+
+// msgSeed randomizes the message table's probe order per process, as Go's
+// maps do: message IDs come from untrusted uploads, and a fixed hash would
+// let one craft IDs that all probe the same run of slots (quadratic Index).
+var msgSeed = rand.Uint64()
+
+// hashMsg mixes a message ID with the process seed (two multiply-xorshift
+// rounds, so every input bit reaches the low bits that pick the slot).
+func hashMsg(m MsgID) uint64 {
+	h := (uint64(m) ^ msgSeed) * 0x9E3779B97F4A7C15
+	h ^= h >> 32
+	h *= 0xD6E8FEB86659FD93
+	return h ^ h>>32
 }
 
 // Index builds the message and per-chare/per-PE lookup structures and
@@ -42,54 +116,91 @@ func (t *Trace) Index() error {
 	if err := t.validateShape(); err != nil {
 		return err
 	}
-	t.sendOf = make(map[MsgID]EventID)
-	t.recvsOf = make(map[MsgID][]EventID)
-	for _, ev := range t.Events {
-		if ev.Msg == NoMsg {
-			continue
-		}
-		switch ev.Kind {
-		case Send:
-			if prev, dup := t.sendOf[ev.Msg]; dup {
-				return fmt.Errorf("trace: message %d sent twice (events %d and %d)", ev.Msg, prev, ev.ID)
-			}
-			t.sendOf[ev.Msg] = ev.ID
-		case Recv:
-			t.recvsOf[ev.Msg] = append(t.recvsOf[ev.Msg], ev.ID)
+	orphan, err := t.indexMessages()
+	if err != nil {
+		return err
+	}
+	t.blocksByChare = t.blockRows(len(t.Chares), func(b *Block) int32 { return int32(b.Chare) })
+	t.blocksByPE = t.blockRows(t.NumPE, func(b *Block) int32 { return int32(b.PE) })
+	t.indexed = true
+	return t.validateSemantics(orphan)
+}
+
+// indexMessages fills msgTab, matchSend and recvs. A message sent twice is
+// an error; the first receive whose message was never sent is returned for
+// validateSemantics to report (NoEvent when every receive is matched).
+func (t *Trace) indexMessages() (orphan EventID, err error) {
+	sends := 0
+	for i := range t.Events {
+		if ev := &t.Events[i]; ev.Kind == Send && ev.Msg != NoMsg {
+			sends++
 		}
 	}
+	t.msgTab = nil
+	if sends > 0 {
+		t.msgTab = make([]msgSlot, 1<<bits.Len(uint(2*sends-1)))
+	}
+	mask := uint64(len(t.msgTab) - 1)
+	for i := range t.Events {
+		ev := &t.Events[i]
+		if ev.Kind != Send || ev.Msg == NoMsg {
+			continue
+		}
+		h := hashMsg(ev.Msg) & mask
+		for ; t.msgTab[h].send1 != 0; h = (h + 1) & mask {
+			if t.msgTab[h].msg == ev.Msg {
+				return NoEvent, fmt.Errorf("trace: message %d sent twice (events %d and %d)", ev.Msg, t.msgTab[h].send1-1, ev.ID)
+			}
+		}
+		t.msgTab[h] = msgSlot{msg: ev.Msg, send1: int32(ev.ID) + 1}
+	}
+
+	orphan = NoEvent
 	t.matchSend = make([]EventID, len(t.Events))
 	for i := range t.Events {
 		t.matchSend[i] = NoEvent
-		if ev := &t.Events[i]; ev.Kind == Recv && ev.Msg != NoMsg {
-			if id, ok := t.sendOf[ev.Msg]; ok {
-				t.matchSend[i] = id
-			}
+		ev := &t.Events[i]
+		if ev.Kind != Recv || ev.Msg == NoMsg {
+			continue
+		}
+		if t.matchSend[i] = t.SendOf(ev.Msg); t.matchSend[i] == NoEvent && orphan == NoEvent {
+			orphan = ev.ID
 		}
 	}
-	t.blocksByChare = make([][]BlockID, len(t.Chares))
-	t.blocksByPE = make([][]BlockID, t.NumPE)
-	for _, b := range t.Blocks {
-		t.blocksByChare[b.Chare] = append(t.blocksByChare[b.Chare], b.ID)
-		t.blocksByPE[b.PE] = append(t.blocksByPE[b.PE], b.ID)
+	t.recvs = groupRows[EventID](len(t.Events), len(t.Events), func(i int) int32 { return int32(t.matchSend[i]) })
+	return orphan, nil
+}
+
+// blockRows groups block IDs by key (a chare or a PE, already range-checked
+// by validateShape) into n rows in (Begin, ID) order. The counting sort
+// leaves a row in ID order, which is (Begin, ID) order whenever the row's
+// begin times never decrease — the normal case for a recorded trace — so
+// only the other rows pay for a comparison sort.
+func (t *Trace) blockRows(n int, key func(*Block) int32) rows[BlockID] {
+	r := groupRows[BlockID](n, len(t.Blocks), func(i int) int32 { return key(&t.Blocks[i]) })
+	last := make([]Time, n) // begin time of the latest block seen in each row
+	for i := range last {
+		last[i] = math.MinInt64
 	}
-	byBegin := func(ids []BlockID) {
-		sort.Slice(ids, func(i, j int) bool {
-			bi, bj := &t.Blocks[ids[i]], &t.Blocks[ids[j]]
-			if bi.Begin != bj.Begin {
-				return bi.Begin < bj.Begin
+	var disordered []int32 // rows where a block begins before an earlier-numbered one, once per inversion
+	for i := range t.Blocks {
+		b := &t.Blocks[i]
+		k := key(b)
+		if b.Begin < last[k] {
+			disordered = append(disordered, k)
+		}
+		last[k] = b.Begin
+	}
+	slices.Sort(disordered)
+	for _, k := range slices.Compact(disordered) {
+		slices.SortFunc(r.row(int(k)), func(a, b BlockID) int {
+			if c := cmp.Compare(t.Blocks[a].Begin, t.Blocks[b].Begin); c != 0 {
+				return c
 			}
-			return ids[i] < ids[j]
+			return cmp.Compare(a, b)
 		})
 	}
-	for _, ids := range t.blocksByChare {
-		byBegin(ids)
-	}
-	for _, ids := range t.blocksByPE {
-		byBegin(ids)
-	}
-	t.indexed = true
-	return t.validateSemantics()
+	return r
 }
 
 // validateShape checks that IDs are dense and references are in range.
@@ -137,12 +248,26 @@ func (t *Trace) validateShape() error {
 		if ev.Chare < 0 || int(ev.Chare) >= len(t.Chares) {
 			return fmt.Errorf("trace: event %d references unknown chare %d", ev.ID, ev.Chare)
 		}
+		if ev.PE < 0 || int(ev.PE) >= t.NumPE {
+			return fmt.Errorf("trace: event %d PE %d out of range", ev.ID, ev.PE)
+		}
+	}
+	// Idle and event PEs index per-PE tables downstream (metrics, profile,
+	// skew) exactly as block PEs do, so they get the same range check.
+	for i, idle := range t.Idles {
+		if idle.PE < 0 || int(idle.PE) >= t.NumPE {
+			return fmt.Errorf("trace: idle %d PE %d out of range", i, idle.PE)
+		}
+		if idle.End < idle.Begin {
+			return fmt.Errorf("trace: idle %d ends (%d) before it begins (%d)", i, idle.End, idle.Begin)
+		}
 	}
 	return nil
 }
 
 // validateSemantics checks cross-structure invariants that need the index.
-func (t *Trace) validateSemantics() error {
+// orphan is indexMessages' first unmatched receive.
+func (t *Trace) validateSemantics(orphan EventID) error {
 	for _, b := range t.Blocks {
 		var prev Time = -1 << 62
 		for _, eid := range b.Events {
@@ -165,14 +290,12 @@ func (t *Trace) validateSemantics() error {
 			prev = ev.Time
 		}
 	}
-	for msg, recvs := range t.recvsOf {
-		if _, ok := t.sendOf[msg]; !ok {
-			return fmt.Errorf("trace: message %d received (event %d) but never sent", msg, recvs[0])
-		}
+	if orphan != NoEvent {
+		return fmt.Errorf("trace: message %d received (event %d) but never sent", t.Events[orphan].Msg, orphan)
 	}
-	for pe, ids := range t.blocksByPE {
+	for pe := 0; pe < t.NumPE; pe++ {
 		var prevEnd Time = -1 << 62
-		for _, id := range ids {
+		for _, id := range t.blocksByPE.row(pe) {
 			b := &t.Blocks[id]
 			if b.Begin < prevEnd {
 				return fmt.Errorf("trace: blocks overlap on PE %d (block %d begins at %d before previous end %d)", pe, id, b.Begin, prevEnd)
@@ -189,28 +312,42 @@ func (t *Trace) Indexed() bool { return t.indexed }
 // SendOf returns the send event of a message, or NoEvent if the send was not
 // recorded.
 func (t *Trace) SendOf(m MsgID) EventID {
-	if id, ok := t.sendOf[m]; ok {
-		return id
+	if len(t.msgTab) == 0 {
+		return NoEvent
 	}
-	return NoEvent
+	mask := uint64(len(t.msgTab) - 1)
+	for h := hashMsg(m) & mask; ; h = (h + 1) & mask {
+		switch s := &t.msgTab[h]; {
+		case s.send1 == 0:
+			return NoEvent
+		case s.msg == m:
+			return EventID(s.send1 - 1)
+		}
+	}
 }
 
 // MatchingSend returns the send event of receive e's message, or NoEvent
 // when e is not a receive or its send was not recorded. It is equivalent to
-// SendOf(Events[e].Msg) but a dense array read instead of a map lookup.
+// SendOf(Events[e].Msg) but a dense array read instead of a table probe.
 func (t *Trace) MatchingSend(e EventID) EventID { return t.matchSend[e] }
 
 // RecvsOf returns the receive events of a message (nil if none recorded).
 // The returned slice must not be modified.
-func (t *Trace) RecvsOf(m MsgID) []EventID { return t.recvsOf[m] }
+func (t *Trace) RecvsOf(m MsgID) []EventID {
+	send := t.SendOf(m)
+	if send == NoEvent {
+		return nil
+	}
+	return t.recvs.row(int(send))
+}
 
 // BlocksOfChare returns a chare's serial blocks in begin-time order.
 // The returned slice must not be modified.
-func (t *Trace) BlocksOfChare(c ChareID) []BlockID { return t.blocksByChare[c] }
+func (t *Trace) BlocksOfChare(c ChareID) []BlockID { return t.blocksByChare.row(int(c)) }
 
 // BlocksOfPE returns a processor's serial blocks in begin-time order.
 // The returned slice must not be modified.
-func (t *Trace) BlocksOfPE(pe PE) []BlockID { return t.blocksByPE[pe] }
+func (t *Trace) BlocksOfPE(pe PE) []BlockID { return t.blocksByPE.row(int(pe)) }
 
 // IsRuntimeChare reports whether a chare belongs to the runtime system.
 func (t *Trace) IsRuntimeChare(c ChareID) bool { return t.Chares[c].Runtime }

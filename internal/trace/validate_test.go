@@ -70,6 +70,37 @@ func TestValidateShapeErrors(t *testing.T) {
 				Events: []Event{{ID: 2, Block: 0}}},
 			"has ID",
 		},
+		// Event and idle PEs index per-PE tables in metrics, profile and
+		// skew; an unchecked one from an upload panicked there.
+		{
+			"event pe past the machine",
+			Trace{NumPE: 2, Chares: []Chare{{ID: 0}}, Entries: []Entry{{ID: 0}},
+				Blocks: []Block{{ID: 0}},
+				Events: []Event{{ID: 0, Block: 0, PE: 2}}},
+			"event 0 PE 2 out of range",
+		},
+		{
+			"event pe negative",
+			Trace{NumPE: 2, Chares: []Chare{{ID: 0}}, Entries: []Entry{{ID: 0}},
+				Blocks: []Block{{ID: 0}},
+				Events: []Event{{ID: 0, Block: 0, PE: -1}}},
+			"event 0 PE -1 out of range",
+		},
+		{
+			"idle pe past the machine",
+			Trace{NumPE: 2, Idles: []Idle{{PE: 1, Begin: 0, End: 5}, {PE: 2, Begin: 0, End: 5}}},
+			"idle 1 PE 2 out of range",
+		},
+		{
+			"idle pe negative",
+			Trace{NumPE: 2, Idles: []Idle{{PE: -3, Begin: 0, End: 5}}},
+			"idle 0 PE -3 out of range",
+		},
+		{
+			"idle ends before it begins",
+			Trace{NumPE: 2, Idles: []Idle{{PE: 0, Begin: 9, End: 8}}},
+			"idle 0 ends (8) before it begins (9)",
+		},
 	}
 	for _, c := range cases {
 		c := c

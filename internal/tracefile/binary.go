@@ -3,6 +3,7 @@ package tracefile
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -24,7 +25,16 @@ import (
 // Signed fields use zig-zag varints (encoding/binary's signed varint);
 // strings are uvarint length + bytes. Block event lists are reconstructed
 // from the events section (events appear in ID order, and each block's
-// events are listed in that order).
+// events are listed in that order). IDs are positions: the i-th record of a
+// section is entry, chare, block or event i.
+//
+// A reader may rely on nothing but the bytes. A varint may be padded up to
+// binary.MaxVarintLen64 bytes, so a block, event or idle record is at most
+// maxBlockLen, maxEventLen or maxIdleLen long; a section count is a claim,
+// good for knowing when the section ends and never for sizing an
+// allocation (see grow); every chare, entry, block and PE reference, event
+// and idle PEs included, is range-checked by trace.Index before the trace
+// is handed out.
 
 // binaryMagic opens every binary trace file.
 var binaryMagic = [4]byte{'C', 'T', 'R', 'B'}
@@ -131,9 +141,136 @@ func WriteBinary(w io.Writer, t *trace.Trace) error {
 	return b.w.Flush()
 }
 
+// breader reads the binary format. The header, section counts, strings and
+// the few entry/chare records go field by field through the bufio.Reader;
+// the bulk sections (blocks, events, idles) decode whole records in place
+// out of the reader's buffer, one Peek per buffer-full.
 type breader struct {
 	r   *bufio.Reader
 	err error
+	// win is the undecoded tail of the last Peek: bytes still buffered in r,
+	// of which peeked-len(win) have been decoded but not yet discarded.
+	// winErr is why that Peek came back short (nil when it filled the
+	// buffer): the stream ends, or fails, right after win. Field reads must
+	// sync first.
+	win    []byte
+	peeked int
+	winErr error
+}
+
+// Longest encodings of the bulk records: a varint takes at most
+// binary.MaxVarintLen64 bytes whatever the width of the field it fills, so
+// a window this long holds the whole record however it was encoded.
+const (
+	maxBlockLen = 5 * binary.MaxVarintLen64
+	maxEventLen = 1 + 5*binary.MaxVarintLen64
+	maxIdleLen  = 3 * binary.MaxVarintLen64
+)
+
+// record returns a cursor over the buffered bytes at the decode position.
+// Unless the stream is about to end the cursor holds at least need bytes —
+// a whole record — because a window that runs short is replaced by a fresh
+// Peek of the full buffer. Only the last window of a stream can be shorter;
+// there a field the bytes do not cover is a truncation.
+func (b *breader) record(need int) cursor {
+	if len(b.win) < need && b.winErr == nil {
+		b.refill()
+	}
+	return cursor{buf: b.win}
+}
+
+// refill (kept out of record so that record inlines) slides the window to
+// the decode position and extends it to everything r can buffer.
+func (b *breader) refill() {
+	b.sync()
+	b.win, b.winErr = b.r.Peek(b.r.Size())
+	b.peeked = len(b.win)
+}
+
+// accept consumes the record c decoded, or fails the read if it did not
+// parse: with the error that ended the stream when c ran out of bytes, as
+// an overflow otherwise.
+func (b *breader) accept(c *cursor) bool {
+	switch {
+	case c.bad:
+		b.err = errors.New("tracefile: varint out of range")
+	case c.short:
+		if b.err = b.winErr; b.err == nil || b.err == io.EOF {
+			b.err = io.ErrUnexpectedEOF
+		}
+	default:
+		b.win = b.win[c.n:]
+		return true
+	}
+	return false
+}
+
+// sync discards the decoded part of the window from r, so that field reads
+// resume at the decode position.
+func (b *breader) sync() {
+	b.r.Discard(b.peeked - len(b.win)) // cannot fail: these bytes are buffered
+	b.win, b.peeked, b.winErr = nil, 0, nil
+}
+
+// cursor decodes the fields of one record in place. The first field that
+// runs past the buffer (short) or does not fit its type (bad) empties the
+// cursor, so the remaining fields read as zero without a check per field.
+type cursor struct {
+	buf        []byte
+	n          int
+	short, bad bool
+}
+
+// fail records why the record does not parse (the first failure wins) and
+// empties the cursor.
+func (c *cursor) fail(bad bool) {
+	if !c.short && !c.bad {
+		c.short, c.bad = !bad, bad
+	}
+	c.n = len(c.buf)
+}
+
+func (c *cursor) u8() uint8 {
+	if c.n == len(c.buf) {
+		c.fail(false)
+		return 0
+	}
+	c.n++
+	return c.buf[c.n-1]
+}
+
+// i64 is binary.Varint on the cursor.
+func (c *cursor) i64() int64 {
+	var ux uint64
+	var shift uint
+	for i, b := range c.buf[c.n:] {
+		if i == binary.MaxVarintLen64 {
+			c.fail(true) // an 11th byte
+			return 0
+		}
+		if b < 0x80 {
+			if i == binary.MaxVarintLen64-1 && b > 1 {
+				c.fail(true) // overflows 64 bits
+				return 0
+			}
+			c.n += i + 1
+			ux |= uint64(b) << shift
+			return int64(ux>>1) ^ -int64(ux&1) // zig-zag
+		}
+		ux |= uint64(b&0x7f) << shift
+		shift += 7
+	}
+	c.fail(false)
+	return 0
+}
+
+func (c *cursor) i32() int32 {
+	v := c.i64()
+	if v > math.MaxInt32 || v < math.MinInt32 {
+		c.fail(true)
+		return 0
+	}
+	return int32(v)
 }
 
 func (b *breader) u8() uint8 {
@@ -194,6 +331,139 @@ func (b *breader) count(what string) int {
 	return int(n)
 }
 
+// A section count is untrusted — a 20-byte upload can claim 2^31-1 records —
+// so it never sizes an allocation ahead of the records that back it: a bulk
+// section's slice starts at most initialCap long and multiplies by
+// growFactor as records actually arrive, which keeps memory within
+// growFactor of what the bytes read so far decode to. It never grows past
+// the claim either, so an honest file ends with no spare capacity. The
+// outgrown slices are garbage: about as much as the final slice when
+// doubling, a third of it when quadrupling (and several times it under
+// append's own quarter-at-a-time growth of large slices).
+const (
+	initialCap = 1024
+	growFactor = 4
+)
+
+// grow returns s with room for one more element; n is the section's claimed
+// length, which the caller has not reached yet.
+func grow[T any](s []T, n int) []T {
+	if len(s) < cap(s) {
+		return s
+	}
+	c := min(growFactor*cap(s), n)
+	if c == 0 {
+		c = min(initialCap, n)
+	}
+	out := make([]T, len(s), c)
+	copy(out, s)
+	return out
+}
+
+func (b *breader) blocks(t *trace.Trace) {
+	n := b.count("block")
+	for i := 0; i < n && b.err == nil; i++ {
+		c := b.record(maxBlockLen)
+		blk := trace.Block{
+			ID:    trace.BlockID(i),
+			Chare: trace.ChareID(c.i32()),
+			PE:    trace.PE(c.i32()),
+			Entry: trace.EntryID(c.i32()),
+			Begin: trace.Time(c.i64()),
+			End:   trace.Time(c.i64()),
+		}
+		if b.accept(&c) {
+			t.Blocks = append(grow(t.Blocks, n), blk)
+		}
+	}
+	b.sync()
+}
+
+func (b *breader) events(t *trace.Trace) {
+	n := b.count("event")
+	for i := 0; i < n && b.err == nil; i++ {
+		c := b.record(maxEventLen)
+		ev := trace.Event{
+			ID:    trace.EventID(i),
+			Kind:  trace.EventKind(c.u8()),
+			Time:  trace.Time(c.i64()),
+			Chare: trace.ChareID(c.i32()),
+			PE:    trace.PE(c.i32()),
+			Msg:   trace.MsgID(c.i64()),
+			Block: trace.BlockID(c.i32()),
+		}
+		if !b.accept(&c) {
+			break
+		}
+		if ev.Kind != trace.Send && ev.Kind != trace.Recv {
+			b.err = fmt.Errorf("tracefile: event %d has unknown kind %d", i, ev.Kind)
+			break
+		}
+		t.Events = append(grow(t.Events, n), ev)
+	}
+	b.sync()
+}
+
+func (b *breader) idles(t *trace.Trace) {
+	n := b.count("idle")
+	for i := 0; i < n && b.err == nil; i++ {
+		c := b.record(maxIdleLen)
+		idle := trace.Idle{
+			PE:    trace.PE(c.i32()),
+			Begin: trace.Time(c.i64()),
+			End:   trace.Time(c.i64()),
+		}
+		if b.accept(&c) {
+			t.Idles = append(grow(t.Idles, n), idle)
+		}
+	}
+	b.sync()
+}
+
+// groupBlockEvents fills every Block.Events from the events' Block fields:
+// count per block, prefix-sum, then fill, so all lists are full-capacity
+// sub-slices of one flat array (an append to one reallocates instead of
+// clobbering its neighbour) at a cost of two allocations however many
+// blocks there are. order lists the events in the order they are to appear
+// within their blocks; nil means ID order. An event naming a block outside
+// t.Blocks is an error.
+func groupBlockEvents(t *trace.Trace, order []trace.EventID) error {
+	off := make([]int32, len(t.Blocks)+2)
+	for i := range t.Events {
+		b := t.Events[i].Block
+		if b < 0 || int(b) >= len(t.Blocks) {
+			return fmt.Errorf("tracefile: event %d references unknown block %d", i, b)
+		}
+		off[b+2]++
+	}
+	for i := 2; i < len(off); i++ {
+		off[i] += off[i-1]
+	}
+	// off[b+1] is now block b's start and advances to its end as the list
+	// fills, leaving off[b], off[b+1] as its bounds.
+	ids := make([]trace.EventID, len(t.Events))
+	place := func(e trace.EventID) {
+		b := t.Events[e].Block
+		ids[off[b+1]] = e
+		off[b+1]++
+	}
+	if order == nil {
+		for i := range t.Events {
+			place(trace.EventID(i))
+		}
+	} else {
+		for _, e := range order {
+			place(e)
+		}
+	}
+	for i := range t.Blocks {
+		if lo, hi := off[i], off[i+1]; lo < hi {
+			t.Blocks[i].Events = ids[lo:hi:hi]
+		}
+	}
+	return nil
+}
+
 // ReadBinary parses a binary trace and indexes it. Decode failures —
 // including truncation, which surfaces as io.EOF / io.ErrUnexpectedEOF from
 // the section readers — carry the ErrMalformed tag (see errors.go).
@@ -231,43 +501,14 @@ func ReadBinary(r io.Reader) (*trace.Trace, error) {
 		c.Name = b.str()
 		t.Chares = append(t.Chares, c)
 	}
-	for i, n := 0, b.count("block"); i < n && b.err == nil; i++ {
-		blk := trace.Block{ID: trace.BlockID(i)}
-		blk.Chare = trace.ChareID(b.i32())
-		blk.PE = trace.PE(b.i32())
-		blk.Entry = trace.EntryID(b.i32())
-		blk.Begin = trace.Time(b.i64())
-		blk.End = trace.Time(b.i64())
-		t.Blocks = append(t.Blocks, blk)
-	}
-	for i, n := 0, b.count("event"); i < n && b.err == nil; i++ {
-		ev := trace.Event{ID: trace.EventID(i)}
-		ev.Kind = trace.EventKind(b.u8())
-		ev.Time = trace.Time(b.i64())
-		ev.Chare = trace.ChareID(b.i32())
-		ev.PE = trace.PE(b.i32())
-		ev.Msg = trace.MsgID(b.i64())
-		ev.Block = trace.BlockID(b.i32())
-		if b.err == nil {
-			if ev.Kind != trace.Send && ev.Kind != trace.Recv {
-				return nil, malformed(fmt.Errorf("tracefile: event %d has unknown kind %d", i, ev.Kind))
-			}
-			if ev.Block < 0 || int(ev.Block) >= len(t.Blocks) {
-				return nil, malformed(fmt.Errorf("tracefile: event %d references unknown block %d", i, ev.Block))
-			}
-			t.Events = append(t.Events, ev)
-			t.Blocks[ev.Block].Events = append(t.Blocks[ev.Block].Events, ev.ID)
-		}
-	}
-	for i, n := 0, b.count("idle"); i < n && b.err == nil; i++ {
-		idle := trace.Idle{}
-		idle.PE = trace.PE(b.i32())
-		idle.Begin = trace.Time(b.i64())
-		idle.End = trace.Time(b.i64())
-		t.Idles = append(t.Idles, idle)
-	}
+	b.blocks(t)
+	b.events(t)
+	b.idles(t)
 	if b.err != nil {
 		return nil, malformed(fmt.Errorf("tracefile: %w", b.err))
+	}
+	if err := groupBlockEvents(t, nil); err != nil {
+		return nil, malformed(err)
 	}
 	if err := t.Index(); err != nil {
 		return nil, malformed(fmt.Errorf("tracefile: %w", err))

@@ -8,16 +8,13 @@ import (
 	"testing"
 
 	"charmtrace/internal/apps/jacobi"
+	"charmtrace/internal/trace"
 )
 
 // validBinary serializes the jacobi proxy trace in the binary format.
 func validBinary(t *testing.T) []byte {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := WriteBinary(&buf, jacobi.MustTrace(jacobi.DefaultConfig())); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
+	return encodeBinary(t, jacobi.MustTrace(jacobi.DefaultConfig()))
 }
 
 // TestTruncatedBinaryIsMalformed: cutting a valid binary trace at any of a
@@ -61,8 +58,40 @@ func TestCorruptBinaryIsMalformed(t *testing.T) {
 	}
 }
 
+// textHead declares two PEs, one entry, one chare and one block.
+const textHead = "charmtrace 1\npe 2\nentry 0 -1 false e\nchare 0 -1 -1 false 0 c\nblock 0 0 0 0 0 10\n"
+
+// TestOutOfRangePEBinaryIsMalformed: an event or idle naming a PE the
+// machine does not have (or an idle span that ends before it begins) used to
+// decode cleanly and panic later in metrics, profile and skew, which index
+// per-PE tables by it. WriteBinary does not validate, so it can carry them.
+func TestOutOfRangePEBinaryIsMalformed(t *testing.T) {
+	for name, mutate := range map[string]func(*trace.Trace){
+		"event pe out of range": func(tr *trace.Trace) { tr.Events[3].PE = trace.PE(tr.NumPE) },
+		"event pe negative":     func(tr *trace.Trace) { tr.Events[3].PE = -1 },
+		"idle pe out of range":  func(tr *trace.Trace) { tr.Idles[0].PE = trace.PE(tr.NumPE) },
+		"idle pe negative":      func(tr *trace.Trace) { tr.Idles[0].PE = -7 },
+		"idle ends before it begins": func(tr *trace.Trace) {
+			tr.Idles[0].Begin, tr.Idles[0].End = tr.Idles[0].End, tr.Idles[0].Begin
+		},
+	} {
+		tr := jacobi.MustTrace(jacobi.DefaultConfig())
+		if len(tr.Idles) == 0 {
+			t.Fatal("the jacobi proxy trace records no idle span")
+		}
+		mutate(tr)
+		_, err := ReadAuto(bytes.NewReader(encodeBinary(t, tr)))
+		if !errors.Is(err, ErrMalformed) {
+			t.Errorf("%s: err = %v, want ErrMalformed", name, err)
+		}
+	}
+}
+
 // TestMalformedTextIsTagged: the text decoder's failures carry the same tag.
 func TestMalformedTextIsTagged(t *testing.T) {
+	if _, err := Read(strings.NewReader(textHead + "ev 0 send 5 0 1 3 0\nidle 1 5 10\n")); err != nil {
+		t.Fatalf("the valid neighbour of the PE cases is rejected: %v", err)
+	}
 	for name, input := range map[string]string{
 		"empty":          "",
 		"bad header":     "not a trace\n",
@@ -70,6 +99,14 @@ func TestMalformedTextIsTagged(t *testing.T) {
 		"unknown record": "charmtrace 1\npe 1\nbogus 1 2 3\n",
 		"short record":   "charmtrace 1\npe 1\nblock 0\n",
 		"unknown block":  "charmtrace 1\npe 1\nev 0 send 5 0 0 1 7\n",
+		// Panicked (index out of range) before block lists were grouped by
+		// the range-checking helper.
+		"negative block":         textHead + "ev 0 send 5 0 0 3 -1\n",
+		"event pe out of range":  textHead + "ev 0 send 5 0 2 3 0\n",
+		"event pe negative":      textHead + "ev 0 send 5 0 -1 3 0\n",
+		"idle pe out of range":   textHead + "idle 2 5 10\n",
+		"idle pe negative":       textHead + "idle -1 5 10\n",
+		"idle ends before begin": textHead + "idle 0 10 5\n",
 	} {
 		if _, err := Read(strings.NewReader(input)); err == nil {
 			t.Errorf("%s: decoded without error", name)

@@ -48,8 +48,10 @@ func FuzzRead(f *testing.F) {
 // handler feeds untrusted bytes into. The contract under fuzz: ReadAuto
 // never panics, every rejection carries the ErrMalformed tag (so the server
 // can answer 400, never 500), ReadAuto and ReadAutoDigest agree on
-// accept/reject, and an accepted input digests to exactly its content
-// address.
+// accept/reject, an accepted input digests to exactly its content address,
+// and on inputs with the binary magic the windowed decoder and flat index
+// agree with the field-by-field decoder and naive maps they replaced
+// (checkDecodersAgree).
 func FuzzReadAuto(f *testing.F) {
 	// Golden traces, both serializations. The scaled-down config keeps the
 	// corpus entries small, which is what keeps single-worker mutation and
@@ -100,6 +102,9 @@ func FuzzReadAuto(f *testing.F) {
 	f.Add(append([]byte("PROJECTIONS-RECORD 1\n"), bin.Bytes()...)) // projections header, binary body
 
 	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) >= len(binaryMagic) && [4]byte(data[:4]) == binaryMagic {
+			checkDecodersAgree(t, data, plain)
+		}
 		tr1, err1 := ReadAuto(bytes.NewReader(data))
 		tr2, digest, err2 := ReadAutoDigest(bytes.NewReader(data))
 		if (err1 == nil) != (err2 == nil) {

@@ -165,9 +165,11 @@ type projReader struct {
 	seenLog   map[int]bool
 	// globally-sequenced records land at their declared IDs; density is
 	// validated once the stream ends.
-	blocks      map[int]trace.Block
-	events      map[int]trace.Event
-	blockEvents map[int][]trace.EventID
+	blocks map[int]trace.Block
+	events map[int]trace.Event
+	// order lists the event sequence numbers as the logs recorded them:
+	// within a block that, not the sequence number, is the events' order.
+	order []trace.EventID
 }
 
 // maxSeq bounds declared block/event sequence numbers: IDs are int32 and a
@@ -191,15 +193,14 @@ func ReadProjections(r io.Reader) (*trace.Trace, error) {
 		return nil, malformed(fmt.Errorf("tracefile: unsupported projections version %d", version))
 	}
 	p := &projReader{
-		t:           &trace.Trace{},
-		wantChares:  -1,
-		wantEPs:     -1,
-		curPE:       -1,
-		openBlock:   -1,
-		seenLog:     make(map[int]bool),
-		blocks:      make(map[int]trace.Block),
-		events:      make(map[int]trace.Event),
-		blockEvents: make(map[int][]trace.EventID),
+		t:          &trace.Trace{},
+		wantChares: -1,
+		wantEPs:    -1,
+		curPE:      -1,
+		openBlock:  -1,
+		seenLog:    make(map[int]bool),
+		blocks:     make(map[int]trace.Block),
+		events:     make(map[int]trace.Event),
 	}
 	line := 1
 	inSTS := true
@@ -424,7 +425,7 @@ func (p *projReader) logLine(text string) error {
 			Chare: b.Chare, PE: trace.PE(p.curPE),
 			Msg: trace.MsgID(nums[1]), Block: trace.BlockID(p.openBlock),
 		}
-		p.blockEvents[p.openBlock] = append(p.blockEvents[p.openBlock], trace.EventID(seq))
+		p.order = append(p.order, trace.EventID(seq))
 	case projBeginIdle:
 		if p.openIdle {
 			return fmt.Errorf("BEGIN_IDLE while an idle span is open")
@@ -485,7 +486,6 @@ func (p *projReader) finish() (*trace.Trace, error) {
 		if !ok {
 			return nil, fmt.Errorf("projections stream is missing block sequence %d", i)
 		}
-		b.Events = p.blockEvents[i]
 		t.Blocks[i] = b
 	}
 	t.Events = make([]trace.Event, len(p.events))
@@ -495,6 +495,9 @@ func (p *projReader) finish() (*trace.Trace, error) {
 			return nil, fmt.Errorf("projections stream is missing event sequence %d", i)
 		}
 		t.Events[i] = ev
+	}
+	if err := groupBlockEvents(t, p.order); err != nil {
+		return nil, err
 	}
 	// Per-PE log sections interleave idles arbitrarily across processors;
 	// normalize to the builder's (PE, Begin) order so a round-tripped trace

@@ -145,6 +145,9 @@ func TestProjectionsNegative(t *testing.T) {
 		{"block end before begin", sts + "BEGIN_LOG 0\n2 5 0 0 0\n3 1\nEND_LOG\nBEGIN_LOG 1\nEND_LOG\n"},
 		{"unknown chare reference", sts + "BEGIN_LOG 0\n2 0 0 7 0\n3 1\nEND_LOG\nBEGIN_LOG 1\nEND_LOG\n"},
 		{"recv never sent", sts + "BEGIN_LOG 0\n2 0 0 0 0\n10 0 42 0\n3 1\nEND_LOG\nBEGIN_LOG 1\nEND_LOG\n"},
+		// Idle and event PEs come from the enclosing BEGIN_LOG (checked
+		// above), so the one idle defect this format can carry is its span.
+		{"idle ends before it begins", sts + "BEGIN_LOG 0\n14 9\n15 3\nEND_LOG\nBEGIN_LOG 1\nEND_LOG\n"},
 	}
 	for _, tc := range cases {
 		tc := tc

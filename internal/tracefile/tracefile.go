@@ -82,7 +82,6 @@ func Read(r io.Reader) (*trace.Trace, error) {
 		return nil, malformed(fmt.Errorf("tracefile: unsupported version %d", version))
 	}
 	t := &trace.Trace{}
-	blockEvents := make(map[trace.BlockID][]trace.EventID)
 	line := 1
 	for sc.Scan() {
 		line++
@@ -105,7 +104,7 @@ func Read(r io.Reader) (*trace.Trace, error) {
 		case "block":
 			err = parseBlock(t, rest)
 		case "ev":
-			err = parseEvent(t, rest, blockEvents)
+			err = parseEvent(t, rest)
 		case "idle":
 			err = parseIdle(t, rest)
 		default:
@@ -118,11 +117,10 @@ func Read(r io.Reader) (*trace.Trace, error) {
 	if err := sc.Err(); err != nil {
 		return nil, malformed(fmt.Errorf("tracefile: %w", err))
 	}
-	for id, evs := range blockEvents {
-		if int(id) >= len(t.Blocks) {
-			return nil, malformed(fmt.Errorf("tracefile: events reference unknown block %d", id))
-		}
-		t.Blocks[id].Events = evs
+	// Events arrive in ID order but may precede their block's record, so
+	// the block lists are grouped once everything is read.
+	if err := groupBlockEvents(t, nil); err != nil {
+		return nil, malformed(err)
 	}
 	if err := t.Index(); err != nil {
 		return nil, malformed(fmt.Errorf("tracefile: %w", err))
@@ -248,7 +246,7 @@ func parseBlock(t *trace.Trace, rest string) error {
 	return nil
 }
 
-func parseEvent(t *trace.Trace, rest string, blockEvents map[trace.BlockID][]trace.EventID) error {
+func parseEvent(t *trace.Trace, rest string) error {
 	f, tail, err := fields(rest, 7)
 	if err != nil {
 		return err
@@ -282,7 +280,6 @@ func parseEvent(t *trace.Trace, rest string, blockEvents map[trace.BlockID][]tra
 		Msg: trace.MsgID(vals[5]), Block: trace.BlockID(vals[6]),
 	}
 	t.Events = append(t.Events, ev)
-	blockEvents[ev.Block] = append(blockEvents[ev.Block], ev.ID)
 	return nil
 }
 
