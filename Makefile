@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test verify lint fuzz bench bench-check bench-overhead bench-smoke bench-repo fmt serve cluster
+.PHONY: build test verify lint fuzz bench bench-check bench-overhead bench-smoke bench-repo fmt loc serve cluster
 
 build:
 	$(GO) build ./...
@@ -96,3 +96,14 @@ cluster: build
 
 fmt:
 	gofmt -l -w .
+
+# loc prints the non-test Go lines of each package (the root package, cmd/*,
+# internal/* and internal/apps/*) and their total — the figure a simplicity
+# PR is judged by (DESIGN.md §5). A report, not a gate; bench/ and examples/
+# are not product code and are left out.
+loc:
+	@total=0; for d in . cmd/* internal/* internal/apps/*; do \
+		n=$$(find $$d -maxdepth 1 -name '*.go' ! -name '*_test.go' -exec cat {} + | wc -l); \
+		[ $$n -gt 0 ] || continue; \
+		printf '%7d  %s\n' $$n $$d; total=$$((total + n)); \
+	done; printf '%7d  total\n' $$total

@@ -112,9 +112,10 @@ func ablParallel(bool) {
 	cfg.Grid = 8
 	cfg.NumPE = 64
 	tr := must(lulesh.CharmTrace(cfg))
-	serial := extract(tr, core.DefaultOptions())
 	opt := core.DefaultOptions()
-	opt.Parallel = true
+	opt.Parallelism = 1
+	serial := extract(tr, opt)
+	opt.Parallelism = 0 // all cores
 	par := extract(tr, opt)
 	identical := serial.NumPhases() == par.NumPhases()
 	for e := range tr.Events {

@@ -110,20 +110,18 @@ func BenchmarkParallelStepAssignment(b *testing.B) {
 	cfg := lassen.FineConfig()
 	cfg.Iterations = 8
 	tr := lassen.MustCharmTrace(cfg)
-	b.Run("serial", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := core.Extract(tr, core.DefaultOptions()); err != nil {
-				b.Fatal(err)
+	for _, bc := range []struct {
+		name        string
+		parallelism int
+	}{{"serial", 1}, {"parallel", 0}} {
+		b.Run(bc.name, func(b *testing.B) {
+			opt := core.DefaultOptions()
+			opt.Parallelism = bc.parallelism
+			for i := 0; i < b.N; i++ {
+				if _, err := core.Extract(tr, opt); err != nil {
+					b.Fatal(err)
+				}
 			}
-		}
-	})
-	b.Run("parallel", func(b *testing.B) {
-		opt := core.DefaultOptions()
-		opt.Parallel = true
-		for i := 0; i < b.N; i++ {
-			if _, err := core.Extract(tr, opt); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+		})
+	}
 }

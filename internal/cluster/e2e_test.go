@@ -506,8 +506,10 @@ func TestClusterHedgeCancellation(t *testing.T) {
 }
 
 // TestClusterRequestIDAndPassthrough covers the correlation satellite: a
-// caller-chosen X-Request-ID survives gateway → node, and the node
-// observability surface is reachable through /nodes/{name}/.
+// caller-chosen X-Request-ID survives gateway → node, an absent one is
+// minted and a hostile one replaced (the same contract as charmd's, from
+// the same function), and the node observability surface is reachable
+// through /nodes/{name}/.
 func TestClusterRequestIDAndPassthrough(t *testing.T) {
 	tc := startCluster(t, 3, cluster.GatewayConfig{Replication: 2, HedgeMax: -1})
 	digest := gwUpload(t, tc, encodedJacobi(t, 0))
@@ -525,6 +527,21 @@ func TestClusterRequestIDAndPassthrough(t *testing.T) {
 	}
 	if got := resp.Header.Get("X-Charmd-Node"); tc.node(got) == nil {
 		t.Fatalf("X-Charmd-Node = %q, not a member", got)
+	}
+	for _, inbound := range []string{"", "bad\tid"} {
+		req, _ := http.NewRequest(http.MethodGet, tc.gwTS.URL+"/v1/traces/"+digest+"/structure", nil)
+		if inbound != "" {
+			req.Header.Set("X-Request-ID", inbound)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if got := resp.Header.Get("X-Request-ID"); got == inbound || len(got) != 16 {
+			t.Fatalf("inbound id %q: X-Request-ID = %q, want a minted 16-hex id", inbound, got)
+		}
 	}
 
 	// Node passthrough: stats carry the node's name label.

@@ -3,8 +3,6 @@ package cluster
 import (
 	"bytes"
 	"context"
-	"crypto/rand"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -225,7 +223,7 @@ func (g *Gateway) instrument(route string, h func(w http.ResponseWriter, r *http
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		g.requests.Add(1)
 		routed.Add(1)
-		reqID := gatewayRequestID(r)
+		reqID := telemetry.RequestIDFor(r.Header.Get("X-Request-ID"))
 		w.Header().Set("X-Request-ID", reqID)
 		r = r.WithContext(telemetry.WithRequestID(r.Context(), reqID))
 		sw := &gwStatusWriter{ResponseWriter: w, code: http.StatusOK}
@@ -258,28 +256,6 @@ func (w *gwStatusWriter) Write(p []byte) (int, error) {
 	n, err := w.ResponseWriter.Write(p)
 	w.bytes += int64(n)
 	return n, err
-}
-
-// gatewayRequestID honors a well-formed inbound X-Request-ID and mints one
-// otherwise, mirroring charmd's contract so a chain client → gateway →
-// node → peer logs one id at every hop.
-func gatewayRequestID(r *http.Request) string {
-	id := r.Header.Get("X-Request-ID")
-	if id != "" && len(id) <= 128 {
-		ok := true
-		for i := 0; i < len(id); i++ {
-			if id[i] < 0x21 || id[i] > 0x7e {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			return id
-		}
-	}
-	var b [8]byte
-	rand.Read(b[:])
-	return hex.EncodeToString(b[:])
 }
 
 func (g *Gateway) logAccess(r *http.Request, route, reqID string, sw *gwStatusWriter, elapsed time.Duration) {

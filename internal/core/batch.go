@@ -69,7 +69,6 @@ func ExtractBatch(traces []*trace.Trace, opt Options) ([]*Structure, error) {
 			return
 		}
 		inner := opt
-		inner.Parallel = false
 		inner.Parallelism = innerWorkers
 		out[i], errs[i] = Extract(traces[i], inner)
 		if out[i] != nil {

@@ -20,9 +20,9 @@ const FingerprintVersion = 1
 // fingerprints are guaranteed to produce byte-identical structures for the
 // same trace.
 //
-// Execution-only knobs are deliberately excluded — Parallelism and the
-// deprecated Parallel flag (the pipeline is byte-identical at every worker
-// count), the Telemetry/Metrics sinks (recorders only observe), and
+// Execution-only knobs are deliberately excluded — Parallelism (the
+// pipeline is byte-identical at every worker count), the
+// Telemetry/Metrics sinks (recorders only observe), and
 // Context (cancellation aborts an extraction, it never changes a completed
 // one). That exclusion is what lets a result extracted at one parallelism
 // serve requests made at any other.

@@ -67,20 +67,10 @@ type Options struct {
 	// non-deterministic.
 	ProcessOrderDeps bool
 
-	// Parallel forces the per-phase ordering stage to run concurrently
-	// (one phase per goroutine, bounded by GOMAXPROCS) even when
-	// Parallelism is 1. The paper notes the stage is phase-independent and
-	// "could be parallelized" (§3.3); the result is identical either way.
-	//
-	// Deprecated: set Parallelism instead, which parallelizes every
-	// worker-pool stage of the pipeline. Parallel is retained so existing
-	// callers keep their behaviour.
-	Parallel bool
-
 	// Parallelism is the worker count for the parallel stages of the
 	// pipeline (the per-partition scans, the dependency-merge sweep, the
-	// per-leap overlap detection, the per-phase ordering stage) and for
-	// ExtractBatch. Zero or negative selects runtime.GOMAXPROCS(0); 1 runs
+	// per-leap overlap detection, the per-phase ordering stage the paper
+	// notes "could be parallelized", §3.3) and for ExtractBatch. Zero or negative selects runtime.GOMAXPROCS(0); 1 runs
 	// the fully sequential pipeline. The recovered Structure is
 	// byte-identical for every value: workers process contiguous index
 	// ranges and their results are merged in index order.

@@ -16,12 +16,13 @@ func TestParallelSteppingIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	for i := 0; i < 25; i++ {
 		tr := randomTrace(rng)
-		serial, err := Extract(tr, DefaultOptions())
+		opt := DefaultOptions()
+		opt.Parallelism = 1
+		serial, err := Extract(tr, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		opt := DefaultOptions()
-		opt.Parallel = true
+		opt.Parallelism = 4
 		par, err := Extract(tr, opt)
 		if err != nil {
 			t.Fatal(err)

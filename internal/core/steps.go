@@ -1,7 +1,6 @@
 package core
 
 import (
-	"runtime"
 	"slices"
 	"sync"
 
@@ -158,13 +157,7 @@ func assignSteps(tr *trace.Trace, opt Options, a *atoms, t *tel) *Structure {
 		})
 	}
 
-	// Pool size: Options.Parallelism, with the deprecated Parallel flag
-	// keeping its historical meaning (GOMAXPROCS workers) when Parallelism
-	// selects a sequential run.
 	workers := opt.Workers()
-	if workers == 1 && opt.Parallel {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	ar.ensureLanes(workers)
 	recording := t.rec.Enabled()
 	parent := t.cur

@@ -136,23 +136,6 @@ func TestParseSpecUnknownField(t *testing.T) {
 	}
 }
 
-func TestSpecCanonicalParity(t *testing.T) {
-	// The POST spec and its GET-parameter equivalent must canonicalize
-	// identically — that is what makes their ETags agree.
-	sp := Spec{Resolution: 16, Steps: &StepRange{From: 2, To: 40}, MaxRows: 3, NoEdges: true}
-	v, err := url.ParseQuery(sp.Canonical())
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := SpecFromParams(v)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Canonical() != sp.Canonical() {
-		t.Errorf("canonical round trip: %q != %q", back.Canonical(), sp.Canonical())
-	}
-}
-
 func TestResponseNeverExceedsResolution(t *testing.T) {
 	p := jacobiPyramid(t)
 	for _, res := range []Resolution{1, 2, 7, 16, 64} {

@@ -212,32 +212,3 @@ func (sp *Spec) Validate() error {
 	}
 	return nil
 }
-
-// Canonical renders the spec's response-shaping fields as a stable
-// parameter string — what the serving layer feeds into the ETag so a POST
-// spec and the equivalent GET revalidate identically.
-func (sp *Spec) Canonical() string {
-	v := url.Values{}
-	if sp.Resolution != Native {
-		v.Set("resolution", strconv.Itoa(int(sp.Resolution)))
-	}
-	if sp.Steps != nil {
-		v.Set("steps", fmt.Sprintf("%d..%d", sp.Steps.From, sp.Steps.To))
-	}
-	if sp.MaxRows > 0 {
-		v.Set("max_rows", strconv.Itoa(sp.MaxRows))
-	}
-	if sp.MaxEdges > 0 {
-		v.Set("max_edges", strconv.Itoa(sp.MaxEdges))
-	}
-	if sp.NoEdges {
-		v.Set("edges", "false")
-	}
-	if sp.Render {
-		v.Set("render", "true")
-	}
-	if sp.Diff != "" {
-		v.Set("diff", sp.Diff)
-	}
-	return v.Encode()
-}

@@ -98,21 +98,18 @@ type Config struct {
 	// flight's detached context via opt.Context; a well-behaved extractor
 	// honors it (core.Extract does, at worker-chunk granularity).
 	Extract func(tr *trace.Trace, opt core.Options) (*core.Structure, error)
-	// Index derives a secondary read-only value from a cached structure
-	// (charmd installs the query engine's index builder). Built lazily, at
-	// most once per memory-resident entry, and dropped with it on
+	// Index and Aux are the cache's two derived-view builders: each derives
+	// a read-only value from a cached structure (charmd installs the query
+	// engine's index builder as Index and the LOD pyramid builder as Aux).
+	// The two are independent instances of one mechanism (see view): built
+	// lazily, at most once per memory-resident entry, and dropped with it on
 	// eviction; bytes is the value's estimated footprint, reported in the
-	// cache.index_bytes gauge. nil disables GetIndexed/LookupIndexed's
-	// index results. The builder is kept as a func to avoid a
-	// resultcache→query dependency.
+	// cache.index_bytes / cache.aux_bytes gauge. A nil builder makes
+	// GetIndexed/LookupIndexed (resp. GetAux/LookupAux) return a nil view.
+	// Builders are funcs to avoid resultcache→query and resultcache→lod
+	// dependencies.
 	Index func(s *core.Structure) (val any, bytes int64)
-	// Aux derives a second read-only value from a cached structure, fully
-	// independent of Index (charmd installs the LOD pyramid builder).
-	// Same lifecycle as Index: built lazily at most once per
-	// memory-resident entry, dropped with it on eviction, bytes reported
-	// in the cache.aux_bytes gauge. nil disables GetAux/LookupAux's aux
-	// results. Kept as a func to avoid a resultcache→lod dependency.
-	Aux func(s *core.Structure) (val any, bytes int64)
+	Aux   func(s *core.Structure) (val any, bytes int64)
 	// PeerFetch asks cluster peers for an already-encoded entry before the
 	// cache falls back to extraction on a full miss (charmd wires the
 	// ring-successor client here). It receives the trace digest (the
@@ -136,8 +133,6 @@ type Cache struct {
 	maxDiskBytes    int64
 	detachedTimeout time.Duration
 	extract         func(tr *trace.Trace, opt core.Options) (*core.Structure, error)
-	index           func(s *core.Structure) (any, int64)
-	aux             func(s *core.Structure) (any, int64)
 	peerFetch       func(ctx context.Context, traceDigest, key string) (io.ReadCloser, error)
 	maxEntryBytes   int64
 	readFile        func(string) ([]byte, error) // os.ReadFile; swapped by fault-injection tests
@@ -153,50 +148,71 @@ type Cache struct {
 	diskErrors    *telemetry.Counter // unreadable/corrupt disk entries (self-healed)
 	diskRetries   *telemetry.Counter // transient disk-read failures that were retried
 	diskEvictions *telemetry.Counter // entries GCed to honor MaxDiskBytes
-	indexBuilds   *telemetry.Counter // per-entry index constructions
-	indexHits     *telemetry.Counter // indexed requests served by an already-built index
-	auxBuilds     *telemetry.Counter // per-entry aux constructions
-	auxHits       *telemetry.Counter // aux requests served by an already-built value
 	peerHits      *telemetry.Counter // misses filled from a cluster peer (cache.peer_hits)
 	peerMisses    *telemetry.Counter // peer fill attempted, fell back to extraction
 	replicaWrites *telemetry.Counter // entries written through PutEntry (cache.replica_writes)
 	extractMS     *telemetry.Histogram
 	memEntries    *telemetry.Gauge
-	indexBytes    *telemetry.Gauge // estimated bytes held by resident indexes
-	auxBytes      *telemetry.Gauge // estimated bytes held by resident aux values
 	flightsG      *telemetry.Gauge // in-progress extraction flights (cache.flights)
 
-	mu            sync.Mutex
-	closed        bool
-	entries       map[string]*list.Element
-	lru           *list.List // front = most recently used
-	flights       map[string]*flight
-	idxBytesTotal int64 // sum of accounted entry.idxBytes, mirrored into indexBytes
-	auxBytesTotal int64 // sum of accounted entry.auxBytes, mirrored into auxBytes
+	mu      sync.Mutex
+	closed  bool
+	entries map[string]*list.Element
+	lru     *list.List // front = most recently used
+	flights map[string]*flight
+	views   [numViews]view // the derived-view slots; each view.total is guarded by mu
 
 	flightWG sync.WaitGroup // outstanding detached flights, for Close
 	gcMu     sync.Mutex     // serializes disk GC sweeps
 }
 
-// entry is one memory-resident result plus its lazily-built derived
-// values (the query index and the aux value, e.g. the LOD pyramid). Each
-// is built at most once per entry (its Once), outside the cache lock;
-// the Accounted flags record whether the bytes were added to the
-// corresponding gauge (an entry evicted mid-build never gets accounted,
-// and an accounted entry is subtracted on eviction).
+// viewID names one derived-view slot. Adding a view is one constant here,
+// one row in New, and the builder behind it.
+type viewID int
+
+const (
+	viewIndex viewID = iota // Config.Index: charmd's query index
+	viewAux                 // Config.Aux: charmd's LOD pyramid
+	numViews
+)
+
+// view is one derived-view slot: the builder and the metrics that account
+// for it — cache.<name>_builds (constructions), cache.<name>_hits (requests
+// served by an already-built value) and the cache.<name>_bytes gauge, which
+// mirrors total, the estimated bytes held by resident values only.
+type view struct {
+	build  func(s *core.Structure) (any, int64)
+	builds *telemetry.Counter
+	hits   *telemetry.Counter
+	bytesG *telemetry.Gauge
+	total  int64
+}
+
+func newView(reg *telemetry.Registry, name string, build func(s *core.Structure) (any, int64)) view {
+	return view{
+		build:  build,
+		builds: reg.Counter("cache." + name + "_builds"),
+		hits:   reg.Counter("cache." + name + "_hits"),
+		bytesG: reg.Gauge("cache." + name + "_bytes"),
+	}
+}
+
+// viewState is one entry's value of one view. It is built at most once
+// (the Once), outside the cache lock; accounted records whether bytes was
+// added to the view's gauge (an entry evicted mid-build never gets
+// accounted, and an accounted one is subtracted on eviction).
+type viewState struct {
+	once      sync.Once
+	val       any
+	bytes     int64
+	accounted bool
+}
+
+// entry is one memory-resident result plus its lazily-built derived views.
 type entry struct {
-	id string
-	s  *core.Structure
-
-	idxOnce      sync.Once
-	idx          any
-	idxBytes     int64
-	idxAccounted bool
-
-	auxOnce      sync.Once
-	aux          any
-	auxBytes     int64
-	auxAccounted bool
+	id    string
+	s     *core.Structure
+	views [numViews]viewState
 }
 
 // flight is one in-progress extraction other requests can join. The
@@ -262,8 +278,6 @@ func New(cfg Config) (*Cache, error) {
 		maxDiskBytes:    cfg.MaxDiskBytes,
 		detachedTimeout: dt,
 		extract:         ext,
-		index:           cfg.Index,
-		aux:             cfg.Aux,
 		peerFetch:       cfg.PeerFetch,
 		maxEntryBytes:   meb,
 		readFile:        os.ReadFile,
@@ -278,21 +292,19 @@ func New(cfg Config) (*Cache, error) {
 		diskErrors:      reg.Counter("cache.disk_errors"),
 		diskRetries:     reg.Counter("cache.disk_retries"),
 		diskEvictions:   reg.Counter("cache.disk_evictions"),
-		indexBuilds:     reg.Counter("cache.index_builds"),
-		indexHits:       reg.Counter("cache.index_hits"),
-		auxBuilds:       reg.Counter("cache.aux_builds"),
-		auxHits:         reg.Counter("cache.aux_hits"),
 		peerHits:        reg.Counter("cache.peer_hits"),
 		peerMisses:      reg.Counter("cache.peer_misses"),
 		replicaWrites:   reg.Counter("cache.replica_writes"),
 		extractMS:       reg.Histogram("cache.extract_ms"),
 		memEntries:      reg.Gauge("cache.mem_entries"),
-		indexBytes:      reg.Gauge("cache.index_bytes"),
-		auxBytes:        reg.Gauge("cache.aux_bytes"),
 		flightsG:        reg.Gauge("cache.flights"),
 		entries:         make(map[string]*list.Element),
 		lru:             list.New(),
 		flights:         make(map[string]*flight),
+		views: [numViews]view{
+			viewIndex: newView(reg, "index", cfg.Index),
+			viewAux:   newView(reg, "aux", cfg.Aux),
+		},
 	}
 	return c, nil
 }
@@ -311,9 +323,6 @@ func KeyID(traceDigest, fingerprint string) string {
 	h.Write([]byte(fingerprint))
 	return hex.EncodeToString(h.Sum(nil))
 }
-
-// keyID is the internal alias of KeyID.
-func keyID(traceDigest, fingerprint string) string { return KeyID(traceDigest, fingerprint) }
 
 // ValidKey reports whether key has the shape KeyID produces (64 lowercase
 // hex characters) — the internal endpoints reject anything else before it
@@ -338,7 +347,7 @@ func (c *Cache) DiskPath(traceDigest string, opt core.Options) string {
 	if c.dir == "" {
 		return ""
 	}
-	return filepath.Join(c.dir, keyID(traceDigest, opt.Fingerprint())+".cstr")
+	return filepath.Join(c.dir, KeyID(traceDigest, opt.Fingerprint())+".cstr")
 }
 
 // Len returns the number of memory-resident results.
@@ -348,167 +357,120 @@ func (c *Cache) Len() int {
 	return c.lru.Len()
 }
 
+// resident returns the memory-resident entry for id, refreshing its
+// recency and counting the hit like a Get memory hit, or nil.
+func (c *Cache) resident(id string) *entry {
+	c.mu.Lock()
+	el, ok := c.entries[id]
+	if ok {
+		c.lru.MoveToFront(el)
+	}
+	c.mu.Unlock()
+	if !ok {
+		return nil
+	}
+	c.hits.Add(1)
+	c.memHits.Add(1)
+	return el.Value.(*entry)
+}
+
 // Lookup returns the memory-resident structure for (traceDigest, opt)
 // without touching disk or starting a flight. It lets the serving layer
 // bypass admission control for requests that do no extraction work. A hit
 // counts like a Get memory hit.
 func (c *Cache) Lookup(traceDigest string, opt core.Options) (*core.Structure, bool) {
-	id := keyID(traceDigest, opt.Fingerprint())
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.entries[id]
-	if !ok {
-		return nil, false
+	if e := c.resident(KeyID(traceDigest, opt.Fingerprint())); e != nil {
+		return e.s, true
 	}
-	c.lru.MoveToFront(el)
-	c.hits.Add(1)
-	c.memHits.Add(1)
-	return el.Value.(*entry).s, true
+	return nil, false
 }
 
-// LookupIndexed is Lookup plus the entry's derived index, building it on
-// first use. The index result is nil when Config.Index is unset. Like
-// Lookup it never touches disk or starts a flight.
+// LookupIndexed is Lookup plus the entry's Index view, building it on first
+// use. The view is nil when Config.Index is unset.
 func (c *Cache) LookupIndexed(traceDigest string, opt core.Options) (*core.Structure, any, bool) {
-	id := keyID(traceDigest, opt.Fingerprint())
-	c.mu.Lock()
-	el, ok := c.entries[id]
-	if !ok {
-		c.mu.Unlock()
-		return nil, nil, false
-	}
-	c.lru.MoveToFront(el)
-	e := el.Value.(*entry)
-	c.mu.Unlock()
-	c.hits.Add(1)
-	c.memHits.Add(1)
-	return e.s, c.indexFor(e), true
+	return c.lookupView(viewIndex, traceDigest, opt)
 }
 
-// GetIndexed is Get plus the entry's derived index. On a full miss the
-// index is built against the freshly-inserted entry; if the entry was
-// already evicted again (tiny MaxMemEntries under load) a transient,
-// unaccounted index is built for this caller alone. The index result is
-// nil when Config.Index is unset.
-func (c *Cache) GetIndexed(ctx context.Context, traceDigest string, tr *trace.Trace, opt core.Options) (*core.Structure, any, error) {
-	s, err := c.Get(ctx, traceDigest, tr, opt)
-	if err != nil {
-		return nil, nil, err
-	}
-	if c.index == nil {
-		return s, nil, nil
-	}
-	id := keyID(traceDigest, opt.Fingerprint())
-	c.mu.Lock()
-	if el, ok := c.entries[id]; ok {
-		e := el.Value.(*entry)
-		c.mu.Unlock()
-		return s, c.indexFor(e), nil
-	}
-	c.mu.Unlock()
-	c.indexBuilds.Add(1)
-	idx, _ := c.index(s)
-	return s, idx, nil
-}
-
-// LookupAux is Lookup plus the entry's derived aux value, building it on
-// first use. The aux result is nil when Config.Aux is unset. Like Lookup
-// it never touches disk or starts a flight.
+// LookupAux is Lookup plus the entry's Aux view, building it on first use.
+// The view is nil when Config.Aux is unset.
 func (c *Cache) LookupAux(traceDigest string, opt core.Options) (*core.Structure, any, bool) {
-	id := keyID(traceDigest, opt.Fingerprint())
-	c.mu.Lock()
-	el, ok := c.entries[id]
-	if !ok {
-		c.mu.Unlock()
-		return nil, nil, false
-	}
-	c.lru.MoveToFront(el)
-	e := el.Value.(*entry)
-	c.mu.Unlock()
-	c.hits.Add(1)
-	c.memHits.Add(1)
-	return e.s, c.auxFor(e), true
+	return c.lookupView(viewAux, traceDigest, opt)
 }
 
-// GetAux is Get plus the entry's derived aux value. On a full miss the
-// value is built against the freshly-inserted entry; if the entry was
-// already evicted again (tiny MaxMemEntries under load) a transient,
-// unaccounted value is built for this caller alone. The aux result is
-// nil when Config.Aux is unset.
+// GetIndexed is Get plus the entry's Index view (nil when Config.Index is
+// unset); see getView for the already-evicted case.
+func (c *Cache) GetIndexed(ctx context.Context, traceDigest string, tr *trace.Trace, opt core.Options) (*core.Structure, any, error) {
+	return c.getView(ctx, viewIndex, traceDigest, tr, opt)
+}
+
+// GetAux is Get plus the entry's Aux view (nil when Config.Aux is unset);
+// see getView for the already-evicted case.
 func (c *Cache) GetAux(ctx context.Context, traceDigest string, tr *trace.Trace, opt core.Options) (*core.Structure, any, error) {
+	return c.getView(ctx, viewAux, traceDigest, tr, opt)
+}
+
+// lookupView is Lookup plus one derived view. Like Lookup it never touches
+// disk or starts a flight.
+func (c *Cache) lookupView(v viewID, traceDigest string, opt core.Options) (*core.Structure, any, bool) {
+	e := c.resident(KeyID(traceDigest, opt.Fingerprint()))
+	if e == nil {
+		return nil, nil, false
+	}
+	return e.s, c.viewFor(v, e), true
+}
+
+// getView is Get plus one derived view. On a full miss the view is built
+// against the freshly-inserted entry; if the entry was already evicted
+// again (tiny MaxMemEntries under load, or no memory layer) a transient,
+// unaccounted value is built for this caller alone.
+func (c *Cache) getView(ctx context.Context, v viewID, traceDigest string, tr *trace.Trace, opt core.Options) (*core.Structure, any, error) {
 	s, err := c.Get(ctx, traceDigest, tr, opt)
 	if err != nil {
 		return nil, nil, err
 	}
-	if c.aux == nil {
+	vw := &c.views[v]
+	if vw.build == nil {
 		return s, nil, nil
 	}
-	id := keyID(traceDigest, opt.Fingerprint())
 	c.mu.Lock()
-	if el, ok := c.entries[id]; ok {
-		e := el.Value.(*entry)
-		c.mu.Unlock()
-		return s, c.auxFor(e), nil
-	}
+	el, ok := c.entries[KeyID(traceDigest, opt.Fingerprint())]
 	c.mu.Unlock()
-	c.auxBuilds.Add(1)
-	v, _ := c.aux(s)
-	return s, v, nil
+	if ok {
+		return s, c.viewFor(v, el.Value.(*entry)), nil
+	}
+	vw.builds.Add(1)
+	val, _ := vw.build(s)
+	return s, val, nil
 }
 
-// auxFor returns the entry's aux value, building it exactly once — the
-// same discipline as indexFor (build outside c.mu, account only while
-// resident, subtract on eviction).
-func (c *Cache) auxFor(e *entry) any {
-	if c.aux == nil {
-		return nil
-	}
-	built := false
-	e.auxOnce.Do(func() {
-		built = true
-		e.aux, e.auxBytes = c.aux(e.s)
-		c.auxBuilds.Add(1)
-		c.mu.Lock()
-		if el, ok := c.entries[e.id]; ok && el.Value.(*entry) == e {
-			e.auxAccounted = true
-			c.auxBytesTotal += e.auxBytes
-			c.auxBytes.Set(float64(c.auxBytesTotal))
-		}
-		c.mu.Unlock()
-	})
-	if !built {
-		c.auxHits.Add(1)
-	}
-	return e.aux
-}
-
-// indexFor returns the entry's index, building it exactly once. The build
-// runs outside c.mu (concurrent callers queue on the entry's Once, not on
-// the cache); afterwards the bytes are accounted in the index_bytes gauge
-// only if the entry is still resident — an entry evicted mid-build is
+// viewFor returns the entry's value of one view, building it exactly once.
+// The build runs outside c.mu (concurrent callers queue on the entry's
+// Once, not on the cache); afterwards the bytes are accounted in the view's
+// gauge only if the entry is still resident — an entry evicted mid-build is
 // never accounted, and insertLocked subtracts accounted entries on
 // eviction.
-func (c *Cache) indexFor(e *entry) any {
-	if c.index == nil {
+func (c *Cache) viewFor(v viewID, e *entry) any {
+	vw, st := &c.views[v], &e.views[v]
+	if vw.build == nil {
 		return nil
 	}
 	built := false
-	e.idxOnce.Do(func() {
+	st.once.Do(func() {
 		built = true
-		e.idx, e.idxBytes = c.index(e.s)
-		c.indexBuilds.Add(1)
+		st.val, st.bytes = vw.build(e.s)
+		vw.builds.Add(1)
 		c.mu.Lock()
 		if el, ok := c.entries[e.id]; ok && el.Value.(*entry) == e {
-			e.idxAccounted = true
-			c.idxBytesTotal += e.idxBytes
-			c.indexBytes.Set(float64(c.idxBytesTotal))
+			st.accounted = true
+			vw.total += st.bytes
+			vw.bytesG.Set(float64(vw.total))
 		}
 		c.mu.Unlock()
 	})
 	if !built {
-		c.indexHits.Add(1)
+		vw.hits.Add(1)
 	}
-	return e.idx
+	return st.val
 }
 
 // Get returns the recovered structure for (traceDigest, opt), serving from
@@ -526,7 +488,7 @@ func (c *Cache) indexFor(e *entry) any {
 // DetachedTimeout hard cap. The returned structure is shared — treat it as
 // read-only.
 func (c *Cache) Get(ctx context.Context, traceDigest string, tr *trace.Trace, opt core.Options) (*core.Structure, error) {
-	id := keyID(traceDigest, opt.Fingerprint())
+	id := KeyID(traceDigest, opt.Fingerprint())
 
 	c.mu.Lock()
 	if c.closed {
@@ -989,8 +951,8 @@ func (c *Cache) gcDisk() {
 // insertLocked adds a result to the memory LRU, evicting from the back.
 // Caller holds c.mu. Re-inserting a resident id keeps the existing entry
 // (the key is a content address, so the structures are interchangeable,
-// and keeping the old one preserves its built index). Evicting an entry
-// whose index was accounted releases its bytes from the gauge.
+// and keeping the old one preserves its built views). Evicting an entry
+// releases the bytes of its accounted views from their gauges.
 func (c *Cache) insertLocked(id string, s *core.Structure) {
 	if c.maxEntries == 0 {
 		return
@@ -1005,13 +967,11 @@ func (c *Cache) insertLocked(id string, s *core.Structure) {
 		c.lru.Remove(back)
 		e := back.Value.(*entry)
 		delete(c.entries, e.id)
-		if e.idxAccounted {
-			c.idxBytesTotal -= e.idxBytes
-			c.indexBytes.Set(float64(c.idxBytesTotal))
-		}
-		if e.auxAccounted {
-			c.auxBytesTotal -= e.auxBytes
-			c.auxBytes.Set(float64(c.auxBytesTotal))
+		for v := range e.views {
+			if st := &e.views[v]; st.accounted {
+				c.views[v].total -= st.bytes
+				c.views[v].bytesG.Set(float64(c.views[v].total))
+			}
 		}
 		c.evictions.Add(1)
 	}

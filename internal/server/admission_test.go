@@ -111,9 +111,15 @@ func TestMemoryHitBypassesAdmission(t *testing.T) {
 	}()
 	<-entered
 
-	// The cached key must still answer instantly.
-	if status, body := get(t, ts, "/v1/traces/"+digest+"/structure"); status != http.StatusOK {
-		t.Fatalf("memory hit under saturation: status %d: %s", status, body)
+	// The cached key must still answer instantly, whatever the request
+	// wants resolved: /structure renders from its own memory peek, and the
+	// other three go through resolve for the structure alone (/metrics), the
+	// query index (windowed /steps) and the LOD pyramid (/lod) — both views
+	// are built in place, outside any slot.
+	for _, path := range []string{"/structure", "/metrics", "/steps?steps=0..3", "/lod?resolution=8"} {
+		if status, body := get(t, ts, "/v1/traces/"+digest+path); status != http.StatusOK {
+			t.Fatalf("memory hit on %s under saturation: status %d: %s", path, status, body)
+		}
 	}
 	if got := srv.Registry().Counter("server.shed").Value(); got != 0 {
 		t.Errorf("server.shed = %d, want 0", got)

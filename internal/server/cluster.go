@@ -65,11 +65,8 @@ func (s *Server) handleInternalResultPut(w http.ResponseWriter, r *http.Request)
 // digest cannot chase each other.
 func (s *Server) handleInternalTraceGet(w http.ResponseWriter, r *http.Request) {
 	digest := r.PathValue("digest")
-	s.mu.RLock()
-	te := s.traces[digest]
-	s.mu.RUnlock()
 	dir := s.tracesDir()
-	if te == nil || dir == "" {
+	if s.entryFor(digest) == nil || dir == "" {
 		httpError(w, errUnknownTrace)
 		return
 	}

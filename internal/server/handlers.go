@@ -8,10 +8,10 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 
 	"charmtrace/internal/core"
 	"charmtrace/internal/metrics"
-	"charmtrace/internal/query"
 	"charmtrace/internal/resultcache"
 	"charmtrace/internal/structdiff"
 	"charmtrace/internal/telemetry"
@@ -162,10 +162,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 		httpError(w, err)
 		return
 	}
-	s.mu.RLock()
-	size := s.traces[digest].bytes
-	s.mu.RUnlock()
-	writeJSON(w, summarize(digest, size, tr))
+	writeJSON(w, summarize(digest, s.entryFor(digest).bytes, tr))
 }
 
 // phaseJSON is one phase row of a structure response. Every field is
@@ -194,32 +191,14 @@ type structureResponse struct {
 	Phases      []phaseJSON `json:"phases"`
 }
 
-// handleStructure extracts (or recalls) the logical structure and returns
+// serveStructure extracts (or recalls) the logical structure and returns
 // the phase table.
-func (s *Server) handleStructure(w http.ResponseWriter, r *http.Request) {
-	digest := r.PathValue("digest")
-	opt, err := s.extractOptions(r)
-	if err != nil {
-		httpError(w, err)
-		return
-	}
-	spec, useQuery, err := query.SpecFromParams(query.SelectStructure, r.URL.Query())
-	if err != nil {
-		httpError(w, err)
-		return
-	}
-	if s.notModified(w, r, digest, opt.Fingerprint()) {
-		return
-	}
-	if useQuery {
-		s.serveQuery(w, r, digest, opt, spec)
-		return
-	}
+func (s *Server) serveStructure(w http.ResponseWriter, r *http.Request, digest string, opt core.Options) {
 	if resp, ok := s.serveStructureFast(r.Context(), digest, opt); ok {
 		writeJSON(w, resp)
 		return
 	}
-	st, err := s.structureFor(r.Context(), digest, opt)
+	st, _, err := s.resolve(r.Context(), digest, opt, wantStructure)
 	if err != nil {
 		httpError(w, err)
 		return
@@ -233,15 +212,12 @@ func (s *Server) handleStructure(w http.ResponseWriter, r *http.Request) {
 // no trace load, no full DecodeStructure, no extraction slot — which is
 // what makes the first post-restart /structure read O(phases) instead of
 // O(events). ok=false (unknown digest, no disk entry, corrupt or stale
-// entry) falls back to the full structureFor path, whose read self-heals
+// entry) falls back to the full resolve path, whose read self-heals
 // bad entries. The two render paths are byte-identical (pinned by the
 // serving tests): every response field is preserved by the codec's phase
 // table.
 func (s *Server) serveStructureFast(ctx context.Context, digest string, opt core.Options) (structureResponse, bool) {
-	s.mu.RLock()
-	known := s.traces[digest] != nil
-	s.mu.RUnlock()
-	if !known {
+	if s.entryFor(digest) == nil {
 		return structureResponse{}, false
 	}
 	fp := opt.Fingerprint()
@@ -316,37 +292,19 @@ type chareTimeline struct {
 	Timeline []stepJSON `json:"timeline"`
 }
 
-// handleSteps returns per-chare logical timelines: each chare's events in
+// serveSteps returns per-chare logical timelines: each chare's events in
 // logical order with their (phase, local step, global step) positions. An
 // optional ?chare=<id> narrows to one chare.
-func (s *Server) handleSteps(w http.ResponseWriter, r *http.Request) {
-	digest := r.PathValue("digest")
-	opt, err := s.extractOptions(r)
-	if err != nil {
-		httpError(w, err)
-		return
-	}
-	spec, useQuery, err := query.SpecFromParams(query.SelectSteps, r.URL.Query())
-	if err != nil {
-		httpError(w, err)
-		return
-	}
-	if s.notModified(w, r, digest, opt.Fingerprint()) {
-		return
-	}
-	if useQuery {
-		s.serveQuery(w, r, digest, opt, spec)
-		return
-	}
-	st, err := s.structureFor(r.Context(), digest, opt)
+func (s *Server) serveSteps(w http.ResponseWriter, r *http.Request, digest string, opt core.Options) {
+	st, _, err := s.resolve(r.Context(), digest, opt, wantStructure)
 	if err != nil {
 		httpError(w, err)
 		return
 	}
 	tr := st.Trace
-	only := int32(-1)
+	only := -1
 	if v := r.URL.Query().Get("chare"); v != "" {
-		if _, err := fmt.Sscanf(v, "%d", &only); err != nil || only < 0 || int(only) >= len(tr.Chares) {
+		if only, err = strconv.Atoi(v); err != nil || only < 0 || only >= len(tr.Chares) {
 			httpError(w, fmt.Errorf("%w: chare %q out of range", errBadRequest, v))
 			return
 		}
@@ -359,7 +317,7 @@ func (s *Server) handleSteps(w http.ResponseWriter, r *http.Request) {
 	}{Digest: digest, Fingerprint: opt.Fingerprint(), MaxStep: st.MaxStep()}
 	for ci := range tr.Chares {
 		c := trace.ChareID(ci)
-		if only >= 0 && int32(ci) != only {
+		if only >= 0 && ci != only {
 			continue
 		}
 		ct := chareTimeline{Chare: int32(ci), Name: tr.Chares[ci].Name}
@@ -384,28 +342,10 @@ type chareMetrics struct {
 	Imbalance            int64  `json:"imbalance"`
 }
 
-// handleMetrics computes the Section 4 metrics on the recovered structure
+// serveMetrics computes the Section 4 metrics on the recovered structure
 // and aggregates them per chare, with the per-phase imbalance table.
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	digest := r.PathValue("digest")
-	opt, err := s.extractOptions(r)
-	if err != nil {
-		httpError(w, err)
-		return
-	}
-	spec, useQuery, err := query.SpecFromParams(query.SelectMetrics, r.URL.Query())
-	if err != nil {
-		httpError(w, err)
-		return
-	}
-	if s.notModified(w, r, digest, opt.Fingerprint()) {
-		return
-	}
-	if useQuery {
-		s.serveQuery(w, r, digest, opt, spec)
-		return
-	}
-	st, err := s.structureFor(r.Context(), digest, opt)
+func (s *Server) serveMetrics(w http.ResponseWriter, r *http.Request, digest string, opt core.Options) {
+	st, _, err := s.resolve(r.Context(), digest, opt, wantStructure)
 	if err != nil {
 		httpError(w, err)
 		return
@@ -454,12 +394,12 @@ func (s *Server) handleStructDiff(w http.ResponseWriter, r *http.Request) {
 		httpError(w, err)
 		return
 	}
-	sa, err := s.structureFor(r.Context(), da, opt)
+	sa, _, err := s.resolve(r.Context(), da, opt, wantStructure)
 	if err != nil {
 		httpError(w, err)
 		return
 	}
-	sb, err := s.structureFor(r.Context(), db, opt)
+	sb, _, err := s.resolve(r.Context(), db, opt, wantStructure)
 	if err != nil {
 		httpError(w, err)
 		return

@@ -1,13 +1,11 @@
 package server
 
 import (
-	"context"
 	"fmt"
 	"net/http"
 
 	"charmtrace/internal/core"
 	"charmtrace/internal/lod"
-	"charmtrace/internal/resultcache"
 	"charmtrace/internal/structdiff"
 )
 
@@ -19,58 +17,23 @@ type lodResponse struct {
 	*lod.Result
 }
 
-// handleLodGet serves GET /v1/traces/{digest}/lod: the level-of-detail
-// aggregation shaped by URL parameters (resolution, steps, max_rows,
-// max_edges, edges, render, diff). Responses are immutable per (digest,
-// options, parameters), so the standard ETag/304 path applies.
-func (s *Server) handleLodGet(w http.ResponseWriter, r *http.Request) {
-	digest := r.PathValue("digest")
-	opt, err := s.extractOptions(r)
-	if err != nil {
-		httpError(w, err)
-		return
-	}
-	sp, err := lod.SpecFromParams(r.URL.Query())
-	if err != nil {
-		httpError(w, err)
-		return
-	}
-	if s.notModified(w, r, digest, opt.Fingerprint()) {
-		return
-	}
-	s.serveLod(w, r, digest, opt, sp)
-}
-
-// handleLodPost serves POST /v1/traces/{digest}/lod with a JSON spec body —
-// the same response as the GET form with the equivalent parameters (pinned
-// by the serving tests), for clients that outgrow URL length.
-func (s *Server) handleLodPost(w http.ResponseWriter, r *http.Request) {
-	digest := r.PathValue("digest")
-	opt, err := s.extractOptions(r)
-	if err != nil {
-		httpError(w, err)
-		return
-	}
-	sp, err := lod.ParseSpec(http.MaxBytesReader(w, r.Body, maxQuerySpecBytes))
-	if err != nil {
-		httpError(w, err)
-		return
-	}
-	s.serveLod(w, r, digest, opt, sp)
-}
-
-// serveLod is the shared execution tail of both LOD forms: resolve the
-// cached pyramid, resolve the diff digest if the spec asks for the overlay,
-// run the query, render.
+// serveLod executes both forms of /v1/traces/{digest}/lod — the
+// level-of-detail aggregation shaped by URL parameters on GET (resolution,
+// steps, max_rows, max_edges, edges, render, diff) or by the equivalent JSON
+// spec body on POST, for clients that outgrow URL length; the two answer
+// identically (pinned by the serving tests). It resolves the cached
+// pyramid, resolves the diff digest if the spec asks for the overlay, runs
+// the query, renders.
 func (s *Server) serveLod(w http.ResponseWriter, r *http.Request, digest string, opt core.Options, sp lod.Spec) {
-	pyr, err := s.pyramidFor(r.Context(), digest, opt)
+	_, view, err := s.resolve(r.Context(), digest, opt, wantPyramid)
 	if err != nil {
 		httpError(w, err)
 		return
 	}
+	pyr := view.(*lod.Pyramid)
 	var diff *structdiff.Diff
 	if sp.Diff != "" {
-		other, err := s.structureFor(r.Context(), sp.Diff, opt)
+		other, _, err := s.resolve(r.Context(), sp.Diff, opt, wantStructure)
 		if err != nil {
 			httpError(w, err)
 			return
@@ -87,30 +50,4 @@ func (s *Server) serveLod(w http.ResponseWriter, r *http.Request, digest string,
 		return
 	}
 	writeJSONCompact(w, lodResponse{Digest: digest, Fingerprint: opt.Fingerprint(), Result: res})
-}
-
-// pyramidFor resolves (digest, options) to the cached LOD pyramid through
-// the cache's aux slot — the same admission discipline as
-// indexedStructureFor: a memory hit (pyramid resident or built in place)
-// bypasses the extraction semaphore, everything else holds a slot.
-func (s *Server) pyramidFor(ctx context.Context, digest string, opt core.Options) (*lod.Pyramid, error) {
-	tr, err := s.lookupTrace(ctx, digest)
-	if err != nil {
-		return nil, err
-	}
-	resultcache.RecordKey(ctx, resultcache.KeyID(digest, opt.Fingerprint()))
-	if _, p, ok := s.cache.LookupAux(digest, opt); ok {
-		resultcache.RecordOutcome(ctx, resultcache.OutcomeMem)
-		return p.(*lod.Pyramid), nil
-	}
-	release, err := s.acquireSlot(ctx)
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	_, p, err := s.cache.GetAux(ctx, digest, tr, opt)
-	if err != nil {
-		return nil, err
-	}
-	return p.(*lod.Pyramid), nil
 }

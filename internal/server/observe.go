@@ -2,8 +2,6 @@ package server
 
 import (
 	"context"
-	"crypto/rand"
-	"encoding/hex"
 	"encoding/json"
 	"log/slog"
 	"net/http"
@@ -17,33 +15,6 @@ import (
 // request-ID contract, the structured access log, the Prometheus endpoint
 // and the live flight listing. Everything here observes; none of it changes
 // response bytes (the determinism invariant the cache depends on).
-
-// maxRequestIDLen bounds an inbound X-Request-ID; anything longer (or
-// containing non-printable bytes) is replaced rather than echoed.
-const maxRequestIDLen = 128
-
-// requestIDFor honors an inbound X-Request-ID so charmd joins a caller's
-// existing correlation chain, and mints a fresh one otherwise. The accepted
-// charset is printable ASCII — an uncontrolled value is never echoed into a
-// response header or a log line.
-func requestIDFor(r *http.Request) string {
-	id := r.Header.Get("X-Request-ID")
-	if id != "" && len(id) <= maxRequestIDLen {
-		ok := true
-		for i := 0; i < len(id); i++ {
-			if id[i] < 0x21 || id[i] > 0x7e {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			return id
-		}
-	}
-	var b [8]byte
-	rand.Read(b[:])
-	return hex.EncodeToString(b[:])
-}
 
 // logAccess emits one structured line per completed request: correlation id,
 // route, digest and cache outcome when the request had them, status, wall

@@ -2,7 +2,6 @@ package server
 
 import (
 	"compress/gzip"
-	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"io"
@@ -12,7 +11,6 @@ import (
 
 	"charmtrace/internal/core"
 	"charmtrace/internal/query"
-	"charmtrace/internal/resultcache"
 )
 
 // queryResponse wraps one executed query page with the request's content
@@ -23,70 +21,22 @@ type queryResponse struct {
 	*query.Result
 }
 
-// maxQuerySpecBytes bounds a POST /query body; a spec is a few hundred
-// bytes, so anything past this is garbage.
-const maxQuerySpecBytes = 1 << 20
-
-// handleQuery executes a JSON query spec (POST body) against the trace's
-// recovered structure through the per-entry index. Invalid specs map to
-// 400 with the offending field named; execution shares the cache and
-// admission path of the other analysis endpoints.
-func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	digest := r.PathValue("digest")
-	opt, err := s.extractOptions(r)
-	if err != nil {
-		httpError(w, err)
-		return
-	}
-	spec, err := query.ParseSpec(http.MaxBytesReader(w, r.Body, maxQuerySpecBytes))
-	if err != nil {
-		httpError(w, err)
-		return
-	}
-	s.serveQuery(w, r, digest, opt, spec)
-}
-
-// serveQuery is the shared execution tail of POST /query and the GET
-// parameter retrofit: resolve the indexed structure, run one page, render.
+// serveQuery executes one query spec — POST /query's JSON body or the GET
+// parameter retrofit — against the trace's recovered structure through the
+// per-entry index: resolve the index, run one page, render. Execution
+// shares the cache and admission path of the other analysis endpoints.
 func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, digest string, opt core.Options, spec query.Spec) {
-	_, idx, err := s.indexedStructureFor(r.Context(), digest, opt)
+	_, idx, err := s.resolve(r.Context(), digest, opt, wantIndex)
 	if err != nil {
 		httpError(w, err)
 		return
 	}
-	res, err := s.engine.Run(r.Context(), idx, spec)
+	res, err := s.engine.Run(r.Context(), idx.(*query.Index), spec)
 	if err != nil {
 		httpError(w, err)
 		return
 	}
 	writeJSON(w, queryResponse{Digest: digest, Fingerprint: opt.Fingerprint(), Result: res})
-}
-
-// indexedStructureFor is structureFor plus the cached per-entry query
-// index. Memory hits (structure and index both cache-resident or built in
-// place) bypass admission control like structureFor's: the index build is
-// milliseconds against extraction's seconds, and building it outside a
-// slot keeps hot paging requests from queueing behind extractions.
-func (s *Server) indexedStructureFor(ctx context.Context, digest string, opt core.Options) (*core.Structure, *query.Index, error) {
-	tr, err := s.lookupTrace(ctx, digest)
-	if err != nil {
-		return nil, nil, err
-	}
-	resultcache.RecordKey(ctx, resultcache.KeyID(digest, opt.Fingerprint()))
-	if st, idx, ok := s.cache.LookupIndexed(digest, opt); ok {
-		resultcache.RecordOutcome(ctx, resultcache.OutcomeMem)
-		return st, idx.(*query.Index), nil
-	}
-	release, err := s.acquireSlot(ctx)
-	if err != nil {
-		return nil, nil, err
-	}
-	defer release()
-	st, idx, err := s.cache.GetIndexed(ctx, digest, tr, opt)
-	if err != nil {
-		return nil, nil, err
-	}
-	return st, idx.(*query.Index), nil
 }
 
 // ---- conditional requests ---------------------------------------------
@@ -131,10 +81,7 @@ func strongETag(digest, fingerprint, params string) string {
 // the handler is done, having skipped extraction entirely. Unknown
 // digests get no validator and fall through to the usual 404.
 func (s *Server) notModified(w http.ResponseWriter, r *http.Request, digest, fingerprint string) bool {
-	s.mu.RLock()
-	_, known := s.traces[digest]
-	s.mu.RUnlock()
-	if !known {
+	if s.entryFor(digest) == nil {
 		return false
 	}
 	etag := strongETag(digest, fingerprint, responseParams(r.URL.Query()))

@@ -293,14 +293,20 @@ func (s *Server) indexTraceDir() error {
 	return nil
 }
 
+// entryFor returns the registered entry for a digest, or nil when this
+// node has never seen the trace.
+func (s *Server) entryFor(digest string) *traceEntry {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.traces[digest]
+}
+
 // lookupTrace resolves a digest to a decoded, indexed trace, loading it
 // from disk on first use after a restart, and — in a cluster — pulling it
 // from ring siblings when this node never saw the upload (failover reads,
 // replicas that missed the fan-out). ctx bounds only the peer fetch.
 func (s *Server) lookupTrace(ctx context.Context, digest string) (*trace.Trace, error) {
-	s.mu.RLock()
-	te := s.traces[digest]
-	s.mu.RUnlock()
+	te := s.entryFor(digest)
 	if te == nil {
 		if s.cfg.TraceFetch == nil {
 			return nil, errUnknownTrace
@@ -361,12 +367,18 @@ func (s *Server) routes() {
 	handle("POST /v1/traces", "upload", s.handleUpload)
 	handle("GET /v1/traces", "list", s.handleList)
 	handle("GET /v1/traces/{digest}", "trace", s.handleTrace)
-	handle("GET /v1/traces/{digest}/structure", "structure", s.handleStructure)
-	handle("GET /v1/traces/{digest}/steps", "steps", s.handleSteps)
-	handle("GET /v1/traces/{digest}/metrics", "metrics", s.handleMetrics)
-	handle("POST /v1/traces/{digest}/query", "query", s.handleQuery)
-	handle("GET /v1/traces/{digest}/lod", "lod", s.handleLodGet)
-	handle("POST /v1/traces/{digest}/lod", "lod_post", s.handleLodPost)
+	handle("GET /v1/traces/{digest}/structure", "structure", s.retrofit(query.SelectStructure, s.serveStructure))
+	handle("GET /v1/traces/{digest}/steps", "steps", s.retrofit(query.SelectSteps, s.serveSteps))
+	handle("GET /v1/traces/{digest}/metrics", "metrics", s.retrofit(query.SelectMetrics, s.serveMetrics))
+	handle("POST /v1/traces/{digest}/query", "query", analysis(s, func(w http.ResponseWriter, r *http.Request) (query.Spec, error) {
+		return query.ParseSpec(http.MaxBytesReader(w, r.Body, maxSpecBytes))
+	}, s.serveQuery))
+	handle("GET /v1/traces/{digest}/lod", "lod", analysis(s, func(_ http.ResponseWriter, r *http.Request) (lod.Spec, error) {
+		return lod.SpecFromParams(r.URL.Query())
+	}, s.serveLod))
+	handle("POST /v1/traces/{digest}/lod", "lod_post", analysis(s, func(w http.ResponseWriter, r *http.Request) (lod.Spec, error) {
+		return lod.ParseSpec(http.MaxBytesReader(w, r.Body, maxSpecBytes))
+	}, s.serveLod))
 	handle("GET /v1/structdiff", "structdiff", s.handleStructDiff)
 	handle("GET /metrics", "prom", s.handleProm)
 	handle("GET /debug/stats", "stats", s.handleStats)
@@ -396,6 +408,59 @@ func (s *Server) routes() {
 // ServeHTTP dispatches to the mounted routes.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
+// maxSpecBytes bounds a POST /query or /lod body; a spec is a few hundred
+// bytes, so anything past this is garbage.
+const maxSpecBytes = 1 << 20
+
+// analysis adapts one digest-scoped analysis endpoint. It owns the preamble
+// every such endpoint shares, in the order that fixes error precedence: the
+// extraction options (bad option → 400), then the endpoint's spec decoder
+// (bad spec → 400 with the field named), then — for the URL-addressed
+// GET/HEAD forms, whose response is immutable per (digest, options,
+// parameters) — the ETag/304 validator, and only then serve. A POST carries
+// its spec in the body, which the URL-derived ETag cannot cover, so it gets
+// no validator.
+func analysis[S any](s *Server, decode func(http.ResponseWriter, *http.Request) (S, error),
+	serve func(w http.ResponseWriter, r *http.Request, digest string, opt core.Options, spec S)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		digest := r.PathValue("digest")
+		opt, err := s.extractOptions(r)
+		if err != nil {
+			httpError(w, err)
+			return
+		}
+		spec, err := decode(w, r)
+		if err != nil {
+			httpError(w, err)
+			return
+		}
+		if r.Method != http.MethodPost && s.notModified(w, r, digest, opt.Fingerprint()) {
+			return
+		}
+		serve(w, r, digest, opt, spec)
+	}
+}
+
+// retrofit is analysis for the three legacy GET endpoints: a request with
+// any query-engine parameter (?phase=, ?steps=, ?limit=, …) runs as a query
+// with the given select kind; without one, full serves the endpoint's
+// original whole-trace response.
+func (s *Server) retrofit(sel string, full func(w http.ResponseWriter, r *http.Request, digest string, opt core.Options)) http.HandlerFunc {
+	return analysis(s, func(_ http.ResponseWriter, r *http.Request) (*query.Spec, error) {
+		spec, used, err := query.SpecFromParams(sel, r.URL.Query())
+		if err != nil || !used {
+			return nil, err
+		}
+		return &spec, nil
+	}, func(w http.ResponseWriter, r *http.Request, digest string, opt core.Options, spec *query.Spec) {
+		if spec != nil {
+			s.serveQuery(w, r, digest, opt, *spec)
+			return
+		}
+		full(w, r, digest, opt)
+	})
+}
+
 // instrument wraps a handler with the serving telemetry (request counter,
 // in-flight gauge, per-route latency histogram, status-class counters),
 // request correlation (X-Request-ID honored or minted, echoed, and carried
@@ -408,7 +473,7 @@ func (s *Server) instrument(route string, h http.HandlerFunc) http.Handler {
 	latency := s.reg.Histogram("server.latency_ms." + route)
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Vary", "Accept-Encoding")
-		reqID := requestIDFor(r)
+		reqID := telemetry.RequestIDFor(r.Header.Get("X-Request-ID"))
 		w.Header().Set("X-Request-ID", reqID)
 		if s.cfg.NodeName != "" {
 			w.Header().Set("X-Charmd-Node", s.cfg.NodeName)
@@ -572,23 +637,25 @@ func (s *Server) extractOptions(r *http.Request) (core.Options, error) {
 	default:
 		return opt, fmt.Errorf("%w: unknown preset %q (want charm or mp)", errBadRequest, preset)
 	}
-	for name, dst := range map[string]*bool{
-		"reorder":   &opt.Reorder,
-		"infer":     &opt.InferDependencies,
-		"nsmerge":   &opt.NeighborSerialMerge,
-		"procorder": &opt.ProcessOrderDeps,
+	// A slice, not a map: with several invalid booleans the 400 must name
+	// the same one every time.
+	for _, p := range []struct {
+		name string
+		dst  *bool
+	}{
+		{"reorder", &opt.Reorder},
+		{"infer", &opt.InferDependencies},
+		{"nsmerge", &opt.NeighborSerialMerge},
+		{"procorder", &opt.ProcessOrderDeps},
 	} {
-		v := q.Get(name)
-		if v == "" {
-			continue
-		}
-		switch v {
+		switch v := q.Get(p.name); v {
+		case "":
 		case "true", "1":
-			*dst = true
+			*p.dst = true
 		case "false", "0":
-			*dst = false
+			*p.dst = false
 		default:
-			return opt, fmt.Errorf("%w: parameter %s=%q is not a boolean", errBadRequest, name, v)
+			return opt, fmt.Errorf("%w: parameter %s=%q is not a boolean", errBadRequest, p.name, v)
 		}
 	}
 	opt.Parallelism = s.cfg.Parallelism
@@ -630,27 +697,56 @@ func (s *Server) acquireSlot(ctx context.Context) (release func(), err error) {
 	}
 }
 
-// structureFor resolves (digest, request options) through the cache. A
-// memory hit is served without touching admission control; everything else
-// (disk read, coalesced wait, extraction) holds an extraction slot, and a
-// caller whose context dies releases the slot immediately — the detached
-// flight keeps running without it.
-func (s *Server) structureFor(ctx context.Context, digest string, opt core.Options) (*core.Structure, error) {
+// want names what a request needs resolved beside the structure itself:
+// nothing, or one of the cache's derived views.
+type want int
+
+const (
+	wantStructure want = iota
+	wantIndex          // the per-entry *query.Index (resultcache's Index view)
+	wantPyramid        // the per-entry *lod.Pyramid (resultcache's Aux view)
+)
+
+// resolve is the one path from (digest, request options) to a cached
+// structure and, per want, its derived view. A memory hit — view resident
+// or built in place: milliseconds against extraction's seconds — is served
+// without touching admission control, which keeps hot paging requests from
+// queueing behind extractions; everything else (disk read, coalesced wait,
+// extraction) holds an extraction slot, and a caller whose context dies
+// releases the slot immediately — the detached flight keeps running
+// without it. view is nil for wantStructure.
+func (s *Server) resolve(ctx context.Context, digest string, opt core.Options, w want) (st *core.Structure, view any, err error) {
 	tr, err := s.lookupTrace(ctx, digest)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	resultcache.RecordKey(ctx, resultcache.KeyID(digest, opt.Fingerprint()))
-	if st, ok := s.cache.Lookup(digest, opt); ok {
+	var ok bool
+	switch w {
+	case wantIndex:
+		st, view, ok = s.cache.LookupIndexed(digest, opt)
+	case wantPyramid:
+		st, view, ok = s.cache.LookupAux(digest, opt)
+	default:
+		st, ok = s.cache.Lookup(digest, opt)
+	}
+	if ok {
 		resultcache.RecordOutcome(ctx, resultcache.OutcomeMem)
-		return st, nil
+		return st, view, nil
 	}
 	release, err := s.acquireSlot(ctx)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	defer release()
-	return s.cache.Get(ctx, digest, tr, opt)
+	switch w {
+	case wantIndex:
+		return s.cache.GetIndexed(ctx, digest, tr, opt)
+	case wantPyramid:
+		return s.cache.GetAux(ctx, digest, tr, opt)
+	}
+	st, err = s.cache.Get(ctx, digest, tr, opt)
+	return st, nil, err
 }
 
 // Shutdown drains the server: new requests are refused with 503, in-flight

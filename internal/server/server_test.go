@@ -317,6 +317,17 @@ func TestErrorMapping(t *testing.T) {
 	if code, _ := get(t, ts, "/v1/traces/"+digest+"/steps?chare=9999"); code != http.StatusBadRequest {
 		t.Errorf("chare out of range: status %d, want 400", code)
 	}
+	if code, _ := get(t, ts, "/v1/traces/"+digest+"/steps?chare=3xyz"); code != http.StatusBadRequest {
+		t.Errorf("chare with trailing garbage: status %d, want 400", code)
+	}
+	// Two invalid booleans: the 400 names the first in the fixed parameter
+	// order, every time.
+	for i := 0; i < 8; i++ {
+		code, body := get(t, ts, "/v1/traces/"+digest+"/structure?procorder=x&reorder=y")
+		if code != http.StatusBadRequest || !strings.Contains(string(body), `reorder=\"y\"`) {
+			t.Fatalf("two bad booleans: status %d body %s, want 400 naming reorder", code, body)
+		}
+	}
 	if code, _ := get(t, ts, "/v1/structdiff?a="+digest); code != http.StatusBadRequest {
 		t.Errorf("structdiff missing b: status %d, want 400", code)
 	}

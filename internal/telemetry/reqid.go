@@ -1,6 +1,10 @@
 package telemetry
 
-import "context"
+import (
+	"context"
+	"crypto/rand"
+	"encoding/hex"
+)
 
 // The request-ID context key lives in telemetry because it is read on both
 // sides of the serving/pipeline boundary: charmd's access-log middleware
@@ -11,6 +15,33 @@ import "context"
 // log line (and the X-Request-ID the client saw) that caused it.
 
 type requestIDKey struct{}
+
+// maxRequestIDLen bounds an inbound X-Request-ID; anything longer (or
+// containing non-printable bytes) is replaced rather than echoed.
+const maxRequestIDLen = 128
+
+// RequestIDFor is the request-ID contract of every hop (gateway, charmd):
+// a well-formed inbound X-Request-ID value is honored, so a chain client →
+// gateway → node → peer logs one id at every hop, and a fresh 8-byte hex id
+// is minted otherwise. The accepted charset is printable ASCII — an
+// uncontrolled value is never echoed into a response header or a log line.
+func RequestIDFor(inbound string) string {
+	if inbound != "" && len(inbound) <= maxRequestIDLen {
+		ok := true
+		for i := 0; i < len(inbound); i++ {
+			if inbound[i] < 0x21 || inbound[i] > 0x7e {
+				ok = false
+				break
+			}
+		}
+		if ok {
+			return inbound
+		}
+	}
+	var b [8]byte
+	rand.Read(b[:])
+	return hex.EncodeToString(b[:])
+}
 
 // WithRequestID returns a context carrying the request id. Empty ids are
 // not stored.
