@@ -84,7 +84,7 @@ serve:
 
 # cluster starts a 3-node charmd fleet (:8081-:8083) plus the
 # consistent-hash gateway on :8090, all on this machine — the quickest way
-# to try sharded routing, peer cache fill and hedging. Ctrl-C stops all
+# to try sharded routing, failover and peer cache fill. Ctrl-C stops all
 # four. See README "Clustering".
 cluster: build
 	@trap 'kill 0' INT TERM; \

@@ -2,10 +2,10 @@
 // consistent-hash router: every trace digest maps to R ring successors, so
 // uploads land on the nodes that will serve them, repeat reads of one
 // trace hit the same warm caches, and a node loss moves only ~1/N of the
-// keyspace. Slow primaries are hedged — after an adaptive delay the same
-// read is raced against the next replica and the first answer wins — and
-// cache misses are replicated to the remaining successors in the
-// background.
+// keyspace. A dead or draining node is failed over in ring order; an
+// uploaded trace is copied to the rest of its replica set in the
+// background, and results move only when a node pulls one from a ring
+// sibling (peer fill).
 //
 // Usage:
 //
@@ -40,8 +40,6 @@ func main() {
 	peers := flag.String("peers", "", "cluster member list as name=url,name=url")
 	peersConfig := flag.String("peers-config", "", "path to a JSON cluster member file (alternative to -peers)")
 	replication := flag.Int("replication", 0, "replicas per trace digest, R (0 = 2; clamped to the member count)")
-	hedgeAfter := flag.Duration("hedge-after", 0, "fixed hedge delay (0 = adapt to the p95 proxy latency)")
-	hedgeMax := flag.Duration("hedge-max", 0, "upper clamp on the adaptive hedge delay (0 = 2s, negative = hedging off)")
 	probeInterval := flag.Duration("probe-interval", 0, "liveness probe period against each node's /readyz (0 = 2s)")
 	maxUpload := flag.Int64("max-upload", 256<<20, "maximum trace upload size in bytes")
 	drain := flag.Duration("drain", 30*time.Second, "graceful-shutdown drain budget")
@@ -73,8 +71,6 @@ func main() {
 	gw, err := cluster.NewGateway(cluster.GatewayConfig{
 		Members:        members,
 		Replication:    *replication,
-		HedgeAfter:     *hedgeAfter,
-		HedgeMax:       *hedgeMax,
 		ProbeInterval:  *probeInterval,
 		MaxUploadBytes: *maxUpload,
 		AccessLog:      accessLog,

@@ -53,7 +53,6 @@ func main() {
 	nodeName := flag.String("node-name", "", "this node's cluster member name (labels metrics and logs; required with -peers)")
 	peers := flag.String("peers", "", "cluster member list as name=url,name=url (must include -node-name; enables peer cache fill)")
 	peersConfig := flag.String("peers-config", "", "path to a JSON cluster member file (alternative to -peers)")
-	peerFanout := flag.Int("peer-fanout", 0, "ring siblings asked per peer fill (0 = 2)")
 	drain := flag.Duration("drain", 30*time.Second, "graceful-shutdown drain budget")
 	logging := cli.NewLogging("json", flag.CommandLine)
 	tele := cli.NewProfiling("charmd", flag.CommandLine)
@@ -116,7 +115,6 @@ func main() {
 			pc, err = cluster.NewPeers(cluster.PeersConfig{
 				Self:    *nodeName,
 				Members: members,
-				Fanout:  *peerFanout,
 				Metrics: srv.Registry(),
 			})
 		}

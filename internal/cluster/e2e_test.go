@@ -27,6 +27,7 @@ import (
 
 type testNode struct {
 	name string
+	dir  string
 	srv  *server.Server
 	ts   *httptest.Server
 }
@@ -52,9 +53,9 @@ func startCluster(t *testing.T, n int, gwCfg cluster.GatewayConfig) *testCluster
 	peers := make([]*cluster.Peers, n)
 	for i := 0; i < n; i++ {
 		i := i
-		name := fmt.Sprintf("n%d", i)
+		name, dir := fmt.Sprintf("n%d", i), t.TempDir()
 		srv, err := server.New(server.Config{
-			DataDir:  t.TempDir(),
+			DataDir:  dir,
 			NodeName: name,
 			PeerFetch: func(ctx context.Context, traceDigest, key string) (io.ReadCloser, error) {
 				return peers[i].FetchResult(ctx, traceDigest, key)
@@ -68,7 +69,7 @@ func startCluster(t *testing.T, n int, gwCfg cluster.GatewayConfig) *testCluster
 		}
 		ts := httptest.NewServer(srv)
 		t.Cleanup(ts.Close)
-		nodes[i] = &testNode{name: name, srv: srv, ts: ts}
+		nodes[i] = &testNode{name: name, dir: dir, srv: srv, ts: ts}
 	}
 	members := make([]cluster.Member, n)
 	for i, nd := range nodes {
@@ -162,12 +163,12 @@ func getURL(t *testing.T, url string) (*http.Response, []byte) {
 // end: an upload lands on the digest's R ring successors (and nowhere
 // else), and /cluster reports a sane share split.
 func TestClusterUploadPlacementAndShares(t *testing.T) {
-	tc := startCluster(t, 3, cluster.GatewayConfig{Replication: 2, HedgeMax: -1})
+	tc := startCluster(t, 3, cluster.GatewayConfig{Replication: 2})
 	body := encodedJacobi(t, 0)
 	digest := gwUpload(t, tc, body)
 	tc.gw.Quiesce() // wait out the async trace fan-out
 
-	ring, err := cluster.NewRing(membersOf(tc), 0)
+	ring, err := cluster.NewRing(membersOf(tc))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +233,7 @@ func membersOf(tc *testCluster) []cluster.Member {
 // across the whole cluster — routing pins the digest to one owner, and that
 // node's request coalescing merges the burst.
 func TestClusterExactlyOnceExtraction(t *testing.T) {
-	tc := startCluster(t, 3, cluster.GatewayConfig{Replication: 2, HedgeMax: -1})
+	tc := startCluster(t, 3, cluster.GatewayConfig{Replication: 2})
 	digest := gwUpload(t, tc, encodedJacobi(t, 0))
 
 	const K = 12
@@ -273,42 +274,87 @@ func TestClusterExactlyOnceExtraction(t *testing.T) {
 		t.Fatalf("cluster-wide extractions = %d, want exactly 1 for %d identical requests", misses, K)
 	}
 
-	// The one miss triggered async replication of the encoded entry to the
-	// other owner; after Quiesce both owners serve identical entry bytes.
-	tc.gw.Quiesce()
-	if pushes := counterOf(tc.gw.Registry(), "gateway.replica_pushes"); pushes < 1 {
-		t.Fatalf("replica_pushes = %d, want >= 1", pushes)
+	// The result moves only when a node pulls it. A read sent straight to
+	// the second owner — which has the trace from the upload fan-out but
+	// never saw the burst — fills from the first owner's disk: same bytes,
+	// still one extraction cluster-wide.
+	ring, _ := cluster.NewRing(membersOf(tc))
+	second := tc.node(ring.Successors(digest, 2)[1].Name)
+	resp, data := getURL(t, second.ts.URL+"/v1/traces/"+digest+"/structure")
+	if got := resp.Header.Get("X-Charmd-Cache"); resp.StatusCode != http.StatusOK || got != resultcache.OutcomePeer {
+		t.Fatalf("second owner %s: status %d, X-Charmd-Cache %q, want 200 and %q", second.name, resp.StatusCode, got, resultcache.OutcomePeer)
 	}
-	ring, _ := cluster.NewRing(membersOf(tc), 0)
-	owners := ring.Successors(digest, 2)
-	key := resultcache.KeyID(digest, extractFingerprint(t, bodies[0]))
-	var entries [][]byte
-	for _, m := range owners {
-		resp, data := getURL(t, tc.node(m.Name).ts.URL+"/v1/internal/results/"+key)
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("owner %s lacks entry %s: %d", m.Name, key, resp.StatusCode)
-		}
-		entries = append(entries, data)
+	if !bytes.Equal(data, bodies[0]) {
+		t.Fatal("peer-filled response differs from the extracting owner's")
 	}
-	if !bytes.Equal(entries[0], entries[1]) {
-		t.Fatal("replicated entry differs from the original")
+	if n := counterOf(second.srv.Registry(), "cache.misses"); n != 0 {
+		t.Fatalf("second owner ran %d extractions, want 0", n)
+	}
+	// The fill was persisted: with the memory layer out of the picture (a
+	// restart over the same data directory) the same read is a disk hit.
+	restarted, err := server.New(server.Config{DataDir: second.dir, NodeName: second.name})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := httptest.NewRecorder()
+	restarted.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/traces/"+digest+"/structure", nil))
+	if got := rec.Header().Get("X-Charmd-Cache"); rec.Code != http.StatusOK || got != resultcache.OutcomeDisk {
+		t.Fatalf("restarted second owner: status %d, X-Charmd-Cache %q, want 200 and %q", rec.Code, got, resultcache.OutcomeDisk)
+	}
+	if !bytes.Equal(rec.Body.Bytes(), bodies[0]) {
+		t.Fatal("disk-hit response differs from the extracting owner's")
 	}
 }
 
-// extractFingerprint pulls the options fingerprint out of a /structure
-// response, so tests can compute the result key the way the server does.
-func extractFingerprint(t *testing.T, structureJSON []byte) string {
-	t.Helper()
-	var s struct {
-		Fingerprint string `json:"fingerprint"`
+// TestClusterEveryDigestRouteThroughGateway walks the server's own route
+// table: every digest-scoped endpoint a node serves must answer through
+// the gateway with exactly the bytes the answering node gives directly.
+// The gateway mounts that table, so a new endpoint is one row in server —
+// plus, for a POST, its spec here.
+func TestClusterEveryDigestRouteThroughGateway(t *testing.T) {
+	tc := startCluster(t, 3, cluster.GatewayConfig{Replication: 2})
+	digest := gwUpload(t, tc, encodedJacobi(t, 0))
+	specs := map[string]string{
+		"query":    `{"select": "steps", "filter": {"steps": {"from": 0, "to": 8}}, "limit": 5}`,
+		"lod_post": `{"resolution": 8, "max_rows": 4}`,
 	}
-	if err := json.Unmarshal(structureJSON, &s); err != nil {
-		t.Fatal(err)
+	do := func(base string, rt server.DigestRoute) (*http.Response, []byte) {
+		method, path, _ := strings.Cut(rt.Pattern, " ")
+		req, err := http.NewRequest(method, base+strings.Replace(path, "{digest}", digest, 1), strings.NewReader(specs[rt.Label]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		data, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp, data
 	}
-	if s.Fingerprint == "" {
-		t.Fatal("structure response has no fingerprint")
+	for _, rt := range server.DigestRoutes {
+		via, viaBody := do(tc.gwTS.URL, rt)
+		if via.StatusCode != http.StatusOK {
+			t.Errorf("%s via gateway: status %d: %s", rt.Pattern, via.StatusCode, viaBody)
+			continue
+		}
+		nd := tc.node(via.Header.Get("X-Charmd-Node"))
+		if nd == nil {
+			t.Errorf("%s via gateway: X-Charmd-Node %q is not a member", rt.Pattern, via.Header.Get("X-Charmd-Node"))
+			continue
+		}
+		direct, directBody := do(nd.ts.URL, rt)
+		if direct.StatusCode != http.StatusOK || !bytes.Equal(viaBody, directBody) {
+			t.Errorf("%s: gateway answered %d bytes, node %s answers %d (%d bytes) directly",
+				rt.Pattern, len(viaBody), nd.name, direct.StatusCode, len(directBody))
+		}
+		if n := counterOf(tc.gw.Registry(), "gateway.route."+rt.Label); n != 1 {
+			t.Errorf("%s: gateway.route.%s = %d, want 1", rt.Pattern, rt.Label, n)
+		}
 	}
-	return s.Fingerprint
 }
 
 // TestClusterPeerCacheFill exercises the node-to-node fill path without a
@@ -317,13 +363,13 @@ func extractFingerprint(t *testing.T, structureJSON []byte) string {
 // endpoint, the encoded result via the internal results endpoint — and the
 // response is byte-identical to the extracting node's.
 func TestClusterPeerCacheFill(t *testing.T) {
-	tc := startCluster(t, 3, cluster.GatewayConfig{Replication: 2, HedgeMax: -1})
+	tc := startCluster(t, 3, cluster.GatewayConfig{Replication: 2})
 	body := encodedJacobi(t, 0)
 	digest := tracefile.DigestBytes(body)
 
 	// Upload directly to the digest's primary owner only — no gateway
 	// fan-out, so every other node starts blind.
-	ring, _ := cluster.NewRing(membersOf(tc), 0)
+	ring, _ := cluster.NewRing(membersOf(tc))
 	owner := tc.node(ring.Owner(digest).Name)
 	resp, err := http.Post(owner.ts.URL+"/v1/traces", "application/octet-stream", bytes.NewReader(body))
 	if err != nil {
@@ -379,24 +425,22 @@ func TestClusterPeerCacheFill(t *testing.T) {
 // TestClusterNodeKillZero5xx kills a replica-set member mid-workload and
 // requires every read through the gateway to keep succeeding: transport
 // failures fail over to the surviving replica, which holds the trace from
-// upload fan-out.
+// upload fan-out and rebuilds the result through its own pull tier.
 func TestClusterNodeKillZero5xx(t *testing.T) {
 	tc := startCluster(t, 3, cluster.GatewayConfig{
 		Replication:   2,
-		HedgeMax:      -1,
 		ProbeInterval: time.Hour, // liveness driven by request errors alone
 	})
 	digest := gwUpload(t, tc, encodedJacobi(t, 0))
 	tc.gw.Quiesce()
 
-	// Warm the structure once so the kill exercises serving, not extraction.
+	// The bytes every post-kill read must reproduce.
 	resp, data := getURL(t, tc.gwTS.URL+"/v1/traces/"+digest+"/structure")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("warm read: %d: %s", resp.StatusCode, data)
 	}
-	tc.gw.Quiesce() // entry replicated to the surviving owner before the kill
 
-	ring, _ := cluster.NewRing(membersOf(tc), 0)
+	ring, _ := cluster.NewRing(membersOf(tc))
 	victim := tc.node(ring.Owner(digest).Name)
 	victim.ts.Close()
 
@@ -420,98 +464,13 @@ func TestClusterNodeKillZero5xx(t *testing.T) {
 	}
 }
 
-// TestClusterHedgeCancellation pins the hedging contract against stub
-// members: when the primary stalls, the hedge fires after the configured
-// delay, the fast replica's answer wins, and the loser's request context
-// is cancelled rather than left running.
-func TestClusterHedgeCancellation(t *testing.T) {
-	const digest = "feedfeedfeedfeedfeedfeedfeedfeedfeedfeedfeedfeedfeedfeedfeedfeed"
-
-	slowCancelled := make(chan struct{}, 1)
-	answer := func(w http.ResponseWriter, name string) {
-		w.Header().Set("X-Charmd-Node", name)
-		w.Header().Set("Content-Type", "application/json")
-		fmt.Fprintf(w, `{"digest":%q,"node":%q}`, digest, name)
-	}
-	var slowName string
-	var mu sync.Mutex
-	mkNode := func(name string) *httptest.Server {
-		return httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			if r.URL.Path == "/readyz" {
-				fmt.Fprint(w, `{"status":"ready"}`)
-				return
-			}
-			mu.Lock()
-			slow := name == slowName
-			mu.Unlock()
-			if slow {
-				select {
-				case <-r.Context().Done():
-					slowCancelled <- struct{}{}
-				case <-time.After(30 * time.Second):
-				}
-				return
-			}
-			answer(w, name)
-		}))
-	}
-	tsA, tsB := mkNode("a"), mkNode("b")
-	defer tsA.Close()
-	defer tsB.Close()
-	members := []cluster.Member{{Name: "a", URL: tsA.URL}, {Name: "b", URL: tsB.URL}}
-
-	ring, err := cluster.NewRing(members, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mu.Lock()
-	slowName = ring.Owner(digest).Name
-	mu.Unlock()
-
-	gw, err := cluster.NewGateway(cluster.GatewayConfig{
-		Members:       members,
-		Replication:   2,
-		HedgeAfter:    20 * time.Millisecond,
-		ProbeInterval: time.Hour,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer gw.Close()
-	gwTS := httptest.NewServer(gw)
-	defer gwTS.Close()
-
-	resp, body := getURL(t, gwTS.URL+"/v1/traces/"+digest+"/structure")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("hedged read: %d: %s", resp.StatusCode, body)
-	}
-	if got := resp.Header.Get("X-Charmd-Node"); got == slowName || got == "" {
-		t.Fatalf("winner = %q, want the fast replica", got)
-	}
-	select {
-	case <-slowCancelled:
-	case <-time.After(5 * time.Second):
-		t.Fatal("slow primary's request context was never cancelled")
-	}
-	reg := gw.Registry()
-	if n := counterOf(reg, "gateway.hedge_fired"); n != 1 {
-		t.Fatalf("gateway.hedge_fired = %d, want 1", n)
-	}
-	if n := counterOf(reg, "gateway.hedge_won"); n != 1 {
-		t.Fatalf("gateway.hedge_won = %d, want 1", n)
-	}
-	if n := counterOf(reg, "gateway.hedge_cancelled"); n != 1 {
-		t.Fatalf("gateway.hedge_cancelled = %d, want 1", n)
-	}
-}
-
 // TestClusterRequestIDAndPassthrough covers the correlation satellite: a
 // caller-chosen X-Request-ID survives gateway → node, an absent one is
 // minted and a hostile one replaced (the same contract as charmd's, from
 // the same function), and the node observability surface is reachable
 // through /nodes/{name}/.
 func TestClusterRequestIDAndPassthrough(t *testing.T) {
-	tc := startCluster(t, 3, cluster.GatewayConfig{Replication: 2, HedgeMax: -1})
+	tc := startCluster(t, 3, cluster.GatewayConfig{Replication: 2})
 	digest := gwUpload(t, tc, encodedJacobi(t, 0))
 
 	req, _ := http.NewRequest(http.MethodGet, tc.gwTS.URL+"/v1/traces/"+digest+"/structure", nil)
@@ -569,7 +528,7 @@ func TestClusterRequestIDAndPassthrough(t *testing.T) {
 // the repo's own strict parser: the cluster counters exist as labeled
 // Prometheus families after a representative workload.
 func TestClusterGatewayMetrics(t *testing.T) {
-	tc := startCluster(t, 3, cluster.GatewayConfig{Replication: 2, HedgeMax: -1})
+	tc := startCluster(t, 3, cluster.GatewayConfig{Replication: 2})
 	digest := gwUpload(t, tc, encodedJacobi(t, 0))
 	for i := 0; i < 2; i++ {
 		resp, data := getURL(t, tc.gwTS.URL+"/v1/traces/"+digest+"/structure")
@@ -594,11 +553,7 @@ func TestClusterGatewayMetrics(t *testing.T) {
 		"gateway_route_structure_total",
 		"gateway_peer_fill_hits_total",
 		"gateway_peer_fill_misses_total",
-		"gateway_replica_pushes_total",
 		"gateway_trace_replicas_total",
-		"gateway_hedge_fired_total",
-		"gateway_hedge_won_total",
-		"gateway_hedge_cancelled_total",
 		"gateway_proxy_ms",
 	}
 	for _, name := range want {
@@ -616,8 +571,8 @@ func TestClusterGatewayMetrics(t *testing.T) {
 			t.Fatalf("family %s labels = %v, want node=gateway", name, fam.Labels)
 		}
 	}
-	if v := fams["gateway_replica_pushes_total"].Samples[0].Value; v < 1 {
-		t.Fatalf("gateway_replica_pushes_total = %v, want >= 1", v)
+	if v := fams["gateway_trace_replicas_total"].Samples[0].Value; v != 1 {
+		t.Fatalf("gateway_trace_replicas_total = %v, want 1 (R=2: one fan-out copy)", v)
 	}
 	if v := fams["gateway_peer_fill_misses_total"].Samples[0].Value; v != 1 {
 		t.Fatalf("gateway_peer_fill_misses_total = %v, want 1 (one extraction happened)", v)

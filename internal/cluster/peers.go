@@ -10,26 +10,24 @@ import (
 	"charmtrace/internal/telemetry"
 )
 
-// defaultPeerTimeout bounds one peer fetch attempt. A peer fill is an
+// peerTimeout bounds one peer fetch attempt. A peer fill is an
 // optimization over local extraction, so a slow peer must never cost more
 // than a modest fraction of the extraction it would have saved.
-const defaultPeerTimeout = 5 * time.Second
+const peerTimeout = 5 * time.Second
 
-// defaultPeerFanout is how many ring siblings a node asks before giving up
-// on a peer fill. The entry, if it exists anywhere, lives on the key's
-// replica set, so two siblings cover R=2 and R=3 deployments.
-const defaultPeerFanout = 2
+// peerFanout is how many ring siblings a node asks before giving up on a
+// peer fill. The entry, if it exists anywhere, lives on the key's replica
+// set, so two siblings cover R=2 and R=3 deployments.
+const peerFanout = 2
 
 // Peers is the node-side cluster client: given this node's name and the
 // shared member list, it fetches encoded cache entries (and raw traces)
 // from the ring siblings that would hold a key's replicas. It is what
 // charmd plugs into resultcache.Config.PeerFetch.
 type Peers struct {
-	self    string
-	ring    *Ring
-	client  *http.Client
-	fanout  int
-	timeout time.Duration
+	self   string
+	ring   *Ring
+	client *http.Client
 
 	fetches    *telemetry.Counter // cluster.peer_fetches
 	fetchFails *telemetry.Counter // cluster.peer_fetch_failures
@@ -41,13 +39,6 @@ type PeersConfig struct {
 	Self string
 	// Members is the full cluster member list (including Self).
 	Members []Member
-	// VirtualNodes tunes the ring (0 = DefaultVirtualNodes). Must match the
-	// gateway's setting or routing and peer fill will disagree about owners.
-	VirtualNodes int
-	// Fanout bounds how many siblings one fetch tries (0 = 2).
-	Fanout int
-	// Timeout bounds one sibling attempt (0 = 5s).
-	Timeout time.Duration
 	// Client is the HTTP client (nil = a private one).
 	Client *http.Client
 	// Metrics receives the client's counters (nil = a private registry).
@@ -56,7 +47,7 @@ type PeersConfig struct {
 
 // NewPeers builds the client. Self must appear in Members.
 func NewPeers(cfg PeersConfig) (*Peers, error) {
-	ring, err := NewRing(cfg.Members, cfg.VirtualNodes)
+	ring, err := NewRing(cfg.Members)
 	if err != nil {
 		return nil, err
 	}
@@ -74,14 +65,6 @@ func NewPeers(cfg PeersConfig) (*Peers, error) {
 	if client == nil {
 		client = &http.Client{}
 	}
-	fanout := cfg.Fanout
-	if fanout <= 0 {
-		fanout = defaultPeerFanout
-	}
-	timeout := cfg.Timeout
-	if timeout <= 0 {
-		timeout = defaultPeerTimeout
-	}
 	reg := cfg.Metrics
 	if reg == nil {
 		reg = telemetry.NewRegistry()
@@ -90,24 +73,18 @@ func NewPeers(cfg PeersConfig) (*Peers, error) {
 		self:       cfg.Self,
 		ring:       ring,
 		client:     client,
-		fanout:     fanout,
-		timeout:    timeout,
 		fetches:    reg.Counter("cluster.peer_fetches"),
 		fetchFails: reg.Counter("cluster.peer_fetch_failures"),
 	}, nil
 }
 
 // siblings returns the ring successors for key, excluding this node,
-// bounded by fanout. These are exactly the members that would hold the
+// bounded by peerFanout. These are exactly the members that would hold the
 // key's replicas (plus the next node over when self is in the replica set).
 func (p *Peers) siblings(key string) []Member {
-	succ := p.ring.Successors(key, p.fanout+1)
-	out := make([]Member, 0, p.fanout)
-	for _, m := range succ {
-		if m.Name == p.self {
-			continue
-		}
-		if len(out) < p.fanout {
+	out := make([]Member, 0, peerFanout)
+	for _, m := range p.ring.Successors(key, peerFanout+1) {
+		if m.Name != p.self && len(out) < peerFanout {
 			out = append(out, m)
 		}
 	}
@@ -153,7 +130,7 @@ func (p *Peers) fetch(ctx context.Context, routeKey, path string) (io.ReadCloser
 }
 
 func (p *Peers) fetchOne(ctx context.Context, m Member, path string) (io.ReadCloser, error) {
-	fctx, cancel := context.WithTimeout(ctx, p.timeout)
+	fctx, cancel := context.WithTimeout(ctx, peerTimeout)
 	req, err := http.NewRequestWithContext(fctx, http.MethodGet, m.URL+path, nil)
 	if err != nil {
 		cancel()

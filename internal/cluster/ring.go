@@ -1,7 +1,8 @@
 // Package cluster is charmd's scale-out layer: a consistent-hash ring over
 // a static member list, health tracking for those members, the node-side
 // peer client that fills caches from ring siblings, and the charm-gateway
-// HTTP front end that routes, replicates and hedges requests across nodes.
+// HTTP front end that routes requests across nodes, fails over between
+// them, and copies uploaded traces to each digest's replica set.
 //
 // The unit of placement is the trace digest — the same content address the
 // single-node cache keys on — so every request that names a trace lands on
@@ -20,11 +21,12 @@ import (
 	"strconv"
 )
 
-// DefaultVirtualNodes is the per-member virtual-node count when Ring is
-// built with vnodes <= 0. 64 points per member keeps the expected load
-// imbalance across a handful of members in the few-percent range without
-// making ring construction or lookup noticeable.
-const DefaultVirtualNodes = 64
+// virtualNodes is the per-member virtual-node count. 64 points per member
+// keeps the expected load imbalance across a handful of members in the
+// few-percent range without making ring construction or lookup noticeable.
+// A constant, not a setting: the gateway and every node's peer client must
+// build the same ring or routing and peer fill disagree about owners.
+const virtualNodes = 64
 
 // Member is one charmd node in the cluster: a stable name (the ring hashes
 // the name, so renaming a node moves its keys) and the base URL the
@@ -55,19 +57,15 @@ func hashKey(key string) uint64 {
 }
 
 // NewRing builds the ring. Member order does not matter (placement depends
-// only on names), names must be unique and non-empty. vnodes <= 0 selects
-// DefaultVirtualNodes.
-func NewRing(members []Member, vnodes int) (*Ring, error) {
+// only on names), names must be unique and non-empty.
+func NewRing(members []Member) (*Ring, error) {
 	if len(members) == 0 {
 		return nil, fmt.Errorf("cluster: ring needs at least one member")
-	}
-	if vnodes <= 0 {
-		vnodes = DefaultVirtualNodes
 	}
 	seen := make(map[string]bool, len(members))
 	r := &Ring{
 		members: append([]Member(nil), members...),
-		points:  make([]ringPoint, 0, len(members)*vnodes),
+		points:  make([]ringPoint, 0, len(members)*virtualNodes),
 	}
 	for i, m := range members {
 		if m.Name == "" {
@@ -77,7 +75,7 @@ func NewRing(members []Member, vnodes int) (*Ring, error) {
 			return nil, fmt.Errorf("cluster: duplicate member name %q", m.Name)
 		}
 		seen[m.Name] = true
-		for v := 0; v < vnodes; v++ {
+		for v := 0; v < virtualNodes; v++ {
 			// The vnode key is name-derived only: the same member set always
 			// yields the same ring, regardless of URLs or listing order.
 			r.points = append(r.points, ringPoint{

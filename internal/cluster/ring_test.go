@@ -17,13 +17,13 @@ func members(n int) []Member {
 
 func TestRingDeterministicAndOrderInsensitive(t *testing.T) {
 	ms := members(3)
-	a, err := NewRing(ms, 0)
+	a, err := NewRing(ms)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Same members, listed in a different order: identical placement.
 	shuffled := []Member{ms[2], ms[0], ms[1]}
-	b, err := NewRing(shuffled, 0)
+	b, err := NewRing(shuffled)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +36,7 @@ func TestRingDeterministicAndOrderInsensitive(t *testing.T) {
 }
 
 func TestRingSuccessorsDistinct(t *testing.T) {
-	r, err := NewRing(members(5), 16)
+	r, err := NewRing(members(5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,11 +67,11 @@ func TestRingSuccessorsDistinct(t *testing.T) {
 // 3-member ring to 4 moves roughly a quarter of the keyspace and nothing
 // more; every moved key lands on the new member.
 func TestRingKeyMovement(t *testing.T) {
-	before, err := NewRing(members(3), 0)
+	before, err := NewRing(members(3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	after, err := NewRing(members(4), 0)
+	after, err := NewRing(members(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestRingKeyMovement(t *testing.T) {
 }
 
 func TestRingBalance(t *testing.T) {
-	r, err := NewRing(members(4), 0)
+	r, err := NewRing(members(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,13 +116,13 @@ func TestRingBalance(t *testing.T) {
 }
 
 func TestRingRejectsBadMembers(t *testing.T) {
-	if _, err := NewRing(nil, 0); err == nil {
+	if _, err := NewRing(nil); err == nil {
 		t.Fatal("empty ring accepted")
 	}
-	if _, err := NewRing([]Member{{Name: "a"}, {Name: "a"}}, 0); err == nil {
+	if _, err := NewRing([]Member{{Name: "a"}, {Name: "a"}}); err == nil {
 		t.Fatal("duplicate names accepted")
 	}
-	if _, err := NewRing([]Member{{Name: ""}}, 0); err == nil {
+	if _, err := NewRing([]Member{{Name: ""}}); err == nil {
 		t.Fatal("unnamed member accepted")
 	}
 }

@@ -9,6 +9,7 @@ import (
 
 	"charmtrace/internal/apps/jacobi"
 	"charmtrace/internal/core"
+	"charmtrace/internal/query"
 	"charmtrace/internal/structdiff"
 	"charmtrace/internal/trace"
 )
@@ -81,8 +82,8 @@ func TestSpecValidation(t *testing.T) {
 		field string
 	}{
 		{"negative resolution", Spec{Resolution: -1}, "resolution"},
-		{"negative from", Spec{Steps: &StepRange{From: -1, To: 3}}, "steps.from"},
-		{"inverted window", Spec{Steps: &StepRange{From: 5, To: 2}}, "steps.to"},
+		{"negative from", Spec{Steps: &query.StepRange{From: -1, To: 3}}, "steps.from"},
+		{"inverted window", Spec{Steps: &query.StepRange{From: 5, To: 2}}, "steps.to"},
 		{"negative max_rows", Spec{MaxRows: -1}, "max_rows"},
 		{"negative max_edges", Spec{MaxEdges: -2}, "max_edges"},
 		{"render at coarse resolution", Spec{Resolution: 8, Render: true}, "render"},
@@ -93,7 +94,7 @@ func TestSpecValidation(t *testing.T) {
 			t.Errorf("%s: err = %v, want *Error on field %q", tc.name, err, tc.field)
 		}
 	}
-	ok := Spec{Resolution: 64, Steps: &StepRange{From: 0, To: 10}, MaxRows: 4, MaxEdges: 9}
+	ok := Spec{Resolution: 64, Steps: &query.StepRange{From: 0, To: 10}, MaxRows: 4, MaxEdges: 9}
 	if err := ok.Validate(); err != nil {
 		t.Errorf("valid spec rejected: %v", err)
 	}
@@ -110,13 +111,17 @@ func TestSpecFromParams(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := Spec{Resolution: 32, Steps: &StepRange{From: 4, To: 90}, MaxRows: 5, NoEdges: true}
+	want := Spec{Resolution: 32, Steps: &query.StepRange{From: 4, To: 90}, MaxRows: 5, NoEdges: true}
 	if sp.Steps == nil || *sp.Steps != *want.Steps || sp.Resolution != want.Resolution ||
 		sp.MaxRows != want.MaxRows || !sp.NoEdges {
 		t.Errorf("SpecFromParams = %+v, want %+v", sp, want)
 	}
-	if _, err := SpecFromParams(url.Values{"steps": {"x..y"}}); err == nil {
-		t.Error("bad steps parameter accepted")
+	// Out-of-int32 bounds must be rejected, not wrapped to a valid window.
+	for _, bad := range []string{"x..y", "4294967296..4294967297", "4294967296"} {
+		var le *Error
+		if _, err := SpecFromParams(url.Values{"steps": {bad}}); !errors.As(err, &le) || le.Field != "steps" {
+			t.Errorf("steps=%s: err = %v, want *Error on field \"steps\"", bad, err)
+		}
 	}
 	if _, err := SpecFromParams(url.Values{"render": {"maybe"}}); err == nil {
 		t.Error("bad render parameter accepted")
@@ -322,7 +327,7 @@ func TestEdgeCapping(t *testing.T) {
 
 func TestWindowSnapping(t *testing.T) {
 	p := jacobiPyramid(t)
-	out, err := p.Query(Spec{Resolution: 4, Steps: &StepRange{From: 5, To: 9}}, nil)
+	out, err := p.Query(Spec{Resolution: 4, Steps: &query.StepRange{From: 5, To: 9}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,7 +344,7 @@ func TestWindowSnapping(t *testing.T) {
 		}
 	}
 	// A window past MaxStep clamps instead of erroring.
-	if _, err := p.Query(Spec{Steps: &StepRange{From: 1 << 20, To: 1 << 21}}, nil); err != nil {
+	if _, err := p.Query(Spec{Steps: &query.StepRange{From: 1 << 20, To: 1 << 21}}, nil); err != nil {
 		t.Errorf("out-of-range window: %v", err)
 	}
 }

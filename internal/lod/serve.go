@@ -3,6 +3,7 @@ package lod
 import (
 	"sort"
 
+	"charmtrace/internal/query"
 	"charmtrace/internal/structdiff"
 	"charmtrace/internal/trace"
 	"charmtrace/internal/viz"
@@ -143,7 +144,7 @@ type Result struct {
 	Resolution  Resolution         `json:"resolution"`
 	Level       int                `json:"level"`
 	BucketWidth int32              `json:"bucket_width"`
-	Window      StepRange          `json:"window"`
+	Window      query.StepRange    `json:"window"`
 	NumBuckets  int32              `json:"num_buckets"`
 	MaxStep     int32              `json:"max_step"`
 	NumPhases   int                `json:"num_phases"`
@@ -272,7 +273,7 @@ func (p *Pyramid) Query(sp Spec, diff *structdiff.Diff) (*Result, error) {
 	b0, b1 := from/w, to/w
 	res.Level = lvl
 	res.BucketWidth = w
-	res.Window = StepRange{From: b0 * w, To: min32((b1+1)*w-1, maxStep)}
+	res.Window = query.StepRange{From: b0 * w, To: min32((b1+1)*w-1, maxStep)}
 	res.NumBuckets = b1 - b0 + 1
 
 	plan := p.planRows(sp.MaxRows)

@@ -7,6 +7,8 @@ import (
 	"net/url"
 	"strconv"
 	"strings"
+
+	"charmtrace/internal/query"
 )
 
 // Error reports an invalid LOD request with the offending field named —
@@ -67,12 +69,6 @@ func ParseResolution(s string) (Resolution, error) {
 	return Resolution(n), nil
 }
 
-// StepRange is an inclusive global-step window.
-type StepRange struct {
-	From int32 `json:"from"`
-	To   int32 `json:"to"`
-}
-
 // Spec is one LOD request. The zero value asks for the full structure at
 // native resolution with every cluster row and every edge.
 type Spec struct {
@@ -80,7 +76,7 @@ type Spec struct {
 	Resolution Resolution `json:"resolution,omitempty"`
 	// Steps restricts the response to an inclusive global-step window; the
 	// window is snapped outward to bucket boundaries of the chosen level.
-	Steps *StepRange `json:"steps,omitempty"`
+	Steps *query.StepRange `json:"steps,omitempty"`
 	// MaxRows caps the cluster rows: past it, the smallest clusters merge
 	// into one overflow row so the response never exceeds MaxRows rows.
 	// 0 = one row per behavioural cluster.
@@ -129,11 +125,9 @@ func SpecFromParams(q url.Values) (Spec, error) {
 		return sp, err
 	}
 	if v := q.Get("steps"); v != "" {
-		sr, perr := parseStepsParam(v)
-		if perr != nil {
-			return sp, perr
+		if sp.Steps, err = query.ParseStepRange(v); err != nil {
+			return sp, errf("steps", "want from..to or a single step, got %q", v)
 		}
-		sp.Steps = sr
 	}
 	if sp.MaxRows, err = intParam(q, "max_rows"); err != nil {
 		return sp, err
@@ -160,20 +154,6 @@ func SpecFromParams(q url.Values) (Spec, error) {
 		return sp, err
 	}
 	return sp, nil
-}
-
-// parseStepsParam parses "from..to" or a single step.
-func parseStepsParam(v string) (*StepRange, *Error) {
-	from, to, ok := strings.Cut(v, "..")
-	if !ok {
-		to = from
-	}
-	a, err1 := strconv.Atoi(strings.TrimSpace(from))
-	b, err2 := strconv.Atoi(strings.TrimSpace(to))
-	if err1 != nil || err2 != nil {
-		return nil, errf("steps", "want from..to or a single step, got %q", v)
-	}
-	return &StepRange{From: int32(a), To: int32(b)}, nil
 }
 
 func intParam(q url.Values, name string) (int, error) {

@@ -35,7 +35,7 @@ func SpecFromParams(sel string, q url.Values) (Spec, bool, error) {
 		return spec, true, err
 	}
 	if v := q.Get("steps"); v != "" {
-		r, err := parseStepRange(v)
+		r, err := ParseStepRange(v)
 		if err != nil {
 			return spec, true, err
 		}
@@ -88,8 +88,10 @@ func parseIDList(param, v string) ([]int32, error) {
 	return out, nil
 }
 
-// parseStepRange accepts "from..to", "from-to" or a single step "n".
-func parseStepRange(v string) (*StepRange, error) {
+// ParseStepRange parses the steps URL parameter — "from..to", "from-to" or
+// a single step "n" — rejecting anything outside int32 with a *Error on
+// "steps". It is the one window parser: the LOD endpoint uses it too.
+func ParseStepRange(v string) (*StepRange, error) {
 	sep := ".."
 	i := strings.Index(v, sep)
 	if i < 0 {

@@ -70,7 +70,8 @@ type Filter struct {
 	Steps *StepRange `json:"steps,omitempty"`
 }
 
-// StepRange is an inclusive global-step window.
+// StepRange is an inclusive global-step window — the one window type, shared
+// by query filters and LOD specs.
 type StepRange struct {
 	From int32 `json:"from"`
 	To   int32 `json:"to"`

@@ -26,14 +26,11 @@ const (
 	OutcomePeer = "peer"
 )
 
-// OutcomeRecorder receives the cache outcome of one request, plus the
-// entry's content address (KeyID) when the serving layer records it — the
-// gateway reads both back from response headers to drive replication and
-// its cluster-wide peer-fill counters. Carried by context so the cache can
-// report per-request outcomes without changing the Get/Lookup signatures;
-// safe for concurrent use (last write wins, and a request makes at most one
-// cache access per recorder).
-type OutcomeRecorder struct{ v, key atomic.Value }
+// OutcomeRecorder receives the cache outcome of one request. Carried by
+// context so the cache can report per-request outcomes without changing the
+// Get/Lookup signatures; safe for concurrent use (last write wins, and a
+// request makes at most one cache access per recorder).
+type OutcomeRecorder struct{ v atomic.Value }
 
 // Record stores the outcome. Safe on a nil recorder.
 func (r *OutcomeRecorder) Record(outcome string) {
@@ -67,22 +64,4 @@ func WithOutcomeRecorder(ctx context.Context) (context.Context, *OutcomeRecorder
 func RecordOutcome(ctx context.Context, outcome string) {
 	rec, _ := ctx.Value(outcomeKey{}).(*OutcomeRecorder)
 	rec.Record(outcome)
-}
-
-// RecordKey stores the request's result content address (KeyID) on the
-// context's recorder, if any.
-func RecordKey(ctx context.Context, key string) {
-	rec, _ := ctx.Value(outcomeKey{}).(*OutcomeRecorder)
-	if rec != nil {
-		rec.key.Store(key)
-	}
-}
-
-// Key returns the recorded result content address, or "".
-func (r *OutcomeRecorder) Key() string {
-	if r == nil {
-		return ""
-	}
-	s, _ := r.key.Load().(string)
-	return s
 }

@@ -129,9 +129,27 @@ func TestPeerFillRejectsGarbageAndExtracts(t *testing.T) {
 	}
 }
 
-// TestPutEntryOpenEntryRoundTrip: a replicated entry write is readable
-// back byte-for-byte, and bad writes are rejected before touching disk.
-func TestPutEntryOpenEntryRoundTrip(t *testing.T) {
+// seedingCache returns a disk-only cache whose extractor hands back s, so a
+// Get under any digest puts s's entry in the store (or reads it back)
+// without running the pipeline — how the disk-store tests seed entries.
+func seedingCache(t *testing.T, dir string, maxDiskBytes int64, s *core.Structure) *Cache {
+	t.Helper()
+	c, err := New(Config{
+		Dir:           dir,
+		MaxMemEntries: -1,
+		MaxDiskBytes:  maxDiskBytes,
+		Extract:       func(*trace.Trace, core.Options) (*core.Structure, error) { return s, nil },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// TestOpenEntryStreamsDiskEntry: the internal endpoint's zero-copy read
+// returns exactly the bytes the extraction persisted, and a key with no
+// entry is ErrNoEntry.
+func TestOpenEntryStreamsDiskEntry(t *testing.T) {
 	tr, digest := testTrace(t)
 	opt := core.DefaultOptions()
 	s, err := core.Extract(tr, opt)
@@ -141,16 +159,9 @@ func TestPutEntryOpenEntryRoundTrip(t *testing.T) {
 	entry := encodeStructure(t, s)
 	key := KeyID(digest, opt.Fingerprint())
 
-	c, err := New(Config{Dir: t.TempDir()})
-	if err != nil {
+	c := seedingCache(t, t.TempDir(), 0, s)
+	if _, err := c.Get(context.Background(), digest, tr, opt); err != nil {
 		t.Fatal(err)
-	}
-	n, err := c.PutEntry(key, bytes.NewReader(entry), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != int64(len(entry)) {
-		t.Fatalf("PutEntry wrote %d bytes, want %d", n, len(entry))
 	}
 	rc, size, err := c.OpenEntry(key)
 	if err != nil {
@@ -165,31 +176,13 @@ func TestPutEntryOpenEntryRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(back, entry) {
-		t.Fatal("entry bytes changed through Put/Open round trip")
-	}
-	// A replicated entry must satisfy the normal disk-hit path.
-	s2, err := c.Get(context.Background(), digest, tr, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(encodeStructure(t, s2), entry) {
-		t.Fatal("replicated entry did not serve byte-identical structure")
-	}
-	if counter(c.Registry(), "cache.disk_hits") != 1 || counter(c.Registry(), "cache.misses") != 0 {
-		t.Fatal("replicated entry should have been a disk hit")
-	}
-
-	if _, err := c.PutEntry("not-a-key", bytes.NewReader(entry), 0); err == nil {
-		t.Fatal("invalid key accepted")
-	}
-	if _, err := c.PutEntry(key, strings.NewReader("JUNKjunkjunk"), 0); err == nil {
-		t.Fatal("wrong magic accepted")
-	}
-	if _, err := c.PutEntry(key, bytes.NewReader(entry), 16); err == nil {
-		t.Fatal("oversized entry accepted past limit")
+		t.Fatal("entry bytes differ from the encoded structure")
 	}
 	if _, _, err := c.OpenEntry("missing0000000000000000000000000000000000000000000000000000000000"); !errors.Is(err, ErrNoEntry) {
 		t.Fatalf("missing entry error = %v, want ErrNoEntry", err)
+	}
+	if _, _, err := c.OpenEntry("not-a-key"); !errors.Is(err, ErrNoEntry) {
+		t.Fatalf("invalid key error = %v, want ErrNoEntry", err)
 	}
 }
 
@@ -208,13 +201,11 @@ func TestDiskGCRacingPeerStream(t *testing.T) {
 	entry := encodeStructure(t, s)
 	dir := t.TempDir()
 	// A bound small enough that every new write forces an eviction sweep.
-	c, err := New(Config{Dir: dir, MaxDiskBytes: int64(len(entry)) * 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	keys := make([]string, 8)
+	c := seedingCache(t, dir, int64(len(entry))*2, s)
+	digests, keys := make([]string, 8), make([]string, 8)
 	for i := range keys {
-		keys[i] = KeyID(fmt.Sprintf("%s-%d", digest, i), opt.Fingerprint())
+		digests[i] = fmt.Sprintf("%s-%d", digest, i)
+		keys[i] = KeyID(digests[i], opt.Fingerprint())
 	}
 
 	var wg sync.WaitGroup
@@ -230,9 +221,8 @@ func TestDiskGCRacingPeerStream(t *testing.T) {
 					return
 				default:
 				}
-				k := keys[(i+w)%len(keys)]
-				if _, err := c.PutEntry(k, bytes.NewReader(entry), 0); err != nil {
-					t.Errorf("PutEntry: %v", err)
+				if _, err := c.Get(context.Background(), digests[(i+w)%len(digests)], tr, opt); err != nil {
+					t.Errorf("Get: %v", err)
 					return
 				}
 			}

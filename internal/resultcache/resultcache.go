@@ -119,10 +119,9 @@ type Config struct {
 	// disables peer fill. Kept as a func to avoid a resultcache→cluster
 	// dependency.
 	PeerFetch func(ctx context.Context, traceDigest, key string) (io.ReadCloser, error)
-	// MaxEntryBytes bounds one encoded entry read from a cluster peer — the
-	// same limit the serving layer passes to PutEntry for replication
-	// writes, so a lying or corrupted peer cannot balloon a fill into an
-	// unbounded allocation (0 = DefaultMaxEntryBytes, negative = unbounded).
+	// MaxEntryBytes bounds one encoded entry read from a cluster peer, so a
+	// lying or corrupted peer cannot balloon a fill into an unbounded
+	// allocation (0 = DefaultMaxEntryBytes, negative = unbounded).
 	MaxEntryBytes int64
 }
 
@@ -150,7 +149,6 @@ type Cache struct {
 	diskEvictions *telemetry.Counter // entries GCed to honor MaxDiskBytes
 	peerHits      *telemetry.Counter // misses filled from a cluster peer (cache.peer_hits)
 	peerMisses    *telemetry.Counter // peer fill attempted, fell back to extraction
-	replicaWrites *telemetry.Counter // entries written through PutEntry (cache.replica_writes)
 	extractMS     *telemetry.Histogram
 	memEntries    *telemetry.Gauge
 	flightsG      *telemetry.Gauge // in-progress extraction flights (cache.flights)
@@ -294,7 +292,6 @@ func New(cfg Config) (*Cache, error) {
 		diskEvictions:   reg.Counter("cache.disk_evictions"),
 		peerHits:        reg.Counter("cache.peer_hits"),
 		peerMisses:      reg.Counter("cache.peer_misses"),
-		replicaWrites:   reg.Counter("cache.replica_writes"),
 		extractMS:       reg.Histogram("cache.extract_ms"),
 		memEntries:      reg.Gauge("cache.mem_entries"),
 		flightsG:        reg.Gauge("cache.flights"),
@@ -705,8 +702,7 @@ func (c *Cache) peerFill(ctx context.Context, traceDigest, id, path, wantFP stri
 		c.peerMisses.Add(1)
 		return nil, false
 	}
-	// Bound the read to the same entry-size limit replication writes honor:
-	// a peer streaming more than MaxEntryBytes is treated as a miss, not an
+	// A peer streaming more than MaxEntryBytes is treated as a miss, not an
 	// unbounded allocation.
 	body := io.Reader(rc)
 	if c.maxEntryBytes > 0 {
@@ -788,11 +784,6 @@ func (c *Cache) writeDiskFrom(path string, write func(io.Writer) error) error {
 // caller falls back to extraction.
 var ErrNoEntry = errors.New("resultcache: no such entry")
 
-// ErrBadEntry tags PutEntry rejections the sender caused — an invalid key,
-// a body that is not an encoded structure, or one past the size limit. The
-// internal endpoint maps it to 400.
-var ErrBadEntry = errors.New("resultcache: bad entry")
-
 // OpenEntry opens the raw encoded bytes of one disk entry for zero-copy
 // serving (no decode, no buffering — the caller streams the file). The
 // returned reader stays valid even if the entry is garbage-collected
@@ -854,55 +845,6 @@ func (c *Cache) ReadSummary(key, wantFP string) (*core.StructureSummary, error) 
 	c.diskHits.Add(1)
 	c.touch(path)
 	return sum, nil
-}
-
-// PutEntry writes one already-encoded entry into the disk store (the
-// replication write path). The body's 4-byte magic is checked before
-// anything is spooled; deeper validation is deliberately deferred to the
-// read path, where DecodeStructure's fingerprint check self-heals any entry
-// that is corrupt past the magic. limit > 0 bounds the accepted size. The
-// write is atomic and GC runs after it when the store is bounded.
-func (c *Cache) PutEntry(key string, r io.Reader, limit int64) (int64, error) {
-	if c.dir == "" {
-		return 0, fmt.Errorf("resultcache: disk store disabled")
-	}
-	if !ValidKey(key) {
-		return 0, fmt.Errorf("%w: invalid key %q", ErrBadEntry, key)
-	}
-	var magic [4]byte
-	if _, err := io.ReadFull(r, magic[:]); err != nil {
-		return 0, fmt.Errorf("resultcache: entry body: %w", err)
-	}
-	if string(magic[:]) != core.StructMagic {
-		return 0, fmt.Errorf("%w: body is not an encoded structure", ErrBadEntry)
-	}
-	body := io.Reader(r)
-	if limit > 0 {
-		body = io.LimitReader(r, limit+1)
-	}
-	var n int64
-	err := c.writeDiskFrom(filepath.Join(c.dir, key+".cstr"), func(w io.Writer) error {
-		if _, err := w.Write(magic[:]); err != nil {
-			return err
-		}
-		m, err := io.Copy(w, body)
-		n = m + int64(len(magic))
-		if err != nil {
-			return err
-		}
-		if limit > 0 && n > limit {
-			return fmt.Errorf("resultcache: entry exceeds %d bytes", limit)
-		}
-		return nil
-	})
-	if err != nil {
-		return 0, err
-	}
-	c.replicaWrites.Add(1)
-	if c.maxDiskBytes > 0 {
-		c.gcDisk()
-	}
-	return n, nil
 }
 
 // gcDisk enforces MaxDiskBytes: when the .cstr entries outgrow the bound,

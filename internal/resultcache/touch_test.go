@@ -208,17 +208,13 @@ func TestTouchRacesDiskGC(t *testing.T) {
 	}
 	entry := encodeStructure(t, s)
 	dir := t.TempDir()
-	c, err := New(Config{Dir: dir, MaxDiskBytes: int64(len(entry)) * 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := seedingCache(t, dir, int64(len(entry))*2, s)
 	fp := opt.Fingerprint()
-	keys := make([]string, 6)
+	digests, keys := make([]string, 6), make([]string, 6)
 	for i := range keys {
-		keys[i] = KeyID(fmt.Sprintf("%s-%d", digest, i), fp)
-	}
-	for _, k := range keys {
-		if _, err := c.PutEntry(k, bytes.NewReader(entry), 0); err != nil {
+		digests[i] = fmt.Sprintf("%s-%d", digest, i)
+		keys[i] = KeyID(digests[i], fp)
+		if _, err := c.Get(context.Background(), digests[i], tr, opt); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -235,7 +231,7 @@ func TestTouchRacesDiskGC(t *testing.T) {
 				return
 			default:
 			}
-			c.PutEntry(keys[i%len(keys)], bytes.NewReader(entry), 0)
+			c.Get(context.Background(), digests[i%len(digests)], tr, opt)
 		}
 	}()
 	// Touchers exercise every read-side Chtimes path.

@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -10,21 +9,18 @@ import (
 	"path/filepath"
 	"strconv"
 
-	"charmtrace/internal/resultcache"
 	"charmtrace/internal/trace"
-	"charmtrace/internal/tracefile"
 )
 
-// The /v1/internal/* endpoints are the node-to-node and gateway-to-node
-// data plane: encoded result entries move between ring replicas here, and
-// raw trace bytes backfill nodes that missed an upload fan-out. They serve
-// strictly local state — an internal read never triggers a peer fetch or
-// an extraction, which is what makes peer fill loop-free.
+// The /v1/internal/* endpoints are the node-to-node data plane, both of
+// them reads a ring sibling pulls from: encoded result entries for peer
+// cache fill, and raw trace bytes for nodes that missed an upload fan-out.
+// They serve strictly local state — an internal read never triggers a peer
+// fetch or an extraction, which is what makes peer fill loop-free.
 
 // handleInternalResultGet streams one encoded cache entry from disk. The
-// body is the exact .cstr file (magic header included), so a receiving
-// node can PutEntry it verbatim and a gateway can relay it for
-// replication without decoding.
+// body is the exact .cstr file (magic header included), which the pulling
+// node decodes against its own copy of the trace and persists verbatim.
 func (s *Server) handleInternalResultGet(w http.ResponseWriter, r *http.Request) {
 	key := r.PathValue("key")
 	rc, size, err := s.cache.OpenEntry(key)
@@ -36,27 +32,6 @@ func (s *Server) handleInternalResultGet(w http.ResponseWriter, r *http.Request)
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set("Content-Length", strconv.FormatInt(size, 10))
 	io.Copy(w, rc)
-}
-
-// handleInternalResultPut accepts a replicated entry and installs it in
-// the local disk cache. Sender mistakes (bad key, not an encoded
-// structure, oversized) are 400s; local failures are 500s. Installing is
-// idempotent, so replaying a replication push is harmless.
-func (s *Server) handleInternalResultPut(w http.ResponseWriter, r *http.Request) {
-	key := r.PathValue("key")
-	n, err := s.cache.PutEntry(key, r.Body, s.cfg.MaxEntryBytes)
-	if err != nil {
-		if errors.Is(err, resultcache.ErrBadEntry) {
-			httpError(w, fmt.Errorf("%w: %v", errBadRequest, err))
-		} else {
-			httpError(w, err)
-		}
-		return
-	}
-	writeJSON(w, struct {
-		Key   string `json:"key"`
-		Bytes int64  `json:"bytes"`
-	}{Key: key, Bytes: n})
 }
 
 // handleInternalTraceGet streams the raw persisted trace file. Only
@@ -88,56 +63,20 @@ func (s *Server) handleInternalTraceGet(w http.ResponseWriter, r *http.Request) 
 	io.Copy(w, f)
 }
 
-// traceFromPeer pulls a trace this node never saw from its ring siblings,
-// verifying the content digest before trusting a byte of it, persisting
-// it exactly like an upload, and registering it for every later request.
-// Concurrent callers may fetch twice; registerTrace keeps the first.
+// traceFromPeer pulls a trace this node never saw from its ring siblings
+// and ingests it exactly like an upload, except that the content digest
+// must be the one asked for. Concurrent callers may fetch twice;
+// registerTrace keeps the first.
 func (s *Server) traceFromPeer(ctx context.Context, digest string) (*trace.Trace, error) {
 	body, err := s.cfg.TraceFetch(ctx, digest)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %s (peer fetch: %v)", errUnknownTrace, digest, err)
 	}
 	defer body.Close()
-
-	sink := &countingWriter{w: io.Discard}
-	var spool *os.File
-	if dir := s.tracesDir(); dir != "" {
-		f, err := os.CreateTemp(dir, ".peerfill-*")
-		if err != nil {
-			return nil, err
-		}
-		spool = f
-		sink.w = f
-		defer func() {
-			if spool != nil {
-				spool.Close()
-				os.Remove(spool.Name())
-			}
-		}()
-	}
-
-	tr, got, err := tracefile.ReadAutoDigest(io.TeeReader(body, sink))
+	_, tr, err := s.ingest(body, digest)
 	if err != nil {
 		return nil, fmt.Errorf("server: peer trace %s: %w", digest, err)
 	}
-	if got != digest {
-		return nil, fmt.Errorf("server: peer sent trace digesting to %s, want %s", got, digest)
-	}
-	if spool != nil {
-		if err := spool.Close(); err != nil {
-			return nil, err
-		}
-		dst := filepath.Join(s.tracesDir(), digest+".trace")
-		if _, statErr := os.Stat(dst); statErr == nil {
-			os.Remove(spool.Name())
-		} else if err := os.Rename(spool.Name(), dst); err != nil {
-			os.Remove(spool.Name())
-			spool = nil
-			return nil, err
-		}
-		spool = nil
-	}
-	s.registerTrace(digest, tr, sink.n)
 	s.tracePeerFills.Add(1)
 	return tr, nil
 }

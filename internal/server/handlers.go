@@ -54,57 +54,61 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// handleUpload ingests a trace: the body (text or binary, auto-detected) is
-// streamed through the decoder, the SHA-256 content digest, and — when a
-// data directory is configured — a spool file that is atomically renamed to
-// its content address, all in one pass. Uploads above MaxUploadBytes map to
-// 413, malformed traces to 400.
-func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
-	s.uploads.Add(1)
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxUploadBytes)
-
+// ingest is the one way trace bytes enter this node, from a client upload
+// or a ring sibling alike: the stream (text or binary, auto-detected) goes
+// through the decoder, the SHA-256 content digest, and — when a data
+// directory is configured — a spool file that is atomically renamed to its
+// content address, all in one pass; then the trace is registered. A
+// non-empty want is the digest the caller asked for: a stream that digests
+// to anything else is rejected before the rename, so not a byte of it is
+// trusted.
+func (s *Server) ingest(body io.Reader, want string) (traceSummary, *trace.Trace, error) {
 	sink := &countingWriter{w: io.Discard}
 	var spool *os.File
 	if dir := s.tracesDir(); dir != "" {
-		f, err := os.CreateTemp(dir, ".upload-*")
-		if err != nil {
-			httpError(w, err)
-			return
+		var err error
+		if spool, err = os.CreateTemp(dir, spoolPrefix+"*"); err != nil {
+			return traceSummary{}, nil, err
 		}
-		spool = f
-		sink.w = f
-		defer func() {
-			if spool != nil {
-				spool.Close()
-				os.Remove(spool.Name())
-			}
-		}()
+		// The spool name never outlives the call: once renamed to its
+		// content address there is nothing left for Remove to find.
+		defer os.Remove(spool.Name())
+		defer spool.Close()
+		sink.w = spool
 	}
-
 	tr, digest, err := tracefile.ReadAutoDigest(io.TeeReader(body, sink))
+	if err != nil {
+		return traceSummary{}, nil, err
+	}
+	if want != "" && digest != want {
+		return traceSummary{}, nil, fmt.Errorf("server: trace digests to %s, want %s", digest, want)
+	}
+	if spool != nil {
+		if err := spool.Close(); err != nil {
+			return traceSummary{}, nil, err
+		}
+		dst := filepath.Join(s.tracesDir(), digest+".trace")
+		if _, statErr := os.Stat(dst); statErr != nil { // else duplicate content: keep the original
+			if err := os.Rename(spool.Name(), dst); err != nil {
+				return traceSummary{}, nil, err
+			}
+		}
+	}
+	s.registerTrace(digest, tr, sink.n)
+	return summarize(digest, sink.n, tr), tr, nil
+}
+
+// handleUpload ingests a client's trace. Uploads above MaxUploadBytes map
+// to 413, malformed traces to 400.
+func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
+	s.uploads.Add(1)
+	sum, _, err := s.ingest(http.MaxBytesReader(w, r.Body, s.cfg.MaxUploadBytes), "")
 	if err != nil {
 		httpError(w, err)
 		return
 	}
-	if spool != nil {
-		if err := spool.Close(); err != nil {
-			httpError(w, err)
-			return
-		}
-		dst := filepath.Join(s.tracesDir(), digest+".trace")
-		if _, statErr := os.Stat(dst); statErr == nil {
-			os.Remove(spool.Name()) // duplicate content, keep the original
-		} else if err := os.Rename(spool.Name(), dst); err != nil {
-			os.Remove(spool.Name())
-			spool = nil
-			httpError(w, err)
-			return
-		}
-		spool = nil
-	}
-	s.registerTrace(digest, tr, sink.n)
 	w.WriteHeader(http.StatusCreated)
-	writeJSON(w, summarize(digest, sink.n, tr))
+	writeJSON(w, sum)
 }
 
 // listEntry is one GET /v1/traces row. The structure fields are present
@@ -222,7 +226,6 @@ func (s *Server) serveStructureFast(ctx context.Context, digest string, opt core
 	}
 	fp := opt.Fingerprint()
 	key := resultcache.KeyID(digest, fp)
-	resultcache.RecordKey(ctx, key)
 	if st, ok := s.cache.Lookup(digest, opt); ok {
 		resultcache.RecordOutcome(ctx, resultcache.OutcomeMem)
 		return structureResponseOf(digest, fp, st), true

@@ -82,6 +82,7 @@ func TestLodValidation(t *testing.T) {
 		{"?resolution=-3", "resolution"},
 		{"?steps=9..2", "steps.to"},
 		{"?steps=x", "steps"},
+		{"?steps=4294967296..4294967297", "steps"}, // must not wrap to 0..1
 		{"?max_rows=many", "max_rows"},
 		{"?resolution=8&render=true", "render"},
 		{"?edges=maybe", "edges"},

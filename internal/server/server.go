@@ -108,9 +108,6 @@ type Config struct {
 	// names a digest this node has never seen — what lets any node serve a
 	// read after failover. nil disables (unknown digests 404).
 	TraceFetch func(ctx context.Context, digest string) (io.ReadCloser, error)
-	// MaxEntryBytes bounds one replicated result entry accepted by
-	// PUT /v1/internal/results (0 = 64 MiB).
-	MaxEntryBytes int64
 
 	// extract substitutes the cache's extraction function in tests
 	// (instrumented stubs that block or count). nil = core.Extract.
@@ -170,9 +167,6 @@ func New(cfg Config) (*Server, error) {
 	if cfg.QueueWait <= 0 {
 		cfg.QueueWait = time.Second
 	}
-	if cfg.MaxEntryBytes <= 0 {
-		cfg.MaxEntryBytes = 64 << 20
-	}
 	reg := cfg.Metrics
 	if reg == nil {
 		reg = telemetry.NewRegistry()
@@ -193,7 +187,6 @@ func New(cfg Config) (*Server, error) {
 		Metrics:         reg,
 		Extract:         cfg.extract,
 		PeerFetch:       cfg.PeerFetch,
-		MaxEntryBytes:   cfg.MaxEntryBytes,
 		Index: func(st *core.Structure) (any, int64) {
 			idx := engine.Index(st)
 			return idx, idx.Bytes()
@@ -239,9 +232,12 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// cleanSpool removes stale upload spool files a crashed predecessor left in
+// spoolPrefix names the temp files ingest writes into the trace directory.
+const spoolPrefix = ".ingest-"
+
+// cleanSpool removes stale ingest spool files a crashed predecessor left in
 // the trace directory. Anything older than an hour cannot belong to an
-// in-progress upload of this process.
+// in-progress ingest of this process.
 func (s *Server) cleanSpool() {
 	entries, err := os.ReadDir(s.tracesDir())
 	if err != nil {
@@ -249,7 +245,7 @@ func (s *Server) cleanSpool() {
 	}
 	cutoff := time.Now().Add(-time.Hour)
 	for _, de := range entries {
-		if de.IsDir() || !strings.HasPrefix(de.Name(), ".upload-") {
+		if de.IsDir() || !strings.HasPrefix(de.Name(), spoolPrefix) {
 			continue
 		}
 		info, err := de.Info()
@@ -358,6 +354,47 @@ func (s *Server) registerTrace(digest string, tr *trace.Trace, size int64) {
 // errUnknownTrace maps to 404.
 var errUnknownTrace = errors.New("unknown trace digest")
 
+// DigestRoute is one digest-scoped endpoint: a mux pattern whose path
+// carries the {digest} it reads, the route label its metrics and log lines
+// use, and how a Server answers it. All of them are read-only, and the POST
+// forms carry a small JSON spec. The cluster gateway mounts the same rows —
+// routing each by its digest, buffering a POST body so it can be resent —
+// which is what makes a new endpoint one row here and nothing there.
+type DigestRoute struct {
+	Pattern string
+	Label   string
+	handler func(*Server) http.HandlerFunc
+}
+
+// DigestRoutes is the table of digest-scoped endpoints.
+var DigestRoutes = []DigestRoute{
+	{"GET /v1/traces/{digest}", "trace", func(s *Server) http.HandlerFunc { return s.handleTrace }},
+	{"GET /v1/traces/{digest}/structure", "structure", func(s *Server) http.HandlerFunc {
+		return s.retrofit(query.SelectStructure, s.serveStructure)
+	}},
+	{"GET /v1/traces/{digest}/steps", "steps", func(s *Server) http.HandlerFunc {
+		return s.retrofit(query.SelectSteps, s.serveSteps)
+	}},
+	{"GET /v1/traces/{digest}/metrics", "metrics", func(s *Server) http.HandlerFunc {
+		return s.retrofit(query.SelectMetrics, s.serveMetrics)
+	}},
+	{"POST /v1/traces/{digest}/query", "query", func(s *Server) http.HandlerFunc {
+		return analysis(s, func(w http.ResponseWriter, r *http.Request) (query.Spec, error) {
+			return query.ParseSpec(http.MaxBytesReader(w, r.Body, maxSpecBytes))
+		}, s.serveQuery)
+	}},
+	{"GET /v1/traces/{digest}/lod", "lod", func(s *Server) http.HandlerFunc {
+		return analysis(s, func(_ http.ResponseWriter, r *http.Request) (lod.Spec, error) {
+			return lod.SpecFromParams(r.URL.Query())
+		}, s.serveLod)
+	}},
+	{"POST /v1/traces/{digest}/lod", "lod_post", func(s *Server) http.HandlerFunc {
+		return analysis(s, func(w http.ResponseWriter, r *http.Request) (lod.Spec, error) {
+			return lod.ParseSpec(http.MaxBytesReader(w, r.Body, maxSpecBytes))
+		}, s.serveLod)
+	}},
+}
+
 // routes mounts every endpoint behind the instrument middleware.
 func (s *Server) routes() {
 	s.mux = http.NewServeMux()
@@ -366,26 +403,15 @@ func (s *Server) routes() {
 	}
 	handle("POST /v1/traces", "upload", s.handleUpload)
 	handle("GET /v1/traces", "list", s.handleList)
-	handle("GET /v1/traces/{digest}", "trace", s.handleTrace)
-	handle("GET /v1/traces/{digest}/structure", "structure", s.retrofit(query.SelectStructure, s.serveStructure))
-	handle("GET /v1/traces/{digest}/steps", "steps", s.retrofit(query.SelectSteps, s.serveSteps))
-	handle("GET /v1/traces/{digest}/metrics", "metrics", s.retrofit(query.SelectMetrics, s.serveMetrics))
-	handle("POST /v1/traces/{digest}/query", "query", analysis(s, func(w http.ResponseWriter, r *http.Request) (query.Spec, error) {
-		return query.ParseSpec(http.MaxBytesReader(w, r.Body, maxSpecBytes))
-	}, s.serveQuery))
-	handle("GET /v1/traces/{digest}/lod", "lod", analysis(s, func(_ http.ResponseWriter, r *http.Request) (lod.Spec, error) {
-		return lod.SpecFromParams(r.URL.Query())
-	}, s.serveLod))
-	handle("POST /v1/traces/{digest}/lod", "lod_post", analysis(s, func(w http.ResponseWriter, r *http.Request) (lod.Spec, error) {
-		return lod.ParseSpec(http.MaxBytesReader(w, r.Body, maxSpecBytes))
-	}, s.serveLod))
+	for _, rt := range DigestRoutes {
+		handle(rt.Pattern, rt.Label, rt.handler(s))
+	}
 	handle("GET /v1/structdiff", "structdiff", s.handleStructDiff)
 	handle("GET /metrics", "prom", s.handleProm)
 	handle("GET /debug/stats", "stats", s.handleStats)
 	handle("GET /debug/selftrace", "selftrace", s.handleSelfTrace)
 	handle("GET /debug/flights", "flights", s.handleFlights)
 	handle("GET /v1/internal/results/{key}", "internal_result", s.handleInternalResultGet)
-	handle("PUT /v1/internal/results/{key}", "internal_result_put", s.handleInternalResultPut)
 	handle("GET /v1/internal/traces/{digest}", "internal_trace", s.handleInternalTraceGet)
 	handle("GET /healthz", "healthz", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
@@ -516,12 +542,10 @@ func (s *Server) instrument(route string, h http.HandlerFunc) http.Handler {
 // statusWriter records the response code and body byte count for the
 // status-class counters and the access log. With compression enabled it
 // sits under the gzip writer, so bytes counts what went on the wire. At
-// the first WriteHeader it stamps the cluster headers from the request's
-// outcome recorder — which cache layer answered (X-Charmd-Cache) and the
-// result's content address (X-Charmd-Result-Key) — because neither is
-// known until the handler has resolved the request, yet both must precede
-// the body: the gateway reads them to count peer fills and to trigger
-// replication.
+// the first WriteHeader it stamps which cache layer answered
+// (X-Charmd-Cache) from the request's outcome recorder: that is not known
+// until the handler has resolved the request, yet must precede the body.
+// The gateway counts cluster-wide peer fills and extractions from it.
 type statusWriter struct {
 	http.ResponseWriter
 	code  int
@@ -536,9 +560,6 @@ func (w *statusWriter) WriteHeader(code int) {
 		w.wrote = true
 		if o := w.rec.Outcome(); o != "" {
 			w.Header().Set("X-Charmd-Cache", o)
-		}
-		if k := w.rec.Key(); k != "" {
-			w.Header().Set("X-Charmd-Result-Key", k)
 		}
 	}
 	w.ResponseWriter.WriteHeader(code)
@@ -720,7 +741,6 @@ func (s *Server) resolve(ctx context.Context, digest string, opt core.Options, w
 	if err != nil {
 		return nil, nil, err
 	}
-	resultcache.RecordKey(ctx, resultcache.KeyID(digest, opt.Fingerprint()))
 	var ok bool
 	switch w {
 	case wantIndex:
