@@ -10,7 +10,7 @@ import (
 
 // SignalContext returns a context cancelled by SIGINT/SIGTERM, for attaching
 // to core.Options.Context so Ctrl-C aborts an extraction cooperatively (the
-// pipeline unwinds within one worker-chunk latency) instead of leaving a
+// pipeline unwinds within one poll block or one phase) instead of leaving a
 // half-printed analysis. A second signal kills the process the usual way:
 // the handler is unregistered after the first, restoring default delivery.
 // The returned stop releases the signal handler early.

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"charmtrace/internal/partition"
-	"charmtrace/internal/trace"
-)
+import "charmtrace/internal/trace"
 
 // extractArena is the per-extraction scratch allocator. Every pipeline
 // stage that used to allocate per-round or per-phase working state (maps,
@@ -15,10 +12,9 @@ import (
 // The arena is created with the atoms decomposition and dies with the
 // extraction — nothing in it is referenced by the returned Structure, so an
 // arena bug cannot leak state between extractions. Sequential stages share
-// the singleton buffers; the parallel stages (overlap scan, phase ordering)
-// borrow one laneScratch per worker lane, and the shared per-event arrays
-// are only ever indexed by events of the worker's own phase (phases are
-// disjoint event sets).
+// the singleton buffers; the ordering stage borrows one laneScratch per pool
+// lane, and the shared per-event arrays are only ever indexed by events of
+// the lane's own phase (phases are disjoint event sets).
 type extractArena struct {
 	nEvents, nChares, nBlocks int
 
@@ -31,11 +27,15 @@ type extractArena struct {
 	srcPart  []int32
 	srcOrd   []int32
 
-	// leapMerge: (chare, kind) -> representative atom, epoch-guarded.
-	// Slot layout: [0,nChares) application, [nChares,2*nChares) runtime.
-	seenAtom  []partition.ID
+	// Chare occupancy of the leap being scanned (leapMerge, enforceRound's
+	// overlap scan): slot -> first partition of this leap to claim it,
+	// epoch-guarded. 2*nChares slots: the overlap scan keys on the chare,
+	// leapMerge on (chare, kind) with the runtime half at [nChares, 2*nChares).
+	seenPart  []int32
 	seenMark  []int32
 	seenEpoch int32
+	// Overlap scan: partition pairs already reported at the current leap.
+	overlapSeen map[int64]struct{}
 
 	// enforceCharePaths.
 	lastLeap     []int32 // chare -> nearest later leap containing it
@@ -68,7 +68,7 @@ type extractArena struct {
 	adjOff  []int32 // event -> adjacency region start (stepPhase)
 	adjCur  []int32 // event -> adjacency region end / fill cursor
 
-	// Per-worker-lane scratch, created on demand.
+	// Per-pool-lane scratch of the ordering stage (ensureLanes).
 	lanes []*laneScratch
 }
 
@@ -92,16 +92,11 @@ type peTime struct {
 	t  trace.Time
 }
 
-// laneScratch is the working state of one ordering-stage worker lane. Block-
+// laneScratch is the working state of one ordering-stage pool lane. Block-
 // and chare-indexed tables are epoch-marked: bumping epoch invalidates the
-// whole table in O(1) when the lane moves to its next phase or leap.
+// whole table in O(1) when the lane moves to its next phase.
 type laneScratch struct {
 	epoch int32
-
-	// Overlap scan (enforceRound): chare -> first partition at this leap.
-	seenPart []int32
-	seenMark []int32
-	dedup    map[int64]struct{}
 
 	// w-clock (phaseW): last w per canonical serial block, max receive w
 	// per chare timeline.
@@ -148,40 +143,50 @@ type laneScratch struct {
 }
 
 func newExtractArena(tr *trace.Trace) *extractArena {
+	nChares := len(tr.Chares)
 	return &extractArena{
 		nEvents: len(tr.Events),
-		nChares: len(tr.Chares),
+		nChares: nChares,
 		nBlocks: len(tr.Blocks),
+		// Every extraction runs at least one overlap scan.
+		seenPart:    make([]int32, 2*nChares),
+		seenMark:    make([]int32, 2*nChares),
+		overlapSeen: make(map[int64]struct{}),
 	}
 }
 
-// ensureLanes creates lanes 0..n before a parallel section: lane lookup from
-// worker goroutines is then a read-only index, never a concurrent append.
+// nextLeap empties the chare-occupancy table for the next leap: one epoch
+// bump instead of a clear.
+func (ar *extractArena) nextLeap() { ar.seenEpoch++ }
+
+// claim records partition pi as a holder of slot at the current leap. It
+// returns the leap's first holder of the slot and whether there was one
+// before pi.
+func (ar *extractArena) claim(slot int, pi int32) (first int32, held bool) {
+	if ar.seenMark[slot] == ar.seenEpoch {
+		return ar.seenPart[slot], true
+	}
+	ar.seenMark[slot], ar.seenPart[slot] = ar.seenEpoch, pi
+	return pi, false
+}
+
+// ensureLanes creates lane scratch 0..n-1 before the ordering stage's pool
+// starts: lane lookup from the pool is then a read-only index, never a
+// concurrent append.
 func (ar *extractArena) ensureLanes(n int) {
-	for len(ar.lanes) <= n {
-		ar.lanes = append(ar.lanes, nil)
-	}
-	for i := 0; i <= n; i++ {
-		if ar.lanes[i] == nil {
-			ar.lanes[i] = &laneScratch{
-				seenPart:    make([]int32, ar.nChares),
-				seenMark:    make([]int32, ar.nChares),
-				dedup:       make(map[int64]struct{}),
-				lastW:       make([]int32, ar.nBlocks),
-				lastWMark:   make([]int32, ar.nBlocks),
-				maxRecvW:    make([]int32, ar.nChares),
-				maxRecvMark: make([]int32, ar.nChares),
-				fragOfBlock: make([]int32, ar.nBlocks),
-				blockMark:   make([]int32, ar.nBlocks),
-				lastStep:    make([]int32, ar.nChares),
-				chareMark:   make([]int32, ar.nChares),
-			}
-		}
+	for len(ar.lanes) < n {
+		ar.lanes = append(ar.lanes, &laneScratch{
+			lastW:       make([]int32, ar.nBlocks),
+			lastWMark:   make([]int32, ar.nBlocks),
+			maxRecvW:    make([]int32, ar.nChares),
+			maxRecvMark: make([]int32, ar.nChares),
+			fragOfBlock: make([]int32, ar.nBlocks),
+			blockMark:   make([]int32, ar.nBlocks),
+			lastStep:    make([]int32, ar.nChares),
+			chareMark:   make([]int32, ar.nChares),
+		})
 	}
 }
-
-// lane returns worker lane idx's scratch; ensureLanes must have covered idx.
-func (ar *extractArena) lane(idx int) *laneScratch { return ar.lanes[idx] }
 
 // grow32 returns buf resized to n without preserving or zeroing contents.
 func grow32(buf []int32, n int) []int32 {

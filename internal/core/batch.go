@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sync"
 
 	"charmtrace/internal/trace"
 )
@@ -19,26 +18,23 @@ import (
 // error of the lowest-indexed failure, annotated with its position.
 //
 // The worker budget opt.Workers() is split between the two levels instead
-// of applied at both: one pool of min(workers, len(traces)) goroutines is
-// started once and pulls trace indices from a shared channel, and each pool
-// slot runs its extractions' internal stages at its share of the budget
-// (splitBudget), so the slot shares always sum to the full budget — with
-// workers=4 over 3 traces the slots run at 2/1/1 inner workers instead of
-// the earlier uniform workers/pool = 1, which idled a core for the whole
-// batch. Earlier versions also spun up a fresh full-width pool inside every
-// Extract call on top of a full-width batch fan-out, which both
-// oversubscribed the CPU (up to workers² transient goroutines) and paid the
-// pool start/stop cost once per trace per stage; on small traces that
-// overhead made batching slower than the serial loop. A pool of one
-// (workers == 1, or a single trace) runs inline on the calling goroutine
-// with the full budget handed to the inner stages, reproducing plain
-// sequential Extract calls exactly. The inner split never changes output:
-// extraction is byte-identical at every worker count.
+// of applied at both: the traces are items of the package's one pool
+// (forEach) on min(workers, len(traces)) lanes, and each lane runs its
+// extractions' inner pools at its share of the budget (splitBudget), so the
+// shares always sum to the full budget — with workers=4 over 3 traces the
+// lanes run at 2/1/1 inner workers; a uniform workers/lanes = 1 would idle
+// a core for the whole batch, and the full budget at both levels would
+// oversubscribe the CPU workers-fold. One lane (workers == 1, or a single
+// trace) runs inline on the calling goroutine with the full budget handed
+// to the inner stages, reproducing plain sequential Extract calls exactly.
+// The inner split never changes output: extraction is byte-identical at
+// every worker count.
 //
 // A context attached via opt.Context cancels the batch cooperatively: each
-// pool slot polls it before starting the next trace, and the in-progress
-// extractions abort with one worker-chunk latency (see Options.Context).
-// The batch then fails with the lowest-indexed cancellation error.
+// trace polls it before starting, so a skipped trace still reports its
+// cancellation error, and the in-progress extractions abort within one poll
+// block (see Options.Context). The batch then fails with the lowest-indexed
+// cancellation error.
 func ExtractBatch(traces []*trace.Trace, opt Options) ([]*Structure, error) {
 	out := make([]*Structure, len(traces))
 	if len(traces) == 0 {
@@ -56,53 +52,24 @@ func ExtractBatch(traces []*trace.Trace, opt Options) ([]*Structure, error) {
 	}
 
 	workers := opt.Workers()
-	pool := workers
-	if pool > len(traces) {
-		pool = len(traces)
-	}
-	budgets := splitBudget(workers, pool)
+	lanes := min(workers, len(traces))
+	budgets := splitBudget(workers, lanes)
 
 	errs := make([]error, len(traces))
-	extractInto := func(i, innerWorkers int) {
+	forEach(len(traces), lanes, func(i, lane int) {
 		if err := opt.ctxErr(); err != nil {
 			errs[i] = fmt.Errorf("extract cancelled: %w", err)
 			return
 		}
 		inner := opt
-		inner.Parallelism = innerWorkers
+		inner.Parallelism = budgets[lane]
 		out[i], errs[i] = Extract(traces[i], inner)
 		if out[i] != nil {
 			// The inner worker split is an execution detail; record the
 			// caller's options, exactly as a lone Extract would.
 			out[i].Opts = opt
 		}
-	}
-
-	if pool <= 1 {
-		for i := range traces {
-			extractInto(i, workers)
-		}
-	} else {
-		// One long-lived pool for the whole batch: workers pull indices from
-		// a channel, so an early-finishing worker moves on to the next trace
-		// instead of idling behind a static partition.
-		work := make(chan int)
-		var wg sync.WaitGroup
-		wg.Add(pool)
-		for w := 0; w < pool; w++ {
-			go func(budget int) {
-				defer wg.Done()
-				for i := range work {
-					extractInto(i, budget)
-				}
-			}(budgets[w])
-		}
-		for i := range traces {
-			work <- i
-		}
-		close(work)
-		wg.Wait()
-	}
+	})
 
 	for i, err := range errs {
 		if err != nil {

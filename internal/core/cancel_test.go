@@ -1,8 +1,8 @@
 package core_test
 
 // Cooperative-cancellation suite for the extraction pipeline: Options.Context
-// must abort Extract at stage boundaries, between worker chunks, at enforce
-// rounds and between ordered phases — and must never perturb the output of an
+// must abort Extract at stage boundaries, between the fixed blocks of every
+// loop, at enforce rounds and between ordered phases — and must never perturb the output of an
 // extraction that runs to completion (the determinism guarantee the result
 // cache keys on).
 
@@ -175,5 +175,61 @@ func TestExtractBatchCancelled(t *testing.T) {
 	opt.Context = ctx
 	if _, err := core.ExtractBatch([]*trace.Trace{tr, tr, tr}, opt); !errors.Is(err, context.Canceled) {
 		t.Fatalf("batch error %v does not wrap context.Canceled", err)
+	}
+}
+
+// TestExtractCancelsInsideSequentialSweeps: the Alg. 1 dependency sweep and
+// the overlap scan run on the calling goroutine at every worker count, and
+// poll the context and credit Progress once per fixed block of events /
+// leaps. So even at Parallelism 1 — how a one-core charmd always runs — a
+// context that expires mid-sweep aborts there, with the loop's progress
+// short of its total, instead of waiting out the whole loop while
+// /debug/flights jumps 0 → total. The context expires on the k-th poll for
+// growing k; the sweep is the last loop of its stage.
+func TestExtractCancelsInsideSequentialSweeps(t *testing.T) {
+	for _, tc := range []struct {
+		name, stage string
+		grid, iters int
+	}{
+		{"dependency sweep", "dependency-merge", 16, 8}, // more than one block of events
+		{"overlap scan", "enforce-orderability", 4, 12}, // more than one block of leaps
+	} {
+		cfg := jacobi.DefaultConfig()
+		cfg.Grid, cfg.Iterations = tc.grid, tc.iters
+		tr, err := jacobi.Trace(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opt := core.DefaultOptions()
+		opt.Parallelism = 1
+		var inStage []core.ProgressSnapshot
+		for k := int64(0); ; k++ {
+			opt.Context = newCountdownCtx(k)
+			opt.Progress = core.NewProgress()
+			s, err := core.Extract(tr, opt)
+			if err == nil {
+				break // k outlasted every poll
+			}
+			if !errors.Is(err, context.Canceled) || s != nil {
+				t.Fatalf("%s: k=%d: structure %v, error %v", tc.name, k, s != nil, err)
+			}
+			if snap := opt.Progress.Snapshot(); snap.Stage == tc.stage {
+				inStage = append(inStage, snap)
+			} else if len(inStage) > 0 {
+				break // past the stage
+			}
+		}
+		if len(inStage) == 0 {
+			t.Fatalf("%s: no expiry landed in stage %s", tc.name, tc.stage)
+		}
+		total := inStage[len(inStage)-1].Total
+		mid := false
+		for _, snap := range inStage {
+			mid = mid || (snap.Total == total && 0 < snap.Scanned && snap.Scanned < total)
+		}
+		if !mid {
+			t.Errorf("%s: no expiry aborted inside the sweep (loop of %d); expiries in %s read %+v",
+				tc.name, total, tc.stage, inStage)
+		}
 	}
 }

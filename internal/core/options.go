@@ -17,12 +17,13 @@
 //     steps (a receive at least one step after its matching send), and local
 //     steps are offset by phase-DAG predecessors into global steps.
 //
-// The pipeline is deterministic and, where profitable, parallel: the
-// per-partition scans, the dependency-merge event sweep, the per-leap
-// overlap detection and the per-phase ordering stage run on a worker pool
-// sized by Options.Parallelism, with worker results merged in index order,
-// so the recovered Structure is byte-identical for every worker count
-// (Parallelism 1 reproduces the fully sequential pipeline exactly).
+// The pipeline is deterministic and, where an item owns its output,
+// parallel: the per-partition scans and the per-phase ordering stage (and,
+// in ExtractBatch, whole traces) are items of one worker pool sized by
+// Options.Parallelism. Every item writes only its own rows and every
+// union-find write happens on the calling goroutine, so the recovered
+// Structure is byte-identical for every worker count (Parallelism 1 runs
+// everything inline on the caller).
 package core
 
 import (
@@ -67,18 +68,21 @@ type Options struct {
 	// non-deterministic.
 	ProcessOrderDeps bool
 
-	// Parallelism is the worker count for the parallel stages of the
-	// pipeline (the per-partition scans, the dependency-merge sweep, the
-	// per-leap overlap detection, the per-phase ordering stage the paper
-	// notes "could be parallelized", §3.3) and for ExtractBatch. Zero or negative selects runtime.GOMAXPROCS(0); 1 runs
-	// the fully sequential pipeline. The recovered Structure is
-	// byte-identical for every value: workers process contiguous index
-	// ranges and their results are merged in index order.
+	// Parallelism is the worker count of the pool behind the pipeline's
+	// fan-outs — the per-partition scans, the per-phase ordering stage the
+	// paper notes "could be parallelized" (§3.3) — and behind ExtractBatch's
+	// per-trace fan-out. Zero or negative selects runtime.GOMAXPROCS(0); 1
+	// runs the fully sequential pipeline. The recovered Structure is
+	// byte-identical for every value: a pool item (a partition, a phase, a
+	// trace) writes only its own rows, and the merge heuristics run on the
+	// calling goroutine whatever the count.
 	Parallelism int
 
 	// Telemetry, when non-nil, receives a span for every pipeline stage,
-	// every enforce-orderability round, every worker chunk of the parallel
-	// sweeps, and every ordered phase (the self-tracing behind -self-trace).
+	// every enforce-orderability round, every block of partitions the pool
+	// scans ("part-scan") and every ordered phase ("order-phase"), the last
+	// two on the row of the pool lane that ran them (the self-tracing behind
+	// -self-trace).
 	// When a recorder is attached, each stage additionally records
 	// runtime.MemStats deltas into the metrics registry. nil disables span
 	// recording (telemetry.Disabled is substituted); the per-stage metrics
@@ -99,21 +103,24 @@ type Options struct {
 	ChareRank []int32
 
 	// Progress, when non-nil, receives live position updates: the running
-	// stage and per-stage loop counters, updated lock-free at worker-chunk
-	// granularity. The result cache attaches one per extraction flight and
-	// charmd serves it at /debug/flights. Like the telemetry sinks this is
-	// an execution-only knob: it is excluded from Fingerprint and never
-	// changes the recovered Structure, and a nil Progress costs one pointer
-	// check per chunk.
+	// stage and per-stage loop counters, updated lock-free once per fixed
+	// block of the loop (events, leaps, partitions; one phase), the same at
+	// every worker count. The result cache attaches one per extraction
+	// flight and charmd serves it at /debug/flights. Like the telemetry
+	// sinks this is an execution-only knob: it is excluded from Fingerprint
+	// and never changes the recovered Structure, and a nil Progress costs
+	// one pointer check per block.
 	Progress *Progress
 
 	// Context, when non-nil, cancels the extraction cooperatively: the
-	// pipeline polls it at every stage boundary, between worker chunks of
-	// the parallel sweeps, at every enforce-orderability round and before
-	// every ordered phase, and Extract returns an error wrapping
-	// ctx.Err() (context.Canceled or context.DeadlineExceeded) instead of
-	// a Structure. Cancellation latency is therefore bounded by one worker
-	// chunk of the current stage, not by the whole extraction. Like
+	// pipeline polls it at every stage boundary, every fixed block of
+	// events in the Alg. 1 sweep, of leaps in the overlap scan and of
+	// partitions in the per-partition scans, at every enforce-orderability
+	// round and before every ordered phase, and Extract returns an error
+	// wrapping ctx.Err() (context.Canceled or context.DeadlineExceeded)
+	// instead of a Structure. Cancellation latency is therefore bounded by
+	// one such block (or one phase) at any worker count, not by the whole
+	// stage. Like
 	// Parallelism, Context is an execution-only knob: it is excluded from
 	// Fingerprint, and an extraction that completes is byte-identical with
 	// or without a context attached. nil never cancels.

@@ -2,132 +2,79 @@ package core
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"charmtrace/internal/telemetry"
 )
 
-// span is one contiguous index range [Lo, Hi) of a parallel loop.
-type span struct{ Lo, Hi int }
-
-// splitRange cuts [0, n) into at most k contiguous, non-empty spans of
-// near-equal size. The split depends only on (n, k), so a loop whose workers
-// publish per-span results and concatenate them in span order produces the
-// same output as the sequential loop.
-func splitRange(n, k int) []span {
-	if n <= 0 {
-		return nil
+// forEach is the package's one worker pool. It runs f(i, lane) exactly once
+// for every i in [0, n) on min(workers, n) lanes: each lane pulls the next
+// unclaimed index until none is left, so an early finisher moves on instead
+// of idling behind a static split. lane is in [0, lanes) and no two calls
+// hold one lane at the same time, which is what lets a caller key per-worker
+// scratch on it. Lane 0 is the calling goroutine; with one lane (workers <= 1
+// or n <= 1) nothing else is started and the loop runs in index order.
+//
+// f must write only state owned by its index or its lane. Every caller's
+// items are independent and fill their own output rows, so the result cannot
+// depend on which lane ran an item or in what order.
+func forEach(n, workers int, f func(i, lane int)) {
+	if workers > n {
+		workers = n
 	}
-	if k > n {
-		k = n
-	}
-	if k < 1 {
-		k = 1
-	}
-	spans := make([]span, 0, k)
-	chunk := (n + k - 1) / k
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
+	if workers <= 1 {
+		for i := 0; i < n; i++ {
+			f(i, 0)
 		}
-		spans = append(spans, span{lo, hi})
-	}
-	return spans
-}
-
-// parallelSpans runs f once per span of [0, n), concurrently on up to
-// `workers` goroutines, and returns after every span completes. With one
-// span (workers <= 1 or n <= 1) f runs inline on the calling goroutine, so
-// Parallelism 1 reproduces the sequential pipeline exactly — no goroutines,
-// no synchronization. f receives the span index (for ordering per-span
-// results deterministically) and the range bounds; it must only write state
-// owned by its span or its span index.
-func parallelSpans(n, workers int, f func(idx, lo, hi int)) {
-	spans := splitRange(n, workers)
-	if len(spans) == 0 {
 		return
 	}
-	if len(spans) == 1 {
-		f(0, spans[0].Lo, spans[0].Hi)
-		return
+	var next atomic.Int64
+	run := func(lane int) {
+		for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+			f(i, lane)
+		}
 	}
 	var wg sync.WaitGroup
-	wg.Add(len(spans))
-	for i, sp := range spans {
-		go func(idx, lo, hi int) {
+	wg.Add(workers - 1)
+	for lane := 1; lane < workers; lane++ {
+		go func() {
 			defer wg.Done()
-			f(idx, lo, hi)
-		}(i, sp.Lo, sp.Hi)
+			run(lane)
+		}()
 	}
+	run(0)
 	wg.Wait()
 }
 
-// parallelFor runs f(i) for every i in [0, n) using parallelSpans. Use when
-// iterations write disjoint, index-owned state (e.g. results[i]).
-func parallelFor(n, workers int, f func(i int)) {
-	parallelSpans(n, workers, func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			f(i)
-		}
-	})
-}
-
-// parallelSpans is the instrumented variant: when a recorder is attached it
-// opens one span per worker chunk, on worker lane idx+1 under the current
-// stage span, annotated with the chunk bounds — which is what makes fan-out
-// imbalance visible in a self-trace. Disabled recording takes the plain
-// path with only the cancellation poll per chunk.
+// forEach is the pool with the extraction's bookkeeping attached. [0, n) is
+// handed out in blocks of `block` consecutive indices (the pool's items), and
+// around each block it polls the extraction context, opens a span named name
+// on the lane's row of the self-trace (annotated with the block bounds, so
+// uneven lanes are visible), and credits the block to the live progress.
 //
-// Each chunk polls the extraction context before running: once the context
-// expires, the remaining chunks are skipped, so a cancelled extraction
-// releases its workers within one chunk's latency. The skipped chunks
-// leave stage state partial, which is safe because Extract's next stage
-// boundary converts the cancellation into an error and discards
-// everything.
-func (t *tel) parallelSpans(name string, n, workers int, f func(idx, lo, hi int)) {
-	prog := t.prog
-	if prog != nil {
-		// Per-chunk progress: the loop size is declared up front and each
-		// chunk reports its width on completion, so /debug/flights shows
-		// "items scanned / total" for the stage's dominant loop at the
-		// granularity cancellation already polls at. nil Progress costs one
-		// pointer check per chunk — the same shape as the Enabled gate on
-		// spans, preserving the disabled-path overhead guard.
-		prog.StartLoop(int64(n))
-	}
-	if !t.rec.Enabled() {
-		parallelSpans(n, workers, func(idx, lo, hi int) {
-			if t.cancelled() {
-				return
-			}
-			f(idx, lo, hi)
-			if prog != nil {
-				prog.Add(int64(hi - lo))
-			}
-		})
-		return
-	}
-	parent := t.cur
-	parallelSpans(n, workers, func(idx, lo, hi int) {
+// Once the context has expired the remaining blocks are skipped, so a
+// cancelled extraction gets its lanes back within one block. The rows the
+// skipped blocks would have filled stay unwritten, which is safe because
+// Extract's next stage boundary turns the cancellation into an error and
+// discards everything.
+func (t *tel) forEach(name string, n, block, workers int, f func(i, lane int)) {
+	t.prog.StartLoop(int64(n))
+	recording, parent := t.rec.Enabled(), t.cur
+	forEach((n+block-1)/block, workers, func(b, lane int) {
 		if t.cancelled() {
 			return
 		}
-		sp := t.rec.StartSpan(name, parent, telemetry.Lane(idx+1),
-			telemetry.Int("lo", int64(lo)), telemetry.Int("hi", int64(hi)))
-		f(idx, lo, hi)
-		t.rec.EndSpan(sp)
-		if prog != nil {
-			prog.Add(int64(hi - lo))
+		lo := b * block
+		hi := min(lo+block, n)
+		sp := telemetry.NoSpan
+		if recording {
+			sp = t.rec.StartSpan(name, parent, telemetry.Lane(lane+1),
+				telemetry.Int("lo", int64(lo)), telemetry.Int("hi", int64(hi)))
 		}
-	})
-}
-
-// parallelFor is the instrumented variant of the package-level parallelFor:
-// one span per worker chunk when recording.
-func (t *tel) parallelFor(name string, n, workers int, f func(i int)) {
-	t.parallelSpans(name, n, workers, func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
-			f(i)
+			f(i, lane)
 		}
+		t.rec.EndSpan(sp)
+		t.prog.Add(int64(hi - lo))
 	})
 }

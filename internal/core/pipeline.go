@@ -13,10 +13,11 @@ import (
 )
 
 // tel carries the telemetry context through the pipeline: the span sink,
-// the metrics registry backing Stats, the cancellation context, and the
-// span of the currently running stage (the parent for worker and round
-// spans). cur is only written between parallel sections, so worker
-// goroutines read it race-free.
+// the metrics registry backing Stats, the cancellation context, the live
+// progress, and the span of the currently running stage (the parent for
+// round spans and the pool's block spans). cur is only written on the
+// calling goroutine while no pool is running, so pool lanes read it
+// race-free.
 type tel struct {
 	rec  telemetry.Recorder
 	reg  *telemetry.Registry
@@ -26,7 +27,7 @@ type tel struct {
 }
 
 // cancelled reports whether the extraction's context has expired. Safe to
-// call from worker goroutines (ctx.Err is concurrency-safe).
+// call from pool lanes (ctx.Err is concurrency-safe).
 func (t *tel) cancelled() bool {
 	return t.ctx != nil && t.ctx.Err() != nil
 }
@@ -83,9 +84,7 @@ func Extract(tr *trace.Trace, opt Options) (*Structure, error) {
 			cancelErr = err
 			return
 		}
-		if t.prog != nil {
-			t.prog.SetStage(name)
-		}
+		t.prog.SetStage(name)
 		t.cur = rec.StartSpan(name, root)
 		if memOn {
 			runtime.ReadMemStats(&m0)
@@ -111,7 +110,7 @@ func Extract(tr *trace.Trace, opt Options) (*Structure, error) {
 		t.reg.Gauge("pipeline.initial_partitions").Set(float64(a.set.NumAtoms()))
 		return 0
 	})
-	stage("dependency-merge", func() int { return dependencyMerge(tr, a, workers, t) })
+	stage("dependency-merge", func() int { return dependencyMerge(tr, a, t) })
 	stage("cycle-merge", func() int { return a.set.CycleMerge() })
 	stage("repair-merge", func() int { return repairMerge(tr, a, opt) })
 	stage("cycle-merge", func() int { return a.set.CycleMerge() })
@@ -152,23 +151,28 @@ func Extract(tr *trace.Trace, opt Options) (*Structure, error) {
 	return s, nil
 }
 
+// The sequential sweeps poll the extraction context and credit the live
+// progress once per fixed block of items, so cancellation latency and the
+// /debug/flights counters are the same at every worker count; the pooled
+// loops do the same per pool item (parallel.go).
+const (
+	sweepBlock = 1 << 14 // events per poll of the Alg. 1 sweep
+	leapBlock  = 16      // leaps per poll of the overlap scan
+	partItems  = 64      // pool items buildPartInfo cuts its partitions into
+)
+
 // dependencyMerge is Algorithm 1: partitions containing the matching
-// endpoints of a remote method invocation belong in the same phase.
-//
-// The event sweep is embarrassingly parallel: workers scan contiguous event
-// ranges of a frozen partition set (read-only Root lookups, no path
-// compression) and collect candidate pairs per span. The spans are then
-// scheduled in span order — which concatenates to exactly the sequential
-// sweep order — and applied on the calling goroutine, so the union sequence
-// (and hence the union-find tree and merge count) is identical for every
-// worker count.
-func dependencyMerge(tr *trace.Trace, a *atoms, workers int, t *tel) int {
-	type pair struct{ send, recv partition.ID }
-	spans := splitRange(len(tr.Events), workers)
-	found := make([][]pair, len(spans))
-	t.reg.Counter("pipeline.events_scanned").Add(int64(len(tr.Events)))
-	t.parallelSpans("dependency-sweep", len(tr.Events), workers, func(idx, lo, hi int) {
-		var local []pair
+// endpoints of a remote method invocation belong in the same phase. One
+// sweep over the events schedules a merge per (send, receive) pair; Apply
+// then performs them in sweep order, skipping the pairs an earlier union
+// already joined.
+func dependencyMerge(tr *trace.Trace, a *atoms, t *tel) int {
+	n := len(tr.Events)
+	t.reg.Counter("pipeline.events_scanned").Add(int64(n))
+	plan := a.set.NewMergePlan()
+	t.prog.StartLoop(int64(n))
+	for lo := 0; lo < n && !t.cancelled(); lo += sweepBlock {
+		hi := min(lo+sweepBlock, n)
 		for i := lo; i < hi; i++ {
 			ev := &tr.Events[i]
 			if ev.Kind != trace.Send || ev.Msg == trace.NoMsg {
@@ -176,18 +180,10 @@ func dependencyMerge(tr *trace.Trace, a *atoms, workers int, t *tel) int {
 			}
 			send := a.of[ev.ID]
 			for _, r := range tr.RecvsOf(ev.Msg) {
-				if recv := a.of[r]; a.set.Root(send) != a.set.Root(recv) {
-					local = append(local, pair{send, recv})
-				}
+				plan.Schedule(send, a.of[r])
 			}
 		}
-		found[idx] = local
-	})
-	plan := a.set.NewMergePlan()
-	for _, local := range found {
-		for _, p := range local {
-			plan.Schedule(p.send, p.recv)
-		}
+		t.prog.Add(int64(hi - lo))
 	}
 	return plan.Apply()
 }
@@ -266,8 +262,11 @@ func neighborSerialMerge(tr *trace.Trace, a *atoms) int {
 // §3.1.4 heuristics — the earliest event per chare (aligned with the view's
 // sorted chare rows), the earliest partition-starting source time per PE,
 // and overall minima — into the arena's flat partInfos tables. Partitions
-// are scanned independently; with workers > 1 the scans run on the pool.
-// Each iteration only reads the frozen view and writes its own row, so the
+// are independent pool items, handed out in partItems blocks — the cut
+// depends on the partition count alone, so sixteen thousand five-event
+// partitions and sixteen six-thousand-event ones (one trace, before and
+// after the leap merge) both spread over the lanes. Each scan only reads the
+// view and the set's immutable atom table and writes its own row, so the
 // result is identical for any worker count.
 func buildPartInfo(tr *trace.Trace, a *atoms, v *partition.View, workers int, t *tel) *partInfos {
 	info := &a.arena.info
@@ -283,7 +282,7 @@ func buildPartInfo(tr *trace.Trace, a *atoms, v *partition.View, workers int, t 
 	info.minTime = growTime(info.minTime, n)
 	info.src = growPeTime(info.src, int(total))
 	info.srcEnd = grow32(info.srcEnd, n)
-	t.parallelFor("part-scan", n, workers, func(pi int) {
+	t.forEach("part-scan", n, max(1, n/partItems), workers, func(pi, _ int) {
 		part := &v.Parts[pi]
 		chares := part.Chares
 		base := info.chareOff[pi]
@@ -393,7 +392,6 @@ func inferDependencies(tr *trace.Trace, a *atoms, workers int, t *tel) int {
 		return int(x) - int(y)
 	})
 	ar.srcChare, ar.srcEvent, ar.srcPart, ar.srcOrd = srcChare, srcEvent, srcPart, ord
-	added := 0
 	for i := 0; i < len(ord); {
 		j := i
 		for j < len(ord) && srcChare[ord[j]] == srcChare[ord[i]] {
@@ -414,11 +412,9 @@ func inferDependencies(tr *trace.Trace, a *atoms, workers int, t *tel) int {
 				continue
 			}
 			a.set.AddEdge(a.of[srcEvent[p]], a.of[srcEvent[q]])
-			added++
 		}
 		i = j
 	}
-	_ = added
 	return 0 // Alg. 3 adds edges; partitions are merged by the cycle merge that follows.
 }
 
@@ -435,30 +431,19 @@ func leapMerge(a *atoms) int {
 	}
 	byLeap := v.PartsAtLeap()
 	ar := a.arena
-	// seen: (chare, kind) -> representative atom of the first partition at
-	// this leap holding that chare. Epoch-marked slots, one table half per
-	// kind; bumping the epoch resets the table between leaps.
-	if len(ar.seenAtom) < 2*ar.nChares {
-		ar.seenAtom = make([]partition.ID, 2*ar.nChares)
-		ar.seenMark = make([]int32, 2*ar.nChares)
-	}
 	plan := a.set.NewMergePlan()
 	for _, parts := range byLeap {
-		ar.seenEpoch++
+		ar.nextLeap()
 		for _, pi := range parts {
 			p := &v.Parts[pi]
+			// One half of the occupancy table per kind.
 			kindOff := 0
 			if p.Runtime {
 				kindOff = ar.nChares
 			}
-			rep := p.Atoms[0]
 			for _, c := range p.Chares {
-				slot := kindOff + int(c)
-				if ar.seenMark[slot] == ar.seenEpoch {
-					plan.Schedule(ar.seenAtom[slot], rep)
-				} else {
-					ar.seenMark[slot] = ar.seenEpoch
-					ar.seenAtom[slot] = rep
+				if first, held := ar.claim(kindOff+int(c), pi); held {
+					plan.Schedule(v.Parts[first].Atoms[0], p.Atoms[0])
 				}
 			}
 		}
@@ -512,68 +497,46 @@ func enforceRound(tr *trace.Trace, a *atoms, opt Options, workers int, t *tel) (
 	v := a.set.View()
 	infos := buildPartInfo(tr, a, v, workers, t)
 	byLeap := v.PartsAtLeap()
-
-	// Overlap detection is independent per leap (each leap has its own
-	// chare-occupancy table), so leaps are scanned on the pool — contiguous
-	// leap spans per worker, each with its own lane scratch; per-leap
-	// results concatenated in leap order reproduce the sequential scan.
-	type pair struct{ p, q int32 }
-	perLeap := make([][]pair, len(byLeap))
-	a.arena.ensureLanes(workers)
-	t.parallelSpans("overlap-scan", len(byLeap), workers, func(idx, lo0, hi0 int) {
-		ls := a.arena.lane(idx)
-		for li := lo0; li < hi0; li++ {
-			parts := byLeap[li]
-			ls.epoch++
-			var found []pair
-			for _, pi := range parts {
-				for _, c := range v.Parts[pi].Chares {
-					if ls.seenMark[c] == ls.epoch {
-						// seenPart keeps the leap's first holder of c; a
-						// part never lists a chare twice, so this is a
-						// genuine cross-partition overlap.
-						lo, hi := ls.seenPart[c], pi
-						if lo > hi {
-							lo, hi = hi, lo
-						}
-						key := int64(lo)<<32 | int64(uint32(hi))
-						if _, dup := ls.dedup[key]; !dup {
-							ls.dedup[key] = struct{}{}
-							found = append(found, pair{lo, hi})
-						}
-					} else {
-						ls.seenMark[c] = ls.epoch
-						ls.seenPart[c] = pi
+	ar := a.arena
+	plan := a.set.NewMergePlan()
+	done = true
+	t.prog.StartLoop(int64(len(byLeap)))
+	for lo := 0; lo < len(byLeap) && !t.cancelled(); lo += leapBlock {
+		hi := min(lo+leapBlock, len(byLeap))
+		for _, parts := range byLeap[lo:hi] {
+			ar.nextLeap()
+			for _, q := range parts {
+				for _, c := range v.Parts[q].Chares {
+					// A part never lists a chare twice, so a held slot is a
+					// genuine cross-partition overlap; two parts sharing
+					// several chares are one overlap. PartsAtLeap lists a
+					// leap's partitions in ascending order, so p < q.
+					p, held := ar.claim(int(c), q)
+					if !held {
+						continue
 					}
+					key := int64(p)<<32 | int64(q)
+					if _, dup := ar.overlapSeen[key]; dup {
+						continue
+					}
+					ar.overlapSeen[key] = struct{}{}
+					done = false
+					if v.Parts[p].Runtime == v.Parts[q].Runtime && opt.InferDependencies {
+						plan.Schedule(v.Parts[p].Atoms[0], v.Parts[q].Atoms[0])
+						continue
+					}
+					first, second := p, q
+					if partLater(tr, v, infos, p, q) {
+						first, second = q, p
+					}
+					a.set.AddEdge(v.Parts[first].Atoms[0], v.Parts[second].Atoms[0])
 				}
 			}
-			if found != nil {
-				clear(ls.dedup)
-			}
-			perLeap[li] = found
+			clear(ar.overlapSeen)
 		}
-	})
-	var overlaps []pair
-	for _, found := range perLeap {
-		overlaps = append(overlaps, found...)
+		t.prog.Add(int64(hi - lo))
 	}
-	if len(overlaps) == 0 {
-		return 0, true
-	}
-	plan := a.set.NewMergePlan()
-	for _, ov := range overlaps {
-		p, q := &v.Parts[ov.p], &v.Parts[ov.q]
-		if p.Runtime == q.Runtime && opt.InferDependencies {
-			plan.Schedule(p.Atoms[0], q.Atoms[0])
-			continue
-		}
-		first, second := ov.p, ov.q
-		if partLater(tr, v, infos, ov.p, ov.q) {
-			first, second = ov.q, ov.p
-		}
-		a.set.AddEdge(v.Parts[first].Atoms[0], v.Parts[second].Atoms[0])
-	}
-	return plan.Apply(), false
+	return plan.Apply(), done
 }
 
 // partLater reports whether partition p starts later than q, comparing the

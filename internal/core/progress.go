@@ -7,18 +7,20 @@ import (
 
 // Progress publishes an extraction's live position: the stage currently
 // running, and how far through the stage's dominant loop it is (items
-// scanned vs total — events for the sweep stages, partitions for the
-// per-partition scans, phases for the ordering stage). It is the data
-// source behind charmd's GET /debug/flights: the operator's answer to "why
-// is this upload hanging".
+// scanned vs total — events for the dependency sweep, partitions for the
+// per-partition scans, leaps for the overlap scan, phases for the ordering
+// stage). It is the data source behind charmd's GET /debug/flights: the
+// operator's answer to "why is this upload hanging".
 //
-// All fields are atomics, so the pipeline updates them lock-free at worker-
-// chunk granularity (never per event) and any goroutine may Snapshot
-// concurrently. Like the telemetry sinks, Progress only observes: an
-// extraction's output is byte-identical with or without one attached, it is
-// excluded from Options.Fingerprint, and a nil Progress costs the pipeline
-// one pointer check per chunk — which is what keeps the telemetry-off
-// overhead guard (<2%, DESIGN.md §3b) intact.
+// All fields are atomics, so the pipeline updates them lock-free — once per
+// fixed block of the loop (sweepBlock events, leapBlock leaps, a partItems-th
+// of the partitions, one phase), never per event, and the same at every worker
+// count — and any goroutine may Snapshot concurrently. Like the telemetry
+// sinks, Progress only observes: an extraction's output is byte-identical
+// with or without one attached, it is excluded from Options.Fingerprint, and
+// every method is a no-op on a nil Progress, so the pipeline calls them
+// unconditionally at the cost of one pointer check per block — which is what
+// keeps the telemetry-off overhead guard (<2%, DESIGN.md §3b) intact.
 type Progress struct {
 	start   time.Time
 	stage   atomic.Pointer[string]
@@ -33,6 +35,9 @@ func NewProgress() *Progress { return &Progress{start: time.Now()} }
 // Exported so substituted extractors (resultcache.Config.Extract) can
 // publish progress the same way core.Extract does.
 func (p *Progress) SetStage(name string) {
+	if p == nil {
+		return
+	}
 	p.stage.Store(&name)
 	p.scanned.Store(0)
 	p.total.Store(0)
@@ -40,12 +45,19 @@ func (p *Progress) SetStage(name string) {
 
 // StartLoop declares the current stage's dominant loop size.
 func (p *Progress) StartLoop(total int64) {
+	if p == nil {
+		return
+	}
 	p.scanned.Store(0)
 	p.total.Store(total)
 }
 
 // Add records n items completed in the current loop.
-func (p *Progress) Add(n int64) { p.scanned.Add(n) }
+func (p *Progress) Add(n int64) {
+	if p != nil {
+		p.scanned.Add(n)
+	}
+}
 
 // ProgressSnapshot is one consistent-enough read of a Progress: the fields
 // are read individually (torn reads across a stage boundary can pair a new

@@ -2,9 +2,7 @@ package core
 
 import (
 	"slices"
-	"sync"
 
-	"charmtrace/internal/telemetry"
 	"charmtrace/internal/trace"
 )
 
@@ -13,7 +11,7 @@ import (
 // inside a fragment keep their recorded order, since the order within a
 // serial block is determined explicitly by the developer.
 //
-// Fragments live as struct-of-arrays in the worker lane's scratch
+// Fragments live as struct-of-arrays in the pool lane's scratch
 // (laneScratch.frag*): fragment fi of the lane's current phase has canonical
 // block fragBlock[fi], initial event fragFirst[fi], w-clock of that event
 // fragWInit[fi], and events fragEvents[fragOff[fi]:fragOff[fi+1]]. The
@@ -102,7 +100,7 @@ func assignSteps(tr *trace.Trace, opt Options, a *atoms, t *tel) *Structure {
 	ar.adjOff = grow32(ar.adjOff, ar.nEvents)
 	ar.adjCur = grow32(ar.adjCur, ar.nEvents)
 
-	// orderPhase handles one phase on one worker lane; phases touch disjoint
+	// orderPhase handles one phase on one pool lane; phases touch disjoint
 	// events (and disjoint scratch cells), so the stage parallelizes cleanly
 	// (§3.3: "this stage could be parallelized").
 	orderPhase := func(pi int, ls *laneScratch) {
@@ -157,63 +155,16 @@ func assignSteps(tr *trace.Trace, opt Options, a *atoms, t *tel) *Structure {
 		})
 	}
 
+	// Phases are the ordering stage's pool items, one per block: the span of
+	// each lands on the lane that ran it — per-phase spans are what expose
+	// ordering-stage imbalance (one huge phase pinning a lane while the others
+	// drain) in a self-trace — and that lane's scratch is the phase's alone
+	// while it runs. /debug/flights shows "phases ordered / total".
 	workers := opt.Workers()
-	ar.ensureLanes(workers)
-	recording := t.rec.Enabled()
-	parent := t.cur
-	if t.prog != nil {
-		// Phases are the ordering stage's work items: /debug/flights shows
-		// "phases ordered / total" while step assignment runs.
-		t.prog.StartLoop(int64(len(v.Parts)))
-	}
-	// tracedOrderPhase wraps one phase with a span on the given worker
-	// lane: per-phase spans are what expose ordering-stage imbalance (one
-	// huge phase pinning a lane while the others drain) in a self-trace.
-	// Phases are the ordering stage's worker chunks: each one polls the
-	// extraction context first, so cancellation skips the remaining phases
-	// and Extract discards the partially stepped structure.
-	tracedOrderPhase := func(pi, lane int) {
-		if t.cancelled() {
-			return
-		}
-		if recording {
-			sp := t.rec.StartSpan("order-phase", parent, telemetry.Lane(lane),
-				telemetry.Int("phase", int64(pi)),
-				telemetry.Int("atoms", int64(len(v.Parts[pi].Atoms))))
-			defer t.rec.EndSpan(sp)
-		}
-		orderPhase(pi, ar.lane(lane))
-		if t.prog != nil {
-			t.prog.Add(1)
-		}
-	}
-	if workers > 1 && len(v.Parts) > 1 {
-		var wg sync.WaitGroup
-		// The semaphore slots double as worker-lane numbers, so each
-		// phase's span lands on the lane of the worker that ran it — and
-		// each running phase borrows that lane's scratch exclusively.
-		sem := make(chan int, workers)
-		for lane := 1; lane <= workers; lane++ {
-			sem <- lane
-		}
-		for pi := range v.Parts {
-			pi := pi
-			wg.Add(1)
-			lane := <-sem
-			go func() {
-				defer func() {
-					sem <- lane
-					wg.Done()
-				}()
-				tracedOrderPhase(pi, lane)
-			}()
-		}
-		wg.Wait()
-	} else {
-		for pi := range v.Parts {
-			tracedOrderPhase(pi, 1)
-		}
-	}
+	ar.ensureLanes(min(workers, nParts))
+	t.forEach("order-phase", nParts, 1, workers, func(pi, lane int) {
+		orderPhase(pi, ar.lanes[lane])
+	})
 
 	computeOffsets(s, ar)
 	for e := range tr.Events {

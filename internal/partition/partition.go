@@ -135,7 +135,9 @@ func (s *Set) AddEdge(from, to ID) {
 func (s *Set) NumEdges() int { return len(s.edges) }
 
 // Find returns the current partition (root atom) of an atom, with path
-// compression.
+// compression. It writes parent pointers, so — like every method of Set —
+// it belongs to the goroutine running the pipeline: the pool's items read
+// only the immutable atom table (AtomEvents and friends) and a View.
 func (s *Set) Find(a ID) ID {
 	for s.parent[a] != a {
 		s.parent[a] = s.parent[s.parent[a]]
@@ -146,19 +148,6 @@ func (s *Set) Find(a ID) ID {
 
 // SamePartition reports whether two atoms are currently merged.
 func (s *Set) SamePartition(a, b ID) bool { return s.Find(a) == s.Find(b) }
-
-// Root returns the current partition (root atom) of an atom without path
-// compression. Unlike Find it performs no writes, so any number of
-// goroutines may call it concurrently — provided no merge (Union,
-// CycleMerge) or Find runs at the same time. The phase-finding pipeline
-// relies on this for its parallel scan stages, which read a frozen set and
-// schedule merges for later sequential application.
-func (s *Set) Root(a ID) ID {
-	for s.parent[a] != a {
-		a = s.parent[a]
-	}
-	return a
-}
 
 // Union merges the partitions of a and b and returns the new root. The
 // merged partition is a runtime partition if either operand was.

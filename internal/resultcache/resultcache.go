@@ -96,7 +96,7 @@ type Config struct {
 	// Extract computes a structure on a full miss. nil uses core.Extract;
 	// tests substitute instrumented variants. The cache attaches the
 	// flight's detached context via opt.Context; a well-behaved extractor
-	// honors it (core.Extract does, at worker-chunk granularity).
+	// honors it (core.Extract does, once per fixed block of each loop).
 	Extract func(tr *trace.Trace, opt core.Options) (*core.Structure, error)
 	// Index and Aux are the cache's two derived-view builders: each derives
 	// a read-only value from a cached structure (charmd installs the query

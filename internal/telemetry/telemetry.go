@@ -5,9 +5,9 @@
 // Three pieces compose:
 //
 //   - Recorder is the pluggable span sink. The pipeline opens a span per
-//     stage, per enforce-orderability round, per worker chunk of every
-//     parallel sweep, and per ordered phase, so fan-out imbalance is visible
-//     in a timeline viewer. Disabled is the no-op recorder: span calls are
+//     stage, per enforce-orderability round, per block of partitions the
+//     worker pool scans, and per ordered phase, so fan-out imbalance is
+//     visible in a timeline viewer. Disabled is the no-op recorder: span calls are
 //     empty-bodied and instrumentation sites gate their extra work on
 //     Enabled(), so a disabled pipeline pays only a branch.
 //   - Registry is the lightweight metrics store (counters, gauges,
