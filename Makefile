@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test verify lint fuzz bench bench-check bench-overhead bench-smoke bench-repo fmt loc serve cluster
+.PHONY: build test verify lint fuzz bench bench-check bench-lod bench-overhead bench-smoke bench-repo fmt loc serve cluster
 
 build:
 	$(GO) build ./...
@@ -72,6 +72,13 @@ bench:
 bench-check:
 	$(GO) run ./cmd/experiments -bench-json BENCH_fresh.json
 	$(GO) run ./cmd/benchdiff -new BENCH_fresh.json
+
+# bench-lod times lod.Build over the nine zoo apps at the repository
+# benchmark's medium scale (the traces cold-ingest uploads) and reports
+# ns/event and pyramid B/event beside the usual -benchmem columns. For
+# measuring while working on internal/lod; claims go through bench-repo.
+bench-lod:
+	$(GO) test -run '^$$' -bench 'BenchmarkBuild$$' -benchmem -benchtime 20x -count 3 ./internal/lod
 
 # bench-overhead checks the telemetry off/nop/recording cost (DESIGN.md §3b).
 bench-overhead:

@@ -10,7 +10,6 @@ package charegroup
 
 import (
 	"fmt"
-	"hash/fnv"
 	"sort"
 
 	"charmtrace/internal/core"
@@ -48,16 +47,7 @@ func (c *Cluster) Label(tr *trace.Trace) string {
 // kinds still group — which is the desired behaviour for symmetric
 // concurrent phases (e.g. LASSEN's per-chare control phases).
 func Exact(s *core.Structure) []Cluster {
-	return clusterBy(s, func(c trace.ChareID) uint64 {
-		h := fnv.New64a()
-		for _, e := range s.EventsOfChare(c) {
-			ev := &s.Trace.Events[e]
-			writeInt(h, int64(s.Step[e]))
-			writeInt(h, int64(ev.Kind))
-			writeInt(h, int64(s.LocalStep[e]))
-		}
-		return h.Sum64()
-	})
+	return clusterBy(s, true, signature)
 }
 
 // ByPhaseShape clusters chares by the coarser signature of how many events
@@ -65,28 +55,52 @@ func Exact(s *core.Structure) []Cluster {
 // offsets, so chares doing the same thing in different (concurrent) phases
 // group together.
 func ByPhaseShape(s *core.Structure) []Cluster {
-	return clusterBy(s, func(c trace.ChareID) uint64 {
-		h := fnv.New64a()
-		for _, e := range s.EventsOfChare(c) {
-			ev := &s.Trace.Events[e]
-			writeInt(h, int64(s.LocalStep[e]))
-			writeInt(h, int64(ev.Kind))
+	return clusterBy(s, false, signature)
+}
+
+// signature hashes a chare's timeline — (global step if withStep, kind,
+// local step) per event — with an inline 64-bit multiply-xorshift mix. It
+// only has to spread: clusterBy compares the timelines inside a signature
+// group, so a collision costs a comparison, never a wrong cluster.
+func signature(s *core.Structure, c trace.ChareID, withStep bool) uint64 {
+	h := uint64(14695981039346656037)
+	for _, e := range s.EventsOfChare(c) {
+		if withStep {
+			h = mix(h, uint64(s.Step[e]))
 		}
-		return h.Sum64()
-	})
-}
-
-func writeInt(h interface{ Write([]byte) (int, error) }, v int64) {
-	var b [8]byte
-	for i := range b {
-		b[i] = byte(v >> (8 * i))
+		h = mix(h, uint64(s.Trace.Events[e].Kind))
+		h = mix(h, uint64(s.LocalStep[e]))
 	}
-	h.Write(b[:])
+	return h
 }
 
-// clusterBy groups chares by signature, keeping application and runtime
-// chares apart, and orders clusters by representative ID.
-func clusterBy(s *core.Structure, sig func(trace.ChareID) uint64) []Cluster {
+func mix(h, v uint64) uint64 {
+	h = (h ^ v) * 0x9e3779b97f4a7c15
+	return h ^ h>>32
+}
+
+// sameTimeline compares what signature hashes, event by event.
+func sameTimeline(s *core.Structure, a, b trace.ChareID, withStep bool) bool {
+	ea, eb := s.EventsOfChare(a), s.EventsOfChare(b)
+	if len(ea) != len(eb) {
+		return false
+	}
+	for i, x := range ea {
+		y := eb[i]
+		if s.Trace.Events[x].Kind != s.Trace.Events[y].Kind || s.LocalStep[x] != s.LocalStep[y] ||
+			withStep && s.Step[x] != s.Step[y] {
+			return false
+		}
+	}
+	return true
+}
+
+// clusterBy groups chares with equal timelines (sameTimeline under
+// withStep), keeping application and runtime chares apart, and orders
+// clusters by representative ID. sig buckets the chares first so each is
+// compared against the few that hash alike; it is a parameter so a test can
+// force every chare into one bucket.
+func clusterBy(s *core.Structure, withStep bool, sig func(*core.Structure, trace.ChareID, bool) uint64) []Cluster {
 	type key struct {
 		sig     uint64
 		runtime bool
@@ -94,17 +108,28 @@ func clusterBy(s *core.Structure, sig func(trace.ChareID) uint64) []Cluster {
 	groups := make(map[key][]trace.ChareID)
 	for ci := range s.Trace.Chares {
 		c := trace.ChareID(ci)
-		k := key{sig(c), s.Trace.IsRuntimeChare(c)}
+		k := key{sig(s, c, withStep), s.Trace.IsRuntimeChare(c)}
 		groups[k] = append(groups[k], c)
 	}
 	out := make([]Cluster, 0, len(groups))
-	for k, members := range groups {
-		sort.Slice(members, func(i, j int) bool { return members[i] < members[j] })
-		out = append(out, Cluster{
-			Representative: members[0],
-			Members:        members,
-			Runtime:        k.runtime,
-		})
+	for k, rest := range groups {
+		// rest is in ascending ID order. Compact the chares equal to its
+		// first to the front; the others collided on the signature and go
+		// round again — normally none, and rest is one cluster whole.
+		for len(rest) > 0 {
+			var other []trace.ChareID
+			n := 1
+			for _, c := range rest[1:] {
+				if sameTimeline(s, rest[0], c, withStep) {
+					rest[n] = c
+					n++
+				} else {
+					other = append(other, c)
+				}
+			}
+			out = append(out, Cluster{Representative: rest[0], Members: rest[:n:n], Runtime: k.runtime})
+			rest = other
+		}
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Runtime != out[j].Runtime {

@@ -1,6 +1,7 @@
 package charegroup
 
 import (
+	"reflect"
 	"testing"
 
 	"charmtrace/internal/apps/jacobi"
@@ -118,6 +119,40 @@ func TestLabels(t *testing.T) {
 		}
 		if c.Size() > 1 && l == s.Trace.Chares[c.Representative].Name {
 			t.Fatal("multi-member label missing multiplicity")
+		}
+	}
+}
+
+// TestSignatureCollisionsSplit forces every chare onto one signature: the
+// clustering must come out exactly as with the real hash, because chares are
+// grouped by comparing timelines, not by trusting 64 bits.
+func TestSignatureCollisionsSplit(t *testing.T) {
+	s := jacobiStructure(t, 4)
+	collide := func(*core.Structure, trace.ChareID, bool) uint64 { return 7 }
+	for _, withStep := range []bool{true, false} {
+		want := clusterBy(s, withStep, signature)
+		got := clusterBy(s, withStep, collide)
+		if err := Validate(s, got); err != nil {
+			t.Fatal(err)
+		}
+		if len(want) < 2 {
+			t.Fatalf("withStep=%v: fixture has %d clusters; nothing to split", withStep, len(want))
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("withStep=%v: all-colliding signature gave %d clusters %+v, want %d %+v",
+				withStep, len(got), got, len(want), want)
+		}
+		for i, c := range got {
+			for _, m := range c.Members[1:] {
+				if !sameTimeline(s, c.Representative, m, withStep) {
+					t.Fatalf("withStep=%v: chare %d grouped with %d but their timelines differ", withStep, m, c.Representative)
+				}
+			}
+			for _, d := range got[:i] {
+				if d.Runtime == c.Runtime && sameTimeline(s, d.Representative, c.Representative, withStep) {
+					t.Fatalf("withStep=%v: clusters of %d and %d have one timeline", withStep, d.Representative, c.Representative)
+				}
+			}
 		}
 	}
 }

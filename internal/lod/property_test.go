@@ -11,6 +11,24 @@ import (
 	"charmtrace/internal/viz"
 )
 
+// cell looks a (cluster, bucket) slot up in the CSR rows; an absent slot is
+// the zero Cell, exactly what the dense grid held there.
+func (l *Level) cell(cluster, bucket int32) *Cell {
+	if i, end := l.seek(cluster, bucket); i < end && l.bucket[i] == bucket {
+		return &l.cells[i]
+	}
+	return &Cell{}
+}
+
+// allEdges unpacks the level's whole edge list, in stored order.
+func (l *Level) allEdges() []Edge {
+	out := make([]Edge, len(l.edges.lo))
+	for i := range out {
+		out[i] = l.edges.edge(i)
+	}
+	return out
+}
+
 // TestZooNativeLossless pins satellite property (a): at resolution=native
 // the pyramid's base level is a lossless re-binning of the structure the
 // /steps and /viz responses render — per-(cluster, step) event counts
@@ -69,7 +87,8 @@ func checkNativeCounts(t *testing.T, p *Pyramid) {
 	}
 	base := &p.Levels[0]
 	s, tr := p.S, p.S.Trace
-	want := make([]int64, len(base.Cells))
+	nc := int32(len(p.Clusters))
+	want := make([]int64, int(nc)*int(base.Buckets))
 	var total int64
 	for e := range tr.Events {
 		ci := p.ClusterOf[tr.Events[e].Chare]
@@ -77,14 +96,30 @@ func checkNativeCounts(t *testing.T, p *Pyramid) {
 		total++
 	}
 	var got int64
-	for i := range base.Cells {
-		if base.Cells[i].Events != want[i] {
-			t.Fatalf("cell %d: %d events, structure recount %d", i, base.Cells[i].Events, want[i])
+	for ci := int32(0); ci < nc; ci++ {
+		for b := int32(0); b < base.Buckets; b++ {
+			c := base.cell(ci, b)
+			if c.Events != want[int(ci)*int(base.Buckets)+int(b)] {
+				t.Fatalf("cell (%d,%d): %d events, structure recount %d", ci, b, c.Events, want[int(ci)*int(base.Buckets)+int(b)])
+			}
+			got += c.Events
 		}
-		got += base.Cells[i].Events
 	}
 	if got != total {
 		t.Fatalf("base level holds %d events, trace has %d", got, total)
+	}
+	// The rows store exactly the occupied slots, in bucket order.
+	for i := range base.cells {
+		if base.cells[i].Events == 0 {
+			t.Fatalf("stored cell %d is empty", i)
+		}
+	}
+	for ci := int32(0); ci < nc; ci++ {
+		for i := base.rowStart[ci] + 1; i < base.rowStart[ci+1]; i++ {
+			if base.bucket[i-1] >= base.bucket[i] {
+				t.Fatalf("row %d: buckets not ascending at %d", ci, i)
+			}
+		}
 	}
 }
 
@@ -103,7 +138,7 @@ func checkNativeEdges(t *testing.T, p *Pyramid) {
 		}
 	}
 	var weight int64
-	for _, e := range p.Levels[0].Edges {
+	for _, e := range p.Levels[0].allEdges() {
 		weight += e.Weight
 	}
 	if weight != pairs {
@@ -166,13 +201,17 @@ func TestZooCoarseningMonotone(t *testing.T) {
 					}
 				}
 				wantEdges := make(map[Edge]int64)
-				for _, e := range child.Edges {
+				for _, e := range child.allEdges() {
 					wantEdges[Edge{e.SrcBucket / 2, e.SrcCluster, e.DstBucket / 2, e.DstCluster, 0}] += e.Weight
 				}
-				if len(parent.Edges) != len(wantEdges) {
-					t.Fatalf("level %d: %d edges, children re-aggregate to %d", l, len(parent.Edges), len(wantEdges))
+				parentEdges := parent.allEdges()
+				if len(parentEdges) != len(wantEdges) {
+					t.Fatalf("level %d: %d edges, children re-aggregate to %d", l, len(parentEdges), len(wantEdges))
 				}
-				for _, e := range parent.Edges {
+				for i, e := range parentEdges {
+					if i > 0 && !edgeBefore(parentEdges[i-1], e) {
+						t.Fatalf("level %d: edges %+v, %+v out of wire order", l, parentEdges[i-1], e)
+					}
 					if wantEdges[Edge{e.SrcBucket, e.SrcCluster, e.DstBucket, e.DstCluster, 0}] != e.Weight {
 						t.Fatalf("level %d edge %+v does not match children", l, e)
 					}
@@ -183,4 +222,16 @@ func TestZooCoarseningMonotone(t *testing.T) {
 			}
 		})
 	}
+}
+
+// edgeBefore is strict (SrcBucket, SrcCluster, DstBucket, DstCluster) order.
+func edgeBefore(a, b Edge) bool {
+	ka := [4]int32{a.SrcBucket, a.SrcCluster, a.DstBucket, a.DstCluster}
+	kb := [4]int32{b.SrcBucket, b.SrcCluster, b.DstBucket, b.DstCluster}
+	for i := range ka {
+		if ka[i] != kb[i] {
+			return ka[i] < kb[i]
+		}
+	}
+	return false
 }

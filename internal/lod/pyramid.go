@@ -25,7 +25,8 @@
 package lod
 
 import (
-	"sort"
+	"math/bits"
+	"slices"
 
 	"charmtrace/internal/charegroup"
 	"charmtrace/internal/core"
@@ -97,18 +98,54 @@ type Edge struct {
 }
 
 // Level is one pyramid level: buckets of Width = 2^level global steps,
-// aligned to step 0. Cells is row-major [cluster][bucket]; Edges is sorted
-// by (SrcBucket, SrcCluster, DstBucket, DstCluster).
+// aligned to step 0. Only non-empty cells are stored, as CSR rows: cluster
+// ci owns cells[rowStart[ci]:rowStart[ci+1]] in ascending bucket order, and
+// bucket[i] is the bucket of cells[i].
 type Level struct {
-	Width   int32
-	Buckets int32
-	Cells   []Cell
-	Edges   []Edge
+	Width    int32
+	Buckets  int32
+	rowStart []int32
+	bucket   []int32
+	cells    []Cell
+	edges    edgeList
 }
 
-// cell returns the (cluster, bucket) cell.
-func (l *Level) cell(cluster, bucket int32) *Cell {
-	return &l.Cells[int(cluster)*int(l.Buckets)+int(bucket)]
+// seek returns the position of the cluster's first stored cell whose bucket
+// is >= b, and the end of the cluster's row.
+func (l *Level) seek(cluster, b int32) (int32, int32) {
+	start, end := l.rowStart[cluster], l.rowStart[cluster+1]
+	i, _ := slices.BinarySearch(l.bucket[start:end], b)
+	return start + int32(i), end
+}
+
+// coarsen returns the next level up without its edges: one walk per row
+// that merges the adjacent cells whose bucket/2 agree.
+func (l *Level) coarsen() Level {
+	nc := len(l.rowStart) - 1
+	up := Level{Width: l.Width * 2, Buckets: (l.Buckets + 1) / 2, rowStart: make([]int32, nc+1)}
+	var n int32
+	for ci := 0; ci < nc; ci++ {
+		up.rowStart[ci] = n
+		for i := l.rowStart[ci]; i < l.rowStart[ci+1]; i++ {
+			if i == l.rowStart[ci] || l.bucket[i]/2 != l.bucket[i-1]/2 {
+				n++
+			}
+		}
+	}
+	up.rowStart[nc] = n
+	up.bucket, up.cells = make([]int32, n), make([]Cell, n)
+	n = 0
+	for ci := 0; ci < nc; ci++ {
+		for i := l.rowStart[ci]; i < l.rowStart[ci+1]; i++ {
+			if b := l.bucket[i] / 2; n > up.rowStart[ci] && up.bucket[n-1] == b {
+				up.cells[n-1].merge(&l.cells[i])
+			} else {
+				up.bucket[n], up.cells[n] = b, l.cells[i]
+				n++
+			}
+		}
+	}
+	return up
 }
 
 // Pyramid is the precomputed level-of-detail structure for one recovered
@@ -132,8 +169,9 @@ type Pyramid struct {
 // Build constructs the pyramid. rep supplies the §4 per-event metrics; nil
 // computes them (one metrics.Compute pass — callers that already hold a
 // query index can pass its report to share the work). Cost beyond the
-// metrics pass is one scan of the events plus a geometric coarsening sweep,
-// so ~2× the base level's size in total.
+// metrics pass is two scans of the events — count the occupied (cluster,
+// step) slots, then fill exactly that many cells — one sort of the matched
+// messages' keys, and a geometric sweep of linear merges up the levels.
 func Build(s *core.Structure, rep *metrics.Report) *Pyramid {
 	if rep == nil {
 		rep = metrics.Compute(s)
@@ -149,116 +187,104 @@ func Build(s *core.Structure, rep *metrics.Report) *Pyramid {
 			p.ClusterOf[m] = int32(i)
 		}
 	}
-	numSteps := int32(s.MaxStep()) + 1
+	p.bytes = int64(len(p.ClusterOf)) * 4
+	for i := range p.Clusters {
+		p.bytes += int64(len(p.Clusters[i].Members))*4 + 16
+	}
+	numSteps := int(s.MaxStep()) + 1
 	if numSteps <= 0 {
-		p.bytes = int64(len(p.ClusterOf)) * 4
 		return p
 	}
-	nc := int32(len(p.Clusters))
+	nc := len(p.Clusters)
 
-	// Base level: one bucket per global step.
-	base := Level{Width: 1, Buckets: numSteps, Cells: make([]Cell, int(nc)*int(numSteps))}
-	type edgeKey struct{ sb, sc, db, dc int32 }
-	acc := make(map[edgeKey]int64)
+	// Base level, one bucket per global step. slot is the only table with
+	// an entry per (cluster, step): it marks the occupied slots, then maps
+	// each to its cell's position in the CSR arrays.
+	slot := make([]int32, nc*numSteps)
+	var stored, recvs int
+	for e := range tr.Events {
+		ev := &tr.Events[e]
+		if i := int(p.ClusterOf[ev.Chare])*numSteps + int(s.Step[e]); slot[i] == 0 {
+			slot[i] = 1
+			stored++
+		}
+		if ev.Kind == trace.Recv {
+			recvs++
+		}
+	}
+	base := Level{
+		Width: 1, Buckets: int32(numSteps),
+		rowStart: make([]int32, nc+1), bucket: make([]int32, stored), cells: make([]Cell, stored),
+	}
+	var n int32
+	for ci := 0; ci < nc; ci++ {
+		base.rowStart[ci] = n
+		for b, occupied := range slot[ci*numSteps : (ci+1)*numSteps] {
+			if occupied != 0 {
+				slot[ci*numSteps+b], base.bucket[n] = n, int32(b)
+				n++
+			}
+		}
+	}
+	base.rowStart[nc] = n
+
+	// msgs collects one key per matched message, then is sorted and
+	// run-length-combined into the base edges; after that it and tmp are the
+	// two scratch lists every coarser level's edges are merged through.
+	bBits, cBits := uint(bits.Len(uint(numSteps-1))), uint(bits.Len(uint(nc-1)))
+	msgs, tmp := newEdgeList(recvs, bBits, cBits), newEdgeList(recvs, bBits, cBits)
+	matched := 0
 	for e := range tr.Events {
 		ev := &tr.Events[e]
 		eid := trace.EventID(e)
-		c := base.cell(p.ClusterOf[ev.Chare], s.Step[eid])
-		if c.Events == 0 {
-			c.TimeMin, c.TimeMax = ev.Time, ev.Time
-		} else {
-			if ev.Time < c.TimeMin {
-				c.TimeMin = ev.Time
-			}
-			if ev.Time > c.TimeMax {
-				c.TimeMax = ev.Time
-			}
-		}
-		c.Events++
+		cluster, step := p.ClusterOf[ev.Chare], s.Step[eid]
+		one := Cell{Events: 1, TimeMin: ev.Time, TimeMax: ev.Time}
 		if ev.Kind == trace.Send {
-			c.Sends++
+			one.Sends = 1
 		} else {
-			c.Recvs++
+			one.Recvs = 1
 		}
-		vals := [NumMetrics]trace.Time{
-			rep.SubDur[eid],
-			rep.IdleExperienced[eid],
-			rep.DifferentialDuration[eid],
-			rep.Imbalance[eid],
+		for m, v := range [NumMetrics]trace.Time{
+			rep.SubDur[eid], rep.IdleExperienced[eid], rep.DifferentialDuration[eid], rep.Imbalance[eid],
+		} {
+			one.Sum[m], one.Max[m] = int64(v), max(int64(v), 0)
 		}
-		for m, v := range vals {
-			c.Sum[m] += int64(v)
-			if int64(v) > c.Max[m] {
-				c.Max[m] = int64(v)
-			}
-		}
+		base.cells[slot[int(cluster)*numSteps+int(step)]].merge(&one)
 		if ev.Kind == trace.Recv {
 			if send := tr.MatchingSend(eid); send != trace.NoEvent {
-				sv := &tr.Events[send]
-				acc[edgeKey{s.Step[send], p.ClusterOf[sv.Chare], s.Step[eid], p.ClusterOf[ev.Chare]}]++
+				msgs.set(matched, msgs.pack(s.Step[send], p.ClusterOf[tr.Events[send].Chare], step, cluster), 1)
+				matched++
 			}
 		}
 	}
-	base.Edges = make([]Edge, 0, len(acc))
-	for k, w := range acc {
-		base.Edges = append(base.Edges, Edge{k.sb, k.sc, k.db, k.dc, w})
-	}
-	sortEdges(base.Edges)
-	p.Levels = append(p.Levels, base)
+	msgs.resize(matched)
+	msgs.sortAndCombine(&tmp)
+	base.edges = msgs.clone(bBits)
+	p.Levels = append(make([]Level, 0, bBits+1), base)
 
 	// Coarsen: each level halves the bucket count (ceiling) until one
-	// bucket spans everything. Parent bucket b merges children 2b, 2b+1.
-	for p.Levels[len(p.Levels)-1].Buckets > 1 {
+	// bucket spans everything. Parent bucket b merges children 2b, 2b+1:
+	// the bucket fields of an edge key lose their low bit, destination
+	// first, each by one merging pass.
+	for bBits > 0 {
 		prev := &p.Levels[len(p.Levels)-1]
-		nb := (prev.Buckets + 1) / 2
-		lvl := Level{Width: prev.Width * 2, Buckets: nb, Cells: make([]Cell, int(nc)*int(nb))}
-		for ci := int32(0); ci < nc; ci++ {
-			for b := int32(0); b < prev.Buckets; b++ {
-				lvl.cell(ci, b/2).merge(prev.cell(ci, b))
-			}
-		}
-		half := make(map[edgeKey]int64, len(prev.Edges))
-		for _, e := range prev.Edges {
-			half[edgeKey{e.SrcBucket / 2, e.SrcCluster, e.DstBucket / 2, e.DstCluster}] += e.Weight
-		}
-		lvl.Edges = make([]Edge, 0, len(half))
-		for k, w := range half {
-			lvl.Edges = append(lvl.Edges, Edge{k.sb, k.sc, k.db, k.dc, w})
-		}
-		sortEdges(lvl.Edges)
-		p.Levels = append(p.Levels, lvl)
+		up := prev.coarsen()
+		prev.edges.halveInto(&msgs, cBits)
+		bBits--
+		msgs.halveInto(&tmp, 2*cBits+bBits)
+		up.edges = tmp.clone(bBits)
+		p.Levels = append(p.Levels, up)
 	}
 
 	const cellSize = 8 * (5 + 2*NumMetrics) // counts + span + metric arrays
-	const edgeSize = 4*4 + 8
 	for i := range p.Levels {
-		p.bytes += int64(len(p.Levels[i].Cells))*cellSize + int64(len(p.Levels[i].Edges))*edgeSize
-	}
-	p.bytes += int64(len(p.ClusterOf)) * 4
-	for i := range p.Clusters {
-		p.bytes += int64(len(p.Clusters[i].Members))*4 + 16
+		l := &p.Levels[i]
+		p.bytes += int64(len(l.rowStart)+len(l.bucket))*4 + int64(len(l.cells))*cellSize +
+			int64(len(l.edges.hi)+len(l.edges.lo)+len(l.edges.weight))*8
 	}
 	return p
 }
 
-// Bytes estimates the pyramid's resident size beyond the structure itself,
-// for cache memory accounting.
+// Bytes is the pyramid's resident size beyond the structure itself — an
+// exact count of the level arrays — for cache memory accounting.
 func (p *Pyramid) Bytes() int64 { return p.bytes }
-
-// sortEdges orders edges by (SrcBucket, SrcCluster, DstBucket, DstCluster)
-// — the canonical wire order.
-func sortEdges(edges []Edge) {
-	sort.Slice(edges, func(i, j int) bool {
-		a, b := &edges[i], &edges[j]
-		if a.SrcBucket != b.SrcBucket {
-			return a.SrcBucket < b.SrcBucket
-		}
-		if a.SrcCluster != b.SrcCluster {
-			return a.SrcCluster < b.SrcCluster
-		}
-		if a.DstBucket != b.DstBucket {
-			return a.DstBucket < b.DstBucket
-		}
-		return a.DstCluster < b.DstCluster
-	})
-}

@@ -279,30 +279,23 @@ func (p *Pyramid) Query(sp Spec, diff *structdiff.Diff) (*Result, error) {
 	plan := p.planRows(sp.MaxRows)
 	nRows := len(plan.rows)
 
-	// One merged cell per (row, window bucket), then marginalize both ways.
-	merged := make([]Cell, nRows*int(res.NumBuckets))
-	for ri, members := range plan.rows {
-		for b := b0; b <= b1; b++ {
-			c := &merged[ri*int(res.NumBuckets)+int(b-b0)]
-			for _, ci := range members {
-				c.merge(level.cell(ci, b))
-			}
+	// Bucket marginals, read from the stored cells of the window only:
+	// marginal[k] merges every cluster's cell at bucket b0+k. The displayed
+	// buckets are the non-empty ones; column[k] is bucket b0+k's position
+	// among them.
+	marginal := make([]Cell, res.NumBuckets)
+	for ci := range p.Clusters {
+		for i, end := level.seek(int32(ci), b0); i < end && level.bucket[i] <= b1; i++ {
+			marginal[level.bucket[i]-b0].merge(&level.cells[i])
 		}
 	}
-
-	// Bucket marginals over displayed (non-empty) buckets.
-	res.Buckets = newSeries(int(res.NumBuckets))
-	displayed := make([]int32, 0, res.NumBuckets) // window-relative indices
-	for b := b0; b <= b1; b++ {
-		var col Cell
-		for ri := 0; ri < nRows; ri++ {
-			col.merge(&merged[ri*int(res.NumBuckets)+int(b-b0)])
+	res.Buckets = newSeries(len(marginal))
+	column := make([]int32, len(marginal))
+	for k := range marginal {
+		if marginal[k].Events != 0 {
+			column[k] = int32(len(res.Buckets.Bucket))
+			res.Buckets.push(b0+int32(k), &marginal[k])
 		}
-		if col.Events == 0 {
-			continue
-		}
-		displayed = append(displayed, b-b0)
-		res.Buckets.push(b, &col)
 	}
 
 	// Row aggregates and the heatmap over the displayed columns.
@@ -310,11 +303,12 @@ func (p *Pyramid) Query(sp Spec, diff *structdiff.Diff) (*Result, error) {
 	res.Cells = make([][]int64, nRows)
 	for ri, members := range plan.rows {
 		var agg Cell
-		cells := make([]int64, len(displayed))
-		for k, rel := range displayed {
-			c := &merged[ri*int(res.NumBuckets)+int(rel)]
-			agg.merge(c)
-			cells[k] = c.Events
+		cells := make([]int64, len(res.Buckets.Bucket))
+		for _, ci := range members {
+			for i, end := level.seek(ci, b0); i < end && level.bucket[i] <= b1; i++ {
+				agg.merge(&level.cells[i])
+				cells[column[level.bucket[i]-b0]] += level.cells[i].Events
+			}
 		}
 		res.Cells[ri] = cells
 
@@ -392,15 +386,17 @@ func itoa(n int) string {
 
 // edgesFor renders the window's aggregated communication edges at the two
 // response granularities: row → row (bucket axis collapsed) and bucket →
-// bucket (cluster axis collapsed). Edges with either endpoint outside the
-// bucket window are dropped; each set is sorted by (src, dst); maxEdges > 0
-// keeps the heaviest of each (ties to earlier key order) and reports the
-// pre-cap totals.
+// bucket (cluster axis collapsed). Only the level's edges whose SrcBucket is
+// in the window are visited, and those with the other endpoint outside it
+// are dropped; each set is sorted by (src, dst); maxEdges > 0 keeps the
+// heaviest of each (ties to earlier key order) and reports the pre-cap
+// totals.
 func (p *Pyramid) edgesFor(level *Level, plan rowPlan, b0, b1 int32, maxEdges int) (*EdgeSet, *EdgeSet) {
 	byRow := make(map[[2]int32]int64)
 	byBucket := make(map[[2]int32]int64)
-	for _, e := range level.Edges {
-		if e.SrcBucket < b0 || e.SrcBucket > b1 || e.DstBucket < b0 || e.DstBucket > b1 {
+	for i, end := level.edges.from(b0), level.edges.from(b1+1); i < end; i++ {
+		e := level.edges.edge(i)
+		if e.DstBucket < b0 || e.DstBucket > b1 {
 			continue
 		}
 		byRow[[2]int32{plan.rowOf[e.SrcCluster], plan.rowOf[e.DstCluster]}] += e.Weight

@@ -20,6 +20,13 @@ const (
 	numMetrics
 )
 
+// The Rollup.Sum/Max columns callers outside the package read.
+const (
+	ColIdleExperienced      = int(mIdle)
+	ColDifferentialDuration = int(mDiff)
+	ColImbalance            = int(mImbalance)
+)
+
 // metricNames are the JSON column names, indexed by metric.
 var metricNames = [numMetrics]string{
 	"sub_dur",
@@ -72,8 +79,8 @@ type Index struct {
 }
 
 // BuildIndex constructs the index for a structure. Cost is one
-// metrics.Compute pass plus an O(E log E) sort; Bytes reports the resident
-// estimate for cache memory accounting.
+// metrics.Compute pass plus two counting sorts of the events; Bytes reports
+// the resident estimate for cache memory accounting.
 func BuildIndex(s *core.Structure) *Index {
 	tr := s.Trace
 	idx := &Index{
@@ -95,25 +102,23 @@ func BuildIndex(s *core.Structure) *Index {
 		}
 		return a.ID < b.ID
 	})
-	for e := range tr.Events {
+
+	// EventRows is (step, chare, event ID) order. Event IDs start ascending,
+	// so two stable counting sorts — by chare, then by step — produce it
+	// without a comparator. The chare pass's bucket starts also carve
+	// ChareEvents out of one backing array.
+	for e := range idx.EventRows {
 		idx.EventRows[e] = trace.EventID(e)
 	}
-	sort.Slice(idx.EventRows, func(i, j int) bool {
-		a, b := idx.EventRows[i], idx.EventRows[j]
-		if s.Step[a] != s.Step[b] {
-			return s.Step[a] < s.Step[b]
-		}
-		if tr.Events[a].Chare != tr.Events[b].Chare {
-			return tr.Events[a].Chare < tr.Events[b].Chare
-		}
-		return a < b
-	})
-	perChare := make([]int, len(tr.Chares))
-	for _, e := range idx.EventRows {
-		perChare[tr.Events[e].Chare]++
+	byChare := make([]trace.EventID, len(tr.Events))
+	chareStart := countingSort(byChare, idx.EventRows, len(tr.Chares), func(e trace.EventID) int { return int(tr.Events[e].Chare) })
+	minStep, maxStep := int32(0), int32(-1)
+	for _, st := range s.Step {
+		minStep, maxStep = min(minStep, st), max(maxStep, st)
 	}
-	for c, n := range perChare {
-		idx.ChareEvents[c] = make([]trace.EventID, 0, n)
+	countingSort(idx.EventRows, byChare, int(maxStep-minStep)+1, func(e trace.EventID) int { return int(s.Step[e] - minStep) })
+	for c := range idx.ChareEvents {
+		idx.ChareEvents[c] = byChare[chareStart[c]:chareStart[c]:chareStart[c+1]]
 	}
 	for _, e := range idx.EventRows {
 		ev := &tr.Events[e]
@@ -131,6 +136,24 @@ func BuildIndex(s *core.Structure) *Index {
 		int64(len(idx.PhaseRollup)+len(idx.ChareRollup))*int64(8*(1+2*int(numMetrics))) +
 		int64(len(tr.Events))*8*4 // Report per-event slices
 	return idx
+}
+
+// countingSort writes into dst the events of src stably ordered by key,
+// which maps an event into [0, keys). It returns the bucket boundaries: key
+// k's events are dst[start[k]:start[k+1]].
+func countingSort(dst, src []trace.EventID, keys int, key func(trace.EventID) int) []int32 {
+	start := make([]int32, keys+2)
+	for _, e := range src {
+		start[key(e)+2]++
+	}
+	for k := 2; k < len(start); k++ {
+		start[k] += start[k-1]
+	}
+	for _, e := range src {
+		dst[start[key(e)+1]] = e
+		start[key(e)+1]++
+	}
+	return start[:keys+1]
 }
 
 // metricsOf gathers an event's metric column values.

@@ -56,14 +56,20 @@ func TestIndexInvariants(t *testing.T) {
 		if s.Step[a] == s.Step[b] && s.Trace.Events[a].Chare > s.Trace.Events[b].Chare {
 			t.Fatalf("EventRows tie not broken by chare at %d", i)
 		}
+		if s.Step[a] == s.Step[b] && s.Trace.Events[a].Chare == s.Trace.Events[b].Chare && a >= b {
+			t.Fatalf("EventRows (step, chare) tie not broken by event ID at %d", i)
+		}
 	}
 	// ChareEvents partition the event table.
 	n := 0
 	for c, evs := range idx.ChareEvents {
 		n += len(evs)
-		for _, e := range evs {
+		for i, e := range evs {
 			if s.Trace.Events[e].Chare != trace.ChareID(c) {
 				t.Fatalf("chare %d list holds event of chare %d", c, s.Trace.Events[e].Chare)
+			}
+			if i > 0 && (s.Step[evs[i-1]] > s.Step[e] || s.Step[evs[i-1]] == s.Step[e] && evs[i-1] >= e) {
+				t.Fatalf("chare %d list not in EventRows order at %d", c, i)
 			}
 		}
 	}

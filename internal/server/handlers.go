@@ -11,7 +11,7 @@ import (
 	"strconv"
 
 	"charmtrace/internal/core"
-	"charmtrace/internal/metrics"
+	"charmtrace/internal/query"
 	"charmtrace/internal/resultcache"
 	"charmtrace/internal/structdiff"
 	"charmtrace/internal/telemetry"
@@ -345,26 +345,25 @@ type chareMetrics struct {
 	Imbalance            int64  `json:"imbalance"`
 }
 
-// serveMetrics computes the Section 4 metrics on the recovered structure
-// and aggregates them per chare, with the per-phase imbalance table.
+// serveMetrics reports the Section 4 metrics aggregated per chare, with the
+// per-phase imbalance table, from the query index's per-chare rollups and
+// report — nothing is recomputed per request.
 func (s *Server) serveMetrics(w http.ResponseWriter, r *http.Request, digest string, opt core.Options) {
-	st, _, err := s.resolve(r.Context(), digest, opt, wantStructure)
+	st, view, err := s.resolve(r.Context(), digest, opt, wantIndex)
 	if err != nil {
 		httpError(w, err)
 		return
 	}
-	rep := metrics.Compute(st)
-	tr := st.Trace
-	perChare := make([]chareMetrics, len(tr.Chares))
-	for ci := range tr.Chares {
-		perChare[ci] = chareMetrics{Chare: int32(ci), Name: tr.Chares[ci].Name}
-	}
-	for e := range tr.Events {
-		cm := &perChare[tr.Events[e].Chare]
-		cm.Events++
-		cm.IdleExperienced += int64(rep.IdleExperienced[e])
-		cm.DifferentialDuration += int64(rep.DifferentialDuration[e])
-		cm.Imbalance += int64(rep.Imbalance[e])
+	idx := view.(*query.Index)
+	rep := idx.Report
+	perChare := make([]chareMetrics, len(st.Trace.Chares))
+	for ci, roll := range idx.ChareRollup {
+		perChare[ci] = chareMetrics{
+			Chare: int32(ci), Name: st.Trace.Chares[ci].Name, Events: int(roll.Events),
+			IdleExperienced:      roll.Sum[query.ColIdleExperienced],
+			DifferentialDuration: roll.Sum[query.ColDifferentialDuration],
+			Imbalance:            roll.Sum[query.ColImbalance],
+		}
 	}
 	type phaseImbalance struct {
 		Phase     int32 `json:"phase"`

@@ -2,10 +2,13 @@ package server
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"testing"
 
@@ -272,5 +275,29 @@ func TestLodNativeMatchesSteps(t *testing.T) {
 	}
 	if out.NumBuckets != steps.MaxStep+1 {
 		t.Fatalf("native buckets = %d, want %d", out.NumBuckets, steps.MaxStep+1)
+	}
+}
+
+// TestLodGoldenResponses pins three /lod bodies for the checked-in
+// jacobi-2x2 trace to SHA-256 digests recorded at e3685ba, before the
+// pyramid went from dense grids to CSR rows: an overview, a capped zoom
+// window, and the native render. Any byte drift in the wire format or the
+// aggregation fails here, independent of the in-package differential oracle.
+func TestLodGoldenResponses(t *testing.T) {
+	data, err := os.ReadFile("../tracefile/testdata/jacobi-2x2.trace.bin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ts := newTestServer(t, Config{})
+	digest := upload(t, ts, data)
+	for _, tc := range []struct{ query, want string }{
+		{"?resolution=8", "2a64d50b18d3ddb59539618684f1fd723acdb51c36df09e6b1c4ccf98b2b7b07"},
+		{"?resolution=4&steps=2..19&max_rows=2&max_edges=3", "ff5146c6e4ef1b283c08aaea469fd1ba13f094312fd54793a942e4663bee1196"},
+		{"?render=true", "43033033e359e01b8387b7732967cc6443f41d0cf54425880ee3e99d1ec204df"},
+	} {
+		sum := sha256.Sum256(mustGet(t, ts, "/v1/traces/"+digest+"/lod"+tc.query))
+		if got := hex.EncodeToString(sum[:]); got != tc.want {
+			t.Errorf("GET /lod%s: body sha256 %s, want %s", tc.query, got, tc.want)
+		}
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"charmtrace/internal/apps/jacobi"
 	"charmtrace/internal/conformance"
 	"charmtrace/internal/core"
+	"charmtrace/internal/metrics"
 	"charmtrace/internal/telemetry"
 	"charmtrace/internal/trace"
 	"charmtrace/internal/tracefile"
@@ -554,6 +555,49 @@ func TestZooEndToEndMatrix(t *testing.T) {
 			if hit := mustGet(t, ts, path); !bytes.Equal(hit, miss) {
 				t.Error("cache-hit response differs from extraction response")
 			}
+			st, err := core.Extract(w.MustGen(), w.Opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := mustGet(t, ts, strings.Replace(path, "/structure", "/metrics", 1))
+			if want := directMetricsBody(digest, w.Opts.Fingerprint(), st); !bytes.Equal(got, want) {
+				t.Errorf("/metrics served from the index differs from a direct fold:\n%s\n----\n%s", got, want)
+			}
 		})
 	}
+}
+
+// directMetricsBody renders the legacy /metrics response the way the
+// handler did before it read the query index: metrics.Compute and a fold
+// over every event.
+func directMetricsBody(digest, fingerprint string, st *core.Structure) []byte {
+	rep := metrics.Compute(st)
+	tr := st.Trace
+	perChare := make([]chareMetrics, len(tr.Chares))
+	for ci := range tr.Chares {
+		perChare[ci] = chareMetrics{Chare: int32(ci), Name: tr.Chares[ci].Name}
+	}
+	for e := range tr.Events {
+		cm := &perChare[tr.Events[e].Chare]
+		cm.Events++
+		cm.IdleExperienced += int64(rep.IdleExperienced[e])
+		cm.DifferentialDuration += int64(rep.DifferentialDuration[e])
+		cm.Imbalance += int64(rep.Imbalance[e])
+	}
+	type phaseImbalance struct {
+		Phase     int32 `json:"phase"`
+		Imbalance int64 `json:"imbalance"`
+	}
+	resp := struct {
+		Digest         string           `json:"digest"`
+		Fingerprint    string           `json:"fingerprint"`
+		Chares         []chareMetrics   `json:"chares"`
+		PhaseImbalance []phaseImbalance `json:"phase_imbalance"`
+	}{Digest: digest, Fingerprint: fingerprint, Chares: perChare}
+	for p, imb := range rep.PhaseImbalance {
+		resp.PhaseImbalance = append(resp.PhaseImbalance, phaseImbalance{Phase: int32(p), Imbalance: int64(imb)})
+	}
+	rec := httptest.NewRecorder()
+	writeJSON(rec, resp)
+	return rec.Body.Bytes()
 }
