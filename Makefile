@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test verify lint fuzz bench bench-check bench-lod bench-overhead bench-smoke bench-repo fmt loc serve cluster
+.PHONY: build test verify lint fuzz bench bench-check bench-lod bench-steps bench-overhead bench-smoke bench-repo fmt loc serve cluster
 
 build:
 	$(GO) build ./...
@@ -79,6 +79,15 @@ bench-check:
 # measuring while working on internal/lod; claims go through bench-repo.
 bench-lod:
 	$(GO) test -run '^$$' -bench 'BenchmarkBuild$$' -benchmem -benchtime 20x -count 3 ./internal/lod
+
+# bench-steps times the ordering stage (core's step-assignment, §3.2) on the
+# five trace shapes of the repository benchmark's batch-extract workload and
+# reports its wall time per event (steps-ns/event) beside the whole
+# extraction's ns/event and the -benchmem columns, on one core and on two. For
+# measuring while working on internal/core/steps.go; claims go through
+# bench-repo.
+bench-steps:
+	$(GO) test -run '^$$' -bench 'BenchmarkParallelStepAssignment$$' -benchmem -benchtime 5x -count 3 -cpu 1,2 .
 
 # bench-overhead checks the telemetry off/nop/recording cost (DESIGN.md §3b).
 bench-overhead:

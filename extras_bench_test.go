@@ -6,9 +6,11 @@ package charmtrace
 import (
 	"bytes"
 	"testing"
+	"time"
 
 	"charmtrace/internal/apps/lassen"
 	"charmtrace/internal/charegroup"
+	"charmtrace/internal/cli"
 	"charmtrace/internal/core"
 	"charmtrace/internal/profile"
 	"charmtrace/internal/skew"
@@ -104,24 +106,38 @@ func BenchmarkMetricsLateness(b *testing.B) {
 	}
 }
 
-// BenchmarkParallelStepAssignment compares the §3.3 parallel ordering stage
-// against the serial one on a many-phase trace.
+// BenchmarkParallelStepAssignment times the ordering stage (§3.2, parallel
+// per §3.3) on the five trace shapes of the repository benchmark's
+// batch-extract workload, reporting the step-assignment stage's own wall
+// time per event beside the whole extraction's. Run it at -cpu 1,2 (make
+// bench-steps): Parallelism is the default, so -cpu sets the lane count.
 func BenchmarkParallelStepAssignment(b *testing.B) {
-	cfg := lassen.FineConfig()
-	cfg.Iterations = 8
-	tr := lassen.MustCharmTrace(cfg)
-	for _, bc := range []struct {
-		name        string
-		parallelism int
-	}{{"serial", 1}, {"parallel", 0}} {
-		b.Run(bc.name, func(b *testing.B) {
-			opt := core.DefaultOptions()
-			opt.Parallelism = bc.parallelism
+	for _, w := range []struct {
+		name, app string
+		p         cli.Params
+	}{
+		{"jacobi32i8", "jacobi", cli.Params{Scale: 32, Iterations: 8}},
+		{"jacobi16i32", "jacobi", cli.Params{Scale: 16, Iterations: 32}},
+		{"jacobi32i16", "jacobi", cli.Params{Scale: 32, Iterations: 16}},
+		{"lulesh6", "lulesh", cli.Params{Scale: 6}},
+		{"mergetree4096", "mergetree", cli.Params{Scale: 4096}},
+	} {
+		tr, opt, err := cli.Generate(w.app, w.p)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(w.name, func(b *testing.B) {
+			var steps time.Duration
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := core.Extract(tr, opt); err != nil {
+				s, err := core.Extract(tr, opt)
+				if err != nil {
 					b.Fatal(err)
 				}
+				steps += s.Stats.StageTime["step-assignment"]
 			}
+			b.ReportMetric(float64(steps.Nanoseconds())/float64(b.N*len(tr.Events)), "steps-ns/event")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(tr.Events)), "ns/event")
 		})
 	}
 }

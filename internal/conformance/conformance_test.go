@@ -12,6 +12,8 @@ package conformance
 import (
 	"bytes"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
 	"charmtrace/internal/core"
@@ -106,6 +108,45 @@ func TestMetamorphicTimeJitter(t *testing.T) {
 				if viz.Logical(got) != viz.Logical(base) {
 					t.Fatalf("seed %d: time jitter changed the recovered structure", seed)
 				}
+			}
+		})
+	}
+}
+
+// TestMetamorphicTimeShift: a trace moved along the time axis — by one tick,
+// by 10^12, so that it starts at zero, or out to 2^61 — has the same phases,
+// local and global steps and per-phase event order as the original. The
+// ordering stage keys on offsets from the trace's first event, and before it
+// did a shift that carried times to 2^62 wrapped its doubled time keys and
+// changed the steps; a shift that carries any time that far is now refused by
+// trace validation, naming the record.
+func TestMetamorphicTimeShift(t *testing.T) {
+	for _, w := range Zoo() {
+		w := w
+		t.Run(w.Name, func(t *testing.T) {
+			t.Parallel()
+			tr := w.MustGen()
+			base := extract(t, tr, w.Opts, 2)
+			minTime, maxTime := tr.Span()
+			for _, d := range []trace.Time{1, 1e12, -minTime, 1 << 61} {
+				shifted, err := ShiftTimes(tr, d)
+				if err != nil {
+					t.Fatalf("shift %d: %v", d, err)
+				}
+				got := extract(t, shifted, w.Opts, 2)
+				if !slices.Equal(got.PhaseOf, base.PhaseOf) || !slices.Equal(got.LocalStep, base.LocalStep) || !slices.Equal(got.Step, base.Step) {
+					t.Fatalf("shift %d changed PhaseOf, LocalStep or Step", d)
+				}
+				for pi := range base.Phases {
+					if !slices.Equal(got.Phases[pi].Events, base.Phases[pi].Events) {
+						t.Fatalf("shift %d changed the event order of phase %d", d, pi)
+					}
+				}
+			}
+			// Straddling the bound: the trace's middle lands on 2^62.
+			_, err := ShiftTimes(tr, 1<<62-(minTime+maxTime)/2)
+			if err == nil || !strings.Contains(err.Error(), "out of range (|time| must be below 2^62)") {
+				t.Fatalf("shift across 2^62: err = %v, want the out-of-range rejection", err)
 			}
 		})
 	}

@@ -15,7 +15,8 @@ import (
 // numbers only as correlation keys, so
 //
 //   - renumbering processors bijectively,
-//   - remapping all times through any monotone tie-preserving function, and
+//   - remapping all times through any monotone tie-preserving function —
+//     shifting them all by a constant in particular, however far —, and
 //   - relabeling event IDs while preserving the relative ID order of
 //     equal-time events
 //
@@ -119,17 +120,35 @@ func JitterTimes(tr *trace.Trace, rng *rand.Rand) (*trace.Trace, error) {
 		cur += 1 + trace.Time(rng.Int63n(997))
 		remap[t] = cur
 	}
-	for i := range out.Blocks {
-		out.Blocks[i].Begin = remap[out.Blocks[i].Begin]
-		out.Blocks[i].End = remap[out.Blocks[i].End]
+	mapTimes(out, func(t trace.Time) trace.Time { return remap[t] })
+	if err := out.Index(); err != nil {
+		return nil, err
 	}
-	for i := range out.Events {
-		out.Events[i].Time = remap[out.Events[i].Time]
+	return out, nil
+}
+
+// mapTimes rewrites every timestamp of tr through f, in place.
+func mapTimes(tr *trace.Trace, f func(trace.Time) trace.Time) {
+	for i := range tr.Blocks {
+		tr.Blocks[i].Begin, tr.Blocks[i].End = f(tr.Blocks[i].Begin), f(tr.Blocks[i].End)
 	}
-	for i := range out.Idles {
-		out.Idles[i].Begin = remap[out.Idles[i].Begin]
-		out.Idles[i].End = remap[out.Idles[i].End]
+	for i := range tr.Events {
+		tr.Events[i].Time = f(tr.Events[i].Time)
 	}
+	for i := range tr.Idles {
+		tr.Idles[i].Begin, tr.Idles[i].End = f(tr.Idles[i].Begin), f(tr.Idles[i].End)
+	}
+}
+
+// ShiftTimes returns a copy of the trace with d added to every timestamp.
+// The caller keeps the sums inside int64; a copy whose times leave the range
+// trace validation accepts (|time| < 2^62) comes back as Index's error.
+func ShiftTimes(tr *trace.Trace, d trace.Time) (*trace.Trace, error) {
+	out, err := Clone(tr)
+	if err != nil {
+		return nil, err
+	}
+	mapTimes(out, func(t trace.Time) trace.Time { return t + d })
 	if err := out.Index(); err != nil {
 		return nil, err
 	}

@@ -55,18 +55,22 @@ type extractArena struct {
 	spanHi    []int32
 	spanOrd   []int32
 
+	// Ordering stage, computed once for all phases: the radix-sort scratch
+	// of the global event orders, the events in (chare, ID) order dealt into
+	// the phases' regions, and every chare's position (slot chare+1; slot 0
+	// is NoChare) in (ChareRank, ID) order.
+	sort     sortScratch
+	dealCur  []int32 // phase -> next free slot of its region during a deal
+	byChare  []trace.EventID
+	charePos []int32
+
 	// Ordering-stage per-event arrays, shared across phases (disjoint event
 	// sets; each cell is written by its phase before being read).
-	timeKey []int64 // event -> Time*2 + kind: one compare replaces timeOrderLess
-	stepKey []int64 // event -> LocalStep<<32 | chare, for the output sort
-	w       []int32
-	fragOf  []int32 // event -> fragment index within its phase
-	place   []int32 // event -> fragment placement order
-	pos     []int32 // event -> position within its fragment
-	sendDep []trace.EventID
-	indeg   []int32
-	adjOff  []int32 // event -> adjacency region start (stepPhase)
-	adjCur  []int32 // event -> adjacency region end / fill cursor
+	w        []int32
+	fragOf   []int32         // event -> fragment index within its phase
+	rank     []int32         // event -> position in its phase's placement order
+	waitHead []trace.EventID // send -> first receive parked on it (stepPhase)
+	waitNext []trace.EventID // receive -> next receive parked on the same send
 
 	// Per-pool-lane scratch of the ordering stage (ensureLanes).
 	lanes []*laneScratch
@@ -107,7 +111,6 @@ type laneScratch struct {
 
 	// Fragment table of the lane's current phase (struct-of-arrays).
 	fragBlock   []trace.BlockID
-	fragChare   []trace.ChareID
 	fragWInit   []int32
 	fragFirst   []trace.EventID // initial event of each fragment
 	fragOff     []int32         // fragment -> offset into fragEvents
@@ -116,30 +119,33 @@ type laneScratch struct {
 	fragOfBlock []int32         // canonical block -> fragment index
 	blockMark   []int32
 
-	// Fragment placement (orderFragments): dedup + Kahn state. The edge
-	// dedup table is epoch-marked: a slot is live only when edgeMark[i] ==
-	// edgeEpoch, so clearing between phases is one increment, and
-	// freshly-grown (zeroed) tables can never alias an epoch ≥ 1.
+	// Fragment placement (orderFragments): the fragment graph's edge list,
+	// its successor rows and the traversal's in-degrees.
 	edgeU, edgeV []int32
-	edgeKey      []int64
-	edgeMark     []int32
-	edgeEpoch    int32
-	fragInv      []int32 // fragment -> invoking chare (NoChare as int32)
-	fragRank     []int32 // fragment -> rank of the invoking chare
-	fragSrc      []int32 // fragment -> source fragment (-1 if none in phase)
-	fragTime     []trace.Time
 	fragIndeg    []int32
 	fragSuccOff  []int32
 	fragSuccCur  []int32
 	fragSucc     []int32
 	placed       []int32 // fragment indices in placement order
-	fragHeap     []int32
 
-	// Step assignment (stepPhase): event adjacency + per-chare tails.
-	adj       []trace.EventID
-	eventHeap []trace.EventID
-	lastStep  []int32 // chare -> local step of the chare's last popped event
+	// Fragment ranking (rankFragments): radix-sort scratch and the chain
+	// refinement's per-fragment state.
+	sort         sortScratch
+	fragSrc      []int32 // fragment -> source fragment (-1 if none in phase)
+	fragNext     []int32 // fragment -> chain element the next round compares
+	fragKeyClass []int32 // fragment -> class of its own key
+	fragClass    []int32 // fragment -> class of its chain so far
+	fragRank     []int32 // fragment -> position in the total order
+
+	// The lane's ready queue: fragments by rank in orderFragments, then
+	// events by rank in stepPhase.
+	queue rankQueue
+
+	// Step assignment (stepPhase) and the output order.
+	byRank    []trace.EventID // phase events in rank order
+	lastStep  []int32         // chare -> local step of the chare's last popped event
 	chareMark []int32
+	stepNext  []int32 // local step -> next output slot (counting sort)
 }
 
 func newExtractArena(tr *trace.Trace) *extractArena {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/bits"
 	"slices"
 
 	"charmtrace/internal/trace"
@@ -15,10 +16,10 @@ import (
 // (laneScratch.frag*): fragment fi of the lane's current phase has canonical
 // block fragBlock[fi], initial event fragFirst[fi], w-clock of that event
 // fragWInit[fi], and events fragEvents[fragOff[fi]:fragOff[fi+1]]. The
-// per-event tables (w, fragOf, place, pos, sendDep, indeg, adjOff, adjCur)
-// are shared across lanes in the arena: phases touch disjoint event sets,
-// each cell is initialized by its phase before being read, and cross-phase
-// lookups are guarded by PhaseOf — so the arrays never need clearing.
+// per-event tables (w, fragOf, rank, waitHead, waitNext) are shared across
+// lanes in the arena: phases touch disjoint event sets, each cell is
+// initialized by its phase before being read, and cross-phase lookups are
+// guarded by PhaseOf — so the arrays never need clearing.
 
 // assignSteps runs the ordering stage (§3.2): per-phase w-clock computation,
 // per-chare fragment reordering, local step assignment, and global offsets
@@ -50,14 +51,7 @@ func assignSteps(tr *trace.Trace, opt Options, a *atoms, t *tel) *Structure {
 
 	// PhaseOf must be complete before any phase is stepped: stepPhase
 	// consults it to keep cross-phase sends out of a phase's dependencies.
-	for pi := range v.Parts {
-		for _, atomID := range v.Parts[pi].Atoms {
-			for _, e := range a.set.AtomEvents(atomID) {
-				s.PhaseOf[e] = int32(pi)
-			}
-		}
-	}
-
+	//
 	// Output layout: every phase's Events and Chares are regions of two flat
 	// buffers, with offsets computed up front so parallel workers fill
 	// disjoint regions. The regions are full-capacity subslices: an append to
@@ -71,7 +65,11 @@ func assignSteps(tr *trace.Trace, opt Options, a *atoms, t *tel) *Structure {
 		evOff[pi] = evTot
 		chOff[pi] = chTot
 		for _, atomID := range v.Parts[pi].Atoms {
-			evTot += int32(len(a.set.AtomEvents(atomID)))
+			evs := a.set.AtomEvents(atomID)
+			for _, e := range evs {
+				s.PhaseOf[e] = int32(pi)
+			}
+			evTot += int32(len(evs))
 		}
 		chTot += int32(len(v.Parts[pi].Chares))
 	}
@@ -80,25 +78,53 @@ func assignSteps(tr *trace.Trace, opt Options, a *atoms, t *tel) *Structure {
 	eventsBuf := make([]trace.EventID, evTot)
 	charesBuf := make([]trace.ChareID, chTot)
 
-	// Shared per-event scratch for the ordering stage. timeKey packs
-	// timeOrderLess's (time, kind) lexicographic rank into one int64 (kinds
-	// are Send=0, Recv=1, and |Time| < 2^62), so the phase-event sort
-	// compares one precomputed key instead of re-reading two Event structs;
-	// built once here, read-only in the worker lanes.
-	ar.timeKey = grow64(ar.timeKey, ar.nEvents)
+	// Two orders of all the events are computed once here and dealt out into
+	// the phases' regions, which keeps them (a stable deal): every phase finds
+	// its events in (time, kind, ID) order — timeOrderLess — in its region of
+	// eventsBuf, and in (chare, ID) order in its region of ar.byChare. The
+	// time key is the offset from the trace's first event, twice, plus the
+	// kind (Send=0, Recv=1); trace validation bounds |Time| below 2^62, so the
+	// key cannot wrap and a shifted trace gets the same order.
+	n := len(tr.Events)
+	cur := make([]int32, nParts)
+	deal := func(order []int32, dst []trace.EventID) {
+		copy(cur, evOff)
+		for _, e := range order {
+			if pi := s.PhaseOf[e]; pi >= 0 {
+				dst[cur[pi]] = trace.EventID(e)
+				cur[pi]++
+			}
+		}
+	}
+	var minTime trace.Time
+	for i := range tr.Events {
+		if t := tr.Events[i].Time; i == 0 || t < minTime {
+			minTime = t
+		}
+	}
+	keys, ids := ar.sort.columns(n)
 	for i := range tr.Events {
 		ev := &tr.Events[i]
-		ar.timeKey[i] = int64(ev.Time)*2 + int64(ev.Kind)
+		keys[i], ids[i] = uint64(ev.Time-minTime)*2+uint64(ev.Kind), int32(i)
 	}
-	ar.stepKey = grow64(ar.stepKey, ar.nEvents)
+	_, order := ar.sort.radixSort(n)
+	deal(order, eventsBuf)
+	keys, ids = ar.sort.columns(n)
+	for i := range tr.Events {
+		keys[i], ids[i] = uint64(tr.Events[i].Chare), int32(i)
+	}
+	ar.byChare = growEv(ar.byChare, int(evTot))
+	_, order = ar.sort.radixSort(n)
+	deal(order, ar.byChare)
+
+	rankChares(ar, opt.ChareRank)
+
+	// Per-event scratch of the ordering stage, shared by the lanes.
 	ar.w = grow32(ar.w, ar.nEvents)
 	ar.fragOf = grow32(ar.fragOf, ar.nEvents)
-	ar.place = grow32(ar.place, ar.nEvents)
-	ar.pos = grow32(ar.pos, ar.nEvents)
-	ar.sendDep = growEv(ar.sendDep, ar.nEvents)
-	ar.indeg = grow32(ar.indeg, ar.nEvents)
-	ar.adjOff = grow32(ar.adjOff, ar.nEvents)
-	ar.adjCur = grow32(ar.adjCur, ar.nEvents)
+	ar.rank = grow32(ar.rank, ar.nEvents)
+	ar.waitHead = growEv(ar.waitHead, ar.nEvents)
+	ar.waitNext = growEv(ar.waitNext, ar.nEvents)
 
 	// orderPhase handles one phase on one pool lane; phases touch disjoint
 	// events (and disjoint scratch cells), so the stage parallelizes cleanly
@@ -111,22 +137,9 @@ func assignSteps(tr *trace.Trace, opt Options, a *atoms, t *tel) *Structure {
 		ph.Leap = leap[pi]
 		ph.Chares = append(charesBuf[chOff[pi]:chOff[pi]:chOff[pi+1]], part.Chares...)
 
-		// The phase's events, sorted by (time, kind, ID) — the timeOrderLess
-		// order, compared through the precomputed key.
-		events := eventsBuf[evOff[pi]:evOff[pi]:evOff[pi+1]]
-		for _, atomID := range part.Atoms {
-			events = append(events, a.set.AtomEvents(atomID)...)
-		}
-		key := ar.timeKey
-		slices.SortFunc(events, func(x, y trace.EventID) int {
-			if key[x] != key[y] {
-				if key[x] < key[y] {
-					return -1
-				}
-				return 1
-			}
-			return int(x) - int(y)
-		})
+		// The phase's events in time order, until the output order below
+		// overwrites them.
+		events := eventsBuf[evOff[pi]:evOff[pi+1]:evOff[pi+1]]
 
 		// One epoch per phase invalidates every chare-/block-indexed lane
 		// table at once.
@@ -136,23 +149,24 @@ func assignSteps(tr *trace.Trace, opt Options, a *atoms, t *tel) *Structure {
 		placed := orderFragments(tr, opt, nf, ar, ls, s.PhaseOf, int32(pi))
 		ph.MaxLocalStep = stepPhase(tr, events, placed, s.PhaseOf, int32(pi), s.LocalStep, ar, ls)
 
-		// Output order (local step, chare, ID), packed into one key per
-		// event: both components are non-negative int32s, so the pair fits
-		// one int64 compare.
+		// Output order (local step, chare, ID): a stable counting sort by
+		// local step of the phase's events in (chare, ID) order.
 		ph.Events = events
-		skey := ar.stepKey
-		for _, e := range events {
-			skey[e] = int64(s.LocalStep[e])<<32 | int64(uint32(tr.Events[e].Chare))
+		byChare := ar.byChare[evOff[pi]:evOff[pi+1]]
+		ls.stepNext = grow32(ls.stepNext, int(ph.MaxLocalStep)+2)
+		next := ls.stepNext
+		clear(next)
+		for _, e := range byChare {
+			next[s.LocalStep[e]+1]++
 		}
-		slices.SortFunc(ph.Events, func(x, y trace.EventID) int {
-			if skey[x] != skey[y] {
-				if skey[x] < skey[y] {
-					return -1
-				}
-				return 1
-			}
-			return int(x) - int(y)
-		})
+		for st := 1; st < len(next); st++ {
+			next[st] += next[st-1]
+		}
+		for _, e := range byChare {
+			st := s.LocalStep[e]
+			events[next[st]] = e
+			next[st]++
+		}
 	}
 
 	// Phases are the ordering stage's pool items, one per block: the span of
@@ -176,21 +190,29 @@ func assignSteps(tr *trace.Trace, opt Options, a *atoms, t *tel) *Structure {
 	return s
 }
 
-// timeOrderLess orders events by time, sends before receives at equal time
-// (a message's send never follows its receive), then by ID.
-func timeOrderLess(tr *trace.Trace, a, b trace.EventID) bool {
-	ea, eb := &tr.Events[a], &tr.Events[b]
-	if ea.Time != eb.Time {
-		return ea.Time < eb.Time
+// rankChares fills ar.charePos, the order of invoking chares that
+// orderFragments breaks w ties by: the caller-supplied topology rank when one
+// is given (the paper's suggestion that data-topology-aware tie-breaking is
+// more intuitive), chare ID otherwise, ID breaking rank ties. Slot c+1 is
+// chare c's position; slot 0 is NoChare's, which ranks as -1.
+func rankChares(ar *extractArena, chareRank []int32) {
+	ar.charePos = grow32(ar.charePos, ar.nChares+1)
+	keys, ids := ar.sort.columns(ar.nChares + 1)
+	for i := range ids {
+		rank := int32(i - 1)
+		if i > 0 && i <= len(chareRank) {
+			rank = chareRank[i-1]
+		}
+		keys[i], ids[i] = uint64(uint32(rank)^(1<<31)), int32(i)
 	}
-	if ea.Kind != eb.Kind {
-		return ea.Kind == trace.Send
+	_, order := ar.sort.radixSort(ar.nChares + 1)
+	for pos, i := range order {
+		ar.charePos[i] = int32(pos)
 	}
-	return a < b
 }
 
 // phaseW computes the idealized-replay clock w (§3.2.1) for a phase's
-// events, which must be sorted by timeOrderLess, into ar.w.
+// events, which must be in (time, kind, ID) order, into ar.w.
 //
 // Task-based rule: the phase's initial sends get w = 0; subsequent sends of
 // a serial block count up; a receive gets w_send + 1; sends after a receive
@@ -251,7 +273,6 @@ func phaseW(tr *trace.Trace, opt Options, events []trace.EventID, a *atoms, ar *
 func buildFragments(tr *trace.Trace, events []trace.EventID, a *atoms, ar *extractArena, ls *laneScratch) int {
 	epoch := ls.epoch
 	ls.fragBlock = ls.fragBlock[:0]
-	ls.fragChare = ls.fragChare[:0]
 	ls.fragWInit = ls.fragWInit[:0]
 	ls.fragFirst = ls.fragFirst[:0]
 	nf := 0
@@ -267,7 +288,6 @@ func buildFragments(tr *trace.Trace, events []trace.EventID, a *atoms, ar *extra
 			ls.blockMark[canon] = epoch
 			ls.fragOfBlock[canon] = fi
 			ls.fragBlock = append(ls.fragBlock, canon)
-			ls.fragChare = append(ls.fragChare, ev.Chare)
 			ls.fragWInit = append(ls.fragWInit, ar.w[e])
 			ls.fragFirst = append(ls.fragFirst, e)
 		}
@@ -299,201 +319,40 @@ func buildFragments(tr *trace.Trace, events []trace.EventID, a *atoms, ar *extra
 	return nf
 }
 
-// miniHeap is a minimal binary min-heap under a closure comparator, backing
-// the ordering stage's deterministic ready queues. Every comparator used
-// with it is a total order, so the pop sequence is the sorted order of the
-// ready set — independent of push order and heap internals.
-type miniHeap[T any] struct {
-	items []T
-	less  func(a, b T) bool
-}
-
-func (h *miniHeap[T]) push(x T) {
-	h.items = append(h.items, x)
-	i := len(h.items) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if !h.less(h.items[i], h.items[p]) {
-			break
-		}
-		h.items[i], h.items[p] = h.items[p], h.items[i]
-		i = p
-	}
-}
-
-func (h *miniHeap[T]) pop() T {
-	it := h.items
-	top := it[0]
-	n := len(it) - 1
-	it[0] = it[n]
-	it = it[:n]
-	h.items = it
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		m := i
-		if l < n && h.less(it[l], it[m]) {
-			m = l
-		}
-		if r < n && h.less(it[r], it[m]) {
-			m = r
-		}
-		if m == i {
-			break
-		}
-		it[i], it[m] = it[m], it[i]
-		i = m
-	}
-	return top
-}
-
 // orderFragments orders a phase's fragments (§3.2.1): by the w of the
 // fragment's initial event, ties broken by the chare that invoked the serial
 // block, then by comparing source fragments one step back (Figure 7), and
 // finally by physical time. Without Reorder, fragments order by physical
 // time. The placement respects every intra-phase message dependency between
 // fragments (a dependency-aware traversal whose ready set is prioritized by
-// the comparator); the returned slice is the global placement order, which
-// step assignment uses as its scheduling priority.
+// that order); the returned slice is the global placement order, which step
+// assignment uses as its scheduling priority.
 func orderFragments(tr *trace.Trace, opt Options, nf int, ar *extractArena, ls *laneScratch, phaseOf []int32, pi int32) []int32 {
-	fragEvs := func(fi int32) []trace.EventID {
-		return ls.fragEvents[ls.fragOff[fi]:ls.fragOff[fi+1]]
-	}
-	// invoker returns the chare that invoked a fragment: the chare of the
-	// send matching its initial receive, or NoChare for send-initial
-	// (phase-source) fragments.
-	invoker := func(fi int32) trace.ChareID {
-		if send := tr.MatchingSend(ls.fragFirst[fi]); send != trace.NoEvent {
-			return tr.Events[send].Chare
-		}
-		return trace.NoChare
-	}
-	// sourceFrag returns the fragment containing the send that invoked f, if
-	// it is in the same phase; -1 otherwise.
-	sourceFrag := func(fi int32) int32 {
-		if send := tr.MatchingSend(ls.fragFirst[fi]); send != trace.NoEvent && phaseOf[send] == pi {
-			return ar.fragOf[send]
-		}
-		return -1
-	}
-	// rank orders invoking chares: by the caller-supplied topology rank
-	// when one is given (the paper's suggestion that data-topology-aware
-	// tie-breaking is more intuitive), by chare ID otherwise.
-	rank := func(c trace.ChareID) int32 {
-		if opt.ChareRank != nil && c >= 0 && int(c) < len(opt.ChareRank) {
-			return opt.ChareRank[c]
-		}
-		return int32(c)
-	}
-	// The comparator runs O(log n) times per heap operation, so its inputs
-	// (invoking chare, its rank, the source fragment, the initial event's
-	// physical time) are memoized into flat per-fragment arrays once; the
-	// closures above run once per fragment, never per comparison.
-	ls.fragInv = grow32(ls.fragInv, nf)
-	ls.fragRank = grow32(ls.fragRank, nf)
-	ls.fragSrc = grow32(ls.fragSrc, nf)
-	ls.fragTime = growTime(ls.fragTime, nf)
-	inv, rnk, src, tim := ls.fragInv, ls.fragRank, ls.fragSrc, ls.fragTime
-	for i := int32(0); i < int32(nf); i++ {
-		c := invoker(i)
-		inv[i], rnk[i], src[i] = int32(c), rank(c), sourceFrag(i)
-		tim[i] = tr.Events[ls.fragFirst[i]].Time
-	}
-	wi := ls.fragWInit
-	var cmp func(f, g int32, depth int) int
-	cmp = func(f, g int32, depth int) int {
-		if wi[f] != wi[g] {
-			return int(wi[f]) - int(wi[g])
-		}
-		if rnk[f] != rnk[g] {
-			return int(rnk[f]) - int(rnk[g])
-		}
-		if inv[f] != inv[g] {
-			return int(inv[f]) - int(inv[g])
-		}
-		if depth < 4 {
-			sf, sg := src[f], src[g]
-			if sf >= 0 && sg >= 0 && sf != sg {
-				if c := cmp(sf, sg, depth+1); c != 0 {
-					return c
-				}
-			}
-		}
-		return 0
-	}
-	less := func(f, g int32) bool {
-		if opt.Reorder {
-			if c := cmp(f, g, 0); c != 0 {
-				return c < 0
-			}
-		}
-		if tim[f] != tim[g] {
-			return tim[f] < tim[g]
-		}
-		// Canonical blocks are unique per fragment, making the order total.
-		return ls.fragBlock[f] < ls.fragBlock[g]
-	}
+	order, rank := rankFragments(tr, opt, nf, ar, ls, phaseOf, pi)
 
 	// Fragments are placed in a single phase-wide order that respects every
 	// intra-phase message dependency between fragments: a Kahn traversal
-	// whose ready set is prioritized by the paper's comparator. A plain sort
-	// can invert two same-w fragments against an explicit dependency (the
-	// invoker tie-break knows nothing about messages between the tied
-	// blocks); the dependency-aware traversal only applies the comparator
-	// among fragments whose predecessors are already placed.
+	// whose ready set is prioritized by rank. The rank order alone can invert
+	// two same-w fragments against an explicit dependency (the invoker
+	// tie-break knows nothing about messages between the tied blocks); the
+	// dependency-aware traversal only applies it among fragments whose
+	// predecessors are already placed.
 	//
-	// Edges dedup without a map or a sort: one epoch-marked open-addressing
-	// probe per candidate edge, keeping the first occurrence of each
-	// (source, target) pair. Successor-list order only controls the order
-	// tied fragments enter the ready heap, and the heap's comparator is a
-	// total order (fragBlock is unique), so the placement is invariant to it.
+	// A pair of fragments gets one edge per message between them: the
+	// traversal counts a fragment's in-edges down to zero, which happens when
+	// its last predecessor is placed whatever the multiplicities. Successor-
+	// list order only controls the order fragments enter the ready queue,
+	// which pops by rank, so the placement is invariant to it.
 	eu, evv := ls.edgeU[:0], ls.edgeV[:0]
-	nev := len(ls.fragEvents)
-	size := 16
-	for size < 2*nev {
-		size <<= 1
-	}
-	if cap(ls.edgeKey) < size {
-		ls.edgeKey = make([]int64, size)
-		ls.edgeMark = make([]int32, size)
-		ls.edgeEpoch = 0
-	}
-	keys := ls.edgeKey[:size]
-	marks := ls.edgeMark[:size]
-	ls.edgeEpoch++
-	if ls.edgeEpoch <= 0 { // epoch wrapped: stale marks could alias it
-		clear(ls.edgeMark[:cap(ls.edgeMark)])
-		ls.edgeEpoch = 1
-	}
-	epoch := ls.edgeEpoch
-	mask := uint64(size - 1)
 	for gi := int32(0); gi < int32(nf); gi++ {
-		for _, e := range fragEvs(gi) {
+		for _, e := range ls.fragEvents[ls.fragOff[gi]:ls.fragOff[gi+1]] {
 			send := tr.MatchingSend(e)
 			if send == trace.NoEvent || phaseOf[send] != pi {
 				continue
 			}
-			si := ar.fragOf[send]
-			if si == gi {
-				continue
-			}
-			k := int64(si)<<32 | int64(uint32(gi))
-			h := uint64(k)
-			h ^= h >> 33
-			h *= 0x9e3779b97f4a7c15
-			h ^= h >> 29
-			i := h & mask
-			for {
-				if marks[i] != epoch {
-					marks[i], keys[i] = epoch, k
-					eu = append(eu, si)
-					evv = append(evv, gi)
-					break
-				}
-				if keys[i] == k {
-					break
-				}
-				i = (i + 1) & mask
+			if si := ar.fragOf[send]; si != gi {
+				eu = append(eu, si)
+				evv = append(evv, gi)
 			}
 		}
 	}
@@ -523,41 +382,136 @@ func orderFragments(tr *trace.Trace, opt Options, nf int, ar *extractArena, ls *
 		succCur[u]++
 	}
 
-	ready := &miniHeap[int32]{items: ls.fragHeap[:0], less: less}
-	for i := int32(0); i < int32(nf); i++ {
+	ready := &ls.queue
+	ready.reset(nf)
+	for i := 0; i < nf; i++ {
 		if indeg[i] == 0 {
-			ready.push(i)
+			ready.push(rank[i])
 		}
 	}
 	out := ls.placed[:0]
+	blocked := 0 // no fragment ranked below order[blocked] is blocked
 	for len(out) < nf {
-		if len(ready.items) == 0 {
+		if ready.empty() {
 			// Dependency cycle among fragments (pathological multi-receive
-			// blocks): release the earliest-starting blocked fragment. Step
+			// blocks): release the lowest-ranked blocked fragment. Step
 			// assignment only treats intra-fragment and message edges as
-			// hard, so a released cycle cannot corrupt the steps.
-			best := int32(-1)
-			for i := int32(0); i < int32(nf); i++ {
-				if indeg[i] > 0 && (best < 0 || less(i, best)) {
-					best = i
-				}
+			// hard, so a released cycle cannot corrupt the steps. In-degrees
+			// only fall, so the search resumes where the last one ended.
+			for indeg[order[blocked]] <= 0 {
+				blocked++
 			}
-			indeg[best] = 0
-			ready.push(best)
+			indeg[order[blocked]] = 0
+			ready.push(int32(blocked))
 			continue
 		}
-		f := ready.pop()
+		f := order[ready.pop()]
 		out = append(out, f)
 		for _, gi := range ls.fragSucc[succOff[f]:succOff[f+1]] {
 			indeg[gi]--
 			if indeg[gi] == 0 {
-				ready.push(gi)
+				ready.push(rank[gi])
 			}
 		}
 	}
-	ls.fragHeap = ready.items
 	ls.placed = out
 	return out
+}
+
+// rankFragments computes the total order orderFragments places by: the
+// fragments in that order (in the lane's sort scratch, so valid until the
+// lane sorts again), and each fragment's position in it.
+//
+// The order is lexicographic on a chain of keys. A fragment's key is (w of
+// its initial event, position of its invoking chare in ar.charePos); the
+// chain is the fragment's key, its source fragment's (the fragment holding
+// the send that invoked it, when that is in this phase), that one's source's,
+// and so on for four steps back; chains that tie fall to (physical time,
+// canonical block) of the fragment itself, and canonical blocks are unique
+// per fragment. This is a total order because fragments with equal keys
+// either all have a source or none does: a fragment invoked from inside the
+// phase starts with w >= 1 and a real invoker, while w = 0 or no invoker
+// means no source — so tied chains have the same length, and chains that
+// reach the same fragment are equal from there on. Without Reorder only the
+// (time, block) part applies.
+//
+// It is computed by refinement with stable radix sorts instead of comparing
+// chains pairwise: sort by (time, block); sort by key, which groups the
+// fragments into classes of equal key; then, while some class still holds two
+// fragments whose chains continue into different fragments, sort by (class,
+// key class of the next chain element) and split the classes accordingly.
+func rankFragments(tr *trace.Trace, opt Options, nf int, ar *extractArena, ls *laneScratch, phaseOf []int32, pi int32) (order, rank []int32) {
+	// Fragments are numbered by first appearance in time order, so equal
+	// times are adjacent and a running count of distinct times stands in for
+	// the time itself.
+	keys, ids := ls.sort.columns(nf)
+	blockBits := bits.Len(uint(ar.nBlocks))
+	run := uint64(0)
+	for f := 0; f < nf; f++ {
+		if f > 0 && tr.Events[ls.fragFirst[f]].Time != tr.Events[ls.fragFirst[f-1]].Time {
+			run++
+		}
+		keys[f], ids[f] = run<<blockBits|uint64(ls.fragBlock[f]), int32(f)
+	}
+	keys, order = ls.sort.radixSort(nf)
+
+	if opt.Reorder {
+		ls.fragSrc = grow32(ls.fragSrc, nf)
+		ls.fragNext = grow32(ls.fragNext, nf)
+		ls.fragKeyClass = grow32(ls.fragKeyClass, nf)
+		ls.fragClass = grow32(ls.fragClass, nf)
+		// next[f] is the chain element the coming round compares: f's source
+		// to begin with, -1 once the chain has left the phase.
+		src, next, keyClass, class := ls.fragSrc, ls.fragNext, ls.fragKeyClass, ls.fragClass
+		chareBits := bits.Len(uint(ar.nChares))
+		for i, f := range order {
+			inv := trace.NoChare
+			src[f] = -1
+			if send := tr.MatchingSend(ls.fragFirst[f]); send != trace.NoEvent {
+				inv = tr.Events[send].Chare
+				if phaseOf[send] == pi {
+					src[f] = ar.fragOf[send]
+				}
+			}
+			keys[i] = uint64(ls.fragWInit[f])<<chareBits | uint64(ar.charePos[inv+1])
+		}
+		copy(next, src)
+		// classify numbers the runs of equal keys in the sorted columns and
+		// reports whether some run's chains continue into different fragments.
+		classify := func() (split bool) {
+			c := int32(0)
+			for i, f := range order {
+				if i > 0 {
+					if keys[i] != keys[i-1] {
+						c++
+					} else if next[f] != next[order[i-1]] {
+						split = true
+					}
+				}
+				class[f] = c
+			}
+			return split
+		}
+		keys, order = ls.sort.radixSort(nf)
+		split := classify()
+		copy(keyClass, class)
+		for depth := 1; split && depth <= 4; depth++ {
+			for i, f := range order {
+				keys[i] = uint64(class[f]) << 32
+				if g := next[f]; g >= 0 {
+					keys[i] |= uint64(keyClass[g] + 1)
+					next[f] = src[g]
+				}
+			}
+			keys, order = ls.sort.radixSort(nf)
+			split = classify()
+		}
+	}
+	ls.fragRank = grow32(ls.fragRank, nf)
+	for pos, f := range order {
+		ls.fragRank[f] = int32(pos)
+	}
+	return order, ls.fragRank
 }
 
 // stepPhase assigns local logical steps within a phase. The phase's initial
@@ -568,86 +522,57 @@ func orderFragments(tr *trace.Trace, opt Options, nf int, ar *extractArena, ls *
 // The hard constraints are the intra-fragment event order and the message
 // edges; both point strictly forward in (time, kind) order, so their union
 // is always acyclic and the assignment never needs a fallback. The fragment
-// placement computed by orderFragments acts as the scheduling priority:
-// ready events pop in placement order, which keeps each fragment's events
-// together whenever dependencies permit. The pop order restricted to one
-// chare IS that chare's timeline, so per-chare steps are strictly
-// increasing and every receive lands after its send, by construction —
-// which also lets stitchChareTimelines recover the timeline from the steps
-// instead of recording pop order per chare.
+// placement computed by orderFragments acts as the scheduling priority: an
+// event's rank is its position in the concatenation of the fragments in
+// placement order, and ready events pop in rank order, which keeps each
+// fragment's events together whenever dependencies permit. The pop order
+// restricted to one chare IS that chare's timeline, so per-chare steps are
+// strictly increasing and every receive lands after its send, by
+// construction — which also lets stitchChareTimelines recover the timeline
+// from the steps instead of recording pop order per chare.
+//
+// An event waits for at most two others: the one before it in its fragment —
+// its neighbour in rank — and, a receive, its send. So no adjacency is built:
+// once its fragment predecessor is stepped an event is either queued or, its
+// send still unstepped (LocalStep < 0), parked on the send's list of waiting
+// receives, which the send queues when it is stepped.
 func stepPhase(tr *trace.Trace, events []trace.EventID, placed []int32, phaseOf []int32, pi int32, localStep []int32, ar *extractArena, ls *laneScratch) int32 {
-	// Priority of each event: (fragment placement, position in fragment).
-	for pl, fi := range placed {
-		for pos, e := range ls.fragEvents[ls.fragOff[fi]:ls.fragOff[fi+1]] {
-			ar.place[e] = int32(pl)
-			ar.pos[e] = int32(pos)
-		}
-	}
-	// Hard edges: consecutive events of a fragment, and send -> receive.
-	// Out-degrees are counted first, then the edges fill a flat adjacency
-	// buffer; event e's successors are adj[adjOff[e]:adjCur[e]].
-	indeg, adjOff, adjCur := ar.indeg, ar.adjOff, ar.adjCur
-	for _, e := range events {
-		ar.sendDep[e] = trace.NoEvent
-		indeg[e] = 0
-		adjOff[e] = 0
-	}
+	ls.byRank = growEv(ls.byRank, len(events))
+	byRank := ls.byRank
+	n := int32(0)
 	for _, fi := range placed {
-		evs := ls.fragEvents[ls.fragOff[fi]:ls.fragOff[fi+1]]
-		for i := 0; i+1 < len(evs); i++ {
-			adjOff[evs[i]]++
-			indeg[evs[i+1]]++
+		for _, e := range ls.fragEvents[ls.fragOff[fi]:ls.fragOff[fi+1]] {
+			byRank[n] = e
+			ar.rank[e] = n
+			ar.waitHead[e] = trace.NoEvent
+			n++
 		}
 	}
-	for _, e := range events {
+	sendIn := func(e trace.EventID) trace.EventID {
 		if send := tr.MatchingSend(e); send != trace.NoEvent && phaseOf[send] == pi {
-			ar.sendDep[e] = send
-			adjOff[send]++
-			indeg[e]++
+			return send
 		}
+		return trace.NoEvent
 	}
-	total := int32(0)
-	for _, e := range events {
-		deg := adjOff[e]
-		adjOff[e] = total
-		adjCur[e] = total
-		total += deg
-	}
-	ls.adj = growEv(ls.adj, int(total))
-	adj := ls.adj
-	addEdge := func(from, to trace.EventID) {
-		adj[adjCur[from]] = to
-		adjCur[from]++
+	ready := &ls.queue
+	ready.reset(int(n))
+	// release is called once e's fragment predecessor is stepped.
+	release := func(e trace.EventID) {
+		if send := sendIn(e); send != trace.NoEvent && localStep[send] < 0 {
+			ar.waitNext[e] = ar.waitHead[send]
+			ar.waitHead[send] = e
+		} else {
+			ready.push(ar.rank[e])
+		}
 	}
 	for _, fi := range placed {
-		evs := ls.fragEvents[ls.fragOff[fi]:ls.fragOff[fi+1]]
-		for i := 0; i+1 < len(evs); i++ {
-			addEdge(evs[i], evs[i+1])
-		}
-	}
-	for _, e := range events {
-		if sd := ar.sendDep[e]; sd != trace.NoEvent {
-			addEdge(sd, e)
-		}
-	}
-
-	// Deterministic priority queue over ready events: (place, pos) is unique
-	// per event, so the order is total.
-	h := &miniHeap[trace.EventID]{items: ls.eventHeap[:0], less: func(a, b trace.EventID) bool {
-		if ar.place[a] != ar.place[b] {
-			return ar.place[a] < ar.place[b]
-		}
-		return ar.pos[a] < ar.pos[b]
-	}}
-	for _, e := range events {
-		if indeg[e] == 0 {
-			h.push(e)
-		}
+		release(ls.fragEvents[ls.fragOff[fi]])
 	}
 	epoch := ls.epoch
 	var maxStep int32
-	for len(h.items) > 0 {
-		e := h.pop()
+	for !ready.empty() {
+		r := ready.pop()
+		e := byRank[r]
 		ev := &tr.Events[e]
 		st := int32(0)
 		if ls.chareMark[ev.Chare] == epoch {
@@ -655,8 +580,8 @@ func stepPhase(tr *trace.Trace, events []trace.EventID, placed []int32, phaseOf 
 				st = p + 1
 			}
 		}
-		if sd := ar.sendDep[e]; sd != trace.NoEvent {
-			if p := localStep[sd]; p+1 > st {
+		if send := sendIn(e); send != trace.NoEvent {
+			if p := localStep[send]; p+1 > st {
 				st = p + 1
 			}
 		}
@@ -666,14 +591,13 @@ func stepPhase(tr *trace.Trace, events []trace.EventID, placed []int32, phaseOf 
 		}
 		ls.lastStep[ev.Chare] = st
 		ls.chareMark[ev.Chare] = epoch
-		for _, n := range adj[adjOff[e]:adjCur[e]] {
-			indeg[n]--
-			if indeg[n] == 0 {
-				h.push(n)
-			}
+		if r+1 < n && ar.fragOf[byRank[r+1]] == ar.fragOf[e] {
+			release(byRank[r+1])
+		}
+		for w := ar.waitHead[e]; w != trace.NoEvent; w = ar.waitNext[w] {
+			ready.push(ar.rank[w])
 		}
 	}
-	ls.eventHeap = h.items
 	return maxStep
 }
 

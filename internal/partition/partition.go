@@ -78,6 +78,9 @@ type setScratch struct {
 	edgeV    []int32
 	deg      []int32
 	counts   []int32
+	// Atoms in (chare, atom ID) order, computed once per atom table (AddAtom
+	// outdates it by changing the atom count).
+	byChare []ID
 	// Open-addressing dedup table for dedupedEdges. Slots are live only when
 	// dedupMark[i] == dedupEpoch, so clearing between calls is a single
 	// increment; freshly-grown tables are zeroed, which can never collide
@@ -325,6 +328,33 @@ func (s *Set) adjFromEdges(n int, eu, ev []int32) *graph.Graph {
 	return &graph.Graph{Adj: adj}
 }
 
+// atomsByChare returns the atoms in (chare, atom ID) order: a stable counting
+// sort by chare, kept in the scratch until the atom table grows.
+func (s *Set) atomsByChare() []ID {
+	sc := &s.scratch
+	n := len(s.parent)
+	if len(sc.byChare) == n {
+		return sc.byChare
+	}
+	lo, hi := s.chare[0], s.chare[0]
+	for _, c := range s.chare {
+		lo, hi = min(lo, c), max(hi, c)
+	}
+	next := make([]int32, int(hi-lo)+2)
+	for _, c := range s.chare {
+		next[c-lo+1]++
+	}
+	for i := 1; i < len(next); i++ {
+		next[i] += next[i-1]
+	}
+	sc.byChare = make([]ID, n)
+	for a, c := range s.chare {
+		sc.byChare[next[c-lo]] = ID(a)
+		next[c-lo]++
+	}
+	return sc.byChare
+}
+
 // Part is one current partition in a View.
 type Part struct {
 	Root    ID
@@ -412,21 +442,24 @@ func (s *Set) View() *View {
 		pi := v.PartOf[a]
 		v.Parts[pi].Atoms = append(v.Parts[pi].Atoms, a)
 	}
-	// Chare sets: copy each part's atom chares into the shared buffer,
-	// sort-and-compact in place. Total writes never exceed natoms, so the
-	// buffer never reallocates and earlier sub-slices stay valid.
-	charesBuf := make([]trace.ChareID, 0, natoms)
+	// Chare sets: atoms dealt out in (chare, atom) order give every part its
+	// atoms' chares in ascending order, equal ones adjacent; compacting each
+	// row in place leaves the sorted set. counts turns from row lengths into
+	// row starts and, as the rows fill, row ends.
+	charesBuf := make([]trace.ChareID, natoms)
+	off = 0
+	for i, c := range counts {
+		counts[i], off = off, off+c
+	}
+	for _, a := range s.atomsByChare() {
+		pi := atomPart[a]
+		charesBuf[counts[pi]] = s.chare[a]
+		counts[pi]++
+	}
 	for i := range v.Parts {
 		p := &v.Parts[i]
-		start := len(charesBuf)
-		for _, a := range p.Atoms {
-			charesBuf = append(charesBuf, s.chare[a])
-		}
-		seg := charesBuf[start:]
-		slices.Sort(seg)
-		seg = slices.Compact(seg)
-		charesBuf = charesBuf[:start+len(seg)]
-		p.Chares = charesBuf[start : start+len(seg) : start+len(seg)]
+		row := slices.Compact(charesBuf[counts[i]-int32(len(p.Atoms)) : counts[i]])
+		p.Chares = row[:len(row):len(row)]
 	}
 	eu, ev := s.dedupedEdges(atomPart)
 	v.G = s.adjFromEdges(n, eu, ev)

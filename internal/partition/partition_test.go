@@ -3,6 +3,7 @@ package partition
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -301,6 +302,61 @@ func TestViewConcurrentReaders(t *testing.T) {
 	for r := 0; r < readers; r++ {
 		if err := <-errc; err != nil {
 			t.Fatal(err)
+		}
+	}
+}
+
+// TestViewChareRowsMatchSortCompact: every part's Chares is the sorted set of
+// its atoms' chares — checked against a sort-and-compact of the part's atom
+// chares, snapshot after snapshot while random unions merge the parts, and
+// again after atoms are added to a set that has already been snapshotted
+// (the cached (chare, atom) order must grow with the atom table). Chares
+// repeat, skip values and include negatives.
+func TestViewChareRowsMatchSortCompact(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	check := func(s *Set) {
+		t.Helper()
+		v := s.View()
+		total := 0
+		for pi := range v.Parts {
+			p := &v.Parts[pi]
+			var want []trace.ChareID
+			for _, a := range p.Atoms {
+				want = append(want, s.AtomChare(a))
+			}
+			slices.Sort(want)
+			want = slices.Compact(want)
+			if !slices.Equal(p.Chares, want) {
+				t.Fatalf("%d atoms, part %d: Chares = %v, want %v", s.NumAtoms(), pi, p.Chares, want)
+			}
+			if cap(p.Chares) != len(p.Chares) {
+				t.Fatalf("part %d: Chares has spare capacity, an append would clobber the next row", pi)
+			}
+			total += len(p.Atoms)
+		}
+		if total != s.NumAtoms() {
+			t.Fatalf("parts hold %d atoms of %d", total, s.NumAtoms())
+		}
+	}
+	for trial := 0; trial < 20; trial++ {
+		s := NewSet()
+		check(s) // empty set
+		grow := func(n int) {
+			for i := 0; i < n; i++ {
+				s.AddAtom(atom(trace.ChareID(rng.Intn(40)*3 - 20)))
+			}
+		}
+		grow(1 + rng.Intn(200))
+		check(s)
+		for round := 0; round < 6; round++ {
+			for i := rng.Intn(s.NumAtoms()); i > 0; i-- {
+				s.Union(ID(rng.Intn(s.NumAtoms())), ID(rng.Intn(s.NumAtoms())))
+			}
+			check(s)
+			if round%2 == 1 {
+				grow(1 + rng.Intn(50))
+				check(s)
+			}
 		}
 	}
 }

@@ -511,7 +511,10 @@ func TestOutOfRangePEUploadsAre400s(t *testing.T) {
 		{"binary negative idle pe", "out of range", binary(func(tr *trace.Trace) { tr.Idles[0].PE = -1 })},
 		{"binary event pe", "out of range", binary(func(tr *trace.Trace) { tr.Events[0].PE = trace.PE(tr.NumPE) + 40 })},
 		{"binary idle span", "before it begins", binary(func(tr *trace.Trace) { tr.Idles[0].End = tr.Idles[0].Begin - 1 })},
+		{"binary event time", "time 4611686018427387904 out of range", binary(func(tr *trace.Trace) { tr.Events[0].Time = 1 << 62 })},
+		{"binary block span", "out of range (|time| must be below 2^62)", binary(func(tr *trace.Trace) { tr.Blocks[0].Begin = -1 << 62 })},
 		{"text idle pe", "out of range", []byte(text + "idle 2 5 10\n")},
+		{"text event time", "time 4611686018427387904 out of range", []byte(text + "ev 0 send 4611686018427387904 0 0 3 0\n")},
 		{"text event pe", "out of range", []byte(text + "ev 0 send 5 0 9 3 0\n")},
 		{"projections log pe", "out of range", []byte(proj + "BEGIN_LOG 2\n14 0\n15 9\nEND_LOG\n")},
 		{"projections idle span", "before it begins", []byte(proj + "BEGIN_LOG 0\n14 9\n15 3\nEND_LOG\nBEGIN_LOG 1\nEND_LOG\n")},

@@ -90,7 +90,7 @@ func refValidateShape(t *Trace) error {
 		if int(b.ID) != i ||
 			b.Chare < 0 || int(b.Chare) >= len(t.Chares) ||
 			b.Entry < 0 || int(b.Entry) >= len(t.Entries) ||
-			b.PE < 0 || int(b.PE) >= t.NumPE || b.End < b.Begin {
+			b.PE < 0 || int(b.PE) >= t.NumPE || b.End < b.Begin || refTimeTooBig(b.Begin) || refTimeTooBig(b.End) {
 			return fmt.Errorf("block %d", i)
 		}
 	}
@@ -98,17 +98,20 @@ func refValidateShape(t *Trace) error {
 		if int(ev.ID) != i ||
 			ev.Block < 0 || int(ev.Block) >= len(t.Blocks) ||
 			ev.Chare < 0 || int(ev.Chare) >= len(t.Chares) ||
-			ev.PE < 0 || int(ev.PE) >= t.NumPE {
+			ev.PE < 0 || int(ev.PE) >= t.NumPE || refTimeTooBig(ev.Time) {
 			return fmt.Errorf("event %d", i)
 		}
 	}
 	for i, idle := range t.Idles {
-		if idle.PE < 0 || int(idle.PE) >= t.NumPE || idle.End < idle.Begin {
+		if idle.PE < 0 || int(idle.PE) >= t.NumPE || idle.End < idle.Begin || refTimeTooBig(idle.Begin) || refTimeTooBig(idle.End) {
 			return fmt.Errorf("idle %d", i)
 		}
 	}
 	return nil
 }
+
+// refTimeTooBig is the reference's copy of the |time| < 2^62 rule.
+func refTimeTooBig(t Time) bool { return t <= math.MinInt64/2 || t >= -(math.MinInt64/2) }
 
 func (r *refIndex) validateSemantics(t *Trace) error {
 	for _, b := range t.Blocks {

@@ -237,6 +237,9 @@ func (t *Trace) validateShape() error {
 		if b.End < b.Begin {
 			return fmt.Errorf("trace: block %d ends (%d) before it begins (%d)", b.ID, b.End, b.Begin)
 		}
+		if !timeInRange(b.Begin) || !timeInRange(b.End) {
+			return fmt.Errorf("trace: block %d span [%d,%d] out of range (|time| must be below 2^62)", b.ID, b.Begin, b.End)
+		}
 	}
 	for i, ev := range t.Events {
 		if int(ev.ID) != i {
@@ -251,6 +254,9 @@ func (t *Trace) validateShape() error {
 		if ev.PE < 0 || int(ev.PE) >= t.NumPE {
 			return fmt.Errorf("trace: event %d PE %d out of range", ev.ID, ev.PE)
 		}
+		if !timeInRange(ev.Time) {
+			return fmt.Errorf("trace: event %d time %d out of range (|time| must be below 2^62)", ev.ID, ev.Time)
+		}
 	}
 	// Idle and event PEs index per-PE tables downstream (metrics, profile,
 	// skew) exactly as block PEs do, so they get the same range check.
@@ -261,9 +267,19 @@ func (t *Trace) validateShape() error {
 		if idle.End < idle.Begin {
 			return fmt.Errorf("trace: idle %d ends (%d) before it begins (%d)", i, idle.End, idle.Begin)
 		}
+		if !timeInRange(idle.Begin) || !timeInRange(idle.End) {
+			return fmt.Errorf("trace: idle %d span [%d,%d] out of range (|time| must be below 2^62)", i, idle.Begin, idle.End)
+		}
 	}
 	return nil
 }
+
+// timeInRange bounds every recorded time to |t| < 2^62. Downstream code
+// subtracts times, doubles offsets from the first event into sort keys
+// (core's ordering stage) and uses ±2^62 as "before/after everything"
+// sentinels; inside the bound none of that can wrap, so a trace shifted in
+// time either is rejected here or analyses exactly like the unshifted one.
+func timeInRange(t Time) bool { return t > -1<<62 && t < 1<<62 }
 
 // validateSemantics checks cross-structure invariants that need the index.
 // orphan is indexMessages' first unmatched receive.

@@ -14,7 +14,8 @@ import "fmt"
 
 // Time is virtual time in nanoseconds. All simulators in this repository
 // run on a deterministic virtual clock, so Time is an integer count rather
-// than a wall-clock type.
+// than a wall-clock type. Index accepts only |t| < 2^62 (146 years either
+// side of zero), which leaves every difference of two times representable.
 type Time int64
 
 // PE identifies a processor (processing element).

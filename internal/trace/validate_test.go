@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -101,6 +102,34 @@ func TestValidateShapeErrors(t *testing.T) {
 			Trace{NumPE: 2, Idles: []Idle{{PE: 0, Begin: 9, End: 8}}},
 			"idle 0 ends (8) before it begins (9)",
 		},
+		// |time| is bounded below 2^62 so that offsets, doubled sort keys and
+		// the ±2^62 sentinels downstream cannot wrap: at the bound the
+		// ordering stage used to return a different structure.
+		{
+			"event time at the bound",
+			Trace{NumPE: 1, Chares: []Chare{{ID: 0}}, Entries: []Entry{{ID: 0}},
+				Blocks: []Block{{ID: 0}},
+				Events: []Event{{ID: 0, Block: 0, Time: 1 << 62}}},
+			"event 0 time 4611686018427387904 out of range",
+		},
+		{
+			"event time below the bound",
+			Trace{NumPE: 1, Chares: []Chare{{ID: 0}}, Entries: []Entry{{ID: 0}},
+				Blocks: []Block{{ID: 0}},
+				Events: []Event{{ID: 0, Block: 0, Time: -1 << 62}}},
+			"event 0 time -4611686018427387904 out of range",
+		},
+		{
+			"block end at the bound",
+			Trace{NumPE: 1, Chares: []Chare{{ID: 0}}, Entries: []Entry{{ID: 0}},
+				Blocks: []Block{{ID: 0, Begin: 5, End: 1 << 62}}},
+			"block 0 span [5,4611686018427387904] out of range",
+		},
+		{
+			"idle begin below the bound",
+			Trace{NumPE: 1, Idles: []Idle{{PE: 0, Begin: math.MinInt64, End: 0}}},
+			"idle 0 span [-9223372036854775808,0] out of range",
+		},
 	}
 	for _, c := range cases {
 		c := c
@@ -110,6 +139,19 @@ func TestValidateShapeErrors(t *testing.T) {
 				t.Fatalf("Index err = %v, want containing %q", err, c.want)
 			}
 		})
+	}
+}
+
+// TestTimesJustInsideTheBoundIndex: the largest and smallest legal times are
+// accepted, in one trace (the widest legal span).
+func TestTimesJustInsideTheBoundIndex(t *testing.T) {
+	const lim = 1<<62 - 1
+	tr := Trace{NumPE: 1, Chares: []Chare{{ID: 0}}, Entries: []Entry{{ID: 0}},
+		Blocks: []Block{{ID: 0, Begin: -lim, End: lim, Events: []EventID{0, 1}}},
+		Events: []Event{{ID: 0, Block: 0, Time: -lim, Msg: NoMsg}, {ID: 1, Block: 0, Time: lim, Msg: NoMsg}},
+		Idles:  []Idle{{PE: 0, Begin: -lim, End: lim}}}
+	if err := tr.Index(); err != nil {
+		t.Fatal(err)
 	}
 }
 
