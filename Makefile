@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test verify lint fuzz bench bench-check bench-lod bench-steps bench-overhead bench-smoke bench-repo fmt loc serve cluster
+.PHONY: build test verify lint fuzz fuzz-smoke bench bench-check bench-lod bench-steps bench-overhead bench-smoke bench-repo fmt loc serve cluster
 
 build:
 	$(GO) build ./...
@@ -10,8 +10,9 @@ test:
 
 # verify is the tier-1 recipe (see README "Testing" and
 # .claude/skills/verify/SKILL.md), plus a -race leg over the concurrent
-# serving packages (result cache singleflight, HTTP handlers, query
-# engine, the cluster gateway + multi-node E2E harness) and over the
+# serving packages (result cache singleflight and trace-ownership hooks,
+# HTTP handlers and the trace-residency tests, query engine, the cluster
+# gateway + multi-node E2E harness) and over the
 # conformance harness + adversarial generators (parallel extraction
 # sweeps at three worker counts).
 verify: build test
@@ -40,6 +41,19 @@ lint:
 fuzz:
 	$(GO) test -fuzz=FuzzReadAuto -fuzztime=20s -fuzzminimizetime=1s ./internal/tracefile
 	$(GO) test -fuzz=FuzzReadProjections -fuzztime=20s -fuzzminimizetime=1s ./internal/tracefile
+
+# fuzz-smoke gives every Fuzz* target in the tree ten seconds: the two above,
+# the text reader, and the decoders that run with no trace to lean on — the
+# persisted event table (FuzzReadTable) and the structure codec against a
+# table alone (FuzzDecodeStructure, FuzzDecodeStructureSummary). Their seed
+# corpora replay on every plain `go test`; this leg is not in tier-1.
+fuzz-smoke:
+	@for t in FuzzRead FuzzReadAuto FuzzReadProjections FuzzReadTable; do \
+		$(GO) test -run '^$$' -fuzz="^$$t\$$" -fuzztime=10s -fuzzminimizetime=1s ./internal/tracefile || exit 1; \
+	done
+	@for t in FuzzDecodeStructure FuzzDecodeStructureSummary; do \
+		$(GO) test -run '^$$' -fuzz="^$$t\$$" -fuzztime=10s -fuzzminimizetime=1s ./internal/core || exit 1; \
+	done
 
 # bench-smoke runs the repository benchmark (bench/, BENCHMARK.json) at toy
 # sizes in about ten seconds: all four workloads, real child processes,

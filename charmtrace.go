@@ -151,7 +151,7 @@ func RenderLogicalClustered(s *Structure, clusters []ChareCluster) string {
 	for i := range clusters {
 		rows[i] = viz.ClusterRow{
 			Representative: clusters[i].Representative,
-			Label:          clusters[i].Label(s.Trace),
+			Label:          clusters[i].Label(s.Table()),
 		}
 	}
 	return viz.LogicalClustered(s, rows)

@@ -146,7 +146,7 @@ func main() {
 		for i := range clusters {
 			rows[i] = viz.ClusterRow{
 				Representative: clusters[i].Representative,
-				Label:          clusters[i].Label(tr),
+				Label:          clusters[i].Label(s.Table()),
 			}
 		}
 		fmt.Print(viz.LogicalClustered(s, rows))

@@ -1,3 +1,3 @@
 module charmtrace
 
-go 1.22
+go 1.24

@@ -32,8 +32,8 @@ type Cluster struct {
 func (c *Cluster) Size() int { return len(c.Members) }
 
 // Label renders "name ×N" for display.
-func (c *Cluster) Label(tr *trace.Trace) string {
-	name := tr.Chares[c.Representative].Name
+func (c *Cluster) Label(tab *trace.Table) string {
+	name := tab.Name[c.Representative]
 	if len(c.Members) == 1 {
 		return name
 	}
@@ -63,12 +63,12 @@ func ByPhaseShape(s *core.Structure) []Cluster {
 // only has to spread: clusterBy compares the timelines inside a signature
 // group, so a collision costs a comparison, never a wrong cluster.
 func signature(s *core.Structure, c trace.ChareID, withStep bool) uint64 {
-	h := uint64(14695981039346656037)
+	h, kind := uint64(14695981039346656037), s.Table().Kind
 	for _, e := range s.EventsOfChare(c) {
 		if withStep {
 			h = mix(h, uint64(s.Step[e]))
 		}
-		h = mix(h, uint64(s.Trace.Events[e].Kind))
+		h = mix(h, uint64(kind[e]))
 		h = mix(h, uint64(s.LocalStep[e]))
 	}
 	return h
@@ -81,13 +81,13 @@ func mix(h, v uint64) uint64 {
 
 // sameTimeline compares what signature hashes, event by event.
 func sameTimeline(s *core.Structure, a, b trace.ChareID, withStep bool) bool {
-	ea, eb := s.EventsOfChare(a), s.EventsOfChare(b)
+	ea, eb, kind := s.EventsOfChare(a), s.EventsOfChare(b), s.Table().Kind
 	if len(ea) != len(eb) {
 		return false
 	}
 	for i, x := range ea {
 		y := eb[i]
-		if s.Trace.Events[x].Kind != s.Trace.Events[y].Kind || s.LocalStep[x] != s.LocalStep[y] ||
+		if kind[x] != kind[y] || s.LocalStep[x] != s.LocalStep[y] ||
 			withStep && s.Step[x] != s.Step[y] {
 			return false
 		}
@@ -106,9 +106,9 @@ func clusterBy(s *core.Structure, withStep bool, sig func(*core.Structure, trace
 		runtime bool
 	}
 	groups := make(map[key][]trace.ChareID)
-	for ci := range s.Trace.Chares {
+	for ci, runtime := range s.Table().Runtime {
 		c := trace.ChareID(ci)
-		k := key{sig(s, c, withStep), s.Trace.IsRuntimeChare(c)}
+		k := key{sig(s, c, withStep), runtime}
 		groups[k] = append(groups[k], c)
 	}
 	out := make([]Cluster, 0, len(groups))
@@ -143,7 +143,7 @@ func clusterBy(s *core.Structure, withStep bool, sig func(*core.Structure, trace
 // Validate checks the clustering invariants: every chare in exactly one
 // cluster, members sorted, kinds unmixed.
 func Validate(s *core.Structure, clusters []Cluster) error {
-	seen := make(map[trace.ChareID]bool)
+	seen, runtime := make(map[trace.ChareID]bool), s.Table().Runtime
 	for i := range clusters {
 		c := &clusters[i]
 		if len(c.Members) == 0 {
@@ -160,13 +160,13 @@ func Validate(s *core.Structure, clusters []Cluster) error {
 			if j > 0 && c.Members[j-1] >= m {
 				return fmt.Errorf("cluster: members unsorted in cluster %d", i)
 			}
-			if s.Trace.IsRuntimeChare(m) != c.Runtime {
+			if runtime[m] != c.Runtime {
 				return fmt.Errorf("cluster: mixed kinds in cluster %d", i)
 			}
 		}
 	}
-	if len(seen) != len(s.Trace.Chares) {
-		return fmt.Errorf("cluster: %d chares clustered, trace has %d", len(seen), len(s.Trace.Chares))
+	if len(seen) != len(runtime) {
+		return fmt.Errorf("cluster: %d chares clustered, trace has %d", len(seen), len(runtime))
 	}
 	return nil
 }

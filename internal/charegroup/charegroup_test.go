@@ -113,7 +113,7 @@ func TestClusterCompressionOnLargeLULESH(t *testing.T) {
 func TestLabels(t *testing.T) {
 	s := jacobiStructure(t, 4)
 	for _, c := range Exact(s) {
-		l := c.Label(s.Trace)
+		l := c.Label(s.Table())
 		if l == "" {
 			t.Fatal("empty label")
 		}

@@ -2,10 +2,12 @@ package core
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
+	"strings"
 
 	"charmtrace/internal/graph"
 	"charmtrace/internal/trace"
@@ -22,7 +24,7 @@ import (
 //
 //	magic "CSTR", uvarint version
 //	str opts fingerprint
-//	uvarint nEvents, uvarint nChares     (validated against the trace on decode)
+//	uvarint nEvents, uvarint nChares     (validated against the table on decode)
 //	uvarint nPhases {
 //	    u8 runtime
 //	    uvarint nChares { varint chare }
@@ -135,9 +137,13 @@ func EncodeStructure(w io.Writer, s *Structure) error {
 	return b.w.Flush()
 }
 
+// sreader reads the codec. limit is the input's length when the whole
+// input is in hand: everything a count counts takes at least a byte, so a
+// count beyond it is a lie, refused before it can size an allocation.
 type sreader struct {
-	r   *bufio.Reader
-	err error
+	r     *bufio.Reader
+	err   error
+	limit uint64
 }
 
 func (b *sreader) u8() uint8 {
@@ -153,7 +159,9 @@ func (b *sreader) uv() uint64 {
 		return 0
 	}
 	v, err := binary.ReadUvarint(b.r)
-	b.err = err
+	if b.err = err; err != nil {
+		return 0 // on overflow ReadUvarint returns the bits it had
+	}
 	return v
 }
 func (b *sreader) i64() int64 {
@@ -161,7 +169,9 @@ func (b *sreader) i64() int64 {
 		return 0
 	}
 	v, err := binary.ReadVarint(b.r)
-	b.err = err
+	if b.err = err; err != nil {
+		return 0
+	}
 	return v
 }
 func (b *sreader) i32() int32 {
@@ -171,10 +181,20 @@ func (b *sreader) i32() int32 {
 	}
 	return int32(v)
 }
+
+// id reads a reference into a table of n items.
+func (b *sreader) id(what string, n int) int32 {
+	v := b.i32()
+	if b.err == nil && (v < 0 || int(v) >= n) {
+		b.err = fmt.Errorf("%s %d out of range", what, v)
+	}
+	return v
+}
 func (b *sreader) count(what string, max uint64) int {
 	n := b.uv()
-	if b.err == nil && n > max {
+	if b.err == nil && (n > max || n > b.limit) {
 		b.err = fmt.Errorf("%s count %d too large", what, n)
+		return 0
 	}
 	return int(n)
 }
@@ -183,9 +203,13 @@ func (b *sreader) str() string {
 	if b.err != nil {
 		return ""
 	}
-	buf := make([]byte, n)
-	_, b.err = io.ReadFull(b.r, buf)
-	return string(buf)
+	// Copied as it arrives, so a length the stream does not back allocates
+	// nothing (found by FuzzDecodeStructureSummary, where limit is unknown).
+	var sb strings.Builder
+	if _, b.err = io.CopyN(&sb, b.r, int64(n)); b.err == io.EOF {
+		b.err = io.ErrUnexpectedEOF
+	}
+	return sb.String()
 }
 
 // skipVarints discards n varint-encoded values without materializing them —
@@ -206,14 +230,32 @@ func (b *sreader) skipVarints(n int) {
 }
 
 // DecodeStructure parses an encoded structure and reattaches tr, which must
-// be the indexed trace the structure was extracted from (the caller's
-// content-addressing guarantees this; event and chare counts are validated
-// as a corruption check). The decoded structure carries no Stats — timing
-// belongs to the extraction run, not the cached result — and its Opts hold
-// only what the fingerprint preserves; use Fingerprint (returned here) to
-// key semantics, not the Opts field.
+// be the indexed trace the structure was extracted from: it is
+// DecodeStructureTable against tr.Table() with Trace set.
 func DecodeStructure(r io.Reader, tr *trace.Trace) (*Structure, string, error) {
-	b := &sreader{r: bufio.NewReader(r)}
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, "", fmt.Errorf("core: decode: %w", err)
+	}
+	s, fp, err := DecodeStructureTable(data, tr.Table())
+	if err != nil {
+		return nil, "", err
+	}
+	s.Trace = tr
+	return s, fp, nil
+}
+
+// DecodeStructureTable parses an encoded structure against the table of the
+// trace it was extracted from (the caller's content-addressing guarantees
+// this; event and chare counts are validated as a corruption check, and
+// every ID the bytes hold is range-checked against them). The decoded
+// structure has no Trace and carries no Stats — timing belongs to the
+// extraction run, not the cached result — and its Opts hold only what the
+// fingerprint preserves; use the fingerprint returned here to key
+// semantics, not the Opts field. data is untrusted: no allocation is sized
+// by more than a constant multiple of len(data).
+func DecodeStructureTable(data []byte, tab *trace.Table) (*Structure, string, error) {
+	b := &sreader{r: bufio.NewReader(bytes.NewReader(data)), limit: uint64(len(data))}
 	var magic [4]byte
 	if _, err := io.ReadFull(b.r, magic[:]); err != nil {
 		return nil, "", fmt.Errorf("core: decode: %w", err)
@@ -225,13 +267,13 @@ func DecodeStructure(r io.Reader, tr *trace.Trace) (*Structure, string, error) {
 		return nil, "", fmt.Errorf("core: decode: unsupported version %d", v)
 	}
 	fp := b.str()
-	nEvents := b.count("event", uint64(len(tr.Events)))
-	nChares := b.count("chare", uint64(len(tr.Chares)))
-	if b.err == nil && (nEvents != len(tr.Events) || nChares != len(tr.Chares)) {
+	nEvents := b.count("event", uint64(tab.NumEvents()))
+	nChares := b.count("chare", uint64(tab.NumChares()))
+	if b.err == nil && (nEvents != tab.NumEvents() || nChares != tab.NumChares()) {
 		return nil, "", fmt.Errorf("core: decode: structure is for %d events/%d chares, trace has %d/%d",
-			nEvents, nChares, len(tr.Events), len(tr.Chares))
+			nEvents, nChares, tab.NumEvents(), tab.NumChares())
 	}
-	s := &Structure{Trace: tr, decodedFP: fp}
+	s := &Structure{tab: tab, decodedFP: fp}
 	nPhases := b.count("phase", uint64(nEvents)+1)
 	s.Phases = make([]Phase, 0, nPhases)
 	for i := 0; i < nPhases && b.err == nil; i++ {
@@ -239,18 +281,25 @@ func DecodeStructure(r io.Reader, tr *trace.Trace) (*Structure, string, error) {
 		if n := b.count("phase chare", uint64(nChares)); n > 0 && b.err == nil {
 			p.Chares = make([]trace.ChareID, 0, n)
 			for j := 0; j < n && b.err == nil; j++ {
-				p.Chares = append(p.Chares, trace.ChareID(b.i32()))
+				p.Chares = append(p.Chares, trace.ChareID(b.id("phase chare", nChares)))
 			}
 		}
 		if n := b.count("phase event", uint64(nEvents)); n > 0 && b.err == nil {
 			p.Events = make([]trace.EventID, 0, n)
 			for j := 0; j < n && b.err == nil; j++ {
-				p.Events = append(p.Events, trace.EventID(b.i32()))
+				p.Events = append(p.Events, trace.EventID(b.id("phase event", nEvents)))
 			}
 		}
 		p.MaxLocalStep = b.i32()
 		p.Offset = b.i32()
 		p.Leap = b.i32()
+		// Local steps are dense within a phase and offsets add up along DAG
+		// paths, so these bounds hold for anything Extract produced; they
+		// keep the tables the views size by steps within O(events).
+		if b.err == nil && (p.MaxLocalStep < -1 || int(p.MaxLocalStep) > len(p.Events) ||
+			p.Offset < 0 || int(p.Offset) > nEvents+nPhases || p.Leap < 0 || int(p.Leap) >= nPhases) {
+			b.err = fmt.Errorf("phase %d spans (max local step %d, offset %d, leap %d) out of range", i, p.MaxLocalStep, p.Offset, p.Leap)
+		}
 		s.Phases = append(s.Phases, p)
 	}
 	s.DAG = graph.New(nPhases)
@@ -261,11 +310,7 @@ func DecodeStructure(r io.Reader, tr *trace.Trace) (*Structure, string, error) {
 		}
 		adj := make([]int32, 0, n)
 		for j := 0; j < n && b.err == nil; j++ {
-			v := b.i32()
-			if b.err == nil && (v < 0 || int(v) >= nPhases) {
-				return nil, "", fmt.Errorf("core: decode: edge target %d out of range", v)
-			}
-			adj = append(adj, v)
+			adj = append(adj, b.id("edge target", nPhases))
 		}
 		s.DAG.Adj[i] = adj
 	}
@@ -282,6 +327,35 @@ func DecodeStructure(r io.Reader, tr *trace.Trace) (*Structure, string, error) {
 	s.PhaseOf = readPerEvent("phase-of")
 	s.LocalStep = readPerEvent("local-step")
 	s.Step = readPerEvent("step")
+	// The three arrays and the phase table say the same thing twice; hold
+	// them to each other, so that whatever sizes a table by one (MaxStep, a
+	// phase's local steps) can index it by the other.
+	phased := 0
+	for e := 0; e < nEvents && b.err == nil; e++ {
+		switch pi := s.PhaseOf[e]; {
+		case pi == -1 && s.LocalStep[e] == -1 && s.Step[e] == -1: // left without a phase
+		case pi < 0 || int(pi) >= nPhases:
+			b.err = fmt.Errorf("event %d in unknown phase %d", e, pi)
+		case s.LocalStep[e] < 0 || s.LocalStep[e] > s.Phases[pi].MaxLocalStep || s.Step[e] != s.Phases[pi].Offset+s.LocalStep[e]:
+			b.err = fmt.Errorf("event %d at local step %d, step %d outside phase %d", e, s.LocalStep[e], s.Step[e], pi)
+		default:
+			phased++
+		}
+	}
+	listed := make([]bool, nEvents)
+	for pi := 0; pi < nPhases && b.err == nil; pi++ {
+		for _, e := range s.Phases[pi].Events {
+			if s.PhaseOf[e] != int32(pi) || listed[e] {
+				b.err = fmt.Errorf("phase %d lists event %d of phase %d, or lists it twice", pi, e, s.PhaseOf[e])
+				break
+			}
+			listed[e] = true
+			phased--
+		}
+	}
+	if b.err == nil && phased != 0 {
+		b.err = fmt.Errorf("%d events belong to phases that do not list them", phased)
+	}
 	s.chareEvents = make([][]trace.EventID, nChares)
 	for c := 0; c < nChares && b.err == nil; c++ {
 		n := b.count("chare timeline", uint64(nEvents))
@@ -290,9 +364,9 @@ func DecodeStructure(r io.Reader, tr *trace.Trace) (*Structure, string, error) {
 		}
 		evs := make([]trace.EventID, 0, n)
 		for j := 0; j < n && b.err == nil; j++ {
-			e := b.i32()
-			if b.err == nil && (e < 0 || int(e) >= nEvents) {
-				return nil, "", fmt.Errorf("core: decode: chare %d lists unknown event %d", c, e)
+			e := b.id("chare timeline event", nEvents)
+			if b.err == nil && tab.Chare[e] != trace.ChareID(c) {
+				b.err = fmt.Errorf("chare %d's timeline lists event %d of chare %d", c, e, tab.Chare[e])
 			}
 			evs = append(evs, trace.EventID(e))
 		}
@@ -335,7 +409,7 @@ type StructureSummary struct {
 // instead of O(events). The caller still owns fingerprint validation (the
 // summary carries the encoded one) exactly as with DecodeStructure.
 func DecodeStructureSummary(r io.Reader) (*StructureSummary, error) {
-	b := &sreader{r: bufio.NewReader(r)}
+	b := &sreader{r: bufio.NewReader(r), limit: math.MaxUint64}
 	var magic [4]byte
 	if _, err := io.ReadFull(b.r, magic[:]); err != nil {
 		return nil, fmt.Errorf("core: decode summary: %w", err)
@@ -350,9 +424,9 @@ func DecodeStructureSummary(r io.Reader) (*StructureSummary, error) {
 	sum.NumEvents = b.count("event", math.MaxInt32)
 	sum.NumChares = b.count("chare", math.MaxInt32)
 	nPhases := b.count("phase", uint64(sum.NumEvents)+1)
-	if b.err == nil {
-		sum.Phases = make([]PhaseSummary, 0, nPhases)
-	}
+	// The stream's length is unknown here, so the phase count is a claim:
+	// it sizes at most a small first allocation and append does the rest.
+	sum.Phases = make([]PhaseSummary, 0, min(nPhases, 1024))
 	for i := 0; i < nPhases && b.err == nil; i++ {
 		p := PhaseSummary{Runtime: b.u8() != 0}
 		p.Chares = b.count("phase chare", uint64(sum.NumChares))

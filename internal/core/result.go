@@ -39,6 +39,12 @@ func (p *Phase) GlobalSpan() (int32, int32) {
 // plus an exact logical position (phase, local step, global step) for every
 // dependency event.
 type Structure struct {
+	// Trace is the trace the structure was extracted from or decoded against.
+	// It is nil for a structure decoded against a table alone
+	// (DecodeStructureTable) or detached from its trace (WithoutTrace): every
+	// view of the structure reads Table(), and only the accessors that
+	// genuinely need serial blocks (StepSpanOfBlock, Validate, package viz,
+	// metrics.BlockMetric) require Trace and say so.
 	Trace  *trace.Trace
 	Opts   Options
 	Phases []Phase
@@ -56,6 +62,10 @@ type Structure struct {
 	// chareEvents lists every chare's events in logical order.
 	chareEvents [][]trace.EventID
 
+	// tab is the table the structure was decoded against or detached with;
+	// nil (an extracted structure) means Trace.Table().
+	tab *trace.Table
+
 	// decodedFP is the options fingerprint read back by DecodeStructure.
 	// Opts cannot always be reconstructed from a fingerprint (ChareRank
 	// participates only through a digest), so re-encoding a decoded
@@ -63,6 +73,25 @@ type Structure struct {
 	// encode(decode(bytes)) byte-identical to the original entry, which is
 	// what lets cluster peers relay entries without re-extraction.
 	decodedFP string
+}
+
+// Table returns the read-side event table of the structure's trace — what
+// metrics, query, lod, charegroup, structdiff and charmd's renderers read
+// in place of the trace: the one the structure was decoded against, else
+// its trace's.
+func (s *Structure) Table() *trace.Table {
+	if s.tab != nil {
+		return s.tab
+	}
+	return s.Trace.Table()
+}
+
+// WithoutTrace returns a copy of s that holds its table and no trace, so
+// that keeping the structure does not keep the decoded trace alive.
+func (s *Structure) WithoutTrace() *Structure {
+	c := *s
+	c.tab, c.Trace = s.Table(), nil
+	return &c
 }
 
 // EncodedFingerprint is the options fingerprint an EncodeStructure of s
@@ -226,7 +255,8 @@ func (s *Structure) PhaseOfEvent(e trace.EventID) *Phase {
 func (s *Structure) StepOf(e trace.EventID) int32 { return s.Step[e] }
 
 // StepSpanOfBlock returns the smallest and largest global steps of a serial
-// block's events, and false if the block has no dependency events.
+// block's events, and false if the block has no dependency events. It reads
+// serial blocks, so it requires s.Trace.
 func (s *Structure) StepSpanOfBlock(b trace.BlockID) (int32, int32, bool) {
 	blk := &s.Trace.Blocks[b]
 	if len(blk.Events) == 0 {

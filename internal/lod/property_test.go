@@ -159,7 +159,7 @@ func checkNativeRender(t *testing.T, p *Pyramid) {
 	}
 	rows := make([]viz.ClusterRow, len(p.Clusters))
 	for i, c := range p.Clusters {
-		rows[i] = viz.ClusterRow{Representative: c.Representative, Label: c.Label(p.S.Trace)}
+		rows[i] = viz.ClusterRow{Representative: c.Representative, Label: c.Label(p.S.Table())}
 	}
 	want := viz.LogicalClusteredWindow(p.S, rows, 0, p.S.MaxStep())
 	if out.Render != want {

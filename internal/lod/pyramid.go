@@ -176,11 +176,11 @@ func Build(s *core.Structure, rep *metrics.Report) *Pyramid {
 	if rep == nil {
 		rep = metrics.Compute(s)
 	}
-	tr := s.Trace
+	tab := s.Table()
 	p := &Pyramid{
 		S:         s,
 		Clusters:  charegroup.Exact(s),
-		ClusterOf: make([]int32, len(tr.Chares)),
+		ClusterOf: make([]int32, tab.NumChares()),
 	}
 	for i := range p.Clusters {
 		for _, m := range p.Clusters[i].Members {
@@ -202,13 +202,12 @@ func Build(s *core.Structure, rep *metrics.Report) *Pyramid {
 	// each to its cell's position in the CSR arrays.
 	slot := make([]int32, nc*numSteps)
 	var stored, recvs int
-	for e := range tr.Events {
-		ev := &tr.Events[e]
-		if i := int(p.ClusterOf[ev.Chare])*numSteps + int(s.Step[e]); slot[i] == 0 {
+	for e, kind := range tab.Kind {
+		if i := int(p.ClusterOf[tab.Chare[e]])*numSteps + int(s.Step[e]); slot[i] == 0 {
 			slot[i] = 1
 			stored++
 		}
-		if ev.Kind == trace.Recv {
+		if kind == trace.Recv {
 			recvs++
 		}
 	}
@@ -234,12 +233,10 @@ func Build(s *core.Structure, rep *metrics.Report) *Pyramid {
 	bBits, cBits := uint(bits.Len(uint(numSteps-1))), uint(bits.Len(uint(nc-1)))
 	msgs, tmp := newEdgeList(recvs, bBits, cBits), newEdgeList(recvs, bBits, cBits)
 	matched := 0
-	for e := range tr.Events {
-		ev := &tr.Events[e]
-		eid := trace.EventID(e)
-		cluster, step := p.ClusterOf[ev.Chare], s.Step[eid]
-		one := Cell{Events: 1, TimeMin: ev.Time, TimeMax: ev.Time}
-		if ev.Kind == trace.Send {
+	for eid, kind := range tab.Kind {
+		cluster, step := p.ClusterOf[tab.Chare[eid]], s.Step[eid]
+		one := Cell{Events: 1, TimeMin: tab.Time[eid], TimeMax: tab.Time[eid]}
+		if kind == trace.Send {
 			one.Sends = 1
 		} else {
 			one.Recvs = 1
@@ -250,11 +247,9 @@ func Build(s *core.Structure, rep *metrics.Report) *Pyramid {
 			one.Sum[m], one.Max[m] = int64(v), max(int64(v), 0)
 		}
 		base.cells[slot[int(cluster)*numSteps+int(step)]].merge(&one)
-		if ev.Kind == trace.Recv {
-			if send := tr.MatchingSend(eid); send != trace.NoEvent {
-				msgs.set(matched, msgs.pack(s.Step[send], p.ClusterOf[tr.Events[send].Chare], step, cluster), 1)
-				matched++
-			}
+		if send := tab.Partner[eid]; send != trace.NoEvent {
+			msgs.set(matched, msgs.pack(s.Step[send], p.ClusterOf[tab.Chare[send]], step, cluster), 1)
+			matched++
 		}
 	}
 	msgs.resize(matched)

@@ -323,7 +323,7 @@ func (p *Pyramid) Query(sp Spec, diff *structdiff.Diff) (*Result, error) {
 		label, runtime := "", false
 		if len(members) == 1 {
 			cl := &p.Clusters[members[0]]
-			label, runtime = cl.Label(p.S.Trace), cl.Runtime
+			label, runtime = cl.Label(p.S.Table()), cl.Runtime
 		} else {
 			label = labelOverflow(memberCount, len(members))
 		}

@@ -13,47 +13,13 @@ import (
 	"charmtrace/internal/trace"
 )
 
-// SubBlock is an event-delimited unit of computation inside a serial block
-// (Figure 13): it spans from the previous event in the block to the end of
-// its event. Leftover duration after the last event is assigned to the
-// event that started the block if one was recorded (the initial receive),
-// otherwise to the last event.
-type SubBlock struct {
-	Event trace.EventID
-	Dur   trace.Time
-}
-
-// SubBlockDurations returns per-event sub-block durations. Events of blocks
-// without dependency events contribute nothing; for every block with events,
-// the per-event durations sum to the block's duration.
-func SubBlockDurations(tr *trace.Trace) []trace.Time {
-	dur := make([]trace.Time, len(tr.Events))
-	for bi := range tr.Blocks {
-		blk := &tr.Blocks[bi]
-		if len(blk.Events) == 0 {
-			continue
-		}
-		prev := blk.Begin
-		for _, e := range blk.Events {
-			dur[e] = tr.Events[e].Time - prev
-			prev = tr.Events[e].Time
-		}
-		leftover := blk.End - prev
-		first := blk.Events[0]
-		if tr.Events[first].Kind == trace.Recv {
-			dur[first] += leftover
-		} else {
-			dur[blk.Events[len(blk.Events)-1]] += leftover
-		}
-	}
-	return dur
-}
-
 // Report holds every Section 4 metric for one structure. All per-event
 // slices are indexed by EventID; absent values are zero.
 type Report struct {
 	Structure *core.Structure
-	// SubDur is each event's sub-block duration.
+	// SubDur is each event's sub-block duration (Figure 13): the span from
+	// the previous event in its serial block to the event. It depends on
+	// the trace alone, so it is the trace table's column, shared.
 	SubDur []trace.Time
 	// DifferentialDuration is the excess of each event's sub-block over the
 	// shortest sub-block at the same (phase, logical step).
@@ -61,7 +27,8 @@ type Report struct {
 	// IdleExperienced is the idle time each event waited through: the event
 	// directly after a recorded idle span carries its length, as does the
 	// first event of each subsequent serial block whose dependency started
-	// before the idle ended (Figure 11).
+	// before the idle ended (Figure 11). Like SubDur it is the trace table's
+	// column, shared; the other metrics depend on the structure.
 	IdleExperienced []trace.Time
 	// Imbalance is, per event, its processor's phase load minus the
 	// minimally loaded processor's in the same phase (Figure 14).
@@ -73,20 +40,21 @@ type Report struct {
 	PhaseLoad []map[trace.PE]trace.Time
 }
 
-// Compute derives all metrics for a structure.
+// Compute derives all metrics for a structure. The per-event slices are
+// shared with s.Table() or freshly allocated; treat them as read-only.
 func Compute(s *core.Structure) *Report {
+	tab := s.Table()
 	r := &Report{
 		Structure:            s,
-		SubDur:               SubBlockDurations(s.Trace),
-		DifferentialDuration: make([]trace.Time, len(s.Trace.Events)),
-		IdleExperienced:      make([]trace.Time, len(s.Trace.Events)),
-		Imbalance:            make([]trace.Time, len(s.Trace.Events)),
+		SubDur:               tab.SubDur,
+		DifferentialDuration: make([]trace.Time, tab.NumEvents()),
+		IdleExperienced:      tab.IdleExp,
+		Imbalance:            make([]trace.Time, tab.NumEvents()),
 		PhaseImbalance:       make([]trace.Time, len(s.Phases)),
 		PhaseLoad:            make([]map[trace.PE]trace.Time, len(s.Phases)),
 	}
 	r.computeDifferential()
-	r.computeIdleExperienced()
-	r.computeImbalance()
+	r.computeImbalance(tab.PE)
 	return r
 }
 
@@ -111,66 +79,28 @@ func (r *Report) computeDifferential() {
 	for i := range min {
 		min[i] = math.MaxInt64
 	}
-	for e := range s.Trace.Events {
-		if k := slot(e); r.SubDur[e] < min[k] {
-			min[k] = r.SubDur[e]
+	for e, d := range r.SubDur {
+		if k := slot(e); d < min[k] {
+			min[k] = d
 		}
 	}
-	for e := range s.Trace.Events {
-		r.DifferentialDuration[e] = r.SubDur[e] - min[slot(e)]
-	}
-}
-
-// computeIdleExperienced walks forward from every recorded idle span along
-// its processor: the first event after the idle experiences it; the first
-// event of each subsequent serial block also does while its dependency (the
-// send of the message it waited on) started before the idle ended.
-func (r *Report) computeIdleExperienced() {
-	tr := r.Structure.Trace
-	for _, idle := range tr.Idles {
-		blocks := tr.BlocksOfPE(idle.PE)
-		i := sort.Search(len(blocks), func(i int) bool {
-			return tr.Blocks[blocks[i]].Begin >= idle.End
-		})
-		first := true
-		for ; i < len(blocks); i++ {
-			blk := &tr.Blocks[blocks[i]]
-			if len(blk.Events) == 0 {
-				continue
-			}
-			e := blk.Events[0]
-			if first {
-				r.IdleExperienced[e] += idle.Duration()
-				first = false
-				continue
-			}
-			ev := &tr.Events[e]
-			if ev.Kind != trace.Recv || ev.Msg == trace.NoMsg {
-				break
-			}
-			send := tr.SendOf(ev.Msg)
-			if send == trace.NoEvent || tr.Events[send].Time >= idle.End {
-				break
-			}
-			r.IdleExperienced[e] += idle.Duration()
-		}
+	for e, d := range r.SubDur {
+		r.DifferentialDuration[e] = d - min[slot(e)]
 	}
 }
 
 // computeImbalance sums sub-block durations per (phase, processor) and
 // derives the per-event spread and per-phase max-min difference, over the
 // processors that participate in each phase.
-func (r *Report) computeImbalance() {
+func (r *Report) computeImbalance(pe []trace.PE) {
 	s := r.Structure
 	for pi := range s.Phases {
 		r.PhaseLoad[pi] = make(map[trace.PE]trace.Time)
 	}
-	for e := range s.Trace.Events {
-		pi := s.PhaseOf[e]
-		if pi < 0 {
-			continue
+	for e, pi := range s.PhaseOf {
+		if pi >= 0 {
+			r.PhaseLoad[pi][pe[e]] += r.SubDur[e]
 		}
-		r.PhaseLoad[pi][s.Trace.Events[e].PE] += r.SubDur[e]
 	}
 	minLoad := make([]trace.Time, len(s.Phases))
 	for pi, load := range r.PhaseLoad {
@@ -192,12 +122,10 @@ func (r *Report) computeImbalance() {
 		minLoad[pi] = lo
 		r.PhaseImbalance[pi] = hi - lo
 	}
-	for e := range s.Trace.Events {
-		pi := s.PhaseOf[e]
-		if pi < 0 {
-			continue
+	for e, pi := range s.PhaseOf {
+		if pi >= 0 {
+			r.Imbalance[e] = r.PhaseLoad[pi][pe[e]] - minLoad[pi]
 		}
-		r.Imbalance[e] = r.PhaseLoad[pi][s.Trace.Events[e].PE] - minLoad[pi]
 	}
 }
 
@@ -264,20 +192,22 @@ func Lateness(s *core.Structure) []trace.Time {
 	for i := range earliest {
 		earliest[i] = math.MaxInt64
 	}
-	for e := range s.Trace.Events {
-		if st := s.Step[e] + 1; s.Trace.Events[e].Time < earliest[st] {
-			earliest[st] = s.Trace.Events[e].Time
+	times := s.Table().Time
+	for e, t := range times {
+		if st := s.Step[e] + 1; t < earliest[st] {
+			earliest[st] = t
 		}
 	}
-	out := make([]trace.Time, len(s.Trace.Events))
-	for e := range s.Trace.Events {
-		out[e] = s.Trace.Events[e].Time - earliest[s.Step[e]+1]
+	out := make([]trace.Time, len(times))
+	for e, t := range times {
+		out[e] = t - earliest[s.Step[e]+1]
 	}
 	return out
 }
 
 // BlockMetric aggregates a per-event metric to serial blocks by taking each
-// block's maximum.
+// block's maximum. Blocks are not part of the trace table, so this takes
+// the trace itself.
 func BlockMetric(tr *trace.Trace, perEvent []trace.Time) map[trace.BlockID]trace.Time {
 	out := make(map[trace.BlockID]trace.Time)
 	for e, d := range perEvent {

@@ -49,7 +49,7 @@ func extract(t *testing.T, tr *trace.Trace) *core.Structure {
 
 func TestSubBlockDurations(t *testing.T) {
 	tr := twoChareTrace(t)
-	dur := SubBlockDurations(tr)
+	dur := tr.Table().SubDur
 	// Event 0: A's send at 4, block [0,10], send-initial block: leftover 6
 	// goes to the last event (itself): 4 + 6 = 10.
 	if dur[0] != 10 {
@@ -71,7 +71,7 @@ func TestSubBlockDurations(t *testing.T) {
 
 func TestSubBlockDurationsSumToBlockDuration(t *testing.T) {
 	tr := twoChareTrace(t)
-	dur := SubBlockDurations(tr)
+	dur := tr.Table().SubDur
 	for bi := range tr.Blocks {
 		blk := &tr.Blocks[bi]
 		if len(blk.Events) == 0 {
@@ -244,7 +244,7 @@ func TestImbalance(t *testing.T) {
 
 func TestBlockMetricTakesMax(t *testing.T) {
 	tr := twoChareTrace(t)
-	dur := SubBlockDurations(tr)
+	dur := tr.Table().SubDur
 	byBlock := BlockMetric(tr, dur)
 	if byBlock[1] != 70 {
 		t.Fatalf("block 1 metric = %d, want max sub-block 70", byBlock[1])
@@ -257,7 +257,7 @@ func TestSubBlockInvariantRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for iter := 0; iter < 30; iter++ {
 		tr := randTrace(rng)
-		dur := SubBlockDurations(tr)
+		dur := tr.Table().SubDur
 		for _, d := range dur {
 			if d < 0 {
 				t.Fatal("negative sub-block duration")

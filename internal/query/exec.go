@@ -147,8 +147,8 @@ func checkBounds(idx *Index, f *Filter) error {
 		}
 	}
 	for _, c := range f.Chares {
-		if int(c) >= len(idx.S.Trace.Chares) {
-			return specErrf("filter.chares", "chare %d out of range (trace has %d chares)", c, len(idx.S.Trace.Chares))
+		if int(c) >= idx.Tab.NumChares() {
+			return specErrf("filter.chares", "chare %d out of range (trace has %d chares)", c, idx.Tab.NumChares())
 		}
 	}
 	return nil
@@ -270,14 +270,14 @@ func filteredEvents(ctx context.Context, idx *Index, f Filter) ([]trace.EventID,
 		}
 		// Per-chare lists are each ordered; restore the global
 		// (step, chare, event) order across them.
-		s := idx.S
+		s, chare := idx.S, idx.Tab.Chare
 		sort.Slice(out, func(i, j int) bool {
 			a, b := out[i], out[j]
 			if s.Step[a] != s.Step[b] {
 				return s.Step[a] < s.Step[b]
 			}
-			if s.Trace.Events[a].Chare != s.Trace.Events[b].Chare {
-				return s.Trace.Events[a].Chare < s.Trace.Events[b].Chare
+			if chare[a] != chare[b] {
+				return chare[a] < chare[b]
 			}
 			return a < b
 		})
@@ -316,7 +316,7 @@ func filteredChares(idx *Index, f Filter) []trace.ChareID {
 		}
 		return out
 	}
-	for c := range idx.S.Trace.Chares {
+	for c := range idx.Tab.Name {
 		out = append(out, trace.ChareID(c))
 	}
 	return out
@@ -391,30 +391,30 @@ func runEvents(ctx context.Context, idx *Index, spec Spec, res *Result) error {
 	}
 	res.TotalRows = len(events)
 	res.Rows = make([]map[string]any, 0, len(events))
-	tr := idx.S.Trace
+	tab := idx.Tab
 	for i, e := range events {
 		if i%ctxCheckEvery == ctxCheckEvery-1 && ctx.Err() != nil {
 			return ctx.Err()
 		}
-		ev := &tr.Events[e]
+		chare := tab.Chare[e]
 		if spec.Select == SelectSteps {
 			res.Rows = append(res.Rows, map[string]any{
 				"event":      int32(e),
-				"chare":      int32(ev.Chare),
-				"chare_name": tr.Chares[ev.Chare].Name,
-				"kind":       ev.Kind.String(),
+				"chare":      int32(chare),
+				"chare_name": tab.Name[chare],
+				"kind":       tab.Kind[e].String(),
 				"phase":      idx.S.PhaseOf[e],
 				"local_step": idx.S.LocalStep[e],
 				"step":       idx.S.Step[e],
-				"pe":         int32(ev.PE),
-				"time":       int64(ev.Time),
+				"pe":         int32(tab.PE[e]),
+				"time":       int64(tab.Time[e]),
 			})
 			continue
 		}
 		vals := idx.metricsOf(e)
 		row := map[string]any{
 			"event": int32(e),
-			"chare": int32(ev.Chare),
+			"chare": int32(chare),
 			"phase": idx.S.PhaseOf[e],
 			"step":  idx.S.Step[e],
 		}
@@ -445,7 +445,7 @@ func runGrouped(ctx context.Context, idx *Index, spec Spec, res *Result) error {
 		}
 		n := len(idx.S.Phases)
 		if spec.GroupBy == GroupByChare {
-			n = len(idx.S.Trace.Chares)
+			n = idx.Tab.NumChares()
 		}
 		rollups = make([]Rollup, n)
 		for i, e := range events {
@@ -454,7 +454,7 @@ func runGrouped(ctx context.Context, idx *Index, spec Spec, res *Result) error {
 			}
 			key := idx.S.PhaseOf[e]
 			if spec.GroupBy == GroupByChare {
-				key = int32(idx.S.Trace.Events[e].Chare)
+				key = int32(idx.Tab.Chare[e])
 			}
 			if key >= 0 {
 				rollups[key].observe(idx.metricsOf(e))
@@ -469,7 +469,7 @@ func runGrouped(ctx context.Context, idx *Index, spec Spec, res *Result) error {
 		}
 		row := map[string]any{spec.GroupBy: int32(key)}
 		if spec.GroupBy == GroupByChare {
-			row["chare_name"] = idx.S.Trace.Chares[key].Name
+			row["chare_name"] = idx.Tab.Name[key]
 		}
 		for _, agg := range aggs {
 			if agg == "count" {
@@ -537,7 +537,7 @@ func runViz(ctx context.Context, idx *Index, spec Spec, res *Result) error {
 			}
 			row[s.Step[e]-from] = viz.Symbol(s.PhaseOf[e])
 		}
-		rt := s.Trace.Chares[c].Runtime
+		rt := idx.Tab.Runtime[c]
 		key := fmt.Sprintf("%t %s", rt, row)
 		g, ok := groups[key]
 		if !ok {
@@ -558,7 +558,7 @@ func runViz(ctx context.Context, idx *Index, spec Spec, res *Result) error {
 	})
 	for _, key := range order {
 		g := groups[key]
-		label := s.Trace.Chares[g.rep].Name
+		label := idx.Tab.Name[g.rep]
 		if g.members > 1 {
 			label = fmt.Sprintf("%s x%d", label, g.members)
 		}

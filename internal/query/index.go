@@ -58,6 +58,8 @@ func (r *Rollup) observe(vals [numMetrics]trace.Time) {
 // queries never rescan the trace.
 type Index struct {
 	S *core.Structure
+	// Tab is S.Table(): the trace-side columns rows are rendered from.
+	Tab *trace.Table
 	// Report holds the §4 per-event metrics, computed once.
 	Report *metrics.Report
 	// PhaseOrder lists phase indices sorted by (first global step, ID) —
@@ -82,15 +84,17 @@ type Index struct {
 // metrics.Compute pass plus two counting sorts of the events; Bytes reports
 // the resident estimate for cache memory accounting.
 func BuildIndex(s *core.Structure) *Index {
-	tr := s.Trace
+	tab := s.Table()
+	nEvents, nChares := tab.NumEvents(), tab.NumChares()
 	idx := &Index{
 		S:           s,
+		Tab:         tab,
 		Report:      metrics.Compute(s),
 		PhaseOrder:  make([]int32, len(s.Phases)),
-		EventRows:   make([]trace.EventID, len(tr.Events)),
-		ChareEvents: make([][]trace.EventID, len(tr.Chares)),
+		EventRows:   make([]trace.EventID, nEvents),
+		ChareEvents: make([][]trace.EventID, nChares),
 		PhaseRollup: make([]Rollup, len(s.Phases)),
-		ChareRollup: make([]Rollup, len(tr.Chares)),
+		ChareRollup: make([]Rollup, nChares),
 	}
 	for i := range idx.PhaseOrder {
 		idx.PhaseOrder[i] = int32(i)
@@ -110,8 +114,8 @@ func BuildIndex(s *core.Structure) *Index {
 	for e := range idx.EventRows {
 		idx.EventRows[e] = trace.EventID(e)
 	}
-	byChare := make([]trace.EventID, len(tr.Events))
-	chareStart := countingSort(byChare, idx.EventRows, len(tr.Chares), func(e trace.EventID) int { return int(tr.Events[e].Chare) })
+	byChare := make([]trace.EventID, nEvents)
+	chareStart := countingSort(byChare, idx.EventRows, nChares, func(e trace.EventID) int { return int(tab.Chare[e]) })
 	minStep, maxStep := int32(0), int32(-1)
 	for _, st := range s.Step {
 		minStep, maxStep = min(minStep, st), max(maxStep, st)
@@ -121,20 +125,20 @@ func BuildIndex(s *core.Structure) *Index {
 		idx.ChareEvents[c] = byChare[chareStart[c]:chareStart[c]:chareStart[c+1]]
 	}
 	for _, e := range idx.EventRows {
-		ev := &tr.Events[e]
-		idx.ChareEvents[ev.Chare] = append(idx.ChareEvents[ev.Chare], e)
+		c := tab.Chare[e]
+		idx.ChareEvents[c] = append(idx.ChareEvents[c], e)
 		vals := idx.metricsOf(e)
 		if p := s.PhaseOf[e]; p >= 0 {
 			idx.PhaseRollup[p].observe(vals)
 		}
-		idx.ChareRollup[ev.Chare].observe(vals)
+		idx.ChareRollup[c].observe(vals)
 	}
 
 	const idSize = 4
 	idx.bytes = int64(len(idx.EventRows))*idSize*2 + // EventRows + ChareEvents
 		int64(len(idx.PhaseOrder))*idSize +
 		int64(len(idx.PhaseRollup)+len(idx.ChareRollup))*int64(8*(1+2*int(numMetrics))) +
-		int64(len(tr.Events))*8*4 // Report per-event slices
+		int64(nEvents)*8*2 // Report's own per-event slices; the other two are the table's
 	return idx
 }
 

@@ -28,6 +28,12 @@
 // core.Options.Context) instead of burning CPU forever, and Close drains or
 // cancels outstanding flights for shutdown.
 //
+// A caller either brings the decoded trace (Get's tr) and gets structures
+// that hold it, or brings none and lets the cache resolve the digest through
+// Config.Table and Config.Trace — the table to decode a disk hit or a peer
+// fill against, the trace only to extract — in which case resident entries
+// hold a table and no trace (see Config.Trace).
+//
 // Cached structures are shared between requests and must be treated as
 // read-only; everything the serving layer does (rendering, metrics,
 // structdiff) only reads. Every layer's traffic is counted in a
@@ -119,6 +125,17 @@ type Config struct {
 	// disables peer fill. Kept as a func to avoid a resultcache→cluster
 	// dependency.
 	PeerFetch func(ctx context.Context, traceDigest, key string) (io.ReadCloser, error)
+	// Trace and Table resolve a trace digest for a Get whose caller passed no
+	// trace (tr == nil), each only when the cache needs it: Table on a disk
+	// hit or peer fill, to decode the entry against; Trace on a true miss,
+	// to extract from. ctx is the flight's detached context. charmd wires
+	// its trace store here, which is what lets it keep no decoded trace
+	// between extractions. Who supplied the trace decides who keeps it: a
+	// structure extracted from or decoded against a caller-supplied trace
+	// keeps Structure.Trace; one resolved through these hooks is inserted
+	// holding its table and no trace, so a resident entry never pins one.
+	Trace func(ctx context.Context, traceDigest string) (*trace.Trace, error)
+	Table func(ctx context.Context, traceDigest string) (*trace.Table, error)
 	// MaxEntryBytes bounds one encoded entry read from a cluster peer, so a
 	// lying or corrupted peer cannot balloon a fill into an unbounded
 	// allocation (0 = DefaultMaxEntryBytes, negative = unbounded).
@@ -133,6 +150,8 @@ type Cache struct {
 	detachedTimeout time.Duration
 	extract         func(tr *trace.Trace, opt core.Options) (*core.Structure, error)
 	peerFetch       func(ctx context.Context, traceDigest, key string) (io.ReadCloser, error)
+	traceOf         func(ctx context.Context, traceDigest string) (*trace.Trace, error)
+	tableOf         func(ctx context.Context, traceDigest string) (*trace.Table, error)
 	maxEntryBytes   int64
 	readFile        func(string) ([]byte, error) // os.ReadFile; swapped by fault-injection tests
 
@@ -151,6 +170,7 @@ type Cache struct {
 	peerMisses    *telemetry.Counter // peer fill attempted, fell back to extraction
 	extractMS     *telemetry.Histogram
 	memEntries    *telemetry.Gauge
+	tableBytesG   *telemetry.Gauge // tables held by resident trace-less entries (cache.table_bytes)
 	flightsG      *telemetry.Gauge // in-progress extraction flights (cache.flights)
 
 	mu      sync.Mutex
@@ -159,6 +179,10 @@ type Cache struct {
 	lru     *list.List // front = most recently used
 	flights map[string]*flight
 	views   [numViews]view // the derived-view slots; each view.total is guarded by mu
+	// tableBytes sums entry.tableBytes over the resident entries (an
+	// estimate: entries of one trace under several option sets share a table
+	// and are each counted).
+	tableBytes int64
 
 	flightWG sync.WaitGroup // outstanding detached flights, for Close
 	gcMu     sync.Mutex     // serializes disk GC sweeps
@@ -208,9 +232,10 @@ type viewState struct {
 
 // entry is one memory-resident result plus its lazily-built derived views.
 type entry struct {
-	id    string
-	s     *core.Structure
-	views [numViews]viewState
+	id         string
+	s          *core.Structure
+	tableBytes int64 // s.Table().Bytes() when s holds its table and no trace, else 0
+	views      [numViews]viewState
 }
 
 // flight is one in-progress extraction other requests can join. The
@@ -277,6 +302,8 @@ func New(cfg Config) (*Cache, error) {
 		detachedTimeout: dt,
 		extract:         ext,
 		peerFetch:       cfg.PeerFetch,
+		traceOf:         cfg.Trace,
+		tableOf:         cfg.Table,
 		maxEntryBytes:   meb,
 		readFile:        os.ReadFile,
 		reg:             reg,
@@ -294,6 +321,7 @@ func New(cfg Config) (*Cache, error) {
 		peerMisses:      reg.Counter("cache.peer_misses"),
 		extractMS:       reg.Histogram("cache.extract_ms"),
 		memEntries:      reg.Gauge("cache.mem_entries"),
+		tableBytesG:     reg.Gauge("cache.table_bytes"),
 		flightsG:        reg.Gauge("cache.flights"),
 		entries:         make(map[string]*list.Element),
 		lru:             list.New(),
@@ -471,10 +499,11 @@ func (c *Cache) viewFor(v viewID, e *entry) any {
 }
 
 // Get returns the recovered structure for (traceDigest, opt), serving from
-// memory, then disk, then a coalesced extraction. tr must be the decoded
-// trace the digest addresses; the first request for a key carries it to the
-// extractor, and every hit ignores it beyond a consistency check during
-// disk decode.
+// memory, then disk, then a coalesced extraction. tr is the decoded trace
+// the digest addresses, or nil to have the cache resolve the digest through
+// Config.Table / Config.Trace when — and only when — it needs one: the first
+// request for a key carries the trace to the extractor, a disk hit or peer
+// fill decodes against its table, and a memory hit needs neither.
 //
 // ctx bounds only this caller's wait. The extraction itself runs on a
 // cache-owned goroutine under a detached context: a caller that times out
@@ -646,7 +675,7 @@ func (c *Cache) fill(ctx context.Context, id, traceDigest string, prog *core.Pro
 	if c.dir != "" {
 		path = filepath.Join(c.dir, id+".cstr")
 		if data, err := c.readDisk(path); err == nil {
-			s, fp, err := core.DecodeStructure(bytes.NewReader(data), tr)
+			s, fp, err := c.decode(ctx, traceDigest, data, tr)
 			if err == nil && fp == wantFP {
 				c.hits.Add(1)
 				c.diskHits.Add(1)
@@ -665,6 +694,16 @@ func (c *Cache) fill(ctx context.Context, id, traceDigest string, prog *core.Pro
 		}
 	}
 
+	own := tr != nil
+	if !own {
+		if c.traceOf == nil {
+			return nil, OutcomeMiss, errors.New("resultcache: no trace supplied and no Trace hook configured")
+		}
+		var err error
+		if tr, err = c.traceOf(ctx, traceDigest); err != nil {
+			return nil, OutcomeMiss, err
+		}
+	}
 	c.misses.Add(1)
 	start := time.Now()
 	opt.Context = ctx
@@ -687,11 +726,30 @@ func (c *Cache) fill(ctx context.Context, id, traceDigest string, prog *core.Pro
 			c.gcDisk()
 		}
 	}
+	if !own {
+		s = s.WithoutTrace()
+	}
 	return s, OutcomeMiss, nil
 }
 
+// decode parses an encoded entry against the caller's trace, or — for a
+// caller that supplied none — against the table the Table hook resolves.
+func (c *Cache) decode(ctx context.Context, traceDigest string, data []byte, tr *trace.Trace) (*core.Structure, string, error) {
+	if tr != nil {
+		return core.DecodeStructure(bytes.NewReader(data), tr)
+	}
+	if c.tableOf == nil {
+		return nil, "", errors.New("resultcache: no trace supplied and no Table hook configured")
+	}
+	tab, err := c.tableOf(ctx, traceDigest)
+	if err != nil {
+		return nil, "", err
+	}
+	return core.DecodeStructureTable(data, tab)
+}
+
 // peerFill asks the cluster's peers for the encoded entry and, on success,
-// decodes it against the local trace and persists the bytes so the next
+// decodes it against the local trace or table and persists the bytes so the next
 // miss is a plain disk hit. Every failure (no peer has it, transport error,
 // bytes that do not decode to the wanted fingerprint) is one peer-fill miss
 // and the caller falls back to extraction — a lying or stale peer can cost
@@ -714,7 +772,7 @@ func (c *Cache) peerFill(ctx context.Context, traceDigest, id, path, wantFP stri
 		c.peerMisses.Add(1)
 		return nil, false
 	}
-	s, fp, err := core.DecodeStructure(bytes.NewReader(data), tr)
+	s, fp, err := c.decode(ctx, traceDigest, data, tr)
 	if err != nil || fp != wantFP {
 		c.peerMisses.Add(1)
 		return nil, false
@@ -903,12 +961,18 @@ func (c *Cache) insertLocked(id string, s *core.Structure) {
 		c.lru.MoveToFront(el)
 		return
 	}
-	c.entries[id] = c.lru.PushFront(&entry{id: id, s: s})
+	e := &entry{id: id, s: s}
+	if s.Trace == nil {
+		e.tableBytes = s.Table().Bytes()
+	}
+	c.tableBytes += e.tableBytes
+	c.entries[id] = c.lru.PushFront(e)
 	for c.lru.Len() > c.maxEntries {
 		back := c.lru.Back()
 		c.lru.Remove(back)
 		e := back.Value.(*entry)
 		delete(c.entries, e.id)
+		c.tableBytes -= e.tableBytes
 		for v := range e.views {
 			if st := &e.views[v]; st.accounted {
 				c.views[v].total -= st.bytes
@@ -918,4 +982,5 @@ func (c *Cache) insertLocked(id string, s *core.Structure) {
 		c.evictions.Add(1)
 	}
 	c.memEntries.Set(float64(c.lru.Len()))
+	c.tableBytesG.Set(float64(c.tableBytes))
 }

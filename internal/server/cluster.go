@@ -8,8 +8,6 @@ import (
 	"os"
 	"path/filepath"
 	"strconv"
-
-	"charmtrace/internal/trace"
 )
 
 // The /v1/internal/* endpoints are the node-to-node data plane, both of
@@ -66,17 +64,16 @@ func (s *Server) handleInternalTraceGet(w http.ResponseWriter, r *http.Request) 
 // traceFromPeer pulls a trace this node never saw from its ring siblings
 // and ingests it exactly like an upload, except that the content digest
 // must be the one asked for. Concurrent callers may fetch twice;
-// registerTrace keeps the first.
-func (s *Server) traceFromPeer(ctx context.Context, digest string) (*trace.Trace, error) {
+// registerTrace keeps one entry.
+func (s *Server) traceFromPeer(ctx context.Context, digest string) error {
 	body, err := s.cfg.TraceFetch(ctx, digest)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %s (peer fetch: %v)", errUnknownTrace, digest, err)
+		return fmt.Errorf("%w: %s (peer fetch: %v)", errUnknownTrace, digest, err)
 	}
 	defer body.Close()
-	_, tr, err := s.ingest(body, digest)
-	if err != nil {
-		return nil, fmt.Errorf("server: peer trace %s: %w", digest, err)
+	if _, err := s.ingest(body, digest); err != nil {
+		return fmt.Errorf("server: peer trace %s: %w", digest, err)
 	}
 	s.tracePeerFills.Add(1)
-	return tr, nil
+	return nil
 }

@@ -30,18 +30,6 @@ type traceSummary struct {
 	Idles  int    `json:"idles"`
 }
 
-func summarize(digest string, size int64, tr *trace.Trace) traceSummary {
-	return traceSummary{
-		Digest: digest,
-		Bytes:  size,
-		NumPE:  tr.NumPE,
-		Events: len(tr.Events),
-		Blocks: len(tr.Blocks),
-		Chares: len(tr.Chares),
-		Idles:  len(tr.Idles),
-	}
-}
-
 // countingWriter tallies bytes written through it.
 type countingWriter struct {
 	w io.Writer
@@ -62,13 +50,13 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 // non-empty want is the digest the caller asked for: a stream that digests
 // to anything else is rejected before the rename, so not a byte of it is
 // trusted.
-func (s *Server) ingest(body io.Reader, want string) (traceSummary, *trace.Trace, error) {
+func (s *Server) ingest(body io.Reader, want string) (traceSummary, error) {
 	sink := &countingWriter{w: io.Discard}
 	var spool *os.File
 	if dir := s.tracesDir(); dir != "" {
 		var err error
 		if spool, err = os.CreateTemp(dir, spoolPrefix+"*"); err != nil {
-			return traceSummary{}, nil, err
+			return traceSummary{}, err
 		}
 		// The spool name never outlives the call: once renamed to its
 		// content address there is nothing left for Remove to find.
@@ -78,31 +66,30 @@ func (s *Server) ingest(body io.Reader, want string) (traceSummary, *trace.Trace
 	}
 	tr, digest, err := tracefile.ReadAutoDigest(io.TeeReader(body, sink))
 	if err != nil {
-		return traceSummary{}, nil, err
+		return traceSummary{}, err
 	}
 	if want != "" && digest != want {
-		return traceSummary{}, nil, fmt.Errorf("server: trace digests to %s, want %s", digest, want)
+		return traceSummary{}, fmt.Errorf("server: trace digests to %s, want %s", digest, want)
 	}
 	if spool != nil {
 		if err := spool.Close(); err != nil {
-			return traceSummary{}, nil, err
+			return traceSummary{}, err
 		}
 		dst := filepath.Join(s.tracesDir(), digest+".trace")
 		if _, statErr := os.Stat(dst); statErr != nil { // else duplicate content: keep the original
 			if err := os.Rename(spool.Name(), dst); err != nil {
-				return traceSummary{}, nil, err
+				return traceSummary{}, err
 			}
 		}
 	}
-	s.registerTrace(digest, tr, sink.n)
-	return summarize(digest, sink.n, tr), tr, nil
+	return s.registerTrace(digest, tr, sink.n).sum, nil
 }
 
 // handleUpload ingests a client's trace. Uploads above MaxUploadBytes map
 // to 413, malformed traces to 400.
 func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 	s.uploads.Add(1)
-	sum, _, err := s.ingest(http.MaxBytesReader(w, r.Body, s.cfg.MaxUploadBytes), "")
+	sum, err := s.ingest(http.MaxBytesReader(w, r.Body, s.cfg.MaxUploadBytes), "")
 	if err != nil {
 		httpError(w, err)
 		return
@@ -131,7 +118,7 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 	sizes := make(map[string]int64, len(s.traces))
 	for d, te := range s.traces {
 		digests = append(digests, d)
-		sizes[d] = te.bytes
+		sizes[d] = te.sum.Bytes
 	}
 	s.mu.RUnlock()
 	sort.Strings(digests)
@@ -155,18 +142,19 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, out)
 }
 
-// handleTrace returns one trace's summary, loading it from disk if needed.
+// handleTrace returns one trace's summary. In a cluster a digest this node
+// never saw is pulled from a ring sibling first.
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	digest := r.PathValue("digest")
 	if s.notModified(w, r, digest, "") {
 		return
 	}
-	tr, err := s.lookupTrace(r.Context(), digest)
+	sum, err := withEntry(r.Context(), s, digest, s.summaryOf)
 	if err != nil {
 		httpError(w, err)
 		return
 	}
-	writeJSON(w, summarize(digest, s.entryFor(digest).bytes, tr))
+	writeJSON(w, sum)
 }
 
 // phaseJSON is one phase row of a structure response. Every field is
@@ -261,7 +249,7 @@ func structureResponseOf(digest, fp string, st *core.Structure) structureRespons
 	resp := structureResponse{
 		Digest:      digest,
 		Fingerprint: fp,
-		Events:      len(st.Trace.Events),
+		Events:      len(st.Step),
 		NumPhases:   st.NumPhases(),
 		MaxStep:     st.MaxStep(),
 		DAGEdges:    st.DAG.NumEdges(),
@@ -304,10 +292,10 @@ func (s *Server) serveSteps(w http.ResponseWriter, r *http.Request, digest strin
 		httpError(w, err)
 		return
 	}
-	tr := st.Trace
+	tab := st.Table()
 	only := -1
 	if v := r.URL.Query().Get("chare"); v != "" {
-		if only, err = strconv.Atoi(v); err != nil || only < 0 || only >= len(tr.Chares) {
+		if only, err = strconv.Atoi(v); err != nil || only < 0 || only >= tab.NumChares() {
 			httpError(w, fmt.Errorf("%w: chare %q out of range", errBadRequest, v))
 			return
 		}
@@ -318,15 +306,14 @@ func (s *Server) serveSteps(w http.ResponseWriter, r *http.Request, digest strin
 		MaxStep     int32           `json:"max_step"`
 		Chares      []chareTimeline `json:"chares"`
 	}{Digest: digest, Fingerprint: opt.Fingerprint(), MaxStep: st.MaxStep()}
-	for ci := range tr.Chares {
-		c := trace.ChareID(ci)
+	for ci, name := range tab.Name {
 		if only >= 0 && ci != only {
 			continue
 		}
-		ct := chareTimeline{Chare: int32(ci), Name: tr.Chares[ci].Name}
-		for _, e := range st.EventsOfChare(c) {
+		ct := chareTimeline{Chare: int32(ci), Name: name}
+		for _, e := range st.EventsOfChare(trace.ChareID(ci)) {
 			ct.Timeline = append(ct.Timeline, stepJSON{
-				Event: int32(e), Kind: tr.Events[e].Kind.String(),
+				Event: int32(e), Kind: tab.Kind[e].String(),
 				Step: st.Step[e], Phase: st.PhaseOf[e], LocalStep: st.LocalStep[e],
 			})
 		}
@@ -349,17 +336,17 @@ type chareMetrics struct {
 // per-phase imbalance table, from the query index's per-chare rollups and
 // report — nothing is recomputed per request.
 func (s *Server) serveMetrics(w http.ResponseWriter, r *http.Request, digest string, opt core.Options) {
-	st, view, err := s.resolve(r.Context(), digest, opt, wantIndex)
+	_, view, err := s.resolve(r.Context(), digest, opt, wantIndex)
 	if err != nil {
 		httpError(w, err)
 		return
 	}
 	idx := view.(*query.Index)
 	rep := idx.Report
-	perChare := make([]chareMetrics, len(st.Trace.Chares))
+	perChare := make([]chareMetrics, len(idx.ChareRollup))
 	for ci, roll := range idx.ChareRollup {
 		perChare[ci] = chareMetrics{
-			Chare: int32(ci), Name: st.Trace.Chares[ci].Name, Events: int(roll.Events),
+			Chare: int32(ci), Name: idx.Tab.Name[ci], Events: int(roll.Events),
 			IdleExperienced:      roll.Sum[query.ColIdleExperienced],
 			DifferentialDuration: roll.Sum[query.ColDifferentialDuration],
 			Imbalance:            roll.Sum[query.ColImbalance],
@@ -431,6 +418,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	if reset && !allowed {
 		return
 	}
+	s.residency()
 	e := telemetry.ExportRegistry(s.reg, "charmd", core.StageOrder)
 	if s.cfg.NodeName != "" {
 		e.Labels = map[string]string{"node": s.cfg.NodeName}

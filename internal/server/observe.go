@@ -74,6 +74,7 @@ func (s *Server) handleProm(w http.ResponseWriter, r *http.Request) {
 	if s.cfg.NodeName != "" {
 		labels = map[string]string{"node": s.cfg.NodeName}
 	}
+	s.residency()
 	telemetry.WritePrometheusLabels(w, s.reg, labels)
 	telemetry.WriteGoRuntimeMetrics(w)
 	if s.collector != nil {

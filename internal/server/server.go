@@ -114,17 +114,6 @@ type Config struct {
 	extract func(tr *trace.Trace, opt core.Options) (*core.Structure, error)
 }
 
-// traceEntry is one known trace. tr is nil until loaded (traces found on
-// disk at startup are decoded lazily on first use).
-type traceEntry struct {
-	digest string
-	bytes  int64
-
-	once sync.Once
-	tr   *trace.Trace
-	err  error
-}
-
 // Server is the charmd request handler. Create with New, mount anywhere
 // (it implements http.Handler), and call Close on shutdown.
 type Server struct {
@@ -150,6 +139,12 @@ type Server struct {
 	shed           *telemetry.Counter   // requests rejected with 429 (server.shed)
 	queueWaitMS    *telemetry.Histogram // time spent waiting for a slot (server.queue_wait_ms)
 	tracePeerFills *telemetry.Counter   // traces pulled from cluster siblings (server.trace_peer_fills)
+	traceDecodes   *telemetry.Counter   // traces re-decoded from the data directory (server.trace_decodes)
+	tableBuilds    *telemetry.Counter   // tables built from a decoded trace (server.table_builds)
+	tableDiskLoads *telemetry.Counter   // tables read from <digest>.tbl (server.table_disk_loads)
+	tableErrors    *telemetry.Counter   // .tbl files that failed to load or to write (server.table_errors)
+	tracesDecodedG *telemetry.Gauge     // decoded traces alive at the last scrape (server.traces_decoded)
+	traceBytesG    *telemetry.Gauge     // their estimated bytes (server.trace_resident_bytes)
 }
 
 // New builds a server, creating DataDir subdirectories and indexing any
@@ -179,7 +174,26 @@ func New(cfg Config) (*Server, error) {
 		}
 	}
 	engine := query.NewEngine(reg)
-	cache, err := resultcache.New(resultcache.Config{
+	s := &Server{
+		cfg:            cfg,
+		reg:            reg,
+		engine:         engine,
+		traces:         make(map[string]*traceEntry),
+		inflightG:      reg.Gauge("server.inflight"),
+		requests:       reg.Counter("server.requests"),
+		uploads:        reg.Counter("server.uploads"),
+		shed:           reg.Counter("server.shed"),
+		queueWaitMS:    reg.Histogram("server.queue_wait_ms"),
+		tracePeerFills: reg.Counter("server.trace_peer_fills"),
+		traceDecodes:   reg.Counter("server.trace_decodes"),
+		tableBuilds:    reg.Counter("server.table_builds"),
+		tableDiskLoads: reg.Counter("server.table_disk_loads"),
+		tableErrors:    reg.Counter("server.table_errors"),
+		tracesDecodedG: reg.Gauge("server.traces_decoded"),
+		traceBytesG:    reg.Gauge("server.trace_resident_bytes"),
+	}
+	var err error
+	s.cache, err = resultcache.New(resultcache.Config{
 		Dir:             resultDir,
 		MaxMemEntries:   cfg.MaxMemEntries,
 		MaxDiskBytes:    cfg.MaxResultBytes,
@@ -187,6 +201,12 @@ func New(cfg Config) (*Server, error) {
 		Metrics:         reg,
 		Extract:         cfg.extract,
 		PeerFetch:       cfg.PeerFetch,
+		Trace: func(ctx context.Context, digest string) (*trace.Trace, error) {
+			return withEntry(ctx, s, digest, s.traceOf)
+		},
+		Table: func(ctx context.Context, digest string) (*trace.Table, error) {
+			return withEntry(ctx, s, digest, s.tableOf)
+		},
 		Index: func(st *core.Structure) (any, int64) {
 			idx := engine.Index(st)
 			return idx, idx.Bytes()
@@ -198,19 +218,6 @@ func New(cfg Config) (*Server, error) {
 	})
 	if err != nil {
 		return nil, fmt.Errorf("server: %w", err)
-	}
-	s := &Server{
-		cfg:            cfg,
-		reg:            reg,
-		cache:          cache,
-		engine:         engine,
-		traces:         make(map[string]*traceEntry),
-		inflightG:      reg.Gauge("server.inflight"),
-		requests:       reg.Counter("server.requests"),
-		uploads:        reg.Counter("server.uploads"),
-		shed:           reg.Counter("server.shed"),
-		queueWaitMS:    reg.Histogram("server.queue_wait_ms"),
-		tracePeerFills: reg.Counter("server.trace_peer_fills"),
 	}
 	if cfg.MaxConcurrentExtractions > 0 {
 		s.sem = make(chan struct{}, cfg.MaxConcurrentExtractions)
@@ -265,90 +272,6 @@ func (s *Server) tracesDir() string {
 		return ""
 	}
 	return filepath.Join(s.cfg.DataDir, "traces")
-}
-
-// indexTraceDir registers every persisted trace without decoding it;
-// decoding happens lazily on first use.
-func (s *Server) indexTraceDir() error {
-	entries, err := os.ReadDir(s.tracesDir())
-	if err != nil {
-		return fmt.Errorf("server: %w", err)
-	}
-	for _, de := range entries {
-		name := de.Name()
-		digest, ok := strings.CutSuffix(name, ".trace")
-		if !ok || de.IsDir() || len(digest) != 64 {
-			continue
-		}
-		info, err := de.Info()
-		if err != nil {
-			continue
-		}
-		s.traces[digest] = &traceEntry{digest: digest, bytes: info.Size()}
-	}
-	return nil
-}
-
-// entryFor returns the registered entry for a digest, or nil when this
-// node has never seen the trace.
-func (s *Server) entryFor(digest string) *traceEntry {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.traces[digest]
-}
-
-// lookupTrace resolves a digest to a decoded, indexed trace, loading it
-// from disk on first use after a restart, and — in a cluster — pulling it
-// from ring siblings when this node never saw the upload (failover reads,
-// replicas that missed the fan-out). ctx bounds only the peer fetch.
-func (s *Server) lookupTrace(ctx context.Context, digest string) (*trace.Trace, error) {
-	te := s.entryFor(digest)
-	if te == nil {
-		if s.cfg.TraceFetch == nil {
-			return nil, errUnknownTrace
-		}
-		return s.traceFromPeer(ctx, digest)
-	}
-	te.once.Do(func() {
-		if te.tr != nil {
-			return
-		}
-		f, err := os.Open(filepath.Join(s.tracesDir(), digest+".trace"))
-		if err != nil {
-			te.err = err
-			return
-		}
-		defer f.Close()
-		tr, got, err := tracefile.ReadAutoDigest(f)
-		if err != nil {
-			te.err = err
-			return
-		}
-		if got != digest {
-			te.err = fmt.Errorf("server: trace file %s.trace digests to %s", digest, got)
-			return
-		}
-		te.tr = tr
-	})
-	if te.err != nil {
-		return nil, fmt.Errorf("server: loading trace %s: %w", digest, te.err)
-	}
-	return te.tr, nil
-}
-
-// registerTrace records a freshly uploaded, already-decoded trace.
-func (s *Server) registerTrace(digest string, tr *trace.Trace, size int64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if old, ok := s.traces[digest]; ok {
-		// Re-upload of known content: keep the existing entry, make sure
-		// the decoded form is available without a disk read.
-		old.once.Do(func() { old.tr = tr })
-		return
-	}
-	te := &traceEntry{digest: digest, bytes: size}
-	te.once.Do(func() { te.tr = tr })
-	s.traces[digest] = te
 }
 
 // errUnknownTrace maps to 404.
@@ -735,12 +658,10 @@ const (
 // queueing behind extractions; everything else (disk read, coalesced wait,
 // extraction) holds an extraction slot, and a caller whose context dies
 // releases the slot immediately — the detached flight keeps running
-// without it. view is nil for wantStructure.
+// without it. view is nil for wantStructure. resolve itself touches neither
+// the trace nor its table: the cache asks for the one it needs (traceOf,
+// tableOf) once it knows which.
 func (s *Server) resolve(ctx context.Context, digest string, opt core.Options, w want) (st *core.Structure, view any, err error) {
-	tr, err := s.lookupTrace(ctx, digest)
-	if err != nil {
-		return nil, nil, err
-	}
 	var ok bool
 	switch w {
 	case wantIndex:
@@ -754,6 +675,9 @@ func (s *Server) resolve(ctx context.Context, digest string, opt core.Options, w
 		resultcache.RecordOutcome(ctx, resultcache.OutcomeMem)
 		return st, view, nil
 	}
+	if s.entryFor(digest) == nil && s.cfg.TraceFetch == nil {
+		return nil, nil, errUnknownTrace // before a slot is taken or a flight launched for it
+	}
 	release, err := s.acquireSlot(ctx)
 	if err != nil {
 		return nil, nil, err
@@ -761,11 +685,11 @@ func (s *Server) resolve(ctx context.Context, digest string, opt core.Options, w
 	defer release()
 	switch w {
 	case wantIndex:
-		return s.cache.GetIndexed(ctx, digest, tr, opt)
+		return s.cache.GetIndexed(ctx, digest, nil, opt)
 	case wantPyramid:
-		return s.cache.GetAux(ctx, digest, tr, opt)
+		return s.cache.GetAux(ctx, digest, nil, opt)
 	}
-	st, err = s.cache.Get(ctx, digest, tr, opt)
+	st, err = s.cache.Get(ctx, digest, nil, opt)
 	return st, nil, err
 }
 

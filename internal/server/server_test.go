@@ -181,20 +181,19 @@ func TestStructureServedFromDiskSummary(t *testing.T) {
 	if misses := reg.Counter("cache.misses").Value(); misses != 0 {
 		t.Errorf("misses = %d, want 0", misses)
 	}
-	// The summary path never needed the trace: the lazily-loaded entry is
-	// still undecoded, which is exactly what makes the first post-restart
-	// phase-table read cheap.
-	srv2.mu.RLock()
-	undecoded := srv2.traces[digest] != nil && srv2.traces[digest].tr == nil
-	srv2.mu.RUnlock()
-	if !undecoded {
-		t.Error("summary path decoded the trace")
+	// The summary path needed neither the trace nor its table, which is
+	// exactly what makes the first post-restart phase-table read cheap.
+	if n := reg.Counter("server.trace_decodes").Value() + reg.Counter("server.table_disk_loads").Value(); n != 0 {
+		t.Errorf("summary path loaded the trace or its table (%d loads)", n)
 	}
 
 	// /steps needs per-event data: it takes the full path (another disk
-	// hit), loads the trace, and warms the memory LRU for later /structure
-	// requests to hit in memory again.
+	// hit), loads the table — still not the trace — and warms the memory
+	// LRU for later /structure requests to hit in memory again.
 	mustGet(t, ts2, "/v1/traces/"+digest+"/steps")
+	if d, l := reg.Counter("server.trace_decodes").Value(), reg.Counter("server.table_disk_loads").Value(); d != 0 || l != 1 {
+		t.Errorf("/steps after restart: %d trace decodes, %d table loads; want 0 and 1", d, l)
+	}
 	resp2, err := http.Get(ts2.URL + "/v1/traces/" + digest + "/structure")
 	if err != nil {
 		t.Fatal(err)

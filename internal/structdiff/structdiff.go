@@ -76,9 +76,10 @@ func (d *Diff) String() string {
 // rather than raw event IDs, so traces with different message interleavings
 // still compare equal when their logical shapes match.
 func Compare(a, b *core.Structure) (*Diff, error) {
-	if len(a.Trace.Chares) != len(b.Trace.Chares) {
+	ta, tb := a.Table(), b.Table()
+	if ta.NumChares() != tb.NumChares() {
 		return nil, fmt.Errorf("structdiff: chare populations differ (%d vs %d)",
-			len(a.Trace.Chares), len(b.Trace.Chares))
+			ta.NumChares(), tb.NumChares())
 	}
 	d := &Diff{PatternA: pattern(a), PatternB: pattern(b)}
 	if a.NumPhases() != b.NumPhases() {
@@ -87,18 +88,16 @@ func Compare(a, b *core.Structure) (*Diff, error) {
 	if a.MaxStep() != b.MaxStep() {
 		d.MaxStep = &[2]int32{a.MaxStep(), b.MaxStep()}
 	}
-	for ci := range a.Trace.Chares {
+	for ci, name := range ta.Name {
 		c := trace.ChareID(ci)
 		sa, sb := a.EventsOfChare(c), b.EventsOfChare(c)
-		cd := ChareDiff{Chare: c, Name: a.Trace.Chares[c].Name, LenA: len(sa), LenB: len(sb), FirstDivergence: -1}
+		cd := ChareDiff{Chare: c, Name: name, LenA: len(sa), LenB: len(sb), FirstDivergence: -1}
 		if len(sa) != len(sb) {
 			d.Chares = append(d.Chares, cd)
 			continue
 		}
 		for i := range sa {
-			ka := a.Trace.Events[sa[i]].Kind
-			kb := b.Trace.Events[sb[i]].Kind
-			if ka != kb || a.Step[sa[i]] != b.Step[sb[i]] {
+			if ta.Kind[sa[i]] != tb.Kind[sb[i]] || a.Step[sa[i]] != b.Step[sb[i]] {
 				cd.FirstDivergence = i
 				d.Chares = append(d.Chares, cd)
 				break

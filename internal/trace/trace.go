@@ -8,6 +8,7 @@ import (
 	"math/bits"
 	"math/rand/v2"
 	"slices"
+	"unsafe"
 )
 
 // Trace is a complete recorded execution. Slices are indexed by the
@@ -45,6 +46,8 @@ type Trace struct {
 	blocksByChare rows[BlockID]
 	// blocksByPE lists each processor's blocks in (Begin, ID) order.
 	blocksByPE rows[BlockID]
+	// tab memoises Table(); Index renews it.
+	tab *tableMemo
 }
 
 // rows is a CSR row set: row i is ids[off[i]:off[i+1]].
@@ -122,6 +125,7 @@ func (t *Trace) Index() error {
 	}
 	t.blocksByChare = t.blockRows(len(t.Chares), func(b *Block) int32 { return int32(b.Chare) })
 	t.blocksByPE = t.blockRows(t.NumPE, func(b *Block) int32 { return int32(b.PE) })
+	t.tab = new(tableMemo)
 	t.indexed = true
 	return t.validateSemantics(orphan)
 }
@@ -324,6 +328,18 @@ func (t *Trace) validateSemantics(orphan EventID) error {
 
 // Indexed reports whether Index has completed successfully.
 func (t *Trace) Indexed() bool { return t.indexed }
+
+// Bytes estimates the resident size of the indexed trace (records plus
+// lookup structures, names aside), for memory accounting.
+func (t *Trace) Bytes() int64 {
+	return int64(len(t.Events))*int64(unsafe.Sizeof(Event{})+4+4) + // + its slot in a block's list and in matchSend
+		int64(len(t.Blocks))*int64(unsafe.Sizeof(Block{})+4+4) + // + blocksByChare, blocksByPE
+		int64(len(t.Chares))*int64(unsafe.Sizeof(Chare{})) +
+		int64(len(t.Entries))*int64(unsafe.Sizeof(Entry{})) +
+		int64(len(t.Idles))*int64(unsafe.Sizeof(Idle{})) +
+		int64(len(t.msgTab))*int64(unsafe.Sizeof(msgSlot{})) +
+		int64(len(t.recvs.off)+len(t.recvs.ids))*4
+}
 
 // SendOf returns the send event of a message, or NoEvent if the send was not
 // recorded.

@@ -6,6 +6,11 @@
 // plots the same events against bucketed virtual time. Metric overlays
 // shade events by a per-event metric, the analogue of the paper's
 // idle-experienced / differential-duration / imbalance colourings.
+//
+// The per-chare and physical renders order rows by chare array and index
+// and draw serial blocks, which the trace table does not carry, so they
+// require Structure.Trace; the clustered renders (LogicalClustered,
+// LogicalClusteredWindow — what charmd serves) read the table only.
 package viz
 
 import (
@@ -212,7 +217,6 @@ func Physical(tr *trace.Trace, s *core.Structure, buckets int) string {
 // for the whole group, labelled with its multiplicity. This is the
 // scalable rendering the paper's conclusion asks for.
 func LogicalClustered(s *core.Structure, rows []ClusterRow) string {
-	tr := s.Trace
 	maxStep := int(s.MaxStep())
 	if maxStep < 0 {
 		return "(empty structure)\n"
@@ -220,7 +224,7 @@ func LogicalClustered(s *core.Structure, rows []ClusterRow) string {
 	const label = 24
 	var b strings.Builder
 	fmt.Fprintf(&b, "%*s steps 0..%d, %d phases, %d rows for %d chares\n",
-		label, "", maxStep, s.NumPhases(), len(rows), len(tr.Chares))
+		label, "", maxStep, s.NumPhases(), len(rows), s.Table().NumChares())
 	for _, cr := range rows {
 		row := make([]byte, maxStep+1)
 		for i := range row {
@@ -266,7 +270,7 @@ func LogicalClusteredWindow(s *core.Structure, rows []ClusterRow, from, to int32
 	const label = 24
 	var b strings.Builder
 	fmt.Fprintf(&b, "%*s steps %d..%d of 0..%d, %d rows for %d chares\n",
-		label, "", from, to, maxStep, len(rows), len(s.Trace.Chares))
+		label, "", from, to, maxStep, len(rows), s.Table().NumChares())
 	for _, cr := range rows {
 		row := make([]byte, int(to-from)+1)
 		for i := range row {
