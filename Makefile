@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test verify lint fuzz fuzz-smoke bench bench-check bench-lod bench-steps bench-overhead bench-smoke bench-repo fmt loc serve cluster
+.PHONY: build test verify lint fuzz fuzz-smoke bench bench-check bench-lod bench-steps bench-wire bench-overhead bench-smoke bench-repo fmt loc serve cluster
 
 build:
 	$(GO) build ./...
@@ -11,14 +11,15 @@ test:
 # verify is the tier-1 recipe (see README "Testing" and
 # .claude/skills/verify/SKILL.md), plus a -race leg over the concurrent
 # serving packages (result cache singleflight and trace-ownership hooks,
-# HTTP handlers and the trace-residency tests, query engine, the cluster
-# gateway + multi-node E2E harness) and over the
+# HTTP handlers with the trace-residency, row-route golden/differential,
+# aborted-render and pooled-compressor tests, query engine, the JSON writer,
+# the cluster gateway + multi-node E2E harness) and over the
 # conformance harness + adversarial generators (parallel extraction
 # sweeps at three worker counts).
 verify: build test
 	$(GO) vet ./...
 	$(GO) test -race ./internal/core ./internal/partition ./internal/tracefile
-	$(GO) test -race ./internal/resultcache ./internal/server ./internal/query ./internal/cluster ./internal/lod
+	$(GO) test -race ./internal/resultcache ./internal/server ./internal/query ./internal/jsonw ./internal/cluster ./internal/lod
 	$(GO) test -race ./internal/conformance ./internal/apps/lbmigrate ./internal/apps/faultsim ./internal/apps/ordstress
 
 # lint runs staticcheck when it is installed (CI installs it; offline dev
@@ -45,8 +46,10 @@ fuzz:
 # fuzz-smoke gives every Fuzz* target in the tree ten seconds: the two above,
 # the text reader, and the decoders that run with no trace to lean on — the
 # persisted event table (FuzzReadTable) and the structure codec against a
-# table alone (FuzzDecodeStructure, FuzzDecodeStructureSummary). Their seed
-# corpora replay on every plain `go test`; this leg is not in tier-1.
+# table alone (FuzzDecodeStructure, FuzzDecodeStructureSummary) — and the
+# row-response writer against encoding/json's indenting Encoder over random
+# value trees (FuzzJSONWriter). Their seed corpora replay on every plain
+# `go test`; this leg is not in tier-1.
 fuzz-smoke:
 	@for t in FuzzRead FuzzReadAuto FuzzReadProjections FuzzReadTable; do \
 		$(GO) test -run '^$$' -fuzz="^$$t\$$" -fuzztime=10s -fuzzminimizetime=1s ./internal/tracefile || exit 1; \
@@ -54,6 +57,7 @@ fuzz-smoke:
 	@for t in FuzzDecodeStructure FuzzDecodeStructureSummary; do \
 		$(GO) test -run '^$$' -fuzz="^$$t\$$" -fuzztime=10s -fuzzminimizetime=1s ./internal/core || exit 1; \
 	done
+	$(GO) test -run '^$$' -fuzz='^FuzzJSONWriter$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/jsonw
 
 # bench-smoke runs the repository benchmark (bench/, BENCHMARK.json) at toy
 # sizes in about ten seconds: all four workloads, real child processes,
@@ -102,6 +106,16 @@ bench-lod:
 # bench-repo.
 bench-steps:
 	$(GO) test -run '^$$' -bench 'BenchmarkParallelStepAssignment$$' -benchmem -benchtime 5x -count 3 -cpu 1,2 .
+
+# bench-wire times one warm, gzip-accepting request per iteration on the four
+# row-shaped routes (full /steps, a /steps window through the query engine,
+# grouped /metrics, /structure) over the medium jacobi, handler to discarded
+# socket: -benchmem columns plus ns and body bytes per row. For measuring
+# while working on the wire path (internal/jsonw, the renderers and the
+# compressor pool in internal/server, query.Rows); claims go through
+# bench-repo.
+bench-wire:
+	$(GO) test -run '^$$' -bench 'BenchmarkRender' -benchmem -benchtime 50x -count 3 ./internal/server
 
 # bench-overhead checks the telemetry off/nop/recording cost (DESIGN.md §3b).
 bench-overhead:

@@ -43,14 +43,16 @@ func main() {
 }
 
 // page is the wire/output shape: a superset of the charmd query response.
+// Rows are kept as the bytes each was rendered to, local or remote, so -all
+// can concatenate pages without re-reading a number.
 type page struct {
-	Digest      string           `json:"digest,omitempty"`
-	Fingerprint string           `json:"fingerprint,omitempty"`
-	Select      string           `json:"select"`
-	TotalRows   int              `json:"total_rows"`
-	Window      *query.StepRange `json:"window,omitempty"`
-	Rows        []map[string]any `json:"rows"`
-	NextCursor  string           `json:"next_cursor,omitempty"`
+	Digest      string            `json:"digest,omitempty"`
+	Fingerprint string            `json:"fingerprint,omitempty"`
+	Select      string            `json:"select"`
+	TotalRows   int               `json:"total_rows"`
+	Window      *query.StepRange  `json:"window,omitempty"`
+	Rows        []json.RawMessage `json:"rows"`
+	NextCursor  string            `json:"next_cursor,omitempty"`
 }
 
 func run() error {
@@ -212,11 +214,12 @@ func newFetcher(cfg fetcherConfig) (func(query.Spec) (*page, error), error) {
 		if err != nil {
 			return nil, err
 		}
-		return &page{
-			Fingerprint: fp,
-			Select:      res.Select, TotalRows: res.TotalRows, Window: res.Window,
-			Rows: res.Rows, NextCursor: res.NextCursor,
-		}, nil
+		rendered, err := json.Marshal(res)
+		if err != nil {
+			return nil, err
+		}
+		p := &page{Fingerprint: fp}
+		return p, json.Unmarshal(rendered, p)
 	}, nil
 }
 

@@ -77,6 +77,8 @@ type Gateway struct {
 	exhausted     *telemetry.Counter   // gateway.exhausted (every candidate failed -> 502)
 	proxyMS       *telemetry.Histogram // gateway.proxy_ms
 
+	statusClass telemetry.StatusClasses // gateway.status.<n>xx
+
 	probeCancel context.CancelFunc
 	probeDone   chan struct{}
 	fanWG       sync.WaitGroup // in-flight upload fan-out copies (Quiesce/Close wait)
@@ -120,6 +122,7 @@ func NewGateway(cfg GatewayConfig) (*Gateway, error) {
 		replicaErrors: reg.Counter("gateway.replica_errors"),
 		exhausted:     reg.Counter("gateway.exhausted"),
 		proxyMS:       reg.Histogram("gateway.proxy_ms"),
+		statusClass:   reg.StatusClasses("gateway.status"),
 		probeDone:     make(chan struct{}),
 	}
 	g.routes()
@@ -201,7 +204,7 @@ func (g *Gateway) instrument(route string, h gwHandler) http.Handler {
 		start := time.Now()
 		h(sw, r, route)
 		elapsed := time.Since(start)
-		g.reg.Counter(fmt.Sprintf("gateway.status.%dxx", sw.code/100)).Add(1)
+		g.statusClass.Count(sw.code)
 		g.logAccess(r, route, reqID, sw, elapsed)
 	})
 }

@@ -17,10 +17,10 @@ import (
 	"charmtrace/internal/viz"
 )
 
-// Result is one executed query page. Rows are maps so field projection and
-// full rows render identically (encoding/json emits map keys in sorted
-// order, which keeps responses deterministic — the property the paging
-// tests pin byte-for-byte).
+// Result is one executed query page. It renders — through encoding/json or
+// RenderFields — with each row's columns in name order, projected or not,
+// which keeps responses deterministic: the property the paging tests pin
+// byte-for-byte.
 type Result struct {
 	Select string `json:"select"`
 	// TotalRows counts every row matching the filter, across all pages.
@@ -29,7 +29,7 @@ type Result struct {
 	// timelines are meaningless without it).
 	Window *StepRange `json:"window,omitempty"`
 	// Rows is this page's slice of the filtered row list.
-	Rows []map[string]any `json:"rows"`
+	Rows Rows `json:"rows"`
 	// NextCursor resumes after the last row of this page; empty on the
 	// final page.
 	NextCursor string `json:"next_cursor,omitempty"`
@@ -74,7 +74,7 @@ func (e *Engine) Run(ctx context.Context, idx *Index, spec Spec) (*Result, error
 		return nil, err
 	}
 	e.queries.Add(1)
-	e.rows.Add(int64(len(res.Rows)))
+	e.rows.Add(int64(res.Rows.Len()))
 	e.execMS.Observe(float64(time.Since(start).Nanoseconds()) / 1e6)
 	return res, nil
 }
@@ -119,21 +119,14 @@ func run(ctx context.Context, idx *Index, spec Spec) (*Result, error) {
 	var err error
 	switch spec.Select {
 	case SelectStructure:
-		err = runStructure(ctx, idx, spec, res)
+		err = runStructure(ctx, idx, spec, offset, res)
 	case SelectSteps, SelectMetrics:
-		err = runEvents(ctx, idx, spec, res)
+		err = runEvents(ctx, idx, spec, offset, res)
 	case SelectViz:
-		err = runViz(ctx, idx, spec, res)
+		err = runViz(ctx, idx, spec, offset, res)
 	}
 	if err != nil {
 		return nil, err
-	}
-	paginate(res, spec, offset)
-	if len(spec.Fields) > 0 {
-		project(res, spec.Fields)
-	}
-	if res.Rows == nil {
-		res.Rows = []map[string]any{}
 	}
 	return res, nil
 }
@@ -154,32 +147,18 @@ func checkBounds(idx *Index, f *Filter) error {
 	return nil
 }
 
-// paginate slices the full ordered row list [offset, offset+limit) and
-// mints the next cursor. Rows were fully materialized only when the page
-// demanded it (see the per-kind runners); here the generic path trims.
-func paginate(res *Result, spec Spec, offset int) {
-	if offset > len(res.Rows) {
-		offset = len(res.Rows)
-	}
-	rows := res.Rows[offset:]
-	if spec.Limit > 0 && len(rows) > spec.Limit {
-		rows = rows[:spec.Limit]
+// paginate records how many rows the filter matched, slices their ordered
+// id list to the page [offset, offset+limit), mints the next cursor, and
+// returns the page's ids with the builder that fills res.Rows for them.
+func paginate[T any](res *Result, spec Spec, offset int, ids []T) ([]T, *page) {
+	res.TotalRows = len(ids)
+	ids = ids[min(offset, len(ids)):]
+	if spec.Limit > 0 && len(ids) > spec.Limit {
+		ids = ids[:spec.Limit]
 		res.NextCursor = encodeCursor(offset+spec.Limit, spec)
 	}
-	res.Rows = rows
-}
-
-// project trims every row to the requested fields.
-func project(res *Result, fields []string) {
-	for i, row := range res.Rows {
-		out := make(map[string]any, len(fields))
-		for _, f := range fields {
-			if v, ok := row[f]; ok {
-				out[f] = v
-			}
-		}
-		res.Rows[i] = out
-	}
+	res.Rows.n = len(ids)
+	return ids, &page{&res.Rows, spec.Fields}
 }
 
 // ---- cursors ----------------------------------------------------------
@@ -324,10 +303,11 @@ func filteredChares(idx *Index, f Filter) []trace.ChareID {
 
 // ---- select=structure -------------------------------------------------
 
-func runStructure(ctx context.Context, idx *Index, spec Spec, res *Result) error {
+func runStructure(ctx context.Context, idx *Index, spec Spec, offset int, res *Result) error {
 	s := idx.S
 	phases := toSet(spec.Filter.Phases)
 	chares := toSet(spec.Filter.Chares)
+	var matched []int32
 	for _, pi := range idx.PhaseOrder {
 		if ctx.Err() != nil {
 			return ctx.Err()
@@ -343,19 +323,19 @@ func runStructure(ctx context.Context, idx *Index, spec Spec, res *Result) error
 		if chares != nil && !phaseHasAnyChare(p.Chares, chares) {
 			continue
 		}
-		res.Rows = append(res.Rows, map[string]any{
-			"id":             p.ID,
-			"runtime":        p.Runtime,
-			"leap":           p.Leap,
-			"offset":         p.Offset,
-			"max_local_step": p.MaxLocalStep,
-			"first_step":     lo,
-			"last_step":      hi,
-			"chares":         len(p.Chares),
-			"events":         len(p.Events),
-		})
+		matched = append(matched, pi)
 	}
-	res.TotalRows = len(res.Rows)
+	ids, pg := paginate(res, spec, offset, matched)
+	phase := func(i int) *core.Phase { return &s.Phases[ids[i]] }
+	add(pg, "id", func(i int) int64 { return int64(phase(i).ID) })
+	add(pg, "runtime", func(i int) bool { return phase(i).Runtime })
+	add(pg, "leap", func(i int) int64 { return int64(phase(i).Leap) })
+	add(pg, "offset", func(i int) int64 { return int64(phase(i).Offset) })
+	add(pg, "max_local_step", func(i int) int64 { return int64(phase(i).MaxLocalStep) })
+	add(pg, "first_step", func(i int) int64 { lo, _ := phase(i).GlobalSpan(); return int64(lo) })
+	add(pg, "last_step", func(i int) int64 { _, hi := phase(i).GlobalSpan(); return int64(hi) })
+	add(pg, "chares", func(i int) int64 { return int64(len(phase(i).Chares)) })
+	add(pg, "events", func(i int) int64 { return int64(len(phase(i).Events)) })
 	return nil
 }
 
@@ -381,47 +361,30 @@ func phaseHasAnyChare(sorted []trace.ChareID, want idSet) bool {
 
 // ---- select=steps / select=metrics ------------------------------------
 
-func runEvents(ctx context.Context, idx *Index, spec Spec, res *Result) error {
+func runEvents(ctx context.Context, idx *Index, spec Spec, offset int, res *Result) error {
 	if spec.Select == SelectMetrics && spec.GroupBy != "" {
-		return runGrouped(ctx, idx, spec, res)
+		return runGrouped(ctx, idx, spec, offset, res)
 	}
-	events, err := filteredEvents(ctx, idx, spec.Filter)
+	matched, err := filteredEvents(ctx, idx, spec.Filter)
 	if err != nil {
 		return err
 	}
-	res.TotalRows = len(events)
-	res.Rows = make([]map[string]any, 0, len(events))
-	tab := idx.Tab
-	for i, e := range events {
-		if i%ctxCheckEvery == ctxCheckEvery-1 && ctx.Err() != nil {
-			return ctx.Err()
-		}
-		chare := tab.Chare[e]
-		if spec.Select == SelectSteps {
-			res.Rows = append(res.Rows, map[string]any{
-				"event":      int32(e),
-				"chare":      int32(chare),
-				"chare_name": tab.Name[chare],
-				"kind":       tab.Kind[e].String(),
-				"phase":      idx.S.PhaseOf[e],
-				"local_step": idx.S.LocalStep[e],
-				"step":       idx.S.Step[e],
-				"pe":         int32(tab.PE[e]),
-				"time":       int64(tab.Time[e]),
-			})
-			continue
-		}
-		vals := idx.metricsOf(e)
-		row := map[string]any{
-			"event": int32(e),
-			"chare": int32(chare),
-			"phase": idx.S.PhaseOf[e],
-			"step":  idx.S.Step[e],
-		}
+	ev, pg := paginate(res, spec, offset, matched)
+	tab, s := idx.Tab, idx.S
+	add(pg, "event", func(i int) int64 { return int64(ev[i]) })
+	add(pg, "chare", func(i int) int64 { return int64(tab.Chare[ev[i]]) })
+	add(pg, "phase", func(i int) int64 { return int64(s.PhaseOf[ev[i]]) })
+	add(pg, "step", func(i int) int64 { return int64(s.Step[ev[i]]) })
+	if spec.Select == SelectSteps {
+		add(pg, "chare_name", func(i int) string { return tab.Name[tab.Chare[ev[i]]] })
+		add(pg, "kind", func(i int) string { return tab.Kind[ev[i]].String() })
+		add(pg, "local_step", func(i int) int64 { return int64(s.LocalStep[ev[i]]) })
+		add(pg, "pe", func(i int) int64 { return int64(tab.PE[ev[i]]) })
+		add(pg, "time", func(i int) int64 { return int64(tab.Time[ev[i]]) })
+	} else {
 		for m, name := range metricNames {
-			row[name] = int64(vals[m])
+			add(pg, name, func(i int) int64 { return int64(idx.metricsOf(ev[i])[m]) })
 		}
-		res.Rows = append(res.Rows, row)
 	}
 	return nil
 }
@@ -430,7 +393,7 @@ func runEvents(ctx context.Context, idx *Index, spec Spec, res *Result) error {
 // the precomputed rollups in O(groups); a filter falls back to rolling up
 // the filtered event list. Group rows are ordered by group key; groups
 // with no matching events are omitted (so both paths agree).
-func runGrouped(ctx context.Context, idx *Index, spec Spec, res *Result) error {
+func runGrouped(ctx context.Context, idx *Index, spec Spec, offset int, res *Result) error {
 	var rollups []Rollup
 	if spec.Filter.IsZero() {
 		if spec.GroupBy == GroupByPhase {
@@ -462,34 +425,34 @@ func runGrouped(ctx context.Context, idx *Index, spec Spec, res *Result) error {
 		}
 	}
 
-	aggs := spec.aggsSelected()
-	for key, r := range rollups {
-		if r.Events == 0 {
+	var occupied []int32
+	for key := range rollups {
+		if rollups[key].Events > 0 {
+			occupied = append(occupied, int32(key))
+		}
+	}
+	keys, pg := paginate(res, spec, offset, occupied)
+	group := func(i int) *Rollup { return &rollups[keys[i]] }
+	add(pg, spec.GroupBy, func(i int) int64 { return int64(keys[i]) })
+	if spec.GroupBy == GroupByChare {
+		add(pg, "chare_name", func(i int) string { return idx.Tab.Name[keys[i]] })
+	}
+	for _, agg := range spec.aggsSelected() {
+		if agg == "count" {
+			add(pg, "count", func(i int) int64 { return group(i).Events })
 			continue
 		}
-		row := map[string]any{spec.GroupBy: int32(key)}
-		if spec.GroupBy == GroupByChare {
-			row["chare_name"] = idx.Tab.Name[key]
-		}
-		for _, agg := range aggs {
-			if agg == "count" {
-				row["count"] = r.Events
-				continue
-			}
-			for m, name := range metricNames {
-				switch agg {
-				case "sum":
-					row[name+"_sum"] = r.Sum[m]
-				case "mean":
-					row[name+"_mean"] = float64(r.Sum[m]) / float64(r.Events)
-				case "max":
-					row[name+"_max"] = r.Max[m]
-				}
+		for m, name := range metricNames {
+			switch agg {
+			case "sum":
+				add(pg, name+"_sum", func(i int) int64 { return group(i).Sum[m] })
+			case "mean":
+				add(pg, name+"_mean", func(i int) float64 { return float64(group(i).Sum[m]) / float64(group(i).Events) })
+			case "max":
+				add(pg, name+"_max", func(i int) int64 { return group(i).Max[m] })
 			}
 		}
-		res.Rows = append(res.Rows, row)
 	}
-	res.TotalRows = len(res.Rows)
 	return nil
 }
 
@@ -499,7 +462,7 @@ func runGrouped(ctx context.Context, idx *Index, spec Spec, res *Result) error {
 // whose windowed timelines are indistinguishable collapse into one row
 // (application clusters first, then runtime, ordered by representative) —
 // the scalable rendering the paper's conclusion asks for, server-side.
-func runViz(ctx context.Context, idx *Index, spec Spec, res *Result) error {
+func runViz(ctx context.Context, idx *Index, spec Spec, offset int, res *Result) error {
 	s := idx.S
 	from, to := int32(0), s.MaxStep()
 	if r := spec.Filter.Steps; r != nil {
@@ -556,20 +519,18 @@ func runViz(ctx context.Context, idx *Index, spec Spec, res *Result) error {
 		}
 		return a.rep < b.rep
 	})
-	for _, key := range order {
-		g := groups[key]
-		label := idx.Tab.Name[g.rep]
+	clusters, pg := paginate(res, spec, offset, order)
+	cluster := func(i int) *group { return groups[clusters[i]] }
+	add(pg, "label", func(i int) string {
+		g := cluster(i)
 		if g.members > 1 {
-			label = fmt.Sprintf("%s x%d", label, g.members)
+			return fmt.Sprintf("%s x%d", idx.Tab.Name[g.rep], g.members)
 		}
-		res.Rows = append(res.Rows, map[string]any{
-			"label":          label,
-			"representative": int32(g.rep),
-			"members":        g.members,
-			"runtime":        g.runtime,
-			"timeline":       g.timeline,
-		})
-	}
-	res.TotalRows = len(res.Rows)
+		return idx.Tab.Name[g.rep]
+	})
+	add(pg, "representative", func(i int) int64 { return int64(cluster(i).rep) })
+	add(pg, "members", func(i int) int64 { return int64(cluster(i).members) })
+	add(pg, "runtime", func(i int) bool { return cluster(i).runtime })
+	add(pg, "timeline", func(i int) string { return cluster(i).timeline })
 	return nil
 }

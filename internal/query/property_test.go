@@ -78,14 +78,14 @@ func checkWorkload(t *testing.T, idx *Index, par int) []byte {
 		{"viz-window", Spec{Select: SelectViz, Filter: Filter{Steps: window}}, []int{2}},
 	} {
 		full := mustRun(t, idx, tc.spec)
-		fullJSON := rowsJSON(t, full.Rows)
+		fullJSON := rowsJSON(t, full.Rows.Maps())
 		all = append(all, fullJSON...)
 
 		// (a) Filtered results are the matching slice of the unfiltered
 		// row list (row identity, not just counts).
 		if tc.spec.Select == SelectSteps || tc.spec.Select == SelectMetrics && tc.spec.GroupBy == "" {
 			unfiltered := mustRun(t, idx, Spec{Select: tc.spec.Select})
-			if got, want := fullJSON, rowsJSON(t, naiveFilter(unfiltered.Rows, tc.spec.Filter)); got != want {
+			if got, want := fullJSON, rowsJSON(t, naiveFilter(unfiltered.Rows.Maps(), tc.spec.Filter)); got != want {
 				t.Errorf("par=%d %s: filtered result is not the naive slice of the full table", par, tc.name)
 			}
 		}
@@ -100,7 +100,7 @@ func checkWorkload(t *testing.T, idx *Index, par int) []byte {
 				if res.TotalRows != full.TotalRows {
 					t.Fatalf("par=%d %s limit=%d: TotalRows drifted between pages", par, tc.name, limit)
 				}
-				pages = append(pages, res.Rows...)
+				pages = append(pages, res.Rows.Maps()...)
 				if res.NextCursor == "" {
 					break
 				}
@@ -121,14 +121,14 @@ func naiveFilter(rows []map[string]any, f Filter) []map[string]any {
 	chares := toSet(f.Chares)
 	out := []map[string]any{}
 	for _, row := range rows {
-		if phases != nil && !phases[row["phase"].(int32)] {
+		if phases != nil && !phases[int32(row["phase"].(int64))] {
 			continue
 		}
-		if chares != nil && !chares[row["chare"].(int32)] {
+		if chares != nil && !chares[int32(row["chare"].(int64))] {
 			continue
 		}
 		if f.Steps != nil {
-			st := row["step"].(int32)
+			st := int32(row["step"].(int64))
 			if st < f.Steps.From || st > f.Steps.To {
 				continue
 			}

@@ -99,8 +99,8 @@ func TestStructureRowsOrderedAndFiltered(t *testing.T) {
 		t.Fatalf("total %d, want %d phases", full.TotalRows, idx.S.NumPhases())
 	}
 	prev := int32(-1)
-	for _, row := range full.Rows {
-		off := row["offset"].(int32)
+	for _, row := range full.Rows.Maps() {
+		off := int32(row["offset"].(int64))
 		if off < prev {
 			t.Fatal("structure rows not ordered by offset")
 		}
@@ -121,8 +121,8 @@ func TestStructureRowsOrderedAndFiltered(t *testing.T) {
 	}
 	// A chare filter keeps phases the chare participates in.
 	one := mustRun(t, idx, Spec{Select: SelectStructure, Filter: Filter{Chares: []int32{0}}})
-	for _, row := range one.Rows {
-		id := row["id"].(int32)
+	for _, row := range one.Rows.Maps() {
+		id := int32(row["id"].(int64))
 		found := false
 		for _, c := range idx.S.Phases[id].Chares {
 			if c == 0 {
@@ -146,15 +146,15 @@ func TestStepsFilterMatchesNaive(t *testing.T) {
 	full := mustRun(t, idx, Spec{Select: SelectSteps})
 	want := []map[string]any{}
 	keep := map[int32]bool{1: true, 3: true, 5: true}
-	for _, row := range full.Rows {
-		if keep[row["chare"].(int32)] && row["step"].(int32) >= r.From && row["step"].(int32) <= r.To {
+	for _, row := range full.Rows.Maps() {
+		if keep[int32(row["chare"].(int64))] && int32(row["step"].(int64)) >= r.From && int32(row["step"].(int64)) <= r.To {
 			want = append(want, row)
 		}
 	}
 	if len(want) == 0 {
 		t.Fatal("test window selects nothing; widen it")
 	}
-	if rowsJSON(t, got.Rows) != rowsJSON(t, want) {
+	if rowsJSON(t, got.Rows.Maps()) != rowsJSON(t, want) {
 		t.Fatal("filtered steps differ from the naive slice of the full result")
 	}
 	if got.TotalRows != len(want) {
@@ -171,14 +171,14 @@ func TestGroupedRollupMatchesScan(t *testing.T) {
 		rollup := mustRun(t, idx, Spec{Select: SelectMetrics, GroupBy: groupBy})
 		r := StepRange{From: 0, To: idx.S.MaxStep()}
 		scan := mustRun(t, idx, Spec{Select: SelectMetrics, GroupBy: groupBy, Filter: Filter{Steps: &r}})
-		if rowsJSON(t, rollup.Rows) != rowsJSON(t, scan.Rows) {
+		if rowsJSON(t, rollup.Rows.Maps()) != rowsJSON(t, scan.Rows.Maps()) {
 			t.Fatalf("group_by=%s: rollup path and scan path disagree", groupBy)
 		}
 	}
 	// count equals the per-phase event count.
 	res := mustRun(t, idx, Spec{Select: SelectMetrics, GroupBy: GroupByPhase, Aggregates: []string{"count"}})
-	for _, row := range res.Rows {
-		p := row[GroupByPhase].(int32)
+	for _, row := range res.Rows.Maps() {
+		p := int32(row[GroupByPhase].(int64))
 		if int64(len(idx.S.Phases[p].Events)) != row["count"].(int64) {
 			t.Fatalf("phase %d count %v, want %d", p, row["count"], len(idx.S.Phases[p].Events))
 		}
@@ -191,7 +191,7 @@ func TestGroupedRollupMatchesScan(t *testing.T) {
 func TestMeanAggregate(t *testing.T) {
 	idx := jacobiIndex(t)
 	res := mustRun(t, idx, Spec{Select: SelectMetrics, GroupBy: GroupByChare, Aggregates: []string{"sum", "mean", "count"}})
-	for _, row := range res.Rows {
+	for _, row := range res.Rows.Maps() {
 		sum := row["sub_dur_sum"].(int64)
 		count := row["count"].(int64)
 		if mean := row["sub_dur_mean"].(float64); mean != float64(sum)/float64(count) {
@@ -212,16 +212,16 @@ func TestPaginationConcatenatesExactly(t *testing.T) {
 		if res.TotalRows != full.TotalRows {
 			t.Fatalf("page %d TotalRows %d, want %d", page, res.TotalRows, full.TotalRows)
 		}
-		if len(res.Rows) > base.Limit {
-			t.Fatalf("page %d has %d rows > limit %d", page, len(res.Rows), base.Limit)
+		if res.Rows.Len() > base.Limit {
+			t.Fatalf("page %d has %d rows > limit %d", page, res.Rows.Len(), base.Limit)
 		}
-		pages = append(pages, res.Rows...)
+		pages = append(pages, res.Rows.Maps()...)
 		if res.NextCursor == "" {
 			break
 		}
 		spec.Cursor = res.NextCursor
 	}
-	if rowsJSON(t, pages) != rowsJSON(t, full.Rows) {
+	if rowsJSON(t, pages) != rowsJSON(t, full.Rows.Maps()) {
 		t.Fatal("concatenated pages differ from the unpaged result")
 	}
 }
@@ -250,7 +250,7 @@ func TestCursorBoundToSpec(t *testing.T) {
 func TestProjection(t *testing.T) {
 	idx := jacobiIndex(t)
 	res := mustRun(t, idx, Spec{Select: SelectSteps, Fields: []string{"step", "chare"}, Limit: 3})
-	for _, row := range res.Rows {
+	for _, row := range res.Rows.Maps() {
 		if len(row) != 2 {
 			t.Fatalf("projected row has %d fields: %v", len(row), row)
 		}
@@ -334,8 +334,8 @@ func TestVizClustersWindow(t *testing.T) {
 	}
 	members := 0
 	sawRuntime := false
-	for _, row := range res.Rows {
-		members += row["members"].(int)
+	for _, row := range res.Rows.Maps() {
+		members += int(row["members"].(int64))
 		tl := row["timeline"].(string)
 		if len(tl) != 6 {
 			t.Fatalf("timeline %q length %d, want 6", tl, len(tl))
@@ -350,8 +350,8 @@ func TestVizClustersWindow(t *testing.T) {
 		t.Fatalf("cluster members sum %d, want %d chares", members, len(idx.S.Trace.Chares))
 	}
 	// Identical interior chares must have collapsed.
-	if len(res.Rows) >= len(idx.S.Trace.Chares) {
-		t.Fatalf("no clustering: %d rows for %d chares", len(res.Rows), len(idx.S.Trace.Chares))
+	if res.Rows.Len() >= len(idx.S.Trace.Chares) {
+		t.Fatalf("no clustering: %d rows for %d chares", res.Rows.Len(), len(idx.S.Trace.Chares))
 	}
 }
 
@@ -384,8 +384,8 @@ func TestEngineTelemetry(t *testing.T) {
 	if snap.Counters["query.queries"] != 1 {
 		t.Errorf("queries = %d", snap.Counters["query.queries"])
 	}
-	if snap.Counters["query.rows_returned"] != int64(len(res.Rows)) {
-		t.Errorf("rows_returned = %d, want %d", snap.Counters["query.rows_returned"], len(res.Rows))
+	if snap.Counters["query.rows_returned"] != int64(res.Rows.Len()) {
+		t.Errorf("rows_returned = %d, want %d", snap.Counters["query.rows_returned"], res.Rows.Len())
 	}
 }
 

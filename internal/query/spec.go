@@ -22,11 +22,15 @@
 package query
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"strings"
+
+	"charmtrace/internal/core"
+	"charmtrace/internal/trace"
 )
 
 // Spec is one validated query. The zero value is invalid; clients submit
@@ -184,9 +188,9 @@ func (s *Spec) Validate() error {
 	if len(s.Fields) > 0 {
 		cols := columnsFor(s)
 		for _, f := range s.Fields {
-			if _, ok := cols[f]; !ok {
+			if !slices.Contains(cols, f) {
 				return specErrf("fields", "unknown field %q for select=%s%s (have %s)",
-					f, s.Select, groupSuffix(s.GroupBy), strings.Join(sortedKeys(cols), ", "))
+					f, s.Select, groupSuffix(s.GroupBy), strings.Join(cols, ", "))
 			}
 		}
 	}
@@ -200,13 +204,24 @@ func groupSuffix(g string) string {
 	return " group_by=" + g
 }
 
-func sortedKeys[V any](m map[string]V) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
+// noRows is an index over nothing: a spec run against it yields an empty
+// page that still has every column the spec's rows carry.
+var noRows = &Index{S: &core.Structure{}, Tab: &trace.Table{}}
+
+// columnsFor returns, in name order, the columns rows of this spec carry —
+// read off the runners that fill them, the one place they are listed — to
+// validate Fields projections with a helpful message. The spec's select,
+// group_by and aggregates are already known valid.
+func columnsFor(s *Spec) []string {
+	res, err := run(context.Background(), noRows, Spec{Select: s.Select, GroupBy: s.GroupBy, Aggregates: s.Aggregates})
+	if err != nil {
+		panic(err) // no projection, filter or cursor left to refuse
 	}
-	sort.Strings(out)
-	return out
+	names := make([]string, len(res.Rows.cols))
+	for i, c := range res.Rows.cols {
+		names[i] = c.name
+	}
+	return names
 }
 
 // canonical renders the pagination-invariant part of the spec: everything

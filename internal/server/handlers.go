@@ -1,7 +1,6 @@
 package server
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"net/http"
@@ -11,6 +10,7 @@ import (
 	"strconv"
 
 	"charmtrace/internal/core"
+	"charmtrace/internal/jsonw"
 	"charmtrace/internal/query"
 	"charmtrace/internal/resultcache"
 	"charmtrace/internal/structdiff"
@@ -157,135 +157,92 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, sum)
 }
 
-// phaseJSON is one phase row of a structure response. Every field is
-// preserved by the structure codec, which is what keeps cached responses
-// byte-identical to fresh ones.
-type phaseJSON struct {
-	ID           int32 `json:"id"`
-	Runtime      bool  `json:"runtime"`
-	Leap         int32 `json:"leap"`
-	Offset       int32 `json:"offset"`
-	MaxLocalStep int32 `json:"max_local_step"`
-	FirstStep    int32 `json:"first_step"`
-	LastStep     int32 `json:"last_step"`
-	Chares       int   `json:"chares"`
-	Events       int   `json:"events"`
+// render writes one row-shaped analysis response — digest, fingerprint,
+// then the members the route appends — from the caller's columns through
+// the append-style writer, which stops at the first failed write and once
+// the request's context is done. A render cut short is counted, and only
+// one that failed before its first byte can still be answered with an error.
+func (s *Server) render(w http.ResponseWriter, r *http.Request, digest string, opt core.Options, members func(*jsonw.Writer)) {
+	w.Header().Set("Content-Type", "application/json")
+	jw := jsonw.New(r.Context(), w)
+	jw.Obj().Key("digest").Str(digest).Key("fingerprint").Str(opt.Fingerprint())
+	members(jw)
+	jw.End()
+	if err := jw.Close(); err != nil {
+		s.renderAborted.Add(1)
+		if !jw.Flushed() {
+			httpError(w, err)
+		}
+	}
 }
 
-// structureResponse is the /structure payload.
-type structureResponse struct {
-	Digest      string      `json:"digest"`
-	Fingerprint string      `json:"fingerprint"`
-	Events      int         `json:"events"`
-	NumPhases   int         `json:"num_phases"`
-	MaxStep     int32       `json:"max_step"`
-	DAGEdges    int         `json:"dag_edges"`
-	Phases      []phaseJSON `json:"phases"`
-}
-
-// serveStructure extracts (or recalls) the logical structure and returns
-// the phase table.
+// serveStructure returns the phase table from its cheapest holder: the
+// resident structure on a memory hit; on a memory miss over a matching disk
+// entry the entry's streaming summary — no table load, no DecodeStructure,
+// no extraction slot: the first post-restart read is O(phases), not
+// O(events); otherwise (unknown digest, no disk entry, a corrupt or stale
+// one) the full resolve path, whose read self-heals bad entries. All three
+// arrive as the same summary, so the answers cannot differ.
 func (s *Server) serveStructure(w http.ResponseWriter, r *http.Request, digest string, opt core.Options) {
-	if resp, ok := s.serveStructureFast(r.Context(), digest, opt); ok {
-		writeJSON(w, resp)
-		return
+	ctx := r.Context()
+	var sum *core.StructureSummary
+	if s.entryFor(digest) != nil {
+		fp := opt.Fingerprint()
+		if st, ok := s.cache.Lookup(digest, opt); ok {
+			resultcache.RecordOutcome(ctx, resultcache.OutcomeMem)
+			sum = phaseTable(st)
+		} else if sum, _ = s.cache.ReadSummary(resultcache.KeyID(digest, fp), fp); sum != nil {
+			resultcache.RecordOutcome(ctx, resultcache.OutcomeDisk)
+		}
 	}
-	st, _, err := s.resolve(r.Context(), digest, opt, wantStructure)
-	if err != nil {
-		httpError(w, err)
-		return
+	if sum == nil {
+		st, _, err := s.resolve(ctx, digest, opt, wantStructure)
+		if err != nil {
+			httpError(w, err)
+			return
+		}
+		sum = phaseTable(st)
 	}
-	writeJSON(w, structureResponseOf(digest, opt.Fingerprint(), st))
+	s.render(w, r, digest, opt, func(jw *jsonw.Writer) {
+		jw.Key("events").Int(int64(sum.NumEvents))
+		jw.Key("num_phases").Int(int64(len(sum.Phases)))
+		jw.Key("max_step").Int(int64(sum.MaxStep))
+		jw.Key("dag_edges").Int(int64(sum.DAGEdges))
+		jw.Key("phases").Arr()
+		for i := range sum.Phases {
+			p := &sum.Phases[i]
+			jw.Obj().Key("id").Int(int64(i)).Key("runtime").Bool(p.Runtime).Key("leap").Int(int64(p.Leap))
+			jw.Key("offset").Int(int64(p.Offset)).Key("max_local_step").Int(int64(p.MaxLocalStep))
+			jw.Key("first_step").Int(int64(p.Offset)).Key("last_step").Int(int64(p.Offset + p.MaxLocalStep))
+			jw.Key("chares").Int(int64(p.Chares)).Key("events").Int(int64(p.Events)).End()
+		}
+		jw.End()
+	})
 }
 
-// serveStructureFast is the zero-copy serving path for the phase table. A
-// memory hit renders from the resident structure as always; a memory miss
-// over a matching disk entry renders from the entry's streaming summary —
-// no trace load, no full DecodeStructure, no extraction slot — which is
-// what makes the first post-restart /structure read O(phases) instead of
-// O(events). ok=false (unknown digest, no disk entry, corrupt or stale
-// entry) falls back to the full resolve path, whose read self-heals
-// bad entries. The two render paths are byte-identical (pinned by the
-// serving tests): every response field is preserved by the codec's phase
-// table.
-func (s *Server) serveStructureFast(ctx context.Context, digest string, opt core.Options) (structureResponse, bool) {
-	if s.entryFor(digest) == nil {
-		return structureResponse{}, false
-	}
-	fp := opt.Fingerprint()
-	key := resultcache.KeyID(digest, fp)
-	if st, ok := s.cache.Lookup(digest, opt); ok {
-		resultcache.RecordOutcome(ctx, resultcache.OutcomeMem)
-		return structureResponseOf(digest, fp, st), true
-	}
-	sum, err := s.cache.ReadSummary(key, fp)
-	if err != nil {
-		return structureResponse{}, false
-	}
-	resultcache.RecordOutcome(ctx, resultcache.OutcomeDisk)
-	resp := structureResponse{
-		Digest:      digest,
-		Fingerprint: fp,
-		Events:      sum.NumEvents,
-		NumPhases:   len(sum.Phases),
-		MaxStep:     sum.MaxStep,
-		DAGEdges:    sum.DAGEdges,
-		Phases:      make([]phaseJSON, 0, len(sum.Phases)),
-	}
-	for i := range sum.Phases {
-		p := &sum.Phases[i]
-		resp.Phases = append(resp.Phases, phaseJSON{
-			ID: int32(i), Runtime: p.Runtime, Leap: p.Leap, Offset: p.Offset,
-			MaxLocalStep: p.MaxLocalStep, FirstStep: p.Offset, LastStep: p.Offset + p.MaxLocalStep,
-			Chares: p.Chares, Events: p.Events,
-		})
-	}
-	return resp, true
-}
-
-// structureResponseOf renders the /structure payload from a decoded or
-// freshly extracted structure.
-func structureResponseOf(digest, fp string, st *core.Structure) structureResponse {
-	resp := structureResponse{
-		Digest:      digest,
-		Fingerprint: fp,
-		Events:      len(st.Step),
-		NumPhases:   st.NumPhases(),
-		MaxStep:     st.MaxStep(),
-		DAGEdges:    st.DAG.NumEdges(),
-		Phases:      make([]phaseJSON, 0, st.NumPhases()),
+// phaseTable is the summary of a resident structure: what
+// DecodeStructureSummary reads back from its encoding.
+func phaseTable(st *core.Structure) *core.StructureSummary {
+	sum := &core.StructureSummary{
+		NumEvents: len(st.Step),
+		Phases:    make([]core.PhaseSummary, len(st.Phases)),
+		DAGEdges:  st.DAG.NumEdges(),
+		MaxStep:   st.MaxStep(),
 	}
 	for i := range st.Phases {
 		p := &st.Phases[i]
-		lo, hi := p.GlobalSpan()
-		resp.Phases = append(resp.Phases, phaseJSON{
-			ID: p.ID, Runtime: p.Runtime, Leap: p.Leap, Offset: p.Offset,
-			MaxLocalStep: p.MaxLocalStep, FirstStep: lo, LastStep: hi,
-			Chares: len(p.Chares), Events: len(p.Events),
-		})
+		sum.Phases[i] = core.PhaseSummary{
+			Runtime: p.Runtime, Chares: len(p.Chares), Events: len(p.Events),
+			MaxLocalStep: p.MaxLocalStep, Offset: p.Offset, Leap: p.Leap,
+		}
 	}
-	return resp
-}
-
-// stepJSON is one event on a chare's logical timeline.
-type stepJSON struct {
-	Event     int32  `json:"event"`
-	Kind      string `json:"kind"`
-	Step      int32  `json:"step"`
-	Phase     int32  `json:"phase"`
-	LocalStep int32  `json:"local_step"`
-}
-
-// chareTimeline is one chare's logical timeline.
-type chareTimeline struct {
-	Chare    int32      `json:"chare"`
-	Name     string     `json:"name"`
-	Timeline []stepJSON `json:"timeline"`
+	return sum
 }
 
 // serveSteps returns per-chare logical timelines: each chare's events in
-// logical order with their (phase, local step, global step) positions. An
-// optional ?chare=<id> narrows to one chare.
+// logical order with their (phase, local step, global step) positions,
+// streamed from the structure's per-chare event lists and the table's
+// columns. An optional ?chare=<id> narrows to one chare.
 func (s *Server) serveSteps(w http.ResponseWriter, r *http.Request, digest string, opt core.Options) {
 	st, _, err := s.resolve(r.Context(), digest, opt, wantStructure)
 	if err != nil {
@@ -293,43 +250,43 @@ func (s *Server) serveSteps(w http.ResponseWriter, r *http.Request, digest strin
 		return
 	}
 	tab := st.Table()
-	only := -1
+	lo, hi := 0, tab.NumChares()
 	if v := r.URL.Query().Get("chare"); v != "" {
-		if only, err = strconv.Atoi(v); err != nil || only < 0 || only >= tab.NumChares() {
+		if lo, err = strconv.Atoi(v); err != nil || lo < 0 || lo >= hi {
 			httpError(w, fmt.Errorf("%w: chare %q out of range", errBadRequest, v))
 			return
 		}
+		hi = lo + 1
 	}
-	resp := struct {
-		Digest      string          `json:"digest"`
-		Fingerprint string          `json:"fingerprint"`
-		MaxStep     int32           `json:"max_step"`
-		Chares      []chareTimeline `json:"chares"`
-	}{Digest: digest, Fingerprint: opt.Fingerprint(), MaxStep: st.MaxStep()}
-	for ci, name := range tab.Name {
-		if only >= 0 && ci != only {
-			continue
+	s.render(w, r, digest, opt, func(jw *jsonw.Writer) {
+		jw.Key("max_step").Int(int64(st.MaxStep()))
+		// A trace with no chares, like a chare with no events below, renders
+		// null: the nil slice these arrays were while they were structs.
+		if jw.Key("chares"); lo == hi {
+			jw.Null()
+			return
 		}
-		ct := chareTimeline{Chare: int32(ci), Name: name}
-		for _, e := range st.EventsOfChare(trace.ChareID(ci)) {
-			ct.Timeline = append(ct.Timeline, stepJSON{
-				Event: int32(e), Kind: tab.Kind[e].String(),
-				Step: st.Step[e], Phase: st.PhaseOf[e], LocalStep: st.LocalStep[e],
-			})
+		jw.Arr()
+		for ci := lo; ci < hi; ci++ {
+			jw.Obj().Key("chare").Int(int64(ci)).Key("name").Str(tab.Name[ci]).Key("timeline")
+			if events := st.EventsOfChare(trace.ChareID(ci)); len(events) == 0 {
+				jw.Null()
+			} else {
+				jw.Arr()
+				for _, e := range events {
+					if jw.Err() != nil {
+						return
+					}
+					jw.Obj().Key("event").Int(int64(e)).Key("kind").Str(tab.Kind[e].String())
+					jw.Key("step").Int(int64(st.Step[e])).Key("phase").Int(int64(st.PhaseOf[e]))
+					jw.Key("local_step").Int(int64(st.LocalStep[e])).End()
+				}
+				jw.End()
+			}
+			jw.End()
 		}
-		resp.Chares = append(resp.Chares, ct)
-	}
-	writeJSON(w, resp)
-}
-
-// chareMetrics aggregates the §4 metrics over one chare's events.
-type chareMetrics struct {
-	Chare                int32  `json:"chare"`
-	Name                 string `json:"name"`
-	Events               int    `json:"events"`
-	IdleExperienced      int64  `json:"idle_experienced"`
-	DifferentialDuration int64  `json:"differential_duration"`
-	Imbalance            int64  `json:"imbalance"`
+		jw.End()
+	})
 }
 
 // serveMetrics reports the Section 4 metrics aggregated per chare, with the
@@ -342,30 +299,26 @@ func (s *Server) serveMetrics(w http.ResponseWriter, r *http.Request, digest str
 		return
 	}
 	idx := view.(*query.Index)
-	rep := idx.Report
-	perChare := make([]chareMetrics, len(idx.ChareRollup))
-	for ci, roll := range idx.ChareRollup {
-		perChare[ci] = chareMetrics{
-			Chare: int32(ci), Name: idx.Tab.Name[ci], Events: int(roll.Events),
-			IdleExperienced:      roll.Sum[query.ColIdleExperienced],
-			DifferentialDuration: roll.Sum[query.ColDifferentialDuration],
-			Imbalance:            roll.Sum[query.ColImbalance],
+	s.render(w, r, digest, opt, func(jw *jsonw.Writer) {
+		jw.Key("chares").Arr()
+		for ci := range idx.ChareRollup {
+			roll := &idx.ChareRollup[ci]
+			jw.Obj().Key("chare").Int(int64(ci)).Key("name").Str(idx.Tab.Name[ci]).Key("events").Int(roll.Events)
+			jw.Key("idle_experienced").Int(roll.Sum[query.ColIdleExperienced])
+			jw.Key("differential_duration").Int(roll.Sum[query.ColDifferentialDuration])
+			jw.Key("imbalance").Int(roll.Sum[query.ColImbalance]).End()
 		}
-	}
-	type phaseImbalance struct {
-		Phase     int32 `json:"phase"`
-		Imbalance int64 `json:"imbalance"`
-	}
-	resp := struct {
-		Digest         string           `json:"digest"`
-		Fingerprint    string           `json:"fingerprint"`
-		Chares         []chareMetrics   `json:"chares"`
-		PhaseImbalance []phaseImbalance `json:"phase_imbalance"`
-	}{Digest: digest, Fingerprint: opt.Fingerprint(), Chares: perChare}
-	for p, imb := range rep.PhaseImbalance {
-		resp.PhaseImbalance = append(resp.PhaseImbalance, phaseImbalance{Phase: int32(p), Imbalance: int64(imb)})
-	}
-	writeJSON(w, resp)
+		jw.End()
+		if jw.Key("phase_imbalance"); len(idx.Report.PhaseImbalance) == 0 {
+			jw.Null() // as the nil slice it was
+			return
+		}
+		jw.Arr()
+		for p, imb := range idx.Report.PhaseImbalance {
+			jw.Obj().Key("phase").Int(int64(p)).Key("imbalance").Int(int64(imb)).End()
+		}
+		jw.End()
+	})
 }
 
 // handleStructDiff compares the recovered structures of two cached traces

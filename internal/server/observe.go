@@ -18,14 +18,15 @@ import (
 
 // logAccess emits one structured line per completed request: correlation id,
 // route, digest and cache outcome when the request had them, status, wall
-// latency and bytes on the wire. 5xx log at error, 4xx at warn (429 lines
-// carry the Retry-After hint the client saw), everything else at info.
+// latency, bytes on the wire and body bytes before compression. 5xx log at
+// error, 4xx at warn (429 lines carry the Retry-After hint the client saw),
+// everything else at info.
 func (s *Server) logAccess(r *http.Request, route, reqID string, outcome *resultcache.OutcomeRecorder, sw *statusWriter, elapsed time.Duration) {
 	log := s.cfg.AccessLog
 	if log == nil {
 		return
 	}
-	attrs := make([]slog.Attr, 0, 10)
+	attrs := make([]slog.Attr, 0, 12)
 	attrs = append(attrs,
 		slog.String("id", reqID),
 		slog.String("route", route),
@@ -48,6 +49,7 @@ func (s *Server) logAccess(r *http.Request, route, reqID string, outcome *result
 		slog.Int("status", sw.code),
 		slog.Float64("latency_ms", float64(elapsed.Nanoseconds())/1e6),
 		slog.Int64("bytes", sw.bytes),
+		slog.Int64("body_bytes", sw.body),
 	)
 	if sw.code == http.StatusTooManyRequests {
 		if ra := sw.Header().Get("Retry-After"); ra != "" {

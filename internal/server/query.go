@@ -7,24 +7,19 @@ import (
 	"io"
 	"net/http"
 	"net/url"
+	"strconv"
 	"strings"
+	"sync"
 
 	"charmtrace/internal/core"
 	"charmtrace/internal/query"
 )
 
-// queryResponse wraps one executed query page with the request's content
-// address, mirroring the other analysis responses.
-type queryResponse struct {
-	Digest      string `json:"digest"`
-	Fingerprint string `json:"fingerprint"`
-	*query.Result
-}
-
 // serveQuery executes one query spec — POST /query's JSON body or the GET
 // parameter retrofit — against the trace's recovered structure through the
-// per-entry index: resolve the index, run one page, render. Execution
-// shares the cache and admission path of the other analysis endpoints.
+// per-entry index: resolve the index, run one page, render its columns.
+// Execution shares the cache and admission path of the other analysis
+// endpoints.
 func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, digest string, opt core.Options, spec query.Spec) {
 	_, idx, err := s.resolve(r.Context(), digest, opt, wantIndex)
 	if err != nil {
@@ -36,7 +31,7 @@ func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, digest strin
 		httpError(w, err)
 		return
 	}
-	writeJSON(w, queryResponse{Digest: digest, Fingerprint: opt.Fingerprint(), Result: res})
+	s.render(w, r, digest, opt, res.RenderFields)
 }
 
 // ---- conditional requests ---------------------------------------------
@@ -110,26 +105,55 @@ func etagMatch(header, etag string) bool {
 
 // ---- response compression ---------------------------------------------
 
-// acceptsGzip reports whether the client advertised gzip support.
+// acceptsGzip reports whether the client will take a gzip-coded response
+// (RFC 9110 §12.5.3): gzip listed with a positive weight, or — gzip not
+// listed — "*" with one. A weight of zero, however spelt, is an explicit
+// refusal, and so is one that does not parse as a qvalue (0–1, at most three
+// decimals): the uncompressed answer is always acceptable.
 func acceptsGzip(r *http.Request) bool {
+	var star, gz, listed bool
 	for _, part := range strings.Split(r.Header.Get("Accept-Encoding"), ",") {
-		enc, q, _ := strings.Cut(strings.TrimSpace(part), ";")
-		if (enc == "gzip" || enc == "*") && strings.TrimSpace(q) != "q=0" {
-			return true
+		coding, params, _ := strings.Cut(part, ";")
+		ok := true
+		for _, param := range strings.Split(params, ";") {
+			if k, v, _ := strings.Cut(param, "="); strings.EqualFold(strings.TrimSpace(k), "q") {
+				v = strings.TrimSpace(v)
+				q, err := strconv.ParseFloat(v, 64)
+				ok = err == nil && q > 0 && q <= 1 && len(v) <= len("0.000")
+			}
+		}
+		switch coding = strings.TrimSpace(coding); {
+		case strings.EqualFold(coding, "gzip"):
+			gz, listed = ok, true
+		case coding == "*":
+			star = ok
 		}
 	}
-	return false
+	return gz || star && !listed
 }
 
-// gzipResponseWriter compresses the response body lazily: the encoder and
-// the Content-Encoding header appear only when a compressible status is
-// written, so 304/204 responses (no body by definition) pass through
-// byte-free and error paths stay inspectable. The JSON bytes fed into the
-// encoder are exactly the uncompressed response — compression never
-// changes response identity, only transfer encoding.
+// gzipPool holds idle compressors: a gzip.Writer's deflate state is about a
+// megabyte, allocated and zeroed by its constructor, and Reset reuses it.
+// The level is a constant — on indented JSON, BestSpeed gives up 13–65 % of
+// wire size against the default for about half the compression time, on a
+// server that is CPU-bound long before it is network-bound (DESIGN.md §3c
+// "The wire path" records both sides of the trade).
+var gzipPool = sync.Pool{New: func() any {
+	zw, _ := gzip.NewWriterLevel(io.Discard, gzip.BestSpeed) // the level is valid
+	return zw
+}}
+
+// gzipResponseWriter counts the body the handler writes and, unless built as
+// a passthrough for a client that refused gzip, compresses it lazily: a
+// compressor leaves the pool and Content-Encoding is set only when a
+// compressible status is written, so 304/204 responses (no body by
+// definition) pass through byte-free and error paths stay inspectable. The
+// bytes fed to the encoder are exactly the uncompressed response —
+// compression never changes response identity, only transfer encoding.
 type gzipResponseWriter struct {
 	http.ResponseWriter
 	zw          *gzip.Writer
+	body        int64 // bytes written by the handler, before compression
 	wroteHeader bool
 	passthrough bool
 }
@@ -137,7 +161,7 @@ type gzipResponseWriter struct {
 func (g *gzipResponseWriter) WriteHeader(code int) {
 	if !g.wroteHeader {
 		g.wroteHeader = true
-		if code == http.StatusNoContent || code == http.StatusNotModified ||
+		if g.passthrough || code == http.StatusNoContent || code == http.StatusNotModified ||
 			g.Header().Get("Content-Encoding") != "" {
 			g.passthrough = true
 		} else {
@@ -152,19 +176,25 @@ func (g *gzipResponseWriter) Write(p []byte) (int, error) {
 	if !g.wroteHeader {
 		g.WriteHeader(http.StatusOK)
 	}
+	g.body += int64(len(p))
 	if g.passthrough {
 		return g.ResponseWriter.Write(p)
 	}
 	if g.zw == nil {
-		g.zw = gzip.NewWriter(g.ResponseWriter)
+		g.zw = gzipPool.Get().(*gzip.Writer)
+		g.zw.Reset(g.ResponseWriter)
 	}
 	return g.zw.Write(p)
 }
 
-// Close flushes the compressed stream; a writer that never saw a body
-// emits nothing.
+// Close flushes the compressed stream and returns the compressor to the
+// pool, detached from this response; a writer that never saw a body emits
+// nothing.
 func (g *gzipResponseWriter) Close() {
 	if g.zw != nil {
-		g.zw.Close()
+		g.zw.Close() // a failed flush is the client's loss, already counted by the handler's own writes
+		g.zw.Reset(io.Discard)
+		gzipPool.Put(g.zw)
+		g.zw = nil
 	}
 }

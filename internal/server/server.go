@@ -145,6 +145,9 @@ type Server struct {
 	tableErrors    *telemetry.Counter   // .tbl files that failed to load or to write (server.table_errors)
 	tracesDecodedG *telemetry.Gauge     // decoded traces alive at the last scrape (server.traces_decoded)
 	traceBytesG    *telemetry.Gauge     // their estimated bytes (server.trace_resident_bytes)
+
+	statusClass   telemetry.StatusClasses // server.status.<n>xx
+	renderAborted *telemetry.Counter      // row responses cut short by a gone client or a deadline (server.render_aborted)
 }
 
 // New builds a server, creating DataDir subdirectories and indexing any
@@ -192,6 +195,8 @@ func New(cfg Config) (*Server, error) {
 		tracesDecodedG: reg.Gauge("server.traces_decoded"),
 		traceBytesG:    reg.Gauge("server.trace_resident_bytes"),
 	}
+	s.renderAborted = reg.Counter("server.render_aborted")
+	s.statusClass = reg.StatusClasses("server.status")
 	var err error
 	s.cache, err = resultcache.New(resultcache.Config{
 		Dir:             resultDir,
@@ -411,7 +416,8 @@ func (s *Server) retrofit(sel string, full func(w http.ResponseWriter, r *http.R
 }
 
 // instrument wraps a handler with the serving telemetry (request counter,
-// in-flight gauge, per-route latency histogram, status-class counters),
+// in-flight gauge, per-route latency histogram, status-class counters, body
+// bytes before compression and wire bytes after it),
 // request correlation (X-Request-ID honored or minted, echoed, and carried
 // by context into extraction spans and access-log lines), the per-request
 // timeout context, and transparent response compression. Every response
@@ -420,6 +426,8 @@ func (s *Server) retrofit(sel string, full func(w http.ResponseWriter, r *http.R
 // to the uncompressed response.
 func (s *Server) instrument(route string, h http.HandlerFunc) http.Handler {
 	latency := s.reg.Histogram("server.latency_ms." + route)
+	bodyBytes := s.reg.Counter("server.body_bytes." + route)
+	wireBytes := s.reg.Counter("server.wire_bytes." + route)
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Vary", "Accept-Encoding")
 		reqID := telemetry.RequestIDFor(r.Header.Get("X-Request-ID"))
@@ -435,6 +443,7 @@ func (s *Server) instrument(route string, h http.HandlerFunc) http.Handler {
 			sw.Header().Set("Content-Type", "application/json")
 			sw.WriteHeader(http.StatusServiceUnavailable)
 			json.NewEncoder(sw).Encode(map[string]string{"error": "server shutting down"})
+			sw.body = sw.bytes
 			s.logAccess(r, route, reqID, outcome, sw, time.Since(start))
 			return
 		}
@@ -444,27 +453,25 @@ func (s *Server) instrument(route string, h http.HandlerFunc) http.Handler {
 
 		ctx, cancel := context.WithTimeout(rctx, s.cfg.RequestTimeout)
 		defer cancel()
-		var rw http.ResponseWriter = sw
-		var gz *gzipResponseWriter
-		if acceptsGzip(r) {
-			gz = &gzipResponseWriter{ResponseWriter: sw}
-			rw = gz
-		}
+		gz := &gzipResponseWriter{ResponseWriter: sw, passthrough: !acceptsGzip(r)}
 		r = r.WithContext(ctx)
-		h(rw, r)
-		if gz != nil {
-			gz.Close()
-		}
+		h(gz, r)
+		gz.Close()
+		sw.body = gz.body
 		elapsed := time.Since(start)
 		latency.Observe(float64(elapsed.Nanoseconds()) / 1e6)
-		s.reg.Counter(fmt.Sprintf("server.status.%dxx", sw.code/100)).Add(1)
+		s.statusClass.Count(sw.code)
+		bodyBytes.Add(sw.body)
+		wireBytes.Add(sw.bytes)
 		s.logAccess(r, route, reqID, outcome, sw, elapsed)
 	})
 }
 
-// statusWriter records the response code and body byte count for the
-// status-class counters and the access log. With compression enabled it
-// sits under the gzip writer, so bytes counts what went on the wire. At
+// statusWriter records the response code and byte counts for the
+// status-class and byte counters and the access log. With compression
+// enabled it sits under the gzip writer, so bytes counts what went on the
+// wire; body, filled in once the handler returns, is what the handler wrote
+// before compression. At
 // the first WriteHeader it stamps which cache layer answered
 // (X-Charmd-Cache) from the request's outcome recorder: that is not known
 // until the handler has resolved the request, yet must precede the body.
@@ -473,6 +480,7 @@ type statusWriter struct {
 	http.ResponseWriter
 	code  int
 	bytes int64
+	body  int64
 	wrote bool
 	rec   *resultcache.OutcomeRecorder
 }

@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"fmt"
 	"math"
 	"sync"
 	"sync/atomic"
@@ -60,6 +61,26 @@ func (r *Registry) Histogram(name string) *Histogram {
 		r.hists[name] = h
 	}
 	return h
+}
+
+// StatusClasses are an HTTP front end's response counters <prefix>.1xx …
+// <prefix>.5xx, resolved once so that counting a response formats no name
+// and takes no lock.
+type StatusClasses [5]*Counter
+
+// StatusClasses returns (creating if needed) the prefix's class counters.
+func (r *Registry) StatusClasses(prefix string) (s StatusClasses) {
+	for i := range s {
+		s[i] = r.Counter(fmt.Sprintf("%s.%dxx", prefix, i+1))
+	}
+	return s
+}
+
+// Count adds one response with this status code (outside 100–599: nowhere).
+func (s StatusClasses) Count(code int) {
+	if i := code/100 - 1; i >= 0 && i < len(s) {
+		s[i].Add(1)
+	}
 }
 
 // Counter is a monotonically accumulated integer metric.
