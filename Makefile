@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test verify lint fuzz fuzz-smoke bench bench-check bench-lod bench-steps bench-wire bench-overhead bench-smoke bench-repo fmt loc serve cluster
+.PHONY: build test verify lint fuzz fuzz-smoke bench-lod bench-steps bench-wire bench-smoke bench-repo fmt loc knobs serve cluster
 
 build:
 	$(GO) build ./...
@@ -74,23 +74,6 @@ bench-smoke:
 bench-repo:
 	$(GO) run ./bench -seed 1 -append bench/out/history.jsonl
 
-# bench regenerates BENCH_extract.json: a single-shot GOMAXPROCS=1
-# micro-benchmark snapshot (merge-tree extraction, ExtractBatch at
-# parallelism 1/2/4, Serve/Query/Lod rows). It is a regression tripwire for
-# those rows and no longer the basis for performance claims — see bench-repo.
-bench:
-	$(GO) run ./cmd/experiments -bench-json BENCH_extract.json
-
-# bench-check is the micro-benchmark's regression guard: a fresh `bench`
-# run compared against the committed snapshot by cmd/benchdiff, failing on
-# >30% wall or >20% alloc growth in the enforced rows (Fig10MergeTree,
-# Serve, Lod). Like `bench` it is GOMAXPROCS=1 and single-shot, so it
-# catches a row falling off a cliff, not a gain. BENCH_fresh.json is scratch
-# output (gitignored).
-bench-check:
-	$(GO) run ./cmd/experiments -bench-json BENCH_fresh.json
-	$(GO) run ./cmd/benchdiff -new BENCH_fresh.json
-
 # bench-lod times lod.Build over the nine zoo apps at the repository
 # benchmark's medium scale (the traces cold-ingest uploads) and reports
 # ns/event and pyramid B/event beside the usual -benchmem columns. For
@@ -116,10 +99,6 @@ bench-steps:
 # bench-repo.
 bench-wire:
 	$(GO) test -run '^$$' -bench 'BenchmarkRender' -benchmem -benchtime 50x -count 3 ./internal/server
-
-# bench-overhead checks the telemetry off/nop/recording cost (DESIGN.md §3b).
-bench-overhead:
-	$(GO) test -bench 'BenchmarkTelemetryOverhead' -run '^$$' -benchtime 30x .
 
 # serve starts the charmd analysis service on :8080 with its cache in
 # .charmd-cache/ (gitignored). See README "Serving".
@@ -151,3 +130,21 @@ loc:
 		[ $$n -gt 0 ] || continue; \
 		printf '%7d  %s\n' $$n $$d; total=$$((total + n)); \
 	done; printf '%7d  total\n' $$total
+
+# knobs counts what can be set independently: the flags each cmd/* binary's
+# -h prints, and the exported fields of the configuration structs behind
+# them. The figure a simplicity PR reports beside `make loc` (DESIGN.md §5).
+# A report, not a gate.
+knobs:
+	@total=0; bins=0; tmp=$$(mktemp -d); for d in cmd/*; do \
+		$(GO) build -o $$tmp/bin ./$$d || exit 1; \
+		n=$$($$tmp/bin -h 2>&1 | grep -c '^  -'); \
+		printf '%7d  %s flags\n' $$n $$d; total=$$((total + n)); bins=$$((bins + 1)); \
+	done; rm -rf $$tmp; printf '%7d  flags over %d binaries\n' $$total $$bins
+	@for spec in internal/server/server.go:Config internal/resultcache/resultcache.go:Config \
+		internal/cluster/gateway.go:GatewayConfig internal/cluster/peers.go:PeersConfig \
+		internal/core/options.go:Options; do \
+		f=$${spec%%:*}; t=$${spec##*:}; \
+		n=$$(awk -v t="$$t" '$$0 ~ "^type " t " struct" {on=1; next} on && /^}/ {on=0} on && /^\t[A-Z]/ {n++} END {print n+0}' $$f); \
+		printf '%7d  %s.%s exported fields\n' $$n $$(basename $$(dirname $$f)) $$t; \
+	done

@@ -23,7 +23,6 @@ import (
 	"charmtrace/internal/apps/pdes"
 	"charmtrace/internal/core"
 	"charmtrace/internal/metrics"
-	"charmtrace/internal/telemetry"
 	"charmtrace/internal/trace"
 )
 
@@ -112,49 +111,6 @@ func BenchmarkExtractBatch(b *testing.B) {
 			}
 		}
 	})
-}
-
-// BenchmarkTelemetryOverhead quantifies what the telemetry subsystem costs
-// the Figure 10 merge-tree extraction in its three states: off (Options
-// zero value), nop (the Disabled recorder explicitly attached — the guard
-// DESIGN.md promises stays under 2% of the off case), and recording (a live
-// span collector plus metrics registry, the -self-trace/-stats-json
-// configuration). Compare ns/op across the off/nop pairs at each worker
-// count.
-func BenchmarkTelemetryOverhead(b *testing.B) {
-	tr := mergetree.MustTrace(mergetree.DefaultConfig())
-	for _, par := range []int{1, 4} {
-		par := par
-		run := func(name string, configure func(*core.Options)) {
-			b.Run(fmt.Sprintf("%s-par=%d", name, par), func(b *testing.B) {
-				opt := core.MessagePassingOptions()
-				opt.Parallelism = par
-				configure(&opt)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := core.Extract(tr, opt); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-		run("off", func(*core.Options) {})
-		run("nop", func(opt *core.Options) { opt.Telemetry = telemetry.Disabled })
-		b.Run(fmt.Sprintf("recording-par=%d", par), func(b *testing.B) {
-			opt := core.MessagePassingOptions()
-			opt.Parallelism = par
-			reg := telemetry.NewRegistry()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				// A fresh collector per run, as cmd/structure attaches one.
-				opt.Telemetry = telemetry.NewCollector()
-				opt.Metrics = reg
-				if _, err := core.Extract(tr, opt); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
 }
 
 // benchMetrics measures the Section 4 metric computation over a structure.

@@ -16,8 +16,8 @@
 //	curl -sS localhost:8090/cluster
 //	curl -sS localhost:8090/nodes/n1/debug/stats
 //
-// The member list is static (-peers or -peers-config); liveness is probed
-// continuously via each node's /readyz.
+// The member list is static (-peers); liveness is probed continuously via
+// each node's /readyz.
 package main
 
 import (
@@ -38,7 +38,6 @@ import (
 func main() {
 	addr := flag.String("addr", ":8090", "listen address")
 	peers := flag.String("peers", "", "cluster member list as name=url,name=url")
-	peersConfig := flag.String("peers-config", "", "path to a JSON cluster member file (alternative to -peers)")
 	replication := flag.Int("replication", 0, "replicas per trace digest, R (0 = 2; clamped to the member count)")
 	probeInterval := flag.Duration("probe-interval", 0, "liveness probe period against each node's /readyz (0 = 2s)")
 	maxUpload := flag.Int64("max-upload", 256<<20, "maximum trace upload size in bytes")
@@ -52,17 +51,7 @@ func main() {
 		os.Exit(1)
 	}
 
-	var members []cluster.Member
-	switch {
-	case *peers != "" && *peersConfig != "":
-		err = errors.New("-peers and -peers-config are mutually exclusive")
-	case *peers != "":
-		members, err = cluster.ParsePeers(*peers)
-	case *peersConfig != "":
-		members, err = cluster.LoadMembersFile(*peersConfig)
-	default:
-		err = errors.New("a member list is required (-peers or -peers-config)")
-	}
+	members, err := cluster.ParsePeers(*peers)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "charm-gateway:", err)
 		os.Exit(1)

@@ -45,14 +45,9 @@ func main() {
 	parallelism := flag.Int("parallelism", 0, "extraction worker count (0 = all cores; responses are identical at any value)")
 	maxExtractions := flag.Int("max-extractions", 0, "concurrent extraction slots before load shedding (0 = GOMAXPROCS, negative = unlimited)")
 	queueWait := flag.Duration("queue-wait", time.Second, "how long a request queues for an extraction slot before a 429 + Retry-After")
-	detachedTimeout := flag.Duration("detached-timeout", 0, "hard cap on an extraction every requester abandoned (0 = 5m, negative = uncapped)")
 	maxResultBytes := flag.Int64("max-result-bytes", 0, "on-disk result cache bound in bytes; least-recently-modified entries are GCed past it (0 = unbounded)")
-	selfTrace := flag.Bool("self-trace", false, "record extraction spans and serve them at /debug/selftrace (bounded by -selftrace-max-spans; debugging only)")
-	selfTraceMaxSpans := flag.Int("selftrace-max-spans", 0, "self-trace span retention cap (0 = default ~1M, negative = unbounded); spans past it are dropped and counted")
-	debugUnsafe := flag.Bool("debug-unsafe", false, "enable mutating debug operations (?reset=1 on /debug/stats and /debug/selftrace)")
 	nodeName := flag.String("node-name", "", "this node's cluster member name (labels metrics and logs; required with -peers)")
 	peers := flag.String("peers", "", "cluster member list as name=url,name=url (must include -node-name; enables peer cache fill)")
-	peersConfig := flag.String("peers-config", "", "path to a JSON cluster member file (alternative to -peers)")
 	drain := flag.Duration("drain", 30*time.Second, "graceful-shutdown drain budget")
 	logging := cli.NewLogging("json", flag.CommandLine)
 	tele := cli.NewProfiling("charmd", flag.CommandLine)
@@ -75,19 +70,15 @@ func main() {
 		Parallelism:              *parallelism,
 		MaxConcurrentExtractions: *maxExtractions,
 		QueueWait:                *queueWait,
-		DetachedTimeout:          *detachedTimeout,
 		MaxResultBytes:           *maxResultBytes,
-		SelfTrace:                *selfTrace,
-		SelfTraceMaxSpans:        *selfTraceMaxSpans,
 		AccessLog:                accessLog,
-		DebugUnsafe:              *debugUnsafe,
 		NodeName:                 *nodeName,
 	}
 	// The peer client is built after the server so its counters land in the
 	// server's registry; the config closures bind late, and nothing calls
 	// them until the listener below starts accepting requests.
 	var pc *cluster.Peers
-	clustered := *peers != "" || *peersConfig != ""
+	clustered := *peers != ""
 	if clustered {
 		cfg.PeerFetch = func(ctx context.Context, traceDigest, key string) (io.ReadCloser, error) {
 			return pc.FetchResult(ctx, traceDigest, key)
@@ -102,15 +93,7 @@ func main() {
 		os.Exit(1)
 	}
 	if clustered {
-		var members []cluster.Member
-		switch {
-		case *peers != "" && *peersConfig != "":
-			err = errors.New("-peers and -peers-config are mutually exclusive")
-		case *peers != "":
-			members, err = cluster.ParsePeers(*peers)
-		default:
-			members, err = cluster.LoadMembersFile(*peersConfig)
-		}
+		members, err := cluster.ParsePeers(*peers)
 		if err == nil {
 			pc, err = cluster.NewPeers(cluster.PeersConfig{
 				Self:    *nodeName,

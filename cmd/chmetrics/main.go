@@ -18,20 +18,15 @@ import (
 	"charmtrace/internal/core"
 	"charmtrace/internal/metrics"
 	"charmtrace/internal/trace"
-	"charmtrace/internal/tracefile"
 	"charmtrace/internal/viz"
 )
 
 func main() {
-	in := flag.String("in", "", "input trace file")
-	app := flag.String("app", "", "generate this workload instead of reading a file")
-	mp := flag.Bool("mp", false, "treat a file input as a message-passing trace")
+	input := cli.NewInput(flag.CommandLine)
+	flag.BoolVar(&input.MP, "mp", false, "treat a file input as a message-passing trace")
 	metric := flag.String("metric", "differential", "metric: differential | idle | imbalance | lateness")
 	top := flag.Int("top", 10, "events to list")
 	render := flag.Bool("render", false, "render the metric over the logical structure")
-	iters := flag.Int("iters", 0, "iteration override for -app")
-	scale := flag.Int("scale", 0, "size override for -app")
-	seed := flag.Int64("seed", 0, "seed override for -app")
 	timing := flag.Bool("timing", false, "print per-stage extraction wall times")
 	parallelism := flag.Int("parallelism", 0, "extraction worker count (0 = all cores, 1 = sequential; output is identical)")
 	tele := cli.NewTelemetry("chmetrics", flag.CommandLine)
@@ -41,31 +36,13 @@ func main() {
 		os.Exit(1)
 	}
 
-	var tr *trace.Trace
-	var opt core.Options
-	var err error
-	switch {
-	case *app != "":
-		tr, opt, err = cli.Generate(*app, cli.Params{Iterations: *iters, Scale: *scale, Seed: *seed})
-	case *in != "":
-		tr, err = tracefile.ReadFile(*in)
-		opt = core.DefaultOptions()
-		if *mp {
-			opt = core.MessagePassingOptions()
-		}
-	default:
-		err = fmt.Errorf("need -in <file> or -app <workload>; workloads:\n%s", cli.Describe())
-	}
+	tr, opt, err := input.Load()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "chmetrics:", err)
 		os.Exit(1)
 	}
 	opt.Parallelism = *parallelism
-	if *app != "" {
-		tele.Label("workload", *app)
-	} else {
-		tele.Label("input", *in)
-	}
+	input.Label(tele)
 	tele.Label("metric", *metric)
 	tele.Apply(&opt)
 	// Ctrl-C cancels the extraction cooperatively; a second signal kills.

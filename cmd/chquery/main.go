@@ -31,8 +31,6 @@ import (
 	"charmtrace/internal/core"
 	"charmtrace/internal/lod"
 	"charmtrace/internal/query"
-	"charmtrace/internal/trace"
-	"charmtrace/internal/tracefile"
 )
 
 func main() {
@@ -56,14 +54,10 @@ type page struct {
 }
 
 func run() error {
-	in := flag.String("in", "", "input trace file")
-	app := flag.String("app", "", "generate this workload instead of reading a file")
+	input := cli.NewInput(flag.CommandLine)
 	server := flag.String("server", "", "query a remote charmd at this base URL (requires -digest)")
 	digest := flag.String("digest", "", "trace digest on the remote server")
-	mp := flag.Bool("mp", false, "message-passing analysis options (remote: preset=mp)")
-	iters := flag.Int("iters", 0, "iteration override for -app")
-	scale := flag.Int("scale", 0, "size override for -app")
-	seed := flag.Int64("seed", 0, "seed override for -app")
+	flag.BoolVar(&input.MP, "mp", false, "message-passing analysis options (remote: preset=mp)")
 	parallelism := flag.Int("parallelism", 0, "extraction worker count for local mode (0 = all cores; output is identical)")
 
 	sel := flag.String("select", "structure", "row kind: structure | steps | metrics | viz")
@@ -90,9 +84,8 @@ func run() error {
 	}
 
 	cfg := fetcherConfig{
-		in: *in, app: *app, server: *server, digest: *digest, mp: *mp,
-		iters: *iters, scale: *scale, seed: *seed, parallelism: *parallelism,
-		retries: *retries,
+		input: input, server: *server, digest: *digest,
+		parallelism: *parallelism, retries: *retries,
 	}
 
 	if *lodMode {
@@ -178,12 +171,23 @@ func buildSpec(raw, sel, phases, chares, steps, groupBy, aggs, fields string, li
 }
 
 type fetcherConfig struct {
-	in, app, server, digest string
-	mp                      bool
-	iters, scale            int
-	seed                    int64
-	parallelism             int
-	retries                 int
+	input          *cli.Input
+	server, digest string
+	parallelism    int
+	retries        int
+}
+
+// remoteTarget is the URL of one of the digest's analysis endpoints on the
+// remote charmd.
+func (cfg fetcherConfig) remoteTarget(endpoint string) (string, error) {
+	if cfg.digest == "" {
+		return "", fmt.Errorf("-server requires -digest")
+	}
+	target := strings.TrimSuffix(cfg.server, "/") + "/v1/traces/" + cfg.digest + "/" + endpoint
+	if cfg.input.MP {
+		target += "?preset=mp"
+	}
+	return target, nil
 }
 
 // newFetcher resolves the query target into a page-fetching function:
@@ -191,13 +195,9 @@ type fetcherConfig struct {
 // engine over a locally extracted (and indexed, once) structure.
 func newFetcher(cfg fetcherConfig) (func(query.Spec) (*page, error), error) {
 	if cfg.server != "" {
-		if cfg.digest == "" {
-			return nil, fmt.Errorf("-server requires -digest")
-		}
-		base := strings.TrimSuffix(cfg.server, "/")
-		target := base + "/v1/traces/" + cfg.digest + "/query"
-		if cfg.mp {
-			target += "?preset=mp"
+		target, err := cfg.remoteTarget("query")
+		if err != nil {
+			return nil, err
 		}
 		rt := newRetrier(cfg.retries)
 		return func(spec query.Spec) (*page, error) { return postPage(target, spec, rt) }, nil
@@ -226,21 +226,10 @@ func newFetcher(cfg fetcherConfig) (func(query.Spec) (*page, error), error) {
 // loadLocal resolves -in/-app into an extracted structure — the shared
 // local-mode front of the query and LOD paths.
 func loadLocal(cfg fetcherConfig) (*core.Structure, core.Options, error) {
-	var tr *trace.Trace
-	var opt core.Options
-	var err error
-	switch {
-	case cfg.app != "":
-		tr, opt, err = cli.Generate(cfg.app, cli.Params{Iterations: cfg.iters, Scale: cfg.scale, Seed: cfg.seed})
-	case cfg.in != "":
-		tr, err = tracefile.ReadFile(cfg.in)
-		opt = core.DefaultOptions()
-		if cfg.mp {
-			opt = core.MessagePassingOptions()
-		}
-	default:
-		err = fmt.Errorf("need -in <file>, -app <workload> or -server <url>; workloads:\n%s", cli.Describe())
+	if cfg.input.In == "" && cfg.input.App == "" {
+		return nil, core.Options{}, fmt.Errorf("need -in <file>, -app <workload> or -server <url>; workloads:\n%s", cli.Describe())
 	}
+	tr, opt, err := cfg.input.Load()
 	if err != nil {
 		return nil, opt, err
 	}
@@ -278,41 +267,13 @@ func runLod(cfg fetcherConfig, resolution, steps string, maxRows, maxEdges int, 
 	}
 
 	if cfg.server != "" {
-		if cfg.digest == "" {
-			return fmt.Errorf("-server requires -digest")
-		}
-		target := strings.TrimSuffix(cfg.server, "/") + "/v1/traces/" + cfg.digest + "/lod"
-		if cfg.mp {
-			target += "?preset=mp"
-		}
-		body, err := json.Marshal(sp)
+		target, err := cfg.remoteTarget("lod")
 		if err != nil {
 			return err
 		}
-		rt := newRetrier(cfg.retries)
-		resp, err := rt.do(func() (*http.Response, error) {
-			return http.Post(target, "application/json", bytes.NewReader(body))
-		})
+		data, err := post(target, sp, newRetrier(cfg.retries))
 		if err != nil {
 			return err
-		}
-		defer resp.Body.Close()
-		data, err := io.ReadAll(resp.Body)
-		if err != nil {
-			return err
-		}
-		if resp.StatusCode != http.StatusOK {
-			var e struct {
-				Error string `json:"error"`
-				Field string `json:"field"`
-			}
-			if json.Unmarshal(data, &e) == nil && e.Error != "" {
-				if e.Field != "" {
-					return fmt.Errorf("server: %s (field %s)", e.Error, e.Field)
-				}
-				return fmt.Errorf("server: %s", e.Error)
-			}
-			return fmt.Errorf("server: status %d: %s", resp.StatusCode, data)
 		}
 		_, err = os.Stdout.Write(data)
 		return err
@@ -334,9 +295,23 @@ func runLod(cfg fetcherConfig, resolution, steps string, maxRows, maxEdges int, 
 	}{Fingerprint: opt.Fingerprint(), Result: res})
 }
 
-// postPage fetches one page from a charmd query endpoint, retrying
-// transient pressure (429/503) per the retrier's policy.
+// postPage fetches one page from a charmd query endpoint.
 func postPage(target string, spec query.Spec, rt *retrier) (*page, error) {
+	data, err := post(target, spec, rt)
+	if err != nil {
+		return nil, err
+	}
+	var p page
+	if err := json.Unmarshal(data, &p); err != nil {
+		return nil, err
+	}
+	return &p, nil
+}
+
+// post sends one JSON spec to a charmd analysis endpoint, retrying
+// transient pressure (429/503) per the retrier's policy, and returns the 200
+// body; any other status becomes the server's decoded error.
+func post(target string, spec any, rt *retrier) ([]byte, error) {
 	body, err := json.Marshal(spec)
 	if err != nil {
 		return nil, err
@@ -352,22 +327,18 @@ func postPage(target string, spec query.Spec, rt *retrier) (*page, error) {
 	if err != nil {
 		return nil, err
 	}
-	if resp.StatusCode != http.StatusOK {
-		var e struct {
-			Error string `json:"error"`
-			Field string `json:"field"`
-		}
-		if json.Unmarshal(data, &e) == nil && e.Error != "" {
-			if e.Field != "" {
-				return nil, fmt.Errorf("server: %s (field %s)", e.Error, e.Field)
-			}
-			return nil, fmt.Errorf("server: %s", e.Error)
-		}
-		return nil, fmt.Errorf("server: status %d: %s", resp.StatusCode, data)
+	if resp.StatusCode == http.StatusOK {
+		return data, nil
 	}
-	var p page
-	if err := json.Unmarshal(data, &p); err != nil {
-		return nil, err
+	var e struct {
+		Error string `json:"error"`
+		Field string `json:"field"`
 	}
-	return &p, nil
+	if json.Unmarshal(data, &e) == nil && e.Error != "" {
+		if e.Field != "" {
+			return nil, fmt.Errorf("server: %s (field %s)", e.Error, e.Field)
+		}
+		return nil, fmt.Errorf("server: %s", e.Error)
+	}
+	return nil, fmt.Errorf("server: status %d: %s", resp.StatusCode, data)
 }

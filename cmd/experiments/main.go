@@ -31,8 +31,7 @@ var experiments []experiment
 
 // tele is the shared observability handle; every extraction the experiments
 // run goes through helpers.go's extract (or applies tele itself), so
-// -stats-json aggregates metrics across all figures of a run and
-// -self-trace shows them as separate root spans.
+// -stats-json aggregates metrics across all figures of a run.
 var tele *cli.Telemetry
 
 func register(id, title string, run func(big bool)) {
@@ -43,24 +42,11 @@ func main() {
 	runID := flag.String("run", "", "run only this experiment id (e.g. fig16)")
 	list := flag.Bool("list", false, "list experiments")
 	big := flag.Bool("big", false, "use paper-scale sizes where they are expensive (fig10: 1024 procs, fig19: 13.8k chares)")
-	benchJSON := flag.String("bench-json", "", "run the extraction benchmark suite and write machine-readable results to this JSON file (skips the figure experiments)")
 	tele = cli.NewTelemetry("experiments", flag.CommandLine)
 	flag.Parse()
 	if err := tele.Start(); err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		os.Exit(1)
-	}
-
-	if *benchJSON != "" {
-		if err := runBenchJSON(*benchJSON); err != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", err)
-			os.Exit(1)
-		}
-		if err := tele.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", err)
-			os.Exit(1)
-		}
-		return
 	}
 
 	sort.Slice(experiments, func(i, j int) bool { return experiments[i].id < experiments[j].id })

@@ -19,38 +19,16 @@ import (
 	"charmtrace/internal/cli"
 	"charmtrace/internal/core"
 	"charmtrace/internal/trace"
-	"charmtrace/internal/tracefile"
 	"charmtrace/internal/viz"
 )
 
-// looksMessagePassing reports whether a trace has the process-centric
-// shape of §3.4: no runtime chares and at most one dependency event per
-// serial block.
-func looksMessagePassing(tr *trace.Trace) bool {
-	for i := range tr.Chares {
-		if tr.Chares[i].Runtime {
-			return false
-		}
-	}
-	for i := range tr.Blocks {
-		if len(tr.Blocks[i].Events) > 1 {
-			return false
-		}
-	}
-	return len(tr.Blocks) > 0
-}
-
 func main() {
-	in := flag.String("in", "", "input trace file")
-	app := flag.String("app", "", "generate this workload instead of reading a file")
-	mp := flag.Bool("mp", false, "treat a file input as a message-passing trace")
+	input := cli.NewInput(flag.CommandLine)
+	flag.BoolVar(&input.MP, "mp", false, "treat a file input as a message-passing trace")
 	noReorder := flag.Bool("no-reorder", false, "step events in recorded order (disable §3.2.1)")
 	noInfer := flag.Bool("no-infer", false, "disable §3.1.4 dependency inference (Figure 17)")
 	render := flag.String("render", "summary", "output: summary | logical | clustered | physical | both")
 	svg := flag.String("svg", "", "also write an SVG rendering to this file")
-	iters := flag.Int("iters", 0, "iteration override for -app")
-	scale := flag.Int("scale", 0, "size override for -app")
-	seed := flag.Int64("seed", 0, "seed override for -app")
 	from := flag.Int64("from", -1, "analyze only blocks within [from, to) virtual ns")
 	to := flag.Int64("to", -1, "window end (see -from)")
 	timing := flag.Bool("timing", false, "print per-stage extraction wall times")
@@ -62,24 +40,7 @@ func main() {
 		os.Exit(1)
 	}
 
-	var tr *trace.Trace
-	var opt core.Options
-	var err error
-	switch {
-	case *app != "":
-		tr, opt, err = cli.Generate(*app, cli.Params{Iterations: *iters, Scale: *scale, Seed: *seed})
-	case *in != "":
-		tr, err = tracefile.ReadFile(*in)
-		opt = core.DefaultOptions()
-		if *mp || (err == nil && looksMessagePassing(tr)) {
-			if !*mp {
-				fmt.Println("(detected a message-passing trace: single-event blocks, no runtime chares)")
-			}
-			opt = core.MessagePassingOptions()
-		}
-	default:
-		err = fmt.Errorf("need -in <file> or -app <workload>; workloads:\n%s", cli.Describe())
-	}
+	tr, opt, err := input.Load()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "structure:", err)
 		os.Exit(1)
@@ -89,11 +50,7 @@ func main() {
 		opt.InferDependencies = false
 	}
 	opt.Parallelism = *parallelism
-	if *app != "" {
-		tele.Label("workload", *app)
-	} else {
-		tele.Label("input", *in)
-	}
+	input.Label(tele)
 	tele.Apply(&opt)
 	if *from >= 0 || *to >= 0 {
 		lo, hi := tr.Span()

@@ -16,17 +16,12 @@ import (
 	"charmtrace/internal/cli"
 	"charmtrace/internal/profile"
 	"charmtrace/internal/trace"
-	"charmtrace/internal/tracefile"
 )
 
 func main() {
-	in := flag.String("in", "", "input trace file")
-	app := flag.String("app", "", "generate this workload instead of reading a file")
+	input := cli.NewInput(flag.CommandLine)
 	from := flag.Int64("from", -1, "window start (virtual ns; -1 = trace start)")
 	to := flag.Int64("to", -1, "window end (virtual ns; -1 = trace end)")
-	iters := flag.Int("iters", 0, "iteration override for -app")
-	scale := flag.Int("scale", 0, "size override for -app")
-	seed := flag.Int64("seed", 0, "seed override for -app")
 	tele := cli.NewProfiling("traceprofile", flag.CommandLine)
 	flag.Parse()
 	if err := tele.Start(); err != nil {
@@ -34,16 +29,7 @@ func main() {
 		os.Exit(1)
 	}
 
-	var tr *trace.Trace
-	var err error
-	switch {
-	case *app != "":
-		tr, _, err = cli.Generate(*app, cli.Params{Iterations: *iters, Scale: *scale, Seed: *seed})
-	case *in != "":
-		tr, err = tracefile.ReadFile(*in)
-	default:
-		err = fmt.Errorf("need -in <file> or -app <workload>; workloads:\n%s", cli.Describe())
-	}
+	tr, err := input.Trace()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "traceprofile:", err)
 		os.Exit(1)

@@ -12,24 +12,22 @@ import (
 )
 
 // Telemetry bundles the observability surface shared by the command-line
-// tools: the -stats-json / -self-trace sinks and the -cpuprofile /
-// -memprofile pprof flags. Construct with NewTelemetry (extraction tools)
-// or NewProfiling (tools that never extract), call Start after flag
-// parsing, Apply on every extraction's Options, and Close before exit.
+// tools: the -stats-json sink and the -cpuprofile / -memprofile pprof
+// flags. Construct with NewTelemetry (extraction tools) or NewProfiling
+// (tools that never extract), call Start after flag parsing, Apply on every
+// extraction's Options, and Close before exit.
 type Telemetry struct {
 	// Tool names the command in exports (the "tool" field of -stats-json).
 	Tool string
-	// StatsJSON / SelfTrace / CPUProfile / MemProfile are the output paths,
-	// empty when the corresponding flag is unset. RegisterFlags binds them.
+	// StatsJSON / CPUProfile / MemProfile are the output paths, empty when
+	// the corresponding flag is unset.
 	StatsJSON  string
-	SelfTrace  string
 	CPUProfile string
 	MemProfile string
 
-	labels    map[string]string
-	collector *telemetry.Collector
-	registry  *telemetry.Registry
-	cpuFile   *os.File
+	labels   map[string]string
+	registry *telemetry.Registry
+	cpuFile  *os.File
 }
 
 // NewTelemetry registers the full observability flag set on fs (pass
@@ -38,8 +36,6 @@ func NewTelemetry(tool string, fs *flag.FlagSet) *Telemetry {
 	t := &Telemetry{Tool: tool, labels: make(map[string]string)}
 	fs.StringVar(&t.StatsJSON, "stats-json", "",
 		"write machine-readable run statistics (versioned schema) to this JSON file")
-	fs.StringVar(&t.SelfTrace, "self-trace", "",
-		"write a Chrome trace-event file of the analyzer's own execution (open at ui.perfetto.dev)")
 	t.registerProfileFlags(fs)
 	return t
 }
@@ -56,9 +52,6 @@ func (t *Telemetry) registerProfileFlags(fs *flag.FlagSet) {
 	fs.StringVar(&t.CPUProfile, "cpuprofile", "", "write a pprof CPU profile to this file")
 	fs.StringVar(&t.MemProfile, "memprofile", "", "write a pprof heap profile to this file")
 }
-
-// Active reports whether any telemetry sink was requested.
-func (t *Telemetry) Active() bool { return t.StatsJSON != "" || t.SelfTrace != "" }
 
 // Label attaches a key/value label to the stats export (e.g. the workload
 // name), overwriting any previous value for the key.
@@ -81,25 +74,20 @@ func (t *Telemetry) Start() error {
 	return nil
 }
 
-// Apply attaches the telemetry sinks to an extraction: the span collector
-// (self-tracing) and the shared registry every extraction's metrics
-// accumulate into. A no-op when no sink was requested, leaving opt with
-// zero-overhead disabled telemetry.
+// Apply attaches the shared registry every extraction's metrics accumulate
+// into. A no-op unless -stats-json was given.
 func (t *Telemetry) Apply(opt *core.Options) {
-	if !t.Active() {
+	if t.StatsJSON == "" {
 		return
 	}
-	if t.collector == nil {
-		t.collector = telemetry.NewCollector()
+	if t.registry == nil {
 		t.registry = telemetry.NewRegistry()
 	}
-	opt.Telemetry = t.collector
 	opt.Metrics = t.registry
 }
 
 // Close flushes every requested sink: stops the CPU profile, writes the
-// heap profile, the Chrome trace-event file, and the stats JSON. Returns
-// the first error.
+// heap profile and the stats JSON. Returns the first error.
 func (t *Telemetry) Close() error {
 	var first error
 	keep := func(err error) {
@@ -115,13 +103,6 @@ func (t *Telemetry) Close() error {
 	if t.MemProfile != "" {
 		keep(t.writeMemProfile())
 	}
-	if t.SelfTrace != "" {
-		if t.collector == nil {
-			keep(fmt.Errorf("cli: -self-trace requested but no extraction ran"))
-		} else {
-			keep(t.collector.WriteChromeTraceFile(t.SelfTrace))
-		}
-	}
 	if t.StatsJSON != "" {
 		if t.registry == nil {
 			keep(fmt.Errorf("cli: -stats-json requested but no extraction ran"))
@@ -130,7 +111,6 @@ func (t *Telemetry) Close() error {
 			if len(t.labels) > 0 {
 				e.Labels = t.labels
 			}
-			e.SpanCount = len(t.collector.Spans())
 			keep(e.WriteFile(t.StatsJSON))
 		}
 	}

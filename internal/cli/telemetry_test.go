@@ -2,7 +2,6 @@ package cli
 
 import (
 	"flag"
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -16,15 +15,15 @@ import (
 func TestTelemetryFlagRegistration(t *testing.T) {
 	fs := flag.NewFlagSet("x", flag.ContinueOnError)
 	NewTelemetry("x", fs)
-	for _, name := range []string{"stats-json", "self-trace", "cpuprofile", "memprofile"} {
+	for _, name := range []string{"stats-json", "cpuprofile", "memprofile"} {
 		if fs.Lookup(name) == nil {
 			t.Errorf("NewTelemetry did not register -%s", name)
 		}
 	}
 	fs = flag.NewFlagSet("y", flag.ContinueOnError)
 	NewProfiling("y", fs)
-	if fs.Lookup("stats-json") != nil || fs.Lookup("self-trace") != nil {
-		t.Error("NewProfiling registered extraction-only flags")
+	if fs.Lookup("stats-json") != nil {
+		t.Error("NewProfiling registered the extraction-only flag")
 	}
 	if fs.Lookup("cpuprofile") == nil || fs.Lookup("memprofile") == nil {
 		t.Error("NewProfiling did not register the pprof flags")
@@ -32,13 +31,12 @@ func TestTelemetryFlagRegistration(t *testing.T) {
 }
 
 // TestTelemetryLifecycle runs the full Apply/Close cycle the commands use
-// and validates both sinks through their schema readers.
+// and validates the stats sink through its schema reader.
 func TestTelemetryLifecycle(t *testing.T) {
 	dir := t.TempDir()
 	tele := &Telemetry{
 		Tool:      "cli-test",
 		StatsJSON: filepath.Join(dir, "stats.json"),
-		SelfTrace: filepath.Join(dir, "trace.json"),
 	}
 	tele.labels = map[string]string{"workload": "jacobi"}
 
@@ -50,8 +48,8 @@ func TestTelemetryLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	tele.Apply(&opt)
-	if opt.Telemetry == nil || opt.Metrics == nil {
-		t.Fatal("Apply did not attach the sinks")
+	if opt.Metrics == nil {
+		t.Fatal("Apply did not attach the registry")
 	}
 	if _, err := core.Extract(tr, opt); err != nil {
 		t.Fatal(err)
@@ -67,27 +65,8 @@ func TestTelemetryLifecycle(t *testing.T) {
 	if stats.Tool != "cli-test" || stats.Labels["workload"] != "jacobi" {
 		t.Errorf("stats header = %q/%v", stats.Tool, stats.Labels)
 	}
-	if len(stats.Stages) == 0 || stats.SpanCount == 0 {
-		t.Errorf("stats missing pipeline data: %d stages, %d spans", len(stats.Stages), stats.SpanCount)
-	}
-
-	f, err := os.Open(tele.SelfTrace)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	events, err := telemetry.ReadChromeTrace(f)
-	if err != nil {
-		t.Fatalf("self-trace is not valid Chrome trace-event JSON: %v", err)
-	}
-	sawExtract := false
-	for _, e := range events {
-		if e.Ph == "X" && e.Name == "extract" {
-			sawExtract = true
-		}
-	}
-	if !sawExtract {
-		t.Error("self-trace has no extract root span")
+	if len(stats.Stages) == 0 {
+		t.Error("stats missing the pipeline stage table")
 	}
 }
 
@@ -97,8 +76,8 @@ func TestTelemetryInactive(t *testing.T) {
 	tele := &Telemetry{Tool: "cli-test", labels: map[string]string{}}
 	var opt core.Options
 	tele.Apply(&opt)
-	if opt.Telemetry != nil || opt.Metrics != nil {
-		t.Error("inactive Apply attached sinks")
+	if opt.Metrics != nil {
+		t.Error("inactive Apply attached a registry")
 	}
 	if err := tele.Close(); err != nil {
 		t.Errorf("inactive Close: %v", err)

@@ -1,10 +1,8 @@
 package cluster
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/url"
-	"os"
 	"strings"
 )
 
@@ -33,30 +31,6 @@ func ParsePeers(s string) ([]Member, error) {
 	}
 	if err := validateMembers(members); err != nil {
 		return nil, err
-	}
-	return members, nil
-}
-
-// LoadMembersFile reads a JSON member list: either a bare array of
-// {"name","url"} objects or an object with a "members" array (so the file
-// can grow other cluster settings later without breaking readers).
-func LoadMembersFile(path string) ([]Member, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("cluster: %w", err)
-	}
-	var members []Member
-	if err := json.Unmarshal(data, &members); err != nil {
-		var wrapped struct {
-			Members []Member `json:"members"`
-		}
-		if err2 := json.Unmarshal(data, &wrapped); err2 != nil {
-			return nil, fmt.Errorf("cluster: %s: %w", path, err)
-		}
-		members = wrapped.Members
-	}
-	if err := validateMembers(members); err != nil {
-		return nil, fmt.Errorf("cluster: %s: %w", path, err)
 	}
 	return members, nil
 }

@@ -2,8 +2,6 @@ package cluster
 
 import (
 	"fmt"
-	"os"
-	"path/filepath"
 	"testing"
 )
 
@@ -139,29 +137,5 @@ func TestParsePeers(t *testing.T) {
 		if _, err := ParsePeers(bad); err == nil {
 			t.Fatalf("ParsePeers(%q) accepted", bad)
 		}
-	}
-}
-
-func TestLoadMembersFile(t *testing.T) {
-	dir := t.TempDir()
-	bare := filepath.Join(dir, "bare.json")
-	os.WriteFile(bare, []byte(`[{"name":"n0","url":"http://a:1"},{"name":"n1","url":"http://b:2"}]`), 0o644)
-	ms, err := LoadMembersFile(bare)
-	if err != nil || len(ms) != 2 {
-		t.Fatalf("bare array: %v %+v", err, ms)
-	}
-	wrapped := filepath.Join(dir, "wrapped.json")
-	os.WriteFile(wrapped, []byte(`{"members":[{"name":"n0","url":"http://a:1"}]}`), 0o644)
-	ms, err = LoadMembersFile(wrapped)
-	if err != nil || len(ms) != 1 {
-		t.Fatalf("wrapped object: %v %+v", err, ms)
-	}
-	if _, err := LoadMembersFile(filepath.Join(dir, "missing.json")); err == nil {
-		t.Fatal("missing file accepted")
-	}
-	badf := filepath.Join(dir, "bad.json")
-	os.WriteFile(badf, []byte(`[{"name":"","url":"http://a:1"}]`), 0o644)
-	if _, err := LoadMembersFile(badf); err == nil {
-		t.Fatal("invalid member accepted")
 	}
 }

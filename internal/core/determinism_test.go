@@ -105,11 +105,10 @@ func TestExtractParallelismInvariance(t *testing.T) {
 					s1.Stats.EnforceRounds, s8.Stats.EnforceRounds)
 			}
 
-			// A fully-recording run (span collector + shared metrics
-			// registry, 8 workers) must still produce byte-identical output:
-			// telemetry observes the pipeline, never steers it.
+			// A recording run (shared metrics registry, 8 workers) must
+			// still produce byte-identical output: telemetry observes the
+			// pipeline, never steers it.
 			rec := par
-			rec.Telemetry = telemetry.NewCollector()
 			rec.Metrics = telemetry.NewRegistry()
 			sr, err := core.Extract(tr, rec)
 			if err != nil {
@@ -117,9 +116,6 @@ func TestExtractParallelismInvariance(t *testing.T) {
 			}
 			if got, want := viz.Logical(sr), viz.Logical(s1); got != want {
 				t.Errorf("recording run output differs from sequential run")
-			}
-			if spans := rec.Telemetry.(*telemetry.Collector).Spans(); len(spans) == 0 {
-				t.Error("recording run collected no spans")
 			}
 			if snap := rec.Metrics.Snapshot(); len(snap.Counters) == 0 {
 				t.Error("recording run merged no metrics into the shared registry")

@@ -21,9 +21,8 @@ const FingerprintVersion = 1
 // same trace.
 //
 // Execution-only knobs are deliberately excluded — Parallelism (the
-// pipeline is byte-identical at every worker count), the
-// Telemetry/Metrics sinks (recorders only observe), and
-// Context (cancellation aborts an extraction, it never changes a completed
+// pipeline is byte-identical at every worker count), the Metrics and
+// Progress sinks (they only observe), and Context (cancellation aborts an extraction, it never changes a completed
 // one). That exclusion is what lets a result extracted at one parallelism
 // serve requests made at any other.
 //

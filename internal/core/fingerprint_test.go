@@ -16,7 +16,6 @@ func TestFingerprintCanonical(t *testing.T) {
 	fp := base.Fingerprint()
 	variant := base
 	variant.Parallelism = 7
-	variant.Telemetry = telemetry.NewCollector()
 	variant.Metrics = telemetry.NewRegistry()
 	if got := variant.Fingerprint(); got != fp {
 		t.Errorf("execution knobs changed fingerprint: %q vs %q", got, fp)

@@ -78,18 +78,6 @@ type Options struct {
 	// calling goroutine whatever the count.
 	Parallelism int
 
-	// Telemetry, when non-nil, receives a span for every pipeline stage,
-	// every enforce-orderability round, every block of partitions the pool
-	// scans ("part-scan") and every ordered phase ("order-phase"), the last
-	// two on the row of the pool lane that ran them (the self-tracing behind
-	// -self-trace).
-	// When a recorder is attached, each stage additionally records
-	// runtime.MemStats deltas into the metrics registry. nil disables span
-	// recording (telemetry.Disabled is substituted); the per-stage metrics
-	// backing Stats are collected either way. Recorders only observe — the
-	// recovered Structure is byte-identical with telemetry on or off.
-	Telemetry telemetry.Recorder
-
 	// Metrics, when non-nil, additionally accumulates the extraction's
 	// metric registry into this shared registry when the pipeline finishes.
 	// CLIs use it to aggregate every extraction of a run into one
@@ -106,8 +94,8 @@ type Options struct {
 	// stage and per-stage loop counters, updated lock-free once per fixed
 	// block of the loop (events, leaps, partitions; one phase), the same at
 	// every worker count. The result cache attaches one per extraction
-	// flight and charmd serves it at /debug/flights. Like the telemetry
-	// sinks this is an execution-only knob: it is excluded from Fingerprint
+	// flight and charmd serves it at /debug/flights. Like the Metrics
+	// sink this is an execution-only knob: it is excluded from Fingerprint
 	// and never changes the recovered Structure, and a nil Progress costs
 	// one pointer check per block.
 	Progress *Progress

@@ -3,8 +3,6 @@ package core
 import (
 	"sync"
 	"sync/atomic"
-
-	"charmtrace/internal/telemetry"
 )
 
 // forEach is the package's one worker pool. It runs f(i, lane) exactly once
@@ -48,33 +46,25 @@ func forEach(n, workers int, f func(i, lane int)) {
 
 // forEach is the pool with the extraction's bookkeeping attached. [0, n) is
 // handed out in blocks of `block` consecutive indices (the pool's items), and
-// around each block it polls the extraction context, opens a span named name
-// on the lane's row of the self-trace (annotated with the block bounds, so
-// uneven lanes are visible), and credits the block to the live progress.
+// around each block it polls the extraction context and credits the block to
+// the live progress.
 //
 // Once the context has expired the remaining blocks are skipped, so a
 // cancelled extraction gets its lanes back within one block. The rows the
 // skipped blocks would have filled stay unwritten, which is safe because
 // Extract's next stage boundary turns the cancellation into an error and
 // discards everything.
-func (t *tel) forEach(name string, n, block, workers int, f func(i, lane int)) {
+func (t *tel) forEach(n, block, workers int, f func(i, lane int)) {
 	t.prog.StartLoop(int64(n))
-	recording, parent := t.rec.Enabled(), t.cur
 	forEach((n+block-1)/block, workers, func(b, lane int) {
 		if t.cancelled() {
 			return
 		}
 		lo := b * block
 		hi := min(lo+block, n)
-		sp := telemetry.NoSpan
-		if recording {
-			sp = t.rec.StartSpan(name, parent, telemetry.Lane(lane+1),
-				telemetry.Int("lo", int64(lo)), telemetry.Int("hi", int64(hi)))
-		}
 		for i := lo; i < hi; i++ {
 			f(i, lane)
 		}
-		t.rec.EndSpan(sp)
 		t.prog.Add(int64(hi - lo))
 	})
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"slices"
 	"time"
 
@@ -12,18 +11,12 @@ import (
 	"charmtrace/internal/trace"
 )
 
-// tel carries the telemetry context through the pipeline: the span sink,
-// the metrics registry backing Stats, the cancellation context, the live
-// progress, and the span of the currently running stage (the parent for
-// round spans and the pool's block spans). cur is only written on the
-// calling goroutine while no pool is running, so pool lanes read it
-// race-free.
+// tel carries the telemetry context through the pipeline: the metrics
+// registry backing Stats, the cancellation context and the live progress.
 type tel struct {
-	rec  telemetry.Recorder
 	reg  *telemetry.Registry
 	ctx  context.Context // nil = never cancelled
 	prog *Progress       // nil = no live progress reporting
-	cur  telemetry.SpanID
 }
 
 // cancelled reports whether the extraction's context has expired. Safe to
@@ -42,36 +35,15 @@ func Extract(tr *trace.Trace, opt Options) (*Structure, error) {
 		}
 	}
 	workers := opt.Workers()
-	rec := opt.Telemetry
-	if rec == nil {
-		rec = telemetry.Disabled
-	}
-	t := &tel{rec: rec, reg: telemetry.NewRegistry(), ctx: opt.Context, prog: opt.Progress}
-	rootAttrs := []telemetry.Attr{
-		telemetry.Int("events", int64(len(tr.Events))),
-		telemetry.Int("workers", int64(workers)),
-	}
-	if rec.Enabled() {
-		// The request id (threaded through the context by charmd's access-log
-		// middleware via the flight's detached context) joins the extraction's
-		// root span to the HTTP request that caused it.
-		if id := telemetry.RequestID(opt.Context); id != "" {
-			rootAttrs = append(rootAttrs, telemetry.String("request_id", id))
-		}
-	}
-	root := rec.StartSpan("extract", telemetry.NoSpan, rootAttrs...)
+	t := &tel{reg: telemetry.NewRegistry(), ctx: opt.Context, prog: opt.Progress}
 	t.reg.Gauge("trace.events").Set(float64(len(tr.Events)))
 	t.reg.Gauge("trace.blocks").Set(float64(len(tr.Blocks)))
 	t.reg.Gauge("trace.chares").Set(float64(len(tr.Chares)))
 	t.reg.Gauge("pipeline.workers").Set(float64(workers))
 
-	// stage wraps one pipeline stage: a span under the extract root, wall
-	// time and merge count into the registry (the single bookkeeping path —
-	// Stats is materialized from the registry below), and, when a recorder
-	// is attached, runtime.MemStats deltas (gated because ReadMemStats
-	// stops the world).
-	memOn := rec.Enabled()
-	var m0, m1 runtime.MemStats
+	// stage wraps one pipeline stage: wall time and merge count into the
+	// registry (the single bookkeeping path — Stats is materialized from the
+	// registry below).
 	// cancelErr latches the first cancellation observed at a stage
 	// boundary; once set, the remaining stages are skipped and Extract
 	// returns the error instead of a (partially built) structure.
@@ -85,23 +57,11 @@ func Extract(tr *trace.Trace, opt Options) (*Structure, error) {
 			return
 		}
 		t.prog.SetStage(name)
-		t.cur = rec.StartSpan(name, root)
-		if memOn {
-			runtime.ReadMemStats(&m0)
-		}
 		start := time.Now()
 		merged := f()
 		d := time.Since(start)
 		t.reg.Counter(telemetry.StageNSPrefix + name).Add(d.Nanoseconds())
 		t.reg.Counter(telemetry.StageMergedPrefix + name).Add(int64(merged))
-		if memOn {
-			runtime.ReadMemStats(&m1)
-			t.reg.Counter(telemetry.StageAllocPrefix + name).Add(int64(m1.TotalAlloc - m0.TotalAlloc))
-			t.reg.Counter(telemetry.StageMallocPrefix + name).Add(int64(m1.Mallocs - m0.Mallocs))
-			t.reg.Gauge(telemetry.StageHeapPrefix + name).Set(float64(m1.HeapAlloc))
-		}
-		rec.EndSpan(t.cur)
-		t.cur = root
 	}
 
 	var a *atoms
@@ -132,7 +92,6 @@ func Extract(tr *trace.Trace, opt Options) (*Structure, error) {
 		s = assignSteps(tr, opt, a, t)
 		return 0
 	})
-	rec.EndSpan(root)
 	if cancelErr == nil {
 		// Catch a cancellation that landed inside the final stage: its
 		// structure is partially stepped and must not escape.
@@ -282,7 +241,7 @@ func buildPartInfo(tr *trace.Trace, a *atoms, v *partition.View, workers int, t 
 	info.minTime = growTime(info.minTime, n)
 	info.src = growPeTime(info.src, int(total))
 	info.srcEnd = grow32(info.srcEnd, n)
-	t.forEach("part-scan", n, max(1, n/partItems), workers, func(pi, _ int) {
+	t.forEach(n, max(1, n/partItems), workers, func(pi, _ int) {
 		part := &v.Parts[pi]
 		chares := part.Chares
 		base := info.chareOff[pi]
@@ -456,13 +415,12 @@ func leapMerge(a *atoms) int {
 // dependency inference is enabled; application/runtime overlaps — and all
 // overlaps when inference is disabled (the Figure 17 ablation) — are instead
 // forced into sequence by the physical time of their initial sources.
-// Each round's latency lands in the pipeline.enforce_round_ns histogram,
-// and under a recorder each round gets its own span, so slow convergence
-// (the §3.1.4 cost the scaling figures attribute) is directly visible.
+// Each round's latency lands in the pipeline.enforce_round_ns histogram, so
+// slow convergence (the §3.1.4 cost the scaling figures attribute) is
+// directly visible.
 func enforceOrderability(tr *trace.Trace, a *atoms, opt Options, workers int, t *tel) (merged, rounds int) {
 	const maxRounds = 64
 	hist := t.reg.Histogram("pipeline.enforce_round_ns")
-	stage := t.cur
 	for rounds = 0; rounds < maxRounds; rounds++ {
 		// Convergence can take many rounds on adversarial traces; a
 		// cancelled extraction must not ride the loop to the end. The
@@ -471,15 +429,8 @@ func enforceOrderability(tr *trace.Trace, a *atoms, opt Options, workers int, t 
 			return merged, rounds
 		}
 		start := time.Now()
-		if t.rec.Enabled() {
-			t.cur = t.rec.StartSpan("enforce-round", stage, telemetry.Int("round", int64(rounds)))
-		}
 		m, done := enforceRound(tr, a, opt, workers, t)
 		merged += m
-		if t.rec.Enabled() {
-			t.rec.EndSpan(t.cur)
-			t.cur = stage
-		}
 		hist.Observe(float64(time.Since(start).Nanoseconds()))
 		if done {
 			return merged, rounds + 1

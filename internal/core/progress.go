@@ -15,12 +15,11 @@ import (
 // All fields are atomics, so the pipeline updates them lock-free — once per
 // fixed block of the loop (sweepBlock events, leapBlock leaps, a partItems-th
 // of the partitions, one phase), never per event, and the same at every worker
-// count — and any goroutine may Snapshot concurrently. Like the telemetry
-// sinks, Progress only observes: an extraction's output is byte-identical
+// count — and any goroutine may Snapshot concurrently. Like the Metrics
+// sink, Progress only observes: an extraction's output is byte-identical
 // with or without one attached, it is excluded from Options.Fingerprint, and
 // every method is a no-op on a nil Progress, so the pipeline calls them
-// unconditionally at the cost of one pointer check per block — which is what
-// keeps the telemetry-off overhead guard (<2%, DESIGN.md §3b) intact.
+// unconditionally at the cost of one pointer check per block.
 type Progress struct {
 	start   time.Time
 	stage   atomic.Pointer[string]

@@ -122,9 +122,8 @@ type Stats struct {
 	// (Options.Workers() at Extract time).
 	Parallelism int
 	// Telemetry is the pipeline's metrics registry: everything above plus
-	// the enforce-round latency histogram, events-scanned counters, and —
-	// when a span recorder was attached — per-stage runtime.MemStats
-	// deltas. Export renders it as the versioned -stats-json schema.
+	// the enforce-round latency histogram and events-scanned counters.
+	// Export renders it as the versioned -stats-json schema.
 	Telemetry *telemetry.Registry
 }
 

@@ -169,14 +169,12 @@ func assignSteps(tr *trace.Trace, opt Options, a *atoms, t *tel) *Structure {
 		}
 	}
 
-	// Phases are the ordering stage's pool items, one per block: the span of
-	// each lands on the lane that ran it — per-phase spans are what expose
-	// ordering-stage imbalance (one huge phase pinning a lane while the others
-	// drain) in a self-trace — and that lane's scratch is the phase's alone
-	// while it runs. /debug/flights shows "phases ordered / total".
+	// Phases are the ordering stage's pool items, one per block, and the
+	// scratch of the lane that runs one is the phase's alone while it runs.
+	// /debug/flights shows "phases ordered / total".
 	workers := opt.Workers()
 	ar.ensureLanes(min(workers, nParts))
-	t.forEach("order-phase", nParts, 1, workers, func(pi, lane int) {
+	t.forEach(nParts, 1, workers, func(pi, lane int) {
 		orderPhase(pi, ar.lanes[lane])
 	})
 

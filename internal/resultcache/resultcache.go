@@ -558,7 +558,7 @@ func (c *Cache) Get(ctx context.Context, traceDigest string, tr *trace.Trace, op
 // launchFlightLocked registers and starts the detached flight for a key.
 // Caller holds c.mu. callerCtx is the leader's request context: only its
 // request id (if any) is copied onto the flight's detached context, so a
-// -self-trace span of the extraction is attributable to the HTTP request
+// peer fill the flight makes carries the X-Request-ID of the HTTP request
 // that triggered it even after that request detaches.
 func (c *Cache) launchFlightLocked(callerCtx context.Context, id, traceDigest string, tr *trace.Trace, opt core.Options) *flight {
 	fctx := telemetry.WithRequestID(context.Background(), telemetry.RequestID(callerCtx))

@@ -363,48 +363,13 @@ func (s *Server) handleStructDiff(w http.ResponseWriter, r *http.Request) {
 
 // handleStats exports the server-wide registry — request latencies, cache
 // hit/miss/evict counters, in-flight gauge, aggregated pipeline stage
-// metrics — in the versioned StatsExport schema. ?reset=1 (requires
-// -debug-unsafe) returns the snapshot and then zeroes every metric in
-// place, so cached handles keep counting from zero.
+// metrics — in the versioned StatsExport schema.
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	reset, allowed := s.resetRequested(w, r)
-	if reset && !allowed {
-		return
-	}
 	s.residency()
 	e := telemetry.ExportRegistry(s.reg, "charmd", core.StageOrder)
 	if s.cfg.NodeName != "" {
 		e.Labels = map[string]string{"node": s.cfg.NodeName}
 	}
-	if s.collector != nil {
-		e.SpanCount = s.collector.Len()
-		e.SpansDropped = s.collector.Dropped()
-	}
-	if reset {
-		s.reg.Reset()
-	}
 	w.Header().Set("Content-Type", "application/json")
 	e.Write(w)
-}
-
-// handleSelfTrace exports the analyzer's own spans as a Chrome trace-event
-// file (open at ui.perfetto.dev). Only available with Config.SelfTrace.
-// ?reset=1 (requires -debug-unsafe) returns the spans recorded so far and
-// then clears the collector.
-func (s *Server) handleSelfTrace(w http.ResponseWriter, r *http.Request) {
-	if s.collector == nil {
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusNotFound)
-		fmt.Fprintln(w, `{"error":"self-tracing disabled; start charmd with -self-trace"}`)
-		return
-	}
-	reset, allowed := s.resetRequested(w, r)
-	if reset && !allowed {
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	s.collector.WriteChromeTrace(w)
-	if reset {
-		s.collector.Reset()
-	}
 }

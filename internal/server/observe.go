@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"log/slog"
 	"net/http"
 	"time"
@@ -68,8 +67,7 @@ func (s *Server) logAccess(r *http.Request, route, reqID string, outcome *result
 
 // handleProm serves the registry — the same one behind /debug/stats — in
 // the Prometheus text exposition format, followed by the Go runtime
-// families and, when self-tracing is on, the collector's depth and drop
-// counters.
+// families.
 func (s *Server) handleProm(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", telemetry.PromContentType)
 	var labels map[string]string
@@ -79,12 +77,6 @@ func (s *Server) handleProm(w http.ResponseWriter, r *http.Request) {
 	s.residency()
 	telemetry.WritePrometheusLabels(w, s.reg, labels)
 	telemetry.WriteGoRuntimeMetrics(w)
-	if s.collector != nil {
-		telemetry.PromGaugeLabels(w, "charmd_selftrace_spans",
-			"spans retained by the self-trace collector", float64(s.collector.Len()), labels)
-		telemetry.PromCounterLabels(w, "charmd_selftrace_dropped_spans_total",
-			"spans discarded by the self-trace retention cap", float64(s.collector.Dropped()), labels)
-	}
 }
 
 // handleFlights lists every in-progress extraction flight with its live
@@ -99,21 +91,4 @@ func (s *Server) handleFlights(w http.ResponseWriter, r *http.Request) {
 		Node    string                   `json:"node,omitempty"`
 		Flights []resultcache.FlightInfo `json:"flights"`
 	}{Node: s.cfg.NodeName, Flights: flights})
-}
-
-// resetRequested implements the ?reset=1 guard shared by /debug/stats and
-// /debug/selftrace: resetting live counters on a shared server is a
-// debugging action, so it requires -debug-unsafe. When requested but not
-// allowed it has already written the 403 and the handler must return.
-func (s *Server) resetRequested(w http.ResponseWriter, r *http.Request) (requested, allowed bool) {
-	if r.URL.Query().Get("reset") != "1" {
-		return false, false
-	}
-	if !s.cfg.DebugUnsafe {
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusForbidden)
-		json.NewEncoder(w).Encode(map[string]string{"error": "reset requires charmd -debug-unsafe"})
-		return true, false
-	}
-	return true, true
 }

@@ -385,77 +385,11 @@ func TestAccessLog429CarriesRetryAfter(t *testing.T) {
 	<-holder
 }
 
-// TestDebugResetGating: ?reset=1 is forbidden without -debug-unsafe and
-// zeroes the stats in place with it.
-func TestDebugResetGating(t *testing.T) {
-	_, ts := newTestServer(t, Config{SelfTrace: true})
-	if code, body := get(t, ts, "/debug/stats?reset=1"); code != http.StatusForbidden {
-		t.Fatalf("reset without -debug-unsafe: status %d, body %s", code, body)
-	}
-	if code, _ := get(t, ts, "/debug/selftrace?reset=1"); code != http.StatusForbidden {
-		t.Fatalf("selftrace reset without -debug-unsafe: status %d", code)
-	}
-
-	srv, ts2 := newTestServer(t, Config{DebugUnsafe: true, SelfTrace: true})
-	srv.Registry().Counter("server.requests").Add(0) // ensure family exists
-	mustGet(t, ts2, "/healthz")
-	var before telemetry.StatsExport
-	if err := json.Unmarshal(mustGet(t, ts2, "/debug/stats?reset=1"), &before); err != nil {
-		t.Fatal(err)
-	}
-	// The reset response reports the pre-reset values...
-	if before.Counters["server.requests"] == 0 {
-		t.Fatal("reset response lost the pre-reset snapshot")
-	}
-	// ...and the registry then restarts from zero (the stats request that
-	// reads it is itself counted, so "low", not necessarily zero).
-	var after telemetry.StatsExport
-	if err := json.Unmarshal(mustGet(t, ts2, "/debug/stats"), &after); err != nil {
-		t.Fatal(err)
-	}
-	if after.Counters["server.requests"] >= before.Counters["server.requests"] {
-		t.Fatalf("requests counter not reset: before=%d after=%d",
-			before.Counters["server.requests"], after.Counters["server.requests"])
-	}
-}
-
-// TestSelfTraceSpanCapReporting: a tiny span cap drops spans, and the drop
-// count surfaces in /debug/stats and /metrics.
-func TestSelfTraceSpanCapReporting(t *testing.T) {
-	_, ts := newTestServer(t, Config{SelfTrace: true, SelfTraceMaxSpans: 3})
-	digest := upload(t, ts, encodedJacobi(t, 0))
-	mustGet(t, ts, "/v1/traces/"+digest+"/structure")
-
-	var stats telemetry.StatsExport
-	if err := json.Unmarshal(mustGet(t, ts, "/debug/stats"), &stats); err != nil {
-		t.Fatal(err)
-	}
-	if stats.SpanCount > 3 {
-		t.Fatalf("span count %d exceeds the cap", stats.SpanCount)
-	}
-	if stats.SpansDropped == 0 {
-		t.Fatal("an extraction under a 3-span cap must drop spans")
-	}
-
-	resp, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	fams, err := telemetry.ParsePromText(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f := fams["charmd_selftrace_dropped_spans_total"]; f == nil || f.Samples[0].Value == 0 {
-		t.Fatal("dropped-span counter missing from /metrics")
-	}
-}
-
 // TestStatsContentType pins the explicit Content-Type on both debug
 // endpoints.
 func TestStatsContentType(t *testing.T) {
-	_, ts := newTestServer(t, Config{SelfTrace: true})
-	for _, path := range []string{"/debug/stats", "/debug/selftrace"} {
+	_, ts := newTestServer(t, Config{})
+	for _, path := range []string{"/debug/stats", "/debug/flights"} {
 		resp, err := http.Get(ts.URL + path)
 		if err != nil {
 			t.Fatal(err)
@@ -474,7 +408,6 @@ func TestObservabilityDoesNotChangeResponses(t *testing.T) {
 	_, tsBare := newTestServer(t, Config{})
 	_, tsObs := newTestServer(t, Config{
 		AccessLog: slog.New(slog.NewJSONHandler(&syncBuffer{}, nil)),
-		SelfTrace: true,
 	})
 	body := encodedJacobi(t, 0)
 	dA := upload(t, tsBare, body)

@@ -70,31 +70,15 @@ type Config struct {
 	// QueueWait is how long an analysis request may wait for an extraction
 	// slot before being shed (0 = 1s).
 	QueueWait time.Duration
-	// DetachedTimeout is the hard cap on an extraction flight that every
-	// requester has abandoned (0 = resultcache.DefaultDetachedTimeout;
-	// negative disables the cap).
-	DetachedTimeout time.Duration
 	// MaxResultBytes bounds the on-disk result store; the least-recently-
 	// modified entries are garbage-collected past it (0 = unbounded).
 	MaxResultBytes int64
 	// Metrics is the server-wide registry (nil = a private one).
 	Metrics *telemetry.Registry
-	// SelfTrace attaches a span collector to every extraction and enables
-	// /debug/selftrace. Spans accumulate for the life of the process, so
-	// this is a debugging switch, not a production default.
-	SelfTrace bool
-	// SelfTraceMaxSpans caps the span collector's retention
-	// (0 = telemetry.DefaultSpanLimit; negative = unbounded). Spans past
-	// the cap are dropped and counted in /debug/stats' spans_dropped.
-	SelfTraceMaxSpans int
 	// AccessLog receives one structured line per completed request (nil
 	// disables access logging). cmd/charmd wires a JSON slog logger by
 	// default; see -log-format.
 	AccessLog *slog.Logger
-	// DebugUnsafe enables mutating debug operations — ?reset=1 on
-	// /debug/stats and /debug/selftrace. Off by default: a shared server's
-	// counters should not be clearable by any client that can reach it.
-	DebugUnsafe bool
 
 	// NodeName identifies this node in a cluster: stamped on every response
 	// (X-Charmd-Node), on access-log lines, in /debug payloads, and as the
@@ -117,12 +101,11 @@ type Config struct {
 // Server is the charmd request handler. Create with New, mount anywhere
 // (it implements http.Handler), and call Close on shutdown.
 type Server struct {
-	cfg       Config
-	reg       *telemetry.Registry
-	collector *telemetry.Collector
-	cache     *resultcache.Cache
-	engine    *query.Engine
-	mux       *http.ServeMux
+	cfg    Config
+	reg    *telemetry.Registry
+	cache  *resultcache.Cache
+	engine *query.Engine
+	mux    *http.ServeMux
 
 	mu     sync.RWMutex
 	traces map[string]*traceEntry
@@ -199,13 +182,12 @@ func New(cfg Config) (*Server, error) {
 	s.statusClass = reg.StatusClasses("server.status")
 	var err error
 	s.cache, err = resultcache.New(resultcache.Config{
-		Dir:             resultDir,
-		MaxMemEntries:   cfg.MaxMemEntries,
-		MaxDiskBytes:    cfg.MaxResultBytes,
-		DetachedTimeout: cfg.DetachedTimeout,
-		Metrics:         reg,
-		Extract:         cfg.extract,
-		PeerFetch:       cfg.PeerFetch,
+		Dir:           resultDir,
+		MaxMemEntries: cfg.MaxMemEntries,
+		MaxDiskBytes:  cfg.MaxResultBytes,
+		Metrics:       reg,
+		Extract:       cfg.extract,
+		PeerFetch:     cfg.PeerFetch,
 		Trace: func(ctx context.Context, digest string) (*trace.Trace, error) {
 			return withEntry(ctx, s, digest, s.traceOf)
 		},
@@ -226,13 +208,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.MaxConcurrentExtractions > 0 {
 		s.sem = make(chan struct{}, cfg.MaxConcurrentExtractions)
-	}
-	if cfg.SelfTrace {
-		limit := cfg.SelfTraceMaxSpans
-		if limit == 0 {
-			limit = telemetry.DefaultSpanLimit
-		}
-		s.collector = telemetry.NewCollectorLimit(limit)
 	}
 	if cfg.DataDir != "" {
 		if err := s.indexTraceDir(); err != nil {
@@ -337,7 +312,6 @@ func (s *Server) routes() {
 	handle("GET /v1/structdiff", "structdiff", s.handleStructDiff)
 	handle("GET /metrics", "prom", s.handleProm)
 	handle("GET /debug/stats", "stats", s.handleStats)
-	handle("GET /debug/selftrace", "selftrace", s.handleSelfTrace)
 	handle("GET /debug/flights", "flights", s.handleFlights)
 	handle("GET /v1/internal/results/{key}", "internal_result", s.handleInternalResultGet)
 	handle("GET /v1/internal/traces/{digest}", "internal_trace", s.handleInternalTraceGet)
@@ -419,7 +393,7 @@ func (s *Server) retrofit(sel string, full func(w http.ResponseWriter, r *http.R
 // in-flight gauge, per-route latency histogram, status-class counters, body
 // bytes before compression and wire bytes after it),
 // request correlation (X-Request-ID honored or minted, echoed, and carried
-// by context into extraction spans and access-log lines), the per-request
+// by context onto access-log lines and peer fills), the per-request
 // timeout context, and transparent response compression. Every response
 // carries Vary: Accept-Encoding because its transfer encoding depends on
 // that request header; the body bytes fed into the compressor are identical
@@ -577,7 +551,7 @@ func writeJSONCompact(w http.ResponseWriter, v any) {
 
 // extractOptions resolves the analysis options for a request: a preset
 // (charm or mp) plus optional boolean overrides, with the server's
-// configured Parallelism and telemetry sinks attached. The semantic subset
+// configured Parallelism and metrics registry attached. The semantic subset
 // is what the cache keys on.
 func (s *Server) extractOptions(r *http.Request) (core.Options, error) {
 	q := r.URL.Query()
@@ -612,9 +586,6 @@ func (s *Server) extractOptions(r *http.Request) (core.Options, error) {
 	}
 	opt.Parallelism = s.cfg.Parallelism
 	opt.Metrics = s.reg
-	if s.collector != nil {
-		opt.Telemetry = s.collector
-	}
 	return opt, nil
 }
 

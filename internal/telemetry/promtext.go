@@ -116,27 +116,16 @@ func labelSet(labels map[string]string, extra string) string {
 }
 
 // PromGauge writes one self-contained gauge family (header plus a single
-// sample). The serving layer uses it for process-level values that do not
-// live in a Registry (span-collector depth, dropped spans).
+// sample), for process-level values that do not live in a Registry.
 func PromGauge(w io.Writer, name, help string, v float64) {
-	PromGaugeLabels(w, name, help, v, nil)
-}
-
-// PromGaugeLabels is PromGauge with a constant label set on the sample.
-func PromGaugeLabels(w io.Writer, name, help string, v float64, labels map[string]string) {
 	promFamily(w, name, "gauge", help)
-	fmt.Fprintf(w, "%s%s %s\n", name, labelSet(labels, ""), promFloat(v))
+	fmt.Fprintf(w, "%s %s\n", name, promFloat(v))
 }
 
 // PromCounter writes one self-contained counter family.
 func PromCounter(w io.Writer, name, help string, v float64) {
-	PromCounterLabels(w, name, help, v, nil)
-}
-
-// PromCounterLabels is PromCounter with a constant label set on the sample.
-func PromCounterLabels(w io.Writer, name, help string, v float64, labels map[string]string) {
 	promFamily(w, name, "counter", help)
-	fmt.Fprintf(w, "%s%s %s\n", name, labelSet(labels, ""), promFloat(v))
+	fmt.Fprintf(w, "%s %s\n", name, promFloat(v))
 }
 
 // WritePrometheus renders a point-in-time snapshot of the registry in the

@@ -1,3 +1,23 @@
+// Package telemetry is the metrics side of the pipeline and the serving
+// stack: what they count about their own execution, and how that is
+// exported.
+//
+//   - Registry is the lightweight metrics store (counters, gauges,
+//     histograms). core.Extract always records into one — it is what backs
+//     core.Stats — and registries merge, so a CLI can aggregate many
+//     extractions into a single machine-readable report, and charmd keeps
+//     one for the life of the process.
+//   - The exporters: StatsExport is the versioned JSON schema behind the
+//     -stats-json flag and /debug/stats (diffable across runs), and
+//     WritePrometheus renders a registry in the Prometheus text format for
+//     /metrics.
+//   - The request-ID contract every hop of a served request shares.
+//
+// Recording never influences the analysis: a registry only observes, so the
+// recovered Structure is byte-identical with or without one attached (the
+// determinism suite checks exactly that). Spans are not recorded in the
+// program: the repository benchmark (bench/) lays them out from outside, and
+// stage attribution comes from core.Stats.StageTime.
 package telemetry
 
 import (
@@ -219,41 +239,6 @@ func (r *Registry) Snapshot() Snapshot {
 		s.Histograms[k] = h.snapshot()
 	}
 	return s
-}
-
-// Reset zeroes every metric in place. Handles returned by
-// Counter/Gauge/Histogram stay valid — holders keep updating the same
-// metrics after the reset, which is what lets charmd's ?reset=1 debug
-// switch rebase /debug/stats without tearing down the server's cached
-// metric pointers.
-func (r *Registry) Reset() {
-	r.mu.Lock()
-	counters := make([]*Counter, 0, len(r.counters))
-	for _, c := range r.counters {
-		counters = append(counters, c)
-	}
-	gauges := make([]*Gauge, 0, len(r.gauges))
-	for _, g := range r.gauges {
-		gauges = append(gauges, g)
-	}
-	hists := make([]*Histogram, 0, len(r.hists))
-	for _, h := range r.hists {
-		hists = append(hists, h)
-	}
-	r.mu.Unlock()
-	for _, c := range counters {
-		c.v.Store(0)
-	}
-	for _, g := range gauges {
-		g.bits.Store(0)
-	}
-	for _, h := range hists {
-		h.mu.Lock()
-		h.count, h.sum = 0, 0
-		h.min, h.max = math.Inf(1), math.Inf(-1)
-		h.buckets = [histBuckets]int64{}
-		h.mu.Unlock()
-	}
 }
 
 // MergeInto accumulates this registry into dst: counters add, gauges take

@@ -7,12 +7,12 @@ import (
 )
 
 // The request-ID context key lives in telemetry because it is read on both
-// sides of the serving/pipeline boundary: charmd's access-log middleware
+// sides of the serving/cluster boundary: charmd's access-log middleware
 // stamps every request context, the result cache copies the id onto a
 // detached flight's context when that request becomes the flight leader,
-// and core.Extract attaches it to the extraction's root span — which is
-// what lets a slow span in -self-trace output be joined back to the access
-// log line (and the X-Request-ID the client saw) that caused it.
+// and cluster.Peers reads it there to send the same X-Request-ID on a peer
+// fill — which is what lets a peer's access-log line be joined back to the
+// request (and the X-Request-ID the client saw) that caused it.
 
 type requestIDKey struct{}
 

@@ -32,12 +32,6 @@ type StatsExport struct {
 	Counters   map[string]int64             `json:"counters,omitempty"`
 	Gauges     map[string]float64           `json:"gauges,omitempty"`
 	Histograms map[string]HistogramSnapshot `json:"histograms,omitempty"`
-	// SpanCount is the number of spans the run recorded (0 when only
-	// metrics were collected).
-	SpanCount int `json:"span_count,omitempty"`
-	// SpansDropped counts spans discarded by the collector's retention cap
-	// (see Collector). Additive, schema-compatible: absent when zero.
-	SpansDropped int64 `json:"spans_dropped,omitempty"`
 }
 
 // StageStats is one pipeline stage's row in the export.
@@ -45,12 +39,6 @@ type StageStats struct {
 	Name       string `json:"name"`
 	DurationNS int64  `json:"duration_ns"`
 	Merged     int64  `json:"merged"`
-	// AllocBytes/Mallocs are runtime.MemStats deltas across the stage and
-	// HeapBytes the live heap after it — recorded only when a span recorder
-	// was attached (MemStats reads are not free).
-	AllocBytes int64 `json:"alloc_bytes,omitempty"`
-	Mallocs    int64 `json:"mallocs,omitempty"`
-	HeapBytes  int64 `json:"heap_bytes,omitempty"`
 }
 
 // Reserved metric-name prefixes the pipeline records per stage; the
@@ -58,9 +46,6 @@ type StageStats struct {
 const (
 	StageNSPrefix     = "pipeline.stage_ns."
 	StageMergedPrefix = "pipeline.merged."
-	StageAllocPrefix  = "mem.alloc_bytes."
-	StageMallocPrefix = "mem.mallocs."
-	StageHeapPrefix   = "mem.heap_alloc."
 )
 
 // ExportRegistry builds the versioned export from a registry snapshot.
@@ -80,22 +65,10 @@ func ExportRegistry(reg *Registry, tool string, stageOrder []string) *StatsExpor
 		if !timed && !didMerge {
 			continue
 		}
-		st := StageStats{Name: name, DurationNS: ns, Merged: merged}
-		st.AllocBytes = snap.Counters[StageAllocPrefix+name]
-		st.Mallocs = snap.Counters[StageMallocPrefix+name]
-		st.HeapBytes = int64(snap.Gauges[StageHeapPrefix+name])
-		e.Stages = append(e.Stages, st)
-	}
-	stageMetric := func(k string) bool {
-		for _, p := range []string{StageNSPrefix, StageMergedPrefix, StageAllocPrefix, StageMallocPrefix} {
-			if strings.HasPrefix(k, p) {
-				return true
-			}
-		}
-		return false
+		e.Stages = append(e.Stages, StageStats{Name: name, DurationNS: ns, Merged: merged})
 	}
 	for k, v := range snap.Counters {
-		if stageMetric(k) {
+		if strings.HasPrefix(k, StageNSPrefix) || strings.HasPrefix(k, StageMergedPrefix) {
 			continue
 		}
 		if e.Counters == nil {
@@ -103,14 +76,8 @@ func ExportRegistry(reg *Registry, tool string, stageOrder []string) *StatsExpor
 		}
 		e.Counters[k] = v
 	}
-	for k, v := range snap.Gauges {
-		if strings.HasPrefix(k, StageHeapPrefix) {
-			continue
-		}
-		if e.Gauges == nil {
-			e.Gauges = make(map[string]float64)
-		}
-		e.Gauges[k] = v
+	if len(snap.Gauges) > 0 {
+		e.Gauges = snap.Gauges
 	}
 	if len(snap.Histograms) > 0 {
 		e.Histograms = snap.Histograms
@@ -127,7 +94,18 @@ func (e *StatsExport) Write(w io.Writer) error {
 
 // WriteFile writes the export to a file.
 func (e *StatsExport) WriteFile(path string) error {
-	return writeJSONFile(path, e.Write)
+	f, err := os.Create(path)
+	if err != nil {
+		return fmt.Errorf("telemetry: %w", err)
+	}
+	if err := e.Write(f); err != nil {
+		f.Close()
+		return fmt.Errorf("telemetry: %w", err)
+	}
+	if err := f.Close(); err != nil {
+		return fmt.Errorf("telemetry: %w", err)
+	}
+	return nil
 }
 
 // ReadStats decodes and validates a stats export.
@@ -150,95 +128,4 @@ func ReadStatsFile(path string) (*StatsExport, error) {
 	}
 	defer f.Close()
 	return ReadStats(f)
-}
-
-// BenchSchemaVersion versions the BENCH_extract.json format.
-const BenchSchemaVersion = 1
-
-// BenchExport is the machine-readable benchmark report written by
-// `go run ./cmd/experiments -bench-json`: the repo's perf trajectory in a
-// diffable form.
-type BenchExport struct {
-	SchemaVersion int           `json:"schema_version"`
-	Tool          string        `json:"tool"`
-	GoMaxProcs    int           `json:"go_max_procs"`
-	Benchmarks    []BenchResult `json:"benchmarks"`
-}
-
-// BenchResult is one benchmark's measurement.
-type BenchResult struct {
-	Name        string `json:"name"`
-	Iterations  int    `json:"iterations"`
-	NsPerOp     int64  `json:"ns_per_op"`
-	BytesPerOp  int64  `json:"bytes_per_op,omitempty"`
-	AllocsPerOp int64  `json:"allocs_per_op,omitempty"`
-}
-
-// NewBenchExport returns an empty export for the named tool at the current
-// schema version.
-func NewBenchExport(tool string) *BenchExport {
-	return &BenchExport{
-		SchemaVersion: BenchSchemaVersion,
-		Tool:          tool,
-		GoMaxProcs:    runtime.GOMAXPROCS(0),
-	}
-}
-
-// Add appends one measurement. It takes plain numbers rather than a
-// *testing.BenchmarkResult so this package stays clear of the testing
-// import; callers pass r.N, r.NsPerOp(), r.AllocedBytesPerOp(),
-// r.AllocsPerOp().
-func (e *BenchExport) Add(name string, iterations int, nsPerOp, bytesPerOp, allocsPerOp int64) {
-	e.Benchmarks = append(e.Benchmarks, BenchResult{
-		Name:        name,
-		Iterations:  iterations,
-		NsPerOp:     nsPerOp,
-		BytesPerOp:  bytesPerOp,
-		AllocsPerOp: allocsPerOp,
-	})
-}
-
-// Write encodes the export as indented JSON.
-func (e *BenchExport) Write(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(e)
-}
-
-// WriteFile writes the export to a file.
-func (e *BenchExport) WriteFile(path string) error {
-	return writeJSONFile(path, e.Write)
-}
-
-// ReadBenchFile reads a -bench-json file back through the schema type.
-func ReadBenchFile(path string) (*BenchExport, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("telemetry: %w", err)
-	}
-	defer f.Close()
-	var e BenchExport
-	if err := json.NewDecoder(f).Decode(&e); err != nil {
-		return nil, fmt.Errorf("telemetry: bench: %w", err)
-	}
-	if e.SchemaVersion != BenchSchemaVersion {
-		return nil, fmt.Errorf("telemetry: bench: schema version %d, want %d", e.SchemaVersion, BenchSchemaVersion)
-	}
-	return &e, nil
-}
-
-// writeJSONFile creates path and streams write into it.
-func writeJSONFile(path string, write func(io.Writer) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("telemetry: %w", err)
-	}
-	if err := write(f); err != nil {
-		f.Close()
-		return fmt.Errorf("telemetry: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("telemetry: %w", err)
-	}
-	return nil
 }

@@ -8,139 +8,6 @@ import (
 	"testing"
 )
 
-func TestDisabledRecorder(t *testing.T) {
-	if Disabled.Enabled() {
-		t.Fatal("Disabled.Enabled() = true")
-	}
-	id := Disabled.StartSpan("x", NoSpan, Int("k", 1))
-	if id != NoSpan {
-		t.Fatalf("Disabled.StartSpan = %d, want NoSpan", id)
-	}
-	Disabled.EndSpan(id) // must not panic
-}
-
-func TestCollectorSpans(t *testing.T) {
-	c := NewCollector()
-	root := c.StartSpan("extract", NoSpan, Int("events", 10))
-	stage := c.StartSpan("dependency-merge", root)
-	w1 := c.StartSpan("sweep", stage, Lane(1))
-	w2 := c.StartSpan("sweep", stage, Lane(2))
-	c.EndSpan(w1)
-	c.EndSpan(w2)
-	c.EndSpan(stage)
-	c.EndSpan(root)
-
-	spans := c.Spans()
-	if len(spans) != 4 {
-		t.Fatalf("got %d spans, want 4", len(spans))
-	}
-	byName := map[string][]Span{}
-	for _, sp := range spans {
-		byName[sp.Name] = append(byName[sp.Name], sp)
-		if sp.Dur < 0 {
-			t.Errorf("span %s still open after EndSpan", sp.Name)
-		}
-	}
-	if got := byName["dependency-merge"][0]; got.Parent != root {
-		t.Errorf("stage parent = %d, want %d", got.Parent, root)
-	}
-	// Stage inherits the root's tid; workers get base+lane.
-	base := byName["extract"][0].TID
-	if byName["dependency-merge"][0].TID != base {
-		t.Errorf("stage tid = %d, want inherited %d", byName["dependency-merge"][0].TID, base)
-	}
-	tids := map[int64]bool{}
-	for _, sp := range byName["sweep"] {
-		tids[sp.TID] = true
-		if sp.TID != base+1 && sp.TID != base+2 {
-			t.Errorf("worker tid = %d, want %d or %d", sp.TID, base+1, base+2)
-		}
-	}
-	if len(tids) != 2 {
-		t.Error("worker spans share a lane")
-	}
-	// The lane attribute is consumed, not exported.
-	for _, sp := range byName["sweep"] {
-		for _, a := range sp.Attrs {
-			if a.Key == "lane" {
-				t.Error("lane attr leaked into span attrs")
-			}
-		}
-	}
-}
-
-func TestCollectorConcurrentRoots(t *testing.T) {
-	c := NewCollector()
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			root := c.StartSpan("extract", NoSpan)
-			for j := 0; j < 10; j++ {
-				sp := c.StartSpan("stage", root, Lane(j%3+1), Int("j", int64(j)))
-				c.EndSpan(sp)
-			}
-			c.EndSpan(root)
-		}()
-	}
-	wg.Wait()
-	spans := c.Spans()
-	if len(spans) != 8*11 {
-		t.Fatalf("got %d spans, want %d", len(spans), 8*11)
-	}
-	// Concurrent roots must land on distinct lane bases.
-	bases := map[int64]bool{}
-	for _, sp := range spans {
-		if sp.Parent == NoSpan {
-			if bases[sp.TID] {
-				t.Fatalf("two roots share tid base %d", sp.TID)
-			}
-			bases[sp.TID] = true
-		}
-	}
-}
-
-func TestChromeTraceRoundTrip(t *testing.T) {
-	c := NewCollector()
-	root := c.StartSpan("extract", NoSpan, String("workload", "jacobi"))
-	w := c.StartSpan("part-scan", root, Lane(1), Int("lo", 0), Int("hi", 5))
-	c.EndSpan(w)
-	c.EndSpan(root)
-
-	var buf bytes.Buffer
-	if err := c.WriteChromeTrace(&buf); err != nil {
-		t.Fatal(err)
-	}
-	events, err := ReadChromeTrace(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var complete, meta int
-	for _, ev := range events {
-		switch ev.Ph {
-		case "X":
-			complete++
-			if ev.TS < 0 || ev.Dur < 0 {
-				t.Errorf("event %q has ts %v dur %v", ev.Name, ev.TS, ev.Dur)
-			}
-			if ev.PID != chromePID {
-				t.Errorf("event %q pid = %d", ev.Name, ev.PID)
-			}
-		case "M":
-			meta++
-		default:
-			t.Errorf("unexpected phase %q", ev.Ph)
-		}
-	}
-	if complete != 2 {
-		t.Errorf("complete events = %d, want 2", complete)
-	}
-	if meta < 3 { // process_name + >= 2 thread rows
-		t.Errorf("metadata events = %d, want >= 3", meta)
-	}
-}
-
 func TestRegistryMetrics(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("a").Add(3)
@@ -230,7 +97,6 @@ func TestStatsExportRoundTrip(t *testing.T) {
 	e := ExportRegistry(reg, "test", []string{"initial", "dependency-merge", "never-ran"})
 	e.Labels = map[string]string{"workload": "jacobi"}
 	e.Parallelism = 4
-	e.SpanCount = 7
 
 	if len(e.Stages) != 2 {
 		t.Fatalf("stages = %d, want 2 (never-ran omitted)", len(e.Stages))
@@ -261,27 +127,5 @@ func TestStatsExportRoundTrip(t *testing.T) {
 func TestReadStatsRejectsWrongVersion(t *testing.T) {
 	if _, err := ReadStats(bytes.NewBufferString(`{"schema_version": 999, "tool": "x"}`)); err == nil {
 		t.Fatal("expected a schema-version error")
-	}
-}
-
-func TestBenchExportRoundTrip(t *testing.T) {
-	e := &BenchExport{
-		SchemaVersion: BenchSchemaVersion,
-		Tool:          "experiments",
-		GoMaxProcs:    1,
-		Benchmarks: []BenchResult{
-			{Name: "Fig10MergeTree/par=1", Iterations: 10, NsPerOp: 12100000, BytesPerOp: 5, AllocsPerOp: 3},
-		},
-	}
-	path := filepath.Join(t.TempDir(), "bench.json")
-	if err := e.WriteFile(path); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadBenchFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, e) {
-		t.Errorf("round trip mismatch:\n got %+v\nwant %+v", got, e)
 	}
 }
