@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test verify lint fuzz fuzz-smoke bench-lod bench-steps bench-wire bench-smoke bench-repo fmt loc knobs serve cluster
+.PHONY: build test verify lint fuzz fuzz-smoke bench-lod bench-steps bench-wire bench-smoke bench-repo fmt loc knobs prefix-sums serve cluster
 
 build:
 	$(GO) build ./...
@@ -48,8 +48,9 @@ fuzz:
 # persisted event table (FuzzReadTable) and the structure codec against a
 # table alone (FuzzDecodeStructure, FuzzDecodeStructureSummary) — and the
 # row-response writer against encoding/json's indenting Encoder over random
-# value trees (FuzzJSONWriter). Their seed corpora replay on every plain
-# `go test`; this leg is not in tier-1.
+# value trees (FuzzJSONWriter) — and the CSR grouper against a stable sort
+# over random key columns (FuzzGroup). Their seed corpora replay on every
+# plain `go test`; this leg is not in tier-1.
 fuzz-smoke:
 	@for t in FuzzRead FuzzReadAuto FuzzReadProjections FuzzReadTable; do \
 		$(GO) test -run '^$$' -fuzz="^$$t\$$" -fuzztime=10s -fuzzminimizetime=1s ./internal/tracefile || exit 1; \
@@ -58,6 +59,7 @@ fuzz-smoke:
 		$(GO) test -run '^$$' -fuzz="^$$t\$$" -fuzztime=10s -fuzzminimizetime=1s ./internal/core || exit 1; \
 	done
 	$(GO) test -run '^$$' -fuzz='^FuzzJSONWriter$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/jsonw
+	$(GO) test -run '^$$' -fuzz='^FuzzGroup$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/flat
 
 # bench-smoke runs the repository benchmark (bench/, BENCHMARK.json) at toy
 # sizes in about ten seconds: all four workloads, real child processes,
@@ -130,6 +132,14 @@ loc:
 		[ $$n -gt 0 ] || continue; \
 		printf '%7d  %s\n' $$n $$d; total=$$((total + n)); \
 	done; printf '%7d  total\n' $$total
+
+# prefix-sums lists the hand-written count -> prefix-sum -> fill loops left in
+# non-test Go outside internal/flat, by their `x[i] += x[i-1]` line. DESIGN.md
+# §5 names the ones kept on purpose and why; a new one is a copy of
+# flat.Group. A report, not a gate.
+prefix-sums:
+	@grep -rnE '\[[a-z]+\] \+= [a-zA-Z.]*\[[a-z]+ ?- ?1\]' --include='*.go' --exclude='*_test.go' --exclude-dir=flat *.go cmd internal \
+		| awk '{print} END {printf "%7d  hand-written prefix-sum loops outside internal/flat\n", NR}'
 
 # knobs counts what can be set independently: the flags each cmd/* binary's
 # -h prints, and the exported fields of the configuration structs behind

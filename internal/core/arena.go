@@ -1,6 +1,9 @@
 package core
 
-import "charmtrace/internal/trace"
+import (
+	"charmtrace/internal/flat"
+	"charmtrace/internal/trace"
+)
 
 // extractArena is the per-extraction scratch allocator. Every pipeline
 // stage that used to allocate per-round or per-phase working state (maps,
@@ -47,21 +50,20 @@ type extractArena struct {
 	missLeap     []int32
 	missOrd      []int32
 
-	// fixChareCollision: per-chare phase spans, counting-sorted by chare.
-	spanOff   []int32
-	spanCur   []int32
+	// fixChareCollision: the (chare, phase) pairs of all phases, the phases
+	// grouped by chare, and every phase's span start.
+	spanChare []trace.ChareID
 	spanPhase []int32
 	spanLo    []int32
-	spanHi    []int32
-	spanOrd   []int32
+	spanOff   []int32
+	spanRow   []int32
 
 	// Ordering stage, computed once for all phases: the radix-sort scratch
-	// of the global event orders, the events in (chare, ID) order dealt into
-	// the phases' regions, and every chare's position (slot chare+1; slot 0
-	// is NoChare) in (ChareRank, ID) order.
-	sort     sortScratch
-	dealCur  []int32 // phase -> next free slot of its region during a deal
-	byChare  []trace.EventID
+	// of the global event orders, whose ID column holds the events in
+	// (phase, chare, ID) order while the phases are ordered, and every
+	// chare's position (slot chare+1; slot 0 is NoChare) in (ChareRank, ID)
+	// order.
+	sort     flat.Sorter[int32]
 	charePos []int32
 
 	// Ordering-stage per-event arrays, shared across phases (disjoint event
@@ -114,7 +116,6 @@ type laneScratch struct {
 	fragWInit   []int32
 	fragFirst   []trace.EventID // initial event of each fragment
 	fragOff     []int32         // fragment -> offset into fragEvents
-	fragCur     []int32
 	fragEvents  []trace.EventID // phase events grouped by fragment
 	fragOfBlock []int32         // canonical block -> fragment index
 	blockMark   []int32
@@ -124,13 +125,12 @@ type laneScratch struct {
 	edgeU, edgeV []int32
 	fragIndeg    []int32
 	fragSuccOff  []int32
-	fragSuccCur  []int32
 	fragSucc     []int32
 	placed       []int32 // fragment indices in placement order
 
 	// Fragment ranking (rankFragments): radix-sort scratch and the chain
 	// refinement's per-fragment state.
-	sort         sortScratch
+	sort         flat.Sorter[int32]
 	fragSrc      []int32 // fragment -> source fragment (-1 if none in phase)
 	fragNext     []int32 // fragment -> chain element the next round compares
 	fragKeyClass []int32 // fragment -> class of its own key
@@ -145,7 +145,7 @@ type laneScratch struct {
 	byRank    []trace.EventID // phase events in rank order
 	lastStep  []int32         // chare -> local step of the chare's last popped event
 	chareMark []int32
-	stepNext  []int32 // local step -> next output slot (counting sort)
+	stepNext  []int32 // row offsets of the output order's grouping by local step
 }
 
 func newExtractArena(tr *trace.Trace) *extractArena {
@@ -192,42 +192,6 @@ func (ar *extractArena) ensureLanes(n int) {
 			chareMark:   make([]int32, ar.nChares),
 		})
 	}
-}
-
-// grow32 returns buf resized to n without preserving or zeroing contents.
-func grow32(buf []int32, n int) []int32 {
-	if cap(buf) < n {
-		return make([]int32, n)
-	}
-	return buf[:n]
-}
-
-func grow64(buf []int64, n int) []int64 {
-	if cap(buf) < n {
-		return make([]int64, n)
-	}
-	return buf[:n]
-}
-
-func growEv(buf []trace.EventID, n int) []trace.EventID {
-	if cap(buf) < n {
-		return make([]trace.EventID, n)
-	}
-	return buf[:n]
-}
-
-func growTime(buf []trace.Time, n int) []trace.Time {
-	if cap(buf) < n {
-		return make([]trace.Time, n)
-	}
-	return buf[:n]
-}
-
-func growPeTime(buf []peTime, n int) []peTime {
-	if cap(buf) < n {
-		return make([]peTime, n)
-	}
-	return buf[:n]
 }
 
 // chareIndex returns the position of c in the sorted chare row.

@@ -333,8 +333,7 @@ func DecodeStructureTable(data []byte, tab *trace.Table) (*Structure, string, er
 	phased := 0
 	for e := 0; e < nEvents && b.err == nil; e++ {
 		switch pi := s.PhaseOf[e]; {
-		case pi == -1 && s.LocalStep[e] == -1 && s.Step[e] == -1: // left without a phase
-		case pi < 0 || int(pi) >= nPhases:
+		case pi < 0 || int(pi) >= nPhases: // -1, an event left without a phase, included: Validate refuses one
 			b.err = fmt.Errorf("event %d in unknown phase %d", e, pi)
 		case s.LocalStep[e] < 0 || s.LocalStep[e] > s.Phases[pi].MaxLocalStep || s.Step[e] != s.Phases[pi].Offset+s.LocalStep[e]:
 			b.err = fmt.Errorf("event %d at local step %d, step %d outside phase %d", e, s.LocalStep[e], s.Step[e], pi)

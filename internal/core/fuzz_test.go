@@ -5,6 +5,8 @@ import (
 	"os"
 	"reflect"
 	"runtime"
+	"slices"
+	"strings"
 	"testing"
 
 	"charmtrace/internal/core"
@@ -41,6 +43,43 @@ func fuzzSeeds(f *testing.F) (*trace.Trace, [][]byte) {
 	return tr, seeds
 }
 
+// phaselessEvent0 returns tr's structure encoded with event 0 left without a
+// phase (PhaseOf, LocalStep and Step all -1, listed by no phase): bytes the
+// decoder admitted until ISSUE 27 although Extract never emits them and
+// Validate refuses them, and on which lod.Build indexed a table at -1.
+func phaselessEvent0(t testing.TB, tr *trace.Trace) []byte {
+	s, err := core.Extract(tr, core.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ph := &s.Phases[s.PhaseOf[0]]
+	ph.Events = slices.DeleteFunc(slices.Clone(ph.Events), func(e trace.EventID) bool { return e == 0 })
+	s.PhaseOf[0], s.LocalStep[0], s.Step[0] = -1, -1, -1
+	var buf bytes.Buffer
+	if err := core.EncodeStructure(&buf, s); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestDecodeRejectsPhaselessEvent: the decoder refuses an event without a
+// phase, naming it, so no view is ever built on one.
+func TestDecodeRejectsPhaselessEvent(t *testing.T) {
+	in, err := os.Open("../tracefile/testdata/jacobi-2x2.trace.bin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer in.Close()
+	tr, err := tracefile.ReadBinary(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _, err = core.DecodeStructureTable(phaselessEvent0(t, tr), tr.Table())
+	if err == nil || !strings.Contains(err.Error(), "event 0 ") {
+		t.Fatalf("decode of a structure whose event 0 has no phase: err = %v, want one naming event 0", err)
+	}
+}
+
 // allocatedBy reports the bytes f allocated: the least of three runs, since
 // the counter is the process's and a fuzz worker has other goroutines.
 func allocatedBy(f func()) uint64 {
@@ -71,6 +110,7 @@ func FuzzDecodeStructure(f *testing.F) {
 		f.Add(append(append([]byte(nil), s[:len(s)-3]...), 0x7f, 0x7f, 0x7f))
 	}
 	f.Add([]byte("CSTR\x01\x00\xff\xff\xff\xff\x0f\x00"))
+	f.Add(phaselessEvent0(f, tr))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var s *core.Structure
 		var err error
@@ -100,10 +140,8 @@ func FuzzDecodeStructure(f *testing.F) {
 			}
 		}
 		for e, p := range s.PhaseOf {
-			if p != -1 {
-				inRange("phase", int(p), len(s.Phases))
-				inRange("step", int(s.Step[e]), tab.NumEvents()+len(s.Phases)+1)
-			}
+			inRange("phase", int(p), len(s.Phases))
+			inRange("step", int(s.Step[e]), tab.NumEvents()+len(s.Phases)+1)
 		}
 		for c := range tab.Name {
 			for _, e := range s.EventsOfChare(trace.ChareID(c)) {

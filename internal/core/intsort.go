@@ -3,65 +3,9 @@ package core
 import "math/bits"
 
 // The ordering stage orders by small integers: a clock, a dense rank, a time
-// offset from the trace's first event. This file holds its two comparison-free
-// primitives, a radix sort and a bitmap priority queue.
-
-// sortScratch is the working memory of radixSort: the key and ID columns, a
-// second pair to scatter into, and the digit histogram.
-type sortScratch struct {
-	keys, keysTmp []uint64
-	ids, idsTmp   []int32
-	next          []int32
-}
-
-// columns returns the key and ID columns sized for n items, for the caller to
-// fill before radixSort.
-func (sc *sortScratch) columns(n int) ([]uint64, []int32) {
-	if cap(sc.keys) < n {
-		sc.keys, sc.keysTmp = make([]uint64, n), make([]uint64, n)
-		sc.ids, sc.idsTmp = make([]int32, n), make([]int32, n)
-	}
-	return sc.keys[:n], sc.ids[:n]
-}
-
-// radixSort stably sorts the first n items of the columns by key — an LSD
-// radix sort, so items with equal keys keep their order — and returns the
-// sorted columns. The digit is as wide as the item count warrants (a
-// histogram never outweighs the items) and digits on which all keys agree are
-// skipped, so the cost is a few passes over the bits that actually vary.
-func (sc *sortScratch) radixSort(n int) ([]uint64, []int32) {
-	var differ uint64
-	for _, k := range sc.keys[:n] {
-		differ |= k ^ sc.keys[0]
-	}
-	width := min(max(bits.Len(uint(n)), 4), 11)
-	if sc.next == nil {
-		sc.next = make([]int32, 1<<11)
-	}
-	next := sc.next[:1<<width]
-	mask := uint64(len(next) - 1)
-	for shift := 0; differ>>shift != 0; shift += width {
-		if differ>>shift&mask == 0 {
-			continue
-		}
-		keys, ids := sc.keys[:n], sc.ids[:n]
-		clear(next)
-		for _, k := range keys {
-			next[k>>shift&mask]++
-		}
-		at := int32(0)
-		for d, c := range next {
-			next[d], at = at, at+c
-		}
-		for i, k := range keys {
-			d := k >> shift & mask
-			sc.keysTmp[next[d]], sc.idsTmp[next[d]] = k, ids[i]
-			next[d]++
-		}
-		sc.keys, sc.keysTmp, sc.ids, sc.idsTmp = sc.keysTmp, sc.keys, sc.idsTmp, sc.ids
-	}
-	return sc.keys[:n], sc.ids[:n]
-}
+// offset from the trace's first event. Its sorts are flat.Sorter's radix sort;
+// this file holds its other comparison-free primitive, a bitmap priority
+// queue.
 
 // rankQueue is a min-priority queue over the dense integer ranks [0, n): a
 // 64-ary bitmap tree. Bit r of level 0 is set while rank r is queued, and bit

@@ -3,7 +3,6 @@ package core
 import (
 	"container/heap"
 	"math/rand"
-	"slices"
 	"testing"
 )
 
@@ -68,52 +67,6 @@ func TestRankQueueMatchesHeap(t *testing.T) {
 					if w != 0 {
 						t.Fatalf("n=%d: level %d word %d = %#x after the drain", n, k, i, w)
 					}
-				}
-			}
-		}
-	}
-}
-
-// TestRadixSortIsAStableSort: random keys of every width class (one digit,
-// several, all 64 bits, all equal, bits set only far apart) at sizes around
-// the digit-width breakpoints, against slices.SortStableFunc; sorting twice
-// in a row on the same scratch chains as two stable sorts do.
-func TestRadixSortIsAStableSort(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	masks := []uint64{0, 0xf, 0x7ff, 0xfffff, 1<<40 | 1, 1<<63 | 0xff00, ^uint64(0)}
-	var sc sortScratch
-	for _, n := range []int{0, 1, 2, 15, 16, 17, 100, 2047, 2048, 2049, 50000} {
-		for _, mask := range masks {
-			type item struct {
-				key, key2 uint64
-				id        int32
-			}
-			items := make([]item, n)
-			keys, ids := sc.columns(n)
-			for i := range items {
-				items[i] = item{rng.Uint64() & mask, rng.Uint64() & 0x3, int32(i)}
-				keys[i], ids[i] = items[i].key2, int32(i)
-			}
-			// Least significant key first, as the ordering stage chains them.
-			_, order := sc.radixSort(n)
-			keys, _ = sc.columns(n)
-			for i, id := range order {
-				keys[i] = items[id].key
-			}
-			keys, order = sc.radixSort(n)
-			slices.SortStableFunc(items, func(a, b item) int {
-				switch {
-				case a.key != b.key && a.key < b.key, a.key == b.key && a.key2 < b.key2:
-					return -1
-				case a.key == b.key && a.key2 == b.key2:
-					return 0
-				}
-				return 1
-			})
-			for i, it := range items {
-				if order[i] != it.id || keys[i] != it.key {
-					t.Fatalf("n=%d mask=%#x: position %d holds id %d key %#x, want id %d key %#x",
-						n, mask, i, order[i], keys[i], it.id, it.key)
 				}
 			}
 		}

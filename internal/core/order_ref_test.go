@@ -20,6 +20,7 @@ import (
 	"charmtrace/internal/apps/nasbt"
 	"charmtrace/internal/apps/ordstress"
 	"charmtrace/internal/apps/pdes"
+	"charmtrace/internal/flat"
 	"charmtrace/internal/trace"
 )
 
@@ -257,8 +258,8 @@ func checkAgainstReference(t *testing.T, tr *trace.Trace, opt Options) {
 	}
 	a := buildAtoms(tr, opt)
 	ar := a.arena
-	ar.w = grow32(ar.w, ar.nEvents)
-	ar.fragOf = grow32(ar.fragOf, ar.nEvents)
+	ar.w = flat.Grow(ar.w, ar.nEvents)
+	ar.fragOf = flat.Grow(ar.fragOf, ar.nEvents)
 	rankChares(ar, opt.ChareRank)
 	ar.ensureLanes(1)
 	ls := ar.lanes[0]

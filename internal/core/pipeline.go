@@ -6,6 +6,7 @@ import (
 	"slices"
 	"time"
 
+	"charmtrace/internal/flat"
 	"charmtrace/internal/partition"
 	"charmtrace/internal/telemetry"
 	"charmtrace/internal/trace"
@@ -230,17 +231,17 @@ func neighborSerialMerge(tr *trace.Trace, a *atoms) int {
 func buildPartInfo(tr *trace.Trace, a *atoms, v *partition.View, workers int, t *tel) *partInfos {
 	info := &a.arena.info
 	n := len(v.Parts)
-	info.chareOff = grow32(info.chareOff, n+1)
+	info.chareOff = flat.Grow(info.chareOff, n+1)
 	total := int32(0)
 	for pi := range v.Parts {
 		info.chareOff[pi] = total
 		total += int32(len(v.Parts[pi].Chares))
 	}
 	info.chareOff[n] = total
-	info.initEvent = growEv(info.initEvent, int(total))
-	info.minTime = growTime(info.minTime, n)
-	info.src = growPeTime(info.src, int(total))
-	info.srcEnd = grow32(info.srcEnd, n)
+	info.initEvent = flat.Grow(info.initEvent, int(total))
+	info.minTime = flat.Grow(info.minTime, n)
+	info.src = flat.Grow(info.src, int(total))
+	info.srcEnd = flat.Grow(info.srcEnd, n)
 	t.forEach(n, max(1, n/partItems), workers, func(pi, _ int) {
 		part := &v.Parts[pi]
 		chares := part.Chares
@@ -568,7 +569,7 @@ func enforceCharePaths(tr *trace.Trace, a *atoms) int {
 	byLeap := v.PartsAtLeap()
 	ar := a.arena
 	// lastLeap[c]: nearest later leap containing chare c, -1 for none.
-	lastLeap := grow32(ar.lastLeap, ar.nChares)
+	lastLeap := flat.Grow(ar.lastLeap, ar.nChares)
 	for i := range lastLeap {
 		lastLeap[i] = -1
 	}

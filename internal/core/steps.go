@@ -4,6 +4,7 @@ import (
 	"math/bits"
 	"slices"
 
+	"charmtrace/internal/flat"
 	"charmtrace/internal/trace"
 )
 
@@ -58,73 +59,57 @@ func assignSteps(tr *trace.Trace, opt Options, a *atoms, t *tel) *Structure {
 	// one phase's slice after extraction reallocates instead of clobbering
 	// its neighbour.
 	nParts := len(v.Parts)
-	evOff := make([]int32, nParts+1)
 	chOff := make([]int32, nParts+1)
-	var evTot, chTot int32
 	for pi := range v.Parts {
-		evOff[pi] = evTot
-		chOff[pi] = chTot
 		for _, atomID := range v.Parts[pi].Atoms {
-			evs := a.set.AtomEvents(atomID)
-			for _, e := range evs {
+			for _, e := range a.set.AtomEvents(atomID) {
 				s.PhaseOf[e] = int32(pi)
 			}
-			evTot += int32(len(evs))
 		}
-		chTot += int32(len(v.Parts[pi].Chares))
+		chOff[pi+1] = chOff[pi] + int32(len(v.Parts[pi].Chares))
 	}
-	evOff[nParts] = evTot
-	chOff[nParts] = chTot
-	eventsBuf := make([]trace.EventID, evTot)
-	charesBuf := make([]trace.ChareID, chTot)
+	charesBuf := make([]trace.ChareID, chOff[nParts])
 
-	// Two orders of all the events are computed once here and dealt out into
-	// the phases' regions, which keeps them (a stable deal): every phase finds
-	// its events in (time, kind, ID) order — timeOrderLess — in its region of
-	// eventsBuf, and in (chare, ID) order in its region of ar.byChare. The
-	// time key is the offset from the trace's first event, twice, plus the
-	// kind (Send=0, Recv=1); trace validation bounds |Time| below 2^62, so the
-	// key cannot wrap and a shifted trace gets the same order.
+	rankChares(ar, opt.ChareRank)
+
+	// Two orders of all the events are computed once here, phase by phase:
+	// every phase finds its events in (time, kind, ID) order — timeOrderLess —
+	// in its region of eventsBuf, and in (chare, ID) order in the same region
+	// of byChare. The first is the time order of all events grouped stably by
+	// phase; its key is the offset from the trace's first event, twice, plus
+	// the kind (Send=0, Recv=1); trace validation bounds |Time| below 2^62,
+	// so the key cannot wrap and a shifted trace gets the same order. The
+	// second is one more sort, on (phase, chare) — an event without a phase
+	// sorts after them all — left in the arena's sort columns, which nothing
+	// touches again before the phases are done.
 	n := len(tr.Events)
-	cur := make([]int32, nParts)
-	deal := func(order []int32, dst []trace.EventID) {
-		copy(cur, evOff)
-		for _, e := range order {
-			if pi := s.PhaseOf[e]; pi >= 0 {
-				dst[cur[pi]] = trace.EventID(e)
-				cur[pi]++
-			}
-		}
-	}
 	var minTime trace.Time
 	for i := range tr.Events {
 		if t := tr.Events[i].Time; i == 0 || t < minTime {
 			minTime = t
 		}
 	}
-	keys, ids := ar.sort.columns(n)
+	keys, ids := ar.sort.Columns(n)
 	for i := range tr.Events {
 		ev := &tr.Events[i]
 		keys[i], ids[i] = uint64(ev.Time-minTime)*2+uint64(ev.Kind), int32(i)
 	}
-	_, order := ar.sort.radixSort(n)
-	deal(order, eventsBuf)
-	keys, ids = ar.sort.columns(n)
+	_, order := ar.sort.Sort(n)
+	byTime := flat.Group[trace.EventID](nParts, nil, nil, order, s.PhaseOf)
+	evOff, eventsBuf := byTime.Off, byTime.IDs
+	keys, ids = ar.sort.Columns(n)
+	chareBits := bits.Len(uint(ar.nChares))
 	for i := range tr.Events {
-		keys[i], ids[i] = uint64(tr.Events[i].Chare), int32(i)
+		keys[i], ids[i] = uint64(uint32(s.PhaseOf[i]))<<chareBits|uint64(tr.Events[i].Chare), int32(i)
 	}
-	ar.byChare = growEv(ar.byChare, int(evTot))
-	_, order = ar.sort.radixSort(n)
-	deal(order, ar.byChare)
-
-	rankChares(ar, opt.ChareRank)
+	_, byChare := ar.sort.Sort(n)
 
 	// Per-event scratch of the ordering stage, shared by the lanes.
-	ar.w = grow32(ar.w, ar.nEvents)
-	ar.fragOf = grow32(ar.fragOf, ar.nEvents)
-	ar.rank = grow32(ar.rank, ar.nEvents)
-	ar.waitHead = growEv(ar.waitHead, ar.nEvents)
-	ar.waitNext = growEv(ar.waitNext, ar.nEvents)
+	ar.w = flat.Grow(ar.w, ar.nEvents)
+	ar.fragOf = flat.Grow(ar.fragOf, ar.nEvents)
+	ar.rank = flat.Grow(ar.rank, ar.nEvents)
+	ar.waitHead = flat.Grow(ar.waitHead, ar.nEvents)
+	ar.waitNext = flat.Grow(ar.waitNext, ar.nEvents)
 
 	// orderPhase handles one phase on one pool lane; phases touch disjoint
 	// events (and disjoint scratch cells), so the stage parallelizes cleanly
@@ -152,21 +137,7 @@ func assignSteps(tr *trace.Trace, opt Options, a *atoms, t *tel) *Structure {
 		// Output order (local step, chare, ID): a stable counting sort by
 		// local step of the phase's events in (chare, ID) order.
 		ph.Events = events
-		byChare := ar.byChare[evOff[pi]:evOff[pi+1]]
-		ls.stepNext = grow32(ls.stepNext, int(ph.MaxLocalStep)+2)
-		next := ls.stepNext
-		clear(next)
-		for _, e := range byChare {
-			next[s.LocalStep[e]+1]++
-		}
-		for st := 1; st < len(next); st++ {
-			next[st] += next[st-1]
-		}
-		for _, e := range byChare {
-			st := s.LocalStep[e]
-			events[next[st]] = e
-			next[st]++
-		}
+		ls.stepNext = flat.Group(int(ph.MaxLocalStep)+1, ls.stepNext, events, byChare[evOff[pi]:evOff[pi+1]], s.LocalStep).Off
 	}
 
 	// Phases are the ordering stage's pool items, one per block, and the
@@ -194,8 +165,8 @@ func assignSteps(tr *trace.Trace, opt Options, a *atoms, t *tel) *Structure {
 // more intuitive), chare ID otherwise, ID breaking rank ties. Slot c+1 is
 // chare c's position; slot 0 is NoChare's, which ranks as -1.
 func rankChares(ar *extractArena, chareRank []int32) {
-	ar.charePos = grow32(ar.charePos, ar.nChares+1)
-	keys, ids := ar.sort.columns(ar.nChares + 1)
+	ar.charePos = flat.Grow(ar.charePos, ar.nChares+1)
+	keys, ids := ar.sort.Columns(ar.nChares + 1)
 	for i := range ids {
 		rank := int32(i - 1)
 		if i > 0 && i <= len(chareRank) {
@@ -203,7 +174,7 @@ func rankChares(ar *extractArena, chareRank []int32) {
 		}
 		keys[i], ids[i] = uint64(uint32(rank)^(1<<31)), int32(i)
 	}
-	_, order := ar.sort.radixSort(ar.nChares + 1)
+	_, order := ar.sort.Sort(ar.nChares + 1)
 	for pos, i := range order {
 		ar.charePos[i] = int32(pos)
 	}
@@ -291,29 +262,8 @@ func buildFragments(tr *trace.Trace, events []trace.EventID, a *atoms, ar *extra
 		}
 		ar.fragOf[e] = fi
 	}
-	// Group the phase's events by fragment: counting sort into fragEvents.
-	ls.fragOff = grow32(ls.fragOff, nf+1)
-	ls.fragCur = grow32(ls.fragCur, nf)
-	cnt := ls.fragCur
-	for i := range cnt {
-		cnt[i] = 0
-	}
-	for _, e := range events {
-		cnt[ar.fragOf[e]]++
-	}
-	total := int32(0)
-	for i := 0; i < nf; i++ {
-		ls.fragOff[i] = total
-		total += cnt[i]
-		cnt[i] = 0
-	}
-	ls.fragOff[nf] = total
-	ls.fragEvents = growEv(ls.fragEvents, int(total))
-	for _, e := range events {
-		fi := ar.fragOf[e]
-		ls.fragEvents[ls.fragOff[fi]+cnt[fi]] = e
-		cnt[fi]++
-	}
+	frags := flat.Group(nf, ls.fragOff, ls.fragEvents, events, ar.fragOf)
+	ls.fragOff, ls.fragEvents = frags.Off, frags.IDs
 	return nf
 }
 
@@ -355,29 +305,16 @@ func orderFragments(tr *trace.Trace, opt Options, nf int, ar *extractArena, ls *
 		}
 	}
 	ls.edgeU, ls.edgeV = eu, evv
-	ls.fragIndeg = grow32(ls.fragIndeg, nf)
-	ls.fragSuccOff = grow32(ls.fragSuccOff, nf+1)
-	ls.fragSuccCur = grow32(ls.fragSuccCur, nf)
-	indeg, succOff, succCur := ls.fragIndeg, ls.fragSuccOff, ls.fragSuccCur
-	for i := 0; i < nf; i++ {
-		indeg[i], succCur[i] = 0, 0
-	}
-	for i := range eu {
-		succCur[eu[i]]++
+	// Successor rows: the edges' positions grouped by source fragment, then
+	// each position replaced by the edge's target.
+	succ := flat.GroupAll(nf, ls.fragSuccOff, ls.fragSucc, eu)
+	ls.fragSuccOff, ls.fragSucc = succ.Off, succ.IDs
+	ls.fragIndeg = flat.Grow(ls.fragIndeg, nf)
+	indeg, succOff := ls.fragIndeg, succ.Off
+	clear(indeg)
+	for k, i := range succ.IDs {
+		succ.IDs[k] = evv[i]
 		indeg[evv[i]]++
-	}
-	t := int32(0)
-	for i := 0; i < nf; i++ {
-		succOff[i] = t
-		t += succCur[i]
-		succCur[i] = 0
-	}
-	succOff[nf] = t
-	ls.fragSucc = grow32(ls.fragSucc, int(t))
-	for i := range eu {
-		u := eu[i]
-		ls.fragSucc[succOff[u]+succCur[u]] = evv[i]
-		succCur[u]++
 	}
 
 	ready := &ls.queue
@@ -442,7 +379,7 @@ func rankFragments(tr *trace.Trace, opt Options, nf int, ar *extractArena, ls *l
 	// Fragments are numbered by first appearance in time order, so equal
 	// times are adjacent and a running count of distinct times stands in for
 	// the time itself.
-	keys, ids := ls.sort.columns(nf)
+	keys, ids := ls.sort.Columns(nf)
 	blockBits := bits.Len(uint(ar.nBlocks))
 	run := uint64(0)
 	for f := 0; f < nf; f++ {
@@ -451,13 +388,13 @@ func rankFragments(tr *trace.Trace, opt Options, nf int, ar *extractArena, ls *l
 		}
 		keys[f], ids[f] = run<<blockBits|uint64(ls.fragBlock[f]), int32(f)
 	}
-	keys, order = ls.sort.radixSort(nf)
+	keys, order = ls.sort.Sort(nf)
 
 	if opt.Reorder {
-		ls.fragSrc = grow32(ls.fragSrc, nf)
-		ls.fragNext = grow32(ls.fragNext, nf)
-		ls.fragKeyClass = grow32(ls.fragKeyClass, nf)
-		ls.fragClass = grow32(ls.fragClass, nf)
+		ls.fragSrc = flat.Grow(ls.fragSrc, nf)
+		ls.fragNext = flat.Grow(ls.fragNext, nf)
+		ls.fragKeyClass = flat.Grow(ls.fragKeyClass, nf)
+		ls.fragClass = flat.Grow(ls.fragClass, nf)
 		// next[f] is the chain element the coming round compares: f's source
 		// to begin with, -1 once the chain has left the phase.
 		src, next, keyClass, class := ls.fragSrc, ls.fragNext, ls.fragKeyClass, ls.fragClass
@@ -490,7 +427,7 @@ func rankFragments(tr *trace.Trace, opt Options, nf int, ar *extractArena, ls *l
 			}
 			return split
 		}
-		keys, order = ls.sort.radixSort(nf)
+		keys, order = ls.sort.Sort(nf)
 		split := classify()
 		copy(keyClass, class)
 		for depth := 1; split && depth <= 4; depth++ {
@@ -501,11 +438,11 @@ func rankFragments(tr *trace.Trace, opt Options, nf int, ar *extractArena, ls *l
 					next[f] = src[g]
 				}
 			}
-			keys, order = ls.sort.radixSort(nf)
+			keys, order = ls.sort.Sort(nf)
 			split = classify()
 		}
 	}
-	ls.fragRank = grow32(ls.fragRank, nf)
+	ls.fragRank = flat.Grow(ls.fragRank, nf)
 	for pos, f := range order {
 		ls.fragRank[f] = int32(pos)
 	}
@@ -535,7 +472,7 @@ func rankFragments(tr *trace.Trace, opt Options, nf int, ar *extractArena, ls *l
 // send still unstepped (LocalStep < 0), parked on the send's list of waiting
 // receives, which the send queues when it is stepped.
 func stepPhase(tr *trace.Trace, events []trace.EventID, placed []int32, phaseOf []int32, pi int32, localStep []int32, ar *extractArena, ls *laneScratch) int32 {
-	ls.byRank = growEv(ls.byRank, len(events))
+	ls.byRank = flat.Grow(ls.byRank, len(events))
 	byRank := ls.byRank
 	n := int32(0)
 	for _, fi := range placed {
@@ -632,75 +569,54 @@ func computeOffsets(s *Structure, ar *extractArena) {
 // fixChareCollision finds one pair of unordered phases that share a chare
 // and collide in global steps, adds an order edge, and reports whether it
 // did. Phases connected in the DAG can never collide (the offset rule
-// separates them), so the added edge cannot create a cycle. The per-chare
-// span lists are counting-sorted into the arena's flat span tables; chares
-// are scanned in ascending ID order, so the edge chosen is deterministic.
+// separates them), so the added edge cannot create a cycle. Every chare's
+// phases are grouped into one row of the arena's flat span tables; chares are
+// scanned in ascending ID order, so the edge chosen is deterministic.
 func fixChareCollision(s *Structure, ar *extractArena) bool {
-	nc := ar.nChares
-	ar.spanOff = grow32(ar.spanOff, nc+1)
-	ar.spanCur = grow32(ar.spanCur, nc)
-	cnt := ar.spanCur
-	for i := 0; i < nc; i++ {
-		cnt[i] = 0
+	// One (chare, phase) pair per chare a phase holds, grouped by chare; the
+	// grouped positions are then replaced by their phases.
+	total := 0
+	ar.spanLo = flat.Grow(ar.spanLo, len(s.Phases)) // phase -> span start, compact for the row sorts
+	for i := range s.Phases {
+		total += len(s.Phases[i].Chares)
+		ar.spanLo[i] = s.Phases[i].Offset
 	}
-	total := int32(0)
+	ar.spanChare, ar.spanPhase = flat.Grow(ar.spanChare, total), flat.Grow(ar.spanPhase, total)
+	chares, phases := ar.spanChare[:0], ar.spanPhase[:0]
 	for i := range s.Phases {
 		for _, c := range s.Phases[i].Chares {
-			cnt[c]++
-		}
-		total += int32(len(s.Phases[i].Chares))
-	}
-	off := ar.spanOff
-	t := int32(0)
-	for i := 0; i < nc; i++ {
-		off[i] = t
-		t += cnt[i]
-		cnt[i] = 0
-	}
-	off[nc] = t
-	ar.spanPhase = grow32(ar.spanPhase, int(total))
-	ar.spanLo = grow32(ar.spanLo, int(total))
-	ar.spanHi = grow32(ar.spanHi, int(total))
-	for i := range s.Phases {
-		ph := &s.Phases[i]
-		lo, hi := ph.GlobalSpan()
-		for _, c := range ph.Chares {
-			k := off[c] + cnt[c]
-			ar.spanPhase[k] = int32(i)
-			ar.spanLo[k] = lo
-			ar.spanHi[k] = hi
-			cnt[c]++
+			chares, phases = append(chares, c), append(phases, int32(i))
 		}
 	}
-	for c := 0; c < nc; c++ {
-		lo, hi := off[c], off[c+1]
-		if hi-lo < 2 {
+	spans := flat.GroupAll(ar.nChares, ar.spanOff, ar.spanRow, chares)
+	ar.spanOff, ar.spanRow = spans.Off, spans.IDs
+	for k, i := range spans.IDs {
+		spans.IDs[k] = phases[i]
+	}
+	for c := 0; c < ar.nChares; c++ {
+		row := spans.Row(c)
+		if len(row) < 2 {
 			continue
 		}
 		// Sweep by span start: a collision exists iff a span begins before
 		// the previous maximum end.
-		ord := ar.spanOrd[:0]
-		for k := lo; k < hi; k++ {
-			ord = append(ord, k)
-		}
-		slices.SortFunc(ord, func(x, y int32) int {
+		slices.SortFunc(row, func(x, y int32) int {
 			if ar.spanLo[x] != ar.spanLo[y] {
 				return int(ar.spanLo[x]) - int(ar.spanLo[y])
 			}
-			return int(ar.spanPhase[x]) - int(ar.spanPhase[y])
+			return int(x) - int(y)
 		})
-		ar.spanOrd = ord
-		maxIdx := ord[0]
-		for i := 1; i < len(ord); i++ {
-			a, b := maxIdx, ord[i]
-			if ar.spanLo[b] > ar.spanHi[a] {
-				if ar.spanHi[b] > ar.spanHi[a] {
-					maxIdx = b
+		last := row[0] // the phase whose span ends latest so far
+		for _, b := range row[1:] {
+			lo, hi := s.Phases[b].GlobalSpan()
+			if _, end := s.Phases[last].GlobalSpan(); lo > end {
+				if hi > end {
+					last = b
 				}
 				continue
 			}
 			// Colliding spans imply the phases are unordered.
-			first, second := ar.spanPhase[a], ar.spanPhase[b]
+			first, second := last, b
 			if phaseStartTime(s, second) < phaseStartTime(s, first) {
 				first, second = second, first
 			}
@@ -746,26 +662,28 @@ func stitchChareTimelines(s *Structure) {
 		}
 		return int(x) - int(y)
 	})
-	off := make([]int32, nc+1)
+	// Hand-written rather than flat.Group: the key is a field of the event
+	// records, not a column. Count into off[c+2] and prefix-sum, so that
+	// off[c+1] is chare c's start and advances to its end as the row fills.
+	off := make([]int32, nc+2)
 	for e := range s.PhaseOf {
 		if s.PhaseOf[e] >= 0 {
-			off[s.Trace.Events[e].Chare+1]++
+			off[s.Trace.Events[e].Chare+2]++
 		}
 	}
-	for c := 0; c < nc; c++ {
-		off[c+1] += off[c]
+	for c := 2; c < len(off); c++ {
+		off[c] += off[c-1]
 	}
-	buf := make([]trace.EventID, off[nc])
-	cur := make([]int32, nc)
+	buf := make([]trace.EventID, off[nc+1])
 	for _, pi := range order {
 		for _, e := range s.Phases[pi].Events {
 			c := s.Trace.Events[e].Chare
-			buf[off[c]+cur[c]] = e
-			cur[c]++
+			buf[off[c+1]] = e
+			off[c+1]++
 		}
 	}
 	for c := 0; c < nc; c++ {
-		if lo, hi := off[c], off[c]+cur[c]; lo < hi {
+		if lo, hi := off[c], off[c+1]; lo < hi {
 			s.chareEvents[c] = buf[lo:hi:hi]
 		}
 	}

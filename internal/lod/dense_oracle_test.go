@@ -213,7 +213,7 @@ func (p *densePyramid) Query(sp Spec, diff *structdiff.Diff) (*Result, error) {
 	b0, b1 := from/w, to/w
 	res.Level = lvl
 	res.BucketWidth = w
-	res.Window = query.StepRange{From: b0 * w, To: min32((b1+1)*w-1, maxStep)}
+	res.Window = query.StepRange{From: b0 * w, To: min((b1+1)*w-1, maxStep)}
 	res.NumBuckets = b1 - b0 + 1
 
 	plan := p.planRows(sp.MaxRows)

@@ -1,6 +1,10 @@
 package lod
 
-import "sort"
+import (
+	"sort"
+
+	"charmtrace/internal/flat"
+)
 
 // edgeKey is an edge's endpoints packed into one integer — SrcBucket,
 // SrcCluster, DstBucket, DstCluster from the most significant field down —
@@ -94,27 +98,24 @@ func (l *edgeList) from(b int32) int {
 	return sort.Search(len(l.lo), func(i int) bool { return l.at(i).shr(l.bBits+2*l.cBits).lo >= uint64(b) })
 }
 
-// sortAndCombine turns one key per message, in any order, into the sorted
-// edge list: an LSD radix sort, a byte per pass over the bits in use (no
-// comparator; tmp is scratch of the same shape), then each run of equal
-// keys folded into one entry weighing the run's length.
+// sortAndCombine turns one key per message, in any order and each weighing
+// one, into the sorted edge list: the shared radix sort (no comparator; tmp is
+// scratch of the same shape) — a 64-bit key carrying its weight, a wider one
+// sorted by its low word carrying the high one and then, stably, the other
+// way round — then each run of equal keys folded into one entry weighing the
+// run's length.
 func (l *edgeList) sortAndCombine(tmp *edgeList) {
 	tmp.resize(len(l.lo))
-	for shift := uint(0); shift < 2*(l.bBits+l.cBits); shift += 8 {
-		var next [257]int
-		for i := range l.lo {
-			next[l.at(i).shr(shift).lo&0xff+1]++
-		}
-		for d := 1; d < len(next); d++ {
-			next[d] += next[d-1]
-		}
-		for i := range l.lo {
-			k := l.at(i)
-			d := k.shr(shift).lo & 0xff
-			tmp.set(next[d], k, 1)
-			next[d]++
-		}
-		l.hi, l.lo, tmp.hi, tmp.lo = tmp.hi, tmp.lo, l.hi, l.lo
+	if l.hi == nil {
+		s := flat.Sorter[int64]{Key: l.lo, Val: l.weight, TmpKey: tmp.lo, TmpVal: tmp.weight}
+		l.lo, l.weight = s.Sort(len(l.lo))
+		tmp.lo, tmp.weight = s.TmpKey, s.TmpVal
+	} else {
+		s := flat.Sorter[uint64]{Key: l.lo, Val: l.hi, TmpKey: tmp.lo, TmpVal: tmp.hi}
+		s.Sort(len(l.lo))
+		s.Key, s.Val, s.TmpKey, s.TmpVal = s.Val, s.Key, s.TmpVal, s.TmpKey
+		l.hi, l.lo = s.Sort(len(l.lo))
+		tmp.hi, tmp.lo = s.TmpKey, s.TmpVal
 	}
 	n := 0
 	for i := range l.lo {

@@ -2,6 +2,7 @@ package lod
 
 import (
 	"sort"
+	"strconv"
 
 	"charmtrace/internal/query"
 	"charmtrace/internal/structdiff"
@@ -273,7 +274,7 @@ func (p *Pyramid) Query(sp Spec, diff *structdiff.Diff) (*Result, error) {
 	b0, b1 := from/w, to/w
 	res.Level = lvl
 	res.BucketWidth = w
-	res.Window = query.StepRange{From: b0 * w, To: min32((b1+1)*w-1, maxStep)}
+	res.Window = query.StepRange{From: b0 * w, To: min((b1+1)*w-1, maxStep)}
 	res.NumBuckets = b1 - b0 + 1
 
 	plan := p.planRows(sp.MaxRows)
@@ -366,22 +367,7 @@ func (p *Pyramid) Query(sp Spec, diff *structdiff.Diff) (*Result, error) {
 
 // labelOverflow names the merged trailing row.
 func labelOverflow(members, clusters int) string {
-	return "other (" + itoa(clusters) + " clusters) x" + itoa(members)
-}
-
-func itoa(n int) string {
-	// strconv-free tiny helper keeps the hot render path allocation-light.
-	if n == 0 {
-		return "0"
-	}
-	var buf [20]byte
-	i := len(buf)
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(buf[i:])
+	return "other (" + strconv.Itoa(clusters) + " clusters) x" + strconv.Itoa(members)
 }
 
 // edgesFor renders the window's aggregated communication edges at the two
@@ -508,11 +494,4 @@ func (p *Pyramid) divergenceStep(cd structdiff.ChareDiff) int32 {
 		pos = len(events) - 1
 	}
 	return p.S.Step[events[pos]]
-}
-
-func min32(a, b int32) int32 {
-	if a < b {
-		return a
-	}
-	return b
 }

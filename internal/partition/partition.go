@@ -21,10 +21,10 @@ package partition
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 	"sync"
 
+	"charmtrace/internal/flat"
 	"charmtrace/internal/graph"
 	"charmtrace/internal/trace"
 )
@@ -76,8 +76,7 @@ type setScratch struct {
 	parts    []ID
 	edgeU    []int32 // condensed edge endpoints (dense part indices)
 	edgeV    []int32
-	deg      []int32
-	counts   []int32
+	off      []int32 // row offsets of the grouping in progress
 	// Atoms in (chare, atom ID) order, computed once per atom table (AddAtom
 	// outdates it by changing the atom count).
 	byChare []ID
@@ -211,14 +210,8 @@ func (s *Set) CycleMerge() int {
 func (s *Set) partsIndex() ([]ID, []int32) {
 	n := len(s.parent)
 	sc := &s.scratch
-	if cap(sc.partOf) < n {
-		sc.partOf = make([]int32, n)
-	}
-	if cap(sc.atomPart) < n {
-		sc.atomPart = make([]int32, n)
-	}
-	partOf := sc.partOf[:n]
-	atomPart := sc.atomPart[:n]
+	sc.partOf, sc.atomPart = flat.Grow(sc.partOf, n), flat.Grow(sc.atomPart, n)
+	partOf, atomPart := sc.partOf, sc.atomPart
 	for i := range partOf {
 		partOf[i] = -1
 	}
@@ -300,30 +293,17 @@ func (s *Set) dedupedEdges(atomPart []int32) (eu, ev []int32) {
 // collision-repair edges into the final DAG) reallocates that row instead
 // of clobbering its neighbour.
 func (s *Set) adjFromEdges(n int, eu, ev []int32) *graph.Graph {
-	sc := &s.scratch
-	if cap(sc.deg) < n {
-		sc.deg = make([]int32, n)
+	// The edges' positions grouped by source, then each replaced by the
+	// edge's target. Zero-degree rows stay nil, matching the append-built
+	// adjacency the codec produces (DeepEqual distinguishes nil from empty).
+	rows := flat.GroupAll(n, s.scratch.off, make([]int32, len(eu)), eu)
+	s.scratch.off = rows.Off
+	for k, i := range rows.IDs {
+		rows.IDs[k] = ev[i]
 	}
-	deg := sc.deg[:n]
-	for i := range deg {
-		deg[i] = 0
-	}
-	for _, u := range eu {
-		deg[u]++
-	}
-	flat := make([]int32, len(eu))
 	adj := make([][]int32, n)
-	off := int32(0)
-	for u := 0; u < n; u++ {
-		// Zero-degree rows stay nil, matching the append-built adjacency the
-		// codec produces (DeepEqual distinguishes nil from empty).
-		if deg[u] > 0 {
-			adj[u] = flat[off : off : off+deg[u]]
-			off += deg[u]
-		}
-	}
-	for i, u := range eu {
-		adj[u] = append(adj[u], ev[i])
+	for u := range adj {
+		adj[u] = rows.Row(u)
 	}
 	return &graph.Graph{Adj: adj}
 }
@@ -340,18 +320,12 @@ func (s *Set) atomsByChare() []ID {
 	for _, c := range s.chare {
 		lo, hi = min(lo, c), max(hi, c)
 	}
-	next := make([]int32, int(hi-lo)+2)
-	for _, c := range s.chare {
-		next[c-lo+1]++
-	}
-	for i := 1; i < len(next); i++ {
-		next[i] += next[i-1]
-	}
-	sc.byChare = make([]ID, n)
+	col := make([]int32, n) // chare IDs shifted to start at 0: a negative key is a dropped one
 	for a, c := range s.chare {
-		sc.byChare[next[c-lo]] = ID(a)
-		next[c-lo]++
+		col[a] = int32(c - lo)
 	}
+	rows := flat.GroupAll[ID](int(hi-lo)+1, sc.off, nil, col)
+	sc.off, sc.byChare = rows.Off, rows.IDs
 	return sc.byChare
 }
 
@@ -420,46 +394,27 @@ func (s *Set) View() *View {
 	for i, root := range parts {
 		v.Parts[i] = Part{Root: root, Runtime: s.runtime[root]}
 	}
-	sc := &s.scratch
-	if cap(sc.counts) < n {
-		sc.counts = make([]int32, n)
-	}
-	counts := sc.counts[:n]
-	for i := range counts {
-		counts[i] = 0
-	}
 	copy(v.PartOf, atomPart)
-	for a := ID(0); int(a) < natoms; a++ {
-		counts[atomPart[a]]++
-	}
-	atomsBuf := make([]ID, natoms)
-	off := int32(0)
+	// Chare sets: the atoms grouped by part in (chare, atom) order hold every
+	// part's chares in ascending order, equal ones adjacent, so replacing each
+	// atom by its chare and dropping repeats, row by row in place, leaves the
+	// sorted sets (the rows are typed by what they end up holding). Both
+	// groupings are by atomPart over all the atoms, so they share their row
+	// offsets.
+	sc, byChare := &s.scratch, s.atomsByChare()
+	chares := flat.Group(n, sc.off, make([]trace.ChareID, natoms), byChare, atomPart)
+	atoms := flat.GroupAll(n, chares.Off, make([]ID, natoms), atomPart)
+	sc.off = atoms.Off
 	for i := range v.Parts {
-		v.Parts[i].Atoms = atomsBuf[off : off : off+counts[i]]
-		off += counts[i]
-	}
-	for a := ID(0); int(a) < natoms; a++ {
-		pi := v.PartOf[a]
-		v.Parts[pi].Atoms = append(v.Parts[pi].Atoms, a)
-	}
-	// Chare sets: atoms dealt out in (chare, atom) order give every part its
-	// atoms' chares in ascending order, equal ones adjacent; compacting each
-	// row in place leaves the sorted set. counts turns from row lengths into
-	// row starts and, as the rows fill, row ends.
-	charesBuf := make([]trace.ChareID, natoms)
-	off = 0
-	for i, c := range counts {
-		counts[i], off = off, off+c
-	}
-	for _, a := range s.atomsByChare() {
-		pi := atomPart[a]
-		charesBuf[counts[pi]] = s.chare[a]
-		counts[pi]++
-	}
-	for i := range v.Parts {
-		p := &v.Parts[i]
-		row := slices.Compact(charesBuf[counts[i]-int32(len(p.Atoms)) : counts[i]])
-		p.Chares = row[:len(row):len(row)]
+		v.Parts[i].Atoms = atoms.Row(i)
+		row, k := chares.IDs[atoms.Off[i]:atoms.Off[i+1]], 0
+		for _, a := range row {
+			if c := s.chare[a]; k == 0 || c != row[k-1] {
+				row[k] = c
+				k++
+			}
+		}
+		v.Parts[i].Chares = row[:k:k]
 	}
 	eu, ev := s.dedupedEdges(atomPart)
 	v.G = s.adjFromEdges(n, eu, ev)
@@ -486,19 +441,10 @@ func (v *View) Leaps() ([]int32, int32) {
 // partitions whose leap is l, in partition order.
 func (v *View) PartsAtLeap() [][]int32 {
 	leap, maxLeap := v.Leaps()
-	counts := make([]int32, maxLeap+1)
-	for _, l := range leap {
-		counts[l]++
-	}
-	flat := make([]int32, len(leap))
+	rows := flat.GroupAll[int32](int(maxLeap)+1, nil, nil, leap)
 	out := make([][]int32, maxLeap+1)
-	off := int32(0)
 	for l := range out {
-		out[l] = flat[off : off : off+counts[l]]
-		off += counts[l]
-	}
-	for p, l := range leap {
-		out[l] = append(out[l], int32(p))
+		out[l] = rows.Row(l)
 	}
 	return out
 }

@@ -4,6 +4,7 @@ import (
 	"sort"
 
 	"charmtrace/internal/core"
+	"charmtrace/internal/flat"
 	"charmtrace/internal/metrics"
 	"charmtrace/internal/trace"
 )
@@ -81,7 +82,7 @@ type Index struct {
 }
 
 // BuildIndex constructs the index for a structure. Cost is one
-// metrics.Compute pass plus two counting sorts of the events; Bytes reports
+// metrics.Compute pass plus two groupings of the events; Bytes reports
 // the resident estimate for cache memory accounting.
 func BuildIndex(s *core.Structure) *Index {
 	tab := s.Table()
@@ -91,7 +92,6 @@ func BuildIndex(s *core.Structure) *Index {
 		Tab:         tab,
 		Report:      metrics.Compute(s),
 		PhaseOrder:  make([]int32, len(s.Phases)),
-		EventRows:   make([]trace.EventID, nEvents),
 		ChareEvents: make([][]trace.EventID, nChares),
 		PhaseRollup: make([]Rollup, len(s.Phases)),
 		ChareRollup: make([]Rollup, nChares),
@@ -107,22 +107,15 @@ func BuildIndex(s *core.Structure) *Index {
 		return a.ID < b.ID
 	})
 
-	// EventRows is (step, chare, event ID) order. Event IDs start ascending,
-	// so two stable counting sorts — by chare, then by step — produce it
-	// without a comparator. The chare pass's bucket starts also carve
-	// ChareEvents out of one backing array.
-	for e := range idx.EventRows {
-		idx.EventRows[e] = trace.EventID(e)
-	}
-	byChare := make([]trace.EventID, nEvents)
-	chareStart := countingSort(byChare, idx.EventRows, nChares, func(e trace.EventID) int { return int(tab.Chare[e]) })
-	minStep, maxStep := int32(0), int32(-1)
-	for _, st := range s.Step {
-		minStep, maxStep = min(minStep, st), max(maxStep, st)
-	}
-	countingSort(idx.EventRows, byChare, int(maxStep-minStep)+1, func(e trace.EventID) int { return int(s.Step[e] - minStep) })
+	// EventRows is (step, chare, event ID) order: events grouped by chare are
+	// in (chare, ID) order, and grouping those by step — a stable sort —
+	// produces it without a comparator. The chare rows also carve ChareEvents
+	// out of one backing array. Every event of a structure has a step (the
+	// codec and Validate refuse one without).
+	byChare := flat.GroupAll[trace.EventID](nChares, nil, nil, tab.Chare)
+	idx.EventRows = flat.Group[trace.EventID](int(s.MaxStep())+1, nil, nil, byChare.IDs, s.Step).IDs
 	for c := range idx.ChareEvents {
-		idx.ChareEvents[c] = byChare[chareStart[c]:chareStart[c]:chareStart[c+1]]
+		idx.ChareEvents[c] = byChare.IDs[byChare.Off[c]:byChare.Off[c]:byChare.Off[c+1]]
 	}
 	for _, e := range idx.EventRows {
 		c := tab.Chare[e]
@@ -140,24 +133,6 @@ func BuildIndex(s *core.Structure) *Index {
 		int64(len(idx.PhaseRollup)+len(idx.ChareRollup))*int64(8*(1+2*int(numMetrics))) +
 		int64(nEvents)*8*2 // Report's own per-event slices; the other two are the table's
 	return idx
-}
-
-// countingSort writes into dst the events of src stably ordered by key,
-// which maps an event into [0, keys). It returns the bucket boundaries: key
-// k's events are dst[start[k]:start[k+1]].
-func countingSort(dst, src []trace.EventID, keys int, key func(trace.EventID) int) []int32 {
-	start := make([]int32, keys+2)
-	for _, e := range src {
-		start[key(e)+2]++
-	}
-	for k := 2; k < len(start); k++ {
-		start[k] += start[k-1]
-	}
-	for _, e := range src {
-		dst[start[key(e)+1]] = e
-		start[key(e)+1]++
-	}
-	return start[:keys+1]
 }
 
 // metricsOf gathers an event's metric column values.

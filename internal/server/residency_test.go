@@ -8,11 +8,14 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 
 	"charmtrace/internal/conformance"
+	"charmtrace/internal/core"
+	"charmtrace/internal/trace"
 	"charmtrace/internal/tracefile"
 )
 
@@ -377,5 +380,59 @@ func TestConcurrentLoadsOfOneTrace(t *testing.T) {
 	reg := srv.Registry()
 	if d, b := reg.Counter("server.trace_decodes").Value(), reg.Counter("server.table_builds").Value(); d < 1 || d > int64(len(params)) || b != d {
 		t.Errorf("%d trace decodes and %d table builds for %d option sets of one trace", d, b, len(params))
+	}
+}
+
+// TestPhaselessDiskEntryReextracts: a .cstr on disk whose event 0 was left
+// without a phase — bytes the decoder once admitted and lod.Build then
+// indexed a table at -1 with, inside the entry's sync.Once — is refused like
+// any corrupt entry: counted, re-extracted, and /lod answers the bytes it
+// always did.
+func TestPhaselessDiskEntryReextracts(t *testing.T) {
+	dir := t.TempDir()
+	_, ts := newTestServer(t, Config{DataDir: dir})
+	enc := encodedJacobi(t, 0)
+	path := "/v1/traces/" + upload(t, ts, enc) + "/lod"
+	want := mustGet(t, ts, path)
+	ts.Close()
+
+	entries, err := filepath.Glob(filepath.Join(dir, "results", "*.cstr"))
+	if err != nil || len(entries) != 1 {
+		t.Fatalf("want one result on disk, found %v (err %v)", entries, err)
+	}
+	tr, err := tracefile.ReadBinary(bytes.NewReader(enc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	good, err := os.ReadFile(entries[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, _, err := core.DecodeStructure(bytes.NewReader(good), tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ph := &s.Phases[s.PhaseOf[0]]
+	ph.Events = slices.DeleteFunc(ph.Events, func(e trace.EventID) bool { return e == 0 })
+	s.PhaseOf[0], s.LocalStep[0], s.Step[0] = -1, -1, -1
+	var crafted bytes.Buffer
+	if err := core.EncodeStructure(&crafted, s); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(entries[0], crafted.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	srv, ts := newTestServer(t, Config{DataDir: dir})
+	for i := 0; i < 2; i++ {
+		if got := mustGet(t, ts, path); !bytes.Equal(got, want) {
+			t.Errorf("/lod read %d differs after the phaseless entry was replaced", i)
+		}
+	}
+	if e := srv.Registry().Counter("cache.disk_errors").Value(); e != 1 {
+		t.Errorf("cache.disk_errors = %d, want 1", e)
+	}
+	if healed, err := os.ReadFile(entries[0]); err != nil || !bytes.Equal(healed, good) {
+		t.Errorf("the entry was not rewritten to its original bytes (err %v)", err)
 	}
 }

@@ -9,6 +9,8 @@ import (
 	"math/rand/v2"
 	"slices"
 	"unsafe"
+
+	"charmtrace/internal/flat"
 )
 
 // Trace is a complete recorded execution. Slices are indexed by the
@@ -37,59 +39,17 @@ type Trace struct {
 	msgTab []msgSlot
 	// recvs lists, per send event, the receive events of its message in
 	// event order (one for point-to-point, several for broadcasts).
-	recvs rows[EventID]
+	recvs flat.Rows[EventID]
 	// matchSend[e] is the send event of receive e's message (NoEvent for
 	// non-receives and unmatched receives): the O(1) dense form of
 	// SendOf(Events[e].Msg), for the extraction hot path.
 	matchSend []EventID
 	// blocksByChare lists each chare's blocks in (Begin, ID) order.
-	blocksByChare rows[BlockID]
+	blocksByChare flat.Rows[BlockID]
 	// blocksByPE lists each processor's blocks in (Begin, ID) order.
-	blocksByPE rows[BlockID]
+	blocksByPE flat.Rows[BlockID]
 	// tab memoises Table(); Index renews it.
 	tab *tableMemo
-}
-
-// rows is a CSR row set: row i is ids[off[i]:off[i+1]].
-type rows[T ~int32] struct {
-	off []int32
-	ids []T
-}
-
-// groupRows counting-sorts the IDs 0..m-1 into n rows: ID i goes to row
-// key(i), or nowhere if key(i) is negative, and every row lists its IDs in
-// increasing order.
-func groupRows[T ~int32](n, m int, key func(i int) int32) rows[T] {
-	// Count into off[k+2] and prefix-sum, so that off[k+1] is row k's start;
-	// filling advances it to the row's end, which leaves off[k], off[k+1] as
-	// the row's bounds without a separate cursor array.
-	off := make([]int32, n+2)
-	for i := 0; i < m; i++ {
-		if k := key(i); k >= 0 {
-			off[k+2]++
-		}
-	}
-	for i := 2; i < len(off); i++ {
-		off[i] += off[i-1]
-	}
-	ids := make([]T, off[n+1])
-	for i := 0; i < m; i++ {
-		if k := key(i); k >= 0 {
-			ids[off[k+1]] = T(i)
-			off[k+1]++
-		}
-	}
-	return rows[T]{off: off[:n+1], ids: ids}
-}
-
-// row returns row i as a full-capacity sub-slice (an append by the caller
-// reallocates instead of clobbering the next row), nil when empty.
-func (r rows[T]) row(i int) []T {
-	lo, hi := r.off[i], r.off[i+1]
-	if lo == hi {
-		return nil
-	}
-	return r.ids[lo:hi:hi]
 }
 
 // msgSlot is one slot of the message table; send1 is the send event's ID
@@ -123,8 +83,15 @@ func (t *Trace) Index() error {
 	if err != nil {
 		return err
 	}
-	t.blocksByChare = t.blockRows(len(t.Chares), func(b *Block) int32 { return int32(b.Chare) })
-	t.blocksByPE = t.blockRows(t.NumPE, func(b *Block) int32 { return int32(b.PE) })
+	key := make([]int32, len(t.Blocks)) // the grouping's key column, filled twice
+	for i := range t.Blocks {
+		key[i] = int32(t.Blocks[i].Chare)
+	}
+	t.blocksByChare = t.blockRows(len(t.Chares), key)
+	for i := range t.Blocks {
+		key[i] = int32(t.Blocks[i].PE)
+	}
+	t.blocksByPE = t.blockRows(t.NumPE, key)
 	t.tab = new(tableMemo)
 	t.indexed = true
 	return t.validateSemantics(orphan)
@@ -171,33 +138,32 @@ func (t *Trace) indexMessages() (orphan EventID, err error) {
 			orphan = ev.ID
 		}
 	}
-	t.recvs = groupRows[EventID](len(t.Events), len(t.Events), func(i int) int32 { return int32(t.matchSend[i]) })
+	t.recvs = flat.GroupAll[EventID](len(t.Events), nil, nil, t.matchSend)
 	return orphan, nil
 }
 
-// blockRows groups block IDs by key (a chare or a PE, already range-checked
-// by validateShape) into n rows in (Begin, ID) order. The counting sort
-// leaves a row in ID order, which is (Begin, ID) order whenever the row's
-// begin times never decrease — the normal case for a recorded trace — so
-// only the other rows pay for a comparison sort.
-func (t *Trace) blockRows(n int, key func(*Block) int32) rows[BlockID] {
-	r := groupRows[BlockID](n, len(t.Blocks), func(i int) int32 { return key(&t.Blocks[i]) })
+// blockRows groups block IDs by key (block i's chare or PE in key[i], already
+// range-checked by validateShape) into n rows in (Begin, ID) order. The
+// counting sort leaves a row in ID order, which is (Begin, ID) order whenever
+// the row's begin times never decrease — the normal case for a recorded
+// trace — so only the other rows pay for a comparison sort.
+func (t *Trace) blockRows(n int, key []int32) flat.Rows[BlockID] {
+	r := flat.GroupAll[BlockID](n, nil, nil, key)
 	last := make([]Time, n) // begin time of the latest block seen in each row
 	for i := range last {
 		last[i] = math.MinInt64
 	}
 	var disordered []int32 // rows where a block begins before an earlier-numbered one, once per inversion
-	for i := range t.Blocks {
-		b := &t.Blocks[i]
-		k := key(b)
-		if b.Begin < last[k] {
+	for i, k := range key {
+		begin := t.Blocks[i].Begin
+		if begin < last[k] {
 			disordered = append(disordered, k)
 		}
-		last[k] = b.Begin
+		last[k] = begin
 	}
 	slices.Sort(disordered)
 	for _, k := range slices.Compact(disordered) {
-		slices.SortFunc(r.row(int(k)), func(a, b BlockID) int {
+		slices.SortFunc(r.Row(int(k)), func(a, b BlockID) int {
 			if c := cmp.Compare(t.Blocks[a].Begin, t.Blocks[b].Begin); c != 0 {
 				return c
 			}
@@ -315,7 +281,7 @@ func (t *Trace) validateSemantics(orphan EventID) error {
 	}
 	for pe := 0; pe < t.NumPE; pe++ {
 		var prevEnd Time = -1 << 62
-		for _, id := range t.blocksByPE.row(pe) {
+		for _, id := range t.blocksByPE.Row(pe) {
 			b := &t.Blocks[id]
 			if b.Begin < prevEnd {
 				return fmt.Errorf("trace: blocks overlap on PE %d (block %d begins at %d before previous end %d)", pe, id, b.Begin, prevEnd)
@@ -338,7 +304,7 @@ func (t *Trace) Bytes() int64 {
 		int64(len(t.Entries))*int64(unsafe.Sizeof(Entry{})) +
 		int64(len(t.Idles))*int64(unsafe.Sizeof(Idle{})) +
 		int64(len(t.msgTab))*int64(unsafe.Sizeof(msgSlot{})) +
-		int64(len(t.recvs.off)+len(t.recvs.ids))*4
+		int64(len(t.recvs.Off)+len(t.recvs.IDs))*4
 }
 
 // SendOf returns the send event of a message, or NoEvent if the send was not
@@ -370,16 +336,16 @@ func (t *Trace) RecvsOf(m MsgID) []EventID {
 	if send == NoEvent {
 		return nil
 	}
-	return t.recvs.row(int(send))
+	return t.recvs.Row(int(send))
 }
 
 // BlocksOfChare returns a chare's serial blocks in begin-time order.
 // The returned slice must not be modified.
-func (t *Trace) BlocksOfChare(c ChareID) []BlockID { return t.blocksByChare.row(int(c)) }
+func (t *Trace) BlocksOfChare(c ChareID) []BlockID { return t.blocksByChare.Row(int(c)) }
 
 // BlocksOfPE returns a processor's serial blocks in begin-time order.
 // The returned slice must not be modified.
-func (t *Trace) BlocksOfPE(pe PE) []BlockID { return t.blocksByPE.row(int(pe)) }
+func (t *Trace) BlocksOfPE(pe PE) []BlockID { return t.blocksByPE.Row(int(pe)) }
 
 // IsRuntimeChare reports whether a chare belongs to the runtime system.
 func (t *Trace) IsRuntimeChare(c ChareID) bool { return t.Chares[c].Runtime }

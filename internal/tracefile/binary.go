@@ -345,9 +345,9 @@ const (
 	growFactor = 4
 )
 
-// grow returns s with room for one more element; n is the section's claimed
-// length, which the caller has not reached yet.
-func grow[T any](s []T, n int) []T {
+// withRoom returns s, contents kept, with room for one more element; n is the
+// section's claimed length, which the caller has not reached yet.
+func withRoom[T any](s []T, n int) []T {
 	if len(s) < cap(s) {
 		return s
 	}
@@ -373,7 +373,7 @@ func (b *breader) blocks(t *trace.Trace) {
 			End:   trace.Time(c.i64()),
 		}
 		if b.accept(&c) {
-			t.Blocks = append(grow(t.Blocks, n), blk)
+			t.Blocks = append(withRoom(t.Blocks, n), blk)
 		}
 	}
 	b.sync()
@@ -399,7 +399,7 @@ func (b *breader) events(t *trace.Trace) {
 			b.err = fmt.Errorf("tracefile: event %d has unknown kind %d", i, ev.Kind)
 			break
 		}
-		t.Events = append(grow(t.Events, n), ev)
+		t.Events = append(withRoom(t.Events, n), ev)
 	}
 	b.sync()
 }
@@ -414,7 +414,7 @@ func (b *breader) idles(t *trace.Trace) {
 			End:   trace.Time(c.i64()),
 		}
 		if b.accept(&c) {
-			t.Idles = append(grow(t.Idles, n), idle)
+			t.Idles = append(withRoom(t.Idles, n), idle)
 		}
 	}
 	b.sync()
