@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test verify lint fuzz fuzz-smoke bench-lod bench-steps bench-wire bench-smoke bench-repo fmt loc knobs prefix-sums serve cluster
+.PHONY: build test verify lint fuzz fuzz-smoke bench-lod bench-steps bench-batch bench-wire bench-smoke bench-repo fmt loc knobs prefix-sums serve cluster
 
 build:
 	$(GO) build ./...
@@ -83,14 +83,26 @@ bench-repo:
 bench-lod:
 	$(GO) test -run '^$$' -bench 'BenchmarkBuild$$' -benchmem -benchtime 20x -count 3 ./internal/lod
 
-# bench-steps times the ordering stage (core's step-assignment, §3.2) on the
-# five trace shapes of the repository benchmark's batch-extract workload and
-# reports its wall time per event (steps-ns/event) beside the whole
-# extraction's ns/event and the -benchmem columns, on one core and on two. For
-# measuring while working on internal/core/steps.go; claims go through
-# bench-repo.
+# bench-steps times Extract on the five trace shapes of the repository
+# benchmark's batch-extract workload and reports every pipeline stage's wall
+# time per event (<stage>-ns/event, from Stats.StageTime: initial ...
+# step-assignment) beside the whole extraction's ns/event and the -benchmem
+# columns, on one core and on two. For measuring while working on
+# internal/core or internal/partition; claims go through bench-repo.
+# BENCHRUNS sets the repetitions of this target and bench-batch (CI runs
+# each once: BENCHRUNS='-benchtime 1x').
+BENCHRUNS ?= -benchtime 5x -count 3
 bench-steps:
-	$(GO) test -run '^$$' -bench 'BenchmarkParallelStepAssignment$$' -benchmem -benchtime 5x -count 3 -cpu 1,2 .
+	$(GO) test -run '^$$' -bench 'BenchmarkParallelStepAssignment$$' -benchmem $(BENCHRUNS) -cpu 1,2 .
+
+# bench-batch times one op of the repository benchmark's batch-extract
+# workload — decode the binary trace, Extract, ComputeMetrics — on each of its
+# five shapes at -cpu 2 (the workload's one worker on a two-core runner):
+# ns/event and the -benchmem columns. The in-process twin of
+# `go run ./bench --workload batch-extract`, for profiling
+# (-cpuprofile); claims go through bench-repo.
+bench-batch:
+	$(GO) test -run '^$$' -bench 'BenchmarkBatchExtractOp$$' -benchmem $(BENCHRUNS) -cpu 2 .
 
 # bench-wire times one warm, gzip-accepting request per iteration on the four
 # row-shaped routes (full /steps, a /steps window through the query engine,

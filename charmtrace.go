@@ -178,7 +178,9 @@ func WindowTrace(tr *Trace, from, to Time) (*Trace, error) {
 type ProfileReport = profile.Report
 
 // BuildProfile aggregates a trace into per-entry, per-processor and
-// message-volume statistics.
+// message-volume statistics. Counting cross-processor messages needs the
+// trace's index (ReadTrace, TraceBuilder.Finish and Extract build it): on a
+// trace never indexed, CrossPE is 0.
 func BuildProfile(tr *Trace) *ProfileReport { return profile.Build(tr) }
 
 // InjectSkew returns a copy of a trace with every record on processor p
@@ -186,12 +188,16 @@ func BuildProfile(tr *Trace) *ProfileReport { return profile.Build(tr) }
 func InjectSkew(tr *Trace, offsets []Time) (*Trace, error) { return skew.Inject(tr, offsets) }
 
 // SkewViolations counts receives recorded less than minGap after their
-// matching sends — the causal inconsistencies clock skew introduces.
+// matching sends — the causal inconsistencies clock skew introduces. The
+// trace must be indexed (ReadTrace, TraceBuilder.Finish and Extract index
+// it): on a trace never indexed no receive matches its send, and the count
+// is 0.
 func SkewViolations(tr *Trace, minGap Time) int { return skew.Violations(tr, minGap) }
 
 // CorrectSkew recovers per-processor clock offsets restoring the causal
 // send-before-receive order (the post-processing Section 4 refers to) and
-// returns the corrected trace plus the offsets applied.
+// returns the corrected trace plus the offsets applied. The trace must be
+// indexed; an unindexed one is an error.
 func CorrectSkew(tr *Trace, minGap Time) (*Trace, []Time, error) {
 	return skew.Correct(tr, minGap)
 }

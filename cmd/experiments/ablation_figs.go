@@ -81,7 +81,7 @@ func ablTieBreak(bool) {
 				if ev.Kind != trace.Recv {
 					continue
 				}
-				m[key{ev.Chare, s.LocalStep[e]}] = tr.Events[tr.SendOf(ev.Msg)].Chare
+				m[key{ev.Chare, s.LocalStep[e]}] = tr.Events[tr.MatchingSend(e)].Chare
 			}
 			pats[pi] = m
 		}

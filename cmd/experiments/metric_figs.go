@@ -42,7 +42,7 @@ func figMergeTree(big bool) {
 			if ev.Kind != trace.Recv {
 				continue
 			}
-			send := tr.Events[tr.SendOf(ev.Msg)]
+			send := tr.Events[tr.MatchingSend(trace.EventID(e))]
 			if int(tr.Chares[send.Chare].Index)/cfg.GroupSize == int(tr.Chares[ev.Chare].Index)/cfg.GroupSize {
 				sum += int64(s.Step[e])
 				if s.Step[e] > worst {
@@ -65,7 +65,7 @@ func figMergeTree(big bool) {
 			if ev.Kind != trace.Recv {
 				continue
 			}
-			send := tr.Events[tr.SendOf(ev.Msg)]
+			send := tr.Events[tr.MatchingSend(trace.EventID(e))]
 			if int(tr.Chares[send.Chare].Index)/cfg.GroupSize == int(tr.Chares[ev.Chare].Index)/cfg.GroupSize {
 				ringStep[ev.Chare] = s.Step[e]
 			} else {

@@ -88,7 +88,7 @@ func figJacobiReorder(bool) {
 			if ev.Kind != trace.Recv {
 				continue
 			}
-			send := tr.SendOf(ev.Msg)
+			send := tr.MatchingSend(e)
 			out[[2]int32{int32(ev.Chare), s.LocalStep[e]}] = tr.Events[send].Chare
 		}
 		return out
@@ -209,7 +209,7 @@ func figSec5(bool) {
 			if ev.Kind != trace.Send || tr.IsRuntimeChare(ev.Chare) {
 				continue
 			}
-			for _, r := range tr.RecvsOf(ev.Msg) {
+			for _, r := range tr.MatchingRecvs(ev.ID) {
 				if tr.IsRuntimeChare(tr.Events[r].Chare) {
 					n++
 				}

@@ -106,37 +106,79 @@ func BenchmarkMetricsLateness(b *testing.B) {
 	}
 }
 
-// BenchmarkParallelStepAssignment times the ordering stage (§3.2, parallel
-// per §3.3) on the five trace shapes of the repository benchmark's
-// batch-extract workload, reporting the step-assignment stage's own wall
-// time per event beside the whole extraction's. Run it at -cpu 1,2 (make
-// bench-steps): Parallelism is the default, so -cpu sets the lane count.
+// batchShapes are the five trace shapes of the repository benchmark's
+// batch-extract workload; cli.Generate gives each its preset.
+var batchShapes = []struct {
+	name, app string
+	p         cli.Params
+}{
+	{"jacobi32i8", "jacobi", cli.Params{Scale: 32, Iterations: 8}},
+	{"jacobi16i32", "jacobi", cli.Params{Scale: 16, Iterations: 32}},
+	{"jacobi32i16", "jacobi", cli.Params{Scale: 32, Iterations: 16}},
+	{"lulesh6", "lulesh", cli.Params{Scale: 6}},
+	{"mergetree4096", "mergetree", cli.Params{Scale: 4096}},
+}
+
+// BenchmarkParallelStepAssignment times Extract on the batch-extract shapes,
+// reporting every pipeline stage's own wall time per event (from
+// Stats.StageTime, as <stage>-ns/event) beside the whole extraction's. Run
+// it at -cpu 1,2 (make bench-steps): Parallelism is the default, so -cpu
+// sets the lane count.
 func BenchmarkParallelStepAssignment(b *testing.B) {
-	for _, w := range []struct {
-		name, app string
-		p         cli.Params
-	}{
-		{"jacobi32i8", "jacobi", cli.Params{Scale: 32, Iterations: 8}},
-		{"jacobi16i32", "jacobi", cli.Params{Scale: 16, Iterations: 32}},
-		{"jacobi32i16", "jacobi", cli.Params{Scale: 32, Iterations: 16}},
-		{"lulesh6", "lulesh", cli.Params{Scale: 6}},
-		{"mergetree4096", "mergetree", cli.Params{Scale: 4096}},
-	} {
+	for _, w := range batchShapes {
 		tr, opt, err := cli.Generate(w.app, w.p)
 		if err != nil {
 			b.Fatal(err)
 		}
 		b.Run(w.name, func(b *testing.B) {
-			var steps time.Duration
+			stages := make(map[string]time.Duration)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				s, err := core.Extract(tr, opt)
 				if err != nil {
 					b.Fatal(err)
 				}
-				steps += s.Stats.StageTime["step-assignment"]
+				for name, d := range s.Stats.StageTime {
+					stages[name] += d
+				}
 			}
-			b.ReportMetric(float64(steps.Nanoseconds())/float64(b.N*len(tr.Events)), "steps-ns/event")
+			perEvent := func(d time.Duration) float64 { return float64(d.Nanoseconds()) / float64(b.N*len(tr.Events)) }
+			for _, name := range core.StageOrder {
+				if d, ran := stages[name]; ran {
+					b.ReportMetric(perEvent(d), name+"-ns/event")
+				}
+			}
+			b.ReportMetric(perEvent(b.Elapsed()), "ns/event")
+		})
+	}
+}
+
+// BenchmarkBatchExtractOp is one op of the repository benchmark's
+// batch-extract workload on each of its shapes: decode the binary trace,
+// Extract, ComputeMetrics (make bench-batch).
+func BenchmarkBatchExtractOp(b *testing.B) {
+	for _, w := range batchShapes {
+		tr, opt, err := cli.Generate(w.app, w.p)
+		if err != nil {
+			b.Fatal(err)
+		}
+		var file bytes.Buffer
+		if err := tracefile.WriteBinary(&file, tr); err != nil {
+			b.Fatal(err)
+		}
+		b.Run(w.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				tr, err := ReadTrace(bytes.NewReader(file.Bytes()))
+				if err != nil {
+					b.Fatal(err)
+				}
+				s, err := Extract(tr, opt)
+				if err != nil {
+					b.Fatal(err)
+				}
+				ComputeMetrics(s)
+			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(tr.Events)), "ns/event")
 		})
 	}

@@ -69,6 +69,57 @@ func TestPublicSkewWorkflow(t *testing.T) {
 	}
 }
 
+// TestPublicWrappersOnUnindexedTrace: the wrappers that match receives to
+// sends return on a trace that was never indexed — no match is found, and
+// CorrectSkew reports the missing index as an error — and answer as before
+// once the same records are indexed.
+func TestPublicWrappersOnUnindexedTrace(t *testing.T) {
+	tr, err := JacobiTrace(DefaultJacobiConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	offsets := make([]Time, tr.NumPE)
+	for p := range offsets {
+		offsets[p] = Time(p * 800)
+	}
+	skewed, err := InjectSkew(tr, offsets)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw := &Trace{NumPE: skewed.NumPE, Chares: skewed.Chares, Entries: skewed.Entries,
+		Blocks: skewed.Blocks, Events: skewed.Events, Idles: skewed.Idles}
+	if raw.Indexed() {
+		t.Fatal("trace literal reports indexed")
+	}
+	if n := SkewViolations(raw, 1); n != 0 {
+		t.Fatalf("SkewViolations on unindexed trace = %d, want 0", n)
+	}
+	if _, _, err := CorrectSkew(raw, 1); err == nil {
+		t.Fatal("CorrectSkew on unindexed trace: no error")
+	}
+	p, want := BuildProfile(raw), BuildProfile(skewed)
+	if p.CrossPE != 0 || p.Messages != want.Messages || len(p.Entries) != len(want.Entries) {
+		t.Fatalf("BuildProfile on unindexed trace: messages %d cross %d, want %d and 0",
+			p.Messages, p.CrossPE, want.Messages)
+	}
+	if want.CrossPE == 0 {
+		t.Fatal("indexed profile counts no cross-processor messages")
+	}
+
+	if err := raw.Index(); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := SkewViolations(raw, 1), SkewViolations(skewed, 1); got != want || got == 0 {
+		t.Fatalf("SkewViolations after Index = %d, want %d (> 0)", got, want)
+	}
+	if _, _, err := CorrectSkew(raw, 1); err != nil {
+		t.Fatalf("CorrectSkew after Index: %v", err)
+	}
+	if got := BuildProfile(raw).CrossPE; got != want.CrossPE {
+		t.Fatalf("CrossPE after Index = %d, want %d", got, want.CrossPE)
+	}
+}
+
 // TestPublicCompareStructures drives the diff through the public API.
 func TestPublicCompareStructures(t *testing.T) {
 	cfg := DefaultJacobiConfig()

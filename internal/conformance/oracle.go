@@ -56,7 +56,10 @@ func NewOracle(tr *trace.Trace) (*Oracle, error) {
 			addEdge(evs[i], evs[i+1])
 		}
 	}
-	// Message matching: a receive happens after its send.
+	// Message matching: a receive happens after its send. The oracle (here
+	// and in Verify) matches through SendOf, the message table, on purpose:
+	// MatchingSend and MatchingRecvs read the dense rows the extraction itself
+	// uses, and the oracle must stay independent of what it checks.
 	for _, ev := range tr.Events {
 		if ev.Kind != trace.Recv || ev.Msg == trace.NoMsg {
 			continue

@@ -28,7 +28,6 @@ type extractArena struct {
 	srcChare []trace.ChareID
 	srcEvent []trace.EventID
 	srcPart  []int32
-	srcOrd   []int32
 
 	// Chare occupancy of the leap being scanned (leapMerge, enforceRound's
 	// overlap scan): slot -> first partition of this leap to claim it,

@@ -13,6 +13,10 @@ type atoms struct {
 	set *partition.Set
 	// of maps every dependency event to its atom.
 	of []partition.ID
+	// minEvent maps every atom to its earliest event by (time, ID): an
+	// atom's events share one chare, so these are all the §3.1.4 heuristics
+	// need of them.
+	minEvent []trace.EventID
 	// firstOf/lastOf map every block to its first/last atom (-1: the block
 	// has no dependency events). Indexed by BlockID.
 	firstOf []partition.ID
@@ -43,7 +47,6 @@ func (a *atoms) canonicalBlock(b trace.BlockID) trace.BlockID {
 // split serial block, and SDAG-inferred happened-before (§2.1).
 func buildAtoms(tr *trace.Trace, opt Options) *atoms {
 	a := &atoms{
-		set:     partition.NewSet(),
 		of:      make([]partition.ID, len(tr.Events)),
 		firstOf: make([]partition.ID, len(tr.Blocks)),
 		lastOf:  make([]partition.ID, len(tr.Blocks)),
@@ -58,25 +61,44 @@ func buildAtoms(tr *trace.Trace, opt Options) *atoms {
 		a.absorb[i] = -1
 	}
 
-	// Cut every serial block into runs of equal runtime-boundary flag. The
-	// run buffer is reused across runs: AddAtom copies it into the set's
-	// flat event table.
-	var runEvents []trace.EventID
+	// First pass: flag the events that touch the runtime and count what the
+	// set will hold — the atoms (runs of equal flags) and their events — and
+	// bound its edges: one per matched receive, plus fewer than one per atom
+	// for the links between a block's runs (one per run after a block's
+	// first) and along each chare's blocks (one per block after a chare's
+	// first that has events). The slack holds the later stages' edges.
+	rt := make([]bool, len(tr.Events))
+	nAtoms, nEvents := 0, 0
+	for bi := range tr.Blocks {
+		evs := tr.Blocks[bi].Events
+		for i, e := range evs {
+			rt[e] = touchesRuntime(tr, e)
+			if i == 0 || rt[e] != rt[evs[i-1]] {
+				nAtoms++
+			}
+		}
+		nEvents += len(evs)
+	}
+	nEdges := nAtoms
+	for e := range tr.Events {
+		nEdges += len(tr.MatchingRecvs(trace.EventID(e)))
+	}
+	a.set = partition.NewSet(nAtoms, nEvents, nEdges)
+	a.minEvent = make([]trace.EventID, 0, nAtoms)
+
+	// Cut every serial block into its runs. AddAtom copies the run into the
+	// set's flat event table.
 	for bi := range tr.Blocks {
 		blk := &tr.Blocks[bi]
-		if len(blk.Events) == 0 {
-			continue
-		}
-		var prev partition.ID = -1
-		run := partition.Atom{Chare: blk.Chare, Block: blk.ID}
-		runEvents = runEvents[:0]
-		runSet := false
-		flush := func() {
-			if len(runEvents) == 0 {
-				return
+		evs := blk.Events
+		prev := partition.ID(-1)
+		for lo := 0; lo < len(evs); {
+			hi := lo + 1
+			for hi < len(evs) && rt[evs[hi]] == rt[evs[lo]] {
+				hi++
 			}
-			run.Events = runEvents
-			id := a.set.AddAtom(run)
+			run := evs[lo:hi]
+			id := a.set.AddAtom(partition.Atom{Chare: blk.Chare, Runtime: rt[run[0]], Events: run, Block: blk.ID})
 			if prev >= 0 {
 				// Happened-before between fragments of the split block.
 				a.set.AddEdge(prev, id)
@@ -84,33 +106,22 @@ func buildAtoms(tr *trace.Trace, opt Options) *atoms {
 				a.firstOf[blk.ID] = id
 			}
 			a.lastOf[blk.ID] = id
-			for _, e := range runEvents {
+			first := run[0]
+			for _, e := range run {
 				a.of[e] = id
+				if less(tr, e, first) {
+					first = e
+				}
 			}
-			prev = id
-			runEvents = runEvents[:0]
-			runSet = false
+			a.minEvent = append(a.minEvent, first)
+			prev, lo = id, hi
 		}
-		for _, e := range blk.Events {
-			rt := touchesRuntime(tr, e)
-			if runSet && rt != run.Runtime {
-				flush()
-			}
-			run.Runtime = rt
-			runSet = true
-			runEvents = append(runEvents, e)
-		}
-		flush()
 	}
 
 	// Remote invocation edges: send atom -> each receive atom.
-	for _, ev := range tr.Events {
-		if ev.Kind != trace.Send || ev.Msg == trace.NoMsg {
-			continue
-		}
-		from := a.of[ev.ID]
-		for _, r := range tr.RecvsOf(ev.Msg) {
-			a.set.AddEdge(from, a.of[r])
+	for e := range tr.Events {
+		for _, r := range tr.MatchingRecvs(trace.EventID(e)) {
+			a.set.AddEdge(a.of[e], a.of[r])
 		}
 	}
 
@@ -155,23 +166,15 @@ func buildAtoms(tr *trace.Trace, opt Options) *atoms {
 // runtime: its own chare is a runtime chare, or the far endpoint of its
 // message is on a runtime chare.
 func touchesRuntime(tr *trace.Trace, eid trace.EventID) bool {
-	ev := &tr.Events[eid]
-	if tr.IsRuntimeChare(ev.Chare) {
+	if tr.IsRuntimeChare(tr.Events[eid].Chare) {
 		return true
 	}
-	if ev.Msg == trace.NoMsg {
-		return false
+	if s := tr.MatchingSend(eid); s != trace.NoEvent {
+		return tr.IsRuntimeChare(tr.Events[s].Chare)
 	}
-	switch ev.Kind {
-	case trace.Send:
-		for _, r := range tr.RecvsOf(ev.Msg) {
-			if tr.IsRuntimeChare(tr.Events[r].Chare) {
-				return true
-			}
-		}
-	case trace.Recv:
-		if s := tr.MatchingSend(eid); s != trace.NoEvent {
-			return tr.IsRuntimeChare(tr.Events[s].Chare)
+	for _, r := range tr.MatchingRecvs(eid) {
+		if tr.IsRuntimeChare(tr.Events[r].Chare) {
+			return true
 		}
 	}
 	return false

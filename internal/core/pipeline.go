@@ -26,6 +26,14 @@ func (t *tel) cancelled() bool {
 	return t.ctx != nil && t.ctx.Err() != nil
 }
 
+// Test hooks, nil outside tests: partInfoHook sees every buildPartInfo
+// result beside the snapshot it was built from, extractHook the phase-finding
+// state behind every structure Extract returns.
+var (
+	partInfoHook func(*trace.Trace, *atoms, *partition.View, *partInfos)
+	extractHook  func(*atoms, *Structure)
+)
+
 // Extract recovers the logical structure of a trace (Section 3). The trace
 // must be indexed (Builder.Finish and tracefile.Read both index); Extract
 // indexes it if not.
@@ -105,6 +113,9 @@ func Extract(tr *trace.Trace, opt Options) (*Structure, error) {
 		return nil, fmt.Errorf("core: extract cancelled: %w", cancelErr)
 	}
 	s.Stats = statsFromRegistry(t.reg, workers)
+	if extractHook != nil {
+		extractHook(a, s)
+	}
 	if opt.Metrics != nil {
 		t.reg.MergeInto(opt.Metrics)
 	}
@@ -123,29 +134,28 @@ const (
 
 // dependencyMerge is Algorithm 1: partitions containing the matching
 // endpoints of a remote method invocation belong in the same phase. One
-// sweep over the events schedules a merge per (send, receive) pair; Apply
-// then performs them in sweep order, skipping the pairs an earlier union
-// already joined.
+// sweep over the events merges the partitions of every (send, receive)
+// pair in sweep order, skipping the pairs an earlier union already joined.
+// The sweep reads nothing a union writes, so this is the pseudocode's
+// schedule-then-merge without the schedule.
 func dependencyMerge(tr *trace.Trace, a *atoms, t *tel) int {
 	n := len(tr.Events)
 	t.reg.Counter("pipeline.events_scanned").Add(int64(n))
-	plan := a.set.NewMergePlan()
+	merged := 0
 	t.prog.StartLoop(int64(n))
 	for lo := 0; lo < n && !t.cancelled(); lo += sweepBlock {
 		hi := min(lo+sweepBlock, n)
 		for i := lo; i < hi; i++ {
-			ev := &tr.Events[i]
-			if ev.Kind != trace.Send || ev.Msg == trace.NoMsg {
-				continue
-			}
-			send := a.of[ev.ID]
-			for _, r := range tr.RecvsOf(ev.Msg) {
-				plan.Schedule(send, a.of[r])
+			for _, r := range tr.MatchingRecvs(trace.EventID(i)) {
+				if send, recv := a.of[i], a.of[r]; !a.set.SamePartition(send, recv) {
+					a.set.Union(send, recv)
+					merged++
+				}
 			}
 		}
 		t.prog.Add(int64(hi - lo))
 	}
-	return plan.Apply()
+	return merged
 }
 
 // repairMerge is Algorithm 2: restore merges that the application/runtime
@@ -221,13 +231,15 @@ func neighborSerialMerge(tr *trace.Trace, a *atoms) int {
 // buildPartInfo computes the per-partition ordering information used by the
 // §3.1.4 heuristics — the earliest event per chare (aligned with the view's
 // sorted chare rows), the earliest partition-starting source time per PE,
-// and overall minima — into the arena's flat partInfos tables. Partitions
-// are independent pool items, handed out in partItems blocks — the cut
-// depends on the partition count alone, so sixteen thousand five-event
-// partitions and sixteen six-thousand-event ones (one trace, before and
-// after the leap merge) both spread over the lanes. Each scan only reads the
-// view and the set's immutable atom table and writes its own row, so the
-// result is identical for any worker count.
+// and overall minima — into the arena's flat partInfos tables. It reads one
+// event per atom, the atom's earliest (buildAtoms): an atom's events share
+// a chare and (time, ID) is a total order, so the minima over those are the
+// minima over all the events. Partitions are independent pool items, handed
+// out in partItems blocks — the cut depends on the partition count alone,
+// so sixteen thousand five-event partitions and sixteen six-thousand-event
+// ones (one trace, before and after the leap merge) both spread over the
+// lanes. Each scan only reads the view and the atoms' immutable tables and
+// writes its own row, so the result is identical for any worker count.
 func buildPartInfo(tr *trace.Trace, a *atoms, v *partition.View, workers int, t *tel) *partInfos {
 	info := &a.arena.info
 	n := len(v.Parts)
@@ -252,16 +264,12 @@ func buildPartInfo(tr *trace.Trace, a *atoms, v *partition.View, workers int, t 
 		}
 		minTime := trace.Time(1<<62 - 1)
 		for _, atomID := range part.Atoms {
-			for _, e := range a.set.AtomEvents(atomID) {
-				ev := &tr.Events[e]
-				ci := chareIndex(chares, ev.Chare)
-				if cur := row[ci]; cur == trace.NoEvent || less(tr, e, cur) {
-					row[ci] = e
-				}
-				if ev.Time < minTime {
-					minTime = ev.Time
-				}
+			e := a.minEvent[atomID]
+			ci := chareIndex(chares, a.set.AtomChare(atomID))
+			if cur := row[ci]; cur == trace.NoEvent || less(tr, e, cur) {
+				row[ci] = e
 			}
+			minTime = min(minTime, tr.Events[e].Time)
 		}
 		info.minTime[pi] = minTime
 		// Partition-starting sources: per-chare initial events that are
@@ -301,6 +309,9 @@ func buildPartInfo(tr *trace.Trace, a *atoms, v *partition.View, workers int, t 
 		}
 		info.srcEnd[pi] = out
 	})
+	if partInfoHook != nil {
+		partInfoHook(tr, a, v, info)
+	}
 	return info
 }
 
@@ -322,11 +333,11 @@ func inferDependencies(tr *trace.Trace, a *atoms, workers int, t *tel) int {
 	info := buildPartInfo(tr, a, v, workers, t)
 	ar := a.arena
 	// Flatten the partition-starting sources into (chare, event, part) rows
-	// in partition order, then group by chare with a stable index sort:
-	// each partition contributes at most one source per chare, so a chare's
-	// run reproduces the per-chare list the map-based version accumulated —
-	// but chares are now visited in sorted order, keeping the edge
-	// insertion order deterministic.
+	// in partition order, then group them by chare with a stable counting
+	// sort: each partition contributes at most one source per chare, so a
+	// chare's row reproduces the per-chare list the map-based version
+	// accumulated — but chares are now visited in sorted order, keeping the
+	// edge insertion order deterministic.
 	srcChare, srcEvent, srcPart := ar.srcChare[:0], ar.srcEvent[:0], ar.srcPart[:0]
 	for pi := range v.Parts {
 		chares := v.Parts[pi].Chares
@@ -341,23 +352,10 @@ func inferDependencies(tr *trace.Trace, a *atoms, workers int, t *tel) int {
 			srcPart = append(srcPart, int32(pi))
 		}
 	}
-	ord := ar.srcOrd[:0]
-	for i := range srcChare {
-		ord = append(ord, int32(i))
-	}
-	slices.SortFunc(ord, func(x, y int32) int {
-		if srcChare[x] != srcChare[y] {
-			return int(srcChare[x]) - int(srcChare[y])
-		}
-		return int(x) - int(y)
-	})
-	ar.srcChare, ar.srcEvent, ar.srcPart, ar.srcOrd = srcChare, srcEvent, srcPart, ord
-	for i := 0; i < len(ord); {
-		j := i
-		for j < len(ord) && srcChare[ord[j]] == srcChare[ord[i]] {
-			j++
-		}
-		run := ord[i:j]
+	ar.srcChare, ar.srcEvent, ar.srcPart = srcChare, srcEvent, srcPart
+	byChare := flat.GroupAll[int32](ar.nChares, nil, nil, srcChare)
+	for c := 0; c < ar.nChares; c++ {
+		run := byChare.Row(c)
 		// Physical-time order of the chare's sources ((time, ID) is total,
 		// so the sort is deterministic).
 		slices.SortFunc(run, func(x, y int32) int {
@@ -373,7 +371,6 @@ func inferDependencies(tr *trace.Trace, a *atoms, workers int, t *tel) int {
 			}
 			a.set.AddEdge(a.of[srcEvent[p]], a.of[srcEvent[q]])
 		}
-		i = j
 	}
 	return 0 // Alg. 3 adds edges; partitions are merged by the cycle merge that follows.
 }
@@ -384,11 +381,8 @@ func inferDependencies(tr *trace.Trace, a *atoms, workers int, t *tel) int {
 // merges, so the merge is restricted to same-kind pairs; cross-kind overlap
 // is ordered later by enforceOrderability.
 func leapMerge(a *atoms) int {
+	a.set.CycleMerge()
 	v := a.set.View()
-	if !v.Acyclic() {
-		a.set.CycleMerge()
-		v = a.set.View()
-	}
 	byLeap := v.PartsAtLeap()
 	ar := a.arena
 	plan := a.set.NewMergePlan()
@@ -561,11 +555,8 @@ func partLater(tr *trace.Trace, v *partition.View, info *partInfos, p, q int32) 
 // of its chares gains happened-before edges to the partitions of the next
 // leap containing the missing chares (Figure 6).
 func enforceCharePaths(tr *trace.Trace, a *atoms) int {
+	a.set.CycleMerge()
 	v := a.set.View()
-	if !v.Acyclic() {
-		a.set.CycleMerge()
-		v = a.set.View()
-	}
 	byLeap := v.PartsAtLeap()
 	ar := a.arena
 	// lastLeap[c]: nearest later leap containing chare c, -1 for none.

@@ -5,6 +5,7 @@ import (
 	"slices"
 
 	"charmtrace/internal/flat"
+	"charmtrace/internal/graph"
 	"charmtrace/internal/trace"
 )
 
@@ -26,11 +27,8 @@ import (
 // per-chare fragment reordering, local step assignment, and global offsets
 // from the phase DAG.
 func assignSteps(tr *trace.Trace, opt Options, a *atoms, t *tel) *Structure {
+	a.set.CycleMerge()
 	v := a.set.View()
-	if !v.Acyclic() {
-		a.set.CycleMerge()
-		v = a.set.View()
-	}
 	leap, _ := v.Leaps()
 	ar := a.arena
 
@@ -38,7 +36,7 @@ func assignSteps(tr *trace.Trace, opt Options, a *atoms, t *tel) *Structure {
 		Trace:       tr,
 		Opts:        opt,
 		Phases:      make([]Phase, len(v.Parts)),
-		DAG:         v.G,
+		DAG:         &graph.Graph{Adj: slices.Clone(v.G.Adj)}, // fixChareCollision appends; the set's snapshot stays as built
 		PhaseOf:     make([]int32, len(tr.Events)),
 		LocalStep:   make([]int32, len(tr.Events)),
 		Step:        make([]int32, len(tr.Events)),

@@ -49,11 +49,7 @@ func (s *Structure) Validate() error {
 		}
 	}
 	for e := range tr.Events {
-		ev := &tr.Events[e]
-		if ev.Kind != trace.Recv || ev.Msg == trace.NoMsg {
-			continue
-		}
-		send := tr.SendOf(ev.Msg)
+		send := tr.MatchingSend(trace.EventID(e))
 		if send == trace.NoEvent {
 			continue
 		}

@@ -6,17 +6,21 @@
 // and the condensed partition DAG.
 //
 // The phase-finding pipeline in internal/core repeatedly alternates between
-// scheduling merges (unions) based on heuristics and taking a fresh View to
-// inspect the resulting partition graph.
+// scheduling merges (unions) based on heuristics and looking at the resulting
+// partition graph through a View. The Set keeps the View of its current
+// state: one snapshot per partition state, however many stages (and cycle
+// merges, which read only its graph) look at it; a mutation drops it. Its
+// parts' atom and chare rows are filled by the first View call, so a state
+// that only a cycle merge looked at never pays for them.
 //
 // The atom table is stored struct-of-arrays: per-field slices indexed by ID,
-// with every atom's events packed into one shared flat buffer. The repeated
-// scans of the pipeline (dependency sweep, per-partition info, view
-// construction) therefore walk contiguous memory instead of chasing
-// per-atom slice headers, and a Set performs O(1) allocations per atom
-// batch instead of O(atoms). Transient per-call state (root indexing, edge
-// deduplication) lives in a scratch area owned by the Set and reused across
-// calls; a Set is single-extraction state, so the scratch dies with it.
+// with every atom's events packed into one shared flat buffer, all allocated
+// once at the sizes NewSet is given. The repeated scans of the pipeline
+// (dependency sweep, per-partition info, view construction) therefore walk
+// contiguous memory instead of chasing per-atom slice headers. Transient
+// per-snapshot state (root indexing, edge deduplication) lives in a scratch
+// area owned by the Set and reused across snapshots; a Set is
+// single-extraction state, so the scratch dies with it.
 package partition
 
 import (
@@ -65,22 +69,28 @@ type Set struct {
 	runtime []bool
 	edges   []edge
 
+	// view is the snapshot of the current state, built by the first look
+	// (View or CycleMerge) after AddAtom, AddEdge or a joining Union dropped
+	// the last one; rows reports that its parts' atom and chare rows are
+	// filled, which only View needs; snapshots counts the builds.
+	view      *View
+	rows      bool
+	snapshots int
+
 	scratch setScratch
 }
 
-// setScratch holds transient buffers reused across partsIndex / CycleMerge /
-// View calls on one Set. Nothing here is referenced by a returned View.
+// setScratch holds transient buffers reused across snapshots of one Set.
+// Nothing here is referenced by a returned View.
 type setScratch struct {
-	partOf   []int32 // atom root -> dense partition index
-	atomPart []int32 // atom -> dense partition index
-	parts    []ID
-	edgeU    []int32 // condensed edge endpoints (dense part indices)
-	edgeV    []int32
-	off      []int32 // row offsets of the grouping in progress
+	partOf []int32 // atom root -> dense partition index
+	edgeU  []int32 // condensed edge endpoints (dense part indices)
+	edgeV  []int32
+	off    []int32 // row offsets of the grouping in progress
 	// Atoms in (chare, atom ID) order, computed once per atom table (AddAtom
 	// outdates it by changing the atom count).
 	byChare []ID
-	// Open-addressing dedup table for dedupedEdges. Slots are live only when
+	// Open-addressing dedup table for partGraph. Slots are live only when
 	// dedupMark[i] == dedupEpoch, so clearing between calls is a single
 	// increment; freshly-grown tables are zeroed, which can never collide
 	// with an epoch ≥ 1.
@@ -89,12 +99,27 @@ type setScratch struct {
 	dedupEpoch int32
 }
 
-// NewSet returns an empty partition set.
-func NewSet() *Set { return &Set{evOff: []int32{0}} }
+// NewSet returns an empty partition set whose atom table, flat event table
+// and edge list are allocated for the given numbers of atoms, atom events and
+// edges. More may be added; the tables then grow.
+func NewSet(atoms, events, edges int) *Set {
+	return &Set{
+		chare:   make([]trace.ChareID, 0, atoms),
+		block:   make([]trace.BlockID, 0, atoms),
+		atomRT:  make([]bool, 0, atoms),
+		evOff:   make([]int32, 1, atoms+1),
+		events:  make([]trace.EventID, 0, events),
+		parent:  make([]ID, 0, atoms),
+		size:    make([]int32, 0, atoms),
+		runtime: make([]bool, 0, atoms),
+		edges:   make([]edge, 0, edges),
+	}
+}
 
 // AddAtom registers an initial partition and returns its ID. The events are
 // copied into the set's flat event table.
 func (s *Set) AddAtom(a Atom) ID {
+	s.view = nil
 	id := ID(len(s.parent))
 	s.chare = append(s.chare, a.Chare)
 	s.block = append(s.block, a.Block)
@@ -130,6 +155,7 @@ func (s *Set) AtomEvents(id ID) []trace.EventID {
 // two atoms. Self-edges (same current partition) are stored too; views and
 // cycle merges drop them.
 func (s *Set) AddEdge(from, to ID) {
+	s.view = nil
 	s.edges = append(s.edges, edge{from, to})
 }
 
@@ -161,6 +187,7 @@ func (s *Set) Union(a, b ID) ID {
 	if s.size[ra] < s.size[rb] {
 		ra, rb = rb, ra
 	}
+	s.view = nil
 	s.parent[rb] = ra
 	s.size[ra] += s.size[rb]
 	s.runtime[ra] = s.runtime[ra] || s.runtime[rb]
@@ -174,16 +201,13 @@ func (s *Set) IsRuntime(a ID) bool { return s.runtime[s.Find(a)] }
 // CycleMerge contracts every strongly connected component of the current
 // partition graph into a single partition, restoring the DAG property
 // (Section 3.1: "we merge partitions that form strongly connected
-// components"). It returns the number of partitions eliminated.
+// components"). It returns the number of partitions eliminated. It reads the
+// graph of the set's snapshot, so on an unchanged set it costs one SCC pass,
+// and a following View call builds no graph unless it merged.
 func (s *Set) CycleMerge() int {
-	parts, atomPart := s.partsIndex()
-	if len(parts) == 0 {
-		return 0
-	}
-	eu, ev := s.dedupedEdges(atomPart)
-	g := s.adjFromEdges(len(parts), eu, ev)
-	comp, ncomp := g.SCC()
-	if ncomp == len(parts) {
+	v := s.graphView()
+	comp, ncomp := v.G.SCC()
+	if ncomp == len(v.roots) {
 		return 0
 	}
 	rep := make([]ID, ncomp)
@@ -191,7 +215,7 @@ func (s *Set) CycleMerge() int {
 		rep[i] = -1
 	}
 	merged := 0
-	for i, root := range parts {
+	for i, root := range v.roots {
 		c := comp[i]
 		if rep[c] == -1 {
 			rep[c] = root
@@ -203,44 +227,20 @@ func (s *Set) CycleMerge() int {
 	return merged
 }
 
-// partsIndex returns the current roots in deterministic (atom ID) order and
-// an atom-indexed dense partition-index table, so callers read an atom's
-// partition with one array load instead of a Find. Both are scratch, valid
-// until the next partsIndex call or merge.
-func (s *Set) partsIndex() ([]ID, []int32) {
-	n := len(s.parent)
+// partGraph projects the atom-level edge list onto the n current partitions
+// (atomPart: atom -> dense partition index): self-loops dropped, duplicates
+// removed, and — because the condensed graph's adjacency order is part of the
+// deterministic output — first-occurrence order preserved, exactly as a
+// map-based first-seen filter would. Adjacency rows are full-capacity
+// subslices of one flat buffer, so a later append to a row (the ordering
+// stage inserts collision-repair edges into the final DAG) reallocates that
+// row instead of clobbering its neighbour.
+func (s *Set) partGraph(n int, atomPart []int32) *graph.Graph {
 	sc := &s.scratch
-	sc.partOf, sc.atomPart = flat.Grow(sc.partOf, n), flat.Grow(sc.atomPart, n)
-	partOf, atomPart := sc.partOf, sc.atomPart
-	for i := range partOf {
-		partOf[i] = -1
-	}
-	parts := sc.parts[:0]
-	for a := ID(0); int(a) < n; a++ {
-		r := s.Find(a)
-		if partOf[r] < 0 {
-			partOf[r] = int32(len(parts))
-			parts = append(parts, r)
-		}
-		atomPart[a] = partOf[r]
-	}
-	sc.parts = parts
-	return parts, atomPart
-}
-
-// dedupedEdges projects the atom-level edge list onto the current
-// partitions: self-loops dropped, duplicates removed, and — because the
-// condensed graph's adjacency order is part of the deterministic output —
-// first-occurrence order preserved, exactly as a map-based first-seen
-// filter would. The returned slices are scratch, valid until the next call.
-func (s *Set) dedupedEdges(atomPart []int32) (eu, ev []int32) {
-	sc := &s.scratch
-	eu, ev = sc.edgeU[:0], sc.edgeV[:0]
+	eu, ev := sc.edgeU[:0], sc.edgeV[:0]
 	// One linear-probing table sized to keep the load factor under 1/2 even
 	// if every raw edge survives projection. Inserting on first sight and
-	// dropping on key match preserves first-occurrence order in one pass —
-	// the condensed graph's adjacency order is part of the deterministic
-	// output, so this must behave exactly like a map-based first-seen filter.
+	// dropping on key match preserves first-occurrence order in one pass.
 	size := 16
 	for size < 2*len(s.edges) {
 		size <<= 1
@@ -284,20 +284,11 @@ func (s *Set) dedupedEdges(atomPart []int32) (eu, ev []int32) {
 		}
 	}
 	sc.edgeU, sc.edgeV = eu, ev
-	return eu, ev
-}
-
-// adjFromEdges builds a graph over n nodes from an edge list, preserving
-// per-source edge order. Adjacency rows are full-capacity subslices of one
-// flat buffer, so a later append to a row (the ordering stage inserts
-// collision-repair edges into the final DAG) reallocates that row instead
-// of clobbering its neighbour.
-func (s *Set) adjFromEdges(n int, eu, ev []int32) *graph.Graph {
 	// The edges' positions grouped by source, then each replaced by the
 	// edge's target. Zero-degree rows stay nil, matching the append-built
 	// adjacency the codec produces (DeepEqual distinguishes nil from empty).
-	rows := flat.GroupAll(n, s.scratch.off, make([]int32, len(eu)), eu)
-	s.scratch.off = rows.Off
+	rows := flat.GroupAll(n, sc.off, make([]int32, len(eu)), eu)
+	sc.off = rows.Off
 	for k, i := range rows.IDs {
 		rows.IDs[k] = ev[i]
 	}
@@ -361,52 +352,99 @@ func (p *Part) ChareOverlap(q *Part) bool {
 
 // View is an immutable snapshot of the partition set: the current
 // partitions, the condensed partition graph over them, and (lazily) its
-// leaps. Mutating the underlying Set invalidates the view.
+// leaps. Mutating the underlying Set outdates the view: the next Set.View
+// builds a new one, and this one stays as it was.
 //
 // A View is safe for concurrent readers: its exported fields are never
 // mutated after Set.View returns, every method is read-only, and the one
-// lazy computation (Leaps) is synchronized. Concurrent readers must not
-// mutate Parts, PartOf or G themselves. Views own their storage (the per-
-// part sub-slices share a few flat buffers allocated at snapshot time), so
-// snapshots taken at different times coexist safely.
+// lazy computation (Leaps) is synchronized. Set.View hands the same View to
+// every caller until the set changes, so no reader — concurrent or not — may
+// mutate Parts, PartOf or G; a caller that extends the graph copies it
+// first. Views own their storage (the per-part sub-slices share a few flat
+// buffers allocated at snapshot time), so snapshots taken at different times
+// coexist safely.
 type View struct {
 	Parts  []Part
 	PartOf []int32 // atom -> dense partition index
 	G      *graph.Graph
+
+	roots []ID // Parts' roots, for CycleMerge before the rows are filled
 
 	leapOnce sync.Once
 	leap     []int32
 	maxLeap  int32
 }
 
-// View snapshots the current partitions and the deduplicated partition
-// graph (self-loops dropped). Per-part atom and chare lists are carved out
-// of single flat buffers: a snapshot costs a constant number of
-// allocations, not one per partition.
+// View returns the snapshot of the current partitions and the deduplicated
+// partition graph (self-loops dropped). It is built on the first look after
+// a mutation — AddAtom, AddEdge, or a Union that joins two partitions — and
+// returned as is until the next one, so every look at one partition state
+// shares one snapshot. Per-part atom and chare lists are carved out of
+// single flat buffers: a snapshot costs a constant number of allocations,
+// not one per partition.
 func (s *Set) View() *View {
-	parts, atomPart := s.partsIndex()
-	n := len(parts)
+	v := s.graphView()
+	if !s.rows {
+		s.fillRows(v)
+		s.rows = true
+	}
+	return v
+}
+
+// Snapshots returns how many snapshots the set has built.
+func (s *Set) Snapshots() int { return s.snapshots }
+
+// graphView returns the snapshot of the current state, building it without
+// its parts' atom and chare rows: CycleMerge reads only the roots and the
+// graph, and a state it merges is never looked at again. View fills the
+// rows before anything outside the set sees the snapshot.
+func (s *Set) graphView() *View {
+	if s.view == nil {
+		s.view, s.rows = s.snapshot(), false
+		s.snapshots++
+	}
+	return s.view
+}
+
+// snapshot builds the View of the current state but for its Parts.
+func (s *Set) snapshot() *View {
 	natoms := len(s.parent)
-	v := &View{
-		Parts:  make([]Part, n),
-		PartOf: make([]int32, natoms),
+	sc := &s.scratch
+	// Roots in atom ID order, and every atom's dense partition index.
+	sc.partOf = flat.Grow(sc.partOf, natoms)
+	partOf := sc.partOf
+	for i := range partOf {
+		partOf[i] = -1
 	}
-	for i, root := range parts {
-		v.Parts[i] = Part{Root: root, Runtime: s.runtime[root]}
+	atomPart := make([]int32, natoms)
+	var roots []ID
+	for a := ID(0); int(a) < natoms; a++ {
+		r := s.Find(a)
+		if partOf[r] < 0 {
+			partOf[r] = int32(len(roots))
+			roots = append(roots, r)
+		}
+		atomPart[a] = partOf[r]
 	}
-	copy(v.PartOf, atomPart)
-	// Chare sets: the atoms grouped by part in (chare, atom) order hold every
-	// part's chares in ascending order, equal ones adjacent, so replacing each
-	// atom by its chare and dropping repeats, row by row in place, leaves the
-	// sorted sets (the rows are typed by what they end up holding). Both
-	// groupings are by atomPart over all the atoms, so they share their row
-	// offsets.
-	sc, byChare := &s.scratch, s.atomsByChare()
-	chares := flat.Group(n, sc.off, make([]trace.ChareID, natoms), byChare, atomPart)
-	atoms := flat.GroupAll(n, chares.Off, make([]ID, natoms), atomPart)
+	return &View{PartOf: atomPart, G: s.partGraph(len(roots), atomPart), roots: roots}
+}
+
+// fillRows fills in the Parts of a snapshot of the current state.
+// Chare sets: the atoms grouped by part in (chare, atom) order hold every
+// part's chares in ascending order, equal ones adjacent, so replacing each
+// atom by its chare and dropping repeats, row by row in place, leaves the
+// sorted sets (the rows are typed by what they end up holding). Both
+// groupings are by PartOf over all the atoms, so they share their row
+// offsets.
+func (s *Set) fillRows(v *View) {
+	n, natoms, sc := len(v.roots), len(s.parent), &s.scratch
+	v.Parts = make([]Part, n)
+	byChare := s.atomsByChare()
+	chares := flat.Group(n, sc.off, make([]trace.ChareID, natoms), byChare, v.PartOf)
+	atoms := flat.GroupAll(n, chares.Off, make([]ID, natoms), v.PartOf)
 	sc.off = atoms.Off
-	for i := range v.Parts {
-		v.Parts[i].Atoms = atoms.Row(i)
+	for i, root := range v.roots {
+		v.Parts[i] = Part{Root: root, Runtime: s.runtime[root], Atoms: atoms.Row(i)}
 		row, k := chares.IDs[atoms.Off[i]:atoms.Off[i+1]], 0
 		for _, a := range row {
 			if c := s.chare[a]; k == 0 || c != row[k-1] {
@@ -416,15 +454,6 @@ func (s *Set) View() *View {
 		}
 		v.Parts[i].Chares = row[:k:k]
 	}
-	eu, ev := s.dedupedEdges(atomPart)
-	v.G = s.adjFromEdges(n, eu, ev)
-	return v
-}
-
-// Acyclic reports whether the snapshot's partition graph is a DAG.
-func (v *View) Acyclic() bool {
-	_, ok := v.G.TopoSort()
-	return ok
 }
 
 // Leaps returns the leap of every partition and the maximum leap. The view's

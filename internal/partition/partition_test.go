@@ -3,6 +3,7 @@ package partition
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -12,8 +13,14 @@ import (
 
 func atom(c trace.ChareID) Atom { return Atom{Chare: c} }
 
+// acyclic reports whether a snapshot's partition graph is a DAG.
+func acyclic(v *View) bool {
+	_, ok := v.G.TopoSort()
+	return ok
+}
+
 func TestUnionFindBasics(t *testing.T) {
-	s := NewSet()
+	s := NewSet(0, 0, 0)
 	a := s.AddAtom(atom(0))
 	b := s.AddAtom(atom(1))
 	c := s.AddAtom(atom(2))
@@ -31,7 +38,7 @@ func TestUnionFindBasics(t *testing.T) {
 }
 
 func TestRuntimeFlagPropagates(t *testing.T) {
-	s := NewSet()
+	s := NewSet(0, 0, 0)
 	a := s.AddAtom(Atom{Chare: 0, Runtime: false})
 	b := s.AddAtom(Atom{Chare: 1, Runtime: true})
 	if s.IsRuntime(a) {
@@ -44,7 +51,7 @@ func TestRuntimeFlagPropagates(t *testing.T) {
 }
 
 func TestCycleMergeContractsCycle(t *testing.T) {
-	s := NewSet()
+	s := NewSet(0, 0, 0)
 	var ids []ID
 	for i := 0; i < 4; i++ {
 		ids = append(ids, s.AddAtom(atom(trace.ChareID(i))))
@@ -65,13 +72,13 @@ func TestCycleMergeContractsCycle(t *testing.T) {
 		t.Fatal("non-cycle atom absorbed")
 	}
 	v := s.View()
-	if !v.Acyclic() {
+	if !acyclic(v) {
 		t.Fatal("graph cyclic after CycleMerge")
 	}
 }
 
 func TestCycleMergeNoOpOnDAG(t *testing.T) {
-	s := NewSet()
+	s := NewSet(0, 0, 0)
 	a := s.AddAtom(atom(0))
 	b := s.AddAtom(atom(1))
 	s.AddEdge(a, b)
@@ -81,7 +88,7 @@ func TestCycleMergeNoOpOnDAG(t *testing.T) {
 }
 
 func TestViewCharesAndOverlap(t *testing.T) {
-	s := NewSet()
+	s := NewSet(0, 0, 0)
 	a := s.AddAtom(atom(5))
 	b := s.AddAtom(atom(3))
 	c := s.AddAtom(atom(7))
@@ -108,7 +115,7 @@ func TestViewCharesAndOverlap(t *testing.T) {
 }
 
 func TestViewEdgesDedupedAndSelfLoopsDropped(t *testing.T) {
-	s := NewSet()
+	s := NewSet(0, 0, 0)
 	a := s.AddAtom(atom(0))
 	b := s.AddAtom(atom(1))
 	c := s.AddAtom(atom(2))
@@ -123,7 +130,7 @@ func TestViewEdgesDedupedAndSelfLoopsDropped(t *testing.T) {
 }
 
 func TestLeapsAndPartsAtLeap(t *testing.T) {
-	s := NewSet()
+	s := NewSet(0, 0, 0)
 	a := s.AddAtom(atom(0))
 	b := s.AddAtom(atom(1))
 	c := s.AddAtom(atom(2))
@@ -146,7 +153,7 @@ func TestLeapsAndPartsAtLeap(t *testing.T) {
 }
 
 func TestMergePlan(t *testing.T) {
-	s := NewSet()
+	s := NewSet(0, 0, 0)
 	a := s.AddAtom(atom(0))
 	b := s.AddAtom(atom(1))
 	c := s.AddAtom(atom(2))
@@ -173,7 +180,7 @@ func TestMergePlan(t *testing.T) {
 func TestCycleMergeAlwaysYieldsDAG(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		s := NewSet()
+		s := NewSet(0, 0, 0)
 		n := 3 + rng.Intn(30)
 		ids := make([]ID, n)
 		for i := range ids {
@@ -186,7 +193,7 @@ func TestCycleMergeAlwaysYieldsDAG(t *testing.T) {
 			s.Union(ids[rng.Intn(n)], ids[rng.Intn(n)])
 		}
 		s.CycleMerge()
-		return s.View().Acyclic()
+		return acyclic(s.View())
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -198,7 +205,7 @@ func TestCycleMergeAlwaysYieldsDAG(t *testing.T) {
 func TestViewCoversAllAtoms(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		s := NewSet()
+		s := NewSet(0, 0, 0)
 		n := 1 + rng.Intn(40)
 		ids := make([]ID, n)
 		for i := range ids {
@@ -230,11 +237,12 @@ func TestViewCoversAllAtoms(t *testing.T) {
 
 // TestViewConcurrentReaders: a View is safe for concurrent readers — the
 // parallel extraction engine hands one snapshot to many workers. The lazy
-// Leaps computation is the only mutable state; every reader must observe
-// the same result. Run under -race in the tier-1 verify recipe.
+// Leaps computation is the only mutable state; nothing calls it on the shared
+// View before the readers start, so they race to run it, and every reader
+// must observe the same result. Run under -race in the tier-1 verify recipe.
 func TestViewConcurrentReaders(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
-	s := NewSet()
+	s := NewSet(0, 0, 0)
 	const n = 60
 	ids := make([]ID, n)
 	for i := range ids {
@@ -253,11 +261,15 @@ func TestViewConcurrentReaders(t *testing.T) {
 	s.CycleMerge()
 	v := s.View()
 
-	wantLeap, wantMax := func() ([]int32, int32) {
-		// Compute the expected answer on a second snapshot of the same set,
-		// untouched by the concurrent readers.
-		return s.View().Leaps()
-	}()
+	// The expected answer comes from a second snapshot of the same partition
+	// state: a self-edge drops the kept View without changing the graph, so
+	// the set builds a fresh one and v's lazy Leaps stays untouched.
+	s.AddEdge(ids[0], ids[0])
+	ref := s.View()
+	if ref == v {
+		t.Fatal("a mutation returned the kept View")
+	}
+	wantLeap, wantMax := ref.Leaps()
 
 	const readers = 8
 	errc := make(chan error, readers)
@@ -274,7 +286,7 @@ func TestViewConcurrentReaders(t *testing.T) {
 					return
 				}
 			}
-			if !v.Acyclic() {
+			if !acyclic(v) {
 				errc <- fmt.Errorf("view not acyclic")
 				return
 			}
@@ -339,7 +351,7 @@ func TestViewChareRowsMatchSortCompact(t *testing.T) {
 		}
 	}
 	for trial := 0; trial < 20; trial++ {
-		s := NewSet()
+		s := NewSet(0, 0, 0)
 		check(s) // empty set
 		grow := func(n int) {
 			for i := 0; i < n; i++ {
@@ -357,6 +369,94 @@ func TestViewChareRowsMatchSortCompact(t *testing.T) {
 				grow(1 + rng.Intn(50))
 				check(s)
 			}
+		}
+	}
+}
+
+// refSnapshot is View by definition, built here: parts in order of their
+// first atom, each part's atoms ascending and its chares sorted and unique,
+// and the partition graph with self-loops dropped and repeats removed in
+// first-occurrence order.
+func refSnapshot(s *Set) ([]Part, []int32, [][]int32) {
+	parts, partOf, index := []Part{}, make([]int32, s.NumAtoms()), map[ID]int32{}
+	for a := ID(0); int(a) < s.NumAtoms(); a++ {
+		r := s.Find(a)
+		p, ok := index[r]
+		if !ok {
+			p, index[r] = int32(len(parts)), int32(len(parts))
+			parts = append(parts, Part{Root: r, Runtime: s.IsRuntime(r)})
+		}
+		partOf[a] = p
+		parts[p].Atoms = append(parts[p].Atoms, a)
+		parts[p].Chares = append(parts[p].Chares, s.AtomChare(a))
+	}
+	for i := range parts {
+		slices.Sort(parts[i].Chares)
+		parts[i].Chares = slices.Compact(parts[i].Chares)
+	}
+	adj, seen := make([][]int32, len(parts)), map[[2]int32]bool{}
+	for _, e := range s.edges {
+		if u, v := partOf[e.from], partOf[e.to]; u != v && !seen[[2]int32{u, v}] {
+			seen[[2]int32{u, v}] = true
+			adj[u] = append(adj[u], v)
+		}
+	}
+	return parts, partOf, adj
+}
+
+// TestViewMemoMatchesFreshSnapshot runs random sequences of AddAtom,
+// AddEdge, Union, MergePlan.Apply and CycleMerge, and after every step holds
+// the kept snapshot to three rules: it equals a snapshot built from scratch,
+// a second View call with nothing in between returns the same *View, and a
+// step that changed the set (an atom, an edge, or a union that joined two
+// partitions) yields a new one, while a step that changed nothing keeps it.
+func TestViewMemoMatchesFreshSnapshot(t *testing.T) {
+	for seed := int64(1); seed <= 40; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		s := NewSet(rng.Intn(4), rng.Intn(4), rng.Intn(4)) // sizes are room, not limits
+		for i := 0; i < 3; i++ {
+			s.AddAtom(Atom{Chare: trace.ChareID(rng.Intn(9) - 2), Runtime: rng.Intn(4) == 0})
+		}
+		some := func() ID { return ID(rng.Intn(s.NumAtoms())) }
+		prev := s.View()
+		for step := 0; step < 200; step++ {
+			var op string
+			changed := true
+			switch k := rng.Intn(10); {
+			case k < 2:
+				op = "AddAtom"
+				s.AddAtom(Atom{Chare: trace.ChareID(rng.Intn(9) - 2), Runtime: rng.Intn(4) == 0})
+			case k < 5:
+				op = "AddEdge"
+				s.AddEdge(some(), some())
+			case k < 7:
+				op = "Union"
+				a, b := some(), some()
+				changed = !s.SamePartition(a, b)
+				s.Union(a, b)
+			case k < 8:
+				op = "MergePlan.Apply"
+				plan := s.NewMergePlan()
+				for n := rng.Intn(4); n > 0; n-- {
+					plan.Schedule(some(), some())
+				}
+				changed = plan.Apply() > 0
+			default:
+				op = "CycleMerge"
+				changed = s.CycleMerge() > 0
+			}
+			v := s.View()
+			if (v != prev) != changed {
+				t.Fatalf("seed %d step %d (%s, changed %v): new snapshot %v", seed, step, op, changed, v != prev)
+			}
+			if s.View() != v {
+				t.Fatalf("seed %d step %d (%s): two View calls with nothing between returned different snapshots", seed, step, op)
+			}
+			parts, partOf, adj := refSnapshot(s)
+			if !reflect.DeepEqual(v.Parts, parts) || !reflect.DeepEqual(v.PartOf, partOf) || !reflect.DeepEqual(v.G.Adj, adj) {
+				t.Fatalf("seed %d step %d (%s): kept snapshot differs from a fresh one", seed, step, op)
+			}
+			prev = v
 		}
 	}
 }

@@ -55,7 +55,8 @@ type Report struct {
 	Span trace.Time
 }
 
-// Build computes the profile of a trace.
+// Build computes the profile of a trace. CrossPE needs the trace's index: on
+// a trace never indexed it stays 0.
 func Build(tr *trace.Trace) *Report {
 	r := &Report{PEs: make([]PEStats, tr.NumPE)}
 	byEntry := make(map[trace.EntryID]*EntryStats)
@@ -90,7 +91,10 @@ func Build(tr *trace.Trace) *Report {
 			continue
 		}
 		r.Messages++
-		for _, recv := range tr.RecvsOf(ev.Msg) {
+		if !tr.Indexed() {
+			continue // receives are matched through the index
+		}
+		for _, recv := range tr.MatchingRecvs(ev.ID) {
 			if tr.Events[recv].PE != ev.PE {
 				r.CrossPE++
 			}

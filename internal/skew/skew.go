@@ -56,19 +56,20 @@ func Inject(tr *trace.Trace, offsets []trace.Time) (*trace.Trace, error) {
 }
 
 // Violations counts messages whose receive is recorded less than minGap
-// after its send — the causal inconsistencies clock skew introduces.
+// after its send — the causal inconsistencies clock skew introduces. Receives
+// are matched to sends through the trace's index: on a trace never indexed
+// none is matched, and the count is 0.
 func Violations(tr *trace.Trace, minGap trace.Time) int {
+	if !tr.Indexed() {
+		return 0
+	}
 	n := 0
 	for e := range tr.Events {
-		ev := &tr.Events[e]
-		if ev.Kind != trace.Recv || ev.Msg == trace.NoMsg {
-			continue
-		}
-		send := tr.SendOf(ev.Msg)
+		send := tr.MatchingSend(trace.EventID(e))
 		if send == trace.NoEvent {
 			continue
 		}
-		if ev.Time < tr.Events[send].Time+minGap {
+		if tr.Events[e].Time < tr.Events[send].Time+minGap {
 			n++
 		}
 	}
@@ -84,8 +85,12 @@ func Violations(tr *trace.Trace, minGap trace.Time) int {
 // processor graph. It returns the corrected trace and the offsets applied
 // (normalized so the smallest is zero). If the constraints are infeasible —
 // genuinely contradictory message timings rather than uniform skew — it
-// returns an error identifying the negative cycle's span.
+// returns an error identifying the negative cycle's span. The trace must be
+// indexed; an unindexed one is an error.
 func Correct(tr *trace.Trace, minGap trace.Time) (*trace.Trace, []trace.Time, error) {
+	if !tr.Indexed() {
+		return nil, nil, fmt.Errorf("skew: trace not indexed")
+	}
 	const inf = trace.Time(1) << 62
 	// dist[p] plays x_p in the difference constraints: x_A - x_B <= c for
 	// each message A->B with c = t2 - t1 - minGap, i.e. edge B -> A with
@@ -97,15 +102,11 @@ func Correct(tr *trace.Trace, minGap trace.Time) (*trace.Trace, []trace.Time, er
 	}
 	var edges []edge
 	for e := range tr.Events {
-		ev := &tr.Events[e]
-		if ev.Kind != trace.Recv || ev.Msg == trace.NoMsg {
-			continue
-		}
-		send := tr.SendOf(ev.Msg)
+		send := tr.MatchingSend(trace.EventID(e))
 		if send == trace.NoEvent {
 			continue
 		}
-		sv := &tr.Events[send]
+		ev, sv := &tr.Events[e], &tr.Events[send]
 		if sv.PE == ev.PE {
 			continue
 		}

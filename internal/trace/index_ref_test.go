@@ -148,7 +148,8 @@ func (r *refIndex) validateSemantics(t *Trace) error {
 // checkAgainstRef indexes a copy of tr both ways and fails unless the two
 // agree: on accept/reject and, when accepted, on every lookup — SendOf and
 // RecvsOf for every message in the trace and a few that are not,
-// MatchingSend for every event, BlocksOfChare and BlocksOfPE for every row.
+// MatchingSend and MatchingRecvs for every event, BlocksOfChare and
+// BlocksOfPE for every row.
 // It reports whether the trace was accepted.
 func checkAgainstRef(t *testing.T, tr *Trace) bool {
 	t.Helper()
@@ -184,6 +185,13 @@ func checkAgainstRef(t *testing.T, tr *Trace) bool {
 		}
 		if got := tr.MatchingSend(EventID(i)); got != want {
 			t.Fatalf("MatchingSend(%d) = %d, reference %d", i, got, want)
+		}
+		var wantRecvs []EventID
+		if ev.Kind == Send && ev.Msg != NoMsg {
+			wantRecvs = ref.recvsOf[ev.Msg]
+		}
+		if got := tr.MatchingRecvs(EventID(i)); !reflect.DeepEqual(got, wantRecvs) {
+			t.Fatalf("MatchingRecvs(%d) = %v, reference %v", i, got, wantRecvs)
 		}
 	}
 	for c := range tr.Chares {

@@ -38,7 +38,8 @@ type Trace struct {
 	// returns does not.
 	msgTab []msgSlot
 	// recvs lists, per send event, the receive events of its message in
-	// event order (one for point-to-point, several for broadcasts).
+	// event order (one for point-to-point, several for broadcasts): the rows
+	// MatchingRecvs reads.
 	recvs flat.Rows[EventID]
 	// matchSend[e] is the send event of receive e's message (NoEvent for
 	// non-receives and unmatched receives): the O(1) dense form of
@@ -308,7 +309,7 @@ func (t *Trace) Bytes() int64 {
 }
 
 // SendOf returns the send event of a message, or NoEvent if the send was not
-// recorded.
+// recorded. Callers holding the receive event use MatchingSend.
 func (t *Trace) SendOf(m MsgID) EventID {
 	if len(t.msgTab) == 0 {
 		return NoEvent
@@ -329,8 +330,15 @@ func (t *Trace) SendOf(m MsgID) EventID {
 // SendOf(Events[e].Msg) but a dense array read instead of a table probe.
 func (t *Trace) MatchingSend(e EventID) EventID { return t.matchSend[e] }
 
+// MatchingRecvs returns the receive events of send e's message in event order
+// (nil when e is not a send or nothing received its message). It is
+// equivalent to RecvsOf(Events[e].Msg) but a row read instead of a table
+// probe. The returned slice must not be modified.
+func (t *Trace) MatchingRecvs(e EventID) []EventID { return t.recvs.Row(int(e)) }
+
 // RecvsOf returns the receive events of a message (nil if none recorded).
-// The returned slice must not be modified.
+// Callers holding the send event use MatchingRecvs. The returned slice must
+// not be modified.
 func (t *Trace) RecvsOf(m MsgID) []EventID {
 	send := t.SendOf(m)
 	if send == NoEvent {

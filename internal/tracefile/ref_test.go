@@ -210,6 +210,13 @@ func checkDecodersAgree(t *testing.T, data []byte, wrap func(io.Reader) io.Reade
 				t.Fatalf("RecvsOf(%d) = %v (reference decode %v), events say %v", m, got.RecvsOf(m), want.RecvsOf(m), recvsOf[m])
 			}
 		}
+		var recvs []trace.EventID
+		if ev.Kind == trace.Send && ev.Msg != trace.NoMsg {
+			recvs = recvsOf[ev.Msg]
+		}
+		if !reflect.DeepEqual(got.MatchingRecvs(ev.ID), recvs) || !reflect.DeepEqual(want.MatchingRecvs(ev.ID), recvs) {
+			t.Fatalf("MatchingRecvs(%d) = %v (reference decode %v), events say %v", ev.ID, got.MatchingRecvs(ev.ID), want.MatchingRecvs(ev.ID), recvs)
+		}
 	}
 	rows := func(n int, key func(*trace.Block) int) [][]trace.BlockID {
 		out := make([][]trace.BlockID, n)

@@ -330,10 +330,7 @@ func LogicalSVG(s *core.Structure) string {
 	// Message lines beneath the event marks.
 	for e := range tr.Events {
 		ev := &tr.Events[e]
-		if ev.Kind != trace.Send || ev.Msg == trace.NoMsg {
-			continue
-		}
-		for _, r := range tr.RecvsOf(ev.Msg) {
+		for _, r := range tr.MatchingRecvs(trace.EventID(e)) {
 			rev := &tr.Events[r]
 			fmt.Fprintf(&b, `<line x1="%d" y1="%d" x2="%d" y2="%d" stroke="#cccccc" stroke-width="1"/>`+"\n",
 				cx(s.Step[e]), cy(rowOf[ev.Chare]), cx(s.Step[r]), cy(rowOf[rev.Chare]))
