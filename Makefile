@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test verify lint fuzz fuzz-smoke bench-lod bench-steps bench-batch bench-wire bench-smoke bench-repo fmt loc knobs prefix-sums serve cluster
+.PHONY: build test verify lint fuzz fuzz-smoke bench-lod bench-steps bench-batch bench-codec bench-wire bench-smoke bench-repo fmt loc knobs prefix-sums serve cluster
 
 build:
 	$(GO) build ./...
@@ -49,8 +49,10 @@ fuzz:
 # table alone (FuzzDecodeStructure, FuzzDecodeStructureSummary) — and the
 # row-response writer against encoding/json's indenting Encoder over random
 # value trees (FuzzJSONWriter) — and the CSR grouper against a stable sort
-# over random key columns (FuzzGroup). Their seed corpora replay on every
-# plain `go test`; this leg is not in tier-1.
+# over random key columns (FuzzGroup) — and the one varint reader against
+# encoding/binary, over a whole slice and through a refilled window
+# (FuzzVarint). Their seed corpora replay on every plain `go test`; this leg
+# is not in tier-1.
 fuzz-smoke:
 	@for t in FuzzRead FuzzReadAuto FuzzReadProjections FuzzReadTable; do \
 		$(GO) test -run '^$$' -fuzz="^$$t\$$" -fuzztime=10s -fuzzminimizetime=1s ./internal/tracefile || exit 1; \
@@ -60,6 +62,7 @@ fuzz-smoke:
 	done
 	$(GO) test -run '^$$' -fuzz='^FuzzJSONWriter$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/jsonw
 	$(GO) test -run '^$$' -fuzz='^FuzzGroup$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/flat
+	$(GO) test -run '^$$' -fuzz='^FuzzVarint$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/varint
 
 # bench-smoke runs the repository benchmark (bench/, BENCHMARK.json) at toy
 # sizes in about ten seconds: all four workloads, real child processes,
@@ -103,6 +106,14 @@ bench-steps:
 # (-cpuprofile); claims go through bench-repo.
 bench-batch:
 	$(GO) test -run '^$$' -bench 'BenchmarkBatchExtractOp$$' -benchmem $(BENCHRUNS) -cpu 2 .
+
+# bench-codec times the three binary formats on the five batch-extract
+# shapes: .cstr encode, full decode and summary, .trace WriteBinary and
+# ReadBinary, .tbl WriteTable and ReadTable — ns/event and the -benchmem
+# columns (allocs/op). For measuring while working on internal/varint or a
+# codec; a report, not a gate. BENCHRUNS as for bench-steps.
+bench-codec:
+	$(GO) test -run '^$$' -bench 'BenchmarkCodec$$' -benchmem $(BENCHRUNS) .
 
 # bench-wire times one warm, gzip-accepting request per iteration on the four
 # row-shaped routes (full /steps, a /steps window through the query engine,

@@ -5,6 +5,8 @@ package charmtrace
 
 import (
 	"bytes"
+	"errors"
+	"io"
 	"testing"
 	"time"
 
@@ -181,5 +183,50 @@ func BenchmarkBatchExtractOp(b *testing.B) {
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(tr.Events)), "ns/event")
 		})
+	}
+}
+
+// BenchmarkCodec times the three binary formats on the batch-extract shapes
+// (make bench-codec): the recovered structure's encode, full decode and
+// summary (.cstr), the trace's WriteBinary and ReadBinary (.trace, the read
+// including the index), and its event table's WriteTable and ReadTable
+// (.tbl) — ns/event beside the -benchmem columns. A report, not a gate.
+func BenchmarkCodec(b *testing.B) {
+	for _, w := range batchShapes {
+		tr, opt, err := cli.Generate(w.app, w.p)
+		if err != nil {
+			b.Fatal(err)
+		}
+		s, err := core.Extract(tr, opt)
+		if err != nil {
+			b.Fatal(err)
+		}
+		tab := tr.Table()
+		var cstr, file, tbl bytes.Buffer
+		if err := errors.Join(core.EncodeStructure(&cstr, s), tracefile.WriteBinary(&file, tr), tracefile.WriteTable(&tbl, tab)); err != nil {
+			b.Fatal(err)
+		}
+		for _, op := range []struct {
+			name string
+			run  func() error
+		}{
+			{"cstr-encode", func() error { return core.EncodeStructure(io.Discard, s) }},
+			{"cstr-decode", func() error { _, _, err := core.DecodeStructureTable(cstr.Bytes(), tab); return err }},
+			{"cstr-summary", func() error { _, err := core.DecodeStructureSummary(bytes.NewReader(cstr.Bytes())); return err }},
+			{"trace-write", func() error { return tracefile.WriteBinary(io.Discard, tr) }},
+			{"trace-read", func() error { _, err := tracefile.ReadBinary(bytes.NewReader(file.Bytes())); return err }},
+			{"tbl-write", func() error { return tracefile.WriteTable(io.Discard, tab) }},
+			{"tbl-read", func() error { _, err := tracefile.ReadTable(tbl.Bytes()); return err }},
+		} {
+			b.Run(w.name+"/"+op.name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if err := op.run(); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(tr.Events)), "ns/event")
+			})
+		}
 	}
 }

@@ -2,6 +2,7 @@ package cli
 
 import (
 	"flag"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -58,7 +59,12 @@ func TestTelemetryLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	stats, err := telemetry.ReadStatsFile(tele.StatsJSON)
+	f, err := os.Open(tele.StatsJSON)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	stats, err := telemetry.ReadStats(f)
 	if err != nil {
 		t.Fatalf("stats export does not round-trip: %v", err)
 	}

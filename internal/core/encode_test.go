@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"bytes"
+	"io"
 	"reflect"
 	"testing"
 
@@ -9,6 +10,7 @@ import (
 	"charmtrace/internal/apps/lassen"
 	"charmtrace/internal/core"
 	"charmtrace/internal/trace"
+	"charmtrace/internal/tracefile"
 )
 
 func encodeToBytes(t *testing.T, s *core.Structure) []byte {
@@ -142,7 +144,8 @@ func TestStructureSummaryMatchesFullDecode(t *testing.T) {
 }
 
 // TestStructureSummaryErrors: the summary decode rejects what the full
-// decode would.
+// decode would — the two share their parse up to the per-event arrays, so a
+// phase table or DAG out of range is refused by both.
 func TestStructureSummaryErrors(t *testing.T) {
 	tr, err := jacobi.Trace(jacobi.DefaultConfig())
 	if err != nil {
@@ -153,11 +156,58 @@ func TestStructureSummaryErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	enc := encodeToBytes(t, s)
-	if _, err := core.DecodeStructureSummary(bytes.NewReader(enc[:16])); err == nil {
-		t.Error("truncated header summarized without error")
+	for _, c := range []struct {
+		name string
+		data []byte
+	}{
+		{"truncated header", enc[:16]},
+		{"bad magic", []byte("XXXXjunk")},
+		{"leap out of range", outOfRangeLeap(t, tr)},
+		{"edge target out of range", outOfRangeEdge(t, tr)},
+	} {
+		if _, err := core.DecodeStructureSummary(bytes.NewReader(c.data)); err == nil {
+			t.Errorf("%s: summarized without error", c.name)
+		}
+		if _, _, err := core.DecodeStructure(bytes.NewReader(c.data), tr); err == nil {
+			t.Errorf("%s: decoded without error", c.name)
+		}
 	}
-	if _, err := core.DecodeStructureSummary(bytes.NewReader([]byte("XXXXjunk"))); err == nil {
-		t.Error("bad magic summarized without error")
+}
+
+// TestEncodersDoNotAllocatePerValue is the tripwire for a per-value
+// allocation creeping back into the structure and trace encoders: four times
+// the events may cost nothing more than a few constant allocations.
+func TestEncodersDoNotAllocatePerValue(t *testing.T) {
+	allocs := func(iterations int) (structure, binary float64, events int) {
+		cfg := jacobi.DefaultConfig()
+		cfg.Grid, cfg.Iterations = 8, iterations
+		tr := jacobi.MustTrace(cfg)
+		s, err := core.Extract(tr, core.DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		structure = testing.AllocsPerRun(10, func() {
+			if err := core.EncodeStructure(io.Discard, s); err != nil {
+				t.Fatal(err)
+			}
+		})
+		binary = testing.AllocsPerRun(10, func() {
+			if err := tracefile.WriteBinary(io.Discard, tr); err != nil {
+				t.Fatal(err)
+			}
+		})
+		return structure, binary, len(tr.Events)
+	}
+	fewS, fewB, fewEvents := allocs(2)
+	manyS, manyB, manyEvents := allocs(8)
+	if manyEvents < 3*fewEvents {
+		t.Fatalf("8 iterations have %d events against %d for 2: not a scaling test", manyEvents, fewEvents)
+	}
+	if manyS-fewS > 4 {
+		t.Errorf("EncodeStructure: %.0f allocations for %d events, %.0f for %d: the count scales with events", fewS, fewEvents, manyS, manyEvents)
+	}
+	if manyB-fewB > 4 {
+		t.Errorf("WriteBinary: %.0f allocations for %d events, %.0f for %d: the count scales with events", fewB, fewEvents, manyB, manyEvents)
 	}
 }
 

@@ -62,6 +62,32 @@ func phaselessEvent0(t testing.TB, tr *trace.Trace) []byte {
 	return buf.Bytes()
 }
 
+// encodeEdited returns tr's default structure encoded after edit changed it.
+func encodeEdited(t testing.TB, tr *trace.Trace, edit func(*core.Structure)) []byte {
+	s, err := core.Extract(tr, core.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	edit(s)
+	var buf bytes.Buffer
+	if err := core.EncodeStructure(&buf, s); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// outOfRangeLeap is tr's structure encoded with phase 0's leap set to the
+// phase count, and outOfRangeEdge with an edge from phase 0 to a phase past
+// the last: bytes the summary decode admitted, and /structure served from
+// disk, while the full decode refused them.
+func outOfRangeLeap(t testing.TB, tr *trace.Trace) []byte {
+	return encodeEdited(t, tr, func(s *core.Structure) { s.Phases[0].Leap = int32(len(s.Phases)) })
+}
+
+func outOfRangeEdge(t testing.TB, tr *trace.Trace) []byte {
+	return encodeEdited(t, tr, func(s *core.Structure) { s.DAG.Adj[0] = append(s.DAG.Adj[0], int32(len(s.Phases))) })
+}
+
 // TestDecodeRejectsPhaselessEvent: the decoder refuses an event without a
 // phase, naming it, so no view is ever built on one.
 func TestDecodeRejectsPhaselessEvent(t *testing.T) {
@@ -178,6 +204,8 @@ func FuzzDecodeStructureSummary(f *testing.F) {
 		f.Add(s[:40])
 	}
 	f.Add([]byte("CSTR\x01\x00\xff\xff\xff\xff\x07\xff\xff\xff\xff\x07\xff\xff\xff\xff\x07")) // claims 2^31-1 events, chares and phases
+	f.Add(outOfRangeLeap(f, tr))
+	f.Add(outOfRangeEdge(f, tr))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var sum *core.StructureSummary
 		var err error

@@ -339,8 +339,8 @@ func (c *Cache) Registry() *telemetry.Registry { return c.reg }
 
 // KeyID is the content address of one (trace, options) result:
 // sha256(trace digest ‖ 0 ‖ options fingerprint), hex-encoded. Exported so
-// the cluster layer (gateway replication, node internal endpoints) can name
-// entries on the wire.
+// the cluster layer (the nodes' internal endpoints) can name entries on the
+// wire.
 func KeyID(traceDigest, fingerprint string) string {
 	h := sha256.New()
 	h.Write([]byte(traceDigest))
@@ -879,11 +879,11 @@ func (c *Cache) touch(path string) {
 
 // ReadSummary stream-decodes the phase-table summary of one disk entry —
 // the zero-copy serving path for phase-table queries: no trace attach, no
-// per-event arrays, O(phases) work. A decodable entry whose fingerprint
-// matches counts as a disk hit and refreshes the entry's recency; an entry
-// that is missing is ErrNoEntry, and one that is corrupt or stale is
-// counted like any unreadable entry and also reported as ErrNoEntry so the
-// caller falls back to the full (self-healing) path.
+// per-event arrays, work in the phase table's bytes. A decodable entry whose
+// fingerprint matches counts as a disk hit and refreshes the entry's
+// recency; an entry that is missing is ErrNoEntry, and one that is corrupt
+// or stale is counted like any unreadable entry and also reported as
+// ErrNoEntry so the caller falls back to the full (self-healing) path.
 func (c *Cache) ReadSummary(key, wantFP string) (*core.StructureSummary, error) {
 	if c.dir == "" || !ValidKey(key) {
 		return nil, ErrNoEntry

@@ -99,7 +99,7 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 }
 
 // listEntry is one GET /v1/traces row. The structure fields are present
-// only when a cached result exists on disk: they come from the O(phases)
+// only when a cached result exists on disk: they come from the streamed
 // summary tier (no trace decode, no extraction), so clients can size LOD
 // and query requests without a per-trace probe round-trip.
 type listEntry struct {
@@ -179,10 +179,11 @@ func (s *Server) render(w http.ResponseWriter, r *http.Request, digest string, o
 // serveStructure returns the phase table from its cheapest holder: the
 // resident structure on a memory hit; on a memory miss over a matching disk
 // entry the entry's streaming summary — no table load, no DecodeStructure,
-// no extraction slot: the first post-restart read is O(phases), not
-// O(events); otherwise (unknown digest, no disk entry, a corrupt or stale
-// one) the full resolve path, whose read self-heals bad entries. All three
-// arrive as the same summary, so the answers cannot differ.
+// no extraction slot: the first post-restart read costs the phase table's
+// bytes, not a decode of every event; otherwise (unknown digest, no disk
+// entry, a corrupt or stale one) the full resolve path, whose read
+// self-heals bad entries. All three arrive as the same summary, so the
+// answers cannot differ.
 func (s *Server) serveStructure(w http.ResponseWriter, r *http.Request, digest string, opt core.Options) {
 	ctx := r.Context()
 	var sum *core.StructureSummary

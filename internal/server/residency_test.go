@@ -436,3 +436,56 @@ func TestPhaselessDiskEntryReextracts(t *testing.T) {
 		t.Errorf("the entry was not rewritten to its original bytes (err %v)", err)
 	}
 }
+
+// TestOutOfRangeLeapDiskEntryReextracts: a .cstr on disk whose phase table
+// holds a leap past the last phase is refused by /structure's summary read
+// as by the full decode behind every other route — once the streaming
+// summary answered it, rendering the bogus leap, while /steps, /lod and
+// /query re-extracted. It is counted, re-extracted, and /structure answers
+// what a fresh server does.
+func TestOutOfRangeLeapDiskEntryReextracts(t *testing.T) {
+	dir := t.TempDir()
+	_, ts := newTestServer(t, Config{DataDir: dir})
+	enc := encodedJacobi(t, 0)
+	path := "/v1/traces/" + upload(t, ts, enc) + "/structure"
+	want := mustGet(t, ts, path)
+	ts.Close()
+
+	entries, err := filepath.Glob(filepath.Join(dir, "results", "*.cstr"))
+	if err != nil || len(entries) != 1 {
+		t.Fatalf("want one result on disk, found %v (err %v)", entries, err)
+	}
+	tr, err := tracefile.ReadBinary(bytes.NewReader(enc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	good, err := os.ReadFile(entries[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, _, err := core.DecodeStructure(bytes.NewReader(good), tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Phases[0].Leap = int32(len(s.Phases))
+	var crafted bytes.Buffer
+	if err := core.EncodeStructure(&crafted, s); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(entries[0], crafted.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	srv, ts := newTestServer(t, Config{DataDir: dir})
+	for i := 0; i < 2; i++ {
+		if got := mustGet(t, ts, path); !bytes.Equal(got, want) {
+			t.Errorf("/structure read %d differs after the entry's leap was put out of range:\n%s", i, got)
+		}
+	}
+	if e := srv.Registry().Counter("cache.disk_errors").Value(); e == 0 {
+		t.Error("cache.disk_errors = 0: the out-of-range entry was not refused")
+	}
+	if healed, err := os.ReadFile(entries[0]); err != nil || !bytes.Equal(healed, good) {
+		t.Errorf("the entry was not rewritten to its original bytes (err %v)", err)
+	}
+}

@@ -17,7 +17,7 @@ const StatsSchemaVersion = 1
 // StatsExport is the machine-readable run report behind -stats-json: the
 // registry's metrics plus a per-stage table assembled from the pipeline's
 // reserved metric names. The schema is versioned and round-trips through
-// ReadStatsFile.
+// ReadStats.
 type StatsExport struct {
 	SchemaVersion int               `json:"schema_version"`
 	Tool          string            `json:"tool"`
@@ -118,14 +118,4 @@ func ReadStats(r io.Reader) (*StatsExport, error) {
 		return nil, fmt.Errorf("telemetry: stats: schema version %d, want %d", e.SchemaVersion, StatsSchemaVersion)
 	}
 	return &e, nil
-}
-
-// ReadStatsFile reads a -stats-json file back through the schema type.
-func ReadStatsFile(path string) (*StatsExport, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("telemetry: %w", err)
-	}
-	defer f.Close()
-	return ReadStats(f)
 }

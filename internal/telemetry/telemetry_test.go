@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"bytes"
+	"os"
 	"path/filepath"
 	"reflect"
 	"sync"
@@ -115,7 +116,12 @@ func TestStatsExportRoundTrip(t *testing.T) {
 	if err := e.WriteFile(path); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadStatsFile(path)
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	got, err := ReadStats(f)
 	if err != nil {
 		t.Fatal(err)
 	}

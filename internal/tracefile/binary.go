@@ -2,13 +2,12 @@ package tracefile
 
 import (
 	"bufio"
-	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
 	"math"
 
 	"charmtrace/internal/trace"
+	"charmtrace/internal/varint"
 )
 
 // Binary format: a compact varint encoding for large traces. The text
@@ -28,13 +27,13 @@ import (
 // events are listed in that order). IDs are positions: the i-th record of a
 // section is entry, chare, block or event i.
 //
-// A reader may rely on nothing but the bytes. A varint may be padded up to
-// binary.MaxVarintLen64 bytes, so a block, event or idle record is at most
-// maxBlockLen, maxEventLen or maxIdleLen long; a section count is a claim,
-// good for knowing when the section ends and never for sizing an
-// allocation (see grow); every chare, entry, block and PE reference, event
-// and idle PEs included, is range-checked by trace.Index before the trace
-// is handed out.
+// A reader may rely on nothing but the bytes. WriteBinary writes through a
+// varint.Writer and ReadBinary reads through a varint.Reader refilled from
+// the stream's buffer, so a record is decoded in place however its varints
+// are padded; a section count is a claim, good for knowing when the
+// section ends and never for sizing an allocation (see withRoom); every
+// chare, entry, block and PE reference, event and idle PEs included, is
+// range-checked by trace.Index before the trace is handed out.
 
 // binaryMagic opens every binary trace file.
 var binaryMagic = [4]byte{'C', 'T', 'R', 'B'}
@@ -49,286 +48,53 @@ const binaryVersion = 1
 // paper targets. Found by FuzzReadAuto.
 const MaxPE = 1 << 20
 
-type bwriter struct {
-	w   *bufio.Writer
-	err error
-}
-
-func (b *bwriter) u8(v uint8) {
-	if b.err == nil {
-		b.err = b.w.WriteByte(v)
-	}
-}
-func (b *bwriter) u32(v uint32) {
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(buf[:], uint64(v))
-	if b.err == nil {
-		_, b.err = b.w.Write(buf[:n])
-	}
-}
-func (b *bwriter) i32(v int32) { b.i64(int64(v)) }
-func (b *bwriter) i64(v int64) {
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutVarint(buf[:], v)
-	if b.err == nil {
-		_, b.err = b.w.Write(buf[:n])
-	}
-}
-func (b *bwriter) str(s string) {
-	b.u32(uint32(len(s)))
-	if b.err == nil {
-		_, b.err = b.w.WriteString(s)
-	}
-}
-func (b *bwriter) bool(v bool) {
-	if v {
-		b.u8(1)
-	} else {
-		b.u8(0)
-	}
-}
-
-// WriteBinary serializes a trace in the binary format.
+// WriteBinary serializes a trace in the binary format. The int fields
+// (numPE, sdagSerial, index) are written at the 32 bits the reader takes.
 func WriteBinary(w io.Writer, t *trace.Trace) error {
-	b := &bwriter{w: bufio.NewWriter(w)}
-	if _, err := b.w.Write(binaryMagic[:]); err != nil {
-		return err
-	}
-	b.u32(binaryVersion)
-	b.u32(uint32(t.NumPE))
-	b.u32(uint32(len(t.Entries)))
+	b := varint.NewWriter(w)
+	b.Bytes(binaryMagic[:])
+	b.Uvarint(binaryVersion)
+	b.Uvarint(uint64(uint32(t.NumPE)))
+	b.Uvarint(uint64(len(t.Entries)))
 	for _, e := range t.Entries {
-		b.i32(int32(e.SDAGSerial))
-		b.bool(e.AfterWhen)
-		b.str(e.Name)
+		b.Varint(int64(int32(e.SDAGSerial)))
+		b.Bool(e.AfterWhen)
+		b.String(e.Name)
 	}
-	b.u32(uint32(len(t.Chares)))
+	b.Uvarint(uint64(len(t.Chares)))
 	for _, c := range t.Chares {
-		b.i32(int32(c.Array))
-		b.i32(int32(c.Index))
-		b.bool(c.Runtime)
-		b.i32(int32(c.Home))
-		b.str(c.Name)
+		b.Varint(int64(c.Array))
+		b.Varint(int64(int32(c.Index)))
+		b.Bool(c.Runtime)
+		b.Varint(int64(c.Home))
+		b.String(c.Name)
 	}
-	b.u32(uint32(len(t.Blocks)))
+	b.Uvarint(uint64(len(t.Blocks)))
 	for i := range t.Blocks {
 		blk := &t.Blocks[i]
-		b.i32(int32(blk.Chare))
-		b.i32(int32(blk.PE))
-		b.i32(int32(blk.Entry))
-		b.i64(int64(blk.Begin))
-		b.i64(int64(blk.End))
+		b.Varint(int64(blk.Chare))
+		b.Varint(int64(blk.PE))
+		b.Varint(int64(blk.Entry))
+		b.Varint(int64(blk.Begin))
+		b.Varint(int64(blk.End))
 	}
-	b.u32(uint32(len(t.Events)))
+	b.Uvarint(uint64(len(t.Events)))
 	for i := range t.Events {
 		ev := &t.Events[i]
-		b.u8(uint8(ev.Kind))
-		b.i64(int64(ev.Time))
-		b.i32(int32(ev.Chare))
-		b.i32(int32(ev.PE))
-		b.i64(int64(ev.Msg))
-		b.i32(int32(ev.Block))
+		b.Byte(byte(ev.Kind))
+		b.Varint(int64(ev.Time))
+		b.Varint(int64(ev.Chare))
+		b.Varint(int64(ev.PE))
+		b.Varint(int64(ev.Msg))
+		b.Varint(int64(ev.Block))
 	}
-	b.u32(uint32(len(t.Idles)))
+	b.Uvarint(uint64(len(t.Idles)))
 	for _, idle := range t.Idles {
-		b.i32(int32(idle.PE))
-		b.i64(int64(idle.Begin))
-		b.i64(int64(idle.End))
+		b.Varint(int64(idle.PE))
+		b.Varint(int64(idle.Begin))
+		b.Varint(int64(idle.End))
 	}
-	if b.err != nil {
-		return b.err
-	}
-	return b.w.Flush()
-}
-
-// breader reads the binary format. The header, section counts, strings and
-// the few entry/chare records go field by field through the bufio.Reader;
-// the bulk sections (blocks, events, idles) decode whole records in place
-// out of the reader's buffer, one Peek per buffer-full.
-type breader struct {
-	r   *bufio.Reader
-	err error
-	// win is the undecoded tail of the last Peek: bytes still buffered in r,
-	// of which peeked-len(win) have been decoded but not yet discarded.
-	// winErr is why that Peek came back short (nil when it filled the
-	// buffer): the stream ends, or fails, right after win. Field reads must
-	// sync first.
-	win    []byte
-	peeked int
-	winErr error
-}
-
-// Longest encodings of the bulk records: a varint takes at most
-// binary.MaxVarintLen64 bytes whatever the width of the field it fills, so
-// a window this long holds the whole record however it was encoded.
-const (
-	maxBlockLen = 5 * binary.MaxVarintLen64
-	maxEventLen = 1 + 5*binary.MaxVarintLen64
-	maxIdleLen  = 3 * binary.MaxVarintLen64
-)
-
-// record returns a cursor over the buffered bytes at the decode position.
-// Unless the stream is about to end the cursor holds at least need bytes —
-// a whole record — because a window that runs short is replaced by a fresh
-// Peek of the full buffer. Only the last window of a stream can be shorter;
-// there a field the bytes do not cover is a truncation.
-func (b *breader) record(need int) cursor {
-	if len(b.win) < need && b.winErr == nil {
-		b.refill()
-	}
-	return cursor{buf: b.win}
-}
-
-// refill (kept out of record so that record inlines) slides the window to
-// the decode position and extends it to everything r can buffer.
-func (b *breader) refill() {
-	b.sync()
-	b.win, b.winErr = b.r.Peek(b.r.Size())
-	b.peeked = len(b.win)
-}
-
-// accept consumes the record c decoded, or fails the read if it did not
-// parse: with the error that ended the stream when c ran out of bytes, as
-// an overflow otherwise.
-func (b *breader) accept(c *cursor) bool {
-	switch {
-	case c.bad:
-		b.err = errors.New("tracefile: varint out of range")
-	case c.short:
-		if b.err = b.winErr; b.err == nil || b.err == io.EOF {
-			b.err = io.ErrUnexpectedEOF
-		}
-	default:
-		b.win = b.win[c.n:]
-		return true
-	}
-	return false
-}
-
-// sync discards the decoded part of the window from r, so that field reads
-// resume at the decode position.
-func (b *breader) sync() {
-	b.r.Discard(b.peeked - len(b.win)) // cannot fail: these bytes are buffered
-	b.win, b.peeked, b.winErr = nil, 0, nil
-}
-
-// cursor decodes the fields of one record in place. The first field that
-// runs past the buffer (short) or does not fit its type (bad) empties the
-// cursor, so the remaining fields read as zero without a check per field.
-type cursor struct {
-	buf        []byte
-	n          int
-	short, bad bool
-}
-
-// fail records why the record does not parse (the first failure wins) and
-// empties the cursor.
-func (c *cursor) fail(bad bool) {
-	if !c.short && !c.bad {
-		c.short, c.bad = !bad, bad
-	}
-	c.n = len(c.buf)
-}
-
-func (c *cursor) u8() uint8 {
-	if c.n == len(c.buf) {
-		c.fail(false)
-		return 0
-	}
-	c.n++
-	return c.buf[c.n-1]
-}
-
-// i64 is binary.Varint on the cursor.
-func (c *cursor) i64() int64 {
-	var ux uint64
-	var shift uint
-	for i, b := range c.buf[c.n:] {
-		if i == binary.MaxVarintLen64 {
-			c.fail(true) // an 11th byte
-			return 0
-		}
-		if b < 0x80 {
-			if i == binary.MaxVarintLen64-1 && b > 1 {
-				c.fail(true) // overflows 64 bits
-				return 0
-			}
-			c.n += i + 1
-			ux |= uint64(b) << shift
-			return int64(ux>>1) ^ -int64(ux&1) // zig-zag
-		}
-		ux |= uint64(b&0x7f) << shift
-		shift += 7
-	}
-	c.fail(false)
-	return 0
-}
-
-func (c *cursor) i32() int32 {
-	v := c.i64()
-	if v > math.MaxInt32 || v < math.MinInt32 {
-		c.fail(true)
-		return 0
-	}
-	return int32(v)
-}
-
-func (b *breader) u8() uint8 {
-	if b.err != nil {
-		return 0
-	}
-	v, err := b.r.ReadByte()
-	b.err = err
-	return v
-}
-func (b *breader) u32() uint32 {
-	if b.err != nil {
-		return 0
-	}
-	v, err := binary.ReadUvarint(b.r)
-	b.err = err
-	if err == nil && v > math.MaxUint32 {
-		b.err = fmt.Errorf("tracefile: uvarint %d exceeds uint32", v)
-	}
-	return uint32(v)
-}
-func (b *breader) i32() int32 {
-	v := b.i64()
-	if b.err == nil && (v > math.MaxInt32 || v < math.MinInt32) {
-		b.err = fmt.Errorf("tracefile: varint %d exceeds int32", v)
-	}
-	return int32(v)
-}
-func (b *breader) i64() int64 {
-	if b.err != nil {
-		return 0
-	}
-	v, err := binary.ReadVarint(b.r)
-	b.err = err
-	return v
-}
-func (b *breader) str() string {
-	n := b.u32()
-	if b.err != nil {
-		return ""
-	}
-	if n > 1<<24 {
-		b.err = fmt.Errorf("tracefile: string length %d too large", n)
-		return ""
-	}
-	buf := make([]byte, n)
-	_, b.err = io.ReadFull(b.r, buf)
-	return string(buf)
-}
-func (b *breader) bool() bool { return b.u8() != 0 }
-
-// count validates a section length against a sanity cap.
-func (b *breader) count(what string) int {
-	n := b.u32()
-	if b.err == nil && n > math.MaxInt32 {
-		b.err = fmt.Errorf("tracefile: %s count %d too large", what, n)
-	}
-	return int(n)
+	return b.Flush()
 }
 
 // A section count is untrusted — a 20-byte upload can claim 2^31-1 records —
@@ -360,64 +126,61 @@ func withRoom[T any](s []T, n int) []T {
 	return out
 }
 
-func (b *breader) blocks(t *trace.Trace) {
-	n := b.count("block")
-	for i := 0; i < n && b.err == nil; i++ {
-		c := b.record(maxBlockLen)
+// str reads a length-prefixed string.
+func str(b *varint.Reader) string { return string(b.Bytes(b.Count("string byte", 1<<24))) }
+
+func readBlocks(b *varint.Reader, t *trace.Trace) {
+	n := b.Count("block", math.MaxInt32)
+	for i := 0; i < n && b.Err() == nil; i++ {
 		blk := trace.Block{
 			ID:    trace.BlockID(i),
-			Chare: trace.ChareID(c.i32()),
-			PE:    trace.PE(c.i32()),
-			Entry: trace.EntryID(c.i32()),
-			Begin: trace.Time(c.i64()),
-			End:   trace.Time(c.i64()),
+			Chare: trace.ChareID(b.Int32()),
+			PE:    trace.PE(b.Int32()),
+			Entry: trace.EntryID(b.Int32()),
+			Begin: trace.Time(b.Varint()),
+			End:   trace.Time(b.Varint()),
 		}
-		if b.accept(&c) {
+		if b.Err() == nil {
 			t.Blocks = append(withRoom(t.Blocks, n), blk)
 		}
 	}
-	b.sync()
 }
 
-func (b *breader) events(t *trace.Trace) {
-	n := b.count("event")
-	for i := 0; i < n && b.err == nil; i++ {
-		c := b.record(maxEventLen)
+func readEvents(b *varint.Reader, t *trace.Trace) {
+	n := b.Count("event", math.MaxInt32)
+	for i := 0; i < n && b.Err() == nil; i++ {
 		ev := trace.Event{
 			ID:    trace.EventID(i),
-			Kind:  trace.EventKind(c.u8()),
-			Time:  trace.Time(c.i64()),
-			Chare: trace.ChareID(c.i32()),
-			PE:    trace.PE(c.i32()),
-			Msg:   trace.MsgID(c.i64()),
-			Block: trace.BlockID(c.i32()),
+			Kind:  trace.EventKind(b.Byte()),
+			Time:  trace.Time(b.Varint()),
+			Chare: trace.ChareID(b.Int32()),
+			PE:    trace.PE(b.Int32()),
+			Msg:   trace.MsgID(b.Varint()),
+			Block: trace.BlockID(b.Int32()),
 		}
-		if !b.accept(&c) {
+		if b.Err() != nil {
 			break
 		}
 		if ev.Kind != trace.Send && ev.Kind != trace.Recv {
-			b.err = fmt.Errorf("tracefile: event %d has unknown kind %d", i, ev.Kind)
+			b.Fail(fmt.Errorf("event %d has unknown kind %d", i, ev.Kind))
 			break
 		}
 		t.Events = append(withRoom(t.Events, n), ev)
 	}
-	b.sync()
 }
 
-func (b *breader) idles(t *trace.Trace) {
-	n := b.count("idle")
-	for i := 0; i < n && b.err == nil; i++ {
-		c := b.record(maxIdleLen)
+func readIdles(b *varint.Reader, t *trace.Trace) {
+	n := b.Count("idle", math.MaxInt32)
+	for i := 0; i < n && b.Err() == nil; i++ {
 		idle := trace.Idle{
-			PE:    trace.PE(c.i32()),
-			Begin: trace.Time(c.i64()),
-			End:   trace.Time(c.i64()),
+			PE:    trace.PE(b.Int32()),
+			Begin: trace.Time(b.Varint()),
+			End:   trace.Time(b.Varint()),
 		}
-		if b.accept(&c) {
+		if b.Err() == nil {
 			t.Idles = append(withRoom(t.Idles, n), idle)
 		}
 	}
-	b.sync()
 }
 
 // groupBlockEvents fills every Block.Events from the events' Block fields:
@@ -468,44 +231,35 @@ func groupBlockEvents(t *trace.Trace, order []trace.EventID) error {
 // including truncation, which surfaces as io.EOF / io.ErrUnexpectedEOF from
 // the section readers — carry the ErrMalformed tag (see errors.go).
 func ReadBinary(r io.Reader) (*trace.Trace, error) {
-	b := &breader{r: bufio.NewReader(r)}
-	var magic [4]byte
-	if _, err := io.ReadFull(b.r, magic[:]); err != nil {
-		return nil, malformed(fmt.Errorf("tracefile: %w", err))
+	b := varint.NewStream(bufio.NewReader(r))
+	if magic := b.Bytes(len(binaryMagic)); b.Err() == nil && [4]byte(magic) != binaryMagic {
+		return nil, malformed(fmt.Errorf("tracefile: bad binary magic %q", magic))
 	}
-	if magic != binaryMagic {
-		return nil, malformed(fmt.Errorf("tracefile: bad binary magic %q", magic[:]))
+	if v := b.Uvarint(); b.Err() == nil && v != binaryVersion {
+		return nil, malformed(fmt.Errorf("tracefile: unsupported binary version %d", v))
 	}
-	if v := b.u32(); v != binaryVersion {
-		if b.err == nil {
-			return nil, malformed(fmt.Errorf("tracefile: unsupported binary version %d", v))
-		}
+	numPE := b.Uvarint()
+	if b.Err() == nil && numPE > MaxPE {
+		return nil, malformed(fmt.Errorf("tracefile: pe count %d out of range [0, %d]", numPE, MaxPE))
 	}
-	t := &trace.Trace{NumPE: int(b.u32())}
-	if b.err == nil && t.NumPE > MaxPE {
-		return nil, malformed(fmt.Errorf("tracefile: pe count %d out of range [0, %d]", t.NumPE, MaxPE))
-	}
-	for i, n := 0, b.count("entry"); i < n && b.err == nil; i++ {
-		e := trace.Entry{ID: trace.EntryID(i)}
-		e.SDAGSerial = int(b.i32())
-		e.AfterWhen = b.bool()
-		e.Name = b.str()
+	t := &trace.Trace{NumPE: int(numPE)}
+	for i, n := 0, b.Count("entry", math.MaxInt32); i < n && b.Err() == nil; i++ {
+		e := trace.Entry{ID: trace.EntryID(i), SDAGSerial: int(b.Int32()), AfterWhen: b.Byte() != 0}
+		e.Name = str(b)
 		t.Entries = append(t.Entries, e)
 	}
-	for i, n := 0, b.count("chare"); i < n && b.err == nil; i++ {
-		c := trace.Chare{ID: trace.ChareID(i)}
-		c.Array = trace.ArrayID(b.i32())
-		c.Index = int(b.i32())
-		c.Runtime = b.bool()
-		c.Home = trace.PE(b.i32())
-		c.Name = b.str()
+	for i, n := 0, b.Count("chare", math.MaxInt32); i < n && b.Err() == nil; i++ {
+		c := trace.Chare{ID: trace.ChareID(i), Array: trace.ArrayID(b.Int32()), Index: int(b.Int32())}
+		c.Runtime = b.Byte() != 0
+		c.Home = trace.PE(b.Int32())
+		c.Name = str(b)
 		t.Chares = append(t.Chares, c)
 	}
-	b.blocks(t)
-	b.events(t)
-	b.idles(t)
-	if b.err != nil {
-		return nil, malformed(fmt.Errorf("tracefile: %w", b.err))
+	readBlocks(b, t)
+	readEvents(b, t)
+	readIdles(b, t)
+	if err := b.Err(); err != nil {
+		return nil, malformed(fmt.Errorf("tracefile: %w", err))
 	}
 	if err := groupBlockEvents(t, nil); err != nil {
 		return nil, malformed(err)

@@ -1,8 +1,8 @@
 package tracefile
 
 import (
-	"bufio"
 	"bytes"
+	"encoding/binary"
 	"reflect"
 	"strings"
 	"testing"
@@ -81,45 +81,39 @@ func TestBinaryRejectsGarbage(t *testing.T) {
 }
 
 func TestBinaryRejectsBadEventKind(t *testing.T) {
-	var buf bytes.Buffer
-	b := &bwriter{w: newTestBufWriter(&buf)}
-	buf.Write(binaryMagic[:])
-	b.u32(binaryVersion)
-	b.u32(1) // numPE
-	b.u32(1) // entries
-	b.i32(-1)
-	b.bool(false)
-	b.str("e")
-	b.u32(1) // chares
-	b.i32(-1)
-	b.i32(-1)
-	b.bool(false)
-	b.i32(0)
-	b.str("c")
-	b.u32(1) // blocks
-	b.i32(0)
-	b.i32(0)
-	b.i32(0)
-	b.i64(0)
-	b.i64(10)
-	b.u32(1) // events
-	b.u8(99) // invalid kind
-	b.i64(5)
-	b.i32(0)
-	b.i32(0)
-	b.i64(0)
-	b.i32(0)
-	b.u32(0) // idles
-	if b.err != nil {
-		t.Fatal(b.err)
+	buf := append([]byte(nil), binaryMagic[:]...)
+	uv := func(vs ...uint64) {
+		for _, v := range vs {
+			buf = binary.AppendUvarint(buf, v)
+		}
 	}
-	if err := b.w.Flush(); err != nil {
-		t.Fatal(err)
+	sv := func(vs ...int64) {
+		for _, v := range vs {
+			buf = binary.AppendVarint(buf, v)
+		}
 	}
-	if _, err := ReadBinary(bytes.NewReader(buf.Bytes())); err == nil {
+	uv(binaryVersion, 1, 1) // version, numPE, entries
+	sv(-1)
+	buf = append(buf, 0)   // afterWhen
+	uv(1)                  // name length
+	buf = append(buf, 'e') // name
+	uv(1)                  // chares
+	sv(-1, -1)             // array, index
+	buf = append(buf, 0)   // runtime
+	sv(0)                  // home
+	uv(1)                  // name length
+	buf = append(buf, 'c') // name
+	uv(1)                  // blocks
+	sv(0, 0, 0, 0, 10)     // chare, pe, entry, begin, end
+	uv(1)                  // events
+	buf = append(buf, 99)  // invalid kind
+	sv(5, 0, 0, 0, 0)      // time, chare, pe, msg, block
+	uv(0)                  // idles
+	if _, err := ReadBinary(bytes.NewReader(buf)); err == nil {
 		t.Fatal("corrupt event kind accepted")
 	}
 }
 
-// newTestBufWriter adapts a bytes.Buffer for the internal bwriter.
-func newTestBufWriter(buf *bytes.Buffer) *bufio.Writer { return bufio.NewWriter(buf) }
+// maxEventLen is the longest encoding of an event record: its kind byte and
+// five varints, each padded to binary.MaxVarintLen64 bytes.
+const maxEventLen = 1 + 5*binary.MaxVarintLen64

@@ -8,6 +8,7 @@ import (
 	"io"
 
 	"charmtrace/internal/trace"
+	"charmtrace/internal/varint"
 )
 
 // Table format: the persisted form of a trace's read-side event table
@@ -92,10 +93,10 @@ func appendDeltas[T ~int32 | ~int64](buf []byte, col []T) []byte {
 
 // readDeltas fills a column appendDeltas wrote. Sums wrap; Validate judges
 // what they come to.
-func readDeltas[T ~int32 | ~int64](c *cursor, col []T) {
+func readDeltas[T ~int32 | ~int64](c *varint.Reader, col []T) {
 	var prev T
 	for e := range col {
-		prev += T(c.i64())
+		prev += T(c.Varint())
 		col[e] = prev
 	}
 }
@@ -105,25 +106,15 @@ func readDeltas[T ~int32 | ~int64](c *cursor, col []T) {
 const minTableEventLen = 5
 
 // count reads a non-negative count of things that take at least unit bytes
-// each: one the input is too short to hold is refused here, before it can
-// size an allocation.
-func (c *cursor) count(unit int) int {
-	v := c.i64()
-	if v < 0 || v > int64(len(c.buf)/unit) {
-		c.fail(true)
+// each: one the bytes left are too few to hold is refused here, before it
+// can size an allocation.
+func count(c *varint.Reader, unit int) int {
+	v := c.Varint()
+	if v < 0 || v > int64(c.Len()/unit) {
+		c.Fail(varint.ErrRange)
 		return 0
 	}
 	return int(v)
-}
-
-// bytes returns the next n bytes.
-func (c *cursor) bytes(n int) []byte {
-	if n > len(c.buf)-c.n {
-		c.fail(false)
-		return nil
-	}
-	c.n += n
-	return c.buf[c.n-n : c.n]
 }
 
 // ReadTable parses a serialized table, which must be the whole file. It
@@ -138,23 +129,23 @@ func ReadTable(data []byte) (*trace.Table, error) {
 	if crc32.Checksum(body, castagnoli) != binary.LittleEndian.Uint32(data[len(body):]) {
 		return nil, errors.New("tracefile: event table checksum mismatch")
 	}
-	c := &cursor{buf: body, n: len(tableMagic)}
-	if v := c.i64(); v != tableVersion {
+	c := varint.NewReader(body[len(tableMagic):])
+	if v := c.Varint(); v != tableVersion {
 		return nil, fmt.Errorf("tracefile: unsupported event table version %d", v)
 	}
-	t := &trace.Table{NumPE: int(c.i32())}
-	n, nc := c.count(minTableEventLen), c.count(2) // a chare is at least its runtime byte and name length
-	t.Blocks, t.Idles = int(c.i32()), int(c.i32())
-	if c.short || c.bad || t.NumPE > MaxPE {
+	t := &trace.Table{NumPE: int(c.Int32())}
+	n, nc := count(c, minTableEventLen), count(c, 2) // a chare is at least its runtime byte and name length
+	t.Blocks, t.Idles = int(c.Int32()), int(c.Int32())
+	if c.Err() != nil || t.NumPE > MaxPE {
 		return nil, errors.New("tracefile: event table header out of range")
 	}
 	t.Name, t.Runtime = make([]string, nc), make([]bool, nc)
 	for i := range t.Name {
-		t.Runtime[i] = c.u8() != 0
-		t.Name[i] = string(c.bytes(c.count(1)))
+		t.Runtime[i] = c.Byte() != 0
+		t.Name[i] = string(c.Bytes(count(c, 1)))
 	}
 	t.Kind = make([]trace.EventKind, n)
-	for e, bits := 0, c.bytes((n+7)/8); e < n && bits != nil; e++ {
+	for e, bits := 0, c.Bytes((n+7)/8); e < n && bits != nil; e++ {
 		t.Kind[e] = trace.EventKind(bits[e/8] >> (e % 8) & 1)
 	}
 	t.Chare, t.PE, t.Time = make([]trace.ChareID, n), make([]trace.PE, n), make([]trace.Time, n)
@@ -165,7 +156,7 @@ func ReadTable(data []byte) (*trace.Table, error) {
 	for e := range t.Partner {
 		t.Partner[e] = trace.NoEvent
 		if t.Kind[e] == trace.Recv {
-			if d := c.i64(); d != 0 {
+			if d := c.Varint(); d != 0 {
 				p := int64(e) - d
 				if p < 0 || p >= int64(n) {
 					p = -2 // out of range (unlike -1, NoEvent), for Validate to refuse
@@ -177,10 +168,10 @@ func ReadTable(data []byte) (*trace.Table, error) {
 	t.SubDur, t.IdleExp = make([]trace.Time, n), make([]trace.Time, n)
 	for _, col := range [][]trace.Time{t.SubDur, t.IdleExp} {
 		for e := range col {
-			col[e] = trace.Time(c.i64())
+			col[e] = trace.Time(c.Varint())
 		}
 	}
-	if c.short || c.bad || c.n != len(body) {
+	if c.Err() != nil || c.Len() != 0 {
 		return nil, errors.New("tracefile: event table truncated or overlong")
 	}
 	if err := t.Validate(); err != nil {
