@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test verify lint fuzz fuzz-smoke bench-lod bench-steps bench-batch bench-codec bench-wire bench-smoke bench-repo fmt loc knobs prefix-sums serve cluster
+.PHONY: build test verify lint fuzz-smoke bench-lod bench-steps bench-batch bench-codec bench-wire bench-smoke bench-repo fmt loc knobs prefix-sums serve cluster
 
 build:
 	$(GO) build ./...
@@ -31,22 +31,15 @@ lint:
 		echo "staticcheck not installed; skipping (go install honnef.co/go/tools/cmd/staticcheck@latest)"; \
 	fi
 
-# fuzz is the CI smoke leg: short coverage-guided runs over the
-# untrusted-input decoders — format sniffing (ReadAuto, which for inputs
-# with the binary magic also holds the windowed decoder and flat index
-# against the field-by-field decoder and naive maps they replaced) and the
-# Projections log reader. The checked-in corpora under
-# internal/tracefile/testdata/fuzz replay on every plain `go test`. Each run
-# targets one fuzz function: `go test -fuzz` requires the pattern to match
-# exactly one target.
-fuzz:
-	$(GO) test -fuzz=FuzzReadAuto -fuzztime=20s -fuzzminimizetime=1s ./internal/tracefile
-	$(GO) test -fuzz=FuzzReadProjections -fuzztime=20s -fuzzminimizetime=1s ./internal/tracefile
-
-# fuzz-smoke gives every Fuzz* target in the tree ten seconds: the two above,
-# the text reader, and the decoders that run with no trace to lean on — the
-# persisted event table (FuzzReadTable) and the structure codec against a
-# table alone (FuzzDecodeStructure, FuzzDecodeStructureSummary) — and the
+# fuzz-smoke, the CI fuzz leg, gives every Fuzz* target in the tree ten
+# seconds, one target per run (`go test -fuzz` requires the pattern to match
+# exactly one): the untrusted-input decoders — format sniffing (ReadAuto,
+# which for inputs with the binary magic also holds the windowed decoder and
+# flat index against the field-by-field decoder and naive maps they
+# replaced), the Projections log reader and the text reader — and the
+# decoders that run with no trace to lean on — the persisted event table
+# (FuzzReadTable) and the structure codec against a table alone
+# (FuzzDecodeStructure, FuzzDecodeStructureSummary) — and the
 # row-response writer against encoding/json's indenting Encoder over random
 # value trees (FuzzJSONWriter) — and the CSR grouper against a stable sort
 # over random key columns (FuzzGroup) — and the one varint reader against

@@ -77,11 +77,7 @@ func run() error {
 	maxRows := flag.Int("max-rows", 0, "-lod: cap cluster rows; past it the smallest clusters merge into one overflow row")
 	maxEdges := flag.Int("max-edges", 0, "-lod: cap aggregated communication edges, keeping the heaviest")
 	render := flag.Bool("render", false, "-lod: include the clustered text render (native resolution only)")
-	tele := cli.NewTelemetry("chquery", flag.CommandLine)
 	flag.Parse()
-	if err := tele.Start(); err != nil {
-		return err
-	}
 
 	cfg := fetcherConfig{
 		input: input, server: *server, digest: *digest,

@@ -33,42 +33,30 @@ func NewInput(fs *flag.FlagSet) *Input {
 	return in
 }
 
-// Trace resolves the flags into a trace: the generated workload, or the
-// file (text, binary or Projections, auto-detected).
-func (in *Input) Trace() (*trace.Trace, error) {
-	tr, _, err := in.load()
-	return tr, err
-}
-
-// Load is Trace plus the extraction options matching the trace's
-// programming model. A workload brings its own; a file gets the
-// message-passing options of §3.4 when MP forces them or the trace has the
-// process-centric shape, the Charm++ defaults otherwise. A detection is
-// noted on stderr, so a tool's stdout stays what it prints.
+// Load resolves the flags into a trace — the generated workload, or the
+// file (text, binary or Projections, auto-detected) — and the extraction
+// options matching its programming model. A workload brings its own; a file
+// gets the message-passing options of §3.4 when MP forces them or the trace
+// has the process-centric shape, the Charm++ defaults otherwise. A
+// detection is noted on stderr, so a tool's stdout stays what it prints.
 func (in *Input) Load() (*trace.Trace, core.Options, error) {
-	tr, opt, err := in.load()
-	if err != nil || in.App != "" {
-		return tr, opt, err
-	}
-	switch {
-	case in.MP:
-		opt = core.MessagePassingOptions()
-	case looksMessagePassing(tr):
-		fmt.Fprintln(os.Stderr, "(detected a message-passing trace: single-event blocks, no runtime chares)")
-		opt = core.MessagePassingOptions()
-	}
-	return tr, opt, nil
-}
-
-func (in *Input) load() (*trace.Trace, core.Options, error) {
 	switch {
 	case in.App != "":
 		return Generate(in.App, in.Params)
-	case in.In != "":
-		tr, err := tracefile.ReadFile(in.In)
-		return tr, core.DefaultOptions(), err
+	case in.In == "":
+		return nil, core.Options{}, fmt.Errorf("need -in <file> or -app <workload>; workloads:\n%s", Describe())
 	}
-	return nil, core.Options{}, fmt.Errorf("need -in <file> or -app <workload>; workloads:\n%s", Describe())
+	tr, err := tracefile.ReadFile(in.In)
+	switch {
+	case err != nil:
+		return nil, core.Options{}, err
+	case in.MP:
+		return tr, core.MessagePassingOptions(), nil
+	case looksMessagePassing(tr):
+		fmt.Fprintln(os.Stderr, "(detected a message-passing trace: single-event blocks, no runtime chares)")
+		return tr, core.MessagePassingOptions(), nil
+	}
+	return tr, core.DefaultOptions(), nil
 }
 
 // Label records which input a run analyzed on the stats export.

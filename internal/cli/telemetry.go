@@ -33,24 +33,19 @@ type Telemetry struct {
 // NewTelemetry registers the full observability flag set on fs (pass
 // flag.CommandLine in a main) and returns the handle.
 func NewTelemetry(tool string, fs *flag.FlagSet) *Telemetry {
-	t := &Telemetry{Tool: tool, labels: make(map[string]string)}
+	t := NewProfiling(tool, fs)
 	fs.StringVar(&t.StatsJSON, "stats-json", "",
 		"write machine-readable run statistics (versioned schema) to this JSON file")
-	t.registerProfileFlags(fs)
 	return t
 }
 
 // NewProfiling registers only -cpuprofile/-memprofile, for tools with no
-// extraction pipeline to report on (tracegen, traceprofile).
+// extraction pipeline to report on (tracegen, charmd).
 func NewProfiling(tool string, fs *flag.FlagSet) *Telemetry {
 	t := &Telemetry{Tool: tool, labels: make(map[string]string)}
-	t.registerProfileFlags(fs)
-	return t
-}
-
-func (t *Telemetry) registerProfileFlags(fs *flag.FlagSet) {
 	fs.StringVar(&t.CPUProfile, "cpuprofile", "", "write a pprof CPU profile to this file")
 	fs.StringVar(&t.MemProfile, "memprofile", "", "write a pprof heap profile to this file")
+	return t
 }
 
 // Label attaches a key/value label to the stats export (e.g. the workload

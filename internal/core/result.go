@@ -173,12 +173,12 @@ var StageOrder = []string{
 }
 
 // TimingReport formats the per-stage wall times (and merge counts) in
-// pipeline order — the observable behind the -timing flag of cmd/structure
-// and cmd/chmetrics. Stages that did not run are omitted; stages that ran
-// but were not timed (partial maps, e.g. Stats assembled outside Extract)
-// are listed but excluded from the total, with an explicit note so the
-// total is never silently short. The enforce-orderability line reports its
-// round count alongside the merge count.
+// pipeline order — the observable behind cmd/structure's -timing flag.
+// Stages that did not run are omitted; stages that ran but were not timed
+// (partial maps, e.g. Stats assembled outside Extract) are listed but
+// excluded from the total, with an explicit note so the total is never
+// silently short. The enforce-orderability line reports its round count
+// alongside the merge count.
 func (st *Stats) TimingReport() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "stage timings (parallelism %d):\n", st.Parallelism)

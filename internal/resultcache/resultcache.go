@@ -351,7 +351,8 @@ func KeyID(traceDigest, fingerprint string) string {
 
 // ValidKey reports whether key has the shape KeyID produces (64 lowercase
 // hex characters) — the internal endpoints reject anything else before it
-// can touch the filesystem.
+// can touch the filesystem. A trace digest has the same shape, and the
+// server's digest routes check it before a peer fetch can route by one.
 func ValidKey(key string) bool {
 	if len(key) != 64 {
 		return false

@@ -639,7 +639,8 @@ const (
 // releases the slot immediately — the detached flight keeps running
 // without it. view is nil for wantStructure. resolve itself touches neither
 // the trace nor its table: the cache asks for the one it needs (traceOf,
-// tableOf) once it knows which.
+// tableOf) once it knows which. A digest not shaped like one is unknown
+// before the cache's peer fill or trace fetch can route by it.
 func (s *Server) resolve(ctx context.Context, digest string, opt core.Options, w want) (st *core.Structure, view any, err error) {
 	var ok bool
 	switch w {
@@ -654,7 +655,7 @@ func (s *Server) resolve(ctx context.Context, digest string, opt core.Options, w
 		resultcache.RecordOutcome(ctx, resultcache.OutcomeMem)
 		return st, view, nil
 	}
-	if s.entryFor(digest) == nil && s.cfg.TraceFetch == nil {
+	if !resultcache.ValidKey(digest) || (s.entryFor(digest) == nil && s.cfg.TraceFetch == nil) {
 		return nil, nil, errUnknownTrace // before a slot is taken or a flight launched for it
 	}
 	release, err := s.acquireSlot(ctx)

@@ -2,12 +2,15 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"charmtrace/internal/apps/jacobi"
@@ -278,9 +281,23 @@ func TestConcurrentStructureRequestsCoalesce(t *testing.T) {
 }
 
 // TestErrorMapping: malformed uploads are client errors (400), oversized
-// ones 413, unknown digests 404, bad parameters 400 — never 500.
+// ones 413, unknown digests 404, bad parameters 400 — never 500. A digest
+// not shaped like one is unknown without reaching a peer: the clustered
+// server's fetch stubs are never called for it.
 func TestErrorMapping(t *testing.T) {
-	_, ts := newTestServer(t, Config{DataDir: t.TempDir(), MaxUploadBytes: 1 << 20})
+	var fetches atomic.Int64
+	noPeer := errors.New("no peer holds it")
+	_, ts := newTestServer(t, Config{
+		DataDir: t.TempDir(), MaxUploadBytes: 1 << 20,
+		TraceFetch: func(context.Context, string) (io.ReadCloser, error) {
+			fetches.Add(1)
+			return nil, noPeer
+		},
+		PeerFetch: func(context.Context, string, string) (io.ReadCloser, error) {
+			fetches.Add(1)
+			return nil, noPeer
+		},
+	})
 
 	post := func(body []byte) int {
 		resp, err := http.Post(ts.URL+"/v1/traces", "application/octet-stream", bytes.NewReader(body))
@@ -330,6 +347,24 @@ func TestErrorMapping(t *testing.T) {
 	}
 	if code, _ := get(t, ts, "/v1/structdiff?a="+digest); code != http.StatusBadRequest {
 		t.Errorf("structdiff missing b: status %d, want 400", code)
+	}
+
+	mustGet(t, ts, "/v1/traces/"+digest+"/lod") // the diff row's own side resident
+	escaped := "..%2F..%2Fdebug%2Fstats"
+	for _, path := range []string{
+		"/v1/traces/zzz/structure",
+		"/v1/traces/" + escaped,
+		"/v1/traces/" + escaped + "/steps",
+		"/v1/structdiff?a=zzz&b=zzz",
+		"/v1/traces/" + digest + "/lod?diff=zzz",
+	} {
+		fetches.Store(0)
+		if code, body := get(t, ts, path); code != http.StatusNotFound {
+			t.Errorf("%s: status %d (%s), want 404", path, code, body)
+		}
+		if n := fetches.Load(); n != 0 {
+			t.Errorf("%s: %d peer fetches for a malformed digest, want 0", path, n)
+		}
 	}
 }
 

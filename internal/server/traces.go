@@ -9,6 +9,7 @@ import (
 	"sync"
 	"weak"
 
+	"charmtrace/internal/resultcache"
 	"charmtrace/internal/trace"
 	"charmtrace/internal/tracefile"
 )
@@ -96,12 +97,13 @@ func (s *Server) registerTrace(digest string, tr *trace.Trace, size int64) *trac
 
 // withEntry runs load on the entry for a digest under its lock. In a cluster
 // a digest this node never saw (a failover read, a replica that missed the
-// fan-out) is first pulled from a ring sibling; ctx bounds that fetch.
+// fan-out) is first pulled from a ring sibling; ctx bounds that fetch. A
+// digest not shaped like one is never fetched.
 func withEntry[T any](ctx context.Context, s *Server, digest string, load func(*traceEntry) (T, error)) (T, error) {
 	te := s.entryFor(digest)
 	if te == nil {
 		var zero T
-		if s.cfg.TraceFetch == nil {
+		if s.cfg.TraceFetch == nil || !resultcache.ValidKey(digest) {
 			return zero, errUnknownTrace
 		}
 		if err := s.traceFromPeer(ctx, digest); err != nil {
