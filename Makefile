@@ -44,8 +44,9 @@ lint:
 # value trees (FuzzJSONWriter) — and the CSR grouper against a stable sort
 # over random key columns (FuzzGroup) — and the one varint reader against
 # encoding/binary, over a whole slice and through a refilled window
-# (FuzzVarint). Their seed corpora replay on every plain `go test`; this leg
-# is not in tier-1.
+# (FuzzVarint) — and the -peers parser, whose accepted lists must be usable
+# and write back to themselves (FuzzParsePeers). Their seed corpora replay on
+# every plain `go test`; this leg is not in tier-1.
 fuzz-smoke:
 	@for t in FuzzRead FuzzReadAuto FuzzReadProjections FuzzReadTable; do \
 		$(GO) test -run '^$$' -fuzz="^$$t\$$" -fuzztime=10s -fuzzminimizetime=1s ./internal/tracefile || exit 1; \
@@ -56,6 +57,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz='^FuzzJSONWriter$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/jsonw
 	$(GO) test -run '^$$' -fuzz='^FuzzGroup$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/flat
 	$(GO) test -run '^$$' -fuzz='^FuzzVarint$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/varint
+	$(GO) test -run '^$$' -fuzz='^FuzzParsePeers$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/cluster
 
 # bench-smoke runs the repository benchmark (bench/, BENCHMARK.json) at toy
 # sizes in about ten seconds: all four workloads, real child processes,

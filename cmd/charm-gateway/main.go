@@ -16,8 +16,9 @@
 //	curl -sS localhost:8090/cluster
 //	curl -sS localhost:8090/nodes/n1/debug/stats
 //
-// The member list is static (-peers); liveness is probed continuously via
-// each node's /readyz.
+// The member list is static (-peers). Liveness is learned from the requests
+// the gateway proxies: a node it cannot reach is skipped for two seconds,
+// then tried again.
 package main
 
 import (
@@ -39,7 +40,6 @@ func main() {
 	addr := flag.String("addr", ":8090", "listen address")
 	peers := flag.String("peers", "", "cluster member list as name=url,name=url")
 	replication := flag.Int("replication", 0, "replicas per trace digest, R (0 = 2; clamped to the member count)")
-	probeInterval := flag.Duration("probe-interval", 0, "liveness probe period against each node's /readyz (0 = 2s)")
 	maxUpload := flag.Int64("max-upload", 256<<20, "maximum trace upload size in bytes")
 	drain := flag.Duration("drain", 30*time.Second, "graceful-shutdown drain budget")
 	logging := cli.NewLogging("json", flag.CommandLine)
@@ -60,7 +60,6 @@ func main() {
 	gw, err := cluster.NewGateway(cluster.GatewayConfig{
 		Members:        members,
 		Replication:    *replication,
-		ProbeInterval:  *probeInterval,
 		MaxUploadBytes: *maxUpload,
 		AccessLog:      accessLog,
 	})
@@ -79,14 +78,7 @@ func main() {
 	defer stop()
 	errCh := make(chan error, 1)
 	go func() { errCh <- httpSrv.ListenAndServe() }()
-	r := *replication
-	if r <= 0 {
-		r = cluster.DefaultReplication
-	}
-	if r > len(members) {
-		r = len(members)
-	}
-	fmt.Printf("charm-gateway: serving on %s (%d members, R=%d)\n", *addr, len(members), r)
+	fmt.Printf("charm-gateway: serving on %s (%d members, R=%d)\n", *addr, len(members), gw.Replication())
 
 	select {
 	case <-ctx.Done():

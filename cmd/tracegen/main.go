@@ -24,7 +24,6 @@ func main() {
 	scale := flag.Int("scale", 0, "size override (0 = workload default)")
 	seed := flag.Int64("seed", 0, "seed override (0 = workload default)")
 	noRed := flag.Bool("no-reduction-tracing", false, "disable the §5 reduction tracing additions")
-	bin := flag.Bool("binary", false, "shorthand for -format binary")
 	format := flag.String("format", "text", "output format: text, binary, or projections")
 	list := flag.Bool("list", false, "list available workloads")
 	tele := cli.NewProfiling("tracegen", flag.CommandLine)
@@ -48,9 +47,6 @@ func main() {
 	path := *out
 	if path == "" {
 		path = *app + ".trace"
-	}
-	if *bin {
-		*format = "binary"
 	}
 	var write func(string, *trace.Trace) error
 	switch *format {

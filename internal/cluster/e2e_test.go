@@ -11,7 +11,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"charmtrace/internal/apps/jacobi"
 	"charmtrace/internal/cluster"
@@ -428,8 +427,7 @@ func TestClusterPeerCacheFill(t *testing.T) {
 // upload fan-out and rebuilds the result through its own pull tier.
 func TestClusterNodeKillZero5xx(t *testing.T) {
 	tc := startCluster(t, 3, cluster.GatewayConfig{
-		Replication:   2,
-		ProbeInterval: time.Hour, // liveness driven by request errors alone
+		Replication: 2,
 	})
 	digest := gwUpload(t, tc, encodedJacobi(t, 0))
 	tc.gw.Quiesce()
@@ -460,6 +458,44 @@ func TestClusterNodeKillZero5xx(t *testing.T) {
 		t.Fatalf("gateway.failovers = %d, want >= 1", fo)
 	}
 	if fives := tc.gw.Registry().Snapshot().Counters["gateway.status.5xx"]; fives != 0 {
+		t.Fatalf("gateway served %d 5xx responses, want 0", fives)
+	}
+}
+
+// TestClusterNodeDrainZero5xx drains the owner mid-workload: its handlers
+// answer 503, which the gateway fails over without marking the member down,
+// so every read stays a 200 with the pre-drain bytes, one failover each.
+func TestClusterNodeDrainZero5xx(t *testing.T) {
+	tc := startCluster(t, 3, cluster.GatewayConfig{Replication: 2})
+	digest := gwUpload(t, tc, encodedJacobi(t, 0))
+	tc.gw.Quiesce()
+
+	resp, data := getURL(t, tc.gwTS.URL+"/v1/traces/"+digest+"/structure")
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("warm read: %d: %s", resp.StatusCode, data)
+	}
+
+	ring, _ := cluster.NewRing(membersOf(tc))
+	owner := tc.node(ring.Owner(digest).Name)
+	if err := owner.srv.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+
+	reg := tc.gw.Registry()
+	before := counterOf(reg, "gateway.failovers")
+	for i := 0; i < 10; i++ {
+		resp, body := getURL(t, tc.gwTS.URL+"/v1/traces/"+digest+"/structure")
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("read %d with %s draining: status %d: %s", i, owner.name, resp.StatusCode, body)
+		}
+		if !bytes.Equal(body, data) {
+			t.Fatalf("read %d: failover response differs from pre-drain bytes", i)
+		}
+		if got := counterOf(reg, "gateway.failovers") - before; got != int64(i+1) {
+			t.Fatalf("after read %d gateway.failovers rose by %d, want %d", i, got, i+1)
+		}
+	}
+	if fives := counterOf(reg, "gateway.status.5xx"); fives != 0 {
 		t.Fatalf("gateway served %d 5xx responses, want 0", fives)
 	}
 }

@@ -2,6 +2,7 @@ package cluster_test
 
 import (
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -94,9 +95,8 @@ func stubPair(t *testing.T, digest, firstMode, secondMode string) (gw *cluster.G
 		}
 	}
 	gw, err = cluster.NewGateway(cluster.GatewayConfig{
-		Members:       members,
-		Replication:   2,
-		ProbeInterval: time.Hour, // liveness driven by request errors alone
+		Members:     members,
+		Replication: 2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -107,6 +107,28 @@ func stubPair(t *testing.T, digest, firstMode, secondMode string) (gw *cluster.G
 		gw.Close()
 	})
 	return gw, gwTS, first, second
+}
+
+// aliveOf reads each member's liveness from the gateway's GET /cluster,
+// served in process so it works after the gateway's listener has closed.
+func aliveOf(t *testing.T, gw http.Handler) map[string]bool {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	gw.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/cluster", nil))
+	var cl struct {
+		Members []struct {
+			Name  string `json:"name"`
+			Alive bool   `json:"alive"`
+		} `json:"members"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &cl); err != nil {
+		t.Fatalf("/cluster: %v: %s", err, rec.Body)
+	}
+	alive := make(map[string]bool, len(cl.Members))
+	for _, m := range cl.Members {
+		alive[m.Name] = m.Alive
+	}
+	return alive
 }
 
 // TestGatewayFailoverLoop pins the one outbound path against stub members:
@@ -173,10 +195,11 @@ func TestGatewayFailoverLoop(t *testing.T) {
 					}
 				}
 			}
-			if got := gw.Health().Alive(first.name); got != tc.firstAlive {
+			alive := aliveOf(t, gw)
+			if got := alive[first.name]; got != tc.firstAlive {
 				t.Errorf("first candidate alive = %v, want %v", got, tc.firstAlive)
 			}
-			if !gw.Health().Alive(second.name) {
+			if !alive[second.name] {
 				t.Errorf("second candidate marked dead; it answered")
 			}
 			reg := gw.Registry()
@@ -229,10 +252,71 @@ func TestGatewayClientDisconnectCancelsUpstream(t *testing.T) {
 	if got := second.seen(); len(got) != 0 {
 		t.Errorf("gateway failed over to the second candidate after the client left: %q", got)
 	}
-	if !gw.Health().Alive(first.name) {
+	if !aliveOf(t, gw)[first.name] {
 		t.Error("first candidate marked dead for the client's disconnect")
 	}
 	if n := counterOf(gw.Registry(), "gateway.failovers"); n != 0 {
 		t.Errorf("gateway.failovers = %d, want 0", n)
+	}
+}
+
+// TestGatewayClientGoneBlamesNoMember: the listing fan-out and the node
+// passthrough also send on the inbound request's context, so a client that
+// hangs up while they wait must not mark the members they were waiting on
+// down — or the gateway would route around healthy nodes and report itself
+// unready.
+func TestGatewayClientGoneBlamesNoMember(t *testing.T) {
+	const digest = "feedfeedfeedfeedfeedfeedfeedfeedfeedfeedfeedfeedfeedfeedfeedfeed"
+	gw, gwTS, first, second := stubPair(t, digest, "hang", "hang")
+	a := first
+	if a.name != "a" {
+		a = second
+	}
+	// hangUp sends GET path, waits until each of waitOn holds the
+	// gateway's request open, then cancels the client.
+	hangUp := func(path string, waitOn ...*stubMember) {
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		req, err := http.NewRequestWithContext(ctx, http.MethodGet, gwTS.URL+path, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			if resp, err := http.DefaultClient.Do(req); err == nil {
+				resp.Body.Close()
+			}
+		}()
+		for _, m := range waitOn {
+			select {
+			case <-m.entered:
+			case <-time.After(5 * time.Second):
+				t.Fatalf("%s never reached %s", path, m.name)
+			}
+		}
+		cancel()
+		for _, m := range waitOn {
+			select {
+			case <-m.cancelled:
+			case <-time.After(5 * time.Second):
+				t.Fatalf("%s: the request to %s was never cancelled", path, m.name)
+			}
+		}
+		<-done
+	}
+	hangUp("/v1/traces", first, second)
+	hangUp("/nodes/a/debug/stats", a)
+	gwTS.Close() // returns once the gateway's handlers have
+
+	for name, alive := range aliveOf(t, gw) {
+		if !alive {
+			t.Errorf("member %s marked dead for a client that hung up", name)
+		}
+	}
+	rec := httptest.NewRecorder()
+	gw.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/readyz", nil))
+	if rec.Code != http.StatusOK {
+		t.Errorf("/readyz = %d after two hung-up clients, want 200: %s", rec.Code, rec.Body)
 	}
 }

@@ -8,7 +8,9 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"net"
 	"net/http"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -26,6 +28,10 @@ const (
 	// maxSpecBytes bounds a buffered POST analysis body (a query or LOD
 	// spec; the nodes themselves reject anything past 1 MiB).
 	maxSpecBytes = 4 << 20
+	// dialTimeout bounds connecting to a member on the gateway's private
+	// client, so a trial against a host that drops packets costs seconds,
+	// not the transport's 30 s default.
+	dialTimeout = 2 * time.Second
 )
 
 // GatewayConfig configures a Gateway.
@@ -39,11 +45,9 @@ type GatewayConfig struct {
 	// buffered in the gateway to compute the routing digest before any node
 	// sees a byte.
 	MaxUploadBytes int64
-	// ProbeInterval is the health-probe period (0 = DefaultProbeInterval).
-	ProbeInterval time.Duration
-	// Client is the HTTP client used for proxying (nil = a private one with
-	// no global timeout; proxied requests are bounded by their inbound
-	// request contexts).
+	// Client is the HTTP client used for proxying (nil = a private one that
+	// dials with a 2 s timeout and has no global timeout; proxied requests
+	// are bounded by their inbound request contexts).
 	Client *http.Client
 	// Metrics receives the gateway's counters (nil = a private registry).
 	Metrics *telemetry.Registry
@@ -62,7 +66,7 @@ type GatewayConfig struct {
 type Gateway struct {
 	cfg    GatewayConfig
 	ring   *Ring
-	health *Health
+	live   *liveness
 	client *http.Client
 	reg    *telemetry.Registry
 	mux    *http.ServeMux
@@ -79,12 +83,11 @@ type Gateway struct {
 
 	statusClass telemetry.StatusClasses // gateway.status.<n>xx
 
-	probeCancel context.CancelFunc
-	probeDone   chan struct{}
-	fanWG       sync.WaitGroup // in-flight upload fan-out copies (Quiesce/Close wait)
+	fanWG sync.WaitGroup // in-flight upload fan-out copies (Quiesce/Close wait)
 }
 
-// NewGateway builds the gateway and starts its health prober.
+// NewGateway builds the gateway. It starts no background work: member
+// liveness is learned from the requests the gateway sends.
 func NewGateway(cfg GatewayConfig) (*Gateway, error) {
 	ring, err := NewRing(cfg.Members)
 	if err != nil {
@@ -101,7 +104,9 @@ func NewGateway(cfg GatewayConfig) (*Gateway, error) {
 	}
 	client := cfg.Client
 	if client == nil {
-		client = &http.Client{}
+		tr := http.DefaultTransport.(*http.Transport).Clone()
+		tr.DialContext = (&net.Dialer{Timeout: dialTimeout, KeepAlive: 30 * time.Second}).DialContext
+		client = &http.Client{Transport: tr}
 	}
 	reg := cfg.Metrics
 	if reg == nil {
@@ -110,7 +115,7 @@ func NewGateway(cfg GatewayConfig) (*Gateway, error) {
 	g := &Gateway{
 		cfg:           cfg,
 		ring:          ring,
-		health:        NewHealth(cfg.Members, client, reg),
+		live:          newLiveness(reg),
 		client:        client,
 		reg:           reg,
 		requests:      reg.Counter("gateway.requests"),
@@ -123,34 +128,25 @@ func NewGateway(cfg GatewayConfig) (*Gateway, error) {
 		exhausted:     reg.Counter("gateway.exhausted"),
 		proxyMS:       reg.Histogram("gateway.proxy_ms"),
 		statusClass:   reg.StatusClasses("gateway.status"),
-		probeDone:     make(chan struct{}),
 	}
 	g.routes()
-	ctx, cancel := context.WithCancel(context.Background())
-	g.probeCancel = cancel
-	go func() {
-		defer close(g.probeDone)
-		g.health.Run(ctx, cfg.ProbeInterval)
-	}()
 	return g, nil
 }
 
 // Registry returns the gateway's metrics registry.
 func (g *Gateway) Registry() *telemetry.Registry { return g.reg }
 
-// Health returns the gateway's member-liveness tracker.
-func (g *Gateway) Health() *Health { return g.health }
+// Replication returns R as the gateway resolved it: the configured value or
+// DefaultReplication, clamped to the member count.
+func (g *Gateway) Replication() int { return g.cfg.Replication }
 
 // Quiesce blocks until every in-flight upload fan-out copy has finished —
 // the E2E harness's way of asserting on replica state without sleeping.
 func (g *Gateway) Quiesce() { g.fanWG.Wait() }
 
-// Close stops the health prober and waits for the upload fan-out to drain.
-func (g *Gateway) Close() {
-	g.probeCancel()
-	<-g.probeDone
-	g.fanWG.Wait()
-}
+// Close waits for the upload fan-out to drain, the gateway's only work
+// that outlives a request.
+func (g *Gateway) Close() { g.fanWG.Wait() }
 
 // gwHandler is one gateway endpoint; route is its metrics and log label.
 type gwHandler func(w *gwStatusWriter, r *http.Request, route string)
@@ -178,7 +174,7 @@ func (g *Gateway) routes() {
 	})
 	handle("GET /readyz", "readyz", func(w *gwStatusWriter, r *http.Request, _ string) {
 		w.Header().Set("Content-Type", "application/json")
-		if g.health.AliveCount() == 0 {
+		if !slices.Contains(g.live.alive(g.ring.Members()), true) {
 			w.WriteHeader(http.StatusServiceUnavailable)
 			fmt.Fprintln(w, `{"status":"no members alive"}`)
 			return
@@ -269,38 +265,18 @@ func gwError(w http.ResponseWriter, code int, msg string) {
 	json.NewEncoder(w).Encode(map[string]string{"error": msg})
 }
 
-// aliveFirst returns ms with the members believed alive moved to the
-// front, ring order preserved within each group.
-func (g *Gateway) aliveFirst(ms []Member) []Member {
-	out := make([]Member, 0, len(ms))
-	for _, alive := range []bool{true, false} {
-		for _, m := range ms {
-			if g.health.Alive(m.Name) == alive {
-				out = append(out, m)
-			}
-		}
-	}
-	return out
-}
-
 // candidates returns the preference-ordered members for a read: the key's R
 // owners alive-first, then the live remainder of the ring as a last resort
 // — a read can be served by any node because nodes pull missing traces and
 // results from their peers.
 func (g *Gateway) candidates(key string) []Member {
-	succ := g.ring.Successors(key, g.ring.Len())
-	out := g.aliveFirst(succ[:g.cfg.Replication])
-	for _, m := range succ[g.cfg.Replication:] {
-		if g.health.Alive(m.Name) {
-			out = append(out, m)
-		}
-	}
-	return out
+	return g.live.route(g.ring.Successors(key, g.ring.Len()), g.cfg.Replication)
 }
 
 // send issues one gateway-to-member request: the member's base URL plus
 // uri, the inbound request's end-to-end headers (in may be nil), the request
-// id ctx carries, and the hop marker the node's access log reads.
+// id ctx carries, and the hop marker the node's access log reads. It records
+// the outcome in the member table, the one place liveness is learned.
 func (g *Gateway) send(ctx context.Context, method string, m Member, uri string, in http.Header, body []byte) (*http.Response, error) {
 	req, err := http.NewRequestWithContext(ctx, method, m.URL+uri, bytes.NewReader(body))
 	if err != nil {
@@ -309,7 +285,9 @@ func (g *Gateway) send(ctx context.Context, method string, m Member, uri string,
 	copyEndToEnd(req.Header, in)
 	req.Header.Set("X-Request-ID", telemetry.RequestID(ctx))
 	req.Header.Set("X-Charmd-Hop", "gateway")
-	return g.client.Do(req)
+	resp, err := g.client.Do(req)
+	g.live.observe(ctx, m.Name, err)
+	return resp, err
 }
 
 // copyEndToEnd copies headers across the proxy in either direction, leaving
@@ -347,11 +325,10 @@ func (g *Gateway) countNode(route, node string) {
 // forward is the gateway's one failover loop: it sends the inbound request
 // (body resent intact, so it must be buffered) to each candidate in turn on
 // the request's own context and returns the first response below 500. A
-// transport error marks the member dead until the prober readmits it; a 5xx
-// fails over without that (a draining or broken node answered, and the
-// prober owns liveness). When every candidate failed it answers 502 itself
-// and returns a nil response, as it does — silently — when the client has
-// gone away.
+// transport error (send has marked the member down) and a 5xx (a draining
+// or broken node answered, so it stays up) both fail over. When every
+// candidate failed it answers 502 itself and returns a nil response, as it
+// does — silently — when the client has gone away.
 func (g *Gateway) forward(w http.ResponseWriter, r *http.Request, candidates []Member, body []byte) (*http.Response, Member) {
 	lastErr := "no members"
 	for _, m := range candidates {
@@ -361,7 +338,6 @@ func (g *Gateway) forward(w http.ResponseWriter, r *http.Request, candidates []M
 			if r.Context().Err() != nil {
 				return nil, Member{}
 			}
-			g.health.MarkDead(m.Name)
 			lastErr = err.Error()
 		case resp.StatusCode >= 500:
 			lastErr = m.Name + ": " + resp.Status
@@ -459,7 +435,7 @@ func (g *Gateway) handleUpload(w *gwStatusWriter, r *http.Request, route string)
 		return
 	}
 	owners := g.ring.Successors(tracefile.DigestBytes(body), g.cfg.Replication)
-	resp, winner := g.forward(w, r, g.aliveFirst(owners), body)
+	resp, winner := g.forward(w, r, g.live.route(owners, len(owners)), body)
 	if resp == nil {
 		return
 	}
@@ -511,16 +487,12 @@ func (g *Gateway) handleList(w *gwStatusWriter, r *http.Request, route string) {
 	merged := make(map[string]listEntry)
 	var wg sync.WaitGroup
 	answered := false
-	for _, m := range g.ring.Members() {
-		if !g.health.Alive(m.Name) {
-			continue
-		}
+	for _, m := range g.live.route(g.ring.Members(), 0) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			resp, err := g.send(r.Context(), http.MethodGet, m, "/v1/traces", nil, nil)
 			if err != nil {
-				g.health.MarkDead(m.Name)
 				return
 			}
 			defer resp.Body.Close()
@@ -563,6 +535,7 @@ func (g *Gateway) handleList(w *gwStatusWriter, r *http.Request, route string) {
 // handleProm serves the gateway's own metrics with node="gateway", so one
 // scrape config covers the whole cluster with distinguishable series.
 func (g *Gateway) handleProm(w *gwStatusWriter, r *http.Request, route string) {
+	g.live.alive(g.ring.Members()) // brings cluster.members_alive up to now
 	w.Header().Set("Content-Type", telemetry.PromContentType)
 	telemetry.WritePrometheusLabels(w, g.reg, map[string]string{"node": "gateway"})
 	telemetry.WriteGoRuntimeMetrics(w)
@@ -599,7 +572,8 @@ func (g *Gateway) handleCluster(w *gwStatusWriter, r *http.Request, route string
 		}
 		byNode[node][rt] += v
 	}
-	status := g.health.Snapshot()
+	ms := g.ring.Members()
+	up := g.live.alive(ms)
 	type memberJSON struct {
 		Name            string           `json:"name"`
 		URL             string           `json:"url"`
@@ -613,16 +587,16 @@ func (g *Gateway) handleCluster(w *gwStatusWriter, r *http.Request, route string
 		Routes      map[string]int64 `json:"routes"`
 		Members     []memberJSON     `json:"members"`
 	}{Replication: g.cfg.Replication, Routes: routes}
-	for _, ms := range status {
+	for i, m := range ms {
 		var total int64
-		for _, v := range byNode[ms.Name] {
+		for _, v := range byNode[m.Name] {
 			total += v
 		}
 		out.Members = append(out.Members, memberJSON{
-			Name: ms.Name, URL: ms.URL, Alive: ms.Alive,
-			OwnedShare:      float64(shares[ms.Name]) / probes,
+			Name: m.Name, URL: m.URL, Alive: up[i],
+			OwnedShare:      float64(shares[m.Name]) / probes,
 			Requests:        total,
-			RequestsByRoute: byNode[ms.Name],
+			RequestsByRoute: byNode[m.Name],
 		})
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -660,7 +634,6 @@ func (g *Gateway) handleNodePassthrough(w *gwStatusWriter, r *http.Request, rout
 	}
 	resp, err := g.send(r.Context(), http.MethodGet, target, uri, r.Header, nil)
 	if err != nil {
-		g.health.MarkDead(name)
 		gwError(w, http.StatusBadGateway, err.Error())
 		return
 	}

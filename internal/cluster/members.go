@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"net/url"
 	"strings"
+	"unicode"
 )
 
 // ParsePeers parses the -peers flag format: a comma-separated list of
@@ -55,11 +56,13 @@ func validateMembers(members []Member) error {
 			return fmt.Errorf("cluster: duplicate member name %q", m.Name)
 		}
 		seen[m.Name] = true
+		// Spaces go with the slashes: "http://a/ /" is "http://a", not a
+		// base URL ending in a space.
+		m.URL = strings.TrimRightFunc(m.URL, func(r rune) bool { return r == '/' || unicode.IsSpace(r) })
 		u, err := url.Parse(m.URL)
 		if err != nil || (u.Scheme != "http" && u.Scheme != "https") || u.Host == "" {
 			return fmt.Errorf("cluster: member %q has invalid url %q", m.Name, m.URL)
 		}
-		m.URL = strings.TrimRight(m.URL, "/")
 	}
 	return nil
 }

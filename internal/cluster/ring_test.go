@@ -2,6 +2,9 @@ package cluster
 
 import (
 	"fmt"
+	"net/url"
+	"slices"
+	"strings"
 	"testing"
 )
 
@@ -138,4 +141,43 @@ func TestParsePeers(t *testing.T) {
 			t.Fatalf("ParsePeers(%q) accepted", bad)
 		}
 	}
+}
+
+// FuzzParsePeers: the -peers parser never panics, and every list it accepts
+// is one the ring and the gateway can use — at least one member, unique
+// non-empty names free of '/', space and tab, absolute http(s) URLs with no
+// trailing '/' — and writes back as name=url,… to the same list.
+func FuzzParsePeers(f *testing.F) {
+	f.Add("n0=http://127.0.0.1:8081,n1=http://127.0.0.1:8082,n2=http://127.0.0.1:8083")
+	f.Add("n0=http://a:1, n1=http://b:2 ,n2=http://c:3/")
+	f.Add("n0=http://a/ /") // was kept as "http://a/ ", which writes back as "http://a"
+	for _, bad := range []string{"", "justaname", "n0=notaurl", "n0=http://a:1,n0=http://b:2", "a b=http://x:1"} {
+		f.Add(bad)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		ms, err := ParsePeers(s)
+		if err != nil {
+			return
+		}
+		if len(ms) == 0 {
+			t.Fatalf("ParsePeers(%q) accepted an empty list", s)
+		}
+		seen := make(map[string]bool, len(ms))
+		parts := make([]string, len(ms))
+		for i, m := range ms {
+			if m.Name == "" || strings.ContainsAny(m.Name, "/ \t") || seen[m.Name] {
+				t.Fatalf("ParsePeers(%q): bad or repeated name %q", s, m.Name)
+			}
+			seen[m.Name] = true
+			u, err := url.Parse(m.URL)
+			if err != nil || (u.Scheme != "http" && u.Scheme != "https") || u.Host == "" || strings.HasSuffix(m.URL, "/") {
+				t.Fatalf("ParsePeers(%q): member %q has URL %q", s, m.Name, m.URL)
+			}
+			parts[i] = m.Name + "=" + m.URL
+		}
+		again, err := ParsePeers(strings.Join(parts, ","))
+		if err != nil || !slices.Equal(again, ms) {
+			t.Fatalf("ParsePeers(%q) = %+v writes back to %+v, %v", s, ms, again, err)
+		}
+	})
 }

@@ -42,9 +42,8 @@ type Structure struct {
 	// Trace is the trace the structure was extracted from or decoded against.
 	// It is nil for a structure decoded against a table alone
 	// (DecodeStructureTable) or detached from its trace (WithoutTrace): every
-	// view of the structure reads Table(), and only the accessors that
-	// genuinely need serial blocks (StepSpanOfBlock, Validate, package viz,
-	// metrics.BlockMetric) require Trace and say so.
+	// view of the structure reads Table(), and only what genuinely needs
+	// serial blocks (Validate, package viz) requires Trace and says so.
 	Trace  *trace.Trace
 	Opts   Options
 	Phases []Phase
@@ -252,26 +251,6 @@ func (s *Structure) PhaseOfEvent(e trace.EventID) *Phase {
 
 // StepOf returns the global step of an event.
 func (s *Structure) StepOf(e trace.EventID) int32 { return s.Step[e] }
-
-// StepSpanOfBlock returns the smallest and largest global steps of a serial
-// block's events, and false if the block has no dependency events. It reads
-// serial blocks, so it requires s.Trace.
-func (s *Structure) StepSpanOfBlock(b trace.BlockID) (int32, int32, bool) {
-	blk := &s.Trace.Blocks[b]
-	if len(blk.Events) == 0 {
-		return 0, 0, false
-	}
-	lo, hi := s.Step[blk.Events[0]], s.Step[blk.Events[0]]
-	for _, e := range blk.Events[1:] {
-		if s.Step[e] < lo {
-			lo = s.Step[e]
-		}
-		if s.Step[e] > hi {
-			hi = s.Step[e]
-		}
-	}
-	return lo, hi, true
-}
 
 // PhasesAtLeap groups phase indices by leap.
 func (s *Structure) PhasesAtLeap() [][]int32 {

@@ -45,32 +45,6 @@ func TestResultAccessors(t *testing.T) {
 	}
 }
 
-func TestStepSpanOfBlock(t *testing.T) {
-	tr := barrierTrace(t, 4)
-	s, err := Extract(tr, DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for bi := range tr.Blocks {
-		blk := &tr.Blocks[bi]
-		lo, hi, ok := s.StepSpanOfBlock(blk.ID)
-		if !ok {
-			if len(blk.Events) != 0 {
-				t.Fatalf("block %d has events but no span", bi)
-			}
-			continue
-		}
-		if lo > hi {
-			t.Fatalf("block %d span inverted", bi)
-		}
-		for _, e := range blk.Events {
-			if s.Step[e] < lo || s.Step[e] > hi {
-				t.Fatalf("block %d event %d step %d outside span [%d,%d]", bi, e, s.Step[e], lo, hi)
-			}
-		}
-	}
-}
-
 func TestStepSpanOfEmptyBlock(t *testing.T) {
 	b := trace.NewBuilder(1)
 	e := b.AddEntry("noop")
@@ -81,9 +55,6 @@ func TestStepSpanOfEmptyBlock(t *testing.T) {
 	s, err := Extract(tr, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
-	}
-	if _, _, ok := s.StepSpanOfBlock(0); ok {
-		t.Fatal("empty block reported a step span")
 	}
 	if s.NumPhases() != 0 {
 		t.Fatalf("event-free trace produced %d phases", s.NumPhases())

@@ -204,17 +204,3 @@ func Lateness(s *core.Structure) []trace.Time {
 	}
 	return out
 }
-
-// BlockMetric aggregates a per-event metric to serial blocks by taking each
-// block's maximum. Blocks are not part of the trace table, so this takes
-// the trace itself.
-func BlockMetric(tr *trace.Trace, perEvent []trace.Time) map[trace.BlockID]trace.Time {
-	out := make(map[trace.BlockID]trace.Time)
-	for e, d := range perEvent {
-		b := tr.Events[e].Block
-		if d > out[b] {
-			out[b] = d
-		}
-	}
-	return out
-}

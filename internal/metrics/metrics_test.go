@@ -242,15 +242,6 @@ func TestImbalance(t *testing.T) {
 	}
 }
 
-func TestBlockMetricTakesMax(t *testing.T) {
-	tr := twoChareTrace(t)
-	dur := tr.Table().SubDur
-	byBlock := BlockMetric(tr, dur)
-	if byBlock[1] != 70 {
-		t.Fatalf("block 1 metric = %d, want max sub-block 70", byBlock[1])
-	}
-}
-
 // Property: sub-block durations are always non-negative and sum to block
 // durations on randomized traces.
 func TestSubBlockInvariantRandom(t *testing.T) {

@@ -321,8 +321,8 @@ func (s *Server) routes() {
 	})
 	handle("GET /readyz", "readyz", func(w http.ResponseWriter, r *http.Request) {
 		// Readiness differs from liveness exactly during drain: a closing
-		// node answers /healthz but tells the gateway's prober to route
-		// around it here.
+		// node answers /healthz but tells a load balancer to route around
+		// it here.
 		w.Header().Set("Content-Type", "application/json")
 		if s.closing.Load() {
 			w.WriteHeader(http.StatusServiceUnavailable)
