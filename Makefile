@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test verify lint fuzz-smoke bench-lod bench-steps bench-batch bench-codec bench-wire bench-smoke bench-repo fmt loc knobs prefix-sums serve cluster
+.PHONY: build test verify lint fuzz-smoke doc-flags bench-lod bench-steps bench-batch bench-codec bench-wire bench-smoke bench-repo fmt loc knobs prefix-sums serve cluster
 
 build:
 	$(GO) build ./...
@@ -45,8 +45,11 @@ lint:
 # over random key columns (FuzzGroup) — and the one varint reader against
 # encoding/binary, over a whole slice and through a refilled window
 # (FuzzVarint) — and the -peers parser, whose accepted lists must be usable
-# and write back to themselves (FuzzParsePeers). Their seed corpora replay on
-# every plain `go test`; this leg is not in tier-1.
+# and write back to themselves (FuzzParsePeers) — and the query and LOD spec
+# parsers charmd and `structure -render query|lod -spec` feed, whose GET
+# parameter and JSON forms must agree (FuzzQuerySpec, FuzzStepRange,
+# FuzzLodSpec). Their seed corpora replay on every plain `go test`; this leg
+# is not in tier-1.
 fuzz-smoke:
 	@for t in FuzzRead FuzzReadAuto FuzzReadProjections FuzzReadTable; do \
 		$(GO) test -run '^$$' -fuzz="^$$t\$$" -fuzztime=10s -fuzzminimizetime=1s ./internal/tracefile || exit 1; \
@@ -58,6 +61,40 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz='^FuzzGroup$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/flat
 	$(GO) test -run '^$$' -fuzz='^FuzzVarint$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/varint
 	$(GO) test -run '^$$' -fuzz='^FuzzParsePeers$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/cluster
+	@for t in FuzzQuerySpec FuzzStepRange; do \
+		$(GO) test -run '^$$' -fuzz="^$$t\$$" -fuzztime=10s -fuzzminimizetime=1s ./internal/query || exit 1; \
+	done
+	$(GO) test -run '^$$' -fuzz='^FuzzLodSpec$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/lod
+
+# doc-flags is a gate (CI's verify job): every `go run ./cmd/<bin> ...` and
+# `/tmp/<bin> ...` command line in the docs below is held to `<bin> -h`: the
+# cmd/<bin> a `go run` names must exist, and each -flag token before the
+# first #, |, >, ;, & or backtick must be a flag the binary lists, so a
+# renamed or deleted flag or command cannot stay documented. Each binary is
+# built once, as for `make knobs`.
+DOCFILES ?= README.md .claude/skills/verify/SKILL.md
+doc-flags:
+	@tmp=$$(mktemp -d); trap 'rm -rf $$tmp' EXIT; bad=0; \
+	for d in cmd/*; do \
+		b=$${d#cmd/}; $(GO) build -o $$tmp/$$b ./$$d || exit 1; \
+		$$tmp/$$b -h 2>&1 | sed -n 's/^  -\([a-z0-9-]*\).*/\1/p' > $$tmp/$$b.flags; \
+	done; \
+	set -f; for f in $(DOCFILES); do \
+		grep -nEo '(go run \./cmd/|/tmp/)[a-z-]+[^#|>;&`]*' $$f > $$tmp/lines || continue; \
+		while IFS= read -r line; do \
+			n=$${line%%:*}; cmd=$${line#*:}; b=$${cmd#go run ./cmd/}; b=$${b#/tmp/}; b=$${b%% *}; \
+			if [ ! -f $$tmp/$$b.flags ]; then \
+				case $$cmd in go*) echo "$$f:$$n: there is no cmd/$$b"; bad=1;; esac; continue; \
+			fi; \
+			cmd=$${cmd#*$$b}; \
+			for tok in $$cmd; do \
+				case $$tok in -[a-z]*|--[a-z]*) ;; *) continue;; esac; \
+				flag=$${tok#-}; flag=$${flag#-}; flag=$${flag%%=*}; \
+				grep -qx -- "$$flag" $$tmp/$$b.flags || { echo "$$f:$$n: $$b has no -$$flag"; bad=1; }; \
+			done; \
+		done < $$tmp/lines; \
+	done; \
+	[ $$bad = 0 ] && echo "doc-flags: every documented flag exists"
 
 # bench-smoke runs the repository benchmark (bench/, BENCHMARK.json) at toy
 # sizes in about ten seconds: all four workloads, real child processes,

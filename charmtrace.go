@@ -187,11 +187,11 @@ func BuildProfile(tr *Trace) *ProfileReport { return profile.Build(tr) }
 // shifted by offsets[p], modelling unsynchronized per-processor clocks.
 func InjectSkew(tr *Trace, offsets []Time) (*Trace, error) { return skew.Inject(tr, offsets) }
 
-// SkewViolations counts receives recorded less than minGap after their
-// matching sends — the causal inconsistencies clock skew introduces. The
-// trace must be indexed (ReadTrace, TraceBuilder.Finish and Extract index
-// it): on a trace never indexed no receive matches its send, and the count
-// is 0.
+// SkewViolations counts cross-processor receives recorded less than minGap
+// after their matching sends — the causal inconsistencies clock skew
+// introduces (skew cannot break a same-processor message). The trace must be
+// indexed (ReadTrace, TraceBuilder.Finish and Extract index it): on a trace
+// never indexed no receive matches its send, and the count is 0.
 func SkewViolations(tr *Trace, minGap Time) int { return skew.Violations(tr, minGap) }
 
 // CorrectSkew recovers per-processor clock offsets restoring the causal

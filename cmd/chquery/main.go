@@ -1,14 +1,16 @@
-// Command chquery runs structure queries — indexed slicing, aggregation
-// and paging over a trace's recovered logical structure — against a local
-// trace file, a generated workload, or a remote charmd server.
+// Command chquery is the charmd client: it runs structure queries —
+// indexed slicing, aggregation and paging over a trace's recovered logical
+// structure — and level-of-detail requests against a remote charmd (or a
+// charm-gateway in front of several). The same specs run locally, over a
+// trace file or a generated workload, as `structure -render query|lod`.
 //
 // Usage:
 //
-//	chquery -app jacobi -select steps -chares 1,3 -steps 9..40
-//	chquery -in run.trace -select metrics -group-by chare -aggs count,sum
-//	chquery -app lulesh -select viz -steps 0..60
 //	chquery -server http://localhost:8080 -digest <digest> -select structure
-//	chquery -app jacobi -spec '{"select":"steps","limit":10}'
+//	chquery -server <url> -digest <digest> -select steps -chares 1,3 -steps 9..40
+//	chquery -server <url> -digest <digest> -select metrics -group-by chare -aggs count,sum
+//	chquery -server <url> -digest <digest> -spec '{"select":"steps","limit":10}'
+//	chquery -server <url> -digest <digest> -lod -resolution 64
 //
 // The filter flags mirror the charmd GET parameters; -spec takes a raw
 // JSON query spec instead (prefix @ to read it from a file). -limit pages
@@ -17,18 +19,18 @@ package main
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"net/http"
 	"net/url"
 	"os"
+	"strconv"
 	"strings"
 
 	"charmtrace/internal/cli"
-	"charmtrace/internal/core"
 	"charmtrace/internal/lod"
 	"charmtrace/internal/query"
 )
@@ -40,9 +42,9 @@ func main() {
 	}
 }
 
-// page is the wire/output shape: a superset of the charmd query response.
-// Rows are kept as the bytes each was rendered to, local or remote, so -all
-// can concatenate pages without re-reading a number.
+// page is the wire/output shape of one charmd query response. Rows are kept
+// as the bytes the server rendered, so -all can concatenate pages without
+// re-reading a number.
 type page struct {
 	Digest      string            `json:"digest,omitempty"`
 	Fingerprint string            `json:"fingerprint,omitempty"`
@@ -54,11 +56,9 @@ type page struct {
 }
 
 func run() error {
-	input := cli.NewInput(flag.CommandLine)
-	server := flag.String("server", "", "query a remote charmd at this base URL (requires -digest)")
-	digest := flag.String("digest", "", "trace digest on the remote server")
-	flag.BoolVar(&input.MP, "mp", false, "message-passing analysis options (remote: preset=mp)")
-	parallelism := flag.Int("parallelism", 0, "extraction worker count for local mode (0 = all cores; output is identical)")
+	server := flag.String("server", "", "base URL of the charmd (or charm-gateway) to query; requires -digest")
+	digest := flag.String("digest", "", "trace digest on the server")
+	mp := flag.Bool("mp", false, "message-passing analysis options (preset=mp)")
 
 	sel := flag.String("select", "structure", "row kind: structure | steps | metrics | viz")
 	phases := flag.String("phases", "", "filter: comma-separated phase ids")
@@ -71,7 +71,7 @@ func run() error {
 	cursor := flag.String("cursor", "", "resume after this page cursor")
 	all := flag.Bool("all", false, "follow cursors and print the concatenated result")
 	rawSpec := flag.String("spec", "", "raw JSON query spec (@file to read from a file); overrides the filter flags")
-	retries := flag.Int("retries", 3, "remote mode: extra attempts after a 429 or 503 (Retry-After honored, exponential backoff otherwise)")
+	retries := flag.Int("retries", 3, "extra attempts after a 429 or 503 (Retry-After honored, exponential backoff otherwise)")
 	lodMode := flag.Bool("lod", false, "level-of-detail aggregation instead of a query (uses -resolution, -steps, -max-rows, -max-edges, -render)")
 	resolution := flag.String("resolution", "", "-lod: bucket budget, a positive integer or \"native\" (default native)")
 	maxRows := flag.Int("max-rows", 0, "-lod: cap cluster rows; past it the smallest clusters merge into one overflow row")
@@ -79,13 +79,37 @@ func run() error {
 	render := flag.Bool("render", false, "-lod: include the clustered text render (native resolution only)")
 	flag.Parse()
 
-	cfg := fetcherConfig{
-		input: input, server: *server, digest: *digest,
-		parallelism: *parallelism, retries: *retries,
+	switch {
+	case *server == "":
+		return errors.New("-server is required: chquery only talks to charmd; for a trace file or workload run structure -render query|lod -spec <json|@file>")
+	case *digest == "":
+		return errors.New("-server requires -digest")
 	}
+	// target is the URL of one of the digest's analysis endpoints.
+	target := func(endpoint string) string {
+		t := strings.TrimSuffix(*server, "/") + "/v1/traces/" + *digest + "/" + endpoint
+		if *mp {
+			t += "?preset=mp"
+		}
+		return t
+	}
+	rt := newRetrier(*retries)
 
 	if *lodMode {
-		return runLod(cfg, *resolution, *steps, *maxRows, *maxEdges, *render)
+		// The -lod flags go through the GET parameter grammar of charmd's /lod.
+		sp, err := lod.SpecFromParams(url.Values{
+			"resolution": {*resolution}, "steps": {*steps}, "render": {strconv.FormatBool(*render)},
+			"max_rows": {strconv.Itoa(*maxRows)}, "max_edges": {strconv.Itoa(*maxEdges)},
+		})
+		if err != nil {
+			return err
+		}
+		data, err := post(target("lod"), sp, rt)
+		if err != nil {
+			return err
+		}
+		_, err = os.Stdout.Write(data)
+		return err
 	}
 
 	spec, err := buildSpec(*rawSpec, *sel, *phases, *chares, *steps, *groupBy, *aggs, *fields, *limit, *cursor)
@@ -97,18 +121,13 @@ func run() error {
 		spec.Limit = 1000
 	}
 
-	fetch, err := newFetcher(cfg)
-	if err != nil {
-		return err
-	}
-
-	out, err := fetch(spec)
+	out, err := postPage(target("query"), spec, rt)
 	if err != nil {
 		return err
 	}
 	for *all && out.NextCursor != "" {
 		spec.Cursor = out.NextCursor
-		next, err := fetch(spec)
+		next, err := postPage(target("query"), spec, rt)
 		if err != nil {
 			return err
 		}
@@ -128,14 +147,11 @@ func run() error {
 // individual filter flags (which reuse the charmd GET parameter grammar).
 func buildSpec(raw, sel, phases, chares, steps, groupBy, aggs, fields string, limit int, cursor string) (query.Spec, error) {
 	if raw != "" {
-		if path, ok := strings.CutPrefix(raw, "@"); ok {
-			data, err := os.ReadFile(path)
-			if err != nil {
-				return query.Spec{}, err
-			}
-			raw = string(data)
+		r, err := cli.SpecArg(raw)
+		if err != nil {
+			return query.Spec{}, err
 		}
-		return query.ParseSpec(strings.NewReader(raw))
+		return query.ParseSpec(r)
 	}
 	v := url.Values{}
 	set := func(k, val string) {
@@ -153,142 +169,13 @@ func buildSpec(raw, sel, phases, chares, steps, groupBy, aggs, fields string, li
 	if limit > 0 {
 		v.Set("limit", fmt.Sprint(limit))
 	}
-	spec, used, err := query.SpecFromParams(sel, v)
+	// With no filter flag the spec is {select} alone, which SpecFromParams
+	// leaves unchecked.
+	spec, _, err := query.SpecFromParams(sel, v)
 	if err != nil {
-		return query.Spec{}, err
+		return spec, err
 	}
-	if !used {
-		spec = query.Spec{Select: sel}
-		if err := spec.Validate(); err != nil {
-			return query.Spec{}, err
-		}
-	}
-	return spec, nil
-}
-
-type fetcherConfig struct {
-	input          *cli.Input
-	server, digest string
-	parallelism    int
-	retries        int
-}
-
-// remoteTarget is the URL of one of the digest's analysis endpoints on the
-// remote charmd.
-func (cfg fetcherConfig) remoteTarget(endpoint string) (string, error) {
-	if cfg.digest == "" {
-		return "", fmt.Errorf("-server requires -digest")
-	}
-	target := strings.TrimSuffix(cfg.server, "/") + "/v1/traces/" + cfg.digest + "/" + endpoint
-	if cfg.input.MP {
-		target += "?preset=mp"
-	}
-	return target, nil
-}
-
-// newFetcher resolves the query target into a page-fetching function:
-// either one POST per page against a remote charmd, or an in-process
-// engine over a locally extracted (and indexed, once) structure.
-func newFetcher(cfg fetcherConfig) (func(query.Spec) (*page, error), error) {
-	if cfg.server != "" {
-		target, err := cfg.remoteTarget("query")
-		if err != nil {
-			return nil, err
-		}
-		rt := newRetrier(cfg.retries)
-		return func(spec query.Spec) (*page, error) { return postPage(target, spec, rt) }, nil
-	}
-
-	s, opt, err := loadLocal(cfg)
-	if err != nil {
-		return nil, err
-	}
-	idx := query.BuildIndex(s)
-	fp := opt.Fingerprint()
-	return func(spec query.Spec) (*page, error) {
-		res, err := query.Run(context.Background(), idx, spec)
-		if err != nil {
-			return nil, err
-		}
-		rendered, err := json.Marshal(res)
-		if err != nil {
-			return nil, err
-		}
-		p := &page{Fingerprint: fp}
-		return p, json.Unmarshal(rendered, p)
-	}, nil
-}
-
-// loadLocal resolves -in/-app into an extracted structure — the shared
-// local-mode front of the query and LOD paths.
-func loadLocal(cfg fetcherConfig) (*core.Structure, core.Options, error) {
-	if cfg.input.In == "" && cfg.input.App == "" {
-		return nil, core.Options{}, fmt.Errorf("need -in <file>, -app <workload> or -server <url>; workloads:\n%s", cli.Describe())
-	}
-	tr, opt, err := cfg.input.Load()
-	if err != nil {
-		return nil, opt, err
-	}
-	opt.Parallelism = cfg.parallelism
-	ctx, stopSignals := cli.SignalContext(context.Background())
-	opt.Context = ctx
-	s, err := core.Extract(tr, opt)
-	stopSignals()
-	if err != nil {
-		return nil, opt, err
-	}
-	return s, opt, nil
-}
-
-// runLod executes one level-of-detail request: remotely via
-// POST /v1/traces/{digest}/lod, or locally by building the pyramid over a
-// freshly extracted structure. Either way the response JSON goes to stdout.
-func runLod(cfg fetcherConfig, resolution, steps string, maxRows, maxEdges int, render bool) error {
-	sp := lod.Spec{MaxRows: maxRows, MaxEdges: maxEdges, Render: render}
-	var err error
-	if sp.Resolution, err = lod.ParseResolution(resolution); err != nil {
-		return err
-	}
-	if steps != "" {
-		v := url.Values{}
-		v.Set("steps", steps)
-		parsed, err := lod.SpecFromParams(v)
-		if err != nil {
-			return err
-		}
-		sp.Steps = parsed.Steps
-	}
-	if err := sp.Validate(); err != nil {
-		return err
-	}
-
-	if cfg.server != "" {
-		target, err := cfg.remoteTarget("lod")
-		if err != nil {
-			return err
-		}
-		data, err := post(target, sp, newRetrier(cfg.retries))
-		if err != nil {
-			return err
-		}
-		_, err = os.Stdout.Write(data)
-		return err
-	}
-
-	s, opt, err := loadLocal(cfg)
-	if err != nil {
-		return err
-	}
-	res, err := lod.Build(s, nil).Query(sp, nil)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	return enc.Encode(struct {
-		Fingerprint string `json:"fingerprint"`
-		*lod.Result
-	}{Fingerprint: opt.Fingerprint(), Result: res})
+	return spec, spec.Validate()
 }
 
 // postPage fetches one page from a charmd query endpoint.

@@ -1,6 +1,7 @@
-// Command structure recovers and displays the logical structure of a trace,
-// reports a §4 metric over it, or prints the trace's Projections-style
-// profile.
+// Command structure is the offline analysis command: it recovers and
+// displays the logical structure of a trace, reports a §4 metric over it,
+// prints the trace's Projections-style profile, writes the trace itself, or
+// answers one charmd query or LOD spec over it locally.
 //
 // Usage:
 //
@@ -11,10 +12,15 @@
 //	structure -app lulesh -no-infer            # the Figure 17 ablation
 //	structure -app jacobi-slow -metric differential -render metric
 //	structure -app lulesh -from 1000 -to 20000 -render profile
+//	structure -app jacobi -render trace -format binary > jacobi.trace
+//	structure -in run.trace -render query -spec '{"select":"steps","limit":10}'
+//	structure -app jacobi -render lod -spec '{"resolution":8}'
+//	structure -list                            # the workloads -app knows
 package main
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -26,9 +32,12 @@ import (
 	"charmtrace/internal/charegroup"
 	"charmtrace/internal/cli"
 	"charmtrace/internal/core"
+	"charmtrace/internal/lod"
 	"charmtrace/internal/metrics"
 	"charmtrace/internal/profile"
+	"charmtrace/internal/query"
 	"charmtrace/internal/trace"
+	"charmtrace/internal/tracefile"
 	"charmtrace/internal/viz"
 )
 
@@ -40,8 +49,12 @@ func main() {
 }
 
 var (
-	renders     = []string{"summary", "logical", "clustered", "physical", "both", "metric", "profile"}
+	renders     = []string{"summary", "logical", "clustered", "physical", "both", "metric", "profile", "trace", "query", "lod"}
 	metricNames = []string{"differential", "idle", "imbalance", "lateness"}
+	// writers are the -render trace encodings.
+	writers = map[string]func(io.Writer, *trace.Trace) error{
+		"text": tracefile.Write, "binary": tracefile.WriteBinary, "projections": tracefile.WriteProjections,
+	}
 	// extract is core.Extract; tests swap it to see which outputs extract.
 	extract = core.Extract
 )
@@ -52,7 +65,10 @@ func run(args []string, stdout io.Writer) error {
 	fs.BoolVar(&input.MP, "mp", false, "treat a file input as a message-passing trace")
 	noReorder := fs.Bool("no-reorder", false, "step events in recorded order (disable §3.2.1)")
 	noInfer := fs.Bool("no-infer", false, "disable §3.1.4 dependency inference (Figure 17)")
-	render := fs.String("render", "summary", "output: summary | logical | clustered | physical | both | metric (the -metric grid) | profile (per-entry profile; no extraction)")
+	list := fs.Bool("list", false, "list the workloads -app generates")
+	render := fs.String("render", "summary", "output: summary | logical | clustered | physical | both | metric (the -metric grid) | profile (per-entry profile; no extraction) | trace (the trace in -format; no extraction) | query | lod (the -spec result as JSON)")
+	format := fs.String("format", "text", "-render trace encoding: text | binary | projections")
+	spec := fs.String("spec", "", "-render query|lod: the JSON body of charmd's POST .../query or .../lod (@file reads it from a file)")
 	metric := fs.String("metric", "", "also report a §4 metric: differential | idle | imbalance | lateness")
 	top := fs.Int("top", 10, "events to list for -metric")
 	svg := fs.String("svg", "", "also write an SVG rendering to this file")
@@ -62,16 +78,51 @@ func run(args []string, stdout io.Writer) error {
 	parallelism := fs.Int("parallelism", 0, "extraction worker count (0 = all cores, 1 = sequential; output is identical)")
 	tele := cli.NewTelemetry("structure", fs)
 	fs.Parse(args) // ExitOnError: a bad flag exits 2, -h exits 0
+	if *list {
+		fmt.Fprint(stdout, cli.Describe())
+		return nil
+	}
+	// trace, query and lod are machine-readable: nothing else goes to stdout.
+	specRender := *render == "query" || *render == "lod"
+	machine := specRender || *render == "trace"
 	switch {
 	case !slices.Contains(renders, *render):
 		return fmt.Errorf("unknown -render %q", *render)
 	case *metric != "" && !slices.Contains(metricNames, *metric):
 		return fmt.Errorf("unknown -metric %q", *metric)
+	case writers[*format] == nil:
+		return fmt.Errorf("unknown -format %q (want text, binary or projections)", *format)
 	case *render == "metric" && *metric == "":
 		return errors.New("-render metric needs -metric")
+	case machine && (*metric != "" || *svg != "" || *timing):
+		return fmt.Errorf("-render %s prints only its own output: -metric, -svg and -timing do not apply", *render)
+	case specRender && *spec == "":
+		return fmt.Errorf("-render %s needs -spec", *render)
+	case !specRender && *spec != "":
+		return errors.New("-spec needs -render query or -render lod")
+	}
+	var qspec query.Spec
+	var lspec lod.Spec
+	if specRender {
+		r, err := cli.SpecArg(*spec)
+		if err != nil {
+			return err
+		}
+		if *render == "query" {
+			qspec, err = query.ParseSpec(r)
+		} else if lspec, err = lod.ParseSpec(r); err == nil && lspec.Diff != "" {
+			err = errors.New("-render lod: a diff spec needs a second trace; ask charmd for the overlay")
+		}
+		if err != nil {
+			return err
+		}
 	}
 	if err := tele.Start(); err != nil {
 		return err
+	}
+	info := stdout
+	if machine {
+		info = os.Stderr
 	}
 
 	tr, opt, err := input.Load()
@@ -101,13 +152,24 @@ func run(args []string, stdout io.Writer) error {
 		if tr, err = trace.Window(tr, f, tt); err != nil {
 			return err
 		}
-		fmt.Fprintf(stdout, "window [%d, %d): %d blocks, %d events\n", f, tt, len(tr.Blocks), len(tr.Events))
+		fmt.Fprintf(info, "window [%d, %d): %d blocks, %d events\n", f, tt, len(tr.Blocks), len(tr.Events))
 	}
-	if *render == "profile" {
+	switch *render {
+	case "profile":
 		if windowed {
 			fmt.Fprintln(stdout)
 		}
 		fmt.Fprint(stdout, profile.Build(tr).String())
+		return tele.Close()
+	case "trace":
+		if err := writers[*format](stdout, tr); err != nil {
+			return err
+		}
+		name := input.App
+		if name == "" {
+			name = input.In
+		}
+		fmt.Fprintf(os.Stderr, "%s: %d chares, %d blocks, %d events\n", name, len(tr.Chares), len(tr.Blocks), len(tr.Events))
 		return tele.Close()
 	}
 
@@ -122,6 +184,34 @@ func run(args []string, stdout io.Writer) error {
 	}
 	if err := s.Validate(); err != nil {
 		return fmt.Errorf("invariant violation: %w", err)
+	}
+	// The local twins of charmd's POST .../query and .../lod: the same
+	// result, under the options' fingerprint.
+	var result any
+	switch *render {
+	case "query":
+		res, qerr := query.Run(context.Background(), query.BuildIndex(s), qspec)
+		result, err = struct {
+			Fingerprint string `json:"fingerprint"`
+			*query.Result
+		}{opt.Fingerprint(), res}, qerr
+	case "lod":
+		res, lerr := lod.Build(s, nil).Query(lspec, nil)
+		result, err = struct {
+			Fingerprint string `json:"fingerprint"`
+			*lod.Result
+		}{opt.Fingerprint(), res}, lerr
+	}
+	if err != nil {
+		return err
+	}
+	if result != nil {
+		enc := json.NewEncoder(stdout)
+		enc.SetIndent("", "  ")
+		if err := enc.Encode(result); err != nil {
+			return err
+		}
+		return tele.Close()
 	}
 
 	fmt.Fprintf(stdout, "events: %d   phases: %d   global steps: 0..%d\n",

@@ -1,16 +1,25 @@
 package main
 
 import (
+	"bytes"
+	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"charmtrace/internal/cli"
 	"charmtrace/internal/core"
+	"charmtrace/internal/lod"
 	"charmtrace/internal/metrics"
 	"charmtrace/internal/profile"
+	"charmtrace/internal/query"
 	"charmtrace/internal/trace"
+	"charmtrace/internal/tracefile"
 	"charmtrace/internal/viz"
 )
 
@@ -94,9 +103,225 @@ func TestUnknownValues(t *testing.T) {
 		{"-app", "jacobi", "-metric", "nope"},
 		{"-app", "jacobi", "-render", "nope"},
 		{"-app", "jacobi", "-render", "metric"},
+		{"-app", "jacobi", "-render", "trace", "-format", "nope"},
 	} {
 		if err := run(args, new(strings.Builder)); err == nil {
 			t.Errorf("structure %s: no error", strings.Join(args, " "))
 		}
+	}
+}
+
+// noExtract makes any extraction during the test an error.
+func noExtract(t *testing.T, what string) {
+	extract = func(*trace.Trace, core.Options) (*core.Structure, error) {
+		t.Errorf("%s extracted", what)
+		return nil, errors.New("no extraction expected")
+	}
+	t.Cleanup(func() { extract = core.Extract })
+}
+
+// TestRenderTrace: -render trace writes the generated trace (honouring
+// -no-reduction-tracing) in each -format byte for byte as the tracefile
+// writers do, without extracting; with -in it converts a file from one
+// format to another.
+func TestRenderTrace(t *testing.T) {
+	noExtract(t, "-render trace")
+	tr, _, err := cli.Generate("jacobi", cli.Params{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for format, write := range map[string]func(io.Writer, *trace.Trace) error{
+		"text": tracefile.Write, "binary": tracefile.WriteBinary, "projections": tracefile.WriteProjections,
+	} {
+		var want bytes.Buffer
+		if err := write(&want, tr); err != nil {
+			t.Fatal(err)
+		}
+		if got := runOut(t, "-app", "jacobi", "-render", "trace", "-format", format); got != want.String() {
+			t.Errorf("-format %s: %d bytes differ from the tracefile writer's %d", format, len(got), want.Len())
+		}
+	}
+
+	noRed, _, err := cli.Generate("jacobi", cli.Params{NoReductionTracing: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	if err := tracefile.Write(&want, noRed); err != nil {
+		t.Fatal(err)
+	}
+	if got := runOut(t, "-app", "jacobi", "-no-reduction-tracing", "-render", "trace"); got != want.String() {
+		t.Error("-no-reduction-tracing -render trace differs from the trace generated without reduction tracing")
+	}
+
+	path := filepath.Join(t.TempDir(), "jacobi.trace")
+	if err := tracefile.WriteFileBinary(path, tr); err != nil {
+		t.Fatal(err)
+	}
+	decoded, err := tracefile.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want.Reset()
+	if err := tracefile.Write(&want, decoded); err != nil {
+		t.Fatal(err)
+	}
+	if got := runOut(t, "-in", path, "-render", "trace", "-format", "text"); got != want.String() {
+		t.Error("-in <binary> -render trace -format text differs from tracefile.Write of the decoded trace")
+	}
+}
+
+// indented is the JSON the query and LOD renders print: the result under the
+// extraction options' fingerprint, indented by two spaces.
+func indented(t *testing.T, v any) string {
+	t.Helper()
+	var b strings.Builder
+	enc := json.NewEncoder(&b)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(v); err != nil {
+		t.Fatal(err)
+	}
+	return b.String()
+}
+
+func extracted(t *testing.T, app string) (*core.Structure, core.Options) {
+	t.Helper()
+	tr, opt, err := cli.Generate(app, cli.Params{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := core.Extract(tr, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s, opt
+}
+
+// TestRenderQuery: -render query -spec prints what query.Run answers over
+// the extracted structure, under the options' fingerprint.
+func TestRenderQuery(t *testing.T) {
+	s, opt := extracted(t, "jacobi")
+	idx := query.BuildIndex(s)
+	for _, spec := range []string{
+		`{"select":"structure"}`,
+		`{"select":"steps","filter":{"chares":[1,3],"steps":{"from":9,"to":40}},"fields":["event","step","chare"],"limit":7}`,
+		`{"select":"metrics","group_by":"chare"}`,
+		`{"select":"viz","filter":{"steps":{"from":4,"to":30}}}`,
+	} {
+		sp, err := query.ParseSpec(strings.NewReader(spec))
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := query.Run(context.Background(), idx, sp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := indented(t, struct {
+			Fingerprint string `json:"fingerprint"`
+			*query.Result
+		}{opt.Fingerprint(), res})
+		if got := runOut(t, "-app", "jacobi", "-render", "query", "-spec", spec); got != want {
+			t.Errorf("-spec %s:\n%s\nwant:\n%s", spec, got, want)
+		}
+	}
+}
+
+// TestRenderLod: -render lod -spec prints what the pyramid answers, and
+// reads the spec from a file after @.
+func TestRenderLod(t *testing.T) {
+	s, opt := extracted(t, "jacobi")
+	p := lod.Build(s, nil)
+	dir := t.TempDir()
+	for i, spec := range []string{
+		`{"resolution":"native","render":true}`,
+		`{"resolution":8}`,
+		`{"steps":{"from":5,"to":25},"max_rows":2}`,
+	} {
+		sp, err := lod.ParseSpec(strings.NewReader(spec))
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := p.Query(sp, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := indented(t, struct {
+			Fingerprint string `json:"fingerprint"`
+			*lod.Result
+		}{opt.Fingerprint(), res})
+		if got := runOut(t, "-app", "jacobi", "-render", "lod", "-spec", spec); got != want {
+			t.Errorf("-spec %s:\n%s\nwant:\n%s", spec, got, want)
+		}
+		file := filepath.Join(dir, fmt.Sprintf("lod%d.json", i))
+		if err := os.WriteFile(file, []byte(spec), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if got := runOut(t, "-app", "jacobi", "-render", "lod", "-spec", "@"+file); got != want {
+			t.Errorf("-spec @file (%s) differs from the inline spec", spec)
+		}
+	}
+}
+
+// TestMachineRenderRefusals: the trace, query and LOD renders print only
+// their own output, the query and LOD renders need a spec, a spec needs one
+// of them, and a LOD spec with a diff (a second trace) is refused.
+func TestMachineRenderRefusals(t *testing.T) {
+	noExtract(t, "a refused run")
+	for _, args := range [][]string{
+		{"-app", "jacobi", "-render", "trace", "-metric", "idle"},
+		{"-app", "jacobi", "-render", "trace", "-svg", "x.svg"},
+		{"-app", "jacobi", "-render", "trace", "-timing"},
+		{"-app", "jacobi", "-render", "query", "-spec", `{"select":"structure"}`, "-metric", "idle"},
+		{"-app", "jacobi", "-render", "query", "-spec", `{"select":"structure"}`, "-svg", "x.svg"},
+		{"-app", "jacobi", "-render", "lod", "-spec", `{}`, "-timing"},
+		{"-app", "jacobi", "-render", "query"},
+		{"-app", "jacobi", "-render", "lod"},
+		{"-app", "jacobi", "-spec", `{"select":"structure"}`},
+		{"-app", "jacobi", "-render", "trace", "-spec", `{}`},
+		{"-app", "jacobi", "-render", "lod", "-spec", `{"diff":"0000"}`},
+		{"-app", "jacobi", "-render", "query", "-spec", `{"select":"nope"}`},
+		{"-app", "jacobi", "-render", "lod", "-spec", "@" + filepath.Join(t.TempDir(), "missing.json")},
+	} {
+		if err := run(args, new(strings.Builder)); err == nil {
+			t.Errorf("structure %s: no error", strings.Join(args, " "))
+		}
+	}
+}
+
+// TestLocalFileDetectsMessagePassing is the regression for the per-command
+// loaders drifting apart: the lulesh-mpi trace read from a file with no -mp
+// is a §3.4 message-passing trace, so a local query over it must report the
+// 18 phases `structure -app lulesh-mpi` reports — it returned 44 while a
+// loader applied the Charm++ defaults to every file.
+func TestLocalFileDetectsMessagePassing(t *testing.T) {
+	tr, want, err := cli.Generate("lulesh-mpi", cli.Params{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "lulesh-mpi.trace")
+	if err := tracefile.WriteFileBinary(path, tr); err != nil {
+		t.Fatal(err)
+	}
+	var p struct {
+		Fingerprint string            `json:"fingerprint"`
+		TotalRows   int               `json:"total_rows"`
+		Rows        []json.RawMessage `json:"rows"`
+	}
+	out := runOut(t, "-in", path, "-render", "query", "-spec", `{"select":"structure"}`)
+	if err := json.Unmarshal([]byte(out), &p); err != nil {
+		t.Fatal(err)
+	}
+	if p.TotalRows != 18 || len(p.Rows) != 18 {
+		t.Errorf("structure rows = %d (%d returned), want 18", p.TotalRows, len(p.Rows))
+	}
+	if p.Fingerprint != want.Fingerprint() {
+		t.Errorf("fingerprint %s, want the workload's %s", p.Fingerprint, want.Fingerprint())
+	}
+}
+
+// TestList: -list prints the workload table and nothing else.
+func TestList(t *testing.T) {
+	if got := runOut(t, "-list"); got != cli.Describe() {
+		t.Errorf("-list printed:\n%s\nwant cli.Describe():\n%s", got, cli.Describe())
 	}
 }

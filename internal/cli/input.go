@@ -1,19 +1,22 @@
 package cli
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"strings"
 
 	"charmtrace/internal/core"
 	"charmtrace/internal/trace"
 	"charmtrace/internal/tracefile"
 )
 
-// Input is the trace-selection surface the offline tools share: -in reads a
-// trace file, -app generates a registered workload (tuned by -iters, -scale
-// and -seed). NewInput binds those five; a tool that extracts also binds its
-// own -mp to MP.
+// Input is the trace-selection surface of the offline command: -in reads a
+// trace file, -app generates a registered workload (tuned by -iters, -scale,
+// -seed and -no-reduction-tracing). NewInput binds those six; the command
+// binds its own -mp to MP.
 type Input struct {
 	In, App string
 	Params  Params
@@ -22,7 +25,8 @@ type Input struct {
 	MP bool
 }
 
-// NewInput registers -in, -app, -iters, -scale and -seed on fs.
+// NewInput registers -in, -app, -iters, -scale, -seed and
+// -no-reduction-tracing on fs.
 func NewInput(fs *flag.FlagSet) *Input {
 	in := &Input{}
 	fs.StringVar(&in.In, "in", "", "input trace file")
@@ -30,6 +34,7 @@ func NewInput(fs *flag.FlagSet) *Input {
 	fs.IntVar(&in.Params.Iterations, "iters", 0, "iteration override for -app")
 	fs.IntVar(&in.Params.Scale, "scale", 0, "size override for -app")
 	fs.Int64Var(&in.Params.Seed, "seed", 0, "seed override for -app")
+	fs.BoolVar(&in.Params.NoReductionTracing, "no-reduction-tracing", false, "disable the §5 reduction tracing additions for -app")
 	return in
 }
 
@@ -83,4 +88,14 @@ func looksMessagePassing(tr *trace.Trace) bool {
 		}
 	}
 	return len(tr.Blocks) > 0
+}
+
+// SpecArg resolves a -spec value into the spec's JSON: "@path" reads it from
+// a file, anything else is the JSON itself.
+func SpecArg(v string) (io.Reader, error) {
+	if path, ok := strings.CutPrefix(v, "@"); ok {
+		data, err := os.ReadFile(path)
+		return bytes.NewReader(data), err
+	}
+	return strings.NewReader(v), nil
 }

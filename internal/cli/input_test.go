@@ -8,12 +8,12 @@ import (
 	"charmtrace/internal/tracefile"
 )
 
-// TestInputFlagRegistration: NewInput binds the five trace-selection flags
+// TestInputFlagRegistration: NewInput binds the six trace-selection flags
 // and leaves -mp to the tools that extract.
 func TestInputFlagRegistration(t *testing.T) {
 	fs := flag.NewFlagSet("x", flag.ContinueOnError)
 	NewInput(fs)
-	for _, name := range []string{"in", "app", "iters", "scale", "seed"} {
+	for _, name := range []string{"in", "app", "iters", "scale", "seed", "no-reduction-tracing"} {
 		if fs.Lookup(name) == nil {
 			t.Errorf("NewInput did not register -%s", name)
 		}

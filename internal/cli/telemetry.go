@@ -40,7 +40,7 @@ func NewTelemetry(tool string, fs *flag.FlagSet) *Telemetry {
 }
 
 // NewProfiling registers only -cpuprofile/-memprofile, for tools with no
-// extraction pipeline to report on (tracegen, charmd).
+// extraction pipeline to report on (charmd).
 func NewProfiling(tool string, fs *flag.FlagSet) *Telemetry {
 	t := &Telemetry{Tool: tool, labels: make(map[string]string)}
 	fs.StringVar(&t.CPUProfile, "cpuprofile", "", "write a pprof CPU profile to this file")

@@ -152,6 +152,39 @@ func TestMetamorphicTimeShift(t *testing.T) {
 	}
 }
 
+// TestMetamorphicSubLatencySkew is the §3.2.1 premise under clock skew:
+// offsetting each processor's clock by less than the smallest cross-processor
+// message latency keeps every receive after its send, and must leave the
+// encoded structure byte-identical, for every draw.
+func TestMetamorphicSubLatencySkew(t *testing.T) {
+	for _, w := range Zoo() {
+		w := w
+		t.Run(w.Name, func(t *testing.T) {
+			t.Parallel()
+			tr := w.MustGen()
+			var base bytes.Buffer
+			if err := core.EncodeStructure(&base, extract(t, tr, w.Opts, 2)); err != nil {
+				t.Fatal(err)
+			}
+			for _, frac := range []float64{0.1, 0.5, 0.95} {
+				for seed := int64(1); seed <= 10; seed++ {
+					skewed, err := SkewPEs(tr, rand.New(rand.NewSource(seed)), frac)
+					if err != nil {
+						t.Fatal(err)
+					}
+					var got bytes.Buffer
+					if err := core.EncodeStructure(&got, extract(t, skewed, w.Opts, 2)); err != nil {
+						t.Fatal(err)
+					}
+					if !bytes.Equal(got.Bytes(), base.Bytes()) {
+						t.Errorf("frac %.2f seed %d: skew below the message latency changed the structure", frac, seed)
+					}
+				}
+			}
+		})
+	}
+}
+
 // TestMetamorphicEventIDPermutation: relabeling event IDs while preserving
 // the relative order of equal-time events must reproduce every placement
 // (phase up to a consistent bijection, steps exactly) under the relabeling.

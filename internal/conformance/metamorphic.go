@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"sort"
 
+	"charmtrace/internal/skew"
 	"charmtrace/internal/trace"
 )
 
@@ -21,7 +22,9 @@ import (
 //     equal-time events
 //
 // each must reproduce the structure exactly (the last one up to the event
-// relabeling itself).
+// relabeling itself). So must per-processor clock skew smaller than the
+// message latency (SkewPEs), the §3.2.1 premise that the structure is the
+// program's, not the clocks'.
 
 // Clone returns a deep, indexed copy of a trace. The copy shares nothing
 // mutable with the original, so transformations can edit it freely.
@@ -214,4 +217,26 @@ func PermuteEventIDs(tr *trace.Trace, rng *rand.Rand) (*trace.Trace, []trace.Eve
 		return nil, nil, err
 	}
 	return out, perm, nil
+}
+
+// SkewPEs returns a copy of the trace with each processor's clock shifted
+// by a random offset in [0, frac·L), where L is the smallest receive − send
+// gap of any cross-processor message. For frac < 1 every receive still
+// follows its send, so the skew stays below the message latency.
+func SkewPEs(tr *trace.Trace, rng *rand.Rand, frac float64) (*trace.Trace, error) {
+	latency := trace.Time(-1)
+	for e := range tr.Events {
+		if s := tr.MatchingSend(trace.EventID(e)); s != trace.NoEvent && tr.Events[s].PE != tr.Events[e].PE {
+			if gap := tr.Events[e].Time - tr.Events[s].Time; latency < 0 || gap < latency {
+				latency = gap
+			}
+		}
+	}
+	offsets := make([]trace.Time, tr.NumPE)
+	for p := range offsets {
+		if bound := int64(frac * float64(latency)); bound > 0 {
+			offsets[p] = trace.Time(rng.Int63n(bound))
+		}
+	}
+	return skew.Inject(tr, offsets)
 }

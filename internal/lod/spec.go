@@ -7,6 +7,7 @@ import (
 	"net/url"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 
 	"charmtrace/internal/query"
 )
@@ -189,6 +190,10 @@ func (sp *Spec) Validate() error {
 	}
 	if sp.Render && sp.Resolution != Native {
 		return errf("render", "text render is only available at resolution=native")
+	}
+	// A digest is hex; one that is not UTF-8 cannot be sent as JSON either.
+	if !utf8.ValidString(sp.Diff) {
+		return errf("diff", "not a trace digest")
 	}
 	return nil
 }

@@ -62,10 +62,10 @@ func SpecFromParams(sel string, q url.Values) (Spec, bool, error) {
 	return spec, true, nil
 }
 
+// splitList returns the non-empty comma-separated items of v, or nil.
 func splitList(v string) []string {
-	parts := strings.Split(v, ",")
-	out := make([]string, 0, len(parts))
-	for _, p := range parts {
+	var out []string
+	for _, p := range strings.Split(v, ",") {
 		if p = strings.TrimSpace(p); p != "" {
 			out = append(out, p)
 		}

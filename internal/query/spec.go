@@ -17,7 +17,7 @@
 //
 // The engine is shared by charmd (POST /v1/traces/{digest}/query plus the
 // query parameters retrofitted onto the structure/steps/metrics GET
-// endpoints) and the chquery CLI, and its index is cached in resultcache
+// endpoints) and `structure -render query`, and its index is cached in resultcache
 // alongside the decoded structure so repeat queries never rebuild it.
 package query
 
@@ -28,13 +28,14 @@ import (
 	"io"
 	"slices"
 	"strings"
+	"unicode/utf8"
 
 	"charmtrace/internal/core"
 	"charmtrace/internal/trace"
 )
 
 // Spec is one validated query. The zero value is invalid; clients submit
-// it as JSON (the POST /query body and the chquery -spec file) or have it
+// it as JSON (the POST /query body, the -spec of chquery and structure) or have it
 // derived from URL parameters (SpecFromParams).
 type Spec struct {
 	// Select picks the row source: "structure" (one row per phase),
@@ -166,6 +167,10 @@ func (s *Spec) Validate() error {
 	}
 	if s.Limit < 0 {
 		return specErrf("limit", "must be >= 0, got %d", s.Limit)
+	}
+	// A cursor is base64; one that is not UTF-8 cannot be sent as JSON either.
+	if !utf8.ValidString(s.Cursor) {
+		return specErrf("cursor", "not a valid cursor")
 	}
 	if r := s.Filter.Steps; r != nil {
 		if r.From < 0 {

@@ -55,10 +55,13 @@ func Inject(tr *trace.Trace, offsets []trace.Time) (*trace.Trace, error) {
 	return out, nil
 }
 
-// Violations counts messages whose receive is recorded less than minGap
-// after its send — the causal inconsistencies clock skew introduces. Receives
-// are matched to sends through the trace's index: on a trace never indexed
-// none is matched, and the count is 0.
+// Violations counts cross-processor messages whose receive is recorded less
+// than minGap after its send — the causal inconsistencies clock skew
+// introduces. A message within one processor is not counted: a per-processor
+// clock offset moves both its ends together, so skew cannot break it (and
+// Correct leaves it out for the same reason). Receives are matched to sends
+// through the trace's index: on a trace never indexed none is matched, and
+// the count is 0.
 func Violations(tr *trace.Trace, minGap trace.Time) int {
 	if !tr.Indexed() {
 		return 0
@@ -66,7 +69,7 @@ func Violations(tr *trace.Trace, minGap trace.Time) int {
 	n := 0
 	for e := range tr.Events {
 		send := tr.MatchingSend(trace.EventID(e))
-		if send == trace.NoEvent {
+		if send == trace.NoEvent || tr.Events[send].PE == tr.Events[e].PE {
 			continue
 		}
 		if tr.Events[e].Time < tr.Events[send].Time+minGap {

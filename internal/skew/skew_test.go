@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"charmtrace/internal/apps/jacobi"
+	"charmtrace/internal/apps/lbmigrate"
+	"charmtrace/internal/apps/lulesh"
 	"charmtrace/internal/core"
 	"charmtrace/internal/trace"
 )
@@ -146,6 +148,26 @@ func TestCorrectPropertyRandomSkews(t *testing.T) {
 		}
 		if Violations(fixed, 1) != 0 {
 			t.Fatalf("iteration %d: violations remain", i)
+		}
+	}
+}
+
+// TestViolationsIgnoreSamePEMessages: a message sent and received on one
+// processor cannot be broken by a per-processor clock offset, so it is not a
+// violation. The unskewed lulesh and lbmigrate traces each carry same-PE
+// messages received within a tick of their send (7 and 2), and read 0.
+func TestViolationsIgnoreSamePEMessages(t *testing.T) {
+	lu, err := lulesh.CharmTrace(lulesh.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	lb, err := lbmigrate.Trace(lbmigrate.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, tr := range map[string]*trace.Trace{"lulesh": lu, "lbmigrate": lb} {
+		if n := Violations(tr, 1); n != 0 {
+			t.Errorf("%s: %d violations on the unskewed trace, want 0", name, n)
 		}
 	}
 }
