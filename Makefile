@@ -48,7 +48,8 @@ lint:
 # and write back to themselves (FuzzParsePeers) — and the query and LOD spec
 # parsers charmd and `structure -render query|lod -spec` feed, whose GET
 # parameter and JSON forms must agree (FuzzQuerySpec, FuzzStepRange,
-# FuzzLodSpec). Their seed corpora replay on every plain `go test`; this leg
+# FuzzLodSpec) — and the page-cursor decoder, which must accept only the
+# spelling the encoder mints (FuzzQueryCursor). Their seed corpora replay on every plain `go test`; this leg
 # is not in tier-1.
 fuzz-smoke:
 	@for t in FuzzRead FuzzReadAuto FuzzReadProjections FuzzReadTable; do \
@@ -61,7 +62,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz='^FuzzGroup$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/flat
 	$(GO) test -run '^$$' -fuzz='^FuzzVarint$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/varint
 	$(GO) test -run '^$$' -fuzz='^FuzzParsePeers$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/cluster
-	@for t in FuzzQuerySpec FuzzStepRange; do \
+	@for t in FuzzQuerySpec FuzzStepRange FuzzQueryCursor; do \
 		$(GO) test -run '^$$' -fuzz="^$$t\$$" -fuzztime=10s -fuzzminimizetime=1s ./internal/query || exit 1; \
 	done
 	$(GO) test -run '^$$' -fuzz='^FuzzLodSpec$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/lod
@@ -113,10 +114,12 @@ bench-repo:
 
 # bench-lod times lod.Build over the nine zoo apps at the repository
 # benchmark's medium scale (the traces cold-ingest uploads) and reports
-# ns/event and pyramid B/event beside the usual -benchmem columns. For
-# measuring while working on internal/lod; claims go through bench-repo.
+# ns/event and pyramid B/event beside the usual -benchmem columns, and
+# lod.Query on the same pyramids in warm-explore's request shapes (ns/op,
+# allocs/op). For measuring while working on internal/lod; claims go
+# through bench-repo. BENCHRUNS as for bench-steps.
 bench-lod:
-	$(GO) test -run '^$$' -bench 'BenchmarkBuild$$' -benchmem -benchtime 20x -count 3 ./internal/lod
+	$(GO) test -run '^$$' -bench 'Benchmark(Build|Query)$$' -benchmem $(BENCHRUNS) ./internal/lod
 
 # bench-steps times Extract on the five trace shapes of the repository
 # benchmark's batch-extract workload and reports every pipeline stage's wall
@@ -124,8 +127,8 @@ bench-lod:
 # step-assignment) beside the whole extraction's ns/event and the -benchmem
 # columns, on one core and on two. For measuring while working on
 # internal/core or internal/partition; claims go through bench-repo.
-# BENCHRUNS sets the repetitions of this target and bench-batch (CI runs
-# each once: BENCHRUNS='-benchtime 1x').
+# BENCHRUNS sets the repetitions of this target, bench-batch, bench-codec and
+# bench-lod (CI runs each once: BENCHRUNS='-benchtime 1x').
 BENCHRUNS ?= -benchtime 5x -count 3
 bench-steps:
 	$(GO) test -run '^$$' -bench 'BenchmarkParallelStepAssignment$$' -benchmem $(BENCHRUNS) -cpu 1,2 .

@@ -9,6 +9,7 @@ import (
 
 	"charmtrace/internal/charegroup"
 	"charmtrace/internal/cli"
+	"charmtrace/internal/conformance"
 	"charmtrace/internal/core"
 	"charmtrace/internal/metrics"
 	"charmtrace/internal/query"
@@ -445,6 +446,74 @@ func TestDenseOracle(t *testing.T) {
 			checkAgainstOracle(t, s, d)
 		})
 	}
+
+	// Wide values, from one zoo trace: shifted by ±2^61, every time is far
+	// from zero and the time columns hold offsets from an origin just as
+	// far; stretched by 2^24, every time, sum and max column needs its high
+	// half somewhere in the pyramid (lulesh-charm has every metric positive
+	// somewhere, so no max column stays zero).
+	var w conformance.Workload
+	for _, w = range conformance.Zoo() {
+		if w.Name == "lulesh-charm" {
+			break
+		}
+	}
+	tr := w.MustGen()
+	for _, in := range []struct {
+		name string
+		make func() (*trace.Trace, error)
+		high bool
+	}{
+		{"shift+2^61", func() (*trace.Trace, error) { return conformance.ShiftTimes(tr, 1<<61) }, false},
+		{"shift-2^61", func() (*trace.Trace, error) { return conformance.ShiftTimes(tr, -1<<61) }, false},
+		{"stretch2^24", func() (*trace.Trace, error) { return stretchTimes(tr, 1<<24) }, true},
+	} {
+		in := in
+		t.Run(w.Name+"/"+in.name, func(t *testing.T) {
+			t.Parallel()
+			wide, err := in.make()
+			if err != nil {
+				t.Fatal(err)
+			}
+			s, err := core.Extract(wide, w.Opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkAgainstOracle(t, s, nil)
+			var high [numCols]bool
+			for _, l := range Build(s, nil).Levels {
+				for k := range l.cols {
+					high[k] = high[k] || l.cols[k].hi != nil
+				}
+			}
+			for k, h := range high {
+				if want := in.high && k != colSends && k != colRecvs; h != want {
+					t.Errorf("column %d: high half stored = %v, want %v", k, h, want)
+				}
+			}
+		})
+	}
+}
+
+// stretchTimes returns an indexed copy of tr with every time — of events,
+// blocks and idles — multiplied by f.
+func stretchTimes(tr *trace.Trace, f trace.Time) (*trace.Trace, error) {
+	out, err := conformance.Clone(tr)
+	if err != nil {
+		return nil, err
+	}
+	for i := range out.Events {
+		out.Events[i].Time *= f
+	}
+	for i := range out.Blocks {
+		out.Blocks[i].Begin *= f
+		out.Blocks[i].End *= f
+	}
+	for i := range out.Idles {
+		out.Idles[i].Begin *= f
+		out.Idles[i].End *= f
+	}
+	return out, out.Index()
 }
 
 // checkAgainstOracle builds both pyramids over s and requires that every
@@ -477,8 +546,8 @@ func checkAgainstOracle(t *testing.T, s *core.Structure, d *structdiff.Diff) {
 				}
 			}
 		}
-		if len(g.cells) != stored {
-			t.Fatalf("level %d stores %d cells, oracle has %d non-empty", l, len(g.cells), stored)
+		if len(g.bucket) != stored {
+			t.Fatalf("level %d stores %d cells, oracle has %d non-empty", l, len(g.bucket), stored)
 		}
 		if e := g.allEdges(); len(e) != len(w.Edges) || len(e) > 0 && !reflect.DeepEqual(e, w.Edges) {
 			t.Fatalf("level %d edges differ from the oracle's:\n%v\n----\n%v", l, e, w.Edges)

@@ -23,26 +23,27 @@ func (k edgeKey) shr(n uint) edgeKey {
 
 // dropBit removes bit p, moving every higher bit one place down.
 func (k edgeKey) dropBit(p uint) edgeKey {
-	drop := func(w uint64, p uint) uint64 { return w&(1<<p-1) | w>>(p+1)<<p }
 	if p >= 64 {
-		return edgeKey{drop(k.hi, p-64), k.lo}
+		p -= 64
+		return edgeKey{k.hi&(1<<p-1) | k.hi>>(p+1)<<p, k.lo}
 	}
-	return edgeKey{k.hi >> 1, drop(k.lo, p) | k.hi<<63}
+	return edgeKey{k.hi >> 1, k.lo&(1<<p-1) | k.lo>>(p+1)<<p | k.hi<<63}
 }
 
 // edgeList is one level's edges as parallel columns in ascending key order.
 // The key fields are bBits (buckets) and cBits (clusters) wide: the widths
 // the structure's own step and cluster counts need, one bucket bit fewer
 // per level up. Keys that fit 64 bits live in lo alone and hi is nil; wider
-// ones keep their high bits in hi.
+// ones keep their high bits in hi. A weight counts matched messages, so it
+// fits 32 bits.
 type edgeList struct {
 	hi, lo       []uint64
-	weight       []int64
+	weight       []uint32
 	bBits, cBits uint
 }
 
 func newEdgeList(n int, bBits, cBits uint) edgeList {
-	l := edgeList{lo: make([]uint64, n), weight: make([]int64, n), bBits: bBits, cBits: cBits}
+	l := edgeList{lo: make([]uint64, n), weight: make([]uint32, n), bBits: bBits, cBits: cBits}
 	if 2*(bBits+cBits) > 64 {
 		l.hi = make([]uint64, n)
 	}
@@ -56,7 +57,7 @@ func (l *edgeList) at(i int) edgeKey {
 	return edgeKey{l.hi[i], l.lo[i]}
 }
 
-func (l *edgeList) set(i int, k edgeKey, w int64) {
+func (l *edgeList) set(i int, k edgeKey, w uint32) {
 	l.lo[i], l.weight[i] = k.lo, w
 	if l.hi != nil {
 		l.hi[i] = k.hi
@@ -90,7 +91,7 @@ func (l *edgeList) pack(sb, sc, db, dc int32) edgeKey {
 func (l *edgeList) edge(i int) Edge {
 	k, half, cluster := l.at(i), l.bBits+l.cBits, uint64(1)<<l.cBits-1
 	src, dst := k.shr(half).lo, k.lo&(1<<half-1)
-	return Edge{int32(src >> l.cBits), int32(src & cluster), int32(dst >> l.cBits), int32(dst & cluster), l.weight[i]}
+	return Edge{int32(src >> l.cBits), int32(src & cluster), int32(dst >> l.cBits), int32(dst & cluster), int64(l.weight[i])}
 }
 
 // from returns the position of the first edge whose SrcBucket is >= b.
@@ -107,7 +108,7 @@ func (l *edgeList) from(b int32) int {
 func (l *edgeList) sortAndCombine(tmp *edgeList) {
 	tmp.resize(len(l.lo))
 	if l.hi == nil {
-		s := flat.Sorter[int64]{Key: l.lo, Val: l.weight, TmpKey: tmp.lo, TmpVal: tmp.weight}
+		s := flat.Sorter[uint32]{Key: l.lo, Val: l.weight, TmpKey: tmp.lo, TmpVal: tmp.weight}
 		l.lo, l.weight = s.Sort(len(l.lo))
 		tmp.lo, tmp.weight = s.TmpKey, s.TmpVal
 	} else {
@@ -140,22 +141,31 @@ func (l *edgeList) halveInto(out *edgeList, p uint) {
 	n, end := 0, len(l.lo)
 	for i := 0; i < end; {
 		group, mid, j := l.at(i).shr(p+1), i, i
-		for ; j < end && l.at(j).shr(p+1) == group; j++ {
-			if l.at(j).shr(p).lo&1 == 0 {
+		for ; j < end; j++ {
+			k := l.at(j).shr(p)
+			if k.shr(1) != group {
+				break
+			}
+			if k.lo&1 == 0 {
 				mid = j + 1
 			}
 		}
-		for a, b := i, mid; a < mid || b < j; n++ {
-			switch ka, kb := l.without(p, a, mid), l.without(p, b, j); {
+		a, b := i, mid
+		ka, kb := l.without(p, a, mid), l.without(p, b, j)
+		for ; a < mid || b < j; n++ {
+			switch {
 			case ka == kb:
 				out.set(n, ka, l.weight[a]+l.weight[b])
 				a, b = a+1, b+1
+				ka, kb = l.without(p, a, mid), l.without(p, b, j)
 			case ka.less(kb):
 				out.set(n, ka, l.weight[a])
 				a++
+				ka = l.without(p, a, mid)
 			default:
 				out.set(n, kb, l.weight[b])
 				b++
+				kb = l.without(p, b, j)
 			}
 		}
 		i = j

@@ -15,7 +15,8 @@ import (
 // the zero Cell, exactly what the dense grid held there.
 func (l *Level) cell(cluster, bucket int32) *Cell {
 	if i, end := l.seek(cluster, bucket); i < end && l.bucket[i] == bucket {
-		return &l.cells[i]
+		c := l.at(i)
+		return &c
 	}
 	return &Cell{}
 }
@@ -109,8 +110,8 @@ func checkNativeCounts(t *testing.T, p *Pyramid) {
 		t.Fatalf("base level holds %d events, trace has %d", got, total)
 	}
 	// The rows store exactly the occupied slots, in bucket order.
-	for i := range base.cells {
-		if base.cells[i].Events == 0 {
+	for i := range base.bucket {
+		if base.at(int32(i)).Events == 0 {
 			t.Fatalf("stored cell %d is empty", i)
 		}
 	}

@@ -97,17 +97,129 @@ type Edge struct {
 	Weight     int64
 }
 
+// Stored cell columns, in order: the two event counts (Events is their
+// sum, so it is not stored), the time span's two ends as offsets from the
+// pyramid's earliest event time, then each metric's sum and each metric's
+// max.
+const (
+	colSends = iota
+	colRecvs
+	colTimeMin
+	colTimeMax
+	colSum
+	colMax  = colSum + NumMetrics
+	numCols = colMax + NumMetrics
+)
+
+// scratchLevel is Build's one wide scratch level: a full-width column per
+// stored quantity, sized for the base level and reused up the pyramid. The
+// columns fold the way merge does — counts and sums add, the span's start
+// takes the minimum, its end and the metric maxima the maximum — on
+// uint64s: offsets and maxima are non-negative and a sum's wrapping uint64
+// add is int64's, so unsigned order and addition are the right ones.
+type scratchLevel [numCols][]uint64
+
+// newScratchLevel returns n empty cells: every column at its fold identity.
+func newScratchLevel(n int) (w scratchLevel) {
+	all := make([]uint64, numCols*n)
+	for k := range w {
+		w[k], all = all[:n:n], all[n:]
+	}
+	for i := range w[colTimeMin] {
+		w[colTimeMin][i] = ^uint64(0)
+	}
+	return w
+}
+
+// column is one quantity of a level's stored cells, a 64-bit value per cell
+// split in two: lo holds each value's low 32 bits and hi its high 32 — or
+// hi is nil when every value in the level lies in [0, 2^32), the rule the
+// edge keys' hi column follows too. Counts never need hi.
+type column struct{ lo, hi []uint32 }
+
+func (c *column) at(i int32) uint64 {
+	if c.hi == nil {
+		return uint64(c.lo[i])
+	}
+	return uint64(c.hi[i])<<32 | uint64(c.lo[i])
+}
+
 // Level is one pyramid level: buckets of Width = 2^level global steps,
 // aligned to step 0. Only non-empty cells are stored, as CSR rows: cluster
-// ci owns cells[rowStart[ci]:rowStart[ci+1]] in ascending bucket order, and
-// bucket[i] is the bucket of cells[i].
+// ci owns stored cells rowStart[ci]:rowStart[ci+1] in ascending bucket
+// order, and bucket[i] is the bucket of cell i. The cells themselves are
+// the cols columns, read back through at; all the level's low halves share
+// one allocation and any high halves a second.
 type Level struct {
 	Width    int32
 	Buckets  int32
 	rowStart []int32
 	bucket   []int32
-	cells    []Cell
+	origin   trace.Time // the pyramid's earliest event time
+	cols     [numCols]column
 	edges    edgeList
+}
+
+// at returns stored cell i.
+func (l *Level) at(i int32) (c Cell) {
+	col := &l.cols
+	c.Sends, c.Recvs = int64(col[colSends].at(i)), int64(col[colRecvs].at(i))
+	c.Events = c.Sends + c.Recvs
+	c.TimeMin = l.origin + trace.Time(col[colTimeMin].at(i))
+	c.TimeMax = l.origin + trace.Time(col[colTimeMax].at(i))
+	for m := 0; m < NumMetrics; m++ {
+		c.Sum[m], c.Max[m] = int64(col[colSum+m].at(i)), int64(col[colMax+m].at(i))
+	}
+	return c
+}
+
+// pack stores the level's cells as its columns. Column by column, fill
+// writes the column's value for every stored cell into the scratch level
+// and their low halves into lo, while they are still in cache, and returns
+// the values' high halves or-ed together; those are kept only for the
+// columns that need them.
+func (l *Level) pack(w *scratchLevel, fill func(k int, vals []uint64, lo []uint32) (high uint64)) {
+	n := len(l.bucket)
+	lo := make([]uint32, numCols*n)
+	var high [numCols]uint64
+	wide := 0
+	for k := range l.cols {
+		c := &l.cols[k]
+		c.lo, lo = lo[:n:n], lo[n:]
+		if high[k] = fill(k, w[k][:n], c.lo); high[k] != 0 {
+			wide++
+		}
+	}
+	if wide == 0 {
+		return
+	}
+	hi := make([]uint32, wide*n)
+	for k := range l.cols {
+		if c := &l.cols[k]; high[k] != 0 {
+			c.hi, hi = hi[:n:n], hi[n:]
+			for i, v := range w[k][:n] {
+				c.hi[i] = uint32(v >> 32)
+			}
+		}
+	}
+}
+
+// split is pack's fill for a level already folded into the scratch level.
+func split(_ int, vals []uint64, lo []uint32) (high uint64) {
+	for i, v := range vals {
+		lo[i] = uint32(v)
+		high |= v >> 32
+	}
+	return high
+}
+
+// bytes is the level's resident size: every slice's length × element size.
+func (l *Level) bytes() int64 {
+	n := int64(len(l.rowStart)+len(l.bucket)+len(l.edges.weight))*4 + int64(len(l.edges.hi)+len(l.edges.lo))*8
+	for k := range l.cols {
+		n += int64(len(l.cols[k].lo)+len(l.cols[k].hi)) * 4
+	}
+	return n
 }
 
 // seek returns the position of the cluster's first stored cell whose bucket
@@ -118,33 +230,48 @@ func (l *Level) seek(cluster, b int32) (int32, int32) {
 	return start + int32(i), end
 }
 
-// coarsen returns the next level up without its edges: one walk per row
-// that merges the adjacent cells whose bucket/2 agree.
-func (l *Level) coarsen() Level {
+// coarsen returns the next level up without its edges. A parent's one or
+// two children are adjacent in l's CSR order, so one walk per row finds each
+// parent's first child, first[p] (first[n] closes the last run, and first
+// is scratch longer than l has cells), and then each column of the parents
+// is one pass that folds a run's first and last child — the same cell when
+// the parent has one, which a sum must then count once.
+func (l *Level) coarsen(w *scratchLevel, first []int32) Level {
 	nc := len(l.rowStart) - 1
-	up := Level{Width: l.Width * 2, Buckets: (l.Buckets + 1) / 2, rowStart: make([]int32, nc+1)}
+	up := Level{Width: l.Width * 2, Buckets: (l.Buckets + 1) / 2, rowStart: make([]int32, nc+1), origin: l.origin}
 	var n int32
 	for ci := 0; ci < nc; ci++ {
 		up.rowStart[ci] = n
 		for i := l.rowStart[ci]; i < l.rowStart[ci+1]; i++ {
 			if i == l.rowStart[ci] || l.bucket[i]/2 != l.bucket[i-1]/2 {
+				first[n] = i
 				n++
 			}
 		}
 	}
-	up.rowStart[nc] = n
-	up.bucket, up.cells = make([]int32, n), make([]Cell, n)
-	n = 0
-	for ci := 0; ci < nc; ci++ {
-		for i := l.rowStart[ci]; i < l.rowStart[ci+1]; i++ {
-			if b := l.bucket[i] / 2; n > up.rowStart[ci] && up.bucket[n-1] == b {
-				up.cells[n-1].merge(&l.cells[i])
-			} else {
-				up.bucket[n], up.cells[n] = b, l.cells[i]
-				n++
-			}
-		}
+	up.rowStart[nc], first[n] = n, int32(len(l.bucket))
+	up.bucket = make([]int32, n)
+	for p := range up.bucket {
+		up.bucket[p] = l.bucket[first[p]] / 2
 	}
+	up.pack(w, func(k int, vals []uint64, lo []uint32) (high uint64) {
+		src := l.cols[k]
+		for p := range vals {
+			a, b := first[p], first[p+1]-1
+			var v uint64
+			switch {
+			case k == colTimeMin:
+				v = min(src.at(a), src.at(b))
+			case k == colTimeMax || k >= colMax:
+				v = max(src.at(a), src.at(b))
+			default: // a sum: the second child's value only if it is not the first
+				v = src.at(a) + src.at(b)&-uint64(b-a)
+			}
+			vals[p], lo[p] = v, uint32(v)
+			high |= v >> 32
+		}
+		return high
+	})
 	return up
 }
 
@@ -172,6 +299,9 @@ type Pyramid struct {
 // metrics pass is two scans of the events — count the occupied (cluster,
 // step) slots, then fill exactly that many cells — one sort of the matched
 // messages' keys, and a geometric sweep of linear merges up the levels.
+// Each level's cells are merged in one full-width scratch level, sized for
+// the base level and reused up the pyramid, and packed into the level's
+// columns as it is finished: 52 bytes a cell where no value needs 64 bits.
 func Build(s *core.Structure, rep *metrics.Report) *Pyramid {
 	if rep == nil {
 		rep = metrics.Compute(s)
@@ -202,7 +332,9 @@ func Build(s *core.Structure, rep *metrics.Report) *Pyramid {
 	// each to its cell's position in the CSR arrays.
 	slot := make([]int32, nc*numSteps)
 	var stored, recvs int
+	origin := tab.Time[0]
 	for e, kind := range tab.Kind {
+		origin = min(origin, tab.Time[e])
 		if i := int(p.ClusterOf[tab.Chare[e]])*numSteps + int(s.Step[e]); slot[i] == 0 {
 			slot[i] = 1
 			stored++
@@ -213,8 +345,9 @@ func Build(s *core.Structure, rep *metrics.Report) *Pyramid {
 	}
 	base := Level{
 		Width: 1, Buckets: int32(numSteps),
-		rowStart: make([]int32, nc+1), bucket: make([]int32, stored), cells: make([]Cell, stored),
+		rowStart: make([]int32, nc+1), bucket: make([]int32, stored), origin: origin,
 	}
+	scratch, first := newScratchLevel(stored), make([]int32, stored+1)
 	var n int32
 	for ci := 0; ci < nc; ci++ {
 		base.rowStart[ci] = n
@@ -235,23 +368,26 @@ func Build(s *core.Structure, rep *metrics.Report) *Pyramid {
 	matched := 0
 	for eid, kind := range tab.Kind {
 		cluster, step := p.ClusterOf[tab.Chare[eid]], s.Step[eid]
-		one := Cell{Events: 1, TimeMin: tab.Time[eid], TimeMax: tab.Time[eid]}
+		j, t := slot[int(cluster)*numSteps+int(step)], uint64(tab.Time[eid]-origin)
 		if kind == trace.Send {
-			one.Sends = 1
+			scratch[colSends][j]++
 		} else {
-			one.Recvs = 1
+			scratch[colRecvs][j]++
 		}
+		scratch[colTimeMin][j] = min(scratch[colTimeMin][j], t)
+		scratch[colTimeMax][j] = max(scratch[colTimeMax][j], t)
 		for m, v := range [NumMetrics]trace.Time{
 			rep.SubDur[eid], rep.IdleExperienced[eid], rep.DifferentialDuration[eid], rep.Imbalance[eid],
 		} {
-			one.Sum[m], one.Max[m] = int64(v), max(int64(v), 0)
+			scratch[colSum+m][j] += uint64(v)
+			scratch[colMax+m][j] = max(scratch[colMax+m][j], uint64(max(v, 0)))
 		}
-		base.cells[slot[int(cluster)*numSteps+int(step)]].merge(&one)
 		if send := tab.Partner[eid]; send != trace.NoEvent {
 			msgs.set(matched, msgs.pack(s.Step[send], p.ClusterOf[tab.Chare[send]], step, cluster), 1)
 			matched++
 		}
 	}
+	base.pack(&scratch, split)
 	msgs.resize(matched)
 	msgs.sortAndCombine(&tmp)
 	base.edges = msgs.clone(bBits)
@@ -263,7 +399,7 @@ func Build(s *core.Structure, rep *metrics.Report) *Pyramid {
 	// first, each by one merging pass.
 	for bBits > 0 {
 		prev := &p.Levels[len(p.Levels)-1]
-		up := prev.coarsen()
+		up := prev.coarsen(&scratch, first)
 		prev.edges.halveInto(&msgs, cBits)
 		bBits--
 		msgs.halveInto(&tmp, 2*cBits+bBits)
@@ -271,11 +407,8 @@ func Build(s *core.Structure, rep *metrics.Report) *Pyramid {
 		p.Levels = append(p.Levels, up)
 	}
 
-	const cellSize = 8 * (5 + 2*NumMetrics) // counts + span + metric arrays
 	for i := range p.Levels {
-		l := &p.Levels[i]
-		p.bytes += int64(len(l.rowStart)+len(l.bucket))*4 + int64(len(l.cells))*cellSize +
-			int64(len(l.edges.hi)+len(l.edges.lo)+len(l.edges.weight))*8
+		p.bytes += p.Levels[i].bytes()
 	}
 	return p
 }

@@ -1,6 +1,8 @@
 package lod
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 	"strconv"
 
@@ -287,7 +289,8 @@ func (p *Pyramid) Query(sp Spec, diff *structdiff.Diff) (*Result, error) {
 	marginal := make([]Cell, res.NumBuckets)
 	for ci := range p.Clusters {
 		for i, end := level.seek(int32(ci), b0); i < end && level.bucket[i] <= b1; i++ {
-			marginal[level.bucket[i]-b0].merge(&level.cells[i])
+			c := level.at(i)
+			marginal[level.bucket[i]-b0].merge(&c)
 		}
 	}
 	res.Buckets = newSeries(len(marginal))
@@ -307,8 +310,9 @@ func (p *Pyramid) Query(sp Spec, diff *structdiff.Diff) (*Result, error) {
 		cells := make([]int64, len(res.Buckets.Bucket))
 		for _, ci := range members {
 			for i, end := level.seek(ci, b0); i < end && level.bucket[i] <= b1; i++ {
-				agg.merge(&level.cells[i])
-				cells[column[level.bucket[i]-b0]] += level.cells[i].Events
+				c := level.at(i)
+				agg.merge(&c)
+				cells[column[level.bucket[i]-b0]] += c.Events
 			}
 		}
 		res.Cells[ri] = cells
@@ -402,19 +406,19 @@ func edgeSet(acc map[[2]int32]int64, maxEdges int) *EdgeSet {
 	for k, w := range acc {
 		all = append(all, edge{k[0], k[1], w})
 	}
-	less := func(i, j int) bool {
-		if all[i].src != all[j].src {
-			return all[i].src < all[j].src
+	byKey := func(a, b edge) int {
+		if a.src != b.src {
+			return cmp.Compare(a.src, b.src)
 		}
-		return all[i].dst < all[j].dst
+		return cmp.Compare(a.dst, b.dst)
 	}
-	sort.Slice(all, less)
+	slices.SortFunc(all, byKey)
 	out := &EdgeSet{Total: len(all)}
 	if maxEdges > 0 && len(all) > maxEdges {
 		// Keep the heaviest deterministically, then restore key order.
-		sort.SliceStable(all, func(i, j int) bool { return all[i].weight > all[j].weight })
+		slices.SortStableFunc(all, func(a, b edge) int { return cmp.Compare(b.weight, a.weight) })
 		all = all[:maxEdges]
-		sort.Slice(all, less)
+		slices.SortFunc(all, byKey)
 	}
 	out.Src = make([]int32, len(all))
 	out.Dst = make([]int32, len(all))

@@ -191,8 +191,10 @@ func decodeCursor(cursor string, spec Spec) (int, error) {
 	if parts[1] != specHash(spec) {
 		return 0, specErrf("cursor", "cursor belongs to a different query spec")
 	}
+	// Only the one spelling encodeCursor mints is a cursor: no sign, no
+	// leading zeros, no padding or stray bits in the base64.
 	offset, err := strconv.Atoi(parts[2])
-	if err != nil || offset < 0 {
+	if err != nil || offset < 0 || encodeCursor(offset, spec) != cursor {
 		return 0, specErrf("cursor", "not a valid cursor")
 	}
 	return offset, nil

@@ -2,6 +2,7 @@ package query
 
 import (
 	"bytes"
+	"encoding/base64"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -86,6 +87,41 @@ func FuzzStepRange(f *testing.F) {
 		again, err := ParseStepRange(fmt.Sprintf("%d..%d", r.From, r.To))
 		if err != nil || *again != *r {
 			t.Fatalf("ParseStepRange(%q) = %+v re-parses to %+v, %v", v, *r, again, err)
+		}
+	})
+}
+
+// FuzzQueryCursor holds a page cursor to one spelling: decodeCursor never
+// panics, a cursor it accepts is exactly what encodeCursor mints for the
+// offset it decoded, every minted cursor decodes back to its offset, and a
+// cursor minted under one spec is refused under a spec whose canonical form
+// differs.
+func FuzzQueryCursor(f *testing.F) {
+	spec := Spec{Select: "steps", Limit: 10}
+	spelled := func(offset string) string { return "cq1 " + specHash(spec) + " " + offset }
+	f.Add(encodeCursor(5, spec), 5, "steps", 10, "steps", 20)
+	// A signed or zero-padded offset once passed as another spelling of a
+	// real cursor; padded base64 is the other near miss.
+	for _, offset := range []string{"+5", "05", "-0"} {
+		f.Add(base64.RawURLEncoding.EncodeToString([]byte(spelled(offset))), 5, "steps", 10, "steps", 10)
+	}
+	f.Add(base64.URLEncoding.EncodeToString([]byte(spelled("5"))), 0, "steps", 10, "metrics", 10)
+	f.Fuzz(func(t *testing.T, cursor string, offset int, selA string, limitA int, selB string, limitB int) {
+		a, b := Spec{Select: selA, Limit: limitA}, Spec{Select: selB, Limit: limitB}
+		if n, err := decodeCursor(cursor, a); err != nil {
+			asSpecError(t, fmt.Sprintf("decodeCursor(%q)", cursor), err)
+		} else if minted := encodeCursor(n, a); cursor != minted {
+			t.Fatalf("decodeCursor accepted %q as offset %d, which is minted as %q", cursor, n, minted)
+		}
+		if offset < 0 {
+			offset = -(offset + 1)
+		}
+		minted := encodeCursor(offset, a)
+		if n, err := decodeCursor(minted, a); err != nil || n != offset {
+			t.Fatalf("cursor minted for offset %d decodes to %d, %v", offset, n, err)
+		}
+		if _, err := decodeCursor(minted, b); err == nil && a.canonical() != b.canonical() {
+			t.Fatalf("cursor minted under %s is accepted under %s", a.canonical(), b.canonical())
 		}
 	})
 }
