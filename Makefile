@@ -49,8 +49,10 @@ lint:
 # parsers charmd and `structure -render query|lod -spec` feed, whose GET
 # parameter and JSON forms must agree (FuzzQuerySpec, FuzzStepRange,
 # FuzzLodSpec) — and the page-cursor decoder, which must accept only the
-# spelling the encoder mints (FuzzQueryCursor). Their seed corpora replay on every plain `go test`; this leg
-# is not in tier-1.
+# spelling the encoder mints (FuzzQueryCursor) — and LOD queries on pyramids
+# whose levels are first touched in a fuzzed order, against the dense
+# oracle's bytes (FuzzLodQuery). Their seed corpora replay on every plain
+# `go test`; this leg is not in tier-1.
 fuzz-smoke:
 	@for t in FuzzRead FuzzReadAuto FuzzReadProjections FuzzReadTable; do \
 		$(GO) test -run '^$$' -fuzz="^$$t\$$" -fuzztime=10s -fuzzminimizetime=1s ./internal/tracefile || exit 1; \
@@ -65,7 +67,9 @@ fuzz-smoke:
 	@for t in FuzzQuerySpec FuzzStepRange FuzzQueryCursor; do \
 		$(GO) test -run '^$$' -fuzz="^$$t\$$" -fuzztime=10s -fuzzminimizetime=1s ./internal/query || exit 1; \
 	done
-	$(GO) test -run '^$$' -fuzz='^FuzzLodSpec$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/lod
+	@for t in FuzzLodSpec FuzzLodQuery; do \
+		$(GO) test -run '^$$' -fuzz="^$$t\$$" -fuzztime=10s -fuzzminimizetime=1s ./internal/lod || exit 1; \
+	done
 
 # doc-flags is a gate (CI's verify job): every `go run ./cmd/<bin> ...` and
 # `/tmp/<bin> ...` command line in the docs below is held to `<bin> -h`: the
@@ -113,10 +117,11 @@ bench-repo:
 	$(GO) run ./bench -seed 1 -append bench/out/history.jsonl
 
 # bench-lod times lod.Build over the nine zoo apps at the repository
-# benchmark's medium scale (the traces cold-ingest uploads) and reports
-# ns/event and pyramid B/event beside the usual -benchmem columns, and
-# lod.Query on the same pyramids in warm-explore's request shapes (ns/op,
-# allocs/op). For measuring while working on internal/lod; claims go
+# benchmark's medium scale (the traces cold-ingest uploads), with the levels
+# each shape of traffic reads built — the overview; the overview and the
+# first zoom; every level — and reports ns/event and pyramid B/event beside
+# the usual -benchmem columns, and lod.Query on the same pyramids in
+# warm-explore's request shapes (ns/op, allocs/op). For measuring while working on internal/lod; claims go
 # through bench-repo. BENCHRUNS as for bench-steps.
 bench-lod:
 	$(GO) test -run '^$$' -bench 'Benchmark(Build|Query)$$' -benchmem $(BENCHRUNS) ./internal/lod

@@ -481,9 +481,10 @@ func TestDenseOracle(t *testing.T) {
 			}
 			checkAgainstOracle(t, s, nil)
 			var high [numCols]bool
-			for _, l := range Build(s, nil).Levels {
-				for k := range l.cols {
-					high[k] = high[k] || l.cols[k].hi != nil
+			p := Build(s, nil)
+			for l := 0; l < p.NumLevels(); l++ {
+				for k, c := range p.Level(l).cols {
+					high[k] = high[k] || c.hi != nil
 				}
 			}
 			for k, h := range high {
@@ -516,22 +517,61 @@ func stretchTimes(tr *trace.Trace, f trace.Time) (*trace.Trace, error) {
 	return out, out.Index()
 }
 
-// checkAgainstOracle builds both pyramids over s and requires that every
-// level's cells and edges are equal slot for slot (an absent CSR slot is the
-// zero Cell, and the rows store exactly the non-empty ones), and that every
-// response of the request grid — without a diff overlay, and with d when it
-// is non-nil — marshals to the same bytes.
+// checkAgainstOracle builds the dense pyramid over s and two lazy ones —
+// one whose levels are built coarsest first, one finest first — and
+// requires of each that every level's cells and edges are equal slot for
+// slot (an absent CSR slot is the zero Cell, and the rows store exactly the
+// non-empty ones). It then requires that every response of the request
+// grid — without a diff overlay, and with d when it is non-nil — marshals
+// to the same bytes, from a third lazy pyramid whose levels only the
+// queries build.
 func checkAgainstOracle(t *testing.T, s *core.Structure, d *structdiff.Diff) {
 	t.Helper()
-	got, want := Build(s, nil), denseBuild(s, nil)
+	want := denseBuild(s, nil)
+	for _, coarseFirst := range []bool{true, false} {
+		got := Build(s, nil)
+		order := make([]int, got.NumLevels())
+		for i := range order {
+			order[i] = i
+			if coarseFirst {
+				order[i] = len(order) - 1 - i
+			}
+		}
+		checkLevelsAgainstOracle(t, got, want, order)
+	}
+	got := Build(s, nil)
+	diffs := []*structdiff.Diff{nil}
+	if d != nil {
+		diffs = append(diffs, d)
+	}
+	for _, sp := range oracleSpecs(s.MaxStep()) {
+		for _, d := range diffs {
+			gr, gerr := got.Query(sp, d)
+			wr, werr := want.Query(sp, d)
+			if (gerr == nil) != (werr == nil) {
+				t.Fatalf("%+v: err %v, oracle %v", sp, gerr, werr)
+			}
+			gb, _ := json.Marshal(gr)
+			wb, _ := json.Marshal(wr)
+			if !bytes.Equal(gb, wb) {
+				t.Fatalf("%+v (diff=%v): response differs from the oracle's:\n%s\n----\n%s", sp, d != nil, gb, wb)
+			}
+		}
+	}
+}
+
+// checkLevelsAgainstOracle builds got's levels in the given order, holding
+// each to the oracle's level as it is built.
+func checkLevelsAgainstOracle(t *testing.T, got *Pyramid, want *densePyramid, order []int) {
+	t.Helper()
 	if !reflect.DeepEqual(got.Clusters, want.Clusters) || !reflect.DeepEqual(got.ClusterOf, want.ClusterOf) {
 		t.Fatal("clustering differs from the oracle's")
 	}
-	if len(got.Levels) != len(want.Levels) {
-		t.Fatalf("%d levels, oracle has %d", len(got.Levels), len(want.Levels))
+	if got.NumLevels() != len(want.Levels) {
+		t.Fatalf("%d levels, oracle has %d", got.NumLevels(), len(want.Levels))
 	}
-	for l := range want.Levels {
-		g, w := &got.Levels[l], &want.Levels[l]
+	for _, l := range order {
+		g, w := got.Level(l), &want.Levels[l]
 		if g.Width != w.Width || g.Buckets != w.Buckets {
 			t.Fatalf("level %d: width %d buckets %d, oracle %d / %d", l, g.Width, g.Buckets, w.Width, w.Buckets)
 		}
@@ -551,24 +591,6 @@ func checkAgainstOracle(t *testing.T, s *core.Structure, d *structdiff.Diff) {
 		}
 		if e := g.allEdges(); len(e) != len(w.Edges) || len(e) > 0 && !reflect.DeepEqual(e, w.Edges) {
 			t.Fatalf("level %d edges differ from the oracle's:\n%v\n----\n%v", l, e, w.Edges)
-		}
-	}
-	diffs := []*structdiff.Diff{nil}
-	if d != nil {
-		diffs = append(diffs, d)
-	}
-	for _, sp := range oracleSpecs(s.MaxStep()) {
-		for _, d := range diffs {
-			gr, gerr := got.Query(sp, d)
-			wr, werr := want.Query(sp, d)
-			if (gerr == nil) != (werr == nil) {
-				t.Fatalf("%+v: err %v, oracle %v", sp, gerr, werr)
-			}
-			gb, _ := json.Marshal(gr)
-			wb, _ := json.Marshal(wr)
-			if !bytes.Equal(gb, wb) {
-				t.Fatalf("%+v (diff=%v): response differs from the oracle's:\n%s\n----\n%s", sp, d != nil, gb, wb)
-			}
 		}
 	}
 }

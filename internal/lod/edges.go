@@ -8,11 +8,9 @@ import (
 
 // edgeKey is an edge's endpoints packed into one integer — SrcBucket,
 // SrcCluster, DstBucket, DstCluster from the most significant field down —
-// so that integer order is the canonical wire order and halving a bucket
-// axis is removing one bit. hi is zero for keys of at most 64 bits.
+// so that integer order is the canonical wire order. hi is zero for keys of
+// at most 64 bits.
 type edgeKey struct{ hi, lo uint64 }
-
-func (k edgeKey) less(o edgeKey) bool { return k.hi < o.hi || k.hi == o.hi && k.lo < o.lo }
 
 func (k edgeKey) shr(n uint) edgeKey {
 	if n >= 64 {
@@ -21,21 +19,11 @@ func (k edgeKey) shr(n uint) edgeKey {
 	return edgeKey{k.hi >> n, k.lo>>n | k.hi<<(64-n)}
 }
 
-// dropBit removes bit p, moving every higher bit one place down.
-func (k edgeKey) dropBit(p uint) edgeKey {
-	if p >= 64 {
-		p -= 64
-		return edgeKey{k.hi&(1<<p-1) | k.hi>>(p+1)<<p, k.lo}
-	}
-	return edgeKey{k.hi >> 1, k.lo&(1<<p-1) | k.lo>>(p+1)<<p | k.hi<<63}
-}
-
 // edgeList is one level's edges as parallel columns in ascending key order.
 // The key fields are bBits (buckets) and cBits (clusters) wide: the widths
-// the structure's own step and cluster counts need, one bucket bit fewer
-// per level up. Keys that fit 64 bits live in lo alone and hi is nil; wider
-// ones keep their high bits in hi. A weight counts matched messages, so it
-// fits 32 bits.
+// the level's own bucket count and the structure's cluster count need. Keys
+// that fit 64 bits live in lo alone and hi is nil; wider ones keep their
+// high bits in hi. A weight counts matched messages, so it fits 32 bits.
 type edgeList struct {
 	hi, lo       []uint64
 	weight       []uint32
@@ -72,10 +60,9 @@ func (l *edgeList) resize(n int) {
 	}
 }
 
-// clone returns an exact-size copy for a level whose bucket fields are
-// bBits wide, without the hi column if that width no longer needs it.
-func (l *edgeList) clone(bBits uint) edgeList {
-	out := newEdgeList(len(l.lo), bBits, l.cBits)
+// clone returns an exact-size copy.
+func (l *edgeList) clone() edgeList {
+	out := newEdgeList(len(l.lo), l.bBits, l.cBits)
 	copy(out.lo, l.lo)
 	copy(out.weight, l.weight)
 	copy(out.hi, l.hi)
@@ -128,56 +115,4 @@ func (l *edgeList) sortAndCombine(tmp *edgeList) {
 		}
 	}
 	l.resize(n)
-}
-
-// halveInto writes into out (made at least as long as l) the list whose keys
-// are l's with bit p removed — the low bit of a bucket field, so one bucket
-// axis at half resolution — summing the weights of keys that become equal.
-// The keys that agree above bit p form one group; inside it those with the
-// bit clear precede those with it set, and each run is ascending in the bits
-// below p, so merging the two runs group by group leaves out sorted.
-func (l *edgeList) halveInto(out *edgeList, p uint) {
-	out.resize(cap(out.lo))
-	n, end := 0, len(l.lo)
-	for i := 0; i < end; {
-		group, mid, j := l.at(i).shr(p+1), i, i
-		for ; j < end; j++ {
-			k := l.at(j).shr(p)
-			if k.shr(1) != group {
-				break
-			}
-			if k.lo&1 == 0 {
-				mid = j + 1
-			}
-		}
-		a, b := i, mid
-		ka, kb := l.without(p, a, mid), l.without(p, b, j)
-		for ; a < mid || b < j; n++ {
-			switch {
-			case ka == kb:
-				out.set(n, ka, l.weight[a]+l.weight[b])
-				a, b = a+1, b+1
-				ka, kb = l.without(p, a, mid), l.without(p, b, j)
-			case ka.less(kb):
-				out.set(n, ka, l.weight[a])
-				a++
-				ka = l.without(p, a, mid)
-			default:
-				out.set(n, kb, l.weight[b])
-				b++
-				kb = l.without(p, b, j)
-			}
-		}
-		i = j
-	}
-	out.resize(n)
-}
-
-// without returns entry i's key with bit p removed, or the all-ones key —
-// above every real one — once i has reached its run's end.
-func (l *edgeList) without(p uint, i, end int) edgeKey {
-	if i == end {
-		return edgeKey{^uint64(0), ^uint64(0)}
-	}
-	return l.at(i).dropBit(p)
 }

@@ -13,9 +13,11 @@ import (
 )
 
 // TestEdgeListAgainstNaive drives the packed-key edge machinery — pack,
-// radix sort, run-length combine, then one halving per level down to a
-// single bucket — on random messages at key widths either side of 64 bits,
-// and compares each level with a map re-aggregation sorted by comparator.
+// radix sort, run-length combine — on random messages at key widths either
+// side of 64 bits, once per level from the single-step base to a single
+// bucket, as a level build does: every message's bucket fields shifted
+// right by the level. Each level is compared with a map re-aggregation of
+// the same messages, sorted by comparator.
 func TestEdgeListAgainstNaive(t *testing.T) {
 	for _, tc := range []struct {
 		name         string
@@ -36,8 +38,7 @@ func TestEdgeListAgainstNaive(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(tc.bBits)<<8 | int64(tc.cBits)))
 			// Few distinct endpoints — three drawn over the whole field range
 			// and their low-bit siblings — so that keys repeat at the base,
-			// sibling runs interleave at the first halving, and the rest
-			// collide level by level.
+			// siblings meet one level up, and the rest collide level by level.
 			field := func(bits uint) []int32 {
 				vals := make([]int32, 6)
 				for i := 0; i < 3; i++ {
@@ -51,35 +52,30 @@ func TestEdgeListAgainstNaive(t *testing.T) {
 			}
 			buckets, clusters := field(tc.bBits), field(tc.cBits)
 			pick := func(vals []int32) int32 { return vals[rng.Intn(len(vals))] }
-			want := map[Edge]int64{}
 			const n = 2000
-			msgs, tmp := newEdgeList(n, tc.bBits, tc.cBits), newEdgeList(n, tc.bBits, tc.cBits)
-			if (msgs.hi != nil) != tc.wide {
-				t.Fatalf("hi column present = %v, want %v", msgs.hi != nil, tc.wide)
+			sent := make([]Edge, n)
+			for i := range sent {
+				sent[i] = Edge{pick(buckets), pick(clusters), pick(buckets), pick(clusters), 0}
 			}
-			for i := 0; i < n; i++ {
-				e := Edge{pick(buckets), pick(clusters), pick(buckets), pick(clusters), 0}
-				want[e]++
-				msgs.set(i, msgs.pack(e.SrcBucket, e.SrcCluster, e.DstBucket, e.DstCluster), 1)
-			}
-			msgs.sortAndCombine(&tmp)
-			level := Level{edges: msgs.clone(tc.bBits)}
-			checkEdges(t, &level, want)
-			for bBits := tc.bBits; bBits > 0; {
-				level.edges.halveInto(&msgs, tc.cBits)
-				bBits--
-				msgs.halveInto(&tmp, 2*tc.cBits+bBits)
-				level = Level{edges: tmp.clone(bBits)}
-				half := map[Edge]int64{}
-				for e, w := range want {
-					e.SrcBucket /= 2
-					e.DstBucket /= 2
-					half[e] += w
+			var want map[Edge]int64
+			for l := uint(0); l <= tc.bBits; l++ {
+				bBits := tc.bBits - l
+				msgs, tmp := newEdgeList(n, bBits, tc.cBits), newEdgeList(n, bBits, tc.cBits)
+				if (msgs.hi != nil) != (2*(bBits+tc.cBits) > 64) {
+					t.Fatalf("bBits=%d: hi column present = %v", bBits, msgs.hi != nil)
 				}
-				want = half
-				if (level.edges.hi != nil) != (2*(bBits+tc.cBits) > 64) {
-					t.Fatalf("bBits=%d: hi column present = %v", bBits, level.edges.hi != nil)
+				if l == 0 && (msgs.hi != nil) != tc.wide {
+					t.Fatalf("hi column present = %v, want %v", msgs.hi != nil, tc.wide)
 				}
+				want = map[Edge]int64{}
+				for i, e := range sent {
+					e.SrcBucket >>= l
+					e.DstBucket >>= l
+					want[e]++
+					msgs.set(i, msgs.pack(e.SrcBucket, e.SrcCluster, e.DstBucket, e.DstCluster), 1)
+				}
+				msgs.sortAndCombine(&tmp)
+				level := Level{edges: msgs.clone()}
 				checkEdges(t, &level, want)
 			}
 			if len(want) > len(clusters)*len(clusters) {
@@ -128,8 +124,8 @@ func TestBuildDegenerateShapes(t *testing.T) {
 	t.Run("empty", func(t *testing.T) {
 		s := extractBuilt(t, trace.NewBuilder(1))
 		p := Build(s, nil)
-		if len(p.Levels) != 0 || p.Bytes() != 0 {
-			t.Fatalf("empty structure built %d levels, %d bytes", len(p.Levels), p.Bytes())
+		if p.NumLevels() != 0 || p.Bytes() != 0 {
+			t.Fatalf("empty structure built %d levels, %d bytes", p.NumLevels(), p.Bytes())
 		}
 		checkAgainstOracle(t, s, nil)
 	})
@@ -147,8 +143,8 @@ func TestBuildDegenerateShapes(t *testing.T) {
 		if s.MaxStep() != 0 {
 			t.Fatalf("fixture has max step %d, want 0", s.MaxStep())
 		}
-		if p := Build(s, nil); len(p.Levels) != 1 || p.Levels[0].edges.bBits != 0 {
-			t.Fatalf("one step built %d levels", len(p.Levels))
+		if p := Build(s, nil); p.NumLevels() != 1 || p.Level(0).edges.bBits != 0 {
+			t.Fatalf("one step built %d levels", p.NumLevels())
 		}
 		checkAgainstOracle(t, s, nil)
 	})
@@ -172,26 +168,33 @@ func TestBuildDegenerateShapes(t *testing.T) {
 		}
 		s := extractBuilt(t, b)
 		p := Build(s, nil)
-		if len(p.Clusters) != 1 || len(p.Levels) < 3 || len(p.Levels[0].edges.lo) == 0 {
-			t.Fatalf("fixture: %d clusters, %d levels, %d base edges", len(p.Clusters), len(p.Levels), len(p.Levels[0].edges.lo))
+		if len(p.Clusters) != 1 || p.NumLevels() < 3 || len(p.Level(0).edges.lo) == 0 {
+			t.Fatalf("fixture: %d clusters, %d levels, %d base edges", len(p.Clusters), p.NumLevels(), len(p.Level(0).edges.lo))
 		}
 		checkAgainstOracle(t, s, nil)
 	})
 }
 
-// TestBuildAllocsBounded: Build allocates per level and per cluster, never
-// per event — a run eight times as long (three more levels) stays under the
-// same ceiling, which the dense build's per-level maps and per-event hash
-// writes exceeded a hundredfold.
+// TestBuildAllocsBounded: Build and each level build allocate per level
+// and per cluster, never per event — a run eight times as long (three more
+// levels) stays under the same ceiling per level built, which the dense
+// build's per-level maps and per-event hash writes exceeded a hundredfold.
 func TestBuildAllocsBounded(t *testing.T) {
-	const ceiling = 120
+	const ceiling = 16 // per level built, Build's own allocations included
 	var events [2]int
 	for i, iters := range []int{4, 32} {
 		s := extractRegistry(t, "jacobi", cli.Params{Scale: 8, Iterations: iters})
 		rep := metrics.Compute(s)
 		events[i] = len(s.Trace.Events)
-		if allocs := testing.AllocsPerRun(5, func() { Build(s, rep) }); allocs > ceiling {
-			t.Errorf("%d events: Build allocates %.0f times, ceiling %d", events[i], allocs, ceiling)
+		levels := Build(s, rep).NumLevels()
+		allocs := testing.AllocsPerRun(5, func() {
+			p := Build(s, rep)
+			for l := 0; l < levels; l++ {
+				p.Level(l)
+			}
+		})
+		if per := allocs / float64(levels); per > ceiling {
+			t.Errorf("%d events: Build and %d level builds allocate %.0f times, %.1f per level, ceiling %d", events[i], levels, allocs, per, ceiling)
 		}
 	}
 	if events[1] < 6*events[0] {

@@ -80,13 +80,13 @@ func TestZooNativeLossless(t *testing.T) {
 // checkNativeCounts recounts every base-level cell from the structure.
 func checkNativeCounts(t *testing.T, p *Pyramid) {
 	t.Helper()
-	if len(p.Levels) == 0 {
+	if p.NumLevels() == 0 {
 		if p.S.MaxStep() >= 0 {
 			t.Fatal("non-empty structure built no levels")
 		}
 		return
 	}
-	base := &p.Levels[0]
+	base := p.Level(0)
 	s, tr := p.S, p.S.Trace
 	nc := int32(len(p.Clusters))
 	want := make([]int64, int(nc)*int(base.Buckets))
@@ -128,7 +128,7 @@ func checkNativeCounts(t *testing.T, p *Pyramid) {
 // send→recv pairs.
 func checkNativeEdges(t *testing.T, p *Pyramid) {
 	t.Helper()
-	if len(p.Levels) == 0 {
+	if p.NumLevels() == 0 {
 		return
 	}
 	tr := p.S.Trace
@@ -139,7 +139,7 @@ func checkNativeEdges(t *testing.T, p *Pyramid) {
 		}
 	}
 	var weight int64
-	for _, e := range p.Levels[0].allEdges() {
+	for _, e := range p.Level(0).allEdges() {
 		weight += e.Weight
 	}
 	if weight != pairs {
@@ -172,7 +172,9 @@ func checkNativeRender(t *testing.T, p *Pyramid) {
 // L >= 1, each cell is exactly the merge of its children at L-1 and each
 // edge's weight is the sum of the child edges it covers — so zooming out
 // never invents or loses an event, a nanosecond of metric mass, or a
-// message. Runs the whole zoo.
+// message. Every level is its own fold of the events, built here coarsest
+// first so that no parent exists only because its children were built.
+// Runs the whole zoo.
 func TestZooCoarseningMonotone(t *testing.T) {
 	for _, w := range conformance.Zoo() {
 		w := w
@@ -183,8 +185,11 @@ func TestZooCoarseningMonotone(t *testing.T) {
 				t.Fatal(err)
 			}
 			p := Build(s, nil)
-			for l := 1; l < len(p.Levels); l++ {
-				child, parent := &p.Levels[l-1], &p.Levels[l]
+			for l := p.NumLevels() - 1; l >= 0; l-- {
+				p.Level(l)
+			}
+			for l := 1; l < p.NumLevels(); l++ {
+				child, parent := p.Level(l-1), p.Level(l)
 				if parent.Width != child.Width*2 {
 					t.Fatalf("level %d width %d, child width %d", l, parent.Width, child.Width)
 				}
@@ -218,7 +223,7 @@ func TestZooCoarseningMonotone(t *testing.T) {
 					}
 				}
 			}
-			if top := p.Levels[len(p.Levels)-1]; top.Buckets != 1 {
+			if top := p.Level(p.NumLevels() - 1); top.Buckets != 1 {
 				t.Fatalf("top level has %d buckets, want 1", top.Buckets)
 			}
 		})

@@ -6,18 +6,21 @@
 // client drowns; Traveler and the scalable-Gantt study (PAPERS.md) both
 // conclude the server must aggregate to the client's resolution.
 //
-// The engine precomputes a mip-pyramid of power-of-two step-bucket levels
-// over a structure: level 0 buckets one global step each, level L buckets
-// 2^L steps, aligned to the absolute step grid so any window snaps onto
-// bucket boundaries and coarsening is exactly monotone (a parent cell is
-// the merge of its two children — pinned by the property suite). Chare rows
+// The engine serves a mip-pyramid of power-of-two step-bucket levels over a
+// structure: level 0 buckets one global step each, level L buckets 2^L
+// steps, aligned to the absolute step grid so any window snaps onto bucket
+// boundaries. A level is built the first time a query needs it, as one fold
+// of the events into its (cluster, step >> L) cells, so coarsening is
+// exactly monotone by construction (a parent cell is the merge of its two
+// children — pinned by the property suite) and a resident pyramid holds only
+// the levels its clients asked for. Chare rows
 // are collapsed through internal/charegroup's behavioural clustering, and
 // communication is aggregated to (bucket, cluster) → (bucket, cluster)
 // edge weights instead of per-message lines. A query picks the coarsest
 // level that fits the requested resolution and renders O(buckets × rows)
 // output, never O(events).
 //
-// Everything is deterministic: the pyramid is a pure function of the
+// Everything is deterministic: every level is a pure function of the
 // structure (which is itself byte-identical at any extraction parallelism),
 // cells are stored in fixed array order and edges in sorted key order, so
 // the same trace + options + resolution yields a byte-identical response
@@ -27,6 +30,8 @@ package lod
 import (
 	"math/bits"
 	"slices"
+	"sync"
+	"sync/atomic"
 
 	"charmtrace/internal/charegroup"
 	"charmtrace/internal/core"
@@ -60,7 +65,7 @@ type Cell struct {
 	Max     [NumMetrics]int64
 }
 
-// merge folds other into c (the coarsening operation).
+// merge folds o into c.
 func (c *Cell) merge(o *Cell) {
 	if o.Events == 0 {
 		return
@@ -99,7 +104,7 @@ type Edge struct {
 
 // Stored cell columns, in order: the two event counts (Events is their
 // sum, so it is not stored), the time span's two ends as offsets from the
-// pyramid's earliest event time, then each metric's sum and each metric's
+// structure's earliest event time, then each metric's sum and each metric's
 // max.
 const (
 	colSends = iota
@@ -111,12 +116,12 @@ const (
 	numCols = colMax + NumMetrics
 )
 
-// scratchLevel is Build's one wide scratch level: a full-width column per
-// stored quantity, sized for the base level and reused up the pyramid. The
-// columns fold the way merge does — counts and sums add, the span's start
-// takes the minimum, its end and the metric maxima the maximum — on
-// uint64s: offsets and maxima are non-negative and a sum's wrapping uint64
-// add is int64's, so unsigned order and addition are the right ones.
+// scratchLevel is a level build's wide scratch: a full-width column per
+// stored quantity. The columns fold the way merge does — counts and sums
+// add, the span's start takes the minimum, its end and the metric maxima
+// the maximum — on uint64s: offsets and maxima are non-negative and a sum's
+// wrapping uint64 add is int64's, so unsigned order and addition are the
+// right ones.
 type scratchLevel [numCols][]uint64
 
 // newScratchLevel returns n empty cells: every column at its fold identity.
@@ -155,7 +160,7 @@ type Level struct {
 	Buckets  int32
 	rowStart []int32
 	bucket   []int32
-	origin   trace.Time // the pyramid's earliest event time
+	origin   trace.Time // the structure's earliest event time
 	cols     [numCols]column
 	edges    edgeList
 }
@@ -173,12 +178,10 @@ func (l *Level) at(i int32) (c Cell) {
 	return c
 }
 
-// pack stores the level's cells as its columns. Column by column, fill
-// writes the column's value for every stored cell into the scratch level
-// and their low halves into lo, while they are still in cache, and returns
-// the values' high halves or-ed together; those are kept only for the
-// columns that need them.
-func (l *Level) pack(w *scratchLevel, fill func(k int, vals []uint64, lo []uint32) (high uint64)) {
+// pack stores the folded scratch cells as the level's columns: every
+// value's low half, and the high halves of the columns whose values need
+// them.
+func (l *Level) pack(w *scratchLevel) {
 	n := len(l.bucket)
 	lo := make([]uint32, numCols*n)
 	var high [numCols]uint64
@@ -186,7 +189,11 @@ func (l *Level) pack(w *scratchLevel, fill func(k int, vals []uint64, lo []uint3
 	for k := range l.cols {
 		c := &l.cols[k]
 		c.lo, lo = lo[:n:n], lo[n:]
-		if high[k] = fill(k, w[k][:n], c.lo); high[k] != 0 {
+		for i, v := range w[k] {
+			c.lo[i] = uint32(v)
+			high[k] |= v >> 32
+		}
+		if high[k] != 0 {
 			wide++
 		}
 	}
@@ -197,20 +204,11 @@ func (l *Level) pack(w *scratchLevel, fill func(k int, vals []uint64, lo []uint3
 	for k := range l.cols {
 		if c := &l.cols[k]; high[k] != 0 {
 			c.hi, hi = hi[:n:n], hi[n:]
-			for i, v := range w[k][:n] {
+			for i, v := range w[k] {
 				c.hi[i] = uint32(v >> 32)
 			}
 		}
 	}
-}
-
-// split is pack's fill for a level already folded into the scratch level.
-func split(_ int, vals []uint64, lo []uint32) (high uint64) {
-	for i, v := range vals {
-		lo[i] = uint32(v)
-		high |= v >> 32
-	}
-	return high
 }
 
 // bytes is the level's resident size: every slice's length × element size.
@@ -230,55 +228,11 @@ func (l *Level) seek(cluster, b int32) (int32, int32) {
 	return start + int32(i), end
 }
 
-// coarsen returns the next level up without its edges. A parent's one or
-// two children are adjacent in l's CSR order, so one walk per row finds each
-// parent's first child, first[p] (first[n] closes the last run, and first
-// is scratch longer than l has cells), and then each column of the parents
-// is one pass that folds a run's first and last child — the same cell when
-// the parent has one, which a sum must then count once.
-func (l *Level) coarsen(w *scratchLevel, first []int32) Level {
-	nc := len(l.rowStart) - 1
-	up := Level{Width: l.Width * 2, Buckets: (l.Buckets + 1) / 2, rowStart: make([]int32, nc+1), origin: l.origin}
-	var n int32
-	for ci := 0; ci < nc; ci++ {
-		up.rowStart[ci] = n
-		for i := l.rowStart[ci]; i < l.rowStart[ci+1]; i++ {
-			if i == l.rowStart[ci] || l.bucket[i]/2 != l.bucket[i-1]/2 {
-				first[n] = i
-				n++
-			}
-		}
-	}
-	up.rowStart[nc], first[n] = n, int32(len(l.bucket))
-	up.bucket = make([]int32, n)
-	for p := range up.bucket {
-		up.bucket[p] = l.bucket[first[p]] / 2
-	}
-	up.pack(w, func(k int, vals []uint64, lo []uint32) (high uint64) {
-		src := l.cols[k]
-		for p := range vals {
-			a, b := first[p], first[p+1]-1
-			var v uint64
-			switch {
-			case k == colTimeMin:
-				v = min(src.at(a), src.at(b))
-			case k == colTimeMax || k >= colMax:
-				v = max(src.at(a), src.at(b))
-			default: // a sum: the second child's value only if it is not the first
-				v = src.at(a) + src.at(b)&-uint64(b-a)
-			}
-			vals[p], lo[p] = v, uint32(v)
-			high |= v >> 32
-		}
-		return high
-	})
-	return up
-}
-
-// Pyramid is the precomputed level-of-detail structure for one recovered
-// structure. Immutable once built and safe for concurrent readers;
-// resultcache caches it beside the query index so repeat LOD queries never
-// rescan the trace.
+// Pyramid is the level-of-detail structure for one recovered structure:
+// the clustering and the level geometry, with each level built the first
+// time a query needs it. Safe for concurrent readers, which wait on one
+// build per level; resultcache caches it beside the query index so repeat
+// LOD queries never rescan the trace.
 type Pyramid struct {
 	S *core.Structure
 	// Clusters is the behavioural clustering (charegroup.Exact): the
@@ -287,55 +241,84 @@ type Pyramid struct {
 	Clusters []charegroup.Cluster
 	// ClusterOf maps each chare to its cluster index.
 	ClusterOf []int32
-	// Levels[l] has bucket width 2^l; the top level has one bucket.
-	Levels []Level
 
-	bytes int64
+	rep    *metrics.Report // the caller's report, or nil: each level build computes its own
+	levels []lazyLevel     // levels[l] has bucket width 2^l; the top one has one bucket
+	bytes  atomic.Int64
 }
 
-// Build constructs the pyramid. rep supplies the §4 per-event metrics; nil
-// computes them (one metrics.Compute pass — callers that already hold a
-// query index can pass its report to share the work). Cost beyond the
-// metrics pass is two scans of the events — count the occupied (cluster,
-// step) slots, then fill exactly that many cells — one sort of the matched
-// messages' keys, and a geometric sweep of linear merges up the levels.
-// Each level's cells are merged in one full-width scratch level, sized for
-// the base level and reused up the pyramid, and packed into the level's
-// columns as it is finished: 52 bytes a cell where no value needs 64 bits.
+// lazyLevel is one level, built at most once.
+type lazyLevel struct {
+	once  sync.Once
+	level Level
+}
+
+// Build clusters the chares and lays out the level geometry; no level is
+// built until Level asks for it. rep supplies the §4 per-event metrics and
+// is kept for the level builds; nil has each level build compute them and
+// keep nothing per event (callers that already hold a query index can pass
+// its report to share the work).
 func Build(s *core.Structure, rep *metrics.Report) *Pyramid {
-	if rep == nil {
-		rep = metrics.Compute(s)
-	}
-	tab := s.Table()
 	p := &Pyramid{
 		S:         s,
 		Clusters:  charegroup.Exact(s),
-		ClusterOf: make([]int32, tab.NumChares()),
+		ClusterOf: make([]int32, s.Table().NumChares()),
+		rep:       rep,
 	}
 	for i := range p.Clusters {
 		for _, m := range p.Clusters[i].Members {
 			p.ClusterOf[m] = int32(i)
 		}
 	}
-	p.bytes = int64(len(p.ClusterOf)) * 4
+	bytes := int64(len(p.ClusterOf)) * 4
 	for i := range p.Clusters {
-		p.bytes += int64(len(p.Clusters[i].Members))*4 + 16
+		bytes += int64(len(p.Clusters[i].Members))*4 + 16
 	}
-	numSteps := int(s.MaxStep()) + 1
-	if numSteps <= 0 {
-		return p
+	p.bytes.Store(bytes)
+	if numSteps := int(s.MaxStep()) + 1; numSteps > 0 {
+		p.levels = make([]lazyLevel, bits.Len(uint(numSteps-1))+1)
 	}
-	nc := len(p.Clusters)
+	return p
+}
 
-	// Base level, one bucket per global step. slot is the only table with
-	// an entry per (cluster, step): it marks the occupied slots, then maps
-	// each to its cell's position in the CSR arrays.
-	slot := make([]int32, nc*numSteps)
+// NumLevels is the number of levels: level l has bucket width 2^l, and the
+// top one a single bucket spanning every step. Zero for a structure with no
+// steps.
+func (p *Pyramid) NumLevels() int { return len(p.levels) }
+
+// Level returns level l, building it on first use; concurrent first users
+// wait for the one build.
+func (p *Pyramid) Level(l int) *Level {
+	ll := &p.levels[l]
+	ll.once.Do(func() {
+		ll.level = p.build(l)
+		p.bytes.Add(ll.level.bytes())
+	})
+	return &ll.level
+}
+
+// build folds the events into level l's cells. Two scans of the events —
+// count the occupied (cluster, step >> l) slots, then fill exactly that
+// many cells, collecting one key per matched message — and one radix sort
+// of those keys. The cells are folded in a full-width scratch level and
+// packed into the level's columns: 52 bytes a cell where no value needs 64
+// bits.
+func (p *Pyramid) build(l int) Level {
+	s, tab, rep := p.S, p.S.Table(), p.rep
+	if rep == nil {
+		rep = metrics.Compute(s)
+	}
+	nb, nc := (int(s.MaxStep())>>l)+1, len(p.Clusters)
+
+	// slot is the only table with an entry per (cluster, bucket): it marks
+	// the occupied slots, then maps each to its cell's position in the CSR
+	// arrays.
+	slot := make([]int32, nc*nb)
 	var stored, recvs int
 	origin := tab.Time[0]
 	for e, kind := range tab.Kind {
 		origin = min(origin, tab.Time[e])
-		if i := int(p.ClusterOf[tab.Chare[e]])*numSteps + int(s.Step[e]); slot[i] == 0 {
+		if i := int(p.ClusterOf[tab.Chare[e]])*nb + int(s.Step[e]>>l); slot[i] == 0 {
 			slot[i] = 1
 			stored++
 		}
@@ -343,32 +326,30 @@ func Build(s *core.Structure, rep *metrics.Report) *Pyramid {
 			recvs++
 		}
 	}
-	base := Level{
-		Width: 1, Buckets: int32(numSteps),
+	lvl := Level{
+		Width: 1 << l, Buckets: int32(nb),
 		rowStart: make([]int32, nc+1), bucket: make([]int32, stored), origin: origin,
 	}
-	scratch, first := newScratchLevel(stored), make([]int32, stored+1)
 	var n int32
 	for ci := 0; ci < nc; ci++ {
-		base.rowStart[ci] = n
-		for b, occupied := range slot[ci*numSteps : (ci+1)*numSteps] {
+		lvl.rowStart[ci] = n
+		for b, occupied := range slot[ci*nb : (ci+1)*nb] {
 			if occupied != 0 {
-				slot[ci*numSteps+b], base.bucket[n] = n, int32(b)
+				slot[ci*nb+b], lvl.bucket[n] = n, int32(b)
 				n++
 			}
 		}
 	}
-	base.rowStart[nc] = n
+	lvl.rowStart[nc] = n
 
 	// msgs collects one key per matched message, then is sorted and
-	// run-length-combined into the base edges; after that it and tmp are the
-	// two scratch lists every coarser level's edges are merged through.
-	bBits, cBits := uint(bits.Len(uint(numSteps-1))), uint(bits.Len(uint(nc-1)))
-	msgs, tmp := newEdgeList(recvs, bBits, cBits), newEdgeList(recvs, bBits, cBits)
-	matched := 0
+	// run-length-combined into the level's edges.
+	bBits, cBits := uint(bits.Len(uint(nb-1))), uint(bits.Len(uint(nc-1)))
+	msgs := newEdgeList(recvs, bBits, cBits)
+	scratch, matched := newScratchLevel(stored), 0
 	for eid, kind := range tab.Kind {
-		cluster, step := p.ClusterOf[tab.Chare[eid]], s.Step[eid]
-		j, t := slot[int(cluster)*numSteps+int(step)], uint64(tab.Time[eid]-origin)
+		cluster, b := p.ClusterOf[tab.Chare[eid]], s.Step[eid]>>l
+		j, t := slot[int(cluster)*nb+int(b)], uint64(tab.Time[eid]-origin)
 		if kind == trace.Send {
 			scratch[colSends][j]++
 		} else {
@@ -383,36 +364,19 @@ func Build(s *core.Structure, rep *metrics.Report) *Pyramid {
 			scratch[colMax+m][j] = max(scratch[colMax+m][j], uint64(max(v, 0)))
 		}
 		if send := tab.Partner[eid]; send != trace.NoEvent {
-			msgs.set(matched, msgs.pack(s.Step[send], p.ClusterOf[tab.Chare[send]], step, cluster), 1)
+			msgs.set(matched, msgs.pack(s.Step[send]>>l, p.ClusterOf[tab.Chare[send]], b, cluster), 1)
 			matched++
 		}
 	}
-	base.pack(&scratch, split)
+	lvl.pack(&scratch)
 	msgs.resize(matched)
+	tmp := newEdgeList(matched, bBits, cBits)
 	msgs.sortAndCombine(&tmp)
-	base.edges = msgs.clone(bBits)
-	p.Levels = append(make([]Level, 0, bBits+1), base)
-
-	// Coarsen: each level halves the bucket count (ceiling) until one
-	// bucket spans everything. Parent bucket b merges children 2b, 2b+1:
-	// the bucket fields of an edge key lose their low bit, destination
-	// first, each by one merging pass.
-	for bBits > 0 {
-		prev := &p.Levels[len(p.Levels)-1]
-		up := prev.coarsen(&scratch, first)
-		prev.edges.halveInto(&msgs, cBits)
-		bBits--
-		msgs.halveInto(&tmp, 2*cBits+bBits)
-		up.edges = tmp.clone(bBits)
-		p.Levels = append(p.Levels, up)
-	}
-
-	for i := range p.Levels {
-		p.bytes += p.Levels[i].bytes()
-	}
-	return p
+	lvl.edges = msgs.clone()
+	return lvl
 }
 
 // Bytes is the pyramid's resident size beyond the structure itself — an
-// exact count of the level arrays — for cache memory accounting.
-func (p *Pyramid) Bytes() int64 { return p.bytes }
+// exact count of the clustering and of the level arrays built so far — for
+// cache memory accounting. It grows as queries build levels.
+func (p *Pyramid) Bytes() int64 { return p.bytes.Load() }

@@ -218,22 +218,23 @@ func (p *Pyramid) planRows(maxRows int) rowPlan {
 }
 
 // levelFor picks the coarsest level whose bucket count across the window
-// fits the resolution — native pins level 0. Buckets are grid-aligned, so
+// fits the resolution — native pins level 0 — from the level geometry
+// alone, so no level is built to be rejected. Buckets are grid-aligned, so
 // the count is over the window snapped outward to bucket boundaries.
 func (p *Pyramid) levelFor(res Resolution, from, to int32) int {
 	if res == Native {
 		return 0
 	}
-	for l := range p.Levels {
-		w := p.Levels[l].Width
-		if int(to/w-from/w)+1 <= int(res) {
+	for l := range p.levels {
+		if int(to>>l-from>>l)+1 <= int(res) {
 			return l
 		}
 	}
-	return len(p.Levels) - 1
+	return len(p.levels) - 1
 }
 
-// Query executes one LOD request against the pyramid. diff is the computed
+// Query executes one LOD request against the pyramid, building the level it
+// reads if no query has needed it before. diff is the computed
 // structural diff when the spec asked for the overlay (the caller resolves
 // the second digest), else nil. The result is a pure function of
 // (pyramid, spec, diff), rendered in fully deterministic order.
@@ -252,7 +253,7 @@ func (p *Pyramid) Query(sp Spec, diff *structdiff.Diff) (*Result, error) {
 		Buckets:    newSeries(0),
 		Cells:      [][]int64{},
 	}
-	if maxStep < 0 || len(p.Levels) == 0 {
+	if maxStep < 0 || len(p.levels) == 0 {
 		res.BucketWidth = 1
 		if !sp.NoEdges {
 			res.ClusterEdges = &EdgeSet{Src: []int32{}, Dst: []int32{}, Weight: []int64{}}
@@ -271,7 +272,7 @@ func (p *Pyramid) Query(sp Spec, diff *structdiff.Diff) (*Result, error) {
 		}
 	}
 	lvl := p.levelFor(sp.Resolution, from, to)
-	level := &p.Levels[lvl]
+	level := p.Level(lvl)
 	w := level.Width
 	b0, b1 := from/w, to/w
 	res.Level = lvl

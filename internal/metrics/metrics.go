@@ -54,7 +54,7 @@ func Compute(s *core.Structure) *Report {
 		PhaseLoad:            make([]map[trace.PE]trace.Time, len(s.Phases)),
 	}
 	r.computeDifferential()
-	r.computeImbalance(tab.PE)
+	r.computeImbalance(tab.NumPE, tab.PE)
 	return r
 }
 
@@ -91,40 +91,41 @@ func (r *Report) computeDifferential() {
 
 // computeImbalance sums sub-block durations per (phase, processor) and
 // derives the per-event spread and per-phase max-min difference, over the
-// processors that participate in each phase.
-func (r *Report) computeImbalance(pe []trace.PE) {
+// processors that participate in each phase. Each phase's loads are summed
+// over its own events in one PE-indexed table, whose entries a phase
+// resets as it first touches them, so PhaseLoad is filled once per (phase,
+// participating processor) rather than updated once per event.
+func (r *Report) computeImbalance(numPE int, pe []trace.PE) {
 	s := r.Structure
+	load := make([]trace.Time, numPE)
+	owner := make([]int32, numPE) // 1 + the last phase to touch each PE
+	var touched []trace.PE
 	for pi := range s.Phases {
-		r.PhaseLoad[pi] = make(map[trace.PE]trace.Time)
-	}
-	for e, pi := range s.PhaseOf {
-		if pi >= 0 {
-			r.PhaseLoad[pi][pe[e]] += r.SubDur[e]
-		}
-	}
-	minLoad := make([]trace.Time, len(s.Phases))
-	for pi, load := range r.PhaseLoad {
-		first := true
-		var lo, hi trace.Time
-		for _, d := range load {
-			if first {
-				lo, hi = d, d
-				first = false
-				continue
+		events, tag := s.Phases[pi].Events, int32(pi)+1
+		touched = touched[:0]
+		for _, e := range events {
+			if p := pe[e]; owner[p] != tag {
+				owner[p], load[p] = tag, r.SubDur[e]
+				touched = append(touched, p)
+			} else {
+				load[p] += r.SubDur[e]
 			}
-			if d < lo {
+		}
+		phase := make(map[trace.PE]trace.Time, len(touched))
+		var lo, hi trace.Time
+		for i, p := range touched {
+			d := load[p]
+			phase[p] = d
+			if i == 0 || d < lo {
 				lo = d
 			}
-			if d > hi {
+			if i == 0 || d > hi {
 				hi = d
 			}
 		}
-		minLoad[pi] = lo
-		r.PhaseImbalance[pi] = hi - lo
-	}
-	for e, pi := range s.PhaseOf {
-		if pi >= 0 {
-			r.Imbalance[e] = r.PhaseLoad[pi][pe[e]] - minLoad[pi]
+		r.PhaseLoad[pi], r.PhaseImbalance[pi] = phase, hi-lo
+		for _, e := range events {
+			r.Imbalance[e] = load[pe[e]] - lo
 		}
 	}
 }

@@ -112,6 +112,9 @@ type Config struct {
 	// eviction; bytes is the value's estimated footprint, reported in the
 	// cache.index_bytes / cache.aux_bytes gauge. A nil builder makes
 	// GetIndexed/LookupIndexed (resp. GetAux/LookupAux) return a nil view.
+	// A value that can grow after it is built (the LOD pyramid builds its
+	// levels on first use) reports its size through a Bytes() int64
+	// method, which RefreshViewBytes re-reads.
 	// Builders are funcs to avoid resultcache→query and resultcache→lod
 	// dependencies.
 	Index func(s *core.Structure) (val any, bytes int64)
@@ -222,7 +225,8 @@ func newView(reg *telemetry.Registry, name string, build func(s *core.Structure)
 // viewState is one entry's value of one view. It is built at most once
 // (the Once), outside the cache lock; accounted records whether bytes was
 // added to the view's gauge (an entry evicted mid-build never gets
-// accounted, and an accounted one is subtracted on eviction).
+// accounted, and an accounted one is subtracted on eviction). Once
+// accounted, bytes is only written under the cache lock.
 type viewState struct {
 	once      sync.Once
 	val       any
@@ -497,6 +501,34 @@ func (c *Cache) viewFor(v viewID, e *entry) any {
 		vw.hits.Add(1)
 	}
 	return st.val
+}
+
+// sizer is a view value whose size can change after it is built.
+type sizer interface{ Bytes() int64 }
+
+// RefreshViewBytes re-reads the size of every resident view value that can
+// grow, so that the cache.<view>_bytes gauges are exact when sampled:
+// charmd calls it before each /debug/stats or /metrics export, since a LOD
+// pyramid grows while a query that already holds it builds a level.
+// Eviction subtracts the size last read, which is what the gauge holds.
+func (c *Cache) RefreshViewBytes() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, el := range c.entries {
+		e := el.Value.(*entry)
+		for v := range e.views {
+			st := &e.views[v]
+			if !st.accounted { // then val may still be being built
+				continue
+			}
+			if sz, ok := st.val.(sizer); ok {
+				n, vw := sz.Bytes(), &c.views[v]
+				vw.total += n - st.bytes
+				st.bytes = n
+				vw.bytesG.Set(float64(vw.total))
+			}
+		}
+	}
 }
 
 // Get returns the recovered structure for (traceDigest, opt), serving from

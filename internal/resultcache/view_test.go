@@ -3,6 +3,7 @@ package resultcache
 import (
 	"context"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"charmtrace/internal/core"
@@ -281,4 +282,57 @@ func TestConcurrentViewRequestsBuildOnce(t *testing.T) {
 			}
 		}
 	})
+}
+
+// growingView is a view value whose size grows after it is built, as a LOD
+// pyramid's does when queries build its levels.
+type growingView struct{ bytes atomic.Int64 }
+
+func (g *growingView) Bytes() int64 { return g.bytes.Load() }
+
+// TestViewBytesFollowGrowth: RefreshViewBytes re-measures a value with a
+// Bytes method, so the gauge follows its growth while the entry is
+// resident, and drops to 0 once it is evicted.
+func TestViewBytesFollowGrowth(t *testing.T) {
+	tr, digest := testTrace(t)
+	for _, sl := range viewSlots {
+		t.Run(sl.name, func(t *testing.T) {
+			g := &growingView{}
+			g.bytes.Store(100)
+			conf := Config{MaxMemEntries: 1}
+			sl.install(&conf, func(*core.Structure) (any, int64) { return g, g.Bytes() })
+			c, err := New(conf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			optA := core.DefaultOptions()
+			if _, _, err := sl.get(c, context.Background(), digest, tr, optA); err != nil {
+				t.Fatal(err)
+			}
+			if got := sl.gauge(c); got != 100 {
+				t.Fatalf("%s_bytes after build = %v, want 100", sl.name, got)
+			}
+			for _, n := range []int64{250, 400} {
+				g.bytes.Store(n)
+				if _, _, ok := sl.lookup(c, digest, optA); !ok {
+					t.Fatal("entry not resident")
+				}
+				c.RefreshViewBytes()
+				if got := sl.gauge(c); got != float64(n) {
+					t.Fatalf("%s_bytes after growth to %d and a refresh = %v", sl.name, n, got)
+				}
+			}
+			optB := optA
+			optB.Reorder = !optA.Reorder
+			if _, err := c.Get(context.Background(), digest, tr, optB); err != nil {
+				t.Fatal(err)
+			}
+			if _, _, ok := sl.lookup(c, digest, optA); ok {
+				t.Fatal("first entry still resident")
+			}
+			if got := sl.gauge(c); got != 0 {
+				t.Errorf("%s_bytes after eviction = %v, want 0", sl.name, got)
+			}
+		})
+	}
 }

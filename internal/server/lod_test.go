@@ -15,6 +15,7 @@ import (
 	"charmtrace/internal/apps/jacobi"
 	"charmtrace/internal/apps/mergetree"
 	"charmtrace/internal/lod"
+	"charmtrace/internal/telemetry"
 	"charmtrace/internal/tracefile"
 )
 
@@ -299,5 +300,49 @@ func TestLodGoldenResponses(t *testing.T) {
 		if got := hex.EncodeToString(sum[:]); got != tc.want {
 			t.Errorf("GET /lod%s: body sha256 %s, want %s", tc.query, got, tc.want)
 		}
+	}
+}
+
+// TestLodAuxBytesFollowLevels: a pyramid builds each level the first time a
+// query needs it, after the cache has handed it out, so cache.aux_bytes
+// must follow it. After an overview of two traces and a windowed zoom of
+// one, the gauge /debug/stats exports equals the sum of Bytes() over the
+// resident pyramids, and the zoom has made it grow.
+func TestLodAuxBytesFollowLevels(t *testing.T) {
+	srv, ts := newTestServer(t, Config{})
+	digests := []string{upload(t, ts, encodedJacobi(t, 0)), upload(t, ts, encodedJacobi(t, 7))}
+	opt, err := srv.extractOptions(httptest.NewRequest(http.MethodGet, "/", nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	auxBytes := func() (gauge, sum float64) {
+		t.Helper()
+		stats, err := telemetry.ReadStats(bytes.NewReader(mustGet(t, ts, "/debug/stats")))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range digests {
+			_, view, ok := srv.cache.LookupAux(d, opt)
+			if !ok {
+				t.Fatalf("%s is not resident", d)
+			}
+			sum += float64(view.(*lod.Pyramid).Bytes())
+		}
+		return stats.Gauges["cache.aux_bytes"], sum
+	}
+	for _, d := range digests {
+		mustGet(t, ts, "/v1/traces/"+d+"/lod?resolution=64")
+	}
+	overview, sum := auxBytes()
+	if overview != sum || overview == 0 {
+		t.Fatalf("after the overviews cache.aux_bytes = %v, resident pyramids hold %v", overview, sum)
+	}
+	mustGet(t, ts, "/v1/traces/"+digests[0]+"/lod?resolution=256&steps=8..15&max_rows=16")
+	zoom, sum := auxBytes()
+	if zoom != sum {
+		t.Fatalf("after the zoom cache.aux_bytes = %v, resident pyramids hold %v", zoom, sum)
+	}
+	if zoom <= overview {
+		t.Fatalf("the zoom built no level: cache.aux_bytes %v, was %v", zoom, overview)
 	}
 }

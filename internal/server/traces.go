@@ -224,8 +224,10 @@ func (s *Server) writeTable(path string, tab *trace.Table) error {
 // residency walks the entries' weak references: how many decoded traces are
 // alive and their estimated bytes (the server.traces_decoded and
 // server.trace_resident_bytes gauges, sampled at scrape), and how many
-// tables.
+// tables. It also brings cache.aux_bytes up to the levels queries have
+// built in resident pyramids since the cache last measured them.
 func (s *Server) residency() (traces int, traceBytes int64, tables int) {
+	s.cache.RefreshViewBytes()
 	s.mu.RLock()
 	entries := make([]*traceEntry, 0, len(s.traces))
 	for _, te := range s.traces {
