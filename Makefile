@@ -51,13 +51,15 @@ lint:
 # FuzzLodSpec) — and the page-cursor decoder, which must accept only the
 # spelling the encoder mints (FuzzQueryCursor) — and LOD queries on pyramids
 # whose levels are first touched in a fuzzed order, against the dense
-# oracle's bytes (FuzzLodQuery). Their seed corpora replay on every plain
-# `go test`; this leg is not in tier-1.
+# oracle's bytes (FuzzLodQuery) — and the ordering stage against the
+# per-phase stage it replaced, byte for byte, on random and hand-built
+# traces under toggled options (FuzzOrderingStage). Their seed corpora
+# replay on every plain `go test`; this leg is not in tier-1.
 fuzz-smoke:
 	@for t in FuzzRead FuzzReadAuto FuzzReadProjections FuzzReadTable; do \
 		$(GO) test -run '^$$' -fuzz="^$$t\$$" -fuzztime=10s -fuzzminimizetime=1s ./internal/tracefile || exit 1; \
 	done
-	@for t in FuzzDecodeStructure FuzzDecodeStructureSummary; do \
+	@for t in FuzzDecodeStructure FuzzDecodeStructureSummary FuzzOrderingStage; do \
 		$(GO) test -run '^$$' -fuzz="^$$t\$$" -fuzztime=10s -fuzzminimizetime=1s ./internal/core || exit 1; \
 	done
 	$(GO) test -run '^$$' -fuzz='^FuzzJSONWriter$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/jsonw
@@ -127,10 +129,12 @@ bench-lod:
 	$(GO) test -run '^$$' -bench 'Benchmark(Build|Query)$$' -benchmem $(BENCHRUNS) ./internal/lod
 
 # bench-steps times Extract on the five trace shapes of the repository
-# benchmark's batch-extract workload and reports every pipeline stage's wall
-# time per event (<stage>-ns/event, from Stats.StageTime: initial ...
-# step-assignment) beside the whole extraction's ns/event and the -benchmem
-# columns, on one core and on two. For measuring while working on
+# benchmark's batch-extract workload and the nine medium zoo shapes its
+# cold-ingest workload uploads (zoo-<app>), and reports every pipeline
+# stage's wall time per event (<stage>-ns/event, from Stats.StageTime:
+# initial ... step-assignment) beside the whole extraction's ns/event, each
+# shape's events and phases, and the -benchmem columns, on one core and on
+# two. For measuring while working on
 # internal/core or internal/partition; claims go through bench-repo.
 # BENCHRUNS sets the repetitions of this target, bench-batch, bench-codec and
 # bench-lod (CI runs each once: BENCHRUNS='-benchtime 1x').

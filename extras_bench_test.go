@@ -7,6 +7,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"slices"
 	"testing"
 	"time"
 
@@ -121,19 +122,44 @@ var batchShapes = []struct {
 	{"mergetree4096", "mergetree", cli.Params{Scale: 4096}},
 }
 
-// BenchmarkParallelStepAssignment times Extract on the batch-extract shapes,
-// reporting every pipeline stage's own wall time per event (from
-// Stats.StageTime, as <stage>-ns/event) beside the whole extraction's. Run
-// it at -cpu 1,2 (make bench-steps): Parallelism is the default, so -cpu
-// sets the lane count.
+// zooShapes are the nine apps the repository benchmark's cold-ingest
+// workload uploads, at its medium scale (bench/consts.go PoolApps): small
+// traces of many phases, where per-phase costs show.
+var zooShapes = []struct {
+	name, app string
+	p         cli.Params
+}{
+	{"zoo-jacobi", "jacobi", cli.Params{Scale: 8, Iterations: 12}},
+	{"zoo-lulesh", "lulesh", cli.Params{Scale: 4}},
+	{"zoo-lassen", "lassen", cli.Params{Iterations: 40}},
+	{"zoo-mergetree", "mergetree", cli.Params{Scale: 512}},
+	{"zoo-nasbt", "nasbt", cli.Params{Scale: 5, Iterations: 16}},
+	{"zoo-pdes", "pdes", cli.Params{Scale: 128, Iterations: 16}},
+	{"zoo-lbmigrate", "lbmigrate", cli.Params{Scale: 48, Iterations: 24}},
+	{"zoo-faultsim", "faultsim", cli.Params{Scale: 32, Iterations: 30}},
+	{"zoo-ordstress", "ordstress", cli.Params{Scale: 32, Iterations: 20}},
+}
+
+// BenchmarkParallelStepAssignment times Extract on the batch-extract shapes
+// and the cold-ingest zoo shapes, reporting every pipeline stage's own wall
+// time per event (from Stats.StageTime, as <stage>-ns/event) beside the
+// whole extraction's, and each shape's events and phases. Run it at -cpu 1,2
+// (make bench-steps): Parallelism is the default, so -cpu sets the lane
+// count. A shape's trace is generated when its sub-benchmark first runs.
 func BenchmarkParallelStepAssignment(b *testing.B) {
-	for _, w := range batchShapes {
-		tr, opt, err := cli.Generate(w.app, w.p)
-		if err != nil {
-			b.Fatal(err)
-		}
+	for _, w := range slices.Concat(batchShapes, zooShapes) {
+		var tr *trace.Trace
+		var opt core.Options
 		b.Run(w.name, func(b *testing.B) {
+			if tr == nil {
+				var err error
+				if tr, opt, err = cli.Generate(w.app, w.p); err != nil {
+					b.Fatal(err)
+				}
+				b.ResetTimer()
+			}
 			stages := make(map[string]time.Duration)
+			phases := 0
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				s, err := core.Extract(tr, opt)
@@ -143,6 +169,7 @@ func BenchmarkParallelStepAssignment(b *testing.B) {
 				for name, d := range s.Stats.StageTime {
 					stages[name] += d
 				}
+				phases = len(s.Phases)
 			}
 			perEvent := func(d time.Duration) float64 { return float64(d.Nanoseconds()) / float64(b.N*len(tr.Events)) }
 			for _, name := range core.StageOrder {
@@ -151,6 +178,8 @@ func BenchmarkParallelStepAssignment(b *testing.B) {
 				}
 			}
 			b.ReportMetric(perEvent(b.Elapsed()), "ns/event")
+			b.ReportMetric(float64(len(tr.Events)), "events")
+			b.ReportMetric(float64(phases), "phases")
 		})
 	}
 }

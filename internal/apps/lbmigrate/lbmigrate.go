@@ -9,6 +9,8 @@
 package lbmigrate
 
 import (
+	"fmt"
+
 	"charmtrace/internal/sim"
 	"charmtrace/internal/trace"
 )
@@ -54,6 +56,9 @@ type state struct {
 
 // Trace runs the scenario and returns its event trace.
 func Trace(cfg Config) (*trace.Trace, error) {
+	if cfg.Chares < 1 {
+		return nil, fmt.Errorf("lbmigrate: Chares %d: want 1 or more", cfg.Chares)
+	}
 	n := cfg.Chares
 	simCfg := sim.DefaultConfig(cfg.NumPE)
 	simCfg.Seed = cfg.Seed

@@ -17,6 +17,8 @@
 package lulesh
 
 import (
+	"fmt"
+
 	"charmtrace/internal/mpisim"
 	"charmtrace/internal/sim"
 	"charmtrace/internal/trace"
@@ -93,6 +95,9 @@ type state struct {
 
 // CharmTrace runs the Charm++ variant.
 func CharmTrace(cfg Config) (*trace.Trace, error) {
+	if cfg.Grid < 1 {
+		return nil, fmt.Errorf("lulesh: Grid %d: want 1 or more", cfg.Grid)
+	}
 	g := cfg.Grid
 	n := g * g * g
 	simCfg := sim.DefaultConfig(cfg.NumPE)

@@ -15,6 +15,7 @@
 package mergetree
 
 import (
+	"fmt"
 	"math/rand"
 
 	"charmtrace/internal/mpisim"
@@ -58,8 +59,8 @@ const (
 
 // Trace runs the merge tree and returns its event trace.
 func Trace(cfg Config) (*trace.Trace, error) {
-	if cfg.Procs%cfg.GroupSize != 0 || (cfg.Procs/cfg.GroupSize)%2 != 0 {
-		panic("mergetree: Procs must be an even multiple of GroupSize")
+	if cfg.GroupSize < 1 || cfg.Procs < 2*cfg.GroupSize || cfg.Procs%(2*cfg.GroupSize) != 0 {
+		return nil, fmt.Errorf("mergetree: Procs %d: want a positive even multiple of GroupSize %d", cfg.Procs, cfg.GroupSize)
 	}
 	groups := cfg.Procs / cfg.GroupSize
 	rng := rand.New(rand.NewSource(cfg.Seed))

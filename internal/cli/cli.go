@@ -33,11 +33,39 @@ type Params struct {
 	NoReductionTracing bool
 }
 
-// workload describes one registered workload.
+// workload describes one registered workload: scale and iters are the
+// values it accepts for Params.Scale and Params.Iterations.
 type workload struct {
-	desc string
-	gen  func(p Params) (*trace.Trace, error)
-	opts func() core.Options
+	desc         string
+	gen          func(p Params) (*trace.Trace, error)
+	opts         func() core.Options
+	scale, iters span
+}
+
+// span is the values a workload accepts for one Params field besides 0 (the
+// default): min and up, in steps of step. A zero span is a field the
+// workload does not read.
+type span struct{ min, step int }
+
+var (
+	fromOne = span{1, 1}
+	fromTwo = span{2, 1} // sizes of 1 give empty traces
+)
+
+// check returns an error naming the workload, the field and its valid
+// values unless v is one of them; a negative value never is.
+func (s span) check(name, field string, v int) error {
+	if v == 0 || v > 0 && (s.step == 0 || v >= s.min && (v-s.min)%s.step == 0) {
+		return nil
+	}
+	want := "not negative: the workload does not read it"
+	switch {
+	case s.step == 1:
+		want = fmt.Sprintf("%d or more, or 0 for the default", s.min)
+	case s.step > 1:
+		want = fmt.Sprintf("a multiple of %d, or 0 for the default", s.step)
+	}
+	return fmt.Errorf("workload %s: %s %d out of range: want %s", name, field, v, want)
 }
 
 func pick[T int | int64](override, def T) T {
@@ -58,7 +86,8 @@ var workloads = map[string]workload{
 			cfg.TraceReductions = !p.NoReductionTracing
 			return jacobi.Trace(cfg)
 		},
-		opts: core.DefaultOptions,
+		opts:  core.DefaultOptions,
+		scale: fromTwo, iters: fromOne,
 	},
 	"jacobi-slow": {
 		desc: "Jacobi 2D with one slow chare in one iteration (Figures 14/15)",
@@ -70,7 +99,8 @@ var workloads = map[string]workload{
 			cfg.SlowChare = cfg.Grid + 1
 			return jacobi.Trace(cfg)
 		},
-		opts: core.DefaultOptions,
+		opts:  core.DefaultOptions,
+		scale: fromTwo, iters: fromOne,
 	},
 	"lulesh": {
 		desc: "LULESH proxy (Charm++): setup + mirrored exchanges + dt allreduce (Figure 16b)",
@@ -82,7 +112,8 @@ var workloads = map[string]workload{
 			cfg.TraceReductions = !p.NoReductionTracing
 			return lulesh.CharmTrace(cfg)
 		},
-		opts: core.DefaultOptions,
+		opts:  core.DefaultOptions,
+		scale: fromTwo, iters: fromOne,
 	},
 	"lulesh-mpi": {
 		desc: "LULESH proxy (MPI): setup + three exchanges + allreduce (Figure 16a)",
@@ -93,7 +124,8 @@ var workloads = map[string]workload{
 			cfg.Seed = pick(p.Seed, cfg.Seed)
 			return lulesh.MPITrace(cfg)
 		},
-		opts: core.MessagePassingOptions,
+		opts:  core.MessagePassingOptions,
+		scale: fromOne, iters: fromOne,
 	},
 	"lassen": {
 		desc: "LASSEN wavefront (Charm++, 8 chares): p2p + control + allreduce (Figure 20b)",
@@ -103,7 +135,8 @@ var workloads = map[string]workload{
 			cfg.Seed = pick(p.Seed, cfg.Seed)
 			return lassen.CharmTrace(cfg)
 		},
-		opts: core.DefaultOptions,
+		opts:  core.DefaultOptions,
+		scale: span{}, iters: fromOne,
 	},
 	"lassen64": {
 		desc: "LASSEN wavefront (Charm++, 64 chares on 8 PEs; Figure 20d)",
@@ -113,7 +146,8 @@ var workloads = map[string]workload{
 			cfg.Seed = pick(p.Seed, cfg.Seed)
 			return lassen.CharmTrace(cfg)
 		},
-		opts: core.DefaultOptions,
+		opts:  core.DefaultOptions,
+		scale: span{}, iters: fromOne,
 	},
 	"lassen-mpi": {
 		desc: "LASSEN wavefront (MPI, 8 procs; Figure 20a)",
@@ -123,7 +157,8 @@ var workloads = map[string]workload{
 			cfg.Seed = pick(p.Seed, cfg.Seed)
 			return lassen.MPITrace(cfg)
 		},
-		opts: core.MessagePassingOptions,
+		opts:  core.MessagePassingOptions,
+		scale: span{}, iters: fromOne,
 	},
 	"lassen-mpi64": {
 		desc: "LASSEN wavefront (MPI, 64 procs; Figure 20c)",
@@ -133,7 +168,8 @@ var workloads = map[string]workload{
 			cfg.Seed = pick(p.Seed, cfg.Seed)
 			return lassen.MPITrace(cfg)
 		},
-		opts: core.MessagePassingOptions,
+		opts:  core.MessagePassingOptions,
+		scale: span{}, iters: fromOne,
 	},
 	"mergetree": {
 		desc: "MPI merge tree, 1,024 processes with data-dependent imbalance (Figure 10)",
@@ -143,7 +179,8 @@ var workloads = map[string]workload{
 			cfg.Seed = pick(p.Seed, cfg.Seed)
 			return mergetree.Trace(cfg)
 		},
-		opts: core.MessagePassingOptions,
+		opts:  core.MessagePassingOptions,
+		scale: span{32, 32}, iters: span{},
 	},
 	"pdes": {
 		desc: "PDES mini-app with unrecorded completion-detector call (Figure 24)",
@@ -154,7 +191,8 @@ var workloads = map[string]workload{
 			cfg.Seed = pick(p.Seed, cfg.Seed)
 			return pdes.Trace(cfg)
 		},
-		opts: core.DefaultOptions,
+		opts:  core.DefaultOptions,
+		scale: fromOne, iters: fromOne,
 	},
 	"pdes-traced": {
 		desc: "PDES mini-app with the detector call recorded (the Figure 24 fix)",
@@ -166,7 +204,8 @@ var workloads = map[string]workload{
 			cfg.TraceDetectorCall = true
 			return pdes.Trace(cfg)
 		},
-		opts: core.DefaultOptions,
+		opts:  core.DefaultOptions,
+		scale: fromOne, iters: fromOne,
 	},
 	"lbmigrate": {
 		desc: "1D stencil with a mid-run load-balancing step migrating chares",
@@ -178,7 +217,8 @@ var workloads = map[string]workload{
 			cfg.TraceReductions = !p.NoReductionTracing
 			return lbmigrate.Trace(cfg)
 		},
-		opts: core.DefaultOptions,
+		opts:  core.DefaultOptions,
+		scale: fromTwo, iters: fromOne,
 	},
 	"faultsim": {
 		desc: "ring with a fail-stop chare, quiescence-triggered rollback and replay",
@@ -190,7 +230,8 @@ var workloads = map[string]workload{
 			cfg.TraceReductions = !p.NoReductionTracing
 			return faultsim.Trace(cfg)
 		},
-		opts: core.DefaultOptions,
+		opts:  core.DefaultOptions,
+		scale: fromOne, iters: fromOne,
 	},
 	"ordstress": {
 		desc: "adversarial orderability stresser: ties, priority inversion, stragglers",
@@ -201,7 +242,8 @@ var workloads = map[string]workload{
 			cfg.Seed = pick(p.Seed, cfg.Seed)
 			return ordstress.Trace(cfg)
 		},
-		opts: core.DefaultOptions,
+		opts:  core.DefaultOptions,
+		scale: fromOne, iters: fromOne,
 	},
 	"nasbt": {
 		desc: "NAS BT-style sweeps, 9 MPI processes (Figure 1)",
@@ -212,7 +254,8 @@ var workloads = map[string]workload{
 			cfg.Seed = pick(p.Seed, cfg.Seed)
 			return nasbt.Trace(cfg)
 		},
-		opts: core.MessagePassingOptions,
+		opts:  core.MessagePassingOptions,
+		scale: fromTwo, iters: fromOne,
 	},
 }
 
@@ -241,6 +284,12 @@ func Generate(name string, p Params) (*trace.Trace, core.Options, error) {
 	w, ok := workloads[name]
 	if !ok {
 		return nil, core.Options{}, fmt.Errorf("unknown workload %q; available:\n%s", name, Describe())
+	}
+	if err := w.scale.check(name, "scale", p.Scale); err != nil {
+		return nil, core.Options{}, err
+	}
+	if err := w.iters.check(name, "iterations", p.Iterations); err != nil {
+		return nil, core.Options{}, err
 	}
 	tr, err := w.gen(p)
 	if err != nil {

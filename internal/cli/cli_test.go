@@ -1,10 +1,16 @@
 package cli
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
+	"charmtrace/internal/apps/faultsim"
+	"charmtrace/internal/apps/lbmigrate"
+	"charmtrace/internal/apps/lulesh"
+	"charmtrace/internal/apps/mergetree"
 	"charmtrace/internal/core"
+	"charmtrace/internal/trace"
 )
 
 func TestAllWorkloadsGenerate(t *testing.T) {
@@ -30,6 +36,56 @@ func TestAllWorkloadsGenerate(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
+	}
+}
+
+// TestGenerateParamRanges runs every workload at scale and iterations -1, 1
+// and 3 (not a multiple of mergetree's 32 processes). Generate must not
+// panic, and must return a non-empty trace or an error naming the workload
+// and the field; -1 is always an error.
+func TestGenerateParamRanges(t *testing.T) {
+	for _, name := range Names() {
+		for _, field := range []string{"scale", "iterations"} {
+			for _, v := range []int{-1, 1, 3} {
+				t.Run(fmt.Sprintf("%s/%s=%d", name, field, v), func(t *testing.T) {
+					p := Params{Scale: v}
+					if field == "iterations" {
+						p = Params{Iterations: v}
+					}
+					if name == "mergetree" && field == "iterations" {
+						p.Scale = 64 // keep the 1,024-process default out of unit tests
+					}
+					tr, _, err := Generate(name, p)
+					switch {
+					case err != nil:
+						if msg := err.Error(); !strings.Contains(msg, "workload "+name+":") || !strings.Contains(msg, field) {
+							t.Fatalf("error %q does not name the workload and %s", msg, field)
+						}
+					case v < 0:
+						t.Fatalf("%s %d accepted", field, v)
+					case len(tr.Events) == 0:
+						t.Fatalf("%s %d gave an empty trace", field, v)
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestAppsRejectUnrunnableConfigs: the app generators return an error for a
+// size they cannot run instead of panicking.
+func TestAppsRejectUnrunnableConfigs(t *testing.T) {
+	luleshCfg, lbCfg, faultCfg, treeCfg := lulesh.DefaultConfig(), lbmigrate.DefaultConfig(), faultsim.DefaultConfig(), mergetree.DefaultConfig()
+	luleshCfg.Grid, lbCfg.Chares, faultCfg.Chares, treeCfg.Procs = -3, -3, -3, 48
+	for name, gen := range map[string]func() (*trace.Trace, error){
+		"lulesh":    func() (*trace.Trace, error) { return lulesh.CharmTrace(luleshCfg) },
+		"lbmigrate": func() (*trace.Trace, error) { return lbmigrate.Trace(lbCfg) },
+		"faultsim":  func() (*trace.Trace, error) { return faultsim.Trace(faultCfg) },
+		"mergetree": func() (*trace.Trace, error) { return mergetree.Trace(treeCfg) },
+	} {
+		if _, err := gen(); err == nil || !strings.HasPrefix(err.Error(), name+":") {
+			t.Errorf("%s: error %v, want one naming the app", name, err)
+		}
 	}
 }
 

@@ -178,10 +178,10 @@ func TestExtractBatchCancelled(t *testing.T) {
 	}
 }
 
-// TestExtractCancelsInsideSequentialSweeps: the Alg. 1 dependency sweep and
-// the overlap scan run on the calling goroutine at every worker count, and
-// poll the context and credit Progress once per fixed block of events /
-// leaps. So even at Parallelism 1 — how a one-core charmd always runs — a
+// TestExtractCancelsInsideSequentialSweeps: the Alg. 1 dependency sweep,
+// the overlap scan and the ordering stage's sweeps run on the calling
+// goroutine at every worker count, and poll the context once per fixed block
+// of events / leaps, crediting Progress per block or per phase ordered. So even at Parallelism 1 — how a one-core charmd always runs — a
 // context that expires mid-sweep aborts there, with the loop's progress
 // short of its total, instead of waiting out the whole loop while
 // /debug/flights jumps 0 → total. The context expires on the k-th poll for
@@ -193,6 +193,7 @@ func TestExtractCancelsInsideSequentialSweeps(t *testing.T) {
 	}{
 		{"dependency sweep", "dependency-merge", 16, 8}, // more than one block of events
 		{"overlap scan", "enforce-orderability", 4, 12}, // more than one block of leaps
+		{"ordering sweeps", "step-assignment", 16, 8},   // more than one block of events
 	} {
 		cfg := jacobi.DefaultConfig()
 		cfg.Grid, cfg.Iterations = tc.grid, tc.iters

@@ -12,7 +12,8 @@ import "math/bits"
 // i of level k+1 is set while word i of level k is non-zero, so the minimum
 // is found by following trailing-zero counts down from the single top word.
 // An empty queue is all zeros on every level: draining it is its reset, and
-// a lane reuses one queue for every phase without clearing anything.
+// the ordering stage reuses one queue for its two traversals without
+// clearing anything.
 type rankQueue struct {
 	levels [6][]uint64 // levels[0] are the leaves; 64^6 covers every int32 rank
 	depth  int         // levels in use; the last one is a single word

@@ -7,7 +7,10 @@ package core
 // fragment placement, local steps and phase event order, phase by phase.
 
 import (
+	"bytes"
 	"fmt"
+	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -21,6 +24,7 @@ import (
 	"charmtrace/internal/apps/ordstress"
 	"charmtrace/internal/apps/pdes"
 	"charmtrace/internal/flat"
+	"charmtrace/internal/telemetry"
 	"charmtrace/internal/trace"
 )
 
@@ -87,7 +91,7 @@ func (h *miniHeap[T]) pop() T {
 // refOrderFragments is the old orderFragments over the lane's fragment
 // tables: a Kahn traversal of the deduplicated fragment graph whose ready
 // heap is ordered by the recursive comparator.
-func refOrderFragments(tr *trace.Trace, opt Options, nf int, ar *extractArena, ls *laneScratch, phaseOf []int32, pi int32) []int32 {
+func refOrderFragments(tr *trace.Trace, opt Options, nf int, ar *refArena, ls *laneScratch, phaseOf []int32, pi int32) []int32 {
 	invoker := func(fi int32) trace.ChareID {
 		if send := tr.MatchingSend(ls.fragFirst[fi]); send != trace.NoEvent {
 			return tr.Events[send].Chare
@@ -245,22 +249,27 @@ func refStepPhase(tr *trace.Trace, events []trace.EventID, placed []int32, phase
 	return step
 }
 
-// checkAgainstReference re-orders every phase of an extracted structure the
-// old way — on a fresh lane, from the phase's event set alone — and fails
-// unless the new stage agrees: the fragment placement of a second run of the
-// new orderFragments on the same lane, the LocalStep of every event, and
-// Phases[i].Events element for element.
+// checkAgainstReference holds an extracted structure to both oracles. The
+// removed per-phase stage, refAssignSteps, run on the same phase-finding
+// state, must give the same encoded bytes and every phase's Events element
+// for element. Then every phase is re-ordered the comparator way — on a
+// fresh lane of that stage, from the phase's event set alone — and the new
+// stage must agree with it: the lane's fragment placement with the
+// comparator's, the LocalStep of every event, and Phases[i].Events.
 func checkAgainstReference(t *testing.T, tr *trace.Trace, opt Options) {
 	t.Helper()
 	s, err := Extract(tr, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if err := sameAsRefStage(tr, opt, s); err != nil {
+		t.Fatal(err)
+	}
 	a := buildAtoms(tr, opt)
-	ar := a.arena
+	ar := newRefArena(tr)
 	ar.w = flat.Grow(ar.w, ar.nEvents)
 	ar.fragOf = flat.Grow(ar.fragOf, ar.nEvents)
-	rankChares(ar, opt.ChareRank)
+	refRankChares(ar, opt.ChareRank)
 	ar.ensureLanes(1)
 	ls := ar.lanes[0]
 	for pi := range s.Phases {
@@ -273,10 +282,10 @@ func checkAgainstReference(t *testing.T, tr *trace.Trace, opt Options) {
 			return 1
 		})
 		ls.epoch++
-		phaseW(tr, opt, events, a, ar, ls, s.PhaseOf, int32(pi))
-		nf := buildFragments(tr, events, a, ar, ls)
+		lanePhaseW(tr, opt, events, a, ar, ls, s.PhaseOf, int32(pi))
+		nf := laneBuildFragments(tr, events, a, ar, ls)
 		want := refOrderFragments(tr, opt, nf, ar, ls, s.PhaseOf, int32(pi))
-		if got := orderFragments(tr, opt, nf, ar, ls, s.PhaseOf, int32(pi)); !slices.Equal(got, want) {
+		if got := laneOrderFragments(tr, opt, nf, ar, ls, s.PhaseOf, int32(pi)); !slices.Equal(got, want) {
 			t.Fatalf("phase %d: fragments placed %v, reference %v", pi, got, want)
 		}
 		step := refStepPhase(tr, events, want, s.PhaseOf, int32(pi), ls)
@@ -300,6 +309,31 @@ func checkAgainstReference(t *testing.T, tr *trace.Trace, opt Options) {
 			t.Fatalf("phase %d: Events differ from the reference output order", pi)
 		}
 	}
+}
+
+// sameAsRefStage runs phase finding on tr again, orders its result with
+// refAssignSteps, and reports where s differs from that: its encoded bytes
+// or a phase's Events order.
+func sameAsRefStage(tr *trace.Trace, opt Options, s *Structure) error {
+	t := &tel{reg: telemetry.NewRegistry()}
+	a := findPhases(tr, opt, opt.Workers(), t, func(_ string, f func() int) { f() })
+	ref := refAssignSteps(tr, opt, a, t)
+	var got, want bytes.Buffer
+	if err := EncodeStructure(&got, s); err != nil {
+		return err
+	}
+	if err := EncodeStructure(&want, ref); err != nil {
+		return err
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		return fmt.Errorf("encoded structure differs from the per-phase stage's (%d vs %d bytes)", got.Len(), want.Len())
+	}
+	for pi := range ref.Phases {
+		if !slices.Equal(s.Phases[pi].Events, ref.Phases[pi].Events) {
+			return fmt.Errorf("phase %d: Events differ from the per-phase stage's", pi)
+		}
+	}
+	return nil
 }
 
 // refWorkloads generates every zoo app at a given simulator seed.
@@ -392,12 +426,25 @@ func TestOrderingMatchesReference(t *testing.T) {
 	}
 }
 
-// TestOrderingMatchesReferenceHandBuilt covers the shapes generators rarely
-// produce.
-func TestOrderingMatchesReferenceHandBuilt(t *testing.T) {
+// handBuiltShapes are the traces generators rarely produce, by name: ties
+// in time, times at the bounds, a fragment dependency cycle, fragment chains
+// that tie for exactly four and exactly five steps back, and a phase of one
+// event. fuzzShapes lists the ones whose structures pass Validate: where a
+// block's receive and send share a timestamp, the stage orders them as time
+// order does, send first, against the block's recorded order.
+var fuzzShapes = []string{
+	"a phase of one event",
+	"chain depth limit",
+	"chains tied four steps back",
+	"equal timestamps across blocks",
+	"fragment dependency cycle",
+}
+
+func handBuiltShapes() map[string]*trace.Trace {
 	// fanOut builds n chares that each receive from chare 0's one serial
-	// block, every event stamped by at(i).
-	fanOut := func(n int, at func(i int) trace.Time) *trace.Trace {
+	// block, every event stamped by at(i) plus, for the sends after a
+	// receive, gap.
+	fanOut := func(n int, gap trace.Time, at func(i int) trace.Time) *trace.Trace {
 		b := trace.NewBuilder(n)
 		eSend := b.AddSDAGEntry("serial_0", 0, false)
 		eRecv := b.AddSDAGEntry("recv", 1, true)
@@ -415,18 +462,19 @@ func TestOrderingMatchesReferenceHandBuilt(t *testing.T) {
 		for i := 1; i < n; i++ {
 			b.BeginBlock(chares[i], trace.PE(i), eRecv, at(i))
 			b.Recv(chares[i], msgs[i], at(i))
-			b.Send(chares[i], b.NewMsg(), at(i))
-			b.EndBlock(chares[i], at(i))
+			b.Send(chares[i], b.NewMsg(), at(i)+gap)
+			b.EndBlock(chares[i], at(i)+gap)
 		}
 		return b.MustFinish()
 	}
 	cases := map[string]*trace.Trace{
-		"equal timestamps": fanOut(40, func(int) trace.Time { return 5 }),
-		"negative times":   fanOut(40, func(i int) trace.Time { return trace.Time(-1000 + 3*(i%7)) }),
-		"times near the bound": fanOut(40, func(i int) trace.Time {
+		"equal timestamps":               fanOut(40, 0, func(int) trace.Time { return 5 }),
+		"equal timestamps across blocks": fanOut(40, 1, func(int) trace.Time { return 5 }),
+		"negative times":                 fanOut(40, 0, func(i int) trace.Time { return trace.Time(-1000 + 3*(i%7)) }),
+		"times near the bound": fanOut(40, 0, func(i int) trace.Time {
 			return trace.Time(1<<62 - 100 + i%5)
 		}),
-		"widest span": fanOut(40, func(i int) trace.Time {
+		"widest span": fanOut(40, 0, func(i int) trace.Time {
 			if i == 0 {
 				return -(1<<62 - 1)
 			}
@@ -456,34 +504,38 @@ func TestOrderingMatchesReferenceHandBuilt(t *testing.T) {
 	// on (w, invoker) and the comparison walks back through their sources
 	// until level 0, where the chains sit on different chares: k-1 steps back
 	// for level k. B runs earlier throughout, so physical time contradicts
-	// the chain order, and level 6 lies beyond the four-step limit.
-	const levels = 7
-	b = trace.NewBuilder(levels + 2)
-	e = b.AddEntry("work")
-	root := b.AddChare("root", 0, 0, 0)
-	var host [2][levels]trace.ChareID // chain, level -> chare, homed on PE chare
-	for k := 0; k < levels; k++ {
-		host[0][k] = b.AddChare("level", 1, k, trace.PE(k+1))
-		host[1][k] = host[0][k]
-	}
-	host[1][0] = b.AddChare("level0b", 1, levels, levels+1)
-	in := [2]trace.MsgID{b.NewMsg(), b.NewMsg()}
-	b.BeginBlock(root, 0, e, 0)
-	b.Send(root, in[0], 1)
-	b.Send(root, in[1], 1)
-	b.EndBlock(root, 2)
-	for k := 0; k < levels; k++ {
-		for _, chain := range []int{1, 0} { // B first
-			c := host[chain][k]
-			t0 := trace.Time(100*(k+1) + 10*(1-chain))
-			b.BeginBlock(c, trace.PE(c), e, t0)
-			b.Recv(c, in[chain], t0)
-			in[chain] = b.NewMsg()
-			b.Send(c, in[chain], t0+1)
-			b.EndBlock(c, t0+2)
+	// the chain order. With four steps back the deepest tie is inside the
+	// limit; with five it lies beyond it.
+	chains := func(levels int) *trace.Trace {
+		b := trace.NewBuilder(levels + 2)
+		e := b.AddEntry("work")
+		root := b.AddChare("root", 0, 0, 0)
+		host := make([][2]trace.ChareID, levels) // level, chain -> chare, homed on PE chare
+		for k := range host {
+			host[k][0] = b.AddChare("level", 1, k, trace.PE(k+1))
+			host[k][1] = host[k][0]
 		}
+		host[0][1] = b.AddChare("level0b", 1, levels, trace.PE(levels+1))
+		in := [2]trace.MsgID{b.NewMsg(), b.NewMsg()}
+		b.BeginBlock(root, 0, e, 0)
+		b.Send(root, in[0], 1)
+		b.Send(root, in[1], 1)
+		b.EndBlock(root, 2)
+		for k := 0; k < levels; k++ {
+			for _, chain := range []int{1, 0} { // B first
+				c := host[k][chain]
+				t0 := trace.Time(100*(k+1) + 10*(1-chain))
+				b.BeginBlock(c, trace.PE(c), e, t0)
+				b.Recv(c, in[chain], t0)
+				in[chain] = b.NewMsg()
+				b.Send(c, in[chain], t0+1)
+				b.EndBlock(c, t0+2)
+			}
+		}
+		return b.MustFinish()
 	}
-	cases["chain depth limit"] = b.MustFinish()
+	cases["chains tied four steps back"] = chains(6)
+	cases["chain depth limit"] = chains(7) // tied five steps back
 
 	b = trace.NewBuilder(1)
 	e = b.AddEntry("work")
@@ -492,7 +544,17 @@ func TestOrderingMatchesReferenceHandBuilt(t *testing.T) {
 	b.Send(c0, b.NewMsg(), 1)
 	b.EndBlock(c0, 2)
 	cases["a phase of one event"] = b.MustFinish()
+	return cases
+}
 
+// TestOrderingMatchesReferenceHandBuilt covers handBuiltShapes, and two
+// blocks that each receive what the other sends before sending it, which
+// clock skew can record: their events form a cycle, and none is stepped. The
+// per-phase stage then left the phase's Events and the chares' timelines in
+// stale time order; the stage leaves the unstepped events out of both and
+// must agree with it on everything else.
+func TestOrderingMatchesReferenceHandBuilt(t *testing.T) {
+	cases := handBuiltShapes()
 	for name, tr := range cases {
 		for _, preset := range []Options{DefaultOptions(), MessagePassingOptions()} {
 			for _, reorder := range []bool{true, false} {
@@ -504,4 +566,88 @@ func TestOrderingMatchesReferenceHandBuilt(t *testing.T) {
 			}
 		}
 	}
+
+	b := trace.NewBuilder(2)
+	e := b.AddEntry("work")
+	c0, c1 := b.AddChare("a", 0, 0, 0), b.AddChare("a", 0, 1, 1)
+	m0, m1 := b.NewMsg(), b.NewMsg()
+	b.BeginBlock(c0, 0, e, 0)
+	b.Recv(c0, m1, 1)
+	b.Send(c0, m0, 5)
+	b.EndBlock(c0, 10)
+	b.BeginBlock(c1, 1, e, 0)
+	b.Recv(c1, m0, 2)
+	b.Send(c1, m1, 3)
+	b.EndBlock(c1, 10)
+	tr := b.MustFinish()
+	for _, opt := range []Options{DefaultOptions(), MessagePassingOptions()} {
+		s, err := Extract(tr, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tl := &tel{reg: telemetry.NewRegistry()}
+		ref := refAssignSteps(tr, opt, findPhases(tr, opt, 1, tl, func(_ string, f func() int) { f() }), tl)
+		if !slices.Equal(s.PhaseOf, ref.PhaseOf) || !slices.Equal(s.LocalStep, ref.LocalStep) || !slices.Equal(s.Step, ref.Step) {
+			t.Fatalf("mp=%v: phases or steps differ from the per-phase stage's", opt.MessagePassing)
+		}
+		for pi, ph := range s.Phases {
+			want := ref.Phases[pi]
+			want.Events = slices.DeleteFunc(slices.Clone(want.Events), func(e trace.EventID) bool { return s.LocalStep[e] < 0 })
+			if !reflect.DeepEqual(ph.Chares, want.Chares) || !slices.Equal(ph.Events, want.Events) ||
+				ph.MaxLocalStep != want.MaxLocalStep || ph.Offset != want.Offset || ph.Leap != want.Leap || ph.Runtime != want.Runtime {
+				t.Fatalf("mp=%v: phase %d is %+v, want %+v", opt.MessagePassing, pi, ph, want)
+			}
+		}
+		for c := range tr.Chares {
+			if evs := s.chareEvents[c]; len(evs) != 0 {
+				t.Fatalf("mp=%v: chare %d has unstepped events %v in its timeline", opt.MessagePassing, c, evs)
+			}
+		}
+	}
+}
+
+// FuzzOrderingStage holds the ordering stage to refAssignSteps, the
+// per-phase stage it replaced, byte for byte, and the structure to Validate.
+// shape picks a hand-built trace (fuzzShapes, in order) or, when it
+// is 0 or past them, property_test.go's randomTrace seeded by seed; flags
+// toggle Reorder (bit 0), MessagePassing (bit 1) and a ChareRank permutation
+// drawn from seed (bit 2).
+func FuzzOrderingStage(f *testing.F) {
+	shapes, names := handBuiltShapes(), fuzzShapes
+	for i := range names {
+		for flags := uint8(0); flags < 8; flags += 3 {
+			f.Add(int64(i), uint8(i+1), flags)
+		}
+	}
+	for seed := int64(1); seed <= 4; seed++ {
+		f.Add(seed, uint8(0), uint8(seed))
+	}
+	f.Fuzz(func(t *testing.T, seed int64, shape, flags uint8) {
+		rng := rand.New(rand.NewSource(seed))
+		var tr *trace.Trace
+		if shape == 0 || int(shape) > len(names) {
+			tr = randomTrace(rng)
+		} else {
+			tr = shapes[names[shape-1]]
+		}
+		opt := DefaultOptions()
+		opt.Reorder = flags&1 != 0
+		opt.MessagePassing = flags&2 != 0
+		if flags&4 != 0 {
+			opt.ChareRank = make([]int32, len(tr.Chares))
+			for c, r := range rng.Perm(len(tr.Chares)) {
+				opt.ChareRank[c] = int32(r)
+			}
+		}
+		s, err := Extract(tr, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		if err := sameAsRefStage(tr, opt, s); err != nil {
+			t.Fatal(err)
+		}
+	})
 }

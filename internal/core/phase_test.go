@@ -9,6 +9,7 @@ import (
 	"charmtrace/internal/apps/jacobi"
 	"charmtrace/internal/apps/lulesh"
 	"charmtrace/internal/apps/mergetree"
+	"charmtrace/internal/flat"
 	"charmtrace/internal/partition"
 	"charmtrace/internal/trace"
 )
@@ -134,7 +135,7 @@ func TestCollisionEdgesStayOutOfTheSnapshot(t *testing.T) {
 		edges := s.DAG.NumEdges()
 		p, q := sharingPhases(s)
 		s.Phases[q].Offset = s.Phases[p].Offset
-		if !fixChareCollision(s, a.arena) || s.DAG.NumEdges() != edges+1 {
+		if !fixChareCollision(s, phasesOfChares(s), make([]int32, len(s.Phases))) || s.DAG.NumEdges() != edges+1 {
 			t.Fatal("forced collision added no edge")
 		}
 		if a.set.View() != v || a.set.Snapshots() != n {
@@ -148,6 +149,23 @@ func TestCollisionEdgesStayOutOfTheSnapshot(t *testing.T) {
 	if _, err := Extract(tr, DefaultOptions()); err != nil || !ran {
 		t.Fatal("extraction failed or never reached the hook:", err)
 	}
+}
+
+// phasesOfChares groups s's phases by the chares they hold: row c lists
+// chare c's phases.
+func phasesOfChares(s *Structure) flat.Rows[int32] {
+	var chares []trace.ChareID
+	var phases []int32
+	for i := range s.Phases {
+		for _, c := range s.Phases[i].Chares {
+			chares, phases = append(chares, c), append(phases, int32(i))
+		}
+	}
+	rows := flat.GroupAll[int32](len(s.Trace.Chares), nil, nil, chares)
+	for k, i := range rows.IDs {
+		rows.IDs[k] = phases[i]
+	}
+	return rows
 }
 
 // sharingPhases returns two phases that hold a common chare.

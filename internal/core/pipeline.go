@@ -73,29 +73,7 @@ func Extract(tr *trace.Trace, opt Options) (*Structure, error) {
 		t.reg.Counter(telemetry.StageMergedPrefix + name).Add(int64(merged))
 	}
 
-	var a *atoms
-	stage("initial", func() int {
-		a = buildAtoms(tr, opt)
-		t.reg.Gauge("pipeline.initial_partitions").Set(float64(a.set.NumAtoms()))
-		return 0
-	})
-	stage("dependency-merge", func() int { return dependencyMerge(tr, a, t) })
-	stage("cycle-merge", func() int { return a.set.CycleMerge() })
-	stage("repair-merge", func() int { return repairMerge(tr, a, opt) })
-	stage("cycle-merge", func() int { return a.set.CycleMerge() })
-	if opt.InferDependencies {
-		stage("infer-dependencies", func() int { return inferDependencies(tr, a, workers, t) })
-		stage("cycle-merge", func() int { return a.set.CycleMerge() })
-		stage("leap-merge", func() int { return leapMerge(a) })
-		stage("cycle-merge", func() int { return a.set.CycleMerge() })
-	}
-	stage("enforce-orderability", func() int {
-		merged, rounds := enforceOrderability(tr, a, opt, workers, t)
-		t.reg.Gauge("pipeline.enforce_rounds").Set(float64(rounds))
-		return merged
-	})
-	stage("enforce-chare-paths", func() int { return enforceCharePaths(tr, a) })
-
+	a := findPhases(tr, opt, workers, t, stage)
 	var s *Structure
 	stage("step-assignment", func() int {
 		s = assignSteps(tr, opt, a, t)
@@ -122,12 +100,42 @@ func Extract(tr *trace.Trace, opt Options) (*Structure, error) {
 	return s, nil
 }
 
+// findPhases runs the phase-finding stages (§3.1), each through stage —
+// Extract's per-stage bookkeeping, which skips every stage once the
+// extraction is cancelled — and returns the atoms in their final partition
+// state, nil if the first stage was skipped.
+func findPhases(tr *trace.Trace, opt Options, workers int, t *tel, stage func(name string, f func() int)) *atoms {
+	var a *atoms
+	stage("initial", func() int {
+		a = buildAtoms(tr, opt)
+		t.reg.Gauge("pipeline.initial_partitions").Set(float64(a.set.NumAtoms()))
+		return 0
+	})
+	stage("dependency-merge", func() int { return dependencyMerge(tr, a, t) })
+	stage("cycle-merge", func() int { return a.set.CycleMerge() })
+	stage("repair-merge", func() int { return repairMerge(tr, a, opt) })
+	stage("cycle-merge", func() int { return a.set.CycleMerge() })
+	if opt.InferDependencies {
+		stage("infer-dependencies", func() int { return inferDependencies(tr, a, workers, t) })
+		stage("cycle-merge", func() int { return a.set.CycleMerge() })
+		stage("leap-merge", func() int { return leapMerge(a) })
+		stage("cycle-merge", func() int { return a.set.CycleMerge() })
+	}
+	stage("enforce-orderability", func() int {
+		merged, rounds := enforceOrderability(tr, a, opt, workers, t)
+		t.reg.Gauge("pipeline.enforce_rounds").Set(float64(rounds))
+		return merged
+	})
+	stage("enforce-chare-paths", func() int { return enforceCharePaths(tr, a) })
+	return a
+}
+
 // The sequential sweeps poll the extraction context and credit the live
 // progress once per fixed block of items, so cancellation latency and the
 // /debug/flights counters are the same at every worker count; the pooled
 // loops do the same per pool item (parallel.go).
 const (
-	sweepBlock = 1 << 14 // events per poll of the Alg. 1 sweep
+	sweepBlock = 1 << 14 // events per poll of the Alg. 1 sweep and of the ordering stage's two sweeps
 	leapBlock  = 16      // leaps per poll of the overlap scan
 	partItems  = 64      // pool items buildPartInfo cuts its partitions into
 )

@@ -6,180 +6,118 @@ import (
 
 	"charmtrace/internal/flat"
 	"charmtrace/internal/graph"
+	"charmtrace/internal/partition"
 	"charmtrace/internal/trace"
 )
 
-// The ordering stage works on fragments: a serial block's run of events
-// inside one phase. Reordering (§3.2.1) permutes fragments per chare; events
-// inside a fragment keep their recorded order, since the order within a
-// serial block is determined explicitly by the developer.
-//
-// Fragments live as struct-of-arrays in the pool lane's scratch
-// (laneScratch.frag*): fragment fi of the lane's current phase has canonical
-// block fragBlock[fi], initial event fragFirst[fi], w-clock of that event
-// fragWInit[fi], and events fragEvents[fragOff[fi]:fragOff[fi+1]]. The
-// per-event tables (w, fragOf, rank, waitHead, waitNext) are shared across
-// lanes in the arena: phases touch disjoint event sets, each cell is
-// initialized by its phase before being read, and cross-phase lookups are
-// guarded by PhaseOf — so the arrays never need clearing.
+// ordering is the working state of the ordering stage (§3.2), which works on
+// fragments: a serial block's run of events inside one phase. Reordering
+// (§3.2.1) permutes fragments per chare; events inside a fragment keep their
+// recorded order. No fragment edge, stepping constraint or w dependency
+// crosses a phase, and the stage orders every phase at once in passes whose
+// tables and keys have the phase as their most significant part, so that a
+// pass computes for each phase what a pass over it alone would (DESIGN.md
+// §3a). Phase pi's fragments are [fragOff[pi], fragOff[pi+1]) and its events
+// events[evOff[pi]:evOff[pi+1]], also its ranges of fragment and event ranks.
+type ordering struct {
+	tr        *trace.Trace
+	phaseOf   []int32
+	chare     []trace.ChareID // event -> chare, read instead of the event records
+	events    []trace.EventID // phased events, phase-major in (time, kind, ID) order
+	evOff     []int32
+	w, fragOf []int32 // event -> w clock within its phase, fragment
+	fragOff   []int32
+	fragFirst []trace.EventID // fragment -> initial event; frags.Row(f) lists its events
+	fragLast  []int32         // w of the fragment's latest event while clocking, then its rank
+	wBase     []int32         // phase -> one past the previous phases' largest w
+	timeOrder bool            // fragment numbers already ascend by time key (see clock)
+	frags     flat.Rows[trace.EventID]
+	pairChare []trace.ChareID // the phases' distinct (phase, chare) pairs, phase-major
+	pairPhase []int32
+	sort      flat.Sorter[int32]
+	queue     rankQueue // fragments by rank while placing, then events while stepping
+}
 
-// assignSteps runs the ordering stage (§3.2): per-phase w-clock computation,
-// per-chare fragment reordering, local step assignment, and global offsets
-// from the phase DAG.
+// assignSteps runs the ordering stage: the w clock, fragment reordering,
+// local step assignment, and global offsets from the phase DAG. Its sweeps
+// poll the extraction context once per sweepBlock events; on expiry the
+// partly built structure is returned, for Extract to discard.
 func assignSteps(tr *trace.Trace, opt Options, a *atoms, t *tel) *Structure {
 	a.set.CycleMerge()
-	v := a.set.View()
+	// The phase DAG and every atom's phase; the chares of a phase come from
+	// the clock sweep, so the set's part rows are never filled.
+	v := a.set.Graph()
 	leap, _ := v.Leaps()
-	ar := a.arena
-
+	n, nParts := len(tr.Events), len(v.G.Adj)
 	s := &Structure{
 		Trace:       tr,
 		Opts:        opt,
-		Phases:      make([]Phase, len(v.Parts)),
+		Phases:      make([]Phase, nParts),
 		DAG:         &graph.Graph{Adj: slices.Clone(v.G.Adj)}, // fixChareCollision appends; the set's snapshot stays as built
-		PhaseOf:     make([]int32, len(tr.Events)),
-		LocalStep:   make([]int32, len(tr.Events)),
-		Step:        make([]int32, len(tr.Events)),
+		PhaseOf:     make([]int32, n),
+		LocalStep:   make([]int32, n),
+		Step:        make([]int32, n),
 		chareEvents: make([][]trace.EventID, len(tr.Chares)),
 	}
-	for i := range s.PhaseOf {
-		s.PhaseOf[i] = -1
-		s.LocalStep[i] = -1
-		s.Step[i] = -1
-	}
+	o := &ordering{tr: tr, phaseOf: s.PhaseOf, chare: make([]trace.ChareID, n), w: make([]int32, n), fragOf: make([]int32, n)}
 
-	// PhaseOf must be complete before any phase is stepped: stepPhase
-	// consults it to keep cross-phase sends out of a phase's dependencies.
-	//
-	// Output layout: every phase's Events and Chares are regions of two flat
-	// buffers, with offsets computed up front so parallel workers fill
-	// disjoint regions. The regions are full-capacity subslices: an append to
-	// one phase's slice after extraction reallocates instead of clobbering
-	// its neighbour.
-	nParts := len(v.Parts)
-	chOff := make([]int32, nParts+1)
-	for pi := range v.Parts {
-		for _, atomID := range v.Parts[pi].Atoms {
-			for _, e := range a.set.AtomEvents(atomID) {
-				s.PhaseOf[e] = int32(pi)
-			}
-		}
-		chOff[pi+1] = chOff[pi] + int32(len(v.Parts[pi].Chares))
-	}
-	charesBuf := make([]trace.ChareID, chOff[nParts])
-
-	rankChares(ar, opt.ChareRank)
-
-	// Two orders of all the events are computed once here, phase by phase:
-	// every phase finds its events in (time, kind, ID) order — timeOrderLess —
-	// in its region of eventsBuf, and in (chare, ID) order in the same region
-	// of byChare. The first is the time order of all events grouped stably by
-	// phase; its key is the offset from the trace's first event, twice, plus
-	// the kind (Send=0, Recv=1); trace validation bounds |Time| below 2^62,
-	// so the key cannot wrap and a shifted trace gets the same order. The
-	// second is one more sort, on (phase, chare) — an event without a phase
-	// sorts after them all — left in the arena's sort columns, which nothing
-	// touches again before the phases are done.
-	n := len(tr.Events)
+	// One pass over the event records: each event's phase (its atom's; an
+	// event no block lists has none), chare, canonical block (complemented
+	// for a receive, in fragOf until clock numbers the fragments) and (time,
+	// kind) sort key: twice the time plus the kind (Send=0, Recv=1) less
+	// twice the earliest time, modulo 2^64, exact since trace validation
+	// bounds |Time| below 2^62.
+	keys, ids := o.sort.Columns(n)
 	var minTime trace.Time
-	for i := range tr.Events {
-		if t := tr.Events[i].Time; i == 0 || t < minTime {
-			minTime = t
-		}
-	}
-	keys, ids := ar.sort.Columns(n)
-	for i := range tr.Events {
-		ev := &tr.Events[i]
-		keys[i], ids[i] = uint64(ev.Time-minTime)*2+uint64(ev.Kind), int32(i)
-	}
-	_, order := ar.sort.Sort(n)
-	byTime := flat.Group[trace.EventID](nParts, nil, nil, order, s.PhaseOf)
-	evOff, eventsBuf := byTime.Off, byTime.IDs
-	keys, ids = ar.sort.Columns(n)
-	chareBits := bits.Len(uint(ar.nChares))
-	for i := range tr.Events {
-		keys[i], ids[i] = uint64(uint32(s.PhaseOf[i]))<<chareBits|uint64(tr.Events[i].Chare), int32(i)
-	}
-	_, byChare := ar.sort.Sort(n)
-
-	// Per-event scratch of the ordering stage, shared by the lanes.
-	ar.w = flat.Grow(ar.w, ar.nEvents)
-	ar.fragOf = flat.Grow(ar.fragOf, ar.nEvents)
-	ar.rank = flat.Grow(ar.rank, ar.nEvents)
-	ar.waitHead = flat.Grow(ar.waitHead, ar.nEvents)
-	ar.waitNext = flat.Grow(ar.waitNext, ar.nEvents)
-
-	// orderPhase handles one phase on one pool lane; phases touch disjoint
-	// events (and disjoint scratch cells), so the stage parallelizes cleanly
-	// (§3.3: "this stage could be parallelized").
-	orderPhase := func(pi int, ls *laneScratch) {
-		part := &v.Parts[pi]
-		ph := &s.Phases[pi]
-		ph.ID = int32(pi)
-		ph.Runtime = part.Runtime
-		ph.Leap = leap[pi]
-		ph.Chares = append(charesBuf[chOff[pi]:chOff[pi]:chOff[pi+1]], part.Chares...)
-
-		// The phase's events in time order, until the output order below
-		// overwrites them.
-		events := eventsBuf[evOff[pi]:evOff[pi+1]:evOff[pi+1]]
-
-		// One epoch per phase invalidates every chare-/block-indexed lane
-		// table at once.
-		ls.epoch++
-		phaseW(tr, opt, events, a, ar, ls, s.PhaseOf, int32(pi))
-		nf := buildFragments(tr, events, a, ar, ls)
-		placed := orderFragments(tr, opt, nf, ar, ls, s.PhaseOf, int32(pi))
-		ph.MaxLocalStep = stepPhase(tr, events, placed, s.PhaseOf, int32(pi), s.LocalStep, ar, ls)
-
-		// Output order (local step, chare, ID): a stable counting sort by
-		// local step of the phase's events in (chare, ID) order.
-		ph.Events = events
-		ls.stepNext = flat.Group(int(ph.MaxLocalStep)+1, ls.stepNext, events, byChare[evOff[pi]:evOff[pi+1]], s.LocalStep).Off
-	}
-
-	// Phases are the ordering stage's pool items, one per block, and the
-	// scratch of the lane that runs one is the phase's alone while it runs.
-	// /debug/flights shows "phases ordered / total".
-	workers := opt.Workers()
-	ar.ensureLanes(min(workers, nParts))
-	t.forEach(nParts, 1, workers, func(pi, lane int) {
-		orderPhase(pi, ar.lanes[lane])
-	})
-
-	computeOffsets(s, ar)
 	for e := range tr.Events {
-		if s.PhaseOf[e] >= 0 {
-			s.Step[e] = s.Phases[s.PhaseOf[e]].Offset + s.LocalStep[e]
+		ev := &tr.Events[e]
+		s.PhaseOf[e], s.LocalStep[e], o.chare[e], o.fragOf[e] = -1, -1, ev.Chare, int32(a.canonicalBlock(ev.Block))
+		if ev.Kind == trace.Recv {
+			o.fragOf[e] = ^o.fragOf[e]
+		}
+		if atom := a.of[e]; atom >= 0 {
+			s.PhaseOf[e] = v.PartOf[atom]
+		}
+		keys[e], ids[e] = uint64(ev.Time)*2+uint64(ev.Kind), int32(e)
+		if e == 0 || ev.Time < minTime {
+			minTime = ev.Time
 		}
 	}
-	stitchChareTimelines(s)
+	for e := range keys {
+		keys[e] -= uint64(minTime) * 2
+	}
+	_, order := o.sort.Sort(n)
+	byTime := flat.Group[trace.EventID](nParts, nil, nil, order, s.PhaseOf)
+	o.events, o.evOff = byTime.IDs, byTime.Off
+	// Events starts as the time-ordered region, all computeOffsets reads of
+	// it. A phase's runtime flag is its partition's: any of its atoms'.
+	seen := make([]bool, nParts)
+	for atom, pi := range v.PartOf {
+		if !seen[pi] {
+			seen[pi] = true
+			lo, hi := o.evOff[pi], o.evOff[pi+1]
+			s.Phases[pi] = Phase{ID: pi, Runtime: a.set.IsRuntime(partition.ID(atom)), Leap: leap[pi], Events: o.events[lo:hi:hi]}
+		}
+	}
+
+	t.prog.StartLoop(int64(nParts)) // /debug/flights shows phases stepped out of the total
+	if !o.clock(opt, a, t) {
+		return s
+	}
+	phasesOf := o.phaseChares(s)
+	o.frags = flat.Group[trace.EventID](len(o.fragFirst), nil, nil, o.events, o.fragOf)
+	order, rank := o.rankFragments(opt)
+	popped, popEnd, ok := o.stepEvents(s, o.orderFragments(order, rank), t)
+	if !ok {
+		return s
+	}
+	computeOffsets(s, phasesOf)
+	o.outputOrder(s, popped, popEnd)
 	return s
 }
 
-// rankChares fills ar.charePos, the order of invoking chares that
-// orderFragments breaks w ties by: the caller-supplied topology rank when one
-// is given (the paper's suggestion that data-topology-aware tie-breaking is
-// more intuitive), chare ID otherwise, ID breaking rank ties. Slot c+1 is
-// chare c's position; slot 0 is NoChare's, which ranks as -1.
-func rankChares(ar *extractArena, chareRank []int32) {
-	ar.charePos = flat.Grow(ar.charePos, ar.nChares+1)
-	keys, ids := ar.sort.Columns(ar.nChares + 1)
-	for i := range ids {
-		rank := int32(i - 1)
-		if i > 0 && i <= len(chareRank) {
-			rank = chareRank[i-1]
-		}
-		keys[i], ids[i] = uint64(uint32(rank)^(1<<31)), int32(i)
-	}
-	_, order := ar.sort.Sort(ar.nChares + 1)
-	for pos, i := range order {
-		ar.charePos[i] = int32(pos)
-	}
-}
-
-// phaseW computes the idealized-replay clock w (§3.2.1) for a phase's
-// events, which must be in (time, kind, ID) order, into ar.w.
+// clock computes the idealized-replay clock w (§3.2.1) of every phased event
+// and numbers the fragments, in one sweep of events.
 //
 // Task-based rule: the phase's initial sends get w = 0; subsequent sends of
 // a serial block count up; a receive gets w_send + 1; sends after a receive
@@ -190,225 +128,171 @@ func rankChares(ar *extractArena, chareRank []int32) {
 // timeline: w_send = 1 + max{w_recv | recv before send}, so receives may be
 // reordered around the send while the send keeps its position.
 //
-// The last-w-per-block and max-receive-w-per-chare tables are the lane's
-// epoch-marked arrays: a slot is live only when its mark equals the lane's
-// current epoch.
-func phaseW(tr *trace.Trace, opt Options, events []trace.EventID, a *atoms, ar *extractArena, ls *laneScratch, phaseOf []int32, pi int32) {
-	w := ar.w
-	epoch := ls.epoch
-	for _, e := range events {
-		ev := &tr.Events[e]
-		cb := a.canonicalBlock(ev.Block)
-		var val int32
-		if ev.Kind == trace.Recv {
-			val = 0
-			// The matching send is in this phase (Alg. 1 merges endpoints)
-			// and was processed earlier (sends precede receives in time
-			// order); the guard covers synthetic cross-phase records.
-			if send := tr.MatchingSend(e); send != trace.NoEvent && phaseOf[send] == pi {
-				val = w[send] + 1
-			}
-			if !opt.MessagePassing {
-				if ls.lastWMark[cb] == epoch && ls.lastW[cb]+1 > val {
-					val = ls.lastW[cb] + 1
-				}
-			} else {
-				if ls.maxRecvMark[ev.Chare] != epoch || val > ls.maxRecvW[ev.Chare] {
-					ls.maxRecvW[ev.Chare] = val
-					ls.maxRecvMark[ev.Chare] = epoch
-				}
-			}
-		} else { // Send
-			if opt.MessagePassing {
-				if ls.maxRecvMark[ev.Chare] == epoch {
-					val = ls.maxRecvW[ev.Chare] + 1
-				}
-			} else if ls.lastWMark[cb] == epoch {
-				val = ls.lastW[cb] + 1
-			}
-		}
-		w[e] = val
-		ls.lastW[cb] = val
-		ls.lastWMark[cb] = epoch
+// A fragment is a (phase, canonical block) pair; absorbed block pairs (§2.1)
+// order as one serial block. Chare-indexed state is live while its mark is
+// the current phase's. Fragment f's time key, the count of distinct (phase,
+// time) pairs before its first event's followed by its canonical block, goes
+// straight into the sort's key column, free until rankFragments sorts.
+func (o *ordering) clock(opt Options, a *atoms, t *tel) bool {
+	tr, nParts, nf := o.tr, len(o.evOff)-1, a.set.NumAtoms() // a fragment holds an atom at least
+	o.fragOff, o.wBase = make([]int32, nParts+1), make([]int32, nParts)
+	o.fragFirst, o.fragLast = make([]trace.EventID, 0, nf), make([]int32, 0, nf)
+	pairs := min(len(o.events), len(tr.Chares)*nParts)
+	o.pairChare, o.pairPhase = make([]trace.ChareID, 0, pairs), make([]int32, 0, pairs)
+	timeKey, _ := o.sort.Columns(len(o.events))
+	// fragOfBlock[b] is block b's latest fragment: the current phase's
+	// exactly when it is not below the phase's first.
+	fragOfBlock := make([]int32, len(tr.Blocks))
+	for i := range fragOfBlock {
+		fragOfBlock[i] = -1
 	}
+	chareMark, recvMark, maxRecvW := make([]int32, len(tr.Chares)), make([]int32, len(tr.Chares)), make([]int32, len(tr.Chares))
+	blockBits := bits.Len(uint(len(tr.Blocks)))
+	o.timeOrder = true
+	run, runTime, base, k := uint64(0), trace.Time(0), int32(0), 0
+	for pi := int32(0); pi < int32(nParts); pi++ {
+		first, top := int32(len(o.fragFirst)), int32(0)
+		o.fragOff[pi], o.wBase[pi] = first, base
+		for _, e := range o.events[o.evOff[pi]:o.evOff[pi+1]] {
+			if k++; k%sweepBlock == 0 && t.cancelled() {
+				return false
+			}
+			c, cb := o.chare[e], trace.BlockID(o.fragOf[e])
+			recv := cb < 0
+			if recv {
+				cb = ^cb
+			}
+			if chareMark[c] != pi+1 {
+				chareMark[c] = pi + 1
+				o.pairChare, o.pairPhase = append(o.pairChare, c), append(o.pairPhase, pi)
+			}
+			f := fragOfBlock[cb]
+			fresh := f < first
+			var val int32
+			if recv {
+				// The matching send is in this phase (Alg. 1 merges
+				// endpoints) and was processed earlier (sends precede
+				// receives in time order); the guard covers synthetic
+				// cross-phase records.
+				if send := o.sendIn(e, pi); send != trace.NoEvent {
+					val = o.w[send] + 1
+				}
+				if !opt.MessagePassing {
+					if !fresh && o.fragLast[f]+1 > val {
+						val = o.fragLast[f] + 1
+					}
+				} else if recvMark[c] != pi+1 || val > maxRecvW[c] {
+					maxRecvW[c], recvMark[c] = val, pi+1
+				}
+			} else if opt.MessagePassing {
+				if recvMark[c] == pi+1 {
+					val = maxRecvW[c] + 1
+				}
+			} else if !fresh {
+				val = o.fragLast[f] + 1
+			}
+			if fresh {
+				f = int32(len(o.fragFirst))
+				fragOfBlock[cb] = f
+				tm := tr.Events[e].Time
+				if f > 0 && (f == first || tm != runTime) {
+					run++
+				}
+				runTime, timeKey[f] = tm, run<<blockBits|uint64(cb)
+				o.timeOrder = o.timeOrder && (f == 0 || timeKey[f] > timeKey[f-1])
+				o.fragFirst, o.fragLast = append(o.fragFirst, e), append(o.fragLast, val)
+			}
+			o.fragLast[f], o.w[e], o.fragOf[e] = val, val, f
+			top = max(top, val)
+		}
+		base += top + 1
+	}
+	o.fragOff[nParts] = int32(len(o.fragFirst))
+	return true
 }
 
-// buildFragments groups a phase's events by canonical serial block,
-// preserving per-block recorded order, into the lane's fragment tables.
-// Absorbed block pairs (§2.1) order as one serial block. Returns the
-// fragment count; ar.fragOf maps each of the phase's events to its fragment.
-func buildFragments(tr *trace.Trace, events []trace.EventID, a *atoms, ar *extractArena, ls *laneScratch) int {
-	epoch := ls.epoch
-	ls.fragBlock = ls.fragBlock[:0]
-	ls.fragWInit = ls.fragWInit[:0]
-	ls.fragFirst = ls.fragFirst[:0]
-	nf := 0
-	for _, e := range events {
-		ev := &tr.Events[e]
-		canon := a.canonicalBlock(ev.Block)
-		var fi int32
-		if ls.blockMark[canon] == epoch {
-			fi = ls.fragOfBlock[canon]
-		} else {
-			fi = int32(nf)
-			nf++
-			ls.blockMark[canon] = epoch
-			ls.fragOfBlock[canon] = fi
-			ls.fragBlock = append(ls.fragBlock, canon)
-			ls.fragWInit = append(ls.fragWInit, ar.w[e])
-			ls.fragFirst = append(ls.fragFirst, e)
-		}
-		ar.fragOf[e] = fi
+// phaseChares fills every phase's Chares, its events' chares in ascending
+// order, from the pairs clock listed grouped by chare and then stably by
+// phase, and returns the first grouping: row c lists chare c's phases.
+func (o *ordering) phaseChares(s *Structure) flat.Rows[int32] {
+	byChare := flat.GroupAll[int32](len(o.tr.Chares), nil, nil, o.pairChare)
+	rows := flat.Group[trace.ChareID](len(s.Phases), nil, nil, byChare.IDs, o.pairPhase)
+	for i, k := range rows.IDs {
+		rows.IDs[i] = o.pairChare[k]
 	}
-	frags := flat.Group(nf, ls.fragOff, ls.fragEvents, events, ar.fragOf)
-	ls.fragOff, ls.fragEvents = frags.Off, frags.IDs
-	return nf
-}
-
-// orderFragments orders a phase's fragments (§3.2.1): by the w of the
-// fragment's initial event, ties broken by the chare that invoked the serial
-// block, then by comparing source fragments one step back (Figure 7), and
-// finally by physical time. Without Reorder, fragments order by physical
-// time. The placement respects every intra-phase message dependency between
-// fragments (a dependency-aware traversal whose ready set is prioritized by
-// that order); the returned slice is the global placement order, which step
-// assignment uses as its scheduling priority.
-func orderFragments(tr *trace.Trace, opt Options, nf int, ar *extractArena, ls *laneScratch, phaseOf []int32, pi int32) []int32 {
-	order, rank := rankFragments(tr, opt, nf, ar, ls, phaseOf, pi)
-
-	// Fragments are placed in a single phase-wide order that respects every
-	// intra-phase message dependency between fragments: a Kahn traversal
-	// whose ready set is prioritized by rank. The rank order alone can invert
-	// two same-w fragments against an explicit dependency (the invoker
-	// tie-break knows nothing about messages between the tied blocks); the
-	// dependency-aware traversal only applies it among fragments whose
-	// predecessors are already placed.
-	//
-	// A pair of fragments gets one edge per message between them: the
-	// traversal counts a fragment's in-edges down to zero, which happens when
-	// its last predecessor is placed whatever the multiplicities. Successor-
-	// list order only controls the order fragments enter the ready queue,
-	// which pops by rank, so the placement is invariant to it.
-	eu, evv := ls.edgeU[:0], ls.edgeV[:0]
-	for gi := int32(0); gi < int32(nf); gi++ {
-		for _, e := range ls.fragEvents[ls.fragOff[gi]:ls.fragOff[gi+1]] {
-			send := tr.MatchingSend(e)
-			if send == trace.NoEvent || phaseOf[send] != pi {
-				continue
-			}
-			if si := ar.fragOf[send]; si != gi {
-				eu = append(eu, si)
-				evv = append(evv, gi)
-			}
-		}
+	for pi := range s.Phases {
+		s.Phases[pi].Chares = rows.Row(pi)
 	}
-	ls.edgeU, ls.edgeV = eu, evv
-	// Successor rows: the edges' positions grouped by source fragment, then
-	// each position replaced by the edge's target.
-	succ := flat.GroupAll(nf, ls.fragSuccOff, ls.fragSucc, eu)
-	ls.fragSuccOff, ls.fragSucc = succ.Off, succ.IDs
-	ls.fragIndeg = flat.Grow(ls.fragIndeg, nf)
-	indeg, succOff := ls.fragIndeg, succ.Off
-	clear(indeg)
-	for k, i := range succ.IDs {
-		succ.IDs[k] = evv[i]
-		indeg[evv[i]]++
+	for i, k := range byChare.IDs {
+		byChare.IDs[i] = o.pairPhase[k]
 	}
-
-	ready := &ls.queue
-	ready.reset(nf)
-	for i := 0; i < nf; i++ {
-		if indeg[i] == 0 {
-			ready.push(rank[i])
-		}
-	}
-	out := ls.placed[:0]
-	blocked := 0 // no fragment ranked below order[blocked] is blocked
-	for len(out) < nf {
-		if ready.empty() {
-			// Dependency cycle among fragments (pathological multi-receive
-			// blocks): release the lowest-ranked blocked fragment. Step
-			// assignment only treats intra-fragment and message edges as
-			// hard, so a released cycle cannot corrupt the steps. In-degrees
-			// only fall, so the search resumes where the last one ended.
-			for indeg[order[blocked]] <= 0 {
-				blocked++
-			}
-			indeg[order[blocked]] = 0
-			ready.push(int32(blocked))
-			continue
-		}
-		f := order[ready.pop()]
-		out = append(out, f)
-		for _, gi := range ls.fragSucc[succOff[f]:succOff[f+1]] {
-			indeg[gi]--
-			if indeg[gi] == 0 {
-				ready.push(rank[gi])
-			}
-		}
-	}
-	ls.placed = out
-	return out
+	return byChare
 }
 
 // rankFragments computes the total order orderFragments places by: the
-// fragments in that order (in the lane's sort scratch, so valid until the
-// lane sorts again), and each fragment's position in it.
+// fragments in that order (in the sort scratch, valid until the next sort),
+// and each fragment's position in it. Within a phase the order is
+// lexicographic on a chain of keys. A fragment's key is (w of its initial
+// event, position of its invoking chare in (ChareRank, ID) order: the
+// paper's topology-aware tie-break); the chain is the fragment's key, its
+// source fragment's (the one holding the send that invoked it, when that is
+// in the phase), and so on for four steps back; tied chains fall to
+// (physical time, canonical block) of the fragment itself. This is a total
+// order: a fragment invoked from inside the phase starts with w >= 1 and a
+// real invoker, while w = 0 or no invoker means no source, so tied chains
+// have one length, and chains that reach one fragment are equal from there
+// on. Without Reorder only the (time, block) part applies.
 //
-// The order is lexicographic on a chain of keys. A fragment's key is (w of
-// its initial event, position of its invoking chare in ar.charePos); the
-// chain is the fragment's key, its source fragment's (the fragment holding
-// the send that invoked it, when that is in this phase), that one's source's,
-// and so on for four steps back; chains that tie fall to (physical time,
-// canonical block) of the fragment itself, and canonical blocks are unique
-// per fragment. This is a total order because fragments with equal keys
-// either all have a source or none does: a fragment invoked from inside the
-// phase starts with w >= 1 and a real invoker, while w = 0 or no invoker
-// means no source — so tied chains have the same length, and chains that
-// reach the same fragment are equal from there on. Without Reorder only the
-// (time, block) part applies.
-//
-// It is computed by refinement with stable radix sorts instead of comparing
-// chains pairwise: sort by (time, block); sort by key, which groups the
-// fragments into classes of equal key; then, while some class still holds two
-// fragments whose chains continue into different fragments, sort by (class,
-// key class of the next chain element) and split the classes accordingly.
-func rankFragments(tr *trace.Trace, opt Options, nf int, ar *extractArena, ls *laneScratch, phaseOf []int32, pi int32) (order, rank []int32) {
-	// Fragments are numbered by first appearance in time order, so equal
-	// times are adjacent and a running count of distinct times stands in for
-	// the time itself.
-	keys, ids := ls.sort.Columns(nf)
-	blockBits := bits.Len(uint(ar.nBlocks))
-	run := uint64(0)
-	for f := 0; f < nf; f++ {
-		if f > 0 && tr.Events[ls.fragFirst[f]].Time != tr.Events[ls.fragFirst[f-1]].Time {
-			run++
-		}
-		keys[f], ids[f] = run<<blockBits|uint64(ls.fragBlock[f]), int32(f)
+// It is computed by refinement with stable radix sorts of phase-major keys:
+// sort by the time key (unless the numbering follows it); by key, its w
+// offset by the phase's base, which groups the fragments into classes of
+// equal key; then, while some class holds two fragments whose chains go on
+// to different fragments, by (class, key class of the next chain element),
+// splitting the classes. Refining until no class anywhere splits is refining
+// each phase until none of its own does: a class that survives a round
+// unsplit holds chains that reach one fragment. Keys fit 64 bits, since w is
+// at most a phase's event count and the bases below twice the trace's.
+func (o *ordering) rankFragments(opt Options) (order, rank []int32) {
+	nf, nc := len(o.fragFirst), len(o.tr.Chares)
+	keys, order := o.sort.Columns(nf)
+	for f := range order {
+		order[f] = int32(f)
 	}
-	keys, order = ls.sort.Sort(nf)
-
+	if !o.timeOrder {
+		keys, order = o.sort.Sort(nf)
+	}
 	if opt.Reorder {
-		ls.fragSrc = flat.Grow(ls.fragSrc, nf)
-		ls.fragNext = flat.Grow(ls.fragNext, nf)
-		ls.fragKeyClass = flat.Grow(ls.fragKeyClass, nf)
-		ls.fragClass = flat.Grow(ls.fragClass, nf)
-		// next[f] is the chain element the coming round compares: f's source
-		// to begin with, -1 once the chain has left the phase.
-		src, next, keyClass, class := ls.fragSrc, ls.fragNext, ls.fragKeyClass, ls.fragClass
-		chareBits := bits.Len(uint(ar.nChares))
+		// next[f] is the chain element the coming round compares: f's
+		// source to begin with, -1 once the chain has left the phase.
+		src, class := make([]int32, nf), make([]int32, nf)
+		next, keyClass := src, class
+		var chares flat.Sorter[int32]
+		cKeys, cIDs := chares.Columns(nc + 1)
+		for i := range cIDs { // slot c+1 is chare c, slot 0 is NoChare
+			r := int32(i - 1)
+			if i > 0 && i <= len(opt.ChareRank) {
+				r = opt.ChareRank[i-1]
+			}
+			cKeys[i], cIDs[i] = uint64(uint32(r)^(1<<31)), int32(i)
+		}
+		_, byRank := chares.Sort(nc + 1)
+		charePos := cKeys // spent
+		for pos, i := range byRank {
+			charePos[i] = uint64(pos)
+		}
+		chareBits := bits.Len(uint(nc))
 		for i, f := range order {
-			inv := trace.NoChare
+			first := o.fragFirst[f]
+			pi, inv := o.phaseOf[first], trace.NoChare
 			src[f] = -1
-			if send := tr.MatchingSend(ls.fragFirst[f]); send != trace.NoEvent {
-				inv = tr.Events[send].Chare
-				if phaseOf[send] == pi {
-					src[f] = ar.fragOf[send]
+			if send := o.tr.MatchingSend(first); send != trace.NoEvent {
+				inv = o.chare[send]
+				if o.phaseOf[send] == pi {
+					src[f] = o.fragOf[send]
 				}
 			}
-			keys[i] = uint64(ls.fragWInit[f])<<chareBits | uint64(ar.charePos[inv+1])
+			keys[i] = uint64(o.wBase[pi]+o.w[first])<<chareBits | charePos[inv+1]
 		}
-		copy(next, src)
 		// classify numbers the runs of equal keys in the sorted columns and
 		// reports whether some run's chains continue into different fragments.
 		classify := func() (split bool) {
@@ -425,113 +309,243 @@ func rankFragments(tr *trace.Trace, opt Options, nf int, ar *extractArena, ls *l
 			}
 			return split
 		}
-		keys, order = ls.sort.Sort(nf)
+		keys, order = o.sort.Sort(nf)
 		split := classify()
-		copy(keyClass, class)
+		if split {
+			next, keyClass = slices.Clone(src), slices.Clone(class)
+		}
 		for depth := 1; split && depth <= 4; depth++ {
 			for i, f := range order {
-				keys[i] = uint64(class[f]) << 32
+				keys[i] = uint64(class[f]) << bits.Len(uint(nf)) // key classes are below nf
 				if g := next[f]; g >= 0 {
 					keys[i] |= uint64(keyClass[g] + 1)
 					next[f] = src[g]
 				}
 			}
-			keys, order = ls.sort.Sort(nf)
+			keys, order = o.sort.Sort(nf)
 			split = classify()
 		}
 	}
-	ls.fragRank = flat.Grow(ls.fragRank, nf)
+	rank = o.fragLast // spent
 	for pos, f := range order {
-		ls.fragRank[f] = int32(pos)
+		rank[f] = int32(pos)
 	}
-	return order, ls.fragRank
+	return order, rank
 }
 
-// stepPhase assigns local logical steps within a phase. The phase's initial
-// sources get step 0; every other event gets one over the maximum of the
-// events that happened-before it — the prior event along its chare's
-// timeline and its matching send when it is a receive.
-//
-// The hard constraints are the intra-fragment event order and the message
-// edges; both point strictly forward in (time, kind) order, so their union
-// is always acyclic and the assignment never needs a fallback. The fragment
-// placement computed by orderFragments acts as the scheduling priority: an
-// event's rank is its position in the concatenation of the fragments in
-// placement order, and ready events pop in rank order, which keeps each
-// fragment's events together whenever dependencies permit. The pop order
-// restricted to one chare IS that chare's timeline, so per-chare steps are
-// strictly increasing and every receive lands after its send, by
-// construction — which also lets stitchChareTimelines recover the timeline
-// from the steps instead of recording pop order per chare.
-//
-// An event waits for at most two others: the one before it in its fragment —
-// its neighbour in rank — and, a receive, its send. So no adjacency is built:
-// once its fragment predecessor is stepped an event is either queued or, its
-// send still unstepped (LocalStep < 0), parked on the send's list of waiting
-// receives, which the send queues when it is stepped.
-func stepPhase(tr *trace.Trace, events []trace.EventID, placed []int32, phaseOf []int32, pi int32, localStep []int32, ar *extractArena, ls *laneScratch) int32 {
-	ls.byRank = flat.Grow(ls.byRank, len(events))
-	byRank := ls.byRank
-	n := int32(0)
-	for _, fi := range placed {
-		for _, e := range ls.fragEvents[ls.fragOff[fi]:ls.fragOff[fi+1]] {
-			byRank[n] = e
-			ar.rank[e] = n
-			ar.waitHead[e] = trace.NoEvent
-			n++
-		}
-	}
-	sendIn := func(e trace.EventID) trace.EventID {
-		if send := tr.MatchingSend(e); send != trace.NoEvent && phaseOf[send] == pi {
-			return send
-		}
-		return trace.NoEvent
-	}
-	ready := &ls.queue
-	ready.reset(int(n))
-	// release is called once e's fragment predecessor is stepped.
-	release := func(e trace.EventID) {
-		if send := sendIn(e); send != trace.NoEvent && localStep[send] < 0 {
-			ar.waitNext[e] = ar.waitHead[send]
-			ar.waitHead[send] = e
-		} else {
-			ready.push(ar.rank[e])
-		}
-	}
-	for _, fi := range placed {
-		release(ls.fragEvents[ls.fragOff[fi]])
-	}
-	epoch := ls.epoch
-	var maxStep int32
-	for !ready.empty() {
-		r := ready.pop()
-		e := byRank[r]
-		ev := &tr.Events[e]
-		st := int32(0)
-		if ls.chareMark[ev.Chare] == epoch {
-			if p := ls.lastStep[ev.Chare]; p+1 > st {
-				st = p + 1
+// orderFragments places each phase's fragments (§3.2.1) in an order that
+// respects every message between them, the scheduling priority of step
+// assignment: a Kahn traversal popping the lowest rank among fragments whose
+// senders are placed, since the invoker tie-break knows nothing of messages
+// between tied blocks. A phase none of whose messages go backwards in rank
+// would be placed in rank order, and is copied instead.
+func (o *ordering) orderFragments(order, rank []int32) []int32 {
+	tr, nf, nParts := o.tr, len(o.fragFirst), len(o.fragOff)-1
+	indeg, tangled := make([]int32, nf), make([]bool, nParts)
+	for e, pi := range o.phaseOf {
+		if send := o.sendIn(trace.EventID(e), pi); pi >= 0 && send != trace.NoEvent {
+			if fs, fe := o.fragOf[send], o.fragOf[e]; fs != fe {
+				indeg[fe]++
+				tangled[pi] = tangled[pi] || rank[fs] > rank[fe]
 			}
 		}
-		if send := sendIn(e); send != trace.NoEvent {
-			if p := localStep[send]; p+1 > st {
-				st = p + 1
+	}
+	placed := order
+	if slices.Contains(tangled, true) {
+		placed = make([]int32, nf)
+	}
+	ready := &o.queue
+	ready.reset(nf)
+	for pi := range nParts {
+		lo, hi := o.fragOff[pi], o.fragOff[pi+1]
+		if !tangled[pi] {
+			copy(placed[lo:hi], order[lo:hi]) // a no-op unless some phase is tangled
+			continue
+		}
+		// Ready are the fragments from the cursor on with no sender left and,
+		// queued, those readied after the cursor passed them, ranked lower.
+		cur, blocked := lo, lo // no fragment ranked below order[blocked] is blocked
+		for at := lo; at < hi; at++ {
+			for cur < hi && indeg[order[cur]] != 0 {
+				cur++
+			}
+			var r int32
+			switch {
+			case !ready.empty():
+				r = ready.pop()
+			case cur < hi:
+				r, cur = cur, cur+1
+			default:
+				// A cycle of multi-receive blocks: release the lowest-ranked
+				// blocked fragment; steps rest on event edges alone.
+				for indeg[order[blocked]] <= 0 {
+					blocked++
+				}
+				r, indeg[order[blocked]] = blocked, 0
+			}
+			f := order[r]
+			placed[at] = f
+			for _, e := range o.frags.Row(int(f)) {
+				for _, r := range tr.MatchingRecvs(e) {
+					if g := o.fragOf[r]; o.phaseOf[r] == int32(pi) && g != f {
+						if indeg[g]--; indeg[g] == 0 && rank[g] < cur {
+							ready.push(rank[g])
+						}
+					}
+				}
 			}
 		}
-		localStep[e] = st
-		if st > maxStep {
-			maxStep = st
+	}
+	return placed
+}
+
+// stepEvents assigns local logical steps and returns each phase's events in
+// step order, phase pi's in popped[evOff[pi]:popEnd[pi]]. An event's step is
+// one over the maximum of its chare's previous event's and, a receive, its
+// send's (0 for none). The ready event of lowest rank — position in the
+// phase's fragments in placement order — is stepped next, which keeps each
+// fragment's events together whenever dependencies permit. The step order of
+// one chare IS its timeline in the phase, so per-chare steps increase and a
+// receive lands after its send, by construction.
+//
+// An event waits on its neighbour in rank if that is in its fragment, and on
+// its send. A cursor walks the ranks and steps each event it finds ready;
+// one it finds waiting is released by its neighbour, or parked on its send's
+// list, and queued when it can go. Queued ranks are below the cursor, so the
+// queue goes first. Fragment order and message edges point forward in
+// (time, kind) order, so a phase drains unless receives recorded before
+// their sends (clock skew) close a cycle; those stay unstepped.
+func (o *ordering) stepEvents(s *Structure, placed []int32, t *tel) (popped []trace.EventID, popEnd []int32, ok bool) {
+	tr, localStep := o.tr, s.LocalStep
+	// Spent: the sort's spare payload column (placed may be the other), and
+	// a phase's fragment rows once read into byRank.
+	byRank, popped, popEnd := o.sort.TmpVal[:len(o.events)], o.frags.IDs, make([]int32, len(s.Phases))
+	// Parked receives: waitHead[send] and waitNext[recv] hold an event plus
+	// one, zero ending a list; rank[e] is a parked or released e's rank.
+	var waitHead, waitNext []int32
+	rank := o.w // spent
+	// lastStep[c] is chare c's latest step, live while mark[c] is the
+	// current phase's (plus one, so that zero is no phase).
+	lastStep, mark := make([]int32, len(tr.Chares)), make([]int32, len(tr.Chares))
+	ready := &o.queue
+	ready.reset(len(o.events))
+	k := 0
+	for pi := int32(0); pi < int32(len(s.Phases)); pi++ {
+		ph, lo, hi := &s.Phases[pi], o.evOff[pi], o.evOff[pi+1]
+		r := lo
+		for _, f := range placed[o.fragOff[pi]:o.fragOff[pi+1]] {
+			for _, e := range o.frags.Row(int(f)) {
+				byRank[r] = int32(e)
+				r++
+			}
 		}
-		ls.lastStep[ev.Chare] = st
-		ls.chareMark[ev.Chare] = epoch
-		if r+1 < n && ar.fragOf[byRank[r+1]] == ar.fragOf[e] {
-			release(byRank[r+1])
+		// wait parks e (rank r, neighbour stepped) on its unstepped send, or
+		// queues it.
+		wait := func(e trace.EventID, r int32) {
+			rank[e] = r
+			if send := o.sendIn(e, pi); send != trace.NoEvent && localStep[send] < 0 {
+				if waitHead == nil {
+					waitHead, waitNext = make([]int32, len(tr.Events)), make([]int32, len(tr.Events))
+				}
+				waitNext[e], waitHead[send] = waitHead[send], int32(e)+1
+			} else {
+				ready.push(r)
+			}
 		}
-		for w := ar.waitHead[e]; w != trace.NoEvent; w = ar.waitNext[w] {
-			ready.push(ar.rank[w])
+		cur, at := lo, lo
+		for ; at < hi; at++ {
+			if k++; k%sweepBlock == 0 && t.cancelled() {
+				return nil, nil, false
+			}
+			if !ready.empty() {
+				r = ready.pop()
+			} else {
+				for ; cur < hi; cur++ {
+					e := trace.EventID(byRank[cur])
+					if cur > lo && o.fragOf[byRank[cur-1]] == o.fragOf[e] && localStep[byRank[cur-1]] < 0 {
+						continue // its neighbour releases it
+					}
+					if send := o.sendIn(e, pi); send == trace.NoEvent || localStep[send] >= 0 {
+						break
+					}
+					wait(e, cur)
+				}
+				if cur == hi {
+					break // a cycle through skewed messages
+				}
+				r, cur = cur, cur+1
+			}
+			e := trace.EventID(byRank[r])
+			c, st := o.chare[e], int32(0)
+			if mark[c] == pi+1 {
+				st = lastStep[c] + 1
+			}
+			if send := o.sendIn(e, pi); send != trace.NoEvent {
+				st = max(st, localStep[send]+1)
+			}
+			localStep[e], lastStep[c], mark[c], popped[at] = st, st, pi+1, e
+			ph.MaxLocalStep = max(ph.MaxLocalStep, st)
+			if r+1 < cur && o.fragOf[byRank[r+1]] == o.fragOf[e] {
+				wait(trace.EventID(byRank[r+1]), r+1)
+			}
+			if waitHead != nil {
+				for w := waitHead[e]; w != 0; w = waitNext[w-1] {
+					ready.push(rank[w-1])
+				}
+				waitHead[e] = 0
+			}
+		}
+		popEnd[pi] = at
+		t.prog.Add(1)
+	}
+	return popped, popEnd, true
+}
+
+// sendIn returns receive e's send if that is in phase pi, NoEvent otherwise.
+func (o *ordering) sendIn(e trace.EventID, pi int32) trace.EventID {
+	if send := o.tr.MatchingSend(e); send != trace.NoEvent && o.phaseOf[send] == pi {
+		return send
+	}
+	return trace.NoEvent
+}
+
+// outputOrder fills the global steps, the chare timelines and each phase's
+// Events in (local step, chare) order. The phases' step orders, phases in
+// (offset, leap, ID) order, grouped by chare are the timelines, and those
+// grouped by (phase, local step) every phase's Events: counting sorts both,
+// as a (phase, local step, chare) holds one event at most.
+func (o *ordering) outputOrder(s *Structure, popped []trace.EventID, popEnd []int32) {
+	var phases flat.Sorter[int32]
+	keys, ids := phases.Columns(len(s.Phases))
+	for i := range ids { // offsets and leaps are not negative
+		keys[i], ids[i] = uint64(s.Phases[i].Offset)<<32|uint64(s.Phases[i].Leap), int32(i)
+	}
+	_, byOffset := phases.Sort(len(s.Phases))
+	// Spent buffers hold the concatenation, the slots and their offsets.
+	cat, slot, base, slots := o.events[:0], o.w, make([]int32, len(s.Phases)), int32(0)
+	for _, pi := range byOffset {
+		cat = append(cat, popped[o.evOff[pi]:popEnd[pi]]...)
+		base[pi] = slots // the slot of the phase's local step 0
+		slots += s.Phases[pi].MaxLocalStep + 1
+	}
+	for e, pi := range s.PhaseOf {
+		slot[e], s.Step[e] = -1, -1
+		if pi >= 0 {
+			s.Step[e] = s.Phases[pi].Offset + s.LocalStep[e]
+			if s.LocalStep[e] >= 0 {
+				slot[e] = base[pi] + s.LocalStep[e]
+			}
 		}
 	}
-	return maxStep
+	timelines := flat.Group[trace.EventID](len(s.chareEvents), nil, nil, cat, o.chare)
+	for c := range s.chareEvents {
+		s.chareEvents[c] = timelines.Row(c)
+	}
+	bySlot := flat.Group(int(slots), o.fragOf, o.events, timelines.IDs, slot)
+	for pi := range s.Phases {
+		lo, hi := bySlot.Off[base[pi]], bySlot.Off[base[pi]+s.Phases[pi].MaxLocalStep+1]
+		s.Phases[pi].Events = bySlot.IDs[lo:hi:hi]
+	}
 }
 
 // computeOffsets assigns each phase its global step offset: the maximum over
@@ -539,8 +553,9 @@ func stepPhase(tr *trace.Trace, events []trace.EventID, placed []int32, phaseOf 
 // implementation refinement guards the per-chare uniqueness of global steps:
 // if two phases sharing a chare remain unordered and their global spans
 // collide, an order edge (earlier initial event first) is inserted and
-// offsets are recomputed.
-func computeOffsets(s *Structure, ar *extractArena) {
+// offsets are recomputed. Row c of phasesOf lists chare c's phases.
+func computeOffsets(s *Structure, phasesOf flat.Rows[int32]) {
+	spanLo := make([]int32, len(s.Phases))
 	for round := 0; round < 64; round++ {
 		order, ok := s.DAG.TopoSort()
 		if !ok {
@@ -558,7 +573,7 @@ func computeOffsets(s *Structure, ar *extractArena) {
 				}
 			}
 		}
-		if !fixChareCollision(s, ar) {
+		if !fixChareCollision(s, phasesOf, spanLo) {
 			return
 		}
 	}
@@ -567,40 +582,23 @@ func computeOffsets(s *Structure, ar *extractArena) {
 // fixChareCollision finds one pair of unordered phases that share a chare
 // and collide in global steps, adds an order edge, and reports whether it
 // did. Phases connected in the DAG can never collide (the offset rule
-// separates them), so the added edge cannot create a cycle. Every chare's
-// phases are grouped into one row of the arena's flat span tables; chares are
-// scanned in ascending ID order, so the edge chosen is deterministic.
-func fixChareCollision(s *Structure, ar *extractArena) bool {
-	// One (chare, phase) pair per chare a phase holds, grouped by chare; the
-	// grouped positions are then replaced by their phases.
-	total := 0
-	ar.spanLo = flat.Grow(ar.spanLo, len(s.Phases)) // phase -> span start, compact for the row sorts
+// separates them), so the added edge cannot create a cycle. Chares are
+// scanned in ascending ID order, so the edge chosen is deterministic;
+// spanLo is scratch for every phase's span start.
+func fixChareCollision(s *Structure, phasesOf flat.Rows[int32], spanLo []int32) bool {
 	for i := range s.Phases {
-		total += len(s.Phases[i].Chares)
-		ar.spanLo[i] = s.Phases[i].Offset
+		spanLo[i] = s.Phases[i].Offset
 	}
-	ar.spanChare, ar.spanPhase = flat.Grow(ar.spanChare, total), flat.Grow(ar.spanPhase, total)
-	chares, phases := ar.spanChare[:0], ar.spanPhase[:0]
-	for i := range s.Phases {
-		for _, c := range s.Phases[i].Chares {
-			chares, phases = append(chares, c), append(phases, int32(i))
-		}
-	}
-	spans := flat.GroupAll(ar.nChares, ar.spanOff, ar.spanRow, chares)
-	ar.spanOff, ar.spanRow = spans.Off, spans.IDs
-	for k, i := range spans.IDs {
-		spans.IDs[k] = phases[i]
-	}
-	for c := 0; c < ar.nChares; c++ {
-		row := spans.Row(c)
+	for c := 0; c < len(phasesOf.Off)-1; c++ {
+		row := phasesOf.Row(c)
 		if len(row) < 2 {
 			continue
 		}
 		// Sweep by span start: a collision exists iff a span begins before
 		// the previous maximum end.
 		slices.SortFunc(row, func(x, y int32) int {
-			if ar.spanLo[x] != ar.spanLo[y] {
-				return int(ar.spanLo[x]) - int(ar.spanLo[y])
+			if spanLo[x] != spanLo[y] {
+				return int(spanLo[x]) - int(spanLo[y])
 			}
 			return int(x) - int(y)
 		})
@@ -634,55 +632,4 @@ func phaseStartTime(s *Structure, p int32) trace.Time {
 		}
 	}
 	return best
-}
-
-// stitchChareTimelines builds each chare's global event timeline. Within a
-// phase, the per-chare step-assignment pop order IS the chare's timeline and
-// per-chare local steps strictly increase along it; across phases, timelines
-// concatenate in phase order (offset, then leap, then ID). Both orders are
-// recoverable after the fact: walking phases in that rank order and each
-// phase's Events in its (LocalStep, Chare, ID) sort order visits every
-// chare's events in exactly timeline order, so one counting pass fills all
-// timelines into a single flat buffer.
-func stitchChareTimelines(s *Structure) {
-	nc := len(s.chareEvents)
-	order := make([]int32, len(s.Phases))
-	for i := range order {
-		order[i] = int32(i)
-	}
-	slices.SortFunc(order, func(x, y int32) int {
-		px, py := &s.Phases[x], &s.Phases[y]
-		if px.Offset != py.Offset {
-			return int(px.Offset) - int(py.Offset)
-		}
-		if px.Leap != py.Leap {
-			return int(px.Leap) - int(py.Leap)
-		}
-		return int(x) - int(y)
-	})
-	// Hand-written rather than flat.Group: the key is a field of the event
-	// records, not a column. Count into off[c+2] and prefix-sum, so that
-	// off[c+1] is chare c's start and advances to its end as the row fills.
-	off := make([]int32, nc+2)
-	for e := range s.PhaseOf {
-		if s.PhaseOf[e] >= 0 {
-			off[s.Trace.Events[e].Chare+2]++
-		}
-	}
-	for c := 2; c < len(off); c++ {
-		off[c] += off[c-1]
-	}
-	buf := make([]trace.EventID, off[nc+1])
-	for _, pi := range order {
-		for _, e := range s.Phases[pi].Events {
-			c := s.Trace.Events[e].Chare
-			buf[off[c+1]] = e
-			off[c+1]++
-		}
-	}
-	for c := 0; c < nc; c++ {
-		if lo, hi := off[c], off[c+1]; lo < hi {
-			s.chareEvents[c] = buf[lo:hi:hi]
-		}
-	}
 }

@@ -391,6 +391,12 @@ func (s *Set) View() *View {
 	return v
 }
 
+// Graph returns the snapshot of the current state View returns, but with its
+// Parts not yet filled in: the partition graph and every atom's partition,
+// for a caller that needs nothing of the parts' atom and chare rows. A later
+// View call fills them into the same snapshot.
+func (s *Set) Graph() *View { return s.graphView() }
+
 // Snapshots returns how many snapshots the set has built.
 func (s *Set) Snapshots() int { return s.snapshots }
 
