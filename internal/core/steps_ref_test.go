@@ -7,8 +7,8 @@ package core
 // its block- and chare-indexed tables invalidated per phase by an epoch. The
 // functions are the removed ones, renamed; refAssignSteps is the oracle the
 // stage is held to byte for byte (TestOrderingMatchesReference,
-// FuzzOrderingStage), and the lane functions are what the comparator oracle
-// of order_ref_test.go is held to phase by phase.
+// FuzzOrderingStage), and order_ref_test.go's comparator oracle runs phase
+// by phase on the lane functions.
 
 import (
 	"math/bits"
