@@ -42,7 +42,6 @@ func main() {
 	memEntries := flag.Int("mem-entries", 0, "in-memory result-cache entries (0 = default, negative = disable)")
 	maxUpload := flag.Int64("max-upload", 256<<20, "maximum trace upload size in bytes")
 	reqTimeout := flag.Duration("request-timeout", 60*time.Second, "per-request analysis timeout")
-	parallelism := flag.Int("parallelism", 0, "extraction worker count (0 = all cores; responses are identical at any value)")
 	maxExtractions := flag.Int("max-extractions", 0, "concurrent extraction slots before load shedding (0 = GOMAXPROCS, negative = unlimited)")
 	queueWait := flag.Duration("queue-wait", time.Second, "how long a request queues for an extraction slot before a 429 + Retry-After")
 	maxResultBytes := flag.Int64("max-result-bytes", 0, "on-disk result cache bound in bytes; least-recently-modified entries are GCed past it (0 = unbounded)")
@@ -67,7 +66,6 @@ func main() {
 		MaxMemEntries:            *memEntries,
 		MaxUploadBytes:           *maxUpload,
 		RequestTimeout:           *reqTimeout,
-		Parallelism:              *parallelism,
 		MaxConcurrentExtractions: *maxExtractions,
 		QueueWait:                *queueWait,
 		MaxResultBytes:           *maxResultBytes,
@@ -117,7 +115,7 @@ func main() {
 	defer stop()
 	errCh := make(chan error, 1)
 	go func() { errCh <- httpSrv.ListenAndServe() }()
-	fmt.Printf("charmd: serving on %s (data dir %q, parallelism %d)\n", *addr, *dataDir, *parallelism)
+	fmt.Printf("charmd: serving on %s (data dir %q)\n", *addr, *dataDir)
 
 	select {
 	case <-ctx.Done():

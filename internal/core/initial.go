@@ -98,7 +98,7 @@ func buildAtoms(tr *trace.Trace, opt Options) *atoms {
 				hi++
 			}
 			run := evs[lo:hi]
-			id := a.set.AddAtom(partition.Atom{Chare: blk.Chare, Runtime: rt[run[0]], Events: run, Block: blk.ID})
+			id := a.set.AddAtom(partition.Atom{Chare: blk.Chare, Runtime: rt[run[0]], Events: run})
 			if prev >= 0 {
 				// Happened-before between fragments of the split block.
 				a.set.AddEdge(prev, id)

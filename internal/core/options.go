@@ -18,12 +18,13 @@
 //     steps are offset by phase-DAG predecessors into global steps.
 //
 // The pipeline is deterministic and, where an item owns its output,
-// parallel: the per-partition scans and the per-phase ordering stage (and,
-// in ExtractBatch, whole traces) are items of one worker pool sized by
-// Options.Parallelism. Every item writes only its own rows and every
-// union-find write happens on the calling goroutine, so the recovered
-// Structure is byte-identical for every worker count (Parallelism 1 runs
-// everything inline on the caller).
+// parallel: buildPartInfo's per-partition scan (and, in ExtractBatch, whole
+// traces) are items of one worker pool sized by Options.Parallelism. Every
+// item writes only its own rows, every union-find write happens on the
+// calling goroutine, and the ordering stage runs all phases in one
+// sequential phase-major pass, so the recovered Structure is byte-identical
+// for every worker count (Parallelism 1 runs everything inline on the
+// caller).
 package core
 
 import (
@@ -68,14 +69,13 @@ type Options struct {
 	// non-deterministic.
 	ProcessOrderDeps bool
 
-	// Parallelism is the worker count of the pool behind the pipeline's
-	// fan-outs — the per-partition scans, the per-phase ordering stage the
-	// paper notes "could be parallelized" (§3.3) — and behind ExtractBatch's
-	// per-trace fan-out. Zero or negative selects runtime.GOMAXPROCS(0); 1
-	// runs the fully sequential pipeline. The recovered Structure is
-	// byte-identical for every value: a pool item (a partition, a phase, a
-	// trace) writes only its own rows, and the merge heuristics run on the
-	// calling goroutine whatever the count.
+	// Parallelism is the worker count of the pool behind buildPartInfo's
+	// per-partition scan and behind ExtractBatch's per-trace fan-out. Zero
+	// or negative selects runtime.GOMAXPROCS(0); 1 runs the fully
+	// sequential pipeline. The recovered Structure is byte-identical for
+	// every value: a pool item (a block of partitions, a trace) writes only
+	// its own rows, and the merge heuristics and the ordering stage run on
+	// the calling goroutine whatever the count.
 	Parallelism int
 
 	// Metrics, when non-nil, additionally accumulates the extraction's
@@ -102,13 +102,13 @@ type Options struct {
 
 	// Context, when non-nil, cancels the extraction cooperatively: the
 	// pipeline polls it at every stage boundary, every fixed block of
-	// events in the Alg. 1 sweep, of leaps in the overlap scan and of
-	// partitions in the per-partition scans, at every enforce-orderability
-	// round and before every ordered phase, and Extract returns an error
-	// wrapping ctx.Err() (context.Canceled or context.DeadlineExceeded)
-	// instead of a Structure. Cancellation latency is therefore bounded by
-	// one such block (or one phase) at any worker count, not by the whole
-	// stage. Like
+	// events in the Alg. 1 sweep and in the ordering stage's two sweeps, of
+	// leaps in the overlap scan and of partitions in the per-partition
+	// scan, and at every enforce-orderability round, and Extract returns an
+	// error wrapping ctx.Err() (context.Canceled or
+	// context.DeadlineExceeded) instead of a Structure. Cancellation latency
+	// is therefore bounded by one such block at any worker count, not by the
+	// whole stage. Like
 	// Parallelism, Context is an execution-only knob: it is excluded from
 	// Fingerprint, and an extraction that completes is byte-identical with
 	// or without a context attached. nil never cancels.

@@ -27,16 +27,6 @@ func (g *Graph) AddEdge(u, v int32) {
 	g.Adj[u] = append(g.Adj[u], v)
 }
 
-// HasEdge reports whether edge u -> v exists. Linear in out-degree.
-func (g *Graph) HasEdge(u, v int32) bool {
-	for _, w := range g.Adj[u] {
-		if w == v {
-			return true
-		}
-	}
-	return false
-}
-
 // NumEdges returns the total number of (directed, possibly duplicated) edges.
 func (g *Graph) NumEdges() int {
 	n := 0
@@ -210,32 +200,4 @@ func (g *Graph) Leaps() (leap []int32, maxLeap int32) {
 		}
 	}
 	return leap, maxLeap
-}
-
-// Reverse returns the graph with all edges reversed.
-func (g *Graph) Reverse() *Graph {
-	r := New(len(g.Adj))
-	for u, adj := range g.Adj {
-		for _, v := range adj {
-			r.AddEdge(v, int32(u))
-		}
-	}
-	return r
-}
-
-// Sources returns all nodes with in-degree 0.
-func (g *Graph) Sources() []int32 {
-	indeg := make([]int32, len(g.Adj))
-	for _, adj := range g.Adj {
-		for _, v := range adj {
-			indeg[v]++
-		}
-	}
-	var out []int32
-	for v := int32(0); v < int32(len(g.Adj)); v++ {
-		if indeg[v] == 0 {
-			out = append(out, v)
-		}
-	}
-	return out
 }

@@ -152,21 +152,6 @@ func TestCondense(t *testing.T) {
 	}
 }
 
-func TestSourcesAndReverse(t *testing.T) {
-	g := New(3)
-	g.AddEdge(0, 1)
-	g.AddEdge(1, 2)
-	src := g.Sources()
-	if len(src) != 1 || src[0] != 0 {
-		t.Fatalf("Sources = %v, want [0]", src)
-	}
-	r := g.Reverse()
-	rsrc := r.Sources()
-	if len(rsrc) != 1 || rsrc[0] != 2 {
-		t.Fatalf("reverse Sources = %v, want [2]", rsrc)
-	}
-}
-
 // randomGraph builds a random digraph with n nodes and m edges.
 func randomGraph(rng *rand.Rand, n, m int) *Graph {
 	g := New(n)

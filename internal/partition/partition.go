@@ -46,7 +46,6 @@ type Atom struct {
 	Chare   trace.ChareID
 	Runtime bool // partition carries a dependency touching the runtime
 	Events  []trace.EventID
-	Block   trace.BlockID // serial block the atom was cut from
 }
 
 // edge is a directed happened-before/dependency relation between atoms.
@@ -57,7 +56,6 @@ type Set struct {
 	// Atom table, struct-of-arrays. events holds every atom's events
 	// back-to-back; atom id's slice is events[evOff[id]:evOff[id+1]].
 	chare  []trace.ChareID
-	block  []trace.BlockID
 	atomRT []bool // creation-time runtime flag, immutable
 	evOff  []int32
 	events []trace.EventID
@@ -105,7 +103,6 @@ type setScratch struct {
 func NewSet(atoms, events, edges int) *Set {
 	return &Set{
 		chare:   make([]trace.ChareID, 0, atoms),
-		block:   make([]trace.BlockID, 0, atoms),
 		atomRT:  make([]bool, 0, atoms),
 		evOff:   make([]int32, 1, atoms+1),
 		events:  make([]trace.EventID, 0, events),
@@ -122,7 +119,6 @@ func (s *Set) AddAtom(a Atom) ID {
 	s.view = nil
 	id := ID(len(s.parent))
 	s.chare = append(s.chare, a.Chare)
-	s.block = append(s.block, a.Block)
 	s.atomRT = append(s.atomRT, a.Runtime)
 	s.events = append(s.events, a.Events...)
 	s.evOff = append(s.evOff, int32(len(s.events)))
@@ -137,9 +133,6 @@ func (s *Set) NumAtoms() int { return len(s.parent) }
 
 // AtomChare returns the chare an atom's events belong to.
 func (s *Set) AtomChare(id ID) trace.ChareID { return s.chare[id] }
-
-// AtomBlock returns the serial block the atom was cut from.
-func (s *Set) AtomBlock(id ID) trace.BlockID { return s.block[id] }
 
 // AtomRuntime returns the atom's creation-time runtime flag. Unlike
 // IsRuntime it never changes under merging.
@@ -332,22 +325,6 @@ type Part struct {
 func (p *Part) HasChare(c trace.ChareID) bool {
 	i := sort.Search(len(p.Chares), func(i int) bool { return p.Chares[i] >= c })
 	return i < len(p.Chares) && p.Chares[i] == c
-}
-
-// ChareOverlap reports whether two partitions share any chare.
-func (p *Part) ChareOverlap(q *Part) bool {
-	i, j := 0, 0
-	for i < len(p.Chares) && j < len(q.Chares) {
-		switch {
-		case p.Chares[i] == q.Chares[j]:
-			return true
-		case p.Chares[i] < q.Chares[j]:
-			i++
-		default:
-			j++
-		}
-	}
-	return false
 }
 
 // View is an immutable snapshot of the partition set: the current

@@ -40,7 +40,7 @@ func TestLodFig10PayloadScale(t *testing.T) {
 	if err := tracefile.WriteBinary(&buf, mergetree.MustTrace(mergetree.DefaultConfig())); err != nil {
 		t.Fatal(err)
 	}
-	_, ts := newTestServer(t, Config{Parallelism: 4})
+	_, ts := newTestServer(t, Config{extract: extractAt(4)})
 	digest := upload(t, ts, buf.Bytes())
 
 	full := mustGet(t, ts, "/v1/traces/"+digest+"/steps?preset=mp")

@@ -66,7 +66,7 @@ func (b *syncBuffer) lineFor(t *testing.T, route string) map[string]any {
 // strict parser accepts — including every registry family — while analysis
 // requests are hammering the same registry.
 func TestMetricsEndpointScrapeUnderLoad(t *testing.T) {
-	srv, ts := newTestServer(t, Config{DataDir: t.TempDir(), Parallelism: 2})
+	srv, ts := newTestServer(t, Config{DataDir: t.TempDir(), extract: extractAt(2)})
 	digest := upload(t, ts, encodedJacobi(t, 0))
 
 	stop := make(chan struct{})

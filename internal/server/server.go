@@ -8,7 +8,7 @@
 //   - Determinism is load-bearing: every analysis response is rendered only
 //     from state the structure codec preserves, so a cache hit (memory,
 //     disk, or coalesced flight) is byte-identical to the response a fresh
-//     extraction would have produced, at any Parallelism.
+//     extraction would have produced.
 //   - Robustness: uploads are streamed and size-limited, malformed traces
 //     map to 4xx via tracefile.ErrMalformed (never 5xx), analysis requests
 //     carry a per-request timeout, and Shutdown drains in-flight work.
@@ -59,9 +59,6 @@ type Config struct {
 	// extraction it joins (0 = 60s). The extraction itself always runs to
 	// completion to populate the cache (see resultcache's detached flights).
 	RequestTimeout time.Duration
-	// Parallelism is the extraction worker count (0 = all cores). It never
-	// changes response bytes, only latency.
-	Parallelism int
 	// MaxConcurrentExtractions bounds how many analysis requests may hold an
 	// extraction slot at once (0 = GOMAXPROCS; negative = unlimited).
 	// Requests beyond the bound queue for QueueWait, then are shed with 429
@@ -550,8 +547,8 @@ func writeJSONCompact(w http.ResponseWriter, v any) {
 }
 
 // extractOptions resolves the analysis options for a request: a preset
-// (charm or mp) plus optional boolean overrides, with the server's
-// configured Parallelism and metrics registry attached. The semantic subset
+// (charm or mp) plus optional boolean overrides, with the server's metrics
+// registry attached (Parallelism stays 0: all cores). The semantic subset
 // is what the cache keys on.
 func (s *Server) extractOptions(r *http.Request) (core.Options, error) {
 	q := r.URL.Query()
@@ -584,7 +581,6 @@ func (s *Server) extractOptions(r *http.Request) (core.Options, error) {
 			return opt, fmt.Errorf("%w: parameter %s=%q is not a boolean", errBadRequest, p.name, v)
 		}
 	}
-	opt.Parallelism = s.cfg.Parallelism
 	opt.Metrics = s.reg
 	return opt, nil
 }

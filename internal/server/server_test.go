@@ -48,6 +48,15 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	return srv, ts
 }
 
+// extractAt is a Config.extract hook that extracts with par workers, for
+// tests that hold responses equal across worker counts.
+func extractAt(par int) func(*trace.Trace, core.Options) (*core.Structure, error) {
+	return func(tr *trace.Trace, opt core.Options) (*core.Structure, error) {
+		opt.Parallelism = par
+		return core.Extract(tr, opt)
+	}
+}
+
 func upload(t *testing.T, ts *httptest.Server, body []byte) string {
 	t.Helper()
 	resp, err := http.Post(ts.URL+"/v1/traces", "application/octet-stream", bytes.NewReader(body))
@@ -104,7 +113,7 @@ func TestServeByteIdentityAcrossCacheLayersAndRestart(t *testing.T) {
 	dir := t.TempDir()
 	enc := encodedJacobi(t, 0)
 
-	_, ts := newTestServer(t, Config{DataDir: dir, Parallelism: 4})
+	_, ts := newTestServer(t, Config{DataDir: dir, extract: extractAt(4)})
 	digest := upload(t, ts, enc)
 
 	paths := []string{
@@ -125,7 +134,7 @@ func TestServeByteIdentityAcrossCacheLayersAndRestart(t *testing.T) {
 
 	// Restart: a fresh server over the same data dir. The trace reloads
 	// lazily from traces/, the result from the on-disk cache.
-	srv2, ts2 := newTestServer(t, Config{DataDir: dir, Parallelism: 2})
+	srv2, ts2 := newTestServer(t, Config{DataDir: dir, extract: extractAt(2)})
 	for _, p := range paths {
 		if got := mustGet(t, ts2, p); !bytes.Equal(got, miss[p]) {
 			t.Errorf("%s: post-restart response differs from original", p)
@@ -137,7 +146,7 @@ func TestServeByteIdentityAcrossCacheLayersAndRestart(t *testing.T) {
 
 	// A completely independent server extracting sequentially produces the
 	// same bytes: Parallelism never leaks into responses.
-	_, ts3 := newTestServer(t, Config{DataDir: t.TempDir(), Parallelism: 1})
+	_, ts3 := newTestServer(t, Config{DataDir: t.TempDir(), extract: extractAt(1)})
 	if d := upload(t, ts3, enc); d != digest {
 		t.Fatalf("digest mismatch across servers: %s vs %s", d, digest)
 	}
@@ -554,7 +563,7 @@ func TestOutOfRangePEUploadsAre400s(t *testing.T) {
 // byte-identical to the extraction response. This keeps the serving layer
 // honest on exactly the traces the differential harness certifies.
 func TestZooEndToEndMatrix(t *testing.T) {
-	_, ts := newTestServer(t, Config{DataDir: t.TempDir(), Parallelism: 2})
+	_, ts := newTestServer(t, Config{DataDir: t.TempDir(), extract: extractAt(2)})
 	for _, w := range conformance.Zoo() {
 		w := w
 		t.Run(w.Name, func(t *testing.T) {

@@ -235,8 +235,12 @@ func TestRenderAllocationsDoNotScaleWithRows(t *testing.T) {
 
 	req := httptest.NewRequest("GET", "/v1/traces/"+large+"/steps", nil)
 	req.Header.Set("Accept-Encoding", "gzip")
-	// A collection empties sync.Pools; hold it off while measuring what a
-	// response costs when the pool has a compressor, as it does under load.
+	// Measure what a response costs when the pool has a compressor, as it
+	// does under load. A collection empties sync.Pools, so hold it off; and
+	// a Put lands in the current P's private slot, so run on one P: a
+	// goroutine that moved to another P would find that P's slot empty and
+	// build a compressor (a megabyte) inside the loop.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	w.serve(srv, req) // fill the pool
 	const runs = 20

@@ -128,21 +128,16 @@ func PromCounter(w io.Writer, name, help string, v float64) {
 	fmt.Fprintf(w, "%s %s\n", name, promFloat(v))
 }
 
-// WritePrometheus renders a point-in-time snapshot of the registry in the
-// text exposition format. Families are emitted in sorted sanitized-name
-// order, so successive scrapes of an unchanged registry are byte-identical
-// (modulo values). Two registry names that sanitize to the same family
-// keep only the lexically first — the registry's dotted naming convention
-// never collides in practice, and a duplicate family would be a format
-// violation.
-func WritePrometheus(w io.Writer, reg *Registry) error {
-	return WritePrometheusLabels(w, reg, nil)
-}
-
-// WritePrometheusLabels is WritePrometheus with a constant label set stamped
-// on every sample — charmd nodes expose node="<name>" so one scrape config
-// over a cluster keeps per-node series apart. Histogram buckets merge the
-// constant labels with their le pair.
+// WritePrometheusLabels renders a point-in-time snapshot of the registry in
+// the text exposition format, with a constant label set (nil for none)
+// stamped on every sample — charmd nodes expose node="<name>" so one scrape
+// config over a cluster keeps per-node series apart. Histogram buckets merge
+// the constant labels with their le pair. Families are emitted in sorted
+// sanitized-name order, so successive scrapes of an unchanged registry are
+// byte-identical (modulo values). Two registry names that sanitize to the
+// same family keep only the lexically first — the registry's dotted naming
+// convention never collides in practice, and a duplicate family would be a
+// format violation.
 func WritePrometheusLabels(w io.Writer, reg *Registry, labels map[string]string) error {
 	snap := reg.Snapshot()
 	ls := labelSet(labels, "")
@@ -251,7 +246,7 @@ func WriteGoRuntimeMetrics(w io.Writer) error {
 // ---- strict exposition parser ------------------------------------------
 //
 // ParsePromText is the validation half of the exporter: a deliberately
-// strict reader of the subset of the text format WritePrometheus emits
+// strict reader of the subset of the text format WritePrometheusLabels emits
 // (samples with an optional constant label set — e.g. the cluster's
 // node="..." — plus histogram `le` labels). The exposition tests round-trip
 // every registry metric through it, and it rejects everything a lenient

@@ -44,7 +44,7 @@ func TestWritePrometheusRoundTrip(t *testing.T) {
 		h.Observe(v)
 	}
 	var buf bytes.Buffer
-	if err := WritePrometheus(&buf, reg); err != nil {
+	if err := WritePrometheusLabels(&buf, reg, nil); err != nil {
 		t.Fatal(err)
 	}
 	fams, err := ParsePromText(bytes.NewReader(buf.Bytes()))

@@ -9,8 +9,8 @@
 //     one for the life of the process.
 //   - The exporters: StatsExport is the versioned JSON schema behind the
 //     -stats-json flag and /debug/stats (diffable across runs), and
-//     WritePrometheus renders a registry in the Prometheus text format for
-//     /metrics.
+//     WritePrometheusLabels renders a registry in the Prometheus text
+//     format for /metrics.
 //   - The request-ID contract every hop of a served request shares.
 //
 // Recording never influences the analysis: a registry only observes, so the

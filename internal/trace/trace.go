@@ -397,15 +397,3 @@ func (t *Trace) ApplicationChares() []ChareID {
 	}
 	return out
 }
-
-// IdleBefore returns the idle span on pe that ends exactly at time tm, or a
-// zero Idle and false if there is none. Simulators record an idle record
-// whenever a PE's scheduler had an empty queue.
-func (t *Trace) IdleBefore(pe PE, tm Time) (Idle, bool) {
-	for _, idle := range t.Idles {
-		if idle.PE == pe && idle.End == tm {
-			return idle, true
-		}
-	}
-	return Idle{}, false
-}

@@ -192,12 +192,8 @@ func TestIdleRecords(t *testing.T) {
 	if len(tr.Idles) != 1 {
 		t.Fatalf("idles = %d, want 1 (zero-length dropped)", len(tr.Idles))
 	}
-	idle, ok := tr.IdleBefore(1, 100)
-	if !ok || idle.Duration() != 60 {
-		t.Fatalf("IdleBefore = %+v ok=%v, want 60ns idle", idle, ok)
-	}
-	if _, ok := tr.IdleBefore(0, 100); ok {
-		t.Fatal("IdleBefore on wrong PE should miss")
+	if idle := tr.Idles[0]; idle.PE != 1 || idle.End != 100 || idle.Duration() != 60 {
+		t.Fatalf("idle = %+v, want 60ns on PE 1 ending at 100", idle)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"os"
 	"sort"
 	"strconv"
 	"strings"
@@ -135,20 +134,6 @@ func WriteProjections(w io.Writer, t *trace.Trace) error {
 		fmt.Fprintln(bw, "END_LOG")
 	}
 	return bw.Flush()
-}
-
-// WriteFileProjections serializes a trace to a file in the
-// Projections-style format.
-func WriteFileProjections(path string, t *trace.Trace) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := WriteProjections(f, t); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 // projReader carries the decoding state of one Projections-style stream.
