@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test verify lint fuzz-smoke doc-flags bench-lod bench-steps bench-batch bench-codec bench-wire bench-smoke bench-repo fmt loc knobs prefix-sums serve cluster
+.PHONY: build test verify lint fuzz-smoke doc-flags doc-links bench-lod bench-steps bench-batch bench-codec bench-wire bench-smoke bench-repo fmt loc knobs prefix-sums serve cluster
 
 build:
 	$(GO) build ./...
@@ -103,6 +103,22 @@ doc-flags:
 		done < $$tmp/lines; \
 	done; \
 	[ $$bad = 0 ] && echo "doc-flags: every documented flag exists"
+
+# doc-links is a gate (CI's verify job): every relative Markdown link in the
+# files below and under docs/ must name a file or directory that exists,
+# resolved from the linking file's directory (a #fragment is dropped; http,
+# https and mailto links are not checked), so a moved or deleted document
+# cannot stay linked.
+LINKFILES ?= README.md DESIGN.md EXPERIMENTS.md ROADMAP.md
+doc-links:
+	@bad=0; for f in $(LINKFILES) $$(find docs -name '*.md' 2>/dev/null); do \
+		d=$$(dirname $$f); \
+		for t in $$(grep -o '](\([^)]*\))' $$f | sed 's/^](//; s/)$$//; s/#.*//'); do \
+			case $$t in ''|http://*|https://*|mailto:*) continue;; esac; \
+			[ -e "$$d/$$t" ] || { echo "$$f: link to missing $$t"; bad=1; }; \
+		done; \
+	done; \
+	[ $$bad = 0 ] && echo "doc-links: every relative link resolves"
 
 # bench-smoke runs the repository benchmark (bench/, BENCHMARK.json) at toy
 # sizes in about ten seconds: all four workloads, real child processes,

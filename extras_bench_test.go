@@ -1,4 +1,5 @@
-// Benchmarks for the supporting subsystems beyond the paper's figures:
+// Benchmarks for the supporting subsystems beyond the paper's figures
+// (those are BenchmarkPaperFigures, paper_test.go): the simulators,
 // clustering, skew correction, profiles, windowing, serialization and the
 // renderers.
 package charmtrace
@@ -11,7 +12,10 @@ import (
 	"testing"
 	"time"
 
+	"charmtrace/internal/apps/jacobi"
 	"charmtrace/internal/apps/lassen"
+	"charmtrace/internal/apps/lulesh"
+	"charmtrace/internal/apps/mergetree"
 	"charmtrace/internal/charegroup"
 	"charmtrace/internal/cli"
 	"charmtrace/internal/core"
@@ -21,6 +25,28 @@ import (
 	"charmtrace/internal/tracefile"
 	"charmtrace/internal/viz"
 )
+
+// BenchmarkSimulators measures trace generation itself, to separate
+// substrate cost from analysis cost.
+func BenchmarkSimulators(b *testing.B) {
+	b.Run("charm-jacobi", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			jacobi.MustTrace(jacobi.DefaultConfig())
+		}
+	})
+	b.Run("mpi-lulesh", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			lulesh.MustMPITrace(lulesh.DefaultConfig())
+		}
+	})
+	b.Run("mpi-mergetree-256", func(b *testing.B) {
+		cfg := mergetree.DefaultConfig()
+		cfg.Procs = 256
+		for i := 0; i < b.N; i++ {
+			mergetree.MustTrace(cfg)
+		}
+	})
+}
 
 func lassenFineStructure(b *testing.B) *core.Structure {
 	b.Helper()

@@ -7,20 +7,23 @@ import (
 	"testing"
 )
 
-// phasePattern renders the recovered phase sequence compactly: 'a'/'R' for
-// application/runtime phases in offset order, runs of concurrent same-kind
-// phases collapsed with a multiplicity.
-func phasePattern(s *Structure) string {
+// phasesByOffset lists the phase indices by global offset, ties by index.
+func phasesByOffset(s *Structure) []int32 {
 	order := make([]int32, len(s.Phases))
 	for i := range order {
 		order[i] = int32(i)
 	}
 	sort.SliceStable(order, func(i, j int) bool {
-		if s.Phases[order[i]].Offset != s.Phases[order[j]].Offset {
-			return s.Phases[order[i]].Offset < s.Phases[order[j]].Offset
-		}
-		return order[i] < order[j]
+		return s.Phases[order[i]].Offset < s.Phases[order[j]].Offset
 	})
+	return order
+}
+
+// phasePattern renders the recovered phase sequence compactly: 'a'/'R' for
+// application/runtime phases in offset order, runs of concurrent same-kind
+// phases collapsed with a multiplicity.
+func phasePattern(s *Structure) string {
+	order := phasesByOffset(s)
 	var parts []string
 	for i := 0; i < len(order); {
 		j := i
