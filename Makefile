@@ -10,7 +10,8 @@ test:
 
 # verify is the tier-1 recipe (see README "Testing" and
 # .claude/skills/verify/SKILL.md), plus a -race leg over the concurrent
-# serving packages (result cache singleflight and trace-ownership hooks,
+# serving packages (the per-trace file store's appends, GC rewrites and
+# readers, result cache singleflight and trace-ownership hooks,
 # HTTP handlers with the trace-residency, row-route golden/differential,
 # aborted-render and pooled-compressor tests, query engine, the JSON writer,
 # the cluster gateway + multi-node E2E harness) and over the
@@ -19,7 +20,7 @@ test:
 verify: build test
 	$(GO) vet ./...
 	$(GO) test -race ./internal/core ./internal/partition ./internal/tracefile
-	$(GO) test -race ./internal/resultcache ./internal/server ./internal/query ./internal/jsonw ./internal/cluster ./internal/lod
+	$(GO) test -race ./internal/store ./internal/resultcache ./internal/server ./internal/query ./internal/jsonw ./internal/cluster ./internal/lod
 	$(GO) test -race ./internal/conformance ./internal/apps/lbmigrate ./internal/apps/faultsim ./internal/apps/ordstress
 
 # lint runs staticcheck when it is installed (CI installs it; offline dev
@@ -53,7 +54,10 @@ lint:
 # whose levels are first touched in a fuzzed order, against the dense
 # oracle's bytes (FuzzLodQuery) — and the ordering stage against the
 # per-phase stage it replaced, byte for byte, on random and hand-built
-# traces under toggled options (FuzzOrderingStage). Their seed corpora
+# traces under toggled options (FuzzOrderingStage) — and the store's open
+# over arbitrary bytes under a trace's name, which must never panic nor
+# size an allocation by a length the file cannot back (FuzzStoreOpen:
+# sections read ≤ the file, allocation a constant multiple of it). Their seed corpora
 # replay on every plain `go test`; this leg is not in tier-1.
 fuzz-smoke:
 	@for t in FuzzRead FuzzReadAuto FuzzReadProjections FuzzReadTable; do \
@@ -72,6 +76,7 @@ fuzz-smoke:
 	@for t in FuzzLodSpec FuzzLodQuery; do \
 		$(GO) test -run '^$$' -fuzz="^$$t\$$" -fuzztime=10s -fuzzminimizetime=1s ./internal/lod || exit 1; \
 	done
+	$(GO) test -run '^$$' -fuzz='^FuzzStoreOpen$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/store
 
 # doc-flags is a gate (CI's verify job): every `go run ./cmd/<bin> ...`,
 # `$(GO) run ./cmd/<bin> ...` and `/tmp/<bin> ...` command line in the files

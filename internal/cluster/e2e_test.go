@@ -14,6 +14,7 @@ import (
 
 	"charmtrace/internal/apps/jacobi"
 	"charmtrace/internal/cluster"
+	"charmtrace/internal/core"
 	"charmtrace/internal/resultcache"
 	"charmtrace/internal/server"
 	"charmtrace/internal/telemetry"
@@ -418,6 +419,17 @@ func TestClusterPeerCacheFill(t *testing.T) {
 	}
 	if n := counterOf(reg, "server.trace_peer_fills"); n != 1 {
 		t.Fatalf("peer server.trace_peer_fills = %d, want 1", n)
+	}
+
+	// The result route finds the entry in the file of the trace its query
+	// names; a request that names none, as a node of the three-file layout
+	// sends it, is a plain 404 its sender answers by extracting.
+	route := owner.ts.URL + "/v1/internal/results/" + resultcache.KeyID(digest, core.DefaultOptions().Fingerprint())
+	if resp, _ := getURL(t, route+"?trace="+digest); resp.StatusCode != http.StatusOK {
+		t.Errorf("result route with the trace named: %d", resp.StatusCode)
+	}
+	if resp, _ := getURL(t, route); resp.StatusCode != http.StatusNotFound {
+		t.Errorf("result route without a trace: %d, want 404", resp.StatusCode)
 	}
 }
 

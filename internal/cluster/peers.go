@@ -92,12 +92,13 @@ func (p *Peers) siblings(key string) []Member {
 }
 
 // FetchResult asks the trace's ring siblings for the encoded result entry
-// named by key (a resultcache.KeyID) and returns the first 200 body. Any
-// outcome other than one sibling answering 200 is an error — the caller
+// named by key (a resultcache.KeyID), which each finds in the file of the
+// trace the trace query parameter names, and returns the first 200 body.
+// Any outcome other than one sibling answering 200 is an error — the caller
 // (resultcache's peer fill) counts it as a miss and extracts locally.
 // The caller's request id propagates to the sibling via X-Request-ID.
 func (p *Peers) FetchResult(ctx context.Context, traceDigest, key string) (io.ReadCloser, error) {
-	return p.fetch(ctx, traceDigest, "/v1/internal/results/"+key)
+	return p.fetch(ctx, traceDigest, "/v1/internal/results/"+key+"?trace="+traceDigest)
 }
 
 // FetchTrace asks the digest's ring siblings for the raw trace bytes. A

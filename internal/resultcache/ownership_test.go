@@ -5,7 +5,6 @@ import (
 	"context"
 	"errors"
 	"io"
-	"os"
 	"sync/atomic"
 	"testing"
 
@@ -81,7 +80,7 @@ func TestTraceOwnershipFollowsTheCaller(t *testing.T) {
 	}
 
 	// A peer fill decodes against the table too.
-	entry, err := os.ReadFile(c.DiskPath(digest, opt))
+	entry, err := diskEntry(t, c, digest, opt)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,9 +4,9 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"charmtrace/internal/core"
+	"charmtrace/internal/store"
 	"charmtrace/internal/trace"
 )
 
@@ -76,9 +77,9 @@ func TestPeerFillServesWithoutExtraction(t *testing.T) {
 	if !bytes.Equal(encodeStructure(t, s), entryBytes) {
 		t.Fatal("peer-filled structure is not byte-identical to the source entry")
 	}
-	// Persisted: the entry file exists and decodes.
-	if _, err := os.Stat(c.DiskPath(digest, opt)); err != nil {
-		t.Fatalf("peer-filled entry not persisted: %v", err)
+	// Persisted: the store holds the peer's bytes.
+	if stored, err := diskEntry(t, c, digest, opt); err != nil || !bytes.Equal(stored, entryBytes) {
+		t.Fatalf("peer-filled entry not persisted as served (err %v)", err)
 	}
 }
 
@@ -163,7 +164,7 @@ func TestOpenEntryStreamsDiskEntry(t *testing.T) {
 	if _, err := c.Get(context.Background(), digest, tr, opt); err != nil {
 		t.Fatal(err)
 	}
-	rc, size, err := c.OpenEntry(key)
+	rc, size, err := c.OpenEntry(digest, key)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,10 +179,13 @@ func TestOpenEntryStreamsDiskEntry(t *testing.T) {
 	if !bytes.Equal(back, entry) {
 		t.Fatal("entry bytes differ from the encoded structure")
 	}
-	if _, _, err := c.OpenEntry("missing0000000000000000000000000000000000000000000000000000000000"); !errors.Is(err, ErrNoEntry) {
+	if _, _, err := c.OpenEntry(digest, KeyID(digest, "missing")); !errors.Is(err, ErrNoEntry) {
 		t.Fatalf("missing entry error = %v, want ErrNoEntry", err)
 	}
-	if _, _, err := c.OpenEntry("not-a-key"); !errors.Is(err, ErrNoEntry) {
+	if _, _, err := c.OpenEntry(otherDigest(digest, 1), key); !errors.Is(err, ErrNoEntry) {
+		t.Fatalf("entry under another trace: error = %v, want ErrNoEntry", err)
+	}
+	if _, _, err := c.OpenEntry(digest, "not-a-key"); !errors.Is(err, ErrNoEntry) {
 		t.Fatalf("invalid key error = %v, want ErrNoEntry", err)
 	}
 }
@@ -204,7 +208,7 @@ func TestDiskGCRacingPeerStream(t *testing.T) {
 	c := seedingCache(t, dir, int64(len(entry))*2, s)
 	digests, keys := make([]string, 8), make([]string, 8)
 	for i := range keys {
-		digests[i] = fmt.Sprintf("%s-%d", digest, i)
+		digests[i] = otherDigest(digest, i)
 		keys[i] = KeyID(digests[i], opt.Fingerprint())
 	}
 
@@ -241,8 +245,8 @@ func TestDiskGCRacingPeerStream(t *testing.T) {
 					return
 				default:
 				}
-				k := keys[(i+r)%len(keys)]
-				rc, size, err := c.OpenEntry(k)
+				k := (i + r) % len(keys)
+				rc, size, err := c.OpenEntry(digests[k], keys[k])
 				if err != nil {
 					if !errors.Is(err, ErrNoEntry) {
 						t.Errorf("OpenEntry: %v", err)
@@ -282,15 +286,13 @@ func TestDiskGCRacingPeerStream(t *testing.T) {
 	close(stop)
 	wg.Wait()
 	// The store must have converged under its bound (no leaked temp files).
-	entries, err := os.ReadDir(dir)
+	entries, err := os.ReadDir(filepath.Dir(c.Store().Path(digest)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, de := range entries {
-		if strings.HasPrefix(de.Name(), ".tmp-") {
-			if info, err := de.Info(); err == nil && info.Size() > 0 {
-				t.Errorf("leaked temp file %s", de.Name())
-			}
+		if strings.HasPrefix(de.Name(), store.TmpPrefix) {
+			t.Errorf("leaked temp file %s", de.Name())
 		}
 	}
 }

@@ -14,7 +14,8 @@
 //  1. an in-memory LRU of decoded *core.Structure values (bounded entry
 //     count; hits are lock-then-return);
 //  2. an on-disk store of binary-encoded results (core.EncodeStructure),
-//     written atomically, surviving process restarts;
+//     each a checksummed section appended to its trace's file
+//     (internal/store), surviving process restarts;
 //  3. extraction itself, guarded by request coalescing: N concurrent
 //     requests for one uncached key trigger exactly one Extract, and the
 //     followers share the leader's result (a singleflight).
@@ -39,8 +40,8 @@
 // structdiff) only reads. Every layer's traffic is counted in a
 // telemetry.Registry so /debug/stats can report hit rates and extraction
 // latency. When Config.MaxDiskBytes is set, the disk layer is size-bounded:
-// after each write the least-recently-modified entries are garbage-collected
-// until the store fits.
+// after each write the result sections of the least-recently-used traces
+// are garbage-collected until the store fits.
 package resultcache
 
 import (
@@ -52,15 +53,13 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"charmtrace/internal/core"
+	"charmtrace/internal/store"
 	"charmtrace/internal/telemetry"
 	"charmtrace/internal/trace"
 )
@@ -81,15 +80,16 @@ var ErrClosed = errors.New("resultcache: closed")
 
 // Config configures a Cache.
 type Config struct {
-	// Dir is the on-disk store directory, created if missing. Empty
-	// disables the disk layer (memory + coalescing only).
+	// Dir is the root of the on-disk store (internal/store: one file per
+	// trace digest, to which each result is appended as a section), created
+	// if missing. Empty disables the disk layer (memory + coalescing only).
 	Dir string
 	// MaxMemEntries bounds the in-memory LRU (0 = DefaultMaxMemEntries,
 	// negative = no memory layer).
 	MaxMemEntries int
-	// MaxDiskBytes bounds the on-disk store: after each write, entries are
-	// evicted least-recently-modified-first until the total fits. 0 leaves
-	// the store unbounded.
+	// MaxDiskBytes bounds the result sections of the on-disk store: after
+	// each write, every result of the least-recently-used trace is evicted,
+	// trace after trace, until the total fits. 0 leaves the store unbounded.
 	MaxDiskBytes int64
 	// DetachedTimeout is the hard cap on one detached flight's extraction:
 	// a flight every requester has abandoned is cancelled cooperatively
@@ -147,7 +147,7 @@ type Config struct {
 
 // Cache is the three-layer result cache. Safe for concurrent use.
 type Cache struct {
-	dir             string
+	store           *store.Store // nil without a disk layer
 	maxEntries      int
 	maxDiskBytes    int64
 	detachedTimeout time.Duration
@@ -156,7 +156,7 @@ type Cache struct {
 	traceOf         func(ctx context.Context, traceDigest string) (*trace.Trace, error)
 	tableOf         func(ctx context.Context, traceDigest string) (*trace.Table, error)
 	maxEntryBytes   int64
-	readFile        func(string) ([]byte, error) // os.ReadFile; swapped by fault-injection tests
+	readResult      func(traceDigest, key string) ([]byte, error) // the store's read; swapped by fault-injection tests
 
 	reg           *telemetry.Registry
 	hits          *telemetry.Counter // total hits (memory + disk)
@@ -168,7 +168,7 @@ type Cache struct {
 	evictions     *telemetry.Counter
 	diskErrors    *telemetry.Counter // unreadable/corrupt disk entries (self-healed)
 	diskRetries   *telemetry.Counter // transient disk-read failures that were retried
-	diskEvictions *telemetry.Counter // entries GCed to honor MaxDiskBytes
+	diskEvictions *telemetry.Counter // result sections GCed to honor MaxDiskBytes
 	peerHits      *telemetry.Counter // misses filled from a cluster peer (cache.peer_hits)
 	peerMisses    *telemetry.Counter // peer fill attempted, fell back to extraction
 	extractMS     *telemetry.Histogram
@@ -188,7 +188,6 @@ type Cache struct {
 	tableBytes int64
 
 	flightWG sync.WaitGroup // outstanding detached flights, for Close
-	gcMu     sync.Mutex     // serializes disk GC sweeps
 }
 
 // viewID names one derived-view slot. Adding a view is one constant here,
@@ -263,10 +262,12 @@ type flight struct {
 	waiters atomic.Int64
 }
 
-// New opens a cache, creating the disk directory if configured.
+// New opens a cache, opening (or creating) the disk store if configured.
 func New(cfg Config) (*Cache, error) {
+	var st *store.Store
 	if cfg.Dir != "" {
-		if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
+		var err error
+		if st, err = store.Open(cfg.Dir); err != nil {
 			return nil, fmt.Errorf("resultcache: %w", err)
 		}
 	}
@@ -300,7 +301,7 @@ func New(cfg Config) (*Cache, error) {
 		meb = 0 // unbounded
 	}
 	c := &Cache{
-		dir:             cfg.Dir,
+		store:           st,
 		maxEntries:      max,
 		maxDiskBytes:    cfg.MaxDiskBytes,
 		detachedTimeout: dt,
@@ -309,7 +310,6 @@ func New(cfg Config) (*Cache, error) {
 		traceOf:         cfg.Trace,
 		tableOf:         cfg.Table,
 		maxEntryBytes:   meb,
-		readFile:        os.ReadFile,
 		reg:             reg,
 		hits:            reg.Counter("cache.hits"),
 		memHits:         reg.Counter("cache.mem_hits"),
@@ -335,8 +335,17 @@ func New(cfg Config) (*Cache, error) {
 			viewAux:   newView(reg, "aux", cfg.Aux),
 		},
 	}
+	if st != nil {
+		c.readResult = func(traceDigest, key string) ([]byte, error) {
+			return st.Read(traceDigest, store.Result, key)
+		}
+	}
 	return c, nil
 }
+
+// Store returns the cache's disk store, nil without one. The serving layer
+// keeps its traces and their tables in the same files.
+func (c *Cache) Store() *store.Store { return c.store }
 
 // Registry returns the registry the cache's metrics live in.
 func (c *Cache) Registry() *telemetry.Registry { return c.reg }
@@ -357,28 +366,7 @@ func KeyID(traceDigest, fingerprint string) string {
 // hex characters) — the internal endpoints reject anything else before it
 // can touch the filesystem. A trace digest has the same shape, and the
 // server's digest routes check it before a peer fetch can route by one.
-func ValidKey(key string) bool {
-	if len(key) != 64 {
-		return false
-	}
-	for i := 0; i < len(key); i++ {
-		c := key[i]
-		if (c < '0' || c > '9') && (c < 'a' || c > 'f') {
-			return false
-		}
-	}
-	return true
-}
-
-// DiskPath returns where the result for (traceDigest, opt) lives on disk,
-// or "" when the disk layer is disabled. Exported for tests and operators
-// inspecting the cache layout (README "Serving").
-func (c *Cache) DiskPath(traceDigest string, opt core.Options) string {
-	if c.dir == "" {
-		return ""
-	}
-	return filepath.Join(c.dir, KeyID(traceDigest, opt.Fingerprint())+".cstr")
-}
+func ValidKey(key string) bool { return store.ValidDigest(key) }
 
 // Len returns the number of memory-resident results.
 func (c *Cache) Len() int {
@@ -704,25 +692,25 @@ func (c *Cache) Close(ctx context.Context) error {
 // answered.
 func (c *Cache) fill(ctx context.Context, id, traceDigest string, prog *core.Progress, tr *trace.Trace, opt core.Options) (*core.Structure, string, error) {
 	wantFP := opt.Fingerprint()
-	path := ""
-	if c.dir != "" {
-		path = filepath.Join(c.dir, id+".cstr")
-		if data, err := c.readDisk(path); err == nil {
+	if c.store != nil {
+		if data, err := c.readDisk(traceDigest, id); err == nil {
 			s, fp, err := c.decode(ctx, traceDigest, data, tr)
 			if err == nil && fp == wantFP {
 				c.hits.Add(1)
 				c.diskHits.Add(1)
-				c.touch(path)
+				c.store.Touch(traceDigest)
 				return s, OutcomeDisk, nil
 			}
-			// A corrupt or stale entry self-heals: count it, re-extract,
-			// overwrite.
+			// A stale entry self-heals: count it, re-extract, append a
+			// section that supersedes it.
 			c.diskErrors.Add(1)
+		} else if !errors.Is(err, store.ErrNotFound) {
+			c.diskErrors.Add(1) // failed its checksum (or the disk failed twice)
 		}
 	}
 
 	if c.peerFetch != nil {
-		if s, ok := c.peerFill(ctx, traceDigest, id, path, wantFP, tr); ok {
+		if s, ok := c.peerFill(ctx, traceDigest, id, wantFP, tr); ok {
 			return s, OutcomePeer, nil
 		}
 	}
@@ -750,13 +738,12 @@ func (c *Cache) fill(ctx context.Context, id, traceDigest string, prog *core.Pro
 		return nil, OutcomeMiss, fmt.Errorf("resultcache: extract: %w", err)
 	}
 	c.extractMS.Observe(float64(time.Since(start).Nanoseconds()) / 1e6)
-	if path != "" {
-		if err := c.writeDisk(path, s); err != nil {
-			// Disk persistence is an optimization; the request still
-			// succeeds from memory.
+	if c.store != nil {
+		var enc bytes.Buffer
+		if err := core.EncodeStructure(&enc, s); err != nil {
 			c.diskErrors.Add(1)
-		} else if c.maxDiskBytes > 0 {
-			c.gcDisk()
+		} else {
+			c.persist(traceDigest, id, enc.Bytes())
 		}
 	}
 	if !own {
@@ -787,7 +774,7 @@ func (c *Cache) decode(ctx context.Context, traceDigest string, data []byte, tr 
 // bytes that do not decode to the wanted fingerprint) is one peer-fill miss
 // and the caller falls back to extraction — a lying or stale peer can cost
 // a round trip, never correctness.
-func (c *Cache) peerFill(ctx context.Context, traceDigest, id, path, wantFP string, tr *trace.Trace) (*core.Structure, bool) {
+func (c *Cache) peerFill(ctx context.Context, traceDigest, id, wantFP string, tr *trace.Trace) (*core.Structure, bool) {
 	rc, err := c.peerFetch(ctx, traceDigest, id)
 	if err != nil {
 		c.peerMisses.Add(1)
@@ -811,174 +798,120 @@ func (c *Cache) peerFill(ctx context.Context, traceDigest, id, path, wantFP stri
 		return nil, false
 	}
 	c.peerHits.Add(1)
-	if path != "" {
-		if err := c.writeDiskFrom(path, func(w io.Writer) error {
-			_, err := w.Write(data)
-			return err
-		}); err != nil {
-			c.diskErrors.Add(1)
-		} else if c.maxDiskBytes > 0 {
-			c.gcDisk()
-		}
-	}
+	c.persist(traceDigest, id, data)
 	return s, true
 }
 
+// persist appends one encoded entry to its trace's file, then holds the
+// store to MaxDiskBytes. Disk persistence is an optimization: a failure is
+// counted and the request still succeeds from memory.
+func (c *Cache) persist(traceDigest, id string, data []byte) {
+	if c.store == nil {
+		return
+	}
+	if err := c.store.Append(traceDigest, store.Result, id, data); err != nil {
+		c.diskErrors.Add(1)
+	} else if c.maxDiskBytes > 0 {
+		c.gcDisk()
+	}
+}
+
 // readDisk reads a cache entry, retrying exactly once on a transient
-// failure: a missing file is a plain miss, but an EIO/EMFILE-style error on
-// a file that should exist gets one more chance before the entry is
+// failure: a missing section is a plain miss and one that fails its
+// checksum is gone for good, but an EIO/EMFILE-style error on a section
+// that should be readable gets one more chance before the entry is
 // declared unreadable and re-extracted.
-func (c *Cache) readDisk(path string) ([]byte, error) {
-	data, err := c.readFile(path)
-	if err == nil || os.IsNotExist(err) {
+func (c *Cache) readDisk(traceDigest, id string) ([]byte, error) {
+	data, err := c.readResult(traceDigest, id)
+	if err == nil || errors.Is(err, store.ErrNotFound) || errors.Is(err, store.ErrCorrupt) {
 		return data, err
 	}
 	c.diskRetries.Add(1)
-	return c.readFile(path)
-}
-
-// writeDisk persists an encoded result atomically.
-func (c *Cache) writeDisk(path string, s *core.Structure) error {
-	return c.writeDiskFrom(path, func(w io.Writer) error { return core.EncodeStructure(w, s) })
-}
-
-// tmpSeq makes temp-file names unique across the process, so writeDiskFrom
-// can open with O_EXCL on the first try instead of paying CreateTemp's
-// random-name retry loop plus a Chmod on every entry.
-var tmpSeq atomic.Uint64
-
-// writeDiskFrom persists one entry atomically (temp file + rename), so a
-// crash mid-write never leaves a truncated entry a later decode would
-// reject. The entry is created world-readable (0644, not CreateTemp's 0600)
-// so operators and sidecar readers can inspect .cstr files in place.
-func (c *Cache) writeDiskFrom(path string, write func(io.Writer) error) error {
-	name := filepath.Join(c.dir, fmt.Sprintf(".tmp-%d-%d", os.Getpid(), tmpSeq.Add(1)))
-	tmp, err := os.OpenFile(name, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
-	if err != nil {
-		return err
-	}
-	if err := write(tmp); err != nil {
-		tmp.Close()
-		os.Remove(name)
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(name)
-		return err
-	}
-	return os.Rename(name, path)
+	return c.readResult(traceDigest, id)
 }
 
 // ErrNoEntry is returned by OpenEntry when the disk store has no entry for
-// a key — because it was never written, was garbage-collected, or the disk
-// layer is disabled. The internal endpoint maps it to 404 and a peer-fill
-// caller falls back to extraction.
+// a key — because it was never written, was garbage-collected, failed its
+// checksum, or the disk layer is disabled. The internal endpoint maps it to
+// 404 and a peer-fill caller falls back to extraction.
 var ErrNoEntry = errors.New("resultcache: no such entry")
 
-// OpenEntry opens the raw encoded bytes of one disk entry for zero-copy
-// serving (no decode, no buffering — the caller streams the file). The
-// returned reader stays valid even if the entry is garbage-collected
-// mid-stream: the open file outlives the unlink, so a concurrent GC sweep
-// can never truncate a response half-way. Any failure to open is ErrNoEntry.
-func (c *Cache) OpenEntry(key string) (io.ReadCloser, int64, error) {
-	if c.dir == "" || !ValidKey(key) {
+// OpenEntry opens the raw encoded bytes of one disk entry, located by its
+// trace's digest and its key, for serving without a decode: the section's
+// checksum is verified first, then the caller streams it from the file.
+// The returned reader stays valid even if the entry is garbage-collected
+// mid-stream: the GC renames a new file over the old, and the open file
+// keeps the inode it opened, so a concurrent sweep can never truncate a
+// response half-way. Any failure to open is ErrNoEntry.
+func (c *Cache) OpenEntry(traceDigest, key string) (io.ReadCloser, int64, error) {
+	if c.store == nil {
 		return nil, 0, ErrNoEntry
 	}
-	path := filepath.Join(c.dir, key+".cstr")
-	f, err := os.Open(path)
+	sec, err := c.store.Open(traceDigest, store.Result, key)
 	if err != nil {
 		return nil, 0, ErrNoEntry
 	}
-	info, err := f.Stat()
-	if err != nil {
-		f.Close()
+	if err := sec.Verify(); err != nil {
+		sec.Close()
+		c.diskErrors.Add(1)
 		return nil, 0, ErrNoEntry
 	}
-	c.touch(path)
-	return f, info.Size(), nil
+	c.store.Touch(traceDigest)
+	return entryReader{sec}, sec.Size(), nil
 }
 
-// touch refreshes a disk entry's mtime, best-effort. The disk GC evicts
-// least-recently-modified first, so without this a frequently-read entry
-// that was written long ago looks cold and gets evicted before entries
-// nobody has asked for since their write — reads must count as recency for
-// the mtime order to be an LRU. Racing with a concurrent GC removal is
-// fine: Chtimes on an unlinked path just fails, and the open file (if any)
-// still serves.
-func (c *Cache) touch(path string) {
-	now := time.Now()
-	os.Chtimes(path, now, now)
-}
+// entryReader streams a verified section through its CopyTo, which hands a
+// socket the file itself.
+type entryReader struct{ *store.Section }
+
+func (e entryReader) Read(p []byte) (int, error)         { return e.Section.Read(p) }
+func (e entryReader) WriteTo(w io.Writer) (int64, error) { return e.Section.CopyTo(w) }
 
 // ReadSummary stream-decodes the phase-table summary of one disk entry —
-// the zero-copy serving path for phase-table queries: no trace attach, no
-// per-event arrays, work in the phase table's bytes. A decodable entry whose
-// fingerprint matches counts as a disk hit and refreshes the entry's
-// recency; an entry that is missing is ErrNoEntry, and one that is corrupt
-// or stale is counted like any unreadable entry and also reported as
-// ErrNoEntry so the caller falls back to the full (self-healing) path.
-func (c *Cache) ReadSummary(key, wantFP string) (*core.StructureSummary, error) {
-	if c.dir == "" || !ValidKey(key) {
+// the serving path for phase-table queries: no trace attach, no per-event
+// arrays kept, the rest of the section only read through its checksum. A
+// decodable entry whose fingerprint matches counts as a disk hit and
+// refreshes its trace's recency; an entry that is missing is ErrNoEntry,
+// and one that is corrupt or stale is counted like any unreadable entry and
+// also reported as ErrNoEntry so the caller falls back to the full
+// (self-healing) path.
+func (c *Cache) ReadSummary(traceDigest, fingerprint string) (*core.StructureSummary, error) {
+	sum, err := c.PeekSummary(traceDigest, fingerprint)
+	if err == nil {
+		c.hits.Add(1)
+		c.diskHits.Add(1)
+		c.store.Touch(traceDigest)
+	}
+	return sum, err
+}
+
+// PeekSummary is ReadSummary without the use: it counts no hit and leaves
+// the trace's recency alone, so that listing every trace neither inflates
+// the hit ratio nor reorders the disk GC.
+func (c *Cache) PeekSummary(traceDigest, fingerprint string) (*core.StructureSummary, error) {
+	if c.store == nil {
 		return nil, ErrNoEntry
 	}
-	path := filepath.Join(c.dir, key+".cstr")
-	f, err := os.Open(path)
+	sec, err := c.store.Open(traceDigest, store.Result, KeyID(traceDigest, fingerprint))
 	if err != nil {
 		return nil, ErrNoEntry
 	}
-	defer f.Close()
-	sum, err := core.DecodeStructureSummary(f)
-	if err != nil || sum.Fingerprint != wantFP {
+	defer sec.Close()
+	sum, err := core.DecodeStructureSummary(sec)
+	if err == nil {
+		_, err = io.Copy(io.Discard, sec) // to the end, where the checksum is checked
+	}
+	if err != nil || sum.Fingerprint != fingerprint {
 		c.diskErrors.Add(1)
 		return nil, ErrNoEntry
 	}
-	c.hits.Add(1)
-	c.diskHits.Add(1)
-	c.touch(path)
 	return sum, nil
 }
 
-// gcDisk enforces MaxDiskBytes: when the .cstr entries outgrow the bound,
-// the least-recently-modified ones are removed until the store fits.
-// Serialized by gcMu; concurrent flights just queue behind the sweep.
+// gcDisk enforces MaxDiskBytes through the store's GC, which drops the
+// result sections of the least-recently-used traces until the store fits.
 func (c *Cache) gcDisk() {
-	c.gcMu.Lock()
-	defer c.gcMu.Unlock()
-	type fileInfo struct {
-		path  string
-		size  int64
-		mtime time.Time
-	}
-	entries, err := os.ReadDir(c.dir)
-	if err != nil {
-		return
-	}
-	var files []fileInfo
-	var total int64
-	for _, de := range entries {
-		if de.IsDir() || !strings.HasSuffix(de.Name(), ".cstr") {
-			continue
-		}
-		info, err := de.Info()
-		if err != nil {
-			continue
-		}
-		files = append(files, fileInfo{filepath.Join(c.dir, de.Name()), info.Size(), info.ModTime()})
-		total += info.Size()
-	}
-	if total <= c.maxDiskBytes {
-		return
-	}
-	sort.Slice(files, func(i, j int) bool { return files[i].mtime.Before(files[j].mtime) })
-	for _, f := range files {
-		if total <= c.maxDiskBytes {
-			break
-		}
-		if os.Remove(f.path) == nil {
-			total -= f.size
-			c.diskEvictions.Add(1)
-		}
-	}
+	c.diskEvictions.Add(int64(c.store.GC(c.maxDiskBytes)))
 }
 
 // insertLocked adds a result to the memory LRU, evicting from the back.

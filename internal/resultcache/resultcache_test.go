@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"os"
 	"sync"
 	"sync/atomic"
@@ -12,6 +13,7 @@ import (
 
 	"charmtrace/internal/apps/jacobi"
 	"charmtrace/internal/core"
+	"charmtrace/internal/store"
 	"charmtrace/internal/telemetry"
 	"charmtrace/internal/trace"
 	"charmtrace/internal/tracefile"
@@ -30,6 +32,30 @@ func testTrace(t *testing.T) (*trace.Trace, string) {
 
 func counter(reg *telemetry.Registry, name string) int64 {
 	return reg.Counter(name).Value()
+}
+
+// diskEntry returns the result section the store holds for (digest, opt).
+func diskEntry(t *testing.T, c *Cache, digest string, opt core.Options) ([]byte, error) {
+	t.Helper()
+	return c.Store().Read(digest, store.Result, KeyID(digest, opt.Fingerprint()))
+}
+
+// fileSize is the length of digest's file. For a trace nobody uploaded
+// that holds one result, that is the result section plus the empty trace
+// section's trailer: room on disk for that result, and not for two.
+func fileSize(t *testing.T, c *Cache, digest string) int64 {
+	t.Helper()
+	info, err := os.Stat(c.Store().Path(digest))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return info.Size()
+}
+
+// otherDigest is a second digest-shaped name for testTrace's trace, so that
+// the disk store files results under two traces.
+func otherDigest(digest string, i int) string {
+	return KeyID(digest, fmt.Sprint("other trace ", i))
 }
 
 func TestGetExtractsOnceThenHitsMemory(t *testing.T) {
@@ -60,7 +86,7 @@ func TestGetExtractsOnceThenHitsMemory(t *testing.T) {
 	if c.Len() != 1 {
 		t.Errorf("Len = %d, want 1", c.Len())
 	}
-	if _, err := os.Stat(c.DiskPath(digest, opt)); err != nil {
+	if _, err := diskEntry(t, c, digest, opt); err != nil {
 		t.Errorf("disk entry missing: %v", err)
 	}
 	// The extraction-latency histogram recorded the miss.
@@ -216,7 +242,7 @@ func TestDiskStoreSurvivesRestart(t *testing.T) {
 	if err := core.EncodeStructure(&want, fresh); err != nil {
 		t.Fatal(err)
 	}
-	stored, err := os.ReadFile(c2.DiskPath(digest, opt))
+	stored, err := diskEntry(t, c2, digest, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +297,7 @@ func TestEvictionFallsBackToDisk(t *testing.T) {
 }
 
 // TestCorruptDiskEntrySelfHeals: garbage on disk is counted, re-extracted
-// and overwritten with a valid entry.
+// and superseded by a valid entry.
 func TestCorruptDiskEntrySelfHeals(t *testing.T) {
 	tr, digest := testTrace(t)
 	dir := t.TempDir()
@@ -280,8 +306,7 @@ func TestCorruptDiskEntrySelfHeals(t *testing.T) {
 		t.Fatal(err)
 	}
 	opt := core.DefaultOptions()
-	path := c.DiskPath(digest, opt)
-	if err := os.WriteFile(path, []byte("not a structure"), 0o644); err != nil {
+	if err := c.Store().Append(digest, store.Result, KeyID(digest, opt.Fingerprint()), []byte("not a structure")); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.Get(context.Background(), digest, tr, opt); err != nil {
@@ -294,7 +319,7 @@ func TestCorruptDiskEntrySelfHeals(t *testing.T) {
 	if got := counter(reg, "cache.misses"); got != 1 {
 		t.Errorf("misses = %d, want 1", got)
 	}
-	data, err := os.ReadFile(path)
+	data, err := diskEntry(t, c, digest, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -428,8 +453,8 @@ func TestDetachedTimeoutCancelsFlight(t *testing.T) {
 	}
 }
 
-// TestDiskEntryMode: entries land world-readable (0644), not with
-// os.CreateTemp's private 0600.
+// TestDiskEntryMode: the trace's file, which holds the entries, lands
+// world-readable (0644), not with os.CreateTemp's private 0600.
 func TestDiskEntryMode(t *testing.T) {
 	tr, digest := testTrace(t)
 	c, err := New(Config{Dir: t.TempDir()})
@@ -440,7 +465,7 @@ func TestDiskEntryMode(t *testing.T) {
 	if _, err := c.Get(context.Background(), digest, tr, opt); err != nil {
 		t.Fatal(err)
 	}
-	info, err := os.Stat(c.DiskPath(digest, opt))
+	info, err := os.Stat(c.Store().Path(digest))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -450,7 +475,7 @@ func TestDiskEntryMode(t *testing.T) {
 }
 
 // TestDiskGCEvictsOldestFirst: with MaxDiskBytes set, the
-// least-recently-modified entry is evicted first and the newest survives.
+// least-recently-used trace's entry is evicted first and the newest survives.
 func TestDiskGCEvictsOldestFirst(t *testing.T) {
 	tr, digest := testTrace(t)
 	dir := t.TempDir()
@@ -458,31 +483,21 @@ func TestDiskGCEvictsOldestFirst(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	optA := core.DefaultOptions()
-	optB := core.DefaultOptions()
-	optB.Reorder = false
+	opt := core.DefaultOptions()
+	digestA, digestB := otherDigest(digest, 1), otherDigest(digest, 2)
 	ctx := context.Background()
-	if _, err := c.Get(ctx, digest, tr, optA); err != nil {
+	if _, err := c.Get(ctx, digestA, tr, opt); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Get(ctx, digest, tr, optB); err != nil {
+	if _, err := c.Get(ctx, digestB, tr, opt); err != nil {
 		t.Fatal(err)
 	}
-	pathA, pathB := c.DiskPath(digest, optA), c.DiskPath(digest, optB)
-	old := time.Now().Add(-time.Hour)
-	if err := os.Chtimes(pathA, old, old); err != nil {
-		t.Fatal(err)
-	}
-	infoB, err := os.Stat(pathB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.maxDiskBytes = infoB.Size() // room for exactly the newer entry
+	c.maxDiskBytes = fileSize(t, c, digestB) // room for exactly the newer entry
 	c.gcDisk()
-	if _, err := os.Stat(pathA); !os.IsNotExist(err) {
-		t.Errorf("oldest entry survived GC (stat err %v)", err)
+	if _, err := diskEntry(t, c, digestA, opt); !errors.Is(err, store.ErrNotFound) {
+		t.Errorf("oldest entry survived GC (read err %v)", err)
 	}
-	if _, err := os.Stat(pathB); err != nil {
+	if _, err := diskEntry(t, c, digestB, opt); err != nil {
 		t.Errorf("newest entry evicted: %v", err)
 	}
 	if got := counter(c.Registry(), "cache.disk_evictions"); got != 1 {
@@ -509,11 +524,12 @@ func TestDiskReadRetriesTransientError(t *testing.T) {
 		t.Fatal(err)
 	}
 	var reads atomic.Int64
-	c2.readFile = func(path string) ([]byte, error) {
+	read := c2.readResult
+	c2.readResult = func(traceDigest, key string) ([]byte, error) {
 		if reads.Add(1) == 1 {
 			return nil, errors.New("simulated EIO")
 		}
-		return os.ReadFile(path)
+		return read(traceDigest, key)
 	}
 	if _, err := c2.Get(context.Background(), digest, tr, opt); err != nil {
 		t.Fatal(err)

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"fmt"
 	"io"
 	"os"
 	"sync"
@@ -12,13 +11,15 @@ import (
 	"time"
 
 	"charmtrace/internal/core"
+	"charmtrace/internal/store"
 )
 
 // TestDiskReadRefreshesRecency is the regression test for the mtime-LRU
-// bug: the disk GC evicts least-recently-modified first, so a read must
-// refresh the entry's mtime — otherwise an entry written long ago but read
+// bug: the disk GC evicts the least-recently-used trace's entries first, so
+// a read must count as use — otherwise an entry written long ago but read
 // constantly (the hottest entry in the store) is the first one evicted,
-// while an untouched sibling written later survives.
+// while an untouched sibling written later survives. Recency starts from
+// the files' mtimes after a restart.
 func TestDiskReadRefreshesRecency(t *testing.T) {
 	tr, digest := testTrace(t)
 	dir := t.TempDir()
@@ -26,22 +27,21 @@ func TestDiskReadRefreshesRecency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	optHot := core.DefaultOptions()
-	optCold := core.DefaultOptions()
-	optCold.Reorder = false
+	opt := core.DefaultOptions()
+	hot, cold := otherDigest(digest, 1), otherDigest(digest, 2)
 	ctx := context.Background()
-	if _, err := c.Get(ctx, digest, tr, optHot); err != nil {
-		t.Fatal(err)
+	for _, d := range []string{hot, cold} {
+		if _, err := c.Get(ctx, d, tr, opt); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if _, err := c.Get(ctx, digest, tr, optCold); err != nil {
-		t.Fatal(err)
-	}
-	hot, cold := c.DiskPath(digest, optHot), c.DiskPath(digest, optCold)
-	// Backdate both entries, then make the hot one look backdated-but-read:
-	// a fresh cache (cold memory) reads it from disk repeatedly.
+	// Backdate both files, the hot one further, then make it look
+	// backdated-but-read: a fresh cache (cold memory) reads it from disk
+	// repeatedly.
 	old := time.Now().Add(-time.Hour)
-	for _, p := range []string{hot, cold} {
-		if err := os.Chtimes(p, old, old); err != nil {
+	for i, d := range []string{hot, cold} {
+		at := old.Add(time.Duration(i) * time.Minute)
+		if err := os.Chtimes(c.Store().Path(d), at, at); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -50,35 +50,28 @@ func TestDiskReadRefreshesRecency(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if _, err := c2.Get(ctx, digest, tr, optHot); err != nil {
+		if _, err := c2.Get(ctx, hot, tr, opt); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if got := counter(c2.Registry(), "cache.disk_hits"); got != 3 {
 		t.Fatalf("disk_hits = %d, want 3", got)
 	}
-	infoHot, err := os.Stat(hot)
-	if err != nil {
-		t.Fatal(err)
-	}
-	infoCold, err := os.Stat(cold)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c2.maxDiskBytes = max(infoHot.Size(), infoCold.Size()) // room for one entry
+	c2.maxDiskBytes = max(fileSize(t, c2, hot), fileSize(t, c2, cold)) // room for one entry
 	c2.gcDisk()
-	if _, err := os.Stat(hot); err != nil {
+	if _, err := diskEntry(t, c2, hot, opt); err != nil {
 		t.Errorf("repeatedly-read entry was evicted: %v", err)
 	}
-	if _, err := os.Stat(cold); !os.IsNotExist(err) {
-		t.Errorf("untouched sibling survived GC (stat err %v)", err)
+	if _, err := diskEntry(t, c2, cold, opt); !errors.Is(err, store.ErrNotFound) {
+		t.Errorf("untouched sibling survived GC (read err %v)", err)
 	}
 }
 
 // TestReadSummaryServesPhaseTable: the streaming summary read serves the
 // phase table straight from the disk entry, counts as a disk hit, and
-// refreshes the entry's recency; mismatched fingerprints and missing
-// entries are clean ErrNoEntry fallbacks.
+// refreshes the trace's recency — PeekSummary, the listing's read, does
+// neither; mismatched fingerprints and missing entries are clean ErrNoEntry
+// fallbacks.
 func TestReadSummaryServesPhaseTable(t *testing.T) {
 	tr, digest := testTrace(t)
 	dir := t.TempDir()
@@ -91,14 +84,18 @@ func TestReadSummaryServesPhaseTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	key := KeyID(digest, opt.Fingerprint())
-	path := c.DiskPath(digest, opt)
-	old := time.Now().Add(-time.Hour)
-	if err := os.Chtimes(path, old, old); err != nil {
+	newer := otherDigest(digest, 1) // written after digest's entry
+	if _, err := c.Get(context.Background(), newer, tr, opt); err != nil {
 		t.Fatal(err)
 	}
 
-	sum, err := c.ReadSummary(key, opt.Fingerprint())
+	if _, err := c.PeekSummary(digest, opt.Fingerprint()); err != nil {
+		t.Fatal(err)
+	}
+	if got := counter(c.Registry(), "cache.disk_hits"); got != 0 {
+		t.Errorf("disk_hits = %d after a peek, want 0", got)
+	}
+	sum, err := c.ReadSummary(digest, opt.Fingerprint())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,15 +109,27 @@ func TestReadSummaryServesPhaseTable(t *testing.T) {
 	if got := counter(c.Registry(), "cache.disk_hits"); got != 1 {
 		t.Errorf("disk_hits = %d, want 1", got)
 	}
-	info, err := os.Stat(path)
+	// The read made digest's trace the most recently used: a GC with room
+	// for one entry evicts the newer-written one. (Had the peek counted as
+	// use, so would the read's absence.)
+	c.maxDiskBytes = fileSize(t, c, newer) // room for one entry
+	c.gcDisk()
+	if _, err := diskEntry(t, c, digest, opt); err != nil {
+		t.Errorf("summary read did not refresh recency: entry evicted (%v)", err)
+	}
+	if _, err := diskEntry(t, c, newer, opt); !errors.Is(err, store.ErrNotFound) {
+		t.Errorf("the entry used less recently survived GC (read err %v)", err)
+	}
+
+	// A stale entry: filed under a fingerprint it does not carry.
+	entry, err := diskEntry(t, c, digest, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !info.ModTime().After(old.Add(time.Minute)) {
-		t.Errorf("summary read did not refresh mtime (still %v)", info.ModTime())
+	if err := c.Store().Append(digest, store.Result, KeyID(digest, "different-fingerprint"), entry); err != nil {
+		t.Fatal(err)
 	}
-
-	if _, err := c.ReadSummary(key, "different-fingerprint"); !errors.Is(err, ErrNoEntry) {
+	if _, err := c.ReadSummary(digest, "different-fingerprint"); !errors.Is(err, ErrNoEntry) {
 		t.Errorf("stale-fingerprint summary error = %v, want ErrNoEntry", err)
 	}
 	if got := counter(c.Registry(), "cache.disk_errors"); got != 1 {
@@ -194,11 +203,11 @@ func TestPeerFillRejectsOversizedEntry(t *testing.T) {
 	}
 }
 
-// TestTouchRacesDiskGC interleaves the read-path mtime refresh (OpenEntry,
-// ReadSummary, disk-hit Gets) with concurrent GC sweeps under a tiny
-// bound. Run under -race in the tier-1 leg: a touch landing on an entry the
-// sweep just unlinked must degrade to a no-op, never corrupt the store or
-// fail a read that already has the file open.
+// TestTouchRacesDiskGC interleaves the read-path recency refresh
+// (OpenEntry, ReadSummary, disk-hit Gets) with concurrent GC sweeps under a
+// tiny bound. Run under -race in the tier-1 leg: a touch landing on a trace
+// whose entries the sweep just dropped must degrade to a no-op, never
+// corrupt the store or fail a read that already has the file open.
 func TestTouchRacesDiskGC(t *testing.T) {
 	tr, digest := testTrace(t)
 	opt := core.DefaultOptions()
@@ -212,7 +221,7 @@ func TestTouchRacesDiskGC(t *testing.T) {
 	fp := opt.Fingerprint()
 	digests, keys := make([]string, 6), make([]string, 6)
 	for i := range keys {
-		digests[i] = fmt.Sprintf("%s-%d", digest, i)
+		digests[i] = otherDigest(digest, i)
 		keys[i] = KeyID(digests[i], fp)
 		if _, err := c.Get(context.Background(), digests[i], tr, opt); err != nil {
 			t.Fatal(err)
@@ -245,15 +254,15 @@ func TestTouchRacesDiskGC(t *testing.T) {
 					return
 				default:
 				}
-				k := keys[(i+r)%len(keys)]
+				k := (i + r) % len(keys)
 				switch i % 2 {
 				case 0:
-					if rc, _, err := c.OpenEntry(k); err == nil {
+					if rc, _, err := c.OpenEntry(digests[k], keys[k]); err == nil {
 						io.Copy(io.Discard, rc)
 						rc.Close()
 					}
 				case 1:
-					c.ReadSummary(k, fp)
+					c.ReadSummary(digests[k], fp)
 				}
 			}
 		}(r)

@@ -5,9 +5,9 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"os"
-	"path/filepath"
 	"strconv"
+
+	"charmtrace/internal/store"
 )
 
 // The /v1/internal/* endpoints are the node-to-node data plane, both of
@@ -16,12 +16,15 @@ import (
 // They serve strictly local state — an internal read never triggers a peer
 // fetch or an extraction, which is what makes peer fill loop-free.
 
-// handleInternalResultGet streams one encoded cache entry from disk. The
-// body is the exact .cstr file (magic header included), which the pulling
+// handleInternalResultGet streams one encoded cache entry from disk, found
+// in the file of the trace that the trace query parameter names. A request
+// without one (from a node of the three-file layout) finds nothing and gets
+// 404, so its sender extracts locally. The body is the result section's
+// payload, the encoded structure (magic header included), which the pulling
 // node decodes against its own copy of the trace and persists verbatim.
 func (s *Server) handleInternalResultGet(w http.ResponseWriter, r *http.Request) {
 	key := r.PathValue("key")
-	rc, size, err := s.cache.OpenEntry(key)
+	rc, size, err := s.cache.OpenEntry(r.URL.Query().Get("trace"), key)
 	if err != nil {
 		httpError(w, fmt.Errorf("%w: no entry %s", errUnknownTrace, key))
 		return
@@ -32,33 +35,32 @@ func (s *Server) handleInternalResultGet(w http.ResponseWriter, r *http.Request)
 	io.Copy(w, rc)
 }
 
-// handleInternalTraceGet streams the raw persisted trace file. Only
-// locally held bytes are served — a node that lacks the trace answers 404
-// rather than asking its own siblings, so two nodes missing the same
-// digest cannot chase each other.
+// handleInternalTraceGet streams the raw persisted trace: the trace
+// section of its file, checked before a byte is sent. Only locally held
+// bytes are served — a node that lacks the trace answers 404 rather than
+// asking its own siblings, so two nodes missing the same digest cannot
+// chase each other.
 func (s *Server) handleInternalTraceGet(w http.ResponseWriter, r *http.Request) {
 	digest := r.PathValue("digest")
-	dir := s.tracesDir()
-	if s.entryFor(digest) == nil || dir == "" {
+	st := s.cache.Store()
+	if s.entryFor(digest) == nil || st == nil {
 		httpError(w, errUnknownTrace)
 		return
 	}
-	f, err := os.Open(filepath.Join(dir, digest+".trace"))
-	if err != nil {
-		// Registered but memory-only (no data dir at upload time, or the
-		// file was removed underneath us): treat as not held.
-		httpError(w, errUnknownTrace)
-		return
+	sec, err := st.Open(digest, store.Trace, "")
+	if err == nil {
+		defer sec.Close()
+		err = sec.Verify()
 	}
-	defer f.Close()
-	info, err := f.Stat()
 	if err != nil {
-		httpError(w, err)
+		// Registered but memory-only (no data dir at upload time), or the
+		// stored bytes are gone or damaged: treat as not held.
+		httpError(w, errUnknownTrace)
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("Content-Length", strconv.FormatInt(info.Size(), 10))
-	io.Copy(w, f)
+	w.Header().Set("Content-Length", strconv.FormatInt(sec.Size(), 10))
+	sec.CopyTo(w)
 }
 
 // traceFromPeer pulls a trace this node never saw from its ring siblings

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"os"
-	"path/filepath"
 	"sort"
 	"strconv"
 
@@ -13,6 +11,7 @@ import (
 	"charmtrace/internal/jsonw"
 	"charmtrace/internal/query"
 	"charmtrace/internal/resultcache"
+	"charmtrace/internal/store"
 	"charmtrace/internal/structdiff"
 	"charmtrace/internal/telemetry"
 	"charmtrace/internal/trace"
@@ -45,23 +44,20 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 // ingest is the one way trace bytes enter this node, from a client upload
 // or a ring sibling alike: the stream (text or binary, auto-detected) goes
 // through the decoder, the SHA-256 content digest, and — when a data
-// directory is configured — a spool file that is atomically renamed to its
-// content address, all in one pass; then the trace is registered. A
-// non-empty want is the digest the caller asked for: a stream that digests
-// to anything else is rejected before the rename, so not a byte of it is
-// trusted.
+// directory is configured — the store's spool, which becomes the trace's
+// file under its content address, all in one pass; then the trace is
+// registered. A non-empty want is the digest the caller asked for: a stream
+// that digests to anything else is dropped unpublished, so not a byte of it
+// is trusted.
 func (s *Server) ingest(body io.Reader, want string) (traceSummary, error) {
 	sink := &countingWriter{w: io.Discard}
-	var spool *os.File
-	if dir := s.tracesDir(); dir != "" {
+	var spool *store.Spool
+	if st := s.cache.Store(); st != nil {
 		var err error
-		if spool, err = os.CreateTemp(dir, spoolPrefix+"*"); err != nil {
+		if spool, err = st.Spool(); err != nil {
 			return traceSummary{}, err
 		}
-		// The spool name never outlives the call: once renamed to its
-		// content address there is nothing left for Remove to find.
-		defer os.Remove(spool.Name())
-		defer spool.Close()
+		defer spool.Abort()
 		sink.w = spool
 	}
 	tr, digest, err := tracefile.ReadAutoDigest(io.TeeReader(body, sink))
@@ -72,14 +68,8 @@ func (s *Server) ingest(body io.Reader, want string) (traceSummary, error) {
 		return traceSummary{}, fmt.Errorf("server: trace digests to %s, want %s", digest, want)
 	}
 	if spool != nil {
-		if err := spool.Close(); err != nil {
+		if err := spool.Publish(digest); err != nil {
 			return traceSummary{}, err
-		}
-		dst := filepath.Join(s.tracesDir(), digest+".trace")
-		if _, statErr := os.Stat(dst); statErr != nil { // else duplicate content: keep the original
-			if err := os.Rename(spool.Name(), dst); err != nil {
-				return traceSummary{}, err
-			}
 		}
 	}
 	return s.registerTrace(digest, tr, sink.n).sum, nil
@@ -101,7 +91,8 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 // listEntry is one GET /v1/traces row. The structure fields are present
 // only when a cached result exists on disk: they come from the streamed
 // summary tier (no trace decode, no extraction), so clients can size LOD
-// and query requests without a per-trace probe round-trip.
+// and query requests without a per-trace probe round-trip. Listing is not
+// use: it counts no cache hit and leaves the disk GC's recency alone.
 type listEntry struct {
 	Digest    string `json:"digest"`
 	Bytes     int64  `json:"bytes"`
@@ -111,7 +102,7 @@ type listEntry struct {
 }
 
 // handleList returns every known trace, sorted by digest, each enriched
-// from the summary tier when a cached .cstr exists under either preset.
+// from the summary tier when a result is on disk under either preset.
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 	s.mu.RLock()
 	digests := make([]string, 0, len(s.traces))
@@ -129,7 +120,7 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 	for _, d := range digests {
 		e := listEntry{Digest: d, Bytes: sizes[d]}
 		for _, fp := range fps {
-			sum, err := s.cache.ReadSummary(resultcache.KeyID(d, fp), fp)
+			sum, err := s.cache.PeekSummary(d, fp)
 			if err != nil {
 				continue
 			}
@@ -192,7 +183,7 @@ func (s *Server) serveStructure(w http.ResponseWriter, r *http.Request, digest s
 		if st, ok := s.cache.Lookup(digest, opt); ok {
 			resultcache.RecordOutcome(ctx, resultcache.OutcomeMem)
 			sum = phaseTable(st)
-		} else if sum, _ = s.cache.ReadSummary(resultcache.KeyID(digest, fp), fp); sum != nil {
+		} else if sum, _ = s.cache.ReadSummary(digest, fp); sum != nil {
 			resultcache.RecordOutcome(ctx, resultcache.OutcomeDisk)
 		}
 	}

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"charmtrace/internal/store"
 	"charmtrace/internal/tracefile"
 )
 
@@ -86,7 +87,7 @@ func TestRestartSweepsStalePeerPullSpool(t *testing.T) {
 	if _, err := os.Stat(fresh); err != nil {
 		t.Errorf("restart removed a spool file younger than the cutoff: %v", err)
 	}
-	if _, err := os.Stat(filepath.Join(traces, digest+".trace")); err != nil {
-		t.Errorf("restart disturbed the persisted trace: %v", err)
+	if !openStore(t, dir).Has(digest, store.Trace, "") {
+		t.Error("restart disturbed the persisted trace")
 	}
 }

@@ -15,6 +15,8 @@ import (
 
 	"charmtrace/internal/conformance"
 	"charmtrace/internal/core"
+	"charmtrace/internal/resultcache"
+	"charmtrace/internal/store"
 	"charmtrace/internal/trace"
 	"charmtrace/internal/tracefile"
 )
@@ -100,6 +102,68 @@ func (r readReq) do(t *testing.T, ts *httptest.Server) answer {
 	return answer{resp.StatusCode, resp.Header.Get("ETag"), body}
 }
 
+// openStore opens the store of a data directory as another process would:
+// to read or append sections while no server runs over it, or to
+// damage bytes in place while one does.
+func openStore(t *testing.T, dir string) *store.Store {
+	t.Helper()
+	st, err := store.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
+// withoutTable leaves digest's file holding its trace and its default-preset
+// result but no table, as a table append that failed beside a result append
+// that succeeded leaves it: the trace bytes are put back as an earlier
+// build's traces/<digest>.trace, which the store adopts, and the result is
+// appended again.
+func withoutTable(t *testing.T, dir, digest string, enc []byte) {
+	t.Helper()
+	st, key := openStore(t, dir), resultcache.KeyID(digest, core.DefaultOptions().Fingerprint())
+	result, err := st.Read(digest, store.Result, key)
+	if err != nil {
+		t.Fatalf("want the result on disk: %v", err)
+	}
+	if err := os.Remove(st.Path(digest)); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "traces", digest+".trace"), enc, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st = openStore(t, dir)
+	if err := st.Append(digest, store.Result, key, result); err != nil {
+		t.Fatal(err)
+	}
+	if st.Has(digest, store.Table, "") {
+		t.Fatal("the adopted file has a table")
+	}
+}
+
+// flipStored flips one byte in the middle of the last copy of payload in
+// digest's file, in place, so that reading that section fails its checksum.
+func flipStored(t *testing.T, st *store.Store, digest string, payload []byte) {
+	t.Helper()
+	f, err := os.OpenFile(st.Path(digest), os.O_RDWR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	data, err := io.ReadAll(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := bytes.LastIndex(data, payload)
+	if at < 0 || len(payload) == 0 {
+		t.Fatalf("%s holds no such payload", digest)
+	}
+	at += len(payload) / 2
+	if _, err := f.WriteAt([]byte{data[at] ^ 0x10}, int64(at)); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func encodeZoo(t *testing.T) [][]byte {
 	t.Helper()
 	var out [][]byte
@@ -115,16 +179,17 @@ func encodeZoo(t *testing.T) [][]byte {
 
 // TestReadPathNeverDecodesTrace pins the read path to the table: once a
 // trace's results and table are on disk, a restarted server answers every
-// digest-scoped route — and /v1/structdiff — with the .trace files gone,
-// byte for byte and ETag for ETag what the first server answered, without
-// decoding a trace or extracting anything.
+// digest-scoped route — and /v1/structdiff — with every trace section
+// unreadable, byte for byte and ETag for ETag what the first server
+// answered, without decoding a trace or extracting anything.
 func TestReadPathNeverDecodesTrace(t *testing.T) {
 	dir := t.TempDir()
 	_, ts := newTestServer(t, Config{DataDir: dir, MaxMemEntries: 4})
 	var digests []string
 	// The zoo, led by a second seed of its first member (jacobi) so that
 	// one pair of traces has the same chares and a real diff.
-	for _, enc := range append([][]byte{encodedJacobi(t, 7)}, encodeZoo(t)...) {
+	encs := append([][]byte{encodedJacobi(t, 7)}, encodeZoo(t)...)
+	for _, enc := range encs {
 		digests = append(digests, upload(t, ts, enc))
 	}
 	covered := map[string]bool{}
@@ -163,21 +228,19 @@ func TestReadPathNeverDecodesTrace(t *testing.T) {
 	}
 	ts.Close()
 
-	traces, _ := filepath.Glob(filepath.Join(dir, "traces", "*.trace"))
-	if len(traces) != len(digests) {
-		t.Fatalf("%d .trace files for %d uploads", len(traces), len(digests))
+	st := openStore(t, dir)
+	if traces := st.Traces(); len(traces) != len(digests) {
+		t.Fatalf("%d stored traces for %d uploads", len(traces), len(digests))
 	}
 	srv2, ts2 := newTestServer(t, Config{DataDir: dir, MaxMemEntries: 4})
-	for _, p := range traces {
-		// Renamed after start-up so the server still knows the digests.
-		if err := os.Rename(p, p+".away"); err != nil {
-			t.Fatal(err)
-		}
+	for i, d := range digests {
+		// Damaged after start-up so the server still knows the digests.
+		flipStored(t, st, d, encs[i])
 	}
 	for i, r := range reqs {
 		got := r.do(t, ts2)
 		if got.code != want[i].code || got.etag != want[i].etag || !bytes.Equal(got.body, want[i].body) {
-			t.Errorf("%s %s %s: answer changed with the trace file gone (status %d → %d, etag %q → %q, %d → %d bytes)\n%s",
+			t.Errorf("%s %s %s: answer changed with the trace unreadable (status %d → %d, etag %q → %q, %d → %d bytes)\n%s",
 				r.method, r.path, r.body, want[i].code, got.code, want[i].etag, got.etag, len(want[i].body), len(got.body), got.body)
 		}
 	}
@@ -236,39 +299,40 @@ func TestTraceResidencyIsBounded(t *testing.T) {
 	}
 }
 
-// TestTableFileSelfHeals: a .tbl that is missing, truncated, bit-flipped or
-// of another version is rebuilt from the trace, counted, rewritten — and
-// the response bytes never change.
+// TestTableFileSelfHeals: a table section that is missing, truncated,
+// bit-flipped in place or of another version is rebuilt from the trace,
+// counted, appended again — and the response bytes never change.
 func TestTableFileSelfHeals(t *testing.T) {
 	dir := t.TempDir()
 	_, ts := newTestServer(t, Config{DataDir: dir})
-	digest := upload(t, ts, encodedJacobi(t, 0))
+	enc := encodedJacobi(t, 0)
+	digest := upload(t, ts, enc)
 	paths := []string{"/v1/traces/" + digest + "/steps", "/v1/traces/" + digest + "/lod", "/v1/traces/" + digest}
 	var want [][]byte
 	for _, p := range paths {
 		want = append(want, mustGet(t, ts, p))
 	}
 	ts.Close()
-	tbl := filepath.Join(dir, "traces", digest+".tbl")
-	good, err := os.ReadFile(tbl)
+	good, err := openStore(t, dir).Read(digest, store.Table, "")
 	if err != nil {
-		t.Fatalf("no table was persisted beside the trace: %v", err)
+		t.Fatalf("no table was persisted with the trace: %v", err)
 	}
-	flipped := append([]byte(nil), good...)
-	flipped[len(flipped)/2] ^= 0x10
 	version := append([]byte(nil), good...)
-	version[4] = 4 // zig-zag 2; the checksum now fails too, as on any torn write
+	version[4] = 4 // zig-zag 2; the table's own checksum now fails too
 	for name, damaged := range map[string][]byte{
-		"missing": nil, "truncated": good[:len(good)/3], "bit flip": flipped, "version": version, "empty": {},
+		"missing": nil, "truncated": good[:len(good)/3], "bit flip": good, "version": version, "empty": {},
 	} {
 		t.Run(name, func(t *testing.T) {
-			if damaged == nil {
-				err = os.Remove(tbl)
-			} else {
-				err = os.WriteFile(tbl, damaged, 0o644)
-			}
-			if err != nil {
-				t.Fatal(err)
+			st := openStore(t, dir)
+			switch name {
+			case "missing":
+				withoutTable(t, dir, digest, enc)
+			case "bit flip":
+				flipStored(t, st, digest, good)
+			default:
+				if err := st.Append(digest, store.Table, "", damaged); err != nil {
+					t.Fatal(err)
+				}
 			}
 			srv, ts := newTestServer(t, Config{DataDir: dir})
 			for i, p := range paths {
@@ -285,8 +349,11 @@ func TestTableFileSelfHeals(t *testing.T) {
 				reg.Counter("server.table_errors").Value(); b != 1 || d != 1 || e != wantErrors {
 				t.Errorf("table_builds %d, trace_decodes %d, table_errors %d; want 1, 1, %d", b, d, e, wantErrors)
 			}
-			if healed, err := os.ReadFile(tbl); err != nil || !bytes.Equal(healed, good) {
-				t.Errorf("table file was not rewritten to its original bytes (err %v)", err)
+			if h := reg.Counter("cache.disk_hits").Value(); h < 1 {
+				t.Error("the result section was not decoded against the rebuilt table")
+			}
+			if healed, err := openStore(t, dir).Read(digest, store.Table, ""); err != nil || !bytes.Equal(healed, good) {
+				t.Errorf("the table section was not appended again with its original bytes (err %v)", err)
 			}
 		})
 	}
@@ -299,19 +366,18 @@ func TestTableFileSelfHeals(t *testing.T) {
 func TestTraceLoadErrorIsNotCached(t *testing.T) {
 	dir := t.TempDir()
 	_, ts := newTestServer(t, Config{DataDir: dir})
-	digest := upload(t, ts, encodedJacobi(t, 0))
+	enc := encodedJacobi(t, 0)
+	digest := upload(t, ts, enc)
 	path := "/v1/traces/" + digest + "/steps"
 	want := mustGet(t, ts, path)
 	ts.Close()
 
 	// A restarted server must decode the trace for an option set it has no
 	// result for, and for the default one too once the table is gone.
+	withoutTable(t, dir, digest, enc)
 	srv, ts2 := newTestServer(t, Config{DataDir: dir})
-	file := filepath.Join(dir, "traces", digest+".trace")
+	file := srv.cache.Store().Path(digest)
 	if err := os.Rename(file, file+".away"); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Remove(filepath.Join(dir, "traces", digest+".tbl")); err != nil {
 		t.Fatal(err)
 	}
 	for _, p := range []string{path, path + "?preset=mp"} {
@@ -349,12 +415,11 @@ func TestTraceLoadErrorIsNotCached(t *testing.T) {
 func TestConcurrentLoadsOfOneTrace(t *testing.T) {
 	dir := t.TempDir()
 	_, ts := newTestServer(t, Config{DataDir: dir})
-	digest := upload(t, ts, encodedJacobi(t, 0))
+	enc := encodedJacobi(t, 0)
+	digest := upload(t, ts, enc)
 	want := mustGet(t, ts, "/v1/traces/"+digest+"/steps")
 	ts.Close()
-	if err := os.Remove(filepath.Join(dir, "traces", digest+".tbl")); err != nil {
-		t.Fatal(err)
-	}
+	withoutTable(t, dir, digest, enc)
 	srv, ts2 := newTestServer(t, Config{DataDir: dir})
 	params := []string{"", "?preset=mp", "?reorder=false", "?infer=false"}
 	var wg sync.WaitGroup
@@ -383,7 +448,7 @@ func TestConcurrentLoadsOfOneTrace(t *testing.T) {
 	}
 }
 
-// TestPhaselessDiskEntryReextracts: a .cstr on disk whose event 0 was left
+// TestPhaselessDiskEntryReextracts: a result on disk whose event 0 was left
 // without a phase — bytes the decoder once admitted and lod.Build then
 // indexed a table at -1 with, inside the entry's sync.Once — is refused like
 // any corrupt entry: counted, re-extracted, and /lod answers the bytes it
@@ -392,19 +457,17 @@ func TestPhaselessDiskEntryReextracts(t *testing.T) {
 	dir := t.TempDir()
 	_, ts := newTestServer(t, Config{DataDir: dir})
 	enc := encodedJacobi(t, 0)
-	path := "/v1/traces/" + upload(t, ts, enc) + "/lod"
+	digest := upload(t, ts, enc)
+	path := "/v1/traces/" + digest + "/lod"
 	want := mustGet(t, ts, path)
 	ts.Close()
 
-	entries, err := filepath.Glob(filepath.Join(dir, "results", "*.cstr"))
-	if err != nil || len(entries) != 1 {
-		t.Fatalf("want one result on disk, found %v (err %v)", entries, err)
+	st, key := openStore(t, dir), resultcache.KeyID(digest, core.DefaultOptions().Fingerprint())
+	good, err := st.Read(digest, store.Result, key)
+	if err != nil {
+		t.Fatalf("want the result on disk: %v", err)
 	}
 	tr, err := tracefile.ReadBinary(bytes.NewReader(enc))
-	if err != nil {
-		t.Fatal(err)
-	}
-	good, err := os.ReadFile(entries[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -419,7 +482,7 @@ func TestPhaselessDiskEntryReextracts(t *testing.T) {
 	if err := core.EncodeStructure(&crafted, s); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(entries[0], crafted.Bytes(), 0o644); err != nil {
+	if err := st.Append(digest, store.Result, key, crafted.Bytes()); err != nil {
 		t.Fatal(err)
 	}
 
@@ -432,12 +495,12 @@ func TestPhaselessDiskEntryReextracts(t *testing.T) {
 	if e := srv.Registry().Counter("cache.disk_errors").Value(); e != 1 {
 		t.Errorf("cache.disk_errors = %d, want 1", e)
 	}
-	if healed, err := os.ReadFile(entries[0]); err != nil || !bytes.Equal(healed, good) {
-		t.Errorf("the entry was not rewritten to its original bytes (err %v)", err)
+	if healed, err := openStore(t, dir).Read(digest, store.Result, key); err != nil || !bytes.Equal(healed, good) {
+		t.Errorf("the entry was not appended again with its original bytes (err %v)", err)
 	}
 }
 
-// TestOutOfRangeLeapDiskEntryReextracts: a .cstr on disk whose phase table
+// TestOutOfRangeLeapDiskEntryReextracts: a result on disk whose phase table
 // holds a leap past the last phase is refused by /structure's summary read
 // as by the full decode behind every other route — once the streaming
 // summary answered it, rendering the bogus leap, while /steps, /lod and
@@ -447,19 +510,17 @@ func TestOutOfRangeLeapDiskEntryReextracts(t *testing.T) {
 	dir := t.TempDir()
 	_, ts := newTestServer(t, Config{DataDir: dir})
 	enc := encodedJacobi(t, 0)
-	path := "/v1/traces/" + upload(t, ts, enc) + "/structure"
+	digest := upload(t, ts, enc)
+	path := "/v1/traces/" + digest + "/structure"
 	want := mustGet(t, ts, path)
 	ts.Close()
 
-	entries, err := filepath.Glob(filepath.Join(dir, "results", "*.cstr"))
-	if err != nil || len(entries) != 1 {
-		t.Fatalf("want one result on disk, found %v (err %v)", entries, err)
+	st, key := openStore(t, dir), resultcache.KeyID(digest, core.DefaultOptions().Fingerprint())
+	good, err := st.Read(digest, store.Result, key)
+	if err != nil {
+		t.Fatalf("want the result on disk: %v", err)
 	}
 	tr, err := tracefile.ReadBinary(bytes.NewReader(enc))
-	if err != nil {
-		t.Fatal(err)
-	}
-	good, err := os.ReadFile(entries[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -472,7 +533,7 @@ func TestOutOfRangeLeapDiskEntryReextracts(t *testing.T) {
 	if err := core.EncodeStructure(&crafted, s); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(entries[0], crafted.Bytes(), 0o644); err != nil {
+	if err := st.Append(digest, store.Result, key, crafted.Bytes()); err != nil {
 		t.Fatal(err)
 	}
 
@@ -485,7 +546,7 @@ func TestOutOfRangeLeapDiskEntryReextracts(t *testing.T) {
 	if e := srv.Registry().Counter("cache.disk_errors").Value(); e == 0 {
 		t.Error("cache.disk_errors = 0: the out-of-range entry was not refused")
 	}
-	if healed, err := os.ReadFile(entries[0]); err != nil || !bytes.Equal(healed, good) {
-		t.Errorf("the entry was not rewritten to its original bytes (err %v)", err)
+	if healed, err := openStore(t, dir).Read(digest, store.Result, key); err != nil || !bytes.Equal(healed, good) {
+		t.Errorf("the entry was not appended again with its original bytes (err %v)", err)
 	}
 }

@@ -26,11 +26,8 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
-	"os"
-	"path/filepath"
 	"runtime"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -46,9 +43,10 @@ import (
 
 // Config configures a Server.
 type Config struct {
-	// DataDir holds the persistent state: uploaded traces under traces/
-	// (raw bytes, named by digest) and encoded results under results/.
-	// Empty runs memory-only (uploads and results die with the process).
+	// DataDir holds the persistent state, one file per uploaded trace
+	// (internal/store): its raw bytes, then its event table and its encoded
+	// results as they are made. Empty runs memory-only (uploads and results
+	// die with the process).
 	DataDir string
 	// MaxMemEntries bounds the result cache's in-memory LRU
 	// (0 = resultcache.DefaultMaxMemEntries).
@@ -67,8 +65,8 @@ type Config struct {
 	// QueueWait is how long an analysis request may wait for an extraction
 	// slot before being shed (0 = 1s).
 	QueueWait time.Duration
-	// MaxResultBytes bounds the on-disk result store; the least-recently-
-	// modified entries are garbage-collected past it (0 = unbounded).
+	// MaxResultBytes bounds the results on disk; past it, the results of
+	// the least-recently-used traces are garbage-collected (0 = unbounded).
 	MaxResultBytes int64
 	// Metrics is the server-wide registry (nil = a private one).
 	Metrics *telemetry.Registry
@@ -121,8 +119,8 @@ type Server struct {
 	tracePeerFills *telemetry.Counter   // traces pulled from cluster siblings (server.trace_peer_fills)
 	traceDecodes   *telemetry.Counter   // traces re-decoded from the data directory (server.trace_decodes)
 	tableBuilds    *telemetry.Counter   // tables built from a decoded trace (server.table_builds)
-	tableDiskLoads *telemetry.Counter   // tables read from <digest>.tbl (server.table_disk_loads)
-	tableErrors    *telemetry.Counter   // .tbl files that failed to load or to write (server.table_errors)
+	tableDiskLoads *telemetry.Counter   // tables read from a table section (server.table_disk_loads)
+	tableErrors    *telemetry.Counter   // table sections that failed to load or to append (server.table_errors)
 	tracesDecodedG *telemetry.Gauge     // decoded traces alive at the last scrape (server.traces_decoded)
 	traceBytesG    *telemetry.Gauge     // their estimated bytes (server.trace_resident_bytes)
 
@@ -130,8 +128,8 @@ type Server struct {
 	renderAborted *telemetry.Counter      // row responses cut short by a gone client or a deadline (server.render_aborted)
 }
 
-// New builds a server, creating DataDir subdirectories and indexing any
-// traces a previous process left there.
+// New builds a server, opening the store in DataDir and indexing any traces
+// a previous process left there.
 func New(cfg Config) (*Server, error) {
 	if cfg.MaxUploadBytes <= 0 {
 		cfg.MaxUploadBytes = 256 << 20
@@ -148,13 +146,6 @@ func New(cfg Config) (*Server, error) {
 	reg := cfg.Metrics
 	if reg == nil {
 		reg = telemetry.NewRegistry()
-	}
-	resultDir := ""
-	if cfg.DataDir != "" {
-		resultDir = filepath.Join(cfg.DataDir, "results")
-		if err := os.MkdirAll(filepath.Join(cfg.DataDir, "traces"), 0o755); err != nil {
-			return nil, fmt.Errorf("server: %w", err)
-		}
 	}
 	engine := query.NewEngine(reg)
 	s := &Server{
@@ -179,7 +170,7 @@ func New(cfg Config) (*Server, error) {
 	s.statusClass = reg.StatusClasses("server.status")
 	var err error
 	s.cache, err = resultcache.New(resultcache.Config{
-		Dir:           resultDir,
+		Dir:           cfg.DataDir,
 		MaxMemEntries: cfg.MaxMemEntries,
 		MaxDiskBytes:  cfg.MaxResultBytes,
 		Metrics:       reg,
@@ -206,50 +197,15 @@ func New(cfg Config) (*Server, error) {
 	if cfg.MaxConcurrentExtractions > 0 {
 		s.sem = make(chan struct{}, cfg.MaxConcurrentExtractions)
 	}
-	if cfg.DataDir != "" {
-		if err := s.indexTraceDir(); err != nil {
-			return nil, err
-		}
-		s.cleanSpool()
+	if st := s.cache.Store(); st != nil {
+		s.indexStore(st)
 	}
 	s.routes()
 	return s, nil
 }
 
-// spoolPrefix names the temp files ingest writes into the trace directory.
-const spoolPrefix = ".ingest-"
-
-// cleanSpool removes stale ingest spool files a crashed predecessor left in
-// the trace directory. Anything older than an hour cannot belong to an
-// in-progress ingest of this process.
-func (s *Server) cleanSpool() {
-	entries, err := os.ReadDir(s.tracesDir())
-	if err != nil {
-		return
-	}
-	cutoff := time.Now().Add(-time.Hour)
-	for _, de := range entries {
-		if de.IsDir() || !strings.HasPrefix(de.Name(), spoolPrefix) {
-			continue
-		}
-		info, err := de.Info()
-		if err != nil || info.ModTime().After(cutoff) {
-			continue
-		}
-		os.Remove(filepath.Join(s.tracesDir(), de.Name()))
-	}
-}
-
 // Registry returns the server's metrics registry (the /debug/stats source).
 func (s *Server) Registry() *telemetry.Registry { return s.reg }
-
-// tracesDir returns the on-disk trace directory, or "".
-func (s *Server) tracesDir() string {
-	if s.cfg.DataDir == "" {
-		return ""
-	}
-	return filepath.Join(s.cfg.DataDir, "traces")
-}
 
 // errUnknownTrace maps to 404.
 var errUnknownTrace = errors.New("unknown trace digest")

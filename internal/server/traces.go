@@ -1,15 +1,15 @@
 package server
 
 import (
+	"bytes"
 	"context"
+	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
-	"strings"
 	"sync"
 	"weak"
 
 	"charmtrace/internal/resultcache"
+	"charmtrace/internal/store"
 	"charmtrace/internal/trace"
 	"charmtrace/internal/tracefile"
 )
@@ -20,10 +20,11 @@ import (
 // alive: an upload's trace is still reachable a moment later for its first
 // extraction, a table lives as long as a resident cache entry holds it, and
 // a trace nobody is extracting goes back to the collector — it can be
-// re-read from <digest>.trace, the table from <digest>.tbl. Without a data
-// directory there is no file to re-read, so pinned holds the trace: the one
-// place a decoded trace survives. mu guards the fields and is held across a
-// load, so concurrent requests for one trace decode it once.
+// re-read from the trace section of its file in the store, the table from
+// the table section. Without a data directory there is no file to re-read,
+// so pinned holds the trace: the one place a decoded trace survives. mu
+// guards the fields and is held across a load, so concurrent requests for
+// one trace decode it once.
 type traceEntry struct {
 	mu      sync.Mutex
 	sum     traceSummary
@@ -31,7 +32,7 @@ type traceEntry struct {
 	tr      weak.Pointer[trace.Trace]
 	tab     weak.Pointer[trace.Table]
 	pinned  *trace.Trace
-	tblBad  bool // <digest>.tbl failed to load and has not been rewritten yet
+	tblBad  bool // the table section failed to load and has not been appended again yet
 }
 
 // count fills in the summary's counts the first time a decoded form of the
@@ -49,22 +50,11 @@ func (te *traceEntry) holdTable(tab *trace.Table) {
 	te.count(tab.NumPE, tab.NumEvents(), tab.Blocks, tab.NumChares(), tab.Idles)
 }
 
-// indexTraceDir registers every persisted trace without decoding it.
-func (s *Server) indexTraceDir() error {
-	entries, err := os.ReadDir(s.tracesDir())
-	if err != nil {
-		return fmt.Errorf("server: %w", err)
+// indexStore registers every persisted trace without decoding it.
+func (s *Server) indexStore(st *store.Store) {
+	for _, t := range st.Traces() {
+		s.traces[t.Digest] = &traceEntry{sum: traceSummary{Digest: t.Digest, Bytes: t.Bytes}}
 	}
-	for _, de := range entries {
-		digest, ok := strings.CutSuffix(de.Name(), ".trace")
-		if !ok || de.IsDir() || len(digest) != 64 {
-			continue
-		}
-		if info, err := de.Info(); err == nil {
-			s.traces[digest] = &traceEntry{sum: traceSummary{Digest: digest, Bytes: info.Size()}}
-		}
-	}
-	return nil
 }
 
 // entryFor returns the registered entry for a digest, or nil when this
@@ -118,26 +108,28 @@ func withEntry[T any](ctx context.Context, s *Server, digest string, load func(*
 
 // traceOf is the result cache's Trace hook (through withEntry): the decoded
 // trace, wanted for an extraction. It is the upload's trace if that is
-// still reachable, else <digest>.trace re-read, its digest checked again.
-// Having the trace in hand it also builds the table and persists
-// <digest>.tbl if that is missing or failed to load, so that no later read
-// of this trace's results needs the trace. The caller holds te.mu.
+// still reachable, else the trace section re-read, its checksum and digest
+// checked again. Having the trace in hand it also builds the table and
+// appends it to the trace's file if the file has no good table section, so
+// that no later read of this trace's results needs the trace. The caller
+// holds te.mu.
 func (s *Server) traceOf(te *traceEntry) (*trace.Trace, error) {
+	st := s.cache.Store()
 	tr := te.pinned
 	if tr == nil {
 		tr = te.tr.Value()
 	}
 	if tr == nil {
-		f, err := os.Open(filepath.Join(s.tracesDir(), te.sum.Digest+".trace"))
+		sec, err := st.Open(te.sum.Digest, store.Trace, "")
 		if err != nil {
 			return nil, fmt.Errorf("server: loading trace: %w", err)
 		}
-		defer f.Close()
+		defer sec.Close()
 		var got string
-		if tr, got, err = tracefile.ReadAutoDigest(f); err != nil {
+		if tr, got, err = tracefile.ReadAutoDigest(sec); err != nil {
 			return nil, fmt.Errorf("server: loading trace %s: %w", te.sum.Digest, err)
 		} else if got != te.sum.Digest {
-			return nil, fmt.Errorf("server: trace file %s.trace digests to %s", te.sum.Digest, got)
+			return nil, fmt.Errorf("server: stored trace %s digests to %s", te.sum.Digest, got)
 		}
 		s.traceDecodes.Add(1)
 		te.tr = weak.Make(tr)
@@ -147,14 +139,16 @@ func (s *Server) traceOf(te *traceEntry) (*trace.Trace, error) {
 		s.tableBuilds.Add(1)
 		te.holdTable(tab)
 	}
-	if dir := s.tracesDir(); dir != "" {
-		path := filepath.Join(dir, te.sum.Digest+".tbl")
-		if _, err := os.Stat(path); te.tblBad || err != nil {
-			if err := s.writeTable(path, tab); err != nil {
-				s.tableErrors.Add(1)
-			} else {
-				te.tblBad = false
-			}
+	if st != nil && (te.tblBad || !st.Has(te.sum.Digest, store.Table, "")) {
+		var enc bytes.Buffer
+		err := tracefile.WriteTable(&enc, tab)
+		if err == nil {
+			err = st.Append(te.sum.Digest, store.Table, "", enc.Bytes())
+		}
+		if err != nil {
+			s.tableErrors.Add(1)
+		} else {
+			te.tblBad = false
 		}
 	}
 	return tr, nil
@@ -163,15 +157,15 @@ func (s *Server) traceOf(te *traceEntry) (*trace.Trace, error) {
 // tableOf is the result cache's Table hook (through withEntry): the
 // read-side table, wanted to decode a disk hit or a peer fill against. A
 // table some resident cache entry still holds is returned as is; otherwise
-// <digest>.tbl is read, and if that is missing, stale, torn or fails its
-// checks, the trace is decoded and the table rebuilt and rewritten
-// (traceOf). The caller holds te.mu.
+// the table section is read, and if there is none, or it fails its checksum
+// or its checks, or is of another version, the trace is decoded and the
+// table rebuilt and appended again (traceOf). The caller holds te.mu.
 func (s *Server) tableOf(te *traceEntry) (*trace.Table, error) {
 	if tab := te.tab.Value(); tab != nil {
 		return tab, nil
 	}
-	if dir := s.tracesDir(); dir != "" && !te.tblBad {
-		data, err := os.ReadFile(filepath.Join(dir, te.sum.Digest+".tbl"))
+	if st := s.cache.Store(); st != nil && !te.tblBad {
+		data, err := st.Read(te.sum.Digest, store.Table, "")
 		if err == nil {
 			var tab *trace.Table
 			if tab, err = tracefile.ReadTable(data); err == nil {
@@ -180,7 +174,7 @@ func (s *Server) tableOf(te *traceEntry) (*trace.Table, error) {
 				return tab, nil
 			}
 		}
-		if !os.IsNotExist(err) {
+		if !errors.Is(err, store.ErrNotFound) {
 			s.tableErrors.Add(1)
 			te.tblBad = true
 		}
@@ -202,23 +196,6 @@ func (s *Server) summaryOf(te *traceEntry) (traceSummary, error) {
 		}
 	}
 	return te.sum, nil
-}
-
-// writeTable persists a table atomically (spool file + rename, like ingest).
-func (s *Server) writeTable(path string, tab *trace.Table) error {
-	f, err := os.CreateTemp(s.tracesDir(), spoolPrefix+"*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(f.Name()) // nothing left to find once renamed
-	if err := tracefile.WriteTable(f, tab); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	return os.Rename(f.Name(), path)
 }
 
 // residency walks the entries' weak references: how many decoded traces are
