@@ -158,8 +158,8 @@ bench-lod:
 # shape's events and phases, and the -benchmem columns, on one core and on
 # two. For measuring while working on
 # internal/core or internal/partition; claims go through bench-repo.
-# BENCHRUNS sets the repetitions of this target, bench-batch, bench-codec and
-# bench-lod (CI runs each once: BENCHRUNS='-benchtime 1x').
+# BENCHRUNS sets the repetitions of this target, bench-batch, bench-codec,
+# bench-lod and bench-wire (CI runs each once: BENCHRUNS='-benchtime 1x').
 BENCHRUNS ?= -benchtime 5x -count 3
 bench-steps:
 	$(GO) test -run '^$$' -bench 'BenchmarkParallelStepAssignment$$' -benchmem $(BENCHRUNS) -cpu 1,2 .
@@ -184,12 +184,15 @@ bench-codec:
 # bench-wire times one warm, gzip-accepting request per iteration on the four
 # row-shaped routes (full /steps, a /steps window through the query engine,
 # grouped /metrics, /structure) over the medium jacobi, handler to discarded
-# socket: -benchmem columns plus ns and body bytes per row. For measuring
-# while working on the wire path (internal/jsonw, the renderers and the
-# compressor pool in internal/server, query.Rows); claims go through
-# bench-repo.
+# socket: -benchmem columns plus ns and body bytes per row. Each iteration
+# asks for a URL not seen before, so it renders, compresses and stores the
+# response rather than serving a stored one; BenchmarkServeStored times the
+# repeat that is served from the stored bytes. For measuring while working
+# on the wire path (internal/jsonw, the renderers and the compressor pool in
+# internal/server, query.Rows, stored responses); claims go through
+# bench-repo. BENCHRUNS as for bench-steps.
 bench-wire:
-	$(GO) test -run '^$$' -bench 'BenchmarkRender' -benchmem -benchtime 50x -count 3 ./internal/server
+	$(GO) test -run '^$$' -bench 'Benchmark(Render|ServeStored)' -benchmem $(BENCHRUNS) ./internal/server
 
 # serve starts the charmd analysis service on :8080 with its cache in
 # .charmd-cache/ (gitignored). See README "Serving".

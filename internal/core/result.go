@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"strings"
+	"sync"
 	"time"
 
 	"charmtrace/internal/graph"
@@ -72,6 +73,55 @@ type Structure struct {
 	// encode(decode(bytes)) byte-identical to the original entry, which is
 	// what lets cluster peers relay entries without re-extraction.
 	decodedFP string
+
+	// report holds the §4 metrics report SharedReport computed: nil until
+	// its first call, which allocates it under reportMu.
+	report *memo
+}
+
+// memo is one value derived from a structure, computed at most once.
+type memo struct {
+	once sync.Once
+	v    any
+}
+
+// reportMu guards the allocation of every structure's report memo.
+var reportMu sync.Mutex
+
+// SharedReport returns the §4 metrics report of s, calling compute for it
+// at most once per structure however many goroutines ask, and keeping it as
+// long as s lives: every reader of one resident structure — charmd's query
+// index and each LOD pyramid level — then reads one report. Package metrics
+// is its one caller (metrics.Shared); core cannot name the report's type,
+// since metrics imports core.
+func (s *Structure) SharedReport(compute func(*Structure) any) any {
+	reportMu.Lock()
+	if s.report == nil {
+		s.report = new(memo)
+	}
+	m := s.report
+	reportMu.Unlock()
+	m.once.Do(func() { m.v = compute(s) })
+	return m.v
+}
+
+// Bytes estimates the structure's resident size beyond its trace and table
+// — the per-event positions, the per-chare event lists, the phases and the
+// phase DAG — for cache memory accounting.
+func (s *Structure) Bytes() int64 {
+	const id, header, phase = 4, 24, 72 // an ID, a slice header, a Phase
+	n := int64(len(s.PhaseOf)+len(s.LocalStep)+len(s.Step)) * id
+	for _, evs := range s.chareEvents {
+		n += int64(len(evs))*id + header
+	}
+	for i := range s.Phases {
+		p := &s.Phases[i]
+		n += int64(len(p.Chares)+len(p.Events))*id + phase
+	}
+	if s.DAG != nil {
+		n += int64(s.DAG.NumEdges())*id + int64(len(s.DAG.Adj))*header
+	}
+	return n
 }
 
 // Table returns the read-side event table of the structure's trace — what
@@ -88,8 +138,10 @@ func (s *Structure) Table() *trace.Table {
 // WithoutTrace returns a copy of s that holds its table and no trace, so
 // that keeping the structure does not keep the decoded trace alive.
 func (s *Structure) WithoutTrace() *Structure {
+	reportMu.Lock() // the one field a reader may be writing
 	c := *s
-	c.tab, c.Trace = s.Table(), nil
+	reportMu.Unlock()
+	c.tab, c.Trace, c.report = s.Table(), nil, nil // a report names its structure
 	return &c
 }
 

@@ -9,6 +9,7 @@ import (
 
 	"charmtrace/internal/conformance"
 	"charmtrace/internal/core"
+	"charmtrace/internal/metrics"
 	"charmtrace/internal/query"
 )
 
@@ -96,5 +97,43 @@ func TestLazyLevelsConcurrent(t *testing.T) {
 				t.Fatal("no level was built")
 			}
 		})
+	}
+}
+
+// TestLevelsReadTheSharedReport: built as charmd builds it, from the
+// structure's shared report, a pyramid's every level reads the one
+// *metrics.Report the structure's query index reads, however the index
+// build and the level builds race; a trace-less copy of the structure gets
+// a report of its own.
+func TestLevelsReadTheSharedReport(t *testing.T) {
+	w := conformance.Zoo()[0]
+	s, err := core.Extract(w.MustGen(), w.Opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const builders = 4
+	var idx *query.Index
+	pyramids := make([]*Pyramid, builders)
+	var wg sync.WaitGroup
+	wg.Add(builders + 1)
+	go func() { defer wg.Done(); idx = query.BuildIndex(s) }()
+	for i := range pyramids {
+		go func(i int) {
+			defer wg.Done()
+			p := Build(s, metrics.Shared(s))
+			for l := 0; l < p.NumLevels(); l++ {
+				p.Level(l)
+			}
+			pyramids[i] = p
+		}(i)
+	}
+	wg.Wait()
+	for i, p := range pyramids {
+		if p.rep == nil || p.rep != idx.Report {
+			t.Errorf("pyramid %d's levels read report %p, the index reads %p", i, p.rep, idx.Report)
+		}
+	}
+	if c := s.WithoutTrace(); metrics.Shared(c) == idx.Report {
+		t.Error("a trace-less copy shares its original's report")
 	}
 }

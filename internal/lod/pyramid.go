@@ -256,8 +256,10 @@ type lazyLevel struct {
 // Build clusters the chares and lays out the level geometry; no level is
 // built until Level asks for it. rep supplies the §4 per-event metrics and
 // is kept for the level builds; nil has each level build compute them and
-// keep nothing per event (callers that already hold a query index can pass
-// its report to share the work).
+// keep nothing per event. charmd passes the structure's shared report
+// (metrics.Shared), which its query index reads too, so one resident entry
+// computes the metrics once. Bytes leaves a given report out: it is the
+// caller's (charmd's query index counts it, once the index is built).
 func Build(s *core.Structure, rep *metrics.Report) *Pyramid {
 	p := &Pyramid{
 		S:         s,

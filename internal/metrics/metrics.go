@@ -40,6 +40,14 @@ type Report struct {
 	PhaseLoad []map[trace.PE]trace.Time
 }
 
+// Shared returns the report of s, computed at most once per structure and
+// kept with it (core.Structure.SharedReport): every reader of one resident
+// structure — charmd's query index and each LOD pyramid level — reads the
+// same report. Treat it as read-only.
+func Shared(s *core.Structure) *Report {
+	return s.SharedReport(func(s *core.Structure) any { return Compute(s) }).(*Report)
+}
+
 // Compute derives all metrics for a structure. The per-event slices are
 // shared with s.Table() or freshly allocated; treat them as read-only.
 func Compute(s *core.Structure) *Report {

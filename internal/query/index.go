@@ -61,7 +61,8 @@ type Index struct {
 	S *core.Structure
 	// Tab is S.Table(): the trace-side columns rows are rendered from.
 	Tab *trace.Table
-	// Report holds the §4 per-event metrics, computed once.
+	// Report holds the §4 per-event metrics: the structure's shared report
+	// (metrics.Shared), computed once per structure.
 	Report *metrics.Report
 	// PhaseOrder lists phase indices sorted by (first global step, ID) —
 	// the stable row order of select=structure.
@@ -82,7 +83,8 @@ type Index struct {
 }
 
 // BuildIndex constructs the index for a structure. Cost is one
-// metrics.Compute pass plus two groupings of the events; Bytes reports
+// metrics.Compute pass (none when the structure's shared report already
+// exists) plus two groupings of the events; Bytes reports
 // the resident estimate for cache memory accounting.
 func BuildIndex(s *core.Structure) *Index {
 	tab := s.Table()
@@ -90,7 +92,7 @@ func BuildIndex(s *core.Structure) *Index {
 	idx := &Index{
 		S:           s,
 		Tab:         tab,
-		Report:      metrics.Compute(s),
+		Report:      metrics.Shared(s),
 		PhaseOrder:  make([]int32, len(s.Phases)),
 		ChareEvents: make([][]trace.EventID, nChares),
 		PhaseRollup: make([]Rollup, len(s.Phases)),

@@ -35,6 +35,10 @@
 // fill against, the trace only to extract — in which case resident entries
 // hold a table and no trace (see Config.Trace).
 //
+// A resident entry also keeps the finished responses the serving layer
+// rendered from it (StoreResponse, LookupResponse), within a budget of the
+// entry's own bytes, and drops them when the entry is evicted.
+//
 // Cached structures are shared between requests and must be treated as
 // read-only; everything the serving layer does (rendering, metrics,
 // structdiff) only reads. Every layer's traffic is counted in a
@@ -173,8 +177,11 @@ type Cache struct {
 	peerMisses    *telemetry.Counter // peer fill attempted, fell back to extraction
 	extractMS     *telemetry.Histogram
 	memEntries    *telemetry.Gauge
-	tableBytesG   *telemetry.Gauge // tables held by resident trace-less entries (cache.table_bytes)
-	flightsG      *telemetry.Gauge // in-progress extraction flights (cache.flights)
+	tableBytesG   *telemetry.Gauge   // tables held by resident trace-less entries (cache.table_bytes)
+	flightsG      *telemetry.Gauge   // in-progress extraction flights (cache.flights)
+	respHits      *telemetry.Counter // requests answered from a stored response (cache.response_hits)
+	respStores    *telemetry.Counter // responses stored (cache.response_stores)
+	respBytesG    *telemetry.Gauge   // stored responses' bytes (cache.response_bytes)
 
 	mu      sync.Mutex
 	closed  bool
@@ -186,6 +193,8 @@ type Cache struct {
 	// estimate: entries of one trace under several option sets share a table
 	// and are each counted).
 	tableBytes int64
+	// respBytes sums entry.respBytes over the resident entries.
+	respBytes int64
 
 	flightWG sync.WaitGroup // outstanding detached flights, for Close
 }
@@ -233,12 +242,19 @@ type viewState struct {
 	accounted bool
 }
 
-// entry is one memory-resident result plus its lazily-built derived views.
+// entry is one memory-resident result plus its lazily-built derived views
+// and the responses stored from it.
 type entry struct {
-	id         string
-	s          *core.Structure
-	tableBytes int64 // s.Table().Bytes() when s holds its table and no trace, else 0
-	views      [numViews]viewState
+	id          string
+	s           *core.Structure
+	structBytes int64 // s.Bytes()
+	tableBytes  int64 // s.Table().Bytes() when s holds its table and no trace, else 0
+	views       [numViews]viewState
+
+	// responses holds the stored responses by key, nil until the first
+	// store; respBytes sums what they cost. Both are guarded by Cache.mu.
+	responses map[string]*Response
+	respBytes int64
 }
 
 // flight is one in-progress extraction other requests can join. The
@@ -327,6 +343,9 @@ func New(cfg Config) (*Cache, error) {
 		memEntries:      reg.Gauge("cache.mem_entries"),
 		tableBytesG:     reg.Gauge("cache.table_bytes"),
 		flightsG:        reg.Gauge("cache.flights"),
+		respHits:        reg.Counter("cache.response_hits"),
+		respStores:      reg.Counter("cache.response_stores"),
+		respBytesG:      reg.Gauge("cache.response_bytes"),
 		entries:         make(map[string]*list.Element),
 		lru:             list.New(),
 		flights:         make(map[string]*flight),
@@ -927,7 +946,7 @@ func (c *Cache) insertLocked(id string, s *core.Structure) {
 		c.lru.MoveToFront(el)
 		return
 	}
-	e := &entry{id: id, s: s}
+	e := &entry{id: id, s: s, structBytes: s.Bytes()}
 	if s.Trace == nil {
 		e.tableBytes = s.Table().Bytes()
 	}
@@ -939,6 +958,7 @@ func (c *Cache) insertLocked(id string, s *core.Structure) {
 		e := back.Value.(*entry)
 		delete(c.entries, e.id)
 		c.tableBytes -= e.tableBytes
+		c.respBytes -= e.respBytes
 		for v := range e.views {
 			if st := &e.views[v]; st.accounted {
 				c.views[v].total -= st.bytes
@@ -949,4 +969,5 @@ func (c *Cache) insertLocked(id string, s *core.Structure) {
 	}
 	c.memEntries.Set(float64(c.lru.Len()))
 	c.tableBytesG.Set(float64(c.tableBytes))
+	c.respBytesG.Set(float64(c.respBytes))
 }

@@ -137,7 +137,7 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 // never saw is pulled from a ring sibling first.
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	digest := r.PathValue("digest")
-	if s.notModified(w, r, digest, "") {
+	if _, done := s.notModified(w, r, digest, ""); done {
 		return
 	}
 	sum, err := withEntry(r.Context(), s, digest, s.summaryOf)
@@ -161,6 +161,9 @@ func (s *Server) render(w http.ResponseWriter, r *http.Request, digest string, o
 	jw.End()
 	if err := jw.Close(); err != nil {
 		s.renderAborted.Add(1)
+		if g, ok := w.(*gzipResponseWriter); ok {
+			g.dropCapture() // a cut-short body is never stored
+		}
 		if !jw.Flushed() {
 			httpError(w, err)
 		}

@@ -2,9 +2,11 @@ package server
 
 import (
 	"compress/gzip"
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"io"
+	"math"
 	"net/http"
 	"net/url"
 	"strconv"
@@ -13,6 +15,7 @@ import (
 
 	"charmtrace/internal/core"
 	"charmtrace/internal/query"
+	"charmtrace/internal/resultcache"
 )
 
 // serveQuery executes one query spec — POST /query's JSON body or the GET
@@ -71,22 +74,110 @@ func strongETag(digest, fingerprint, params string) string {
 }
 
 // notModified stamps the caching headers of an immutable digest-addressed
-// response (strong ETag, long-lived Cache-Control) and reports whether
-// If-None-Match already matched — in which case it has written the 304 and
-// the handler is done, having skipped extraction entirely. Unknown
-// digests get no validator and fall through to the usual 404.
-func (s *Server) notModified(w http.ResponseWriter, r *http.Request, digest, fingerprint string) bool {
+// response (strong ETag, long-lived Cache-Control), returns the ETag, and
+// reports whether If-None-Match already matched — in which case it has
+// written the 304 and the handler is done, having skipped extraction
+// entirely. Unknown digests get no validator (etag is "") and fall through
+// to the usual 404.
+func (s *Server) notModified(w http.ResponseWriter, r *http.Request, digest, fingerprint string) (etag string, done bool) {
 	if s.entryFor(digest) == nil {
-		return false
+		return "", false
 	}
-	etag := strongETag(digest, fingerprint, responseParams(r.URL.Query()))
+	etag = strongETag(digest, fingerprint, responseParams(r.URL.Query()))
 	w.Header().Set("ETag", etag)
 	w.Header().Set("Cache-Control", "public, max-age=31536000, immutable")
 	if inm := r.Header.Get("If-None-Match"); inm != "" && etagMatch(inm, etag) {
 		w.WriteHeader(http.StatusNotModified)
+		return etag, true
+	}
+	return etag, false
+}
+
+// ---- stored responses ---------------------------------------------------
+
+// serveStored answers a GET analysis request from the response stored for
+// it with the resident cache entry, if there is one, and reports whether it
+// did: the stored bytes in one write, with no render, no compression and no
+// query or LOD call. The key is the request's path, its strong ETag and the
+// response's content coding: the ETag addresses the body within one route
+// (it hashes the digest, options and parameters, not the route, so the
+// routes of one trace share it) and the coding is the one other input to
+// the bytes on the wire. Otherwise it arms w to capture the response the
+// route is about to render, up to the room its entry has left; instrument
+// stores it once it is known complete (gzipResponseWriter.storeKept).
+func (s *Server) serveStored(w http.ResponseWriter, r *http.Request, digest, fingerprint, etag string) bool {
+	g, ok := w.(*gzipResponseWriter)
+	if !ok || r.Context().Err() != nil {
+		return false // a request already past its deadline or gone fails in the render, as before
+	}
+	coding := "gzip"
+	if g.passthrough {
+		coding = "identity"
+	}
+	key := r.URL.Path + " " + etag + " " + coding
+	if resp, ok := s.cache.LookupResponse(digest, fingerprint, key); ok {
+		resultcache.RecordOutcome(r.Context(), resultcache.OutcomeMem)
+		g.writeStored(resp)
 		return true
 	}
+	g.keep = &capture{cache: s.cache, limit: -1, digest: digest, fp: fingerprint, key: key}
 	return false
+}
+
+// capture is a copy of the wire bytes of a response that may be stored,
+// kept in pooled fixed-size chunks and only up to limit, the room the
+// response's cache entry has left: a response that outgrows it is dropped
+// at once, and one that is not stored leaves its chunks to the next
+// capture, so the copy never holds more than the entry could keep, nor a
+// buffer that outlives the request.
+type capture struct {
+	chunks          []*[captureChunk]byte
+	n               int
+	limit           int // -1 until the first write
+	cache           *resultcache.Cache
+	digest, fp, key string // where the response is stored
+}
+
+const captureChunk = 32 << 10
+
+var chunkPool = sync.Pool{New: func() any { return new([captureChunk]byte) }}
+
+// write appends p and reports whether the capture is still within its limit.
+func (c *capture) write(p []byte) bool {
+	if c.limit < 0 {
+		// By its first byte the route has resolved the entry — made it
+		// resident and built the views it reads — so its room is known.
+		c.limit = int(min(c.cache.ResponseRoom(c.digest, c.fp, c.key), math.MaxInt))
+	}
+	if c.n+len(p) > c.limit {
+		return false
+	}
+	for len(p) > 0 {
+		off := c.n % captureChunk
+		if off == 0 {
+			c.chunks = append(c.chunks, chunkPool.Get().(*[captureChunk]byte))
+		}
+		k := copy(c.chunks[len(c.chunks)-1][off:], p)
+		p, c.n = p[k:], c.n+k
+	}
+	return true
+}
+
+// bytes returns the captured bytes in one slice of their exact size.
+func (c *capture) bytes() []byte {
+	b := make([]byte, 0, c.n)
+	for i, ch := range c.chunks {
+		b = append(b, ch[:min(captureChunk, c.n-i*captureChunk)]...)
+	}
+	return b
+}
+
+// release returns the chunks to the pool.
+func (c *capture) release() {
+	for _, ch := range c.chunks {
+		chunkPool.Put(ch)
+	}
+	c.chunks = nil
 }
 
 // etagMatch implements the If-None-Match comparison: a comma-separated
@@ -150,17 +241,25 @@ var gzipPool = sync.Pool{New: func() any {
 // definition) pass through byte-free and error paths stay inspectable. The
 // bytes fed to the encoder are exactly the uncompressed response —
 // compression never changes response identity, only transfer encoding.
+//
+// Armed by serveStored (keep set), it also copies every byte it sends
+// downstream — the compressed stream, or the body itself under passthrough —
+// so that the response can be stored once it is known complete.
 type gzipResponseWriter struct {
 	http.ResponseWriter
 	zw          *gzip.Writer
 	body        int64 // bytes written by the handler, before compression
+	code        int
 	wroteHeader bool
 	passthrough bool
+
+	keep   *capture // nil when not armed, or once the response may not be stored
+	failed bool     // a downstream write failed
 }
 
 func (g *gzipResponseWriter) WriteHeader(code int) {
 	if !g.wroteHeader {
-		g.wroteHeader = true
+		g.wroteHeader, g.code = true, code
 		if g.passthrough || code == http.StatusNoContent || code == http.StatusNotModified ||
 			g.Header().Get("Content-Encoding") != "" {
 			g.passthrough = true
@@ -178,13 +277,75 @@ func (g *gzipResponseWriter) Write(p []byte) (int, error) {
 	}
 	g.body += int64(len(p))
 	if g.passthrough {
-		return g.ResponseWriter.Write(p)
+		return g.down(p)
 	}
 	if g.zw == nil {
 		g.zw = gzipPool.Get().(*gzip.Writer)
-		g.zw.Reset(g.ResponseWriter)
+		g.zw.Reset(downstream{g})
 	}
 	return g.zw.Write(p)
+}
+
+// down sends bytes to the connection, copying them into the capture when
+// armed.
+func (g *gzipResponseWriter) down(p []byte) (int, error) {
+	n, err := g.ResponseWriter.Write(p)
+	if err != nil {
+		g.failed = true
+	}
+	if g.keep != nil && !g.keep.write(p[:n]) {
+		g.dropCapture()
+	}
+	return n, err
+}
+
+// dropCapture disarms the capture: the response will not be stored.
+func (g *gzipResponseWriter) dropCapture() {
+	if g.keep != nil {
+		g.keep.release()
+		g.keep = nil
+	}
+}
+
+// downstream is the compressor's destination: the writer's down.
+type downstream struct{ g *gzipResponseWriter }
+
+func (d downstream) Write(p []byte) (int, error) { return d.g.down(p) }
+
+// writeStored sends a stored response: its entity headers, a 200, and its
+// wire bytes in one write, past the compressor — they are already coded.
+func (g *gzipResponseWriter) writeStored(resp *resultcache.Response) {
+	g.Header().Set("Content-Type", resp.ContentType)
+	if resp.ContentEncoding != "" {
+		g.Header().Set("Content-Encoding", resp.ContentEncoding)
+	}
+	g.wroteHeader, g.code, g.passthrough = true, http.StatusOK, true
+	g.body = resp.BodyBytes
+	g.ResponseWriter.WriteHeader(http.StatusOK)
+	g.ResponseWriter.Write(resp.Wire) // a failed write is the client's loss, as for a rendered body
+}
+
+// storeKept stores the captured response with its cache entry if it may be
+// stored: a 200 whose render completed (s.render drops the capture when
+// jsonw.Close reports an error) and whose every byte was delivered, within
+// the capture's limit, while ctx — the request's — stayed live. It releases
+// the capture either way. Call it after Close, which writes the compressed
+// stream's tail.
+func (g *gzipResponseWriter) storeKept(ctx context.Context, cache *resultcache.Cache) {
+	c := g.keep
+	if c == nil {
+		return
+	}
+	defer g.dropCapture()
+	if g.failed || g.code != http.StatusOK || ctx.Err() != nil {
+		return
+	}
+	cache.StoreResponse(c.digest, c.fp, c.key, &resultcache.Response{
+		ContentType:     g.Header().Get("Content-Type"),
+		ContentEncoding: g.Header().Get("Content-Encoding"),
+		Wire:            c.bytes(),
+		BodyBytes:       g.body,
+	})
 }
 
 // Close flushes the compressed stream and returns the compressor to the

@@ -34,6 +34,7 @@ import (
 
 	"charmtrace/internal/core"
 	"charmtrace/internal/lod"
+	"charmtrace/internal/metrics"
 	"charmtrace/internal/query"
 	"charmtrace/internal/resultcache"
 	"charmtrace/internal/telemetry"
@@ -187,7 +188,7 @@ func New(cfg Config) (*Server, error) {
 			return idx, idx.Bytes()
 		},
 		Aux: func(st *core.Structure) (any, int64) {
-			p := lod.Build(st, nil)
+			p := lod.Build(st, metrics.Shared(st))
 			return p, p.Bytes()
 		},
 	})
@@ -298,9 +299,10 @@ const maxSpecBytes = 1 << 20
 // extraction options (bad option → 400), then the endpoint's spec decoder
 // (bad spec → 400 with the field named), then — for the URL-addressed
 // GET/HEAD forms, whose response is immutable per (digest, options,
-// parameters) — the ETag/304 validator, and only then serve. A POST carries
-// its spec in the body, which the URL-derived ETag cannot cover, so it gets
-// no validator.
+// parameters) — the ETag/304 validator, then for a GET the response stored
+// under that ETag with the resident cache entry (serveStored), and only
+// then serve. A POST carries its spec in the body, which the URL-derived
+// ETag cannot cover, so it gets no validator and is never stored.
 func analysis[S any](s *Server, decode func(http.ResponseWriter, *http.Request) (S, error),
 	serve func(w http.ResponseWriter, r *http.Request, digest string, opt core.Options, spec S)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
@@ -315,8 +317,12 @@ func analysis[S any](s *Server, decode func(http.ResponseWriter, *http.Request) 
 			httpError(w, err)
 			return
 		}
-		if r.Method != http.MethodPost && s.notModified(w, r, digest, opt.Fingerprint()) {
-			return
+		if r.Method != http.MethodPost {
+			fp := opt.Fingerprint()
+			etag, done := s.notModified(w, r, digest, fp)
+			if done || r.Method == http.MethodGet && etag != "" && s.serveStored(w, r, digest, fp, etag) {
+				return
+			}
 		}
 		serve(w, r, digest, opt, spec)
 	}
@@ -350,7 +356,8 @@ func (s *Server) retrofit(sel string, full func(w http.ResponseWriter, r *http.R
 // timeout context, and transparent response compression. Every response
 // carries Vary: Accept-Encoding because its transfer encoding depends on
 // that request header; the body bytes fed into the compressor are identical
-// to the uncompressed response.
+// to the uncompressed response. Once the handler returns, a response
+// serveStored armed for capture is stored if it completed.
 func (s *Server) instrument(route string, h http.HandlerFunc) http.Handler {
 	latency := s.reg.Histogram("server.latency_ms." + route)
 	bodyBytes := s.reg.Counter("server.body_bytes." + route)
@@ -384,6 +391,7 @@ func (s *Server) instrument(route string, h http.HandlerFunc) http.Handler {
 		r = r.WithContext(ctx)
 		h(gz, r)
 		gz.Close()
+		gz.storeKept(ctx, s.cache)
 		sw.body = gz.body
 		elapsed := time.Since(start)
 		latency.Observe(float64(elapsed.Nanoseconds()) / 1e6)

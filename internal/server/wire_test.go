@@ -11,6 +11,7 @@ import (
 	"net/http/httptest"
 	"runtime"
 	"runtime/debug"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -142,7 +143,9 @@ func TestRenderStopsForAGoneClient(t *testing.T) {
 		t.Fatalf("/steps body is %d bytes; the test wants several flushes", full)
 	}
 	aborted := srv.Registry().Counter("server.render_aborted")
-	for _, tc := range []struct {
+	stores := srv.Registry().Counter("cache.response_stores")
+	storedBefore := stores.Value()
+	for i, tc := range []struct {
 		name     string
 		gzip     bool
 		byCancel bool
@@ -161,7 +164,11 @@ func TestRenderStopsForAGoneClient(t *testing.T) {
 			if tc.byCancel {
 				w.cancel = cancel
 			}
-			req := httptest.NewRequest("GET", "/v1/traces/"+digest+"/steps", nil).WithContext(ctx)
+			// A URL of its own (the parameter changes nothing in the body):
+			// a repeat of one already answered would be served from the
+			// stored response, without a render to cut short.
+			url := "/v1/traces/" + digest + "/steps?attempt=" + strconv.Itoa(i)
+			req := httptest.NewRequest("GET", url, nil).WithContext(ctx)
 			if tc.gzip {
 				req.Header.Set("Accept-Encoding", "gzip")
 			}
@@ -186,6 +193,9 @@ func TestRenderStopsForAGoneClient(t *testing.T) {
 				t.Errorf("server.render_aborted moved by %d, want 1", got)
 			}
 		})
+	}
+	if n := stores.Value() - storedBefore; n != 0 {
+		t.Errorf("cache.response_stores moved by %d: an aborted render is never stored", n)
 	}
 	if n := srv.Registry().Counter("server.status.5xx").Value(); n != 0 {
 		t.Errorf("%d responses counted 5xx", n)
@@ -215,11 +225,28 @@ func (d *discardWriter) serve(srv *Server, req *http.Request) {
 	srv.ServeHTTP(d, req)
 }
 
-// TestRenderAllocationsDoNotScaleWithRows: serving full /steps for a trace
+// render serves a full /steps request the way instrument and analysis do,
+// through the compressing writer, but calls the route's serve function
+// itself: every call renders, where a repeat through ServeHTTP would be
+// served from the stored response.
+func (d *discardWriter) render(srv *Server, req *http.Request) {
+	clear(d.hdr)
+	opt, err := srv.extractOptions(req)
+	if err != nil {
+		panic(err)
+	}
+	gz := &gzipResponseWriter{ResponseWriter: d, passthrough: !acceptsGzip(req)}
+	srv.serveSteps(gz, req, req.PathValue("digest"), opt)
+	gz.Close()
+}
+
+// TestRenderAllocationsDoNotScaleWithRows: rendering full /steps for a trace
 // with ten times the events allocates no more objects than for the small
 // one — rows are appended to one buffer, never built — and a compressed
 // response takes its compressor from the pool: well under 64 KB allocated,
-// where constructing one costs over a megabyte.
+// where constructing one costs over a megabyte. It renders through the
+// route's serve function (discardWriter.render): storing a response copies
+// it, which is the point of storing, not a cost of the render.
 func TestRenderAllocationsDoNotScaleWithRows(t *testing.T) {
 	srv, _ := newTestServer(t, Config{})
 	small := residentDigest(t, srv, jacobiScaled(t, 4, 4))
@@ -227,7 +254,7 @@ func TestRenderAllocationsDoNotScaleWithRows(t *testing.T) {
 	w := &discardWriter{hdr: http.Header{}}
 	allocs := func(digest string) float64 {
 		req := httptest.NewRequest("GET", "/v1/traces/"+digest+"/steps", nil)
-		return testing.AllocsPerRun(20, func() { w.serve(srv, req) })
+		return testing.AllocsPerRun(20, func() { w.render(srv, req) })
 	}
 	if s, l := allocs(small), allocs(large); l > s+8 {
 		t.Errorf("full /steps: %.0f allocations for the 10x trace, %.0f for the small one", l, s)
@@ -242,12 +269,12 @@ func TestRenderAllocationsDoNotScaleWithRows(t *testing.T) {
 	// build a compressor (a megabyte) inside the loop.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	w.serve(srv, req) // fill the pool
+	w.render(srv, req) // fill the pool
 	const runs = 20
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i := 0; i < runs; i++ {
-		w.serve(srv, req)
+		w.render(srv, req)
 	}
 	runtime.ReadMemStats(&after)
 	if w.hdr.Get("Content-Encoding") != "gzip" {
@@ -255,6 +282,44 @@ func TestRenderAllocationsDoNotScaleWithRows(t *testing.T) {
 	}
 	if perResp := (after.TotalAlloc - before.TotalAlloc) / runs; perResp > 64<<10 && !raceEnabled {
 		t.Errorf("a compressed response allocates %d bytes; want < 64 KB (is the compressor pooled?)", perResp)
+	}
+}
+
+// TestAllocationsStayBoundedWhenNotStored: a response too large for
+// its entry's room costs no copy that grows with it. Through ServeHTTP, the
+// uncompressed full /steps of the 10x trace, over twice its entry's bytes
+// and so never stored, renders on every repeat and allocates well under its
+// own size: the capture stops at the room and its chunks are pooled.
+func TestAllocationsStayBoundedWhenNotStored(t *testing.T) {
+	srv, _ := newTestServer(t, Config{})
+	large := residentDigest(t, srv, jacobiScaled(t, 4, 40))
+	w := &discardWriter{hdr: http.Header{}}
+	req := httptest.NewRequest("GET", "/v1/traces/"+large+"/steps", nil)
+	reg := srv.Registry()
+	stores, body := reg.Counter("cache.response_stores"), reg.Counter("server.body_bytes.steps")
+	// As in TestRenderAllocationsDoNotScaleWithRows: no collection to empty
+	// the pools, and one P, whose private pool slot the loop reuses.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	w.serve(srv, req) // fill the pools
+	const runs = 20
+	s0, b0 := stores.Value(), body.Value()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		w.serve(srv, req)
+	}
+	runtime.ReadMemStats(&after)
+	if n := stores.Value() - s0; n != 0 {
+		t.Fatalf("%d responses stored; the test wants one over its entry's room", n)
+	}
+	size := (body.Value() - b0) / runs
+	perResp := int64(after.TotalAlloc-before.TotalAlloc) / runs
+	if perResp > 64<<10 && !raceEnabled {
+		t.Errorf("a %d-byte response that is not stored allocates %d bytes; want < 64 KB", size, perResp)
+	}
+	if size < 256<<10 {
+		t.Errorf("the response is %d bytes; the test wants one several times its 64 KB allocation bound", size)
 	}
 }
 
@@ -303,7 +368,8 @@ func TestBodyAndWireByteCounters(t *testing.T) {
 
 // benchRender serves one warm request per iteration to a discarding
 // connection, compressed as the repository benchmark's clients ask, and
-// reports time and bytes per row beside the usual columns.
+// reports time and bytes per row beside the usual columns. Every iteration
+// renders (see below); BenchmarkServeStored times a repeat.
 func benchRender(b *testing.B, app string, p cli.Params, path string, rows func(body []byte) int) {
 	tr, _, err := cli.Generate(app, p)
 	if err != nil {
@@ -324,12 +390,21 @@ func benchRender(b *testing.B, app string, p cli.Params, path string, rows func(
 		b.Fatalf("GET %s: %d %s", path, rec.Code, rec.Body)
 	}
 	n := rows(rec.Body.Bytes())
-	req := httptest.NewRequest("GET", "/v1/traces/"+digest+path, nil)
+	// Each iteration asks for a URL of its own — a parameter that changes
+	// nothing in the body — so that it renders, compresses and stores the
+	// response, as a first request does, instead of serving a stored one.
+	sep := "?"
+	if strings.Contains(path, "?") {
+		sep = "&"
+	}
+	base := "/v1/traces/" + digest + path + sep + "n="
+	req := httptest.NewRequest("GET", base, nil)
 	req.Header.Set("Accept-Encoding", "gzip")
 	w := &discardWriter{hdr: http.Header{}}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		req.URL.RawQuery = req.URL.RawQuery[:strings.LastIndexByte(req.URL.RawQuery, '=')+1] + strconv.Itoa(i)
 		w.serve(srv, req)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/row")
@@ -356,4 +431,37 @@ func BenchmarkRenderMetricsGrouped(b *testing.B) {
 
 func BenchmarkRenderStructure(b *testing.B) {
 	benchRender(b, "jacobi", benchJacobi, "/structure", countOf(`"id":`))
+}
+
+// BenchmarkServeStored times the repeat of a full /steps request: the
+// stored response's bytes, written in one call — no render, no compression.
+func BenchmarkServeStored(b *testing.B) {
+	tr, _, err := cli.Generate("jacobi", benchJacobi)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var enc bytes.Buffer
+	if err := tracefile.WriteBinary(&enc, tr); err != nil {
+		b.Fatal(err)
+	}
+	srv, err := New(Config{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	digest := residentDigest(b, srv, enc.Bytes())
+	req := httptest.NewRequest("GET", "/v1/traces/"+digest+"/steps", nil)
+	req.Header.Set("Accept-Encoding", "gzip")
+	w := &discardWriter{hdr: http.Header{}}
+	w.serve(srv, req) // renders and stores the compressed response
+	hits := srv.Registry().Counter("cache.response_hits")
+	before := hits.Value()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		w.serve(srv, req)
+	}
+	b.StopTimer()
+	if got := hits.Value() - before; got != int64(b.N) {
+		b.Fatalf("%d of %d requests served from the stored response", got, b.N)
+	}
 }
