@@ -85,7 +85,7 @@ fuzz-smoke:
 # first #, |, >, ;, & or backtick must be a flag the binary lists, so a
 # renamed or deleted flag or command cannot stay documented. Each binary is
 # built once, as for `make knobs`.
-DOCFILES ?= README.md EXPERIMENTS.md .claude/skills/verify/SKILL.md Makefile
+DOCFILES ?= README.md DESIGN.md EXPERIMENTS.md .claude/skills/verify/SKILL.md Makefile
 doc-flags:
 	@tmp=$$(mktemp -d); trap 'rm -rf $$tmp' EXIT; bad=0; \
 	for d in cmd/*; do \

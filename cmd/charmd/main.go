@@ -38,7 +38,7 @@ import (
 
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
-	dataDir := flag.String("data-dir", ".charmd-cache", "persistent state: uploaded traces and the on-disk result cache ('' = memory only)")
+	dataDir := flag.String("data-dir", ".charmd-cache", "persistent state: uploaded traces and the on-disk result cache (required; for an ephemeral node pass a temporary directory)")
 	memEntries := flag.Int("mem-entries", 0, "in-memory result-cache entries (0 = default, negative = disable)")
 	maxUpload := flag.Int64("max-upload", 256<<20, "maximum trace upload size in bytes")
 	reqTimeout := flag.Duration("request-timeout", 60*time.Second, "per-request analysis timeout")

@@ -93,7 +93,7 @@ func charmd(t *testing.T, workload string) uploaded {
 	if err := os.WriteFile(file, buf.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	srv, err := server.New(server.Config{})
+	srv, err := server.New(server.Config{DataDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -41,7 +41,7 @@ func (b *blockingExtractor) extract(tr *trace.Trace, opt core.Options) (*core.St
 func TestFlightsListsInProgressExtractions(t *testing.T) {
 	tr, digest := testTrace(t)
 	ext := newBlockingExtractor()
-	c, err := New(Config{Extract: ext.extract})
+	c, err := New(Config{Dir: t.TempDir(), Extract: ext.extract})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func TestOutcomeReporting(t *testing.T) {
 func TestOutcomeCoalescedAndDetached(t *testing.T) {
 	tr, digest := testTrace(t)
 	ext := newBlockingExtractor()
-	c, err := New(Config{Extract: ext.extract})
+	c, err := New(Config{Dir: t.TempDir(), Extract: ext.extract})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,6 +207,7 @@ func TestFlightCarriesRequestID(t *testing.T) {
 	tr, digest := testTrace(t)
 	var seen string
 	c, err := New(Config{
+		Dir: t.TempDir(),
 		Extract: func(tr *trace.Trace, opt core.Options) (*core.Structure, error) {
 			seen = telemetry.RequestID(opt.Context)
 			return core.Extract(tr, core.Options{})

@@ -13,7 +13,7 @@ type Response struct {
 }
 
 // responseOverhead is what a stored response costs its entry beyond its
-// wire bytes: the key (a path, an ETag and a coding), the header strings,
+// wire bytes: the key (an ETag and a coding), the header strings,
 // the struct and the map slot.
 const responseOverhead = 256
 

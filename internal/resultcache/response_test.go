@@ -33,7 +33,7 @@ func sizedResponse(n int64) *Response {
 func TestStoredResponsesBoundedPerEntry(t *testing.T) {
 	tr, digest := testTrace(t)
 	iv := &countingView{bytes: 4000}
-	c, err := New(Config{Index: iv.build})
+	c, err := New(Config{Dir: t.TempDir(), Index: iv.build})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestStoredResponsesBoundedPerEntry(t *testing.T) {
 // neither counts a hit nor refreshes the entry's recency.
 func TestStoredResponsesGoWithTheirEntry(t *testing.T) {
 	tr, digest := testTrace(t)
-	c, err := New(Config{MaxMemEntries: 2})
+	c, err := New(Config{Dir: t.TempDir(), MaxMemEntries: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -86,7 +86,7 @@ var ErrClosed = errors.New("resultcache: closed")
 type Config struct {
 	// Dir is the root of the on-disk store (internal/store: one file per
 	// trace digest, to which each result is appended as a section), created
-	// if missing. Empty disables the disk layer (memory + coalescing only).
+	// if missing. Required: New refuses an empty Dir.
 	Dir string
 	// MaxMemEntries bounds the in-memory LRU (0 = DefaultMaxMemEntries,
 	// negative = no memory layer).
@@ -151,7 +151,7 @@ type Config struct {
 
 // Cache is the three-layer result cache. Safe for concurrent use.
 type Cache struct {
-	store           *store.Store // nil without a disk layer
+	store           *store.Store
 	maxEntries      int
 	maxDiskBytes    int64
 	detachedTimeout time.Duration
@@ -278,14 +278,14 @@ type flight struct {
 	waiters atomic.Int64
 }
 
-// New opens a cache, opening (or creating) the disk store if configured.
+// New opens a cache, opening (or creating) the disk store in cfg.Dir.
 func New(cfg Config) (*Cache, error) {
-	var st *store.Store
-	if cfg.Dir != "" {
-		var err error
-		if st, err = store.Open(cfg.Dir); err != nil {
-			return nil, fmt.Errorf("resultcache: %w", err)
-		}
+	if cfg.Dir == "" {
+		return nil, errors.New("resultcache: Config.Dir is empty: the cache needs a data directory")
+	}
+	st, err := store.Open(cfg.Dir)
+	if err != nil {
+		return nil, fmt.Errorf("resultcache: %w", err)
 	}
 	max := cfg.MaxMemEntries
 	if max == 0 {
@@ -354,16 +354,14 @@ func New(cfg Config) (*Cache, error) {
 			viewAux:   newView(reg, "aux", cfg.Aux),
 		},
 	}
-	if st != nil {
-		c.readResult = func(traceDigest, key string) ([]byte, error) {
-			return st.Read(traceDigest, store.Result, key)
-		}
+	c.readResult = func(traceDigest, key string) ([]byte, error) {
+		return st.Read(traceDigest, store.Result, key)
 	}
 	return c, nil
 }
 
-// Store returns the cache's disk store, nil without one. The serving layer
-// keeps its traces and their tables in the same files.
+// Store returns the cache's disk store. The serving layer keeps its traces
+// and their tables in the same files.
 func (c *Cache) Store() *store.Store { return c.store }
 
 // Registry returns the registry the cache's metrics live in.
@@ -711,21 +709,19 @@ func (c *Cache) Close(ctx context.Context) error {
 // answered.
 func (c *Cache) fill(ctx context.Context, id, traceDigest string, prog *core.Progress, tr *trace.Trace, opt core.Options) (*core.Structure, string, error) {
 	wantFP := opt.Fingerprint()
-	if c.store != nil {
-		if data, err := c.readDisk(traceDigest, id); err == nil {
-			s, fp, err := c.decode(ctx, traceDigest, data, tr)
-			if err == nil && fp == wantFP {
-				c.hits.Add(1)
-				c.diskHits.Add(1)
-				c.store.Touch(traceDigest)
-				return s, OutcomeDisk, nil
-			}
-			// A stale entry self-heals: count it, re-extract, append a
-			// section that supersedes it.
-			c.diskErrors.Add(1)
-		} else if !errors.Is(err, store.ErrNotFound) {
-			c.diskErrors.Add(1) // failed its checksum (or the disk failed twice)
+	if data, err := c.readDisk(traceDigest, id); err == nil {
+		s, fp, err := c.decode(ctx, traceDigest, data, tr)
+		if err == nil && fp == wantFP {
+			c.hits.Add(1)
+			c.diskHits.Add(1)
+			c.store.Touch(traceDigest)
+			return s, OutcomeDisk, nil
 		}
+		// A stale entry self-heals: count it, re-extract, append a
+		// section that supersedes it.
+		c.diskErrors.Add(1)
+	} else if !errors.Is(err, store.ErrNotFound) {
+		c.diskErrors.Add(1) // failed its checksum (or the disk failed twice)
 	}
 
 	if c.peerFetch != nil {
@@ -757,13 +753,11 @@ func (c *Cache) fill(ctx context.Context, id, traceDigest string, prog *core.Pro
 		return nil, OutcomeMiss, fmt.Errorf("resultcache: extract: %w", err)
 	}
 	c.extractMS.Observe(float64(time.Since(start).Nanoseconds()) / 1e6)
-	if c.store != nil {
-		var enc bytes.Buffer
-		if err := core.EncodeStructure(&enc, s); err != nil {
-			c.diskErrors.Add(1)
-		} else {
-			c.persist(traceDigest, id, enc.Bytes())
-		}
+	var enc bytes.Buffer
+	if err := core.EncodeStructure(&enc, s); err != nil {
+		c.diskErrors.Add(1)
+	} else {
+		c.persist(traceDigest, id, enc.Bytes())
 	}
 	if !own {
 		s = s.WithoutTrace()
@@ -825,9 +819,6 @@ func (c *Cache) peerFill(ctx context.Context, traceDigest, id, wantFP string, tr
 // store to MaxDiskBytes. Disk persistence is an optimization: a failure is
 // counted and the request still succeeds from memory.
 func (c *Cache) persist(traceDigest, id string, data []byte) {
-	if c.store == nil {
-		return
-	}
 	if err := c.store.Append(traceDigest, store.Result, id, data); err != nil {
 		c.diskErrors.Add(1)
 	} else if c.maxDiskBytes > 0 {
@@ -850,9 +841,9 @@ func (c *Cache) readDisk(traceDigest, id string) ([]byte, error) {
 }
 
 // ErrNoEntry is returned by OpenEntry when the disk store has no entry for
-// a key — because it was never written, was garbage-collected, failed its
-// checksum, or the disk layer is disabled. The internal endpoint maps it to
-// 404 and a peer-fill caller falls back to extraction.
+// a key — because it was never written, was garbage-collected, or failed
+// its checksum. The internal endpoint maps it to 404 and a peer-fill caller
+// falls back to extraction.
 var ErrNoEntry = errors.New("resultcache: no such entry")
 
 // OpenEntry opens the raw encoded bytes of one disk entry, located by its
@@ -863,9 +854,6 @@ var ErrNoEntry = errors.New("resultcache: no such entry")
 // keeps the inode it opened, so a concurrent sweep can never truncate a
 // response half-way. Any failure to open is ErrNoEntry.
 func (c *Cache) OpenEntry(traceDigest, key string) (io.ReadCloser, int64, error) {
-	if c.store == nil {
-		return nil, 0, ErrNoEntry
-	}
 	sec, err := c.store.Open(traceDigest, store.Result, key)
 	if err != nil {
 		return nil, 0, ErrNoEntry
@@ -908,9 +896,6 @@ func (c *Cache) ReadSummary(traceDigest, fingerprint string) (*core.StructureSum
 // the trace's recency alone, so that listing every trace neither inflates
 // the hit ratio nor reorders the disk GC.
 func (c *Cache) PeekSummary(traceDigest, fingerprint string) (*core.StructureSummary, error) {
-	if c.store == nil {
-		return nil, ErrNoEntry
-	}
 	sec, err := c.store.Open(traceDigest, store.Result, KeyID(traceDigest, fingerprint))
 	if err != nil {
 		return nil, ErrNoEntry

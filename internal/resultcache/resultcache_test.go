@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -56,6 +57,14 @@ func fileSize(t *testing.T, c *Cache, digest string) int64 {
 // the disk store files results under two traces.
 func otherDigest(digest string, i int) string {
 	return KeyID(digest, fmt.Sprint("other trace ", i))
+}
+
+// TestNewRefusesEmptyDir: the cache has one storage path, the store in its
+// directory, and a cache without one is refused with the setting named.
+func TestNewRefusesEmptyDir(t *testing.T) {
+	if _, err := New(Config{}); err == nil || !strings.Contains(err.Error(), "Dir") {
+		t.Fatalf("New(Config{}) error = %v, want one naming Dir", err)
+	}
 }
 
 func TestGetExtractsOnceThenHitsMemory(t *testing.T) {
@@ -158,6 +167,7 @@ func TestFollowerHonorsContext(t *testing.T) {
 	tr, digest := testTrace(t)
 	gate := make(chan struct{})
 	c, err := New(Config{
+		Dir: t.TempDir(),
 		Extract: func(tr *trace.Trace, opt core.Options) (*core.Structure, error) {
 			<-gate
 			return core.Extract(tr, opt)
@@ -336,6 +346,7 @@ func TestTimeoutThenRetryCoalesces(t *testing.T) {
 	gate := make(chan struct{})
 	var calls atomic.Int64
 	c, err := New(Config{
+		Dir: t.TempDir(),
 		Extract: func(tr *trace.Trace, opt core.Options) (*core.Structure, error) {
 			calls.Add(1)
 			<-gate
@@ -393,6 +404,7 @@ func TestDetachedLeaderPopulatesCache(t *testing.T) {
 	gate := make(chan struct{})
 	var calls atomic.Int64
 	c, err := New(Config{
+		Dir: t.TempDir(),
 		Extract: func(tr *trace.Trace, opt core.Options) (*core.Structure, error) {
 			calls.Add(1)
 			<-gate
@@ -436,6 +448,7 @@ func TestDetachedLeaderPopulatesCache(t *testing.T) {
 func TestDetachedTimeoutCancelsFlight(t *testing.T) {
 	tr, digest := testTrace(t)
 	c, err := New(Config{
+		Dir:             t.TempDir(),
 		DetachedTimeout: 50 * time.Millisecond,
 		Extract: func(tr *trace.Trace, opt core.Options) (*core.Structure, error) {
 			<-opt.Context.Done()
@@ -552,6 +565,7 @@ func TestCloseDrainsFlights(t *testing.T) {
 	tr, digest := testTrace(t)
 	gate := make(chan struct{})
 	c, err := New(Config{
+		Dir: t.TempDir(),
 		Extract: func(tr *trace.Trace, opt core.Options) (*core.Structure, error) {
 			<-gate
 			return core.Extract(tr, opt)
@@ -589,6 +603,7 @@ func TestCloseDrainsFlights(t *testing.T) {
 func TestCloseDeadlineCancelsFlights(t *testing.T) {
 	tr, digest := testTrace(t)
 	c, err := New(Config{
+		Dir:             t.TempDir(),
 		DetachedTimeout: -1, // no hard cap: only Close can stop this flight
 		Extract: func(tr *trace.Trace, opt core.Options) (*core.Structure, error) {
 			<-opt.Context.Done()

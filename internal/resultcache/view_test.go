@@ -54,12 +54,14 @@ var viewSlots = []viewSlot{
 }
 
 // forEachSlot runs fn once per slot as a subtest, handing it a fresh
-// counting builder and a cache with cfg plus that builder installed.
-func forEachSlot(t *testing.T, cfg func(t *testing.T) Config, fn func(t *testing.T, sl viewSlot, cv *countingView, c *Cache)) {
+// counting builder and a cache with cfg, a temporary Dir and that builder
+// installed.
+func forEachSlot(t *testing.T, cfg Config, fn func(t *testing.T, sl viewSlot, cv *countingView, c *Cache)) {
 	for _, sl := range viewSlots {
 		t.Run(sl.name, func(t *testing.T) {
 			cv := &countingView{bytes: sl.bytes}
-			conf := cfg(t)
+			conf := cfg
+			conf.Dir = t.TempDir()
 			sl.install(&conf, cv.build)
 			c, err := New(conf)
 			if err != nil {
@@ -70,15 +72,13 @@ func forEachSlot(t *testing.T, cfg func(t *testing.T) Config, fn func(t *testing
 	}
 }
 
-func withDir(t *testing.T) Config { return Config{Dir: t.TempDir()} }
-
 func (sl viewSlot) gauge(c *Cache) float64 {
 	return c.Registry().Gauge("cache." + sl.name + "_bytes").Value()
 }
 
 func TestGetViewBuildsOncePerEntry(t *testing.T) {
 	tr, digest := testTrace(t)
-	forEachSlot(t, withDir, func(t *testing.T, sl viewSlot, cv *countingView, c *Cache) {
+	forEachSlot(t, Config{}, func(t *testing.T, sl viewSlot, cv *countingView, c *Cache) {
 		opt := core.DefaultOptions()
 		s1, v1, err := sl.get(c, context.Background(), digest, tr, opt)
 		if err != nil {
@@ -112,7 +112,7 @@ func TestGetViewBuildsOncePerEntry(t *testing.T) {
 
 func TestLookupViewPeeksAndBuilds(t *testing.T) {
 	tr, digest := testTrace(t)
-	forEachSlot(t, withDir, func(t *testing.T, sl viewSlot, cv *countingView, c *Cache) {
+	forEachSlot(t, Config{}, func(t *testing.T, sl viewSlot, cv *countingView, c *Cache) {
 		opt := core.DefaultOptions()
 		if _, _, ok := sl.lookup(c, digest, opt); ok {
 			t.Fatal("lookup hit an empty cache")
@@ -139,7 +139,7 @@ func TestAuxIndependentOfIndex(t *testing.T) {
 	tr, digest := testTrace(t)
 	ci := &countingView{bytes: 1000}
 	ca := &countingView{bytes: 500}
-	c, err := New(Config{Index: ci.build, Aux: ca.build})
+	c, err := New(Config{Dir: t.TempDir(), Index: ci.build, Aux: ca.build})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,8 +170,7 @@ func TestAuxIndependentOfIndex(t *testing.T) {
 // only.
 func TestViewBytesReleasedOnEviction(t *testing.T) {
 	tr, digest := testTrace(t)
-	oneEntry := func(*testing.T) Config { return Config{MaxMemEntries: 1} }
-	forEachSlot(t, oneEntry, func(t *testing.T, sl viewSlot, cv *countingView, c *Cache) {
+	forEachSlot(t, Config{MaxMemEntries: 1}, func(t *testing.T, sl viewSlot, cv *countingView, c *Cache) {
 		optA := core.DefaultOptions()
 		if _, _, err := sl.get(c, context.Background(), digest, tr, optA); err != nil {
 			t.Fatal(err)
@@ -204,8 +203,7 @@ func TestViewBytesReleasedOnEviction(t *testing.T) {
 // correct.
 func TestGetViewWithoutMemoryLayer(t *testing.T) {
 	tr, digest := testTrace(t)
-	noMem := func(t *testing.T) Config { return Config{Dir: t.TempDir(), MaxMemEntries: -1} }
-	forEachSlot(t, noMem, func(t *testing.T, sl viewSlot, cv *countingView, c *Cache) {
+	forEachSlot(t, Config{MaxMemEntries: -1}, func(t *testing.T, sl viewSlot, cv *countingView, c *Cache) {
 		opt := core.DefaultOptions()
 		for i := 0; i < 2; i++ {
 			_, v, err := sl.get(c, context.Background(), digest, tr, opt)
@@ -231,7 +229,7 @@ func TestGetViewNilBuilder(t *testing.T) {
 	tr, digest := testTrace(t)
 	for _, sl := range viewSlots {
 		t.Run(sl.name, func(t *testing.T) {
-			c, err := New(Config{})
+			c, err := New(Config{Dir: t.TempDir()})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -251,8 +249,7 @@ func TestGetViewNilBuilder(t *testing.T) {
 // resident entry's view share a single build.
 func TestConcurrentViewRequestsBuildOnce(t *testing.T) {
 	tr, digest := testTrace(t)
-	memOnly := func(*testing.T) Config { return Config{} }
-	forEachSlot(t, memOnly, func(t *testing.T, sl viewSlot, cv *countingView, c *Cache) {
+	forEachSlot(t, Config{}, func(t *testing.T, sl viewSlot, cv *countingView, c *Cache) {
 		opt := core.DefaultOptions()
 		if _, err := c.Get(context.Background(), digest, tr, opt); err != nil {
 			t.Fatal(err)
@@ -299,7 +296,7 @@ func TestViewBytesFollowGrowth(t *testing.T) {
 		t.Run(sl.name, func(t *testing.T) {
 			g := &growingView{}
 			g.bytes.Store(100)
-			conf := Config{MaxMemEntries: 1}
+			conf := Config{Dir: t.TempDir(), MaxMemEntries: 1}
 			sl.install(&conf, func(*core.Structure) (any, int64) { return g, g.Bytes() })
 			c, err := New(conf)
 			if err != nil {

@@ -42,19 +42,17 @@ func (s *Server) handleInternalResultGet(w http.ResponseWriter, r *http.Request)
 // chase each other.
 func (s *Server) handleInternalTraceGet(w http.ResponseWriter, r *http.Request) {
 	digest := r.PathValue("digest")
-	st := s.cache.Store()
-	if s.entryFor(digest) == nil || st == nil {
+	if s.entryFor(digest) == nil {
 		httpError(w, errUnknownTrace)
 		return
 	}
-	sec, err := st.Open(digest, store.Trace, "")
+	sec, err := s.cache.Store().Open(digest, store.Trace, "")
 	if err == nil {
 		defer sec.Close()
 		err = sec.Verify()
 	}
 	if err != nil {
-		// Registered but memory-only (no data dir at upload time), or the
-		// stored bytes are gone or damaged: treat as not held.
+		// The stored bytes are gone or damaged: treat as not held.
 		httpError(w, errUnknownTrace)
 		return
 	}

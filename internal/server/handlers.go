@@ -11,7 +11,6 @@ import (
 	"charmtrace/internal/jsonw"
 	"charmtrace/internal/query"
 	"charmtrace/internal/resultcache"
-	"charmtrace/internal/store"
 	"charmtrace/internal/structdiff"
 	"charmtrace/internal/telemetry"
 	"charmtrace/internal/trace"
@@ -29,50 +28,31 @@ type traceSummary struct {
 	Idles  int    `json:"idles"`
 }
 
-// countingWriter tallies bytes written through it.
-type countingWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (c *countingWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n += int64(n)
-	return n, err
-}
-
 // ingest is the one way trace bytes enter this node, from a client upload
 // or a ring sibling alike: the stream (text or binary, auto-detected) goes
-// through the decoder, the SHA-256 content digest, and — when a data
-// directory is configured — the store's spool, which becomes the trace's
-// file under its content address, all in one pass; then the trace is
+// through the decoder, the SHA-256 content digest and the store's spool,
+// which becomes the trace's file under its content address, all in one
+// pass; then the trace is
 // registered. A non-empty want is the digest the caller asked for: a stream
 // that digests to anything else is dropped unpublished, so not a byte of it
 // is trusted.
 func (s *Server) ingest(body io.Reader, want string) (traceSummary, error) {
-	sink := &countingWriter{w: io.Discard}
-	var spool *store.Spool
-	if st := s.cache.Store(); st != nil {
-		var err error
-		if spool, err = st.Spool(); err != nil {
-			return traceSummary{}, err
-		}
-		defer spool.Abort()
-		sink.w = spool
+	spool, err := s.cache.Store().Spool()
+	if err != nil {
+		return traceSummary{}, err
 	}
-	tr, digest, err := tracefile.ReadAutoDigest(io.TeeReader(body, sink))
+	defer spool.Abort()
+	tr, digest, err := tracefile.ReadAutoDigest(io.TeeReader(body, spool))
 	if err != nil {
 		return traceSummary{}, err
 	}
 	if want != "" && digest != want {
 		return traceSummary{}, fmt.Errorf("server: trace digests to %s, want %s", digest, want)
 	}
-	if spool != nil {
-		if err := spool.Publish(digest); err != nil {
-			return traceSummary{}, err
-		}
+	if err := spool.Publish(digest); err != nil {
+		return traceSummary{}, err
 	}
-	return s.registerTrace(digest, tr, sink.n).sum, nil
+	return s.registerTrace(digest, tr, spool.Len()).sum, nil
 }
 
 // handleUpload ingests a client's trace. Uploads above MaxUploadBytes map

@@ -60,12 +60,13 @@ func responseParams(q url.Values) string {
 }
 
 // strongETag is the content address of one analysis response:
-// sha256(trace digest ‖ options fingerprint ‖ canonical request params).
-// Every input is known before extraction runs, so a revalidation hit never
-// touches the pipeline.
-func strongETag(digest, fingerprint, params string) string {
+// sha256(request path ‖ options fingerprint ‖ canonical request params).
+// The path names both the trace digest and the route, so no two routes of
+// one trace share a validator. Every input is known before extraction
+// runs, so a revalidation hit never touches the pipeline.
+func strongETag(path, fingerprint, params string) string {
 	h := sha256.New()
-	io.WriteString(h, digest)
+	io.WriteString(h, path)
 	h.Write([]byte{0})
 	io.WriteString(h, fingerprint)
 	h.Write([]byte{0})
@@ -83,7 +84,7 @@ func (s *Server) notModified(w http.ResponseWriter, r *http.Request, digest, fin
 	if s.entryFor(digest) == nil {
 		return "", false
 	}
-	etag = strongETag(digest, fingerprint, responseParams(r.URL.Query()))
+	etag = strongETag(r.URL.Path, fingerprint, responseParams(r.URL.Query()))
 	w.Header().Set("ETag", etag)
 	w.Header().Set("Cache-Control", "public, max-age=31536000, immutable")
 	if inm := r.Header.Get("If-None-Match"); inm != "" && etagMatch(inm, etag) {
@@ -98,13 +99,12 @@ func (s *Server) notModified(w http.ResponseWriter, r *http.Request, digest, fin
 // serveStored answers a GET analysis request from the response stored for
 // it with the resident cache entry, if there is one, and reports whether it
 // did: the stored bytes in one write, with no render, no compression and no
-// query or LOD call. The key is the request's path, its strong ETag and the
-// response's content coding: the ETag addresses the body within one route
-// (it hashes the digest, options and parameters, not the route, so the
-// routes of one trace share it) and the coding is the one other input to
-// the bytes on the wire. Otherwise it arms w to capture the response the
-// route is about to render, up to the room its entry has left; instrument
-// stores it once it is known complete (gzipResponseWriter.storeKept).
+// query or LOD call. The key is the request's strong ETag, which addresses
+// the body (it hashes the path, options and parameters), and the
+// response's content coding, the one other input to the bytes on the
+// wire. Otherwise it arms w to capture the response the route is about to
+// render, up to the room its entry has left; instrument stores it once it
+// is known complete (gzipResponseWriter.storeKept).
 func (s *Server) serveStored(w http.ResponseWriter, r *http.Request, digest, fingerprint, etag string) bool {
 	g, ok := w.(*gzipResponseWriter)
 	if !ok || r.Context().Err() != nil {
@@ -114,7 +114,7 @@ func (s *Server) serveStored(w http.ResponseWriter, r *http.Request, digest, fin
 	if g.passthrough {
 		coding = "identity"
 	}
-	key := r.URL.Path + " " + etag + " " + coding
+	key := etag + " " + coding
 	if resp, ok := s.cache.LookupResponse(digest, fingerprint, key); ok {
 		resultcache.RecordOutcome(r.Context(), resultcache.OutcomeMem)
 		g.writeStored(resp)

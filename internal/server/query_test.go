@@ -293,6 +293,36 @@ func TestETagRevalidation(t *testing.T) {
 	}
 }
 
+// TestETagNamesTheRoute: the row routes of one trace, asked with the same
+// parameters, carry distinct ETags, so one route's validator never
+// revalidates another's body.
+func TestETagNamesTheRoute(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	digest := upload(t, ts, encodedJacobi(t, 0))
+	etags := map[string]string{}
+	bodies := map[string][]byte{}
+	for _, route := range []string{"structure", "steps", "metrics"} {
+		resp := rawGet(t, ts, "/v1/traces/"+digest+"/"+route+"?preset=mp", nil)
+		body, _ := io.ReadAll(resp.Body)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET /%s: status %d", route, resp.StatusCode)
+		}
+		etag := resp.Header.Get("ETag")
+		for other, e := range etags {
+			if e == etag {
+				t.Errorf("/%s and /%s share the ETag %s", route, other, etag)
+			}
+		}
+		etags[route], bodies[route] = etag, body
+	}
+	resp := rawGet(t, ts, "/v1/traces/"+digest+"/metrics?preset=mp", map[string]string{"If-None-Match": etags["steps"]})
+	body, _ := io.ReadAll(resp.Body)
+	if resp.StatusCode != http.StatusOK || !bytes.Equal(body, bodies["metrics"]) {
+		t.Errorf("/metrics with the /steps ETag: status %d, %d bytes; want 200 and its %d bytes",
+			resp.StatusCode, len(body), len(bodies["metrics"]))
+	}
+}
+
 // TestGzipBodiesAreByteIdentical: the bytes inside the gzip stream are
 // exactly the uncompressed response body, on both analysis GETs and query
 // POSTs; clients that don't ask for gzip get identity.

@@ -258,8 +258,7 @@ func TestReadPathNeverDecodesTrace(t *testing.T) {
 // TestTraceResidencyIsBounded: after more traces than the cache holds have
 // each been uploaded and read, no decoded trace survives a collection and
 // at most MaxMemEntries tables do — residency follows what the cache needs,
-// not what the server has seen. Without a data directory the entry's strong
-// reference is the only copy, and it stays.
+// not what the server has seen.
 func TestTraceResidencyIsBounded(t *testing.T) {
 	const memEntries = 3
 	zoo := encodeZoo(t)
@@ -282,20 +281,6 @@ func TestTraceResidencyIsBounded(t *testing.T) {
 	}
 	if g := srv.Registry().Gauge("cache.table_bytes").Value(); g <= 0 {
 		t.Errorf("cache.table_bytes = %v with %d resident entries", g, memEntries)
-	}
-
-	mem, tsMem := newTestServer(t, Config{MaxMemEntries: memEntries})
-	for _, enc := range zoo {
-		upload(t, tsMem, enc)
-	}
-	runtime.GC()
-	runtime.GC()
-	traces, bytes, _ := mem.residency()
-	if traces != len(zoo) || bytes == 0 {
-		t.Errorf("memory-only server holds %d decoded traces (%d bytes), want all %d", traces, bytes, len(zoo))
-	}
-	if got := mem.Registry().Gauge("server.trace_resident_bytes").Value(); got != float64(bytes) {
-		t.Errorf("server.trace_resident_bytes = %v, want %d", got, bytes)
 	}
 }
 

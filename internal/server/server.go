@@ -46,8 +46,8 @@ import (
 type Config struct {
 	// DataDir holds the persistent state, one file per uploaded trace
 	// (internal/store): its raw bytes, then its event table and its encoded
-	// results as they are made. Empty runs memory-only (uploads and results
-	// die with the process).
+	// results as they are made. Required: New refuses an empty DataDir (an
+	// ephemeral node passes a temporary directory).
 	DataDir string
 	// MaxMemEntries bounds the result cache's in-memory LRU
 	// (0 = resultcache.DefaultMaxMemEntries).
@@ -132,6 +132,9 @@ type Server struct {
 // New builds a server, opening the store in DataDir and indexing any traces
 // a previous process left there.
 func New(cfg Config) (*Server, error) {
+	if cfg.DataDir == "" {
+		return nil, errors.New("server: Config.DataDir is empty: charmd keeps its state in a data directory (-data-dir)")
+	}
 	if cfg.MaxUploadBytes <= 0 {
 		cfg.MaxUploadBytes = 256 << 20
 	}
@@ -198,8 +201,8 @@ func New(cfg Config) (*Server, error) {
 	if cfg.MaxConcurrentExtractions > 0 {
 		s.sem = make(chan struct{}, cfg.MaxConcurrentExtractions)
 	}
-	if st := s.cache.Store(); st != nil {
-		s.indexStore(st)
+	for _, t := range s.cache.Store().Traces() { // registered without decoding
+		s.traces[t.Digest] = &traceEntry{sum: traceSummary{Digest: t.Digest, Bytes: t.Bytes}}
 	}
 	s.routes()
 	return s, nil

@@ -37,8 +37,13 @@ func encodedJacobi(t *testing.T, seed int64) []byte {
 	return buf.Bytes()
 }
 
+// newTestServer starts a server with cfg, in a temporary data directory
+// unless cfg names one.
 func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
+	if cfg.DataDir == "" {
+		cfg.DataDir = t.TempDir()
+	}
 	srv, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -46,6 +51,14 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
 	return srv, ts
+}
+
+// TestNewRefusesEmptyDataDir: the server keeps its state in the store, and
+// a server without a data directory is refused with the setting named.
+func TestNewRefusesEmptyDataDir(t *testing.T) {
+	if _, err := New(Config{}); err == nil || !strings.Contains(err.Error(), "DataDir") {
+		t.Fatalf("New(Config{}) error = %v, want one naming DataDir", err)
+	}
 }
 
 // extractAt is a Config.extract hook that extracts with par workers, for

@@ -83,7 +83,7 @@ func sameResponse(a, b *httptest.ResponseRecorder) string {
 // stored, in both codings, on some trace — but for the uncompressed full
 // /steps, which is 1.9 to 2.4 times its entry's bytes on the zoo traces.
 func TestStoredResponsesAreByteIdentical(t *testing.T) {
-	srv, err := New(Config{})
+	srv, err := New(Config{DataDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}

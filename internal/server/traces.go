@@ -21,17 +21,14 @@ import (
 // extraction, a table lives as long as a resident cache entry holds it, and
 // a trace nobody is extracting goes back to the collector — it can be
 // re-read from the trace section of its file in the store, the table from
-// the table section. Without a data directory there is no file to re-read,
-// so pinned holds the trace: the one place a decoded trace survives. mu
-// guards the fields and is held across a load, so concurrent requests for
-// one trace decode it once.
+// the table section. mu guards the fields and is held across a load, so
+// concurrent requests for one trace decode it once.
 type traceEntry struct {
 	mu      sync.Mutex
 	sum     traceSummary
 	counted bool // sum's counts are filled in
 	tr      weak.Pointer[trace.Trace]
 	tab     weak.Pointer[trace.Table]
-	pinned  *trace.Trace
 	tblBad  bool // the table section failed to load and has not been appended again yet
 }
 
@@ -48,13 +45,6 @@ func (te *traceEntry) count(numPE, events, blocks, chares, idles int) {
 func (te *traceEntry) holdTable(tab *trace.Table) {
 	te.tab = weak.Make(tab)
 	te.count(tab.NumPE, tab.NumEvents(), tab.Blocks, tab.NumChares(), tab.Idles)
-}
-
-// indexStore registers every persisted trace without decoding it.
-func (s *Server) indexStore(st *store.Store) {
-	for _, t := range st.Traces() {
-		s.traces[t.Digest] = &traceEntry{sum: traceSummary{Digest: t.Digest, Bytes: t.Bytes}}
-	}
 }
 
 // entryFor returns the registered entry for a digest, or nil when this
@@ -78,9 +68,6 @@ func (s *Server) registerTrace(digest string, tr *trace.Trace, size int64) *trac
 	te.mu.Lock()
 	defer te.mu.Unlock()
 	te.tr = weak.Make(tr)
-	if s.cfg.DataDir == "" {
-		te.pinned = tr
-	}
 	te.count(tr.NumPE, len(tr.Events), len(tr.Blocks), len(tr.Chares), len(tr.Idles))
 	return te
 }
@@ -115,10 +102,7 @@ func withEntry[T any](ctx context.Context, s *Server, digest string, load func(*
 // holds te.mu.
 func (s *Server) traceOf(te *traceEntry) (*trace.Trace, error) {
 	st := s.cache.Store()
-	tr := te.pinned
-	if tr == nil {
-		tr = te.tr.Value()
-	}
+	tr := te.tr.Value()
 	if tr == nil {
 		sec, err := st.Open(te.sum.Digest, store.Trace, "")
 		if err != nil {
@@ -139,7 +123,7 @@ func (s *Server) traceOf(te *traceEntry) (*trace.Trace, error) {
 		s.tableBuilds.Add(1)
 		te.holdTable(tab)
 	}
-	if st != nil && (te.tblBad || !st.Has(te.sum.Digest, store.Table, "")) {
+	if te.tblBad || !st.Has(te.sum.Digest, store.Table, "") {
 		var enc bytes.Buffer
 		err := tracefile.WriteTable(&enc, tab)
 		if err == nil {
@@ -164,8 +148,8 @@ func (s *Server) tableOf(te *traceEntry) (*trace.Table, error) {
 	if tab := te.tab.Value(); tab != nil {
 		return tab, nil
 	}
-	if st := s.cache.Store(); st != nil && !te.tblBad {
-		data, err := st.Read(te.sum.Digest, store.Table, "")
+	if !te.tblBad {
+		data, err := s.cache.Store().Read(te.sum.Digest, store.Table, "")
 		if err == nil {
 			var tab *trace.Table
 			if tab, err = tracefile.ReadTable(data); err == nil {

@@ -379,7 +379,7 @@ func benchRender(b *testing.B, app string, p cli.Params, path string, rows func(
 	if err := tracefile.WriteBinary(&enc, tr); err != nil {
 		b.Fatal(err)
 	}
-	srv, err := New(Config{})
+	srv, err := New(Config{DataDir: b.TempDir()})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -444,7 +444,7 @@ func BenchmarkServeStored(b *testing.B) {
 	if err := tracefile.WriteBinary(&enc, tr); err != nil {
 		b.Fatal(err)
 	}
-	srv, err := New(Config{})
+	srv, err := New(Config{DataDir: b.TempDir()})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -387,6 +387,9 @@ func (s *Store) Spool() (*Spool, error) {
 	return &Spool{crcWriter: crcWriter{w: f}, s: s, f: f}, nil
 }
 
+// Len is the number of trace bytes written to the spool.
+func (sp *Spool) Len() int64 { return sp.n }
+
 // Abort drops the spool.
 func (sp *Spool) Abort() {
 	if !sp.done {

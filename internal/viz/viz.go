@@ -217,30 +217,14 @@ func Physical(tr *trace.Trace, s *core.Structure, buckets int) string {
 // for the whole group, labelled with its multiplicity. This is the
 // scalable rendering the paper's conclusion asks for.
 func LogicalClustered(s *core.Structure, rows []ClusterRow) string {
-	maxStep := int(s.MaxStep())
+	maxStep := s.MaxStep()
 	if maxStep < 0 {
 		return "(empty structure)\n"
 	}
-	const label = 24
 	var b strings.Builder
 	fmt.Fprintf(&b, "%*s steps 0..%d, %d phases, %d rows for %d chares\n",
-		label, "", maxStep, s.NumPhases(), len(rows), s.Table().NumChares())
-	for _, cr := range rows {
-		row := make([]byte, maxStep+1)
-		for i := range row {
-			row[i] = '.'
-		}
-		for _, e := range s.EventsOfChare(cr.Representative) {
-			row[s.Step[e]] = symbol(s.PhaseOf[e])
-		}
-		name := cr.Label
-		if len(name) > label {
-			name = name[:label]
-		}
-		fmt.Fprintf(&b, "%-*s ", label, name)
-		b.Write(row)
-		b.WriteByte('\n')
-	}
+		clusterLabel, "", maxStep, s.NumPhases(), len(rows), s.Table().NumChares())
+	writeClusterRows(&b, s, rows, 0, maxStep)
 	return b.String()
 }
 
@@ -267,10 +251,19 @@ func LogicalClusteredWindow(s *core.Structure, rows []ClusterRow, from, to int32
 	if maxStep < 0 || to < from {
 		return "(empty window)\n"
 	}
-	const label = 24
 	var b strings.Builder
 	fmt.Fprintf(&b, "%*s steps %d..%d of 0..%d, %d rows for %d chares\n",
-		label, "", from, to, maxStep, len(rows), s.Table().NumChares())
+		clusterLabel, "", from, to, maxStep, len(rows), s.Table().NumChares())
+	writeClusterRows(&b, s, rows, from, to)
+	return b.String()
+}
+
+// clusterLabel is the width of a clustered row's label column.
+const clusterLabel = 24
+
+// writeClusterRows writes one row per cluster, its representative's
+// timeline over the steps [from, to].
+func writeClusterRows(b *strings.Builder, s *core.Structure, rows []ClusterRow, from, to int32) {
 	for _, cr := range rows {
 		row := make([]byte, int(to-from)+1)
 		for i := range row {
@@ -282,14 +275,13 @@ func LogicalClusteredWindow(s *core.Structure, rows []ClusterRow, from, to int32
 			}
 		}
 		name := cr.Label
-		if len(name) > label {
-			name = name[:label]
+		if len(name) > clusterLabel {
+			name = name[:clusterLabel]
 		}
-		fmt.Fprintf(&b, "%-*s ", label, name)
+		fmt.Fprintf(b, "%-*s ", clusterLabel, name)
 		b.Write(row)
 		b.WriteByte('\n')
 	}
-	return b.String()
 }
 
 // svg layout constants.
