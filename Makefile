@@ -33,50 +33,27 @@ lint:
 	fi
 
 # fuzz-smoke, the CI fuzz leg, gives every Fuzz* target in the tree ten
-# seconds, one target per run (`go test -fuzz` requires the pattern to match
-# exactly one): the untrusted-input decoders — format sniffing (ReadAuto,
-# which for inputs with the binary magic also holds the windowed decoder and
-# flat index against the field-by-field decoder and naive maps they
-# replaced), the Projections log reader and the text reader — and the
-# decoders that run with no trace to lean on — the persisted event table
-# (FuzzReadTable) and the structure codec against a table alone
-# (FuzzDecodeStructure, FuzzDecodeStructureSummary) — and the
-# row-response writer against encoding/json's indenting Encoder over random
-# value trees (FuzzJSONWriter) — and the CSR grouper against a stable sort
-# over random key columns (FuzzGroup) — and the one varint reader against
-# encoding/binary, over a whole slice and through a refilled window
-# (FuzzVarint) — and the -peers parser, whose accepted lists must be usable
-# and write back to themselves (FuzzParsePeers) — and the query and LOD spec
-# parsers charmd and `structure -render query|lod -spec` feed, whose GET
-# parameter and JSON forms must agree (FuzzQuerySpec, FuzzStepRange,
-# FuzzLodSpec) — and the page-cursor decoder, which must accept only the
-# spelling the encoder mints (FuzzQueryCursor) — and LOD queries on pyramids
-# whose levels are first touched in a fuzzed order, against the dense
-# oracle's bytes (FuzzLodQuery) — and the ordering stage against the
-# per-phase stage it replaced, byte for byte, on random and hand-built
-# traces under toggled options (FuzzOrderingStage) — and the store's open
-# over arbitrary bytes under a trace's name, which must never panic nor
-# size an allocation by a length the file cannot back (FuzzStoreOpen:
-# sections read ≤ the file, allocation a constant multiple of it). Their seed corpora
-# replay on every plain `go test`; this leg is not in tier-1.
+# seconds. It finds them itself: `go test -list '^Fuzz'` over each package
+# with tests, so a target added or deleted needs no edit here. It runs one
+# target per `go test -fuzz` (the pattern must match exactly one) and prints
+# each name before its run. The targets are the untrusted-input decoders
+# (format sniffing, the text reader, the persisted event table, the
+# structure codec, the store's open, the -peers and spec parsers, the page
+# cursor) and the rewritten kernels held against the code they replaced
+# (JSON writer, CSR grouper, varint reader, LOD pyramid, ordering stage);
+# each target's doc comment says what it holds. Their seed corpora replay
+# on every plain `go test`; this leg is not in tier-1.
 fuzz-smoke:
-	@for t in FuzzRead FuzzReadAuto FuzzReadProjections FuzzReadTable; do \
-		$(GO) test -run '^$$' -fuzz="^$$t\$$" -fuzztime=10s -fuzzminimizetime=1s ./internal/tracefile || exit 1; \
-	done
-	@for t in FuzzDecodeStructure FuzzDecodeStructureSummary FuzzOrderingStage; do \
-		$(GO) test -run '^$$' -fuzz="^$$t\$$" -fuzztime=10s -fuzzminimizetime=1s ./internal/core || exit 1; \
-	done
-	$(GO) test -run '^$$' -fuzz='^FuzzJSONWriter$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/jsonw
-	$(GO) test -run '^$$' -fuzz='^FuzzGroup$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/flat
-	$(GO) test -run '^$$' -fuzz='^FuzzVarint$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/varint
-	$(GO) test -run '^$$' -fuzz='^FuzzParsePeers$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/cluster
-	@for t in FuzzQuerySpec FuzzStepRange FuzzQueryCursor; do \
-		$(GO) test -run '^$$' -fuzz="^$$t\$$" -fuzztime=10s -fuzzminimizetime=1s ./internal/query || exit 1; \
-	done
-	@for t in FuzzLodSpec FuzzLodQuery; do \
-		$(GO) test -run '^$$' -fuzz="^$$t\$$" -fuzztime=10s -fuzzminimizetime=1s ./internal/lod || exit 1; \
-	done
-	$(GO) test -run '^$$' -fuzz='^FuzzStoreOpen$$' -fuzztime=10s -fuzzminimizetime=1s ./internal/store
+	@n=0; \
+	for p in $$($(GO) list -f '{{if or .TestGoFiles .XTestGoFiles}}{{.ImportPath}}{{end}}' ./...); do \
+		ts=$$($(GO) test -list '^Fuzz' $$p) || exit 1; \
+		for t in $$(echo "$$ts" | grep '^Fuzz'); do \
+			echo "fuzz-smoke: $$t ($$p)"; \
+			$(GO) test -run '^$$' -fuzz="^$$t\$$" -fuzztime=10s -fuzzminimizetime=1s $$p || exit 1; \
+			n=$$((n+1)); \
+		done; \
+	done; \
+	echo "fuzz-smoke: $$n targets"
 
 # doc-flags is a gate (CI's verify job): every `go run ./cmd/<bin> ...`,
 # `$(GO) run ./cmd/<bin> ...` and `/tmp/<bin> ...` command line in the files

@@ -53,7 +53,7 @@ var (
 	metricNames = []string{"differential", "idle", "imbalance", "lateness"}
 	// writers are the -render trace encodings.
 	writers = map[string]func(io.Writer, *trace.Trace) error{
-		"text": tracefile.Write, "binary": tracefile.WriteBinary, "projections": tracefile.WriteProjections,
+		"text": tracefile.Write, "binary": tracefile.WriteBinary,
 	}
 	// extract is core.Extract; tests swap it to see which outputs extract.
 	extract = core.Extract
@@ -67,7 +67,7 @@ func run(args []string, stdout io.Writer) error {
 	noInfer := fs.Bool("no-infer", false, "disable §3.1.4 dependency inference (Figure 17)")
 	list := fs.Bool("list", false, "list the workloads -app generates")
 	render := fs.String("render", "summary", "output: summary | logical | clustered | physical | both | metric (the -metric grid) | profile (per-entry profile; no extraction) | trace (the trace in -format; no extraction) | query | lod (the -spec result as JSON)")
-	format := fs.String("format", "text", "-render trace encoding: text | binary | projections")
+	format := fs.String("format", "text", "-render trace encoding: text | binary")
 	spec := fs.String("spec", "", "-render query|lod: the JSON body of charmd's POST .../query or .../lod (@file reads it from a file)")
 	metric := fs.String("metric", "", "also report a §4 metric: differential | idle | imbalance | lateness")
 	top := fs.Int("top", 10, "events to list for -metric")
@@ -91,7 +91,7 @@ func run(args []string, stdout io.Writer) error {
 	case *metric != "" && !slices.Contains(metricNames, *metric):
 		return fmt.Errorf("unknown -metric %q", *metric)
 	case writers[*format] == nil:
-		return fmt.Errorf("unknown -format %q (want text, binary or projections)", *format)
+		return fmt.Errorf("unknown -format %q (want text or binary)", *format)
 	case *render == "metric" && *metric == "":
 		return errors.New("-render metric needs -metric")
 	case machine && (*metric != "" || *svg != "" || *timing):

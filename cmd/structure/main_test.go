@@ -104,6 +104,7 @@ func TestUnknownValues(t *testing.T) {
 		{"-app", "jacobi", "-render", "nope"},
 		{"-app", "jacobi", "-render", "metric"},
 		{"-app", "jacobi", "-render", "trace", "-format", "nope"},
+		{"-app", "jacobi", "-render", "trace", "-format", "projections"},
 	} {
 		if err := run(args, new(strings.Builder)); err == nil {
 			t.Errorf("structure %s: no error", strings.Join(args, " "))
@@ -131,7 +132,7 @@ func TestRenderTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 	for format, write := range map[string]func(io.Writer, *trace.Trace) error{
-		"text": tracefile.Write, "binary": tracefile.WriteBinary, "projections": tracefile.WriteProjections,
+		"text": tracefile.Write, "binary": tracefile.WriteBinary,
 	} {
 		var want bytes.Buffer
 		if err := write(&want, tr); err != nil {

@@ -39,7 +39,7 @@ func NewInput(fs *flag.FlagSet) *Input {
 }
 
 // Load resolves the flags into a trace — the generated workload, or the
-// file (text, binary or Projections, auto-detected) — and the extraction
+// file (text or binary, auto-detected) — and the extraction
 // options matching its programming model. A workload brings its own; a file
 // gets the message-passing options of §3.4 when MP forces them or the trace
 // has the process-centric shape, the Charm++ defaults otherwise. A

@@ -422,8 +422,8 @@ func TestClusterPeerCacheFill(t *testing.T) {
 	}
 
 	// The result route finds the entry in the file of the trace its query
-	// names; a request that names none, as a node of the three-file layout
-	// sends it, is a plain 404 its sender answers by extracting.
+	// names; a request that names none is a plain 404 its sender answers by
+	// extracting.
 	route := owner.ts.URL + "/v1/internal/results/" + resultcache.KeyID(digest, core.DefaultOptions().Fingerprint())
 	if resp, _ := getURL(t, route+"?trace="+digest); resp.StatusCode != http.StatusOK {
 		t.Errorf("result route with the trace named: %d", resp.StatusCode)

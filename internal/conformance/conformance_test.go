@@ -18,7 +18,6 @@ import (
 
 	"charmtrace/internal/core"
 	"charmtrace/internal/trace"
-	"charmtrace/internal/tracefile"
 	"charmtrace/internal/viz"
 )
 
@@ -219,32 +218,6 @@ func TestMetamorphicEventIDPermutation(t *testing.T) {
 					t.Fatalf("phases %d and %d collapse onto %d", m, bp, gp)
 				}
 				fwd[bp], rev[gp] = gp, bp
-			}
-		})
-	}
-}
-
-// TestProjectionsRoundTripStructure is the reader acceptance criterion: a
-// Projections-format serialization read back through ReadAuto must extract
-// to a byte-identical structure versus the native in-memory trace.
-func TestProjectionsRoundTripStructure(t *testing.T) {
-	for _, w := range Zoo() {
-		w := w
-		t.Run(w.Name, func(t *testing.T) {
-			t.Parallel()
-			tr := w.MustGen()
-			var buf bytes.Buffer
-			if err := tracefile.WriteProjections(&buf, tr); err != nil {
-				t.Fatal(err)
-			}
-			rt, err := tracefile.ReadAuto(&buf)
-			if err != nil {
-				t.Fatal(err)
-			}
-			base := extract(t, tr, w.Opts, 2)
-			got := extract(t, rt, w.Opts, 2)
-			if viz.Logical(got) != viz.Logical(base) {
-				t.Fatal("Projections round trip changed the recovered structure")
 			}
 		})
 	}

@@ -18,10 +18,10 @@ import (
 
 // handleInternalResultGet streams one encoded cache entry from disk, found
 // in the file of the trace that the trace query parameter names. A request
-// without one (from a node of the three-file layout) finds nothing and gets
-// 404, so its sender extracts locally. The body is the result section's
-// payload, the encoded structure (magic header included), which the pulling
-// node decodes against its own copy of the trace and persists verbatim.
+// without one finds nothing and gets 404, so its sender extracts locally.
+// The body is the result section's payload, the encoded structure (magic
+// header included), which the pulling node decodes against its own copy of
+// the trace and persists verbatim.
 func (s *Server) handleInternalResultGet(w http.ResponseWriter, r *http.Request) {
 	key := r.PathValue("key")
 	rc, size, err := s.cache.OpenEntry(r.URL.Query().Get("trace"), key)

@@ -6,7 +6,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -97,61 +96,6 @@ func TestListingIsNotUse(t *testing.T) {
 	}
 	if got := cacheLayer(t, ts2.URL, "/v1/traces/"+tracefile.DigestBytes(old)+"/structure"); got != "miss" {
 		t.Errorf("the least recently used trace's result: %q, want miss (it survived the GC)", got)
-	}
-}
-
-// TestAdoptsEarlierDataDir: a data directory in the three-file layout —
-// traces/<digest>.trace, traces/<digest>.tbl, results/<key>.cstr — with the
-// leftovers of a crash beside them serves /structure, /steps and /lod byte
-// for byte as a server that was sent the trace, and keeps one file.
-func TestAdoptsEarlierDataDir(t *testing.T) {
-	enc := encodedJacobi(t, 0)
-	digest := tracefile.DigestBytes(enc)
-	tr, err := tracefile.ReadBinary(bytes.NewReader(enc))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var tbl bytes.Buffer
-	if err := tracefile.WriteTable(&tbl, tr.Table()); err != nil {
-		t.Fatal(err)
-	}
-	opt := core.DefaultOptions()
-	dir := t.TempDir()
-	files := map[string][]byte{
-		"traces/" + digest + ".trace": enc,
-		"traces/" + digest + ".tbl":   tbl.Bytes(),
-		"traces/.ingest-41":           enc[:len(enc)/2],
-		"results/" + resultcache.KeyID(digest, opt.Fingerprint()) + ".cstr": encodedResult(t, enc, opt),
-		"results/.tmp-4242-7": []byte("CSTR half a write"),
-	}
-	for name, data := range files {
-		path := filepath.Join(dir, name)
-		os.MkdirAll(filepath.Dir(path), 0o755)
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	stale := time.Now().Add(-2 * time.Hour)
-	os.Chtimes(filepath.Join(dir, "traces/.ingest-41"), stale, stale)
-
-	_, fresh := newTestServer(t, Config{DataDir: t.TempDir()})
-	upload(t, fresh, enc)
-	_, adopted := newTestServer(t, Config{DataDir: dir})
-	for _, path := range []string{"/structure", "/steps", "/lod", "/structure?preset=mp", "/steps?chare=1"} {
-		path = "/v1/traces/" + digest + path
-		if got, want := mustGet(t, adopted, path), mustGet(t, fresh, path); !bytes.Equal(got, want) {
-			t.Errorf("%s differs on the adopted data directory", path)
-		}
-	}
-	var left []string
-	filepath.Walk(dir, func(path string, info os.FileInfo, err error) error {
-		if err == nil && !info.IsDir() {
-			left = append(left, strings.TrimPrefix(path, dir+"/"))
-		}
-		return nil
-	})
-	if len(left) != 1 || left[0] != "traces/"+digest {
-		t.Errorf("files left in the data directory: %v, want traces/%s alone", left, digest)
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
-	"path/filepath"
 	"runtime"
 	"slices"
 	"strings"
@@ -17,6 +16,7 @@ import (
 	"charmtrace/internal/core"
 	"charmtrace/internal/resultcache"
 	"charmtrace/internal/store"
+	"charmtrace/internal/telemetry"
 	"charmtrace/internal/trace"
 	"charmtrace/internal/tracefile"
 )
@@ -116,9 +116,8 @@ func openStore(t *testing.T, dir string) *store.Store {
 
 // withoutTable leaves digest's file holding its trace and its default-preset
 // result but no table, as a table append that failed beside a result append
-// that succeeded leaves it: the trace bytes are put back as an earlier
-// build's traces/<digest>.trace, which the store adopts, and the result is
-// appended again.
+// that succeeded leaves it: the file is written again from the trace bytes
+// through a spool, and the result is appended to it.
 func withoutTable(t *testing.T, dir, digest string, enc []byte) {
 	t.Helper()
 	st, key := openStore(t, dir), resultcache.KeyID(digest, core.DefaultOptions().Fingerprint())
@@ -129,15 +128,21 @@ func withoutTable(t *testing.T, dir, digest string, enc []byte) {
 	if err := os.Remove(st.Path(digest)); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, "traces", digest+".trace"), enc, 0o644); err != nil {
+	sp, err := st.Spool()
+	if err != nil {
 		t.Fatal(err)
 	}
-	st = openStore(t, dir)
+	if _, err := sp.Write(enc); err != nil {
+		t.Fatal(err)
+	}
+	if err := sp.Publish(digest); err != nil {
+		t.Fatal(err)
+	}
 	if err := st.Append(digest, store.Result, key, result); err != nil {
 		t.Fatal(err)
 	}
 	if st.Has(digest, store.Table, "") {
-		t.Fatal("the adopted file has a table")
+		t.Fatal("the rewritten file has a table")
 	}
 }
 
@@ -281,6 +286,54 @@ func TestTraceResidencyIsBounded(t *testing.T) {
 	}
 	if g := srv.Registry().Gauge("cache.table_bytes").Value(); g <= 0 {
 		t.Errorf("cache.table_bytes = %v with %d resident entries", g, memEntries)
+	}
+}
+
+// TestTraceResidencyGauges: while an extraction holds the upload's decoded
+// trace, /debug/stats reports that one trace and its Bytes(); once the
+// extraction is done and a collection has run, both gauges read 0.
+func TestTraceResidencyGauges(t *testing.T) {
+	held, release := make(chan int64, 1), make(chan struct{})
+	cfg := Config{DataDir: t.TempDir()}
+	cfg.extract = func(tr *trace.Trace, opt core.Options) (*core.Structure, error) {
+		held <- tr.Bytes()
+		<-release
+		return core.Extract(tr, opt)
+	}
+	_, ts := newTestServer(t, cfg)
+	var once sync.Once
+	free := func() { once.Do(func() { close(release) }) }
+	defer free() // a failed assertion must not leave the handler blocked
+	digest := upload(t, ts, encodedJacobi(t, 0))
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		resp, err := http.Get(ts.URL + "/v1/traces/" + digest + "/structure")
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+	}()
+	gauges := func() (decoded, resident float64) {
+		t.Helper()
+		stats, err := telemetry.ReadStats(bytes.NewReader(mustGet(t, ts, "/debug/stats")))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return stats.Gauges["server.traces_decoded"], stats.Gauges["server.trace_resident_bytes"]
+	}
+	want := <-held
+	if decoded, resident := gauges(); decoded != 1 || resident != float64(want) {
+		t.Errorf("during the extraction: traces_decoded %v, trace_resident_bytes %v; want 1 and %d", decoded, resident, want)
+	}
+	free()
+	<-done
+	runtime.GC()
+	runtime.GC() // weak pointers to objects found dead in one cycle clear by the next
+	if decoded, resident := gauges(); decoded != 0 || resident != 0 {
+		t.Errorf("after the extraction and GC: traces_decoded %v, trace_resident_bytes %v; want 0 and 0", decoded, resident)
 	}
 }
 

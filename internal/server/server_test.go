@@ -478,9 +478,8 @@ func TestHealthz(t *testing.T) {
 
 // TestFormatMisdetectionUploadsAre400s: the ReadAuto misdetection table
 // from the tracefile package, driven end to end through the upload
-// endpoint — every sniffing failure must surface as a client error (400),
-// never a 500, and a well-formed Projections-format upload must be accepted
-// and analyzable like any native-format trace.
+// endpoint — every sniffing failure, and a PROJECTIONS-RECORD stream, which
+// is not a trace format, must surface as a client error (400), never a 500.
 func TestFormatMisdetectionUploadsAre400s(t *testing.T) {
 	_, ts := newTestServer(t, Config{DataDir: t.TempDir()})
 	post := func(body []byte) int {
@@ -503,19 +502,14 @@ func TestFormatMisdetectionUploadsAre400s(t *testing.T) {
 		{"projections header with binary body", append([]byte("PROJECTIONS-RECORD 1\n"), bin...)},
 		{"projections bad version", []byte("PROJECTIONS-RECORD 99\n")},
 		{"binary magic with text body", append([]byte("CTRB"), []byte("charmtrace 1\n")...)},
+		{"projections stream", []byte("PROJECTIONS-RECORD 1\nPROCESSORS 1\nTOTAL_CHARES 1\nTOTAL_EPS 1\n" +
+			"ENTRY 0 -1 0 e\nCHARE 0 -1 -1 0 0 c\nEND_STS\nBEGIN_LOG 0\n2 0 0 0 0\n1 1 0 0\n3 5\nEND_LOG\n")},
 	}
 	for _, tc := range cases {
 		if code := post(tc.body); code != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want 400", tc.name, code)
 		}
 	}
-
-	var proj bytes.Buffer
-	if err := tracefile.WriteProjections(&proj, jacobi.MustTrace(jacobi.DefaultConfig())); err != nil {
-		t.Fatal(err)
-	}
-	digest := upload(t, ts, proj.Bytes())
-	mustGet(t, ts, "/v1/traces/"+digest+"/structure")
 }
 
 // TestOutOfRangePEUploadsAre400s: an event or idle record naming a PE the
@@ -537,7 +531,6 @@ func TestOutOfRangePEUploadsAre400s(t *testing.T) {
 		return buf.Bytes()
 	}
 	const text = "charmtrace 1\npe 2\nentry 0 -1 false e\nchare 0 -1 -1 false 0 c\nblock 0 0 0 0 0 10\n"
-	const proj = "PROJECTIONS-RECORD 1\nPROCESSORS 2\nENTRY 0 -1 0 e\nCHARE 0 -1 -1 0 0 c\nEND_STS\n"
 	cases := []struct {
 		name, reason string
 		body         []byte
@@ -551,8 +544,6 @@ func TestOutOfRangePEUploadsAre400s(t *testing.T) {
 		{"text idle pe", "out of range", []byte(text + "idle 2 5 10\n")},
 		{"text event time", "time 4611686018427387904 out of range", []byte(text + "ev 0 send 4611686018427387904 0 0 3 0\n")},
 		{"text event pe", "out of range", []byte(text + "ev 0 send 5 0 9 3 0\n")},
-		{"projections log pe", "out of range", []byte(proj + "BEGIN_LOG 2\n14 0\n15 9\nEND_LOG\n")},
-		{"projections idle span", "before it begins", []byte(proj + "BEGIN_LOG 0\n14 9\n15 3\nEND_LOG\nBEGIN_LOG 1\nEND_LOG\n")},
 	}
 	for _, tc := range cases {
 		resp, err := http.Post(ts.URL+"/v1/traces", "application/octet-stream", bytes.NewReader(tc.body))

@@ -33,11 +33,6 @@
 // least-recently-used trace by copying the file's other sections to a new
 // file and renaming it into place, so a reader that already has the old
 // file open keeps reading the inode it opened.
-//
-// Open also adopts a data directory of the earlier layout — traces/<digest>.trace
-// beside traces/<digest>.tbl and results/<key>.cstr: each .trace becomes its
-// file's trace section by appending a trailer and renaming it, and the
-// derived files, with the temporary files a crash can leave, are deleted.
 package store
 
 import (
@@ -177,15 +172,14 @@ type Store struct {
 	gcMu    sync.Mutex
 }
 
-// Open opens the store rooted at root, creating root/traces if missing,
-// adopting an earlier layout found there, and reading every file's trailers.
+// Open opens the store rooted at root, creating root/traces if missing, and
+// reads every file's trailers.
 func Open(root string) (*Store, error) {
 	s := &Store{dir: filepath.Join(root, "traces"), files: make(map[string]*file)}
 	if err := os.MkdirAll(s.dir, 0o755); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
 	s.clock.Store(time.Now().UnixNano())
-	adopt(root, s.dir)
 	entries, err := os.ReadDir(s.dir)
 	if err != nil {
 		return nil, fmt.Errorf("store: %w", err)

@@ -306,71 +306,44 @@ func TestGCDropsLeastRecentlyUsedTrace(t *testing.T) {
 	}
 }
 
-// TestAdoptEarlierLayout: a data directory of the three-file layout becomes
-// one file per trace by rename; derived files and crash leftovers go,
-// except a spool young enough to belong to an upload still running.
-func TestAdoptEarlierLayout(t *testing.T) {
+// TestOpenSweepsStaleSpools: Open removes a spool old enough to be a
+// crashed upload's and keeps one young enough to belong to an upload still
+// running. Files that are not one trace file each (the three-file layout's
+// traces/<digest>.trace and results/*.cstr) are neither read nor touched.
+func TestOpenSweepsStaleSpools(t *testing.T) {
 	root := t.TempDir()
 	traces, results := filepath.Join(root, "traces"), filepath.Join(root, "results")
 	os.MkdirAll(traces, 0o755)
 	os.MkdirAll(results, 0o755)
-	tr := payload(1, 500)
-	d := digestOf(tr)
 	write := func(path string, data []byte) {
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
-	write(filepath.Join(traces, d+".trace"), tr)
-	write(filepath.Join(traces, d+".tbl"), payload(2, 50))
-	write(filepath.Join(results, keyOfResult(0)+".cstr"), payload(3, 50))
-	write(filepath.Join(results, ".tmp-123-4"), payload(4, 10))
-	write(filepath.Join(root, keyOfResult(1)+".cstr"), payload(5, 50))
+	stray := []string{
+		filepath.Join(traces, digestOf(payload(1, 500))+".trace"),
+		filepath.Join(results, keyOfResult(0)+".cstr"),
+	}
+	for i, p := range stray {
+		write(p, payload(int64(2+i), 50))
+	}
 	stale, fresh := filepath.Join(traces, TmpPrefix+"stale"), filepath.Join(traces, TmpPrefix+"fresh")
 	write(stale, payload(6, 10))
 	write(fresh, payload(7, 10))
 	old := time.Now().Add(-2 * time.Hour)
 	os.Chtimes(stale, old, old)
-	before, err := os.Stat(filepath.Join(traces, d+".trace"))
-	if err != nil {
-		t.Fatal(err)
-	}
 
 	s := mustOpen(t, root)
-	if got, err := s.Read(d, Trace, ""); err != nil || !bytes.Equal(got, tr) {
-		t.Fatalf("adopted trace does not read back (err %v)", err)
+	if _, err := os.Stat(stale); !os.IsNotExist(err) {
+		t.Errorf("the stale spool survived Open (stat err %v)", err)
 	}
-	after, err := os.Stat(s.Path(d))
-	if err != nil || !os.SameFile(before, after) {
-		t.Errorf("the trace was copied, not renamed (err %v)", err)
-	}
-	var left []string
-	filepath.Walk(root, func(path string, info os.FileInfo, err error) error {
-		if err == nil && !info.IsDir() {
-			left = append(left, strings.TrimPrefix(path, root))
+	for _, p := range append([]string{fresh}, stray...) {
+		if _, err := os.Stat(p); err != nil {
+			t.Errorf("Open removed %s: %v", strings.TrimPrefix(p, root), err)
 		}
-		return nil
-	})
-	if want := []string{"/traces/" + TmpPrefix + "fresh", "/traces/" + d}; strings.Join(left, " ") != strings.Join(want, " ") {
-		t.Errorf("left after adoption: %v, want %v", left, want)
 	}
-	if _, err := os.Stat(results); !os.IsNotExist(err) {
-		t.Errorf("the emptied results directory survived (stat err %v)", err)
-	}
-
-	// An adoption cut short after the trailer was appended but before the
-	// rename is only finished, not given a second trailer.
-	tr2 := payload(8, 300)
-	d2 := digestOf(tr2)
-	s = mustOpen(t, t.TempDir())
-	publish(t, s, tr2)
-	half := filepath.Join(filepath.Dir(s.Path(d2)), d2+".trace")
-	if err := os.Rename(s.Path(d2), half); err != nil {
-		t.Fatal(err)
-	}
-	s = mustOpen(t, filepath.Dir(filepath.Dir(half)))
-	if got, err := s.Read(d2, Trace, ""); err != nil || !bytes.Equal(got, tr2) {
-		t.Fatalf("half-adopted trace does not read back (err %v)", err)
+	if got := s.Traces(); len(got) != 0 {
+		t.Errorf("Traces() lists %v over a directory with no trace file", got)
 	}
 }
 

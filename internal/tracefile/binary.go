@@ -187,10 +187,9 @@ func readIdles(b *varint.Reader, t *trace.Trace) {
 // count per block, prefix-sum, then fill, so all lists are full-capacity
 // sub-slices of one flat array (an append to one reallocates instead of
 // clobbering its neighbour) at a cost of two allocations however many
-// blocks there are. order lists the events in the order they are to appear
-// within their blocks; nil means ID order. An event naming a block outside
-// t.Blocks is an error.
-func groupBlockEvents(t *trace.Trace, order []trace.EventID) error {
+// blocks there are. Within a block the events keep ID order. An event
+// naming a block outside t.Blocks is an error.
+func groupBlockEvents(t *trace.Trace) error {
 	off := make([]int32, len(t.Blocks)+2)
 	for i := range t.Events {
 		b := t.Events[i].Block
@@ -205,19 +204,10 @@ func groupBlockEvents(t *trace.Trace, order []trace.EventID) error {
 	// off[b+1] is now block b's start and advances to its end as the list
 	// fills, leaving off[b], off[b+1] as its bounds.
 	ids := make([]trace.EventID, len(t.Events))
-	place := func(e trace.EventID) {
-		b := t.Events[e].Block
-		ids[off[b+1]] = e
+	for i := range t.Events {
+		b := t.Events[i].Block
+		ids[off[b+1]] = trace.EventID(i)
 		off[b+1]++
-	}
-	if order == nil {
-		for i := range t.Events {
-			place(trace.EventID(i))
-		}
-	} else {
-		for _, e := range order {
-			place(e)
-		}
 	}
 	for i := range t.Blocks {
 		if lo, hi := off[i], off[i+1]; lo < hi {
@@ -261,7 +251,7 @@ func ReadBinary(r io.Reader) (*trace.Trace, error) {
 	if err := b.Err(); err != nil {
 		return nil, malformed(fmt.Errorf("tracefile: %w", err))
 	}
-	if err := groupBlockEvents(t, nil); err != nil {
+	if err := groupBlockEvents(t); err != nil {
 		return nil, malformed(err)
 	}
 	if err := t.Index(); err != nil {
@@ -270,26 +260,23 @@ func ReadBinary(r io.Reader) (*trace.Trace, error) {
 	return t, nil
 }
 
-// ReadAuto detects the format (text header, binary magic or the
-// Projections-style magic line) and parses accordingly. Decode failures
-// carry the ErrMalformed tag (see errors.go).
+// ReadAuto detects the format (binary magic, else the text reader) and
+// parses accordingly. Decode failures carry the ErrMalformed tag (see
+// errors.go).
 func ReadAuto(r io.Reader) (*trace.Trace, error) {
 	br := bufio.NewReader(r)
-	// Peek the longest magic; a short read still yields whatever prefix is
-	// available, which is enough to dispatch (a stream shorter than every
-	// magic can only be the text format, whose reader rejects it).
-	head, err := br.Peek(len(projectionsMagic))
+	// A short read still yields whatever prefix is available, which is
+	// enough to dispatch: a stream shorter than the magic can only be the
+	// text format, whose reader rejects it.
+	head, err := br.Peek(len(binaryMagic))
 	if len(head) == 0 {
 		if err == nil {
 			err = io.ErrUnexpectedEOF
 		}
 		return nil, malformed(fmt.Errorf("tracefile: %w", err))
 	}
-	if len(head) >= len(binaryMagic) && [4]byte(head[:4]) == binaryMagic {
+	if len(head) == len(binaryMagic) && [4]byte(head) == binaryMagic {
 		return ReadBinary(br)
-	}
-	if string(head) == projectionsMagic {
-		return ReadProjections(br)
 	}
 	return Read(br)
 }

@@ -171,3 +171,159 @@ func TestReadAutoDigest(t *testing.T) {
 		t.Errorf("truncated digest read: error %v is not ErrMalformed", err)
 	}
 }
+
+// TestReadAutoMisdetection: inputs crafted to sit on the boundary between
+// the two formats, and PROJECTIONS-RECORD streams, which are not a trace
+// format, must be rejected with the ErrMalformed
+// tag, never panicking and never reporting a bare (server-fault) error. The
+// charmd upload handler branches on this tag to answer 400.
+func TestReadAutoMisdetection(t *testing.T) {
+	binBody := encodeBinary(t, jacobi.MustTrace(goldenConfig()))
+	cases := []struct {
+		name  string
+		input []byte
+	}{
+		{"empty file", nil},
+		{"truncated binary magic", []byte("CTR")},
+		{"truncated projections magic", []byte("PROJECTIONS-REC")},
+		{"projections header only", []byte("PROJECTIONS-RECORD 1\n")},
+		{"projections bad version", []byte("PROJECTIONS-RECORD 99\n")},
+		{"binary magic with text body", []byte("CTRBcharmtrace 1\npe 1\n")},
+		{"text header with binary body", append([]byte("charmtrace 1\n"), binBody...)},
+		{"projections magic no newline", []byte("PROJECTIONS-RECORD")},
+		{"projections header with binary body", append([]byte("PROJECTIONS-RECORD 1\n"), binBody...)},
+		{"projections stream", []byte("PROJECTIONS-RECORD 1\nPROCESSORS 1\nTOTAL_CHARES 1\nTOTAL_EPS 1\n" +
+			"ENTRY 0 -1 0 e\nCHARE 0 -1 -1 0 0 c\nEND_STS\nBEGIN_LOG 0\n2 0 0 0 0\n1 1 0 0\n3 5\nEND_LOG\n")},
+		{"text header with projections body", []byte("charmtrace 1\nPROCESSORS 2\nEND_STS\n")},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			tr, err := ReadAuto(bytes.NewReader(tc.input))
+			if err == nil {
+				t.Fatalf("accepted %d-byte input, decoded %d events", len(tc.input), len(tr.Events))
+			}
+			if !errors.Is(err, ErrMalformed) {
+				t.Fatalf("rejection %v does not carry ErrMalformed", err)
+			}
+			if _, _, err := ReadAutoDigest(bytes.NewReader(tc.input)); !errors.Is(err, ErrMalformed) {
+				t.Fatalf("ReadAutoDigest rejection %v does not carry ErrMalformed", err)
+			}
+		})
+	}
+}
+
+// TestTraceViolationsAreMalformed: a stream that decodes record by record
+// but breaks a rule of the trace model — a reference to nothing, a span or
+// an order the model forbids, a message received but never sent — is
+// rejected in both formats through ReadAuto and ReadAutoDigest with the
+// ErrMalformed tag, by the check the case names. Both writers serialize
+// without validating, so each case is a mutation of a valid trace.
+func TestTraceViolationsAreMalformed(t *testing.T) {
+	// blockWith returns a block holding at least n events at distinct
+	// times, and those events.
+	blockWith := func(tr *trace.Trace, n int) (trace.BlockID, []trace.EventID) {
+		for b := range tr.Blocks {
+			ids := tr.Blocks[b].Events
+			if len(ids) >= n && tr.Events[ids[0]].Time < tr.Events[ids[len(ids)-1]].Time {
+				return trace.BlockID(b), ids
+			}
+		}
+		t.Fatalf("no block holds %d events at distinct times", n)
+		return 0, nil
+	}
+	eventOf := func(tr *trace.Trace, kind trace.EventKind, skip int) trace.EventID {
+		for i, ev := range tr.Events {
+			if ev.Kind == kind && ev.Msg != trace.NoMsg {
+				if skip == 0 {
+					return trace.EventID(i)
+				}
+				skip--
+			}
+		}
+		t.Fatalf("too few %v events", kind)
+		return 0
+	}
+	cases := []struct {
+		name, want string
+		mutate     func(*trace.Trace)
+	}{
+		{"no processors", "NumPE must be positive", func(tr *trace.Trace) { tr.NumPE = 0 }},
+		{"chare home out of range", "home PE", func(tr *trace.Trace) { tr.Chares[0].Home = trace.PE(tr.NumPE) }},
+		{"block references unknown chare", "block 0 references unknown chare", func(tr *trace.Trace) {
+			tr.Blocks[0].Chare = trace.ChareID(len(tr.Chares))
+		}},
+		{"block references unknown entry", "block 0 references unknown entry", func(tr *trace.Trace) {
+			tr.Blocks[0].Entry = trace.EntryID(len(tr.Entries))
+		}},
+		{"block pe out of range", "block 0 PE", func(tr *trace.Trace) { tr.Blocks[0].PE = trace.PE(tr.NumPE) }},
+		{"block ends before it begins", "before it begins", func(tr *trace.Trace) {
+			b, _ := blockWith(tr, 2)
+			tr.Blocks[b].Begin, tr.Blocks[b].End = tr.Blocks[b].End, tr.Blocks[b].Begin
+		}},
+		{"block time out of range", "span [", func(tr *trace.Trace) {
+			tr.Blocks[len(tr.Blocks)-1].End = 1 << 62
+		}},
+		{"blocks overlap on one pe", "blocks overlap", func(tr *trace.Trace) {
+			for i := range tr.Blocks {
+				for j := i + 1; j < len(tr.Blocks); j++ {
+					if tr.Blocks[j].PE == tr.Blocks[i].PE && tr.Blocks[j].Begin >= tr.Blocks[i].End {
+						tr.Blocks[j].Begin = tr.Blocks[i].Begin
+						return
+					}
+				}
+			}
+			t.Fatal("no two blocks share a PE")
+		}},
+		{"event references unknown block", "event 0 references unknown block", func(tr *trace.Trace) {
+			tr.Events[0].Block = trace.BlockID(len(tr.Blocks))
+		}},
+		{"event references unknown chare", "event 0 references unknown chare", func(tr *trace.Trace) {
+			tr.Events[0].Chare = trace.ChareID(len(tr.Chares))
+		}},
+		{"event time out of range", "event 0 time", func(tr *trace.Trace) { tr.Events[0].Time = 1 << 62 }},
+		{"event outside its block", "outside block", func(tr *trace.Trace) {
+			b, ids := blockWith(tr, 1)
+			tr.Events[ids[len(ids)-1]].Time = tr.Blocks[b].End + 1
+		}},
+		{"events of a block out of time order", "not time-ordered", func(tr *trace.Trace) {
+			_, ids := blockWith(tr, 2)
+			first, last := &tr.Events[ids[0]], &tr.Events[ids[len(ids)-1]]
+			first.Time, last.Time = last.Time, first.Time
+		}},
+		{"event chare differs from its block's", "differs from its block", func(tr *trace.Trace) {
+			b, ids := blockWith(tr, 1)
+			tr.Events[ids[0]].Chare = (tr.Blocks[b].Chare + 1) % trace.ChareID(len(tr.Chares))
+		}},
+		{"message sent twice", "sent twice", func(tr *trace.Trace) {
+			tr.Events[eventOf(tr, trace.Send, 1)].Msg = tr.Events[eventOf(tr, trace.Send, 0)].Msg
+		}},
+		{"recv never sent", "never sent", func(tr *trace.Trace) {
+			tr.Events[eventOf(tr, trace.Recv, 0)].Msg = 1 << 40
+		}},
+	}
+	formats := []struct {
+		name  string
+		write func(io.Writer, *trace.Trace) error
+	}{{"text", Write}, {"binary", WriteBinary}}
+	for _, f := range formats {
+		t.Run(f.name, func(t *testing.T) {
+			for _, tc := range cases {
+				t.Run(tc.name, func(t *testing.T) {
+					tr := jacobi.MustTrace(goldenConfig())
+					tc.mutate(tr)
+					var buf bytes.Buffer
+					if err := f.write(&buf, tr); err != nil {
+						t.Fatal(err)
+					}
+					_, err := ReadAuto(bytes.NewReader(buf.Bytes()))
+					if !errors.Is(err, ErrMalformed) || !strings.Contains(err.Error(), tc.want) {
+						t.Fatalf("ReadAuto err = %v, want ErrMalformed containing %q", err, tc.want)
+					}
+					if _, _, err := ReadAutoDigest(bytes.NewReader(buf.Bytes())); !errors.Is(err, ErrMalformed) {
+						t.Fatalf("ReadAutoDigest err = %v, want ErrMalformed", err)
+					}
+				})
+			}
+		})
+	}
+}

@@ -70,14 +70,9 @@ func FuzzReadAuto(f *testing.F) {
 	if err := WriteBinary(&binSmall, jacobi.MustTrace(small)); err != nil {
 		f.Fatal(err)
 	}
-	var proj bytes.Buffer
-	if err := WriteProjections(&proj, jacobi.MustTrace(small)); err != nil {
-		f.Fatal(err)
-	}
 	f.Add(binSmall.Bytes())
 	f.Add(bin.Bytes())
 	f.Add(txt.Bytes())
-	f.Add(proj.Bytes())
 
 	// Malformed neighborhoods: each known rejection class seeds the corpus
 	// so mutation explores the boundaries around it.
@@ -87,19 +82,22 @@ func FuzzReadAuto(f *testing.F) {
 	badVersion := append([]byte{}, bin.Bytes()...)
 	badVersion[4] = 0x7f
 	f.Add(badVersion)
-	f.Add(bin.Bytes()[:10]) // truncated mid-header
+	f.Add(bin.Bytes()[:10])          // truncated mid-header
+	f.Add(txt.Bytes()[:txt.Len()/2]) // text truncated mid-record
 	f.Add([]byte{})
 	f.Add([]byte("not a trace\n"))
 	f.Add([]byte("charmtrace 999\n"))
 	f.Add([]byte("charmtrace 1\npe 1\nbogus 1 2 3\n"))         // unknown record
 	f.Add([]byte("charmtrace 1\npe 1\nblock 0 0\n"))           // short record
 	f.Add([]byte("charmtrace 1\npe 1\nev 0 send 5 0 0 3 0\n")) // event into unknown block
-	f.Add([]byte("PROJECTIONS-REC"))                           // truncated projections magic
-	f.Add([]byte("PROJECTIONS-RECORD 1\n"))                    // header, no sections
-	f.Add([]byte("PROJECTIONS-RECORD 99\n"))                   // unsupported version
-	projTrunc := proj.Bytes()[:len(proj.Bytes())/2]            // truncated mid-log
-	f.Add(projTrunc)
-	f.Add(append([]byte("PROJECTIONS-RECORD 1\n"), bin.Bytes()...)) // projections header, binary body
+	// A PROJECTIONS-RECORD stream is not a trace format: the text reader
+	// must refuse its header.
+	f.Add([]byte("PROJECTIONS-REC"))
+	f.Add([]byte("PROJECTIONS-RECORD 1\n"))
+	f.Add([]byte("PROJECTIONS-RECORD 99\n"))
+	f.Add(append([]byte("PROJECTIONS-RECORD 1\n"), bin.Bytes()...))
+	f.Add([]byte("PROJECTIONS-RECORD 1\nPROCESSORS 1\nTOTAL_CHARES 1\nTOTAL_EPS 1\n" +
+		"ENTRY 0 -1 0 e\nCHARE 0 -1 -1 0 0 c\nEND_STS\nBEGIN_LOG 0\n2 0 0 0 0\n1 1 0 0\n3 5\nEND_LOG\n"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) >= len(binaryMagic) && [4]byte(data[:4]) == binaryMagic {
@@ -109,6 +107,9 @@ func FuzzReadAuto(f *testing.F) {
 		tr2, digest, err2 := ReadAutoDigest(bytes.NewReader(data))
 		if (err1 == nil) != (err2 == nil) {
 			t.Fatalf("ReadAuto err=%v but ReadAutoDigest err=%v on the same input", err1, err2)
+		}
+		if err1 == nil && bytes.HasPrefix(data, []byte("PROJECTIONS-RECORD")) {
+			t.Fatal("ReadAuto accepted a PROJECTIONS-RECORD stream")
 		}
 		if err1 != nil {
 			if !errors.Is(err1, ErrMalformed) {

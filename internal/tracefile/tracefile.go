@@ -1,6 +1,6 @@
 // Package tracefile serializes traces to a line-oriented, versioned text
-// format, the analogue of the Charm++ Projections log files the paper's
-// tooling consumes. The format is self-describing and diff-friendly:
+// format, the stand-in for the Charm++ trace logs the paper's tooling
+// consumes. The format is self-describing and diff-friendly:
 //
 //	charmtrace 1
 //	pe <numPE>
@@ -119,7 +119,7 @@ func Read(r io.Reader) (*trace.Trace, error) {
 	}
 	// Events arrive in ID order but may precede their block's record, so
 	// the block lists are grouped once everything is read.
-	if err := groupBlockEvents(t, nil); err != nil {
+	if err := groupBlockEvents(t); err != nil {
 		return nil, malformed(err)
 	}
 	if err := t.Index(); err != nil {

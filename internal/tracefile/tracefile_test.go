@@ -2,12 +2,14 @@ package tracefile
 
 import (
 	"bytes"
+	"io"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
 
 	"charmtrace/internal/apps/jacobi"
+	"charmtrace/internal/conformance"
 	"charmtrace/internal/trace"
 )
 
@@ -41,6 +43,50 @@ func TestRoundTrip(t *testing.T) {
 	}
 	if !got.Indexed() {
 		t.Fatal("read trace not indexed")
+	}
+}
+
+// TestRoundTripOnZoo: each of the nine conformance workloads, written in
+// either format and read back through ReadAutoDigest, is the original record
+// for record (compared via the canonical text serialization), indexed, and
+// addressed by the digest of exactly the bytes it was read from.
+func TestRoundTripOnZoo(t *testing.T) {
+	for _, w := range conformance.Zoo() {
+		t.Run(w.Name, func(t *testing.T) {
+			orig := w.MustGen()
+			var want bytes.Buffer
+			if err := Write(&want, orig); err != nil {
+				t.Fatal(err)
+			}
+			for _, f := range []struct {
+				name  string
+				write func(io.Writer, *trace.Trace) error
+			}{{"text", Write}, {"binary", WriteBinary}} {
+				t.Run(f.name, func(t *testing.T) {
+					var enc bytes.Buffer
+					if err := f.write(&enc, orig); err != nil {
+						t.Fatal(err)
+					}
+					got, digest, err := ReadAutoDigest(bytes.NewReader(enc.Bytes()))
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !got.Indexed() {
+						t.Fatal("round-tripped trace not indexed")
+					}
+					if digest != DigestBytes(enc.Bytes()) {
+						t.Errorf("digest %s is not the stream's %s", digest, DigestBytes(enc.Bytes()))
+					}
+					var again bytes.Buffer
+					if err := Write(&again, got); err != nil {
+						t.Fatal(err)
+					}
+					if !bytes.Equal(again.Bytes(), want.Bytes()) {
+						t.Fatal("the round trip changed the trace")
+					}
+				})
+			}
+		})
 	}
 }
 
