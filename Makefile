@@ -160,11 +160,12 @@ bench-codec:
 
 # bench-wire times one warm, gzip-accepting request per iteration on the four
 # row-shaped routes (full /steps, a /steps window through the query engine,
-# grouped /metrics, /structure) over the medium jacobi, handler to discarded
-# socket: -benchmem columns plus ns and body bytes per row. Each iteration
-# asks for a URL not seen before, so it renders, compresses and stores the
-# response rather than serving a stored one; BenchmarkServeStored times the
-# repeat that is served from the stored bytes. For measuring while working
+# grouped /metrics, /structure) and on POST /query over the medium jacobi,
+# handler to discarded socket: -benchmem columns plus ns and body bytes per
+# row. Each iteration asks for a URL or a spec not seen before, so it
+# renders, compresses and stores the response rather than serving a stored
+# one; BenchmarkServeStored times the repeats (a full /steps GET, a POST
+# /query) that are served from the stored bytes. For measuring while working
 # on the wire path (internal/jsonw, the renderers and the compressor pool in
 # internal/server, query.Rows, stored responses); claims go through
 # bench-repo. BENCHRUNS as for bench-steps.

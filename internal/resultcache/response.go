@@ -13,7 +13,7 @@ type Response struct {
 }
 
 // responseOverhead is what a stored response costs its entry beyond its
-// wire bytes: the key (an ETag and a coding), the header strings,
+// wire bytes: the key (a content hash and a coding), the header strings,
 // the struct and the map slot.
 const responseOverhead = 256
 
@@ -55,21 +55,32 @@ func (c *Cache) LookupResponse(traceDigest, fingerprint, key string) (*Response,
 	return resp, true
 }
 
+// storable returns the resident entry for (traceDigest, fingerprint) if a
+// response under key may still be stored with it, and nil when the entry is
+// not resident or key is already stored (keys are content addresses: the
+// bytes would be the same). Caller holds c.mu.
+func (c *Cache) storable(traceDigest, fingerprint, key string) *entry {
+	el, ok := c.entries[KeyID(traceDigest, fingerprint)]
+	if !ok {
+		return nil
+	}
+	e := el.Value.(*entry)
+	if _, dup := e.responses[key]; dup {
+		return nil
+	}
+	return e
+}
+
 // ResponseRoom is the most wire bytes a response under key could still be
 // stored with, counting nothing: what is left of the budget of the resident
 // entry for (traceDigest, fingerprint), or 0 when the entry is not resident
 // or key is already stored. A caller need keep no more of a response than
 // that.
 func (c *Cache) ResponseRoom(traceDigest, fingerprint, key string) int64 {
-	id := KeyID(traceDigest, fingerprint)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.entries[id]
-	if !ok {
-		return 0
-	}
-	e := el.Value.(*entry)
-	if _, dup := e.responses[key]; dup {
+	e := c.storable(traceDigest, fingerprint, key)
+	if e == nil {
 		return 0
 	}
 	return max(e.budget()-e.respBytes-responseOverhead, 0)
@@ -77,23 +88,21 @@ func (c *Cache) ResponseRoom(traceDigest, fingerprint, key string) int64 {
 
 // StoreResponse keeps resp under key with the resident entry for
 // (traceDigest, fingerprint) and reports whether it did. Nothing is stored
-// for an entry that is not resident, under a key already stored (keys are
-// content addresses: the bytes would be the same), or past the entry's
-// budget: once an entry's stored responses fill it, later ones are refused,
-// and none is dropped while the entry stays resident. Stored responses go
-// with their entry when it is evicted. The caller must not change resp
-// afterwards.
+// for an entry that is not resident, under a key already stored, or past
+// the entry's budget: once an entry's stored responses fill it, later ones
+// are refused (and counted in cache.response_refused), and none is dropped
+// while the entry stays resident. Stored responses go with their entry when
+// it is evicted. The caller must not change resp afterwards.
 func (c *Cache) StoreResponse(traceDigest, fingerprint, key string, resp *Response) bool {
-	id := KeyID(traceDigest, fingerprint)
 	n := int64(len(resp.Wire)) + responseOverhead
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.entries[id]
-	if !ok {
+	e := c.storable(traceDigest, fingerprint, key)
+	if e == nil {
 		return false
 	}
-	e := el.Value.(*entry)
-	if _, dup := e.responses[key]; dup || e.respBytes+n > e.budget() {
+	if e.respBytes+n > e.budget() {
+		c.respRefused.Add(1)
 		return false
 	}
 	if e.responses == nil {
@@ -105,4 +114,16 @@ func (c *Cache) StoreResponse(traceDigest, fingerprint, key string, resp *Respon
 	c.respBytesG.Set(float64(c.respBytes))
 	c.respStores.Add(1)
 	return true
+}
+
+// RefuseResponse counts in cache.response_refused a complete response under
+// key that the caller did not keep because it outgrew ResponseRoom, unless
+// nothing could have been stored under key anyway: the entry is no longer
+// resident, or key has been stored meanwhile.
+func (c *Cache) RefuseResponse(traceDigest, fingerprint, key string) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.storable(traceDigest, fingerprint, key) != nil {
+		c.respRefused.Add(1)
+	}
 }

@@ -109,6 +109,16 @@ func TestStoredResponsesBoundedPerEntry(t *testing.T) {
 	if got := counter(reg, "cache.response_hits"); got != 3 {
 		t.Errorf("cache.response_hits = %d, want 3", got)
 	}
+
+	// A response the caller dropped past ResponseRoom counts as refused,
+	// like "huge" and r3 above, unless nothing could have been stored
+	// under its key: a key already stored, an entry not resident.
+	c.RefuseResponse(digest, fp, "r4")
+	c.RefuseResponse(digest, fp, "r0")
+	c.RefuseResponse(digest, other.Fingerprint(), "r4")
+	if got := counter(reg, "cache.response_refused"); got != 3 {
+		t.Errorf("cache.response_refused = %d, want 3 (huge, r3, r4)", got)
+	}
 }
 
 // TestStoredResponsesGoWithTheirEntry: evicting an entry drops its stored

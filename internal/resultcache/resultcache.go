@@ -181,6 +181,7 @@ type Cache struct {
 	flightsG      *telemetry.Gauge   // in-progress extraction flights (cache.flights)
 	respHits      *telemetry.Counter // requests answered from a stored response (cache.response_hits)
 	respStores    *telemetry.Counter // responses stored (cache.response_stores)
+	respRefused   *telemetry.Counter // complete responses past their entry's room (cache.response_refused)
 	respBytesG    *telemetry.Gauge   // stored responses' bytes (cache.response_bytes)
 
 	mu      sync.Mutex
@@ -345,6 +346,7 @@ func New(cfg Config) (*Cache, error) {
 		flightsG:        reg.Gauge("cache.flights"),
 		respHits:        reg.Counter("cache.response_hits"),
 		respStores:      reg.Counter("cache.response_stores"),
+		respRefused:     reg.Counter("cache.response_refused"),
 		respBytesG:      reg.Gauge("cache.response_bytes"),
 		entries:         make(map[string]*list.Element),
 		lru:             list.New(),

@@ -5,6 +5,7 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
 	"io"
 	"math"
 	"net/http"
@@ -74,6 +75,21 @@ func strongETag(path, fingerprint, params string) string {
 	return `"` + hex.EncodeToString(h.Sum(nil)) + `"`
 }
 
+// specKey is the content address of one POST analysis response, the key
+// its stored response is kept under: strongETag's hash with the method and
+// the decoded spec, re-encoded by json.Marshal, as the parameters. Hashing
+// the decoded spec rather than the body lets bodies that differ only in key
+// order or whitespace share one stored response; the method keeps a POST
+// apart from a GET of the same path (a GET's encoded parameters never hold
+// a space). It is "" — nothing is stored — if the spec does not encode.
+func specKey(r *http.Request, fingerprint string, spec any) string {
+	b, err := json.Marshal(spec)
+	if err != nil {
+		return ""
+	}
+	return strongETag(r.URL.Path, fingerprint, r.Method+" "+string(b))
+}
+
 // notModified stamps the caching headers of an immutable digest-addressed
 // response (strong ETag, long-lived Cache-Control), returns the ETag, and
 // reports whether If-None-Match already matched — in which case it has
@@ -96,16 +112,17 @@ func (s *Server) notModified(w http.ResponseWriter, r *http.Request, digest, fin
 
 // ---- stored responses ---------------------------------------------------
 
-// serveStored answers a GET analysis request from the response stored for
-// it with the resident cache entry, if there is one, and reports whether it
+// serveStored answers an analysis request from the response stored for it
+// with the resident cache entry, if there is one, and reports whether it
 // did: the stored bytes in one write, with no render, no compression and no
-// query or LOD call. The key is the request's strong ETag, which addresses
-// the body (it hashes the path, options and parameters), and the
+// query or LOD call. The key is addr, which addresses the body — a GET's
+// strong ETag (a hash of the path, options and parameters) or a POST's
+// specKey (of the method, path, options and decoded spec) — and the
 // response's content coding, the one other input to the bytes on the
 // wire. Otherwise it arms w to capture the response the route is about to
 // render, up to the room its entry has left; instrument stores it once it
 // is known complete (gzipResponseWriter.storeKept).
-func (s *Server) serveStored(w http.ResponseWriter, r *http.Request, digest, fingerprint, etag string) bool {
+func (s *Server) serveStored(w http.ResponseWriter, r *http.Request, digest, fingerprint, addr string) bool {
 	g, ok := w.(*gzipResponseWriter)
 	if !ok || r.Context().Err() != nil {
 		return false // a request already past its deadline or gone fails in the render, as before
@@ -114,7 +131,7 @@ func (s *Server) serveStored(w http.ResponseWriter, r *http.Request, digest, fin
 	if g.passthrough {
 		coding = "identity"
 	}
-	key := etag + " " + coding
+	key := addr + " " + coding
 	if resp, ok := s.cache.LookupResponse(digest, fingerprint, key); ok {
 		resultcache.RecordOutcome(r.Context(), resultcache.OutcomeMem)
 		g.writeStored(resp)
@@ -126,14 +143,16 @@ func (s *Server) serveStored(w http.ResponseWriter, r *http.Request, digest, fin
 
 // capture is a copy of the wire bytes of a response that may be stored,
 // kept in pooled fixed-size chunks and only up to limit, the room the
-// response's cache entry has left: a response that outgrows it is dropped
-// at once, and one that is not stored leaves its chunks to the next
-// capture, so the copy never holds more than the entry could keep, nor a
-// buffer that outlives the request.
+// response's cache entry has left: the copy of a response that outgrows it
+// is dropped at once (over remembers that, for cache.response_refused), and
+// one that is not stored leaves its chunks to the next capture, so the copy
+// never holds more than the entry could keep, nor a buffer that outlives
+// the request.
 type capture struct {
 	chunks          []*[captureChunk]byte
 	n               int
-	limit           int // -1 until the first write
+	limit           int  // -1 until the first write
+	over            bool // the response outgrew limit: nothing is kept
 	cache           *resultcache.Cache
 	digest, fp, key string // where the response is stored
 }
@@ -142,15 +161,20 @@ const captureChunk = 32 << 10
 
 var chunkPool = sync.Pool{New: func() any { return new([captureChunk]byte) }}
 
-// write appends p and reports whether the capture is still within its limit.
-func (c *capture) write(p []byte) bool {
+// write appends p, or drops the copy once it would pass the limit.
+func (c *capture) write(p []byte) {
+	if c.over {
+		return
+	}
 	if c.limit < 0 {
 		// By its first byte the route has resolved the entry — made it
 		// resident and built the views it reads — so its room is known.
 		c.limit = int(min(c.cache.ResponseRoom(c.digest, c.fp, c.key), math.MaxInt))
 	}
 	if c.n+len(p) > c.limit {
-		return false
+		c.release()
+		c.over = true
+		return
 	}
 	for len(p) > 0 {
 		off := c.n % captureChunk
@@ -160,7 +184,6 @@ func (c *capture) write(p []byte) bool {
 		k := copy(c.chunks[len(c.chunks)-1][off:], p)
 		p, c.n = p[k:], c.n+k
 	}
-	return true
 }
 
 // bytes returns the captured bytes in one slice of their exact size.
@@ -253,7 +276,7 @@ type gzipResponseWriter struct {
 	wroteHeader bool
 	passthrough bool
 
-	keep   *capture // nil when not armed, or once the response may not be stored
+	keep   *capture // nil when not armed, or once the response may be neither stored nor counted refused
 	failed bool     // a downstream write failed
 }
 
@@ -293,8 +316,8 @@ func (g *gzipResponseWriter) down(p []byte) (int, error) {
 	if err != nil {
 		g.failed = true
 	}
-	if g.keep != nil && !g.keep.write(p[:n]) {
-		g.dropCapture()
+	if g.keep != nil {
+		g.keep.write(p[:n])
 	}
 	return n, err
 }
@@ -328,9 +351,10 @@ func (g *gzipResponseWriter) writeStored(resp *resultcache.Response) {
 // storeKept stores the captured response with its cache entry if it may be
 // stored: a 200 whose render completed (s.render drops the capture when
 // jsonw.Close reports an error) and whose every byte was delivered, within
-// the capture's limit, while ctx — the request's — stayed live. It releases
-// the capture either way. Call it after Close, which writes the compressed
-// stream's tail.
+// the capture's limit, while ctx — the request's — stayed live. Such a
+// response past the limit is counted as refused. It releases the capture
+// either way. Call it after Close, which writes the compressed stream's
+// tail.
 func (g *gzipResponseWriter) storeKept(ctx context.Context, cache *resultcache.Cache) {
 	c := g.keep
 	if c == nil {
@@ -338,6 +362,10 @@ func (g *gzipResponseWriter) storeKept(ctx context.Context, cache *resultcache.C
 	}
 	defer g.dropCapture()
 	if g.failed || g.code != http.StatusOK || ctx.Err() != nil {
+		return
+	}
+	if c.over {
+		cache.RefuseResponse(c.digest, c.fp, c.key)
 		return
 	}
 	cache.StoreResponse(c.digest, c.fp, c.key, &resultcache.Response{

@@ -302,10 +302,11 @@ const maxSpecBytes = 1 << 20
 // extraction options (bad option → 400), then the endpoint's spec decoder
 // (bad spec → 400 with the field named), then — for the URL-addressed
 // GET/HEAD forms, whose response is immutable per (digest, options,
-// parameters) — the ETag/304 validator, then for a GET the response stored
-// under that ETag with the resident cache entry (serveStored), and only
-// then serve. A POST carries its spec in the body, which the URL-derived
-// ETag cannot cover, so it gets no validator and is never stored.
+// parameters) — the ETag/304 validator, then the response stored for the
+// request with the resident cache entry (serveStored), and only then serve.
+// A GET's stored response is keyed by its ETag. A POST carries its spec in
+// the body, which the URL-derived ETag cannot cover: it gets no validator,
+// and its stored response is keyed by specKey, a hash of the decoded spec.
 func analysis[S any](s *Server, decode func(http.ResponseWriter, *http.Request) (S, error),
 	serve func(w http.ResponseWriter, r *http.Request, digest string, opt core.Options, spec S)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
@@ -320,12 +321,21 @@ func analysis[S any](s *Server, decode func(http.ResponseWriter, *http.Request) 
 			httpError(w, err)
 			return
 		}
-		if r.Method != http.MethodPost {
-			fp := opt.Fingerprint()
+		fp := opt.Fingerprint()
+		var key string
+		if r.Method == http.MethodPost {
+			key = specKey(r, fp, spec)
+		} else {
 			etag, done := s.notModified(w, r, digest, fp)
-			if done || r.Method == http.MethodGet && etag != "" && s.serveStored(w, r, digest, fp, etag) {
+			if done {
 				return
 			}
+			if r.Method == http.MethodGet {
+				key = etag
+			}
+		}
+		if key != "" && s.serveStored(w, r, digest, fp, key) {
+			return
 		}
 		serve(w, r, digest, opt, spec)
 	}

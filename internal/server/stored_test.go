@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"math"
 	"net/http"
@@ -13,7 +14,6 @@ import (
 	"testing"
 	"time"
 
-	"charmtrace/internal/conformance"
 	"charmtrace/internal/core"
 	"charmtrace/internal/jsonw"
 	"charmtrace/internal/lod"
@@ -73,79 +73,130 @@ func sameResponse(a, b *httptest.ResponseRecorder) string {
 	return ""
 }
 
+// storedPosts are the POST analysis requests whose responses are stored:
+// /query with every select kind — /structure's phase table, a filtered
+// steps window, grouped and projected metrics, the viz rows — and the
+// second page of a paged spec (%s is the first page's cursor), and /lod at
+// the default and one other shape.
+var storedPosts = []struct{ path, body string }{
+	{"/query", `{"select":"structure"}`},
+	{"/query", `{"select":"steps","filter":{"chares":[0,1],"steps":{"from":0,"to":8}}}`},
+	{"/query", `{"select":"metrics","group_by":"chare","aggregates":["sum","max"]}`},
+	{"/query", `{"select":"metrics","fields":["event","imbalance"],"limit":4}`},
+	{"/query", `{"select":"viz","filter":{"steps":{"from":0,"to":8}}}`},
+	{"/query", `{"select":"steps","limit":3,"cursor":"%s"}`},
+	{"/lod", `{}`},
+	{"/lod", `{"resolution":256,"steps":{"from":0,"to":8},"max_rows":16,"max_edges":4}`},
+}
+
+// firstCursor is the next_cursor of the first page of storedPosts' paged
+// spec on one trace.
+func firstCursor(t *testing.T, srv *Server, base string) string {
+	t.Helper()
+	rec := serveIn(srv, "POST", base+"/query", `{"select":"steps","limit":3}`, false)
+	var page struct {
+		NextCursor string `json:"next_cursor"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &page); rec.Code != http.StatusOK || err != nil || page.NextCursor == "" {
+		t.Fatalf("first page: %d %s", rec.Code, rec.Body)
+	}
+	return page.NextCursor
+}
+
 // TestStoredResponsesAreByteIdentical: on each of the nine zoo traces,
-// compressed and not, every GET analysis route answers its repeat from the
-// stored response — one store on the first request, one hit on the second —
-// with the status, entity headers and body bytes of the response that was
-// rendered. A response is refused only when it does not fit the room its
-// entry has left (its bound is the entry's own bytes, and a small zoo entry
-// fills it); its repeat renders again, the same bytes. Every route is
+// compressed and not, every GET analysis route and every POST /query and
+// /lod spec answers its repeat from the stored response — one store on the
+// first request, one hit on the second — with the status, entity headers
+// and body bytes of the response that was rendered, and a POST with no
+// ETag. A response is refused only when it does not fit the room its entry
+// has left (its bound is the entry's own bytes, and a small zoo entry
+// fills it); its repeat renders again, the same bytes. Every request is
 // stored, in both codings, on some trace — but for the uncompressed full
 // /steps, which is 1.9 to 2.4 times its entry's bytes on the zoo traces.
 func TestStoredResponsesAreByteIdentical(t *testing.T) {
-	srv, err := New(Config{DataDir: t.TempDir()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	reg := srv.Registry()
-	stores, hits := reg.Counter("cache.response_stores"), reg.Counter("cache.response_hits")
-	fp := core.DefaultOptions().Fingerprint()
-	storedOnce := map[string]bool{}
-	for i, enc := range encodeZoo(t) {
-		if rec := serveIn(srv, "POST", "/v1/traces", string(enc), false); rec.Code != http.StatusCreated {
-			t.Fatalf("upload: %d %s", rec.Code, rec.Body)
-		}
-		digest := tracefile.DigestBytes(enc)
-		base := "/v1/traces/" + digest
-		// The coding asked first alternates, so that each gets the room of
-		// a fresh entry on some traces.
-		for _, gzip := range []bool{i%2 == 0, i%2 == 1} {
-			coding := map[bool]string{true: "gzip", false: "identity"}[gzip]
-			for _, path := range storedGets {
-				s0, h0 := stores.Value(), hits.Value()
-				rendered := serveIn(srv, "GET", base+path, "", gzip)
-				if rendered.Code != http.StatusOK {
-					t.Fatalf("GET %s: %d %s", path, rendered.Code, rendered.Body)
-				}
-				if hits.Value() != h0 {
-					t.Fatalf("GET %s (%s): the first request was a stored-response hit", path, coding)
-				}
-				want := stores.Value() - s0
-				if want == 0 {
-					route, _, _ := strings.Cut(path, "?")
-					key := base + route + " " + rendered.Header().Get("ETag") + " " + coding
-					if room := srv.cache.ResponseRoom(digest, fp, key); int64(rendered.Body.Len()) <= room {
-						t.Fatalf("GET %s (%s, %d bytes): not stored, though its entry has room for %d", path, coding, rendered.Body.Len(), room)
-					}
-				} else {
-					storedOnce[path+" "+coding] = true
-				}
-				stored := serveIn(srv, "GET", base+path, "", gzip)
-				if hits.Value() != h0+want || stores.Value() != s0+want {
-					t.Fatalf("repeat of GET %s (%s): %d hits, %d stores, want %d and %d", path, coding, hits.Value()-h0, stores.Value()-s0, want, want)
-				}
-				if diff := sameResponse(rendered, stored); diff != "" {
-					t.Errorf("GET %s (%s): stored response differs from the rendered one: %s", path, coding, diff)
-				}
-				if c := stored.Header().Get("X-Charmd-Cache"); want == 1 && c != "mem" {
-					t.Errorf("GET %s: stored response says X-Charmd-Cache %q, want mem", path, c)
-				}
-			}
-		}
-	}
+	type request struct{ method, path, body string }
+	var gets, posts []request
 	for _, path := range storedGets {
-		for _, coding := range []string{"gzip", "identity"} {
-			if !storedOnce[path+" "+coding] && path+" "+coding != "/steps identity" {
-				t.Errorf("GET %s (%s) was stored on none of the zoo traces", path, coding)
+		gets = append(gets, request{"GET", path, ""})
+	}
+	for _, p := range storedPosts {
+		posts = append(posts, request{"POST", p.path, p.body})
+	}
+	name := func(rq request) string { return strings.TrimSpace(rq.method + " " + rq.path + " " + rq.body) }
+	zoo := encodeZoo(t)
+	fp := core.DefaultOptions().Fingerprint()
+	// The GETs and the POSTs each get a server of their own, so that each
+	// gets the room of a fresh entry on every trace.
+	for _, requests := range [][]request{gets, posts} {
+		srv, err := New(Config{DataDir: t.TempDir()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		reg := srv.Registry()
+		stores, hits := reg.Counter("cache.response_stores"), reg.Counter("cache.response_hits")
+		storedOnce := map[string]bool{}
+		for i, enc := range zoo {
+			if rec := serveIn(srv, "POST", "/v1/traces", string(enc), false); rec.Code != http.StatusCreated {
+				t.Fatalf("upload: %d %s", rec.Code, rec.Body)
+			}
+			digest := tracefile.DigestBytes(enc)
+			base := "/v1/traces/" + digest
+			cursor := ""
+			if requests[0].method == "POST" {
+				cursor = firstCursor(t, srv, base)
+			}
+			// The coding asked first alternates, so that each gets the room
+			// of a fresh entry on some traces.
+			for _, gzip := range []bool{i%2 == 0, i%2 == 1} {
+				coding := map[bool]string{true: "gzip", false: "identity"}[gzip]
+				for _, rq := range requests {
+					body := strings.Replace(rq.body, "%s", cursor, 1)
+					s0, h0 := stores.Value(), hits.Value()
+					rendered := serveIn(srv, rq.method, base+rq.path, body, gzip)
+					if rendered.Code != http.StatusOK {
+						t.Fatalf("%s: %d %s", name(rq), rendered.Code, rendered.Body)
+					}
+					if hits.Value() != h0 {
+						t.Fatalf("%s (%s): the first request was a stored-response hit", name(rq), coding)
+					}
+					if rq.method == "POST" && rendered.Header().Get("ETag") != "" {
+						t.Errorf("%s: a POST answered with an ETag", name(rq))
+					}
+					want := stores.Value() - s0
+					if want == 0 {
+						if room := srv.cache.ResponseRoom(digest, fp, "not stored"); int64(rendered.Body.Len()) <= room {
+							t.Fatalf("%s (%s, %d bytes): not stored, though its entry has room for %d", name(rq), coding, rendered.Body.Len(), room)
+						}
+					} else {
+						storedOnce[name(rq)+" "+coding] = true
+					}
+					stored := serveIn(srv, rq.method, base+rq.path, body, gzip)
+					if hits.Value() != h0+want || stores.Value() != s0+want {
+						t.Fatalf("repeat of %s (%s): %d hits, %d stores, want %d and %d", name(rq), coding, hits.Value()-h0, stores.Value()-s0, want, want)
+					}
+					if diff := sameResponse(rendered, stored); diff != "" {
+						t.Errorf("%s (%s): stored response differs from the rendered one: %s", name(rq), coding, diff)
+					}
+					if c := stored.Header().Get("X-Charmd-Cache"); want == 1 && c != "mem" {
+						t.Errorf("%s: stored response says X-Charmd-Cache %q, want mem", name(rq), c)
+					}
+				}
 			}
 		}
+		for _, rq := range requests {
+			for _, coding := range []string{"gzip", "identity"} {
+				if !storedOnce[name(rq)+" "+coding] && name(rq)+" "+coding != "GET /steps identity" {
+					t.Errorf("%s (%s) was stored on none of the zoo traces", name(rq), coding)
+				}
+			}
+		}
+		t.Logf("%s: %d of %d responses stored", requests[0].method, stores.Value(), 2*len(requests)*len(zoo))
 	}
-	t.Logf("%d of %d responses stored", stores.Value(), 2*len(storedGets)*len(conformance.Zoo()))
 }
 
-// TestNothingStoredUnlessComplete: only a 200 whose render completed, for a
-// GET, on a resident entry, is stored — not an aborted render (client gone,
-// context cancelled, deadline passed), not a 4xx, 429, 5xx or 504, not a
+// TestNothingStoredUnlessComplete: only a 200 whose render completed, on a
+// resident entry, is stored — not an aborted render (client gone, context
+// cancelled, deadline passed), not a 4xx, 429, 5xx or 504, of a GET or a
 // POST, and nothing on a server whose entries are never resident.
 func TestNothingStoredUnlessComplete(t *testing.T) {
 	enc := jacobiScaled(t, 8, 12)
@@ -238,48 +289,97 @@ func TestNothingStoredUnlessComplete(t *testing.T) {
 		}
 	})
 
+	// An extraction is held at its gate while other requests ask: a second
+	// option set is shed (429) and the holder outlives its deadline (504),
+	// once with a GET holding the slot and once with a POST.
 	t.Run("429 and 504", func(t *testing.T) {
-		entered := make(chan struct{}, 4)
-		gate := make(chan struct{})
-		cfg := Config{MaxConcurrentExtractions: 1, QueueWait: 20 * time.Millisecond, RequestTimeout: 200 * time.Millisecond}
-		cfg.extract = gatedExtract(entered, gate, nil)
-		srv, _ := newTestServer(t, cfg)
-		if rec := serveIn(srv, "POST", "/v1/traces", string(enc), false); rec.Code != http.StatusCreated {
-			t.Fatalf("upload: %d", rec.Code)
-		}
-		base := "/v1/traces/" + tracefile.DigestBytes(enc)
-		n := stored(t, srv, func() {
-			holder := make(chan int, 1)
-			go func() { holder <- serveIn(srv, "GET", base+"/structure", "", true).Code }()
-			<-entered
-			if rec := serveIn(srv, "GET", base+"/structure?infer=false", "", true); rec.Code != http.StatusTooManyRequests {
-				t.Errorf("saturated: %d, want 429", rec.Code)
+		for _, holder := range []struct{ method, path, body string }{
+			{"GET", "/structure", ""},
+			{"POST", "/query", `{"select":"steps","limit":5}`},
+		} {
+			entered := make(chan struct{}, 4)
+			gate := make(chan struct{})
+			cfg := Config{MaxConcurrentExtractions: 1, QueueWait: 20 * time.Millisecond, RequestTimeout: 200 * time.Millisecond}
+			cfg.extract = gatedExtract(entered, gate, nil)
+			srv, _ := newTestServer(t, cfg)
+			if rec := serveIn(srv, "POST", "/v1/traces", string(enc), false); rec.Code != http.StatusCreated {
+				t.Fatalf("upload: %d", rec.Code)
 			}
-			if code := <-holder; code != http.StatusGatewayTimeout {
-				t.Errorf("request outlived by its extraction: %d, want 504", code)
+			base := "/v1/traces/" + tracefile.DigestBytes(enc)
+			n := stored(t, srv, func() {
+				code := make(chan int, 1)
+				go func() { code <- serveIn(srv, holder.method, base+holder.path, holder.body, true).Code }()
+				<-entered
+				for _, shed := range []struct{ method, path, body string }{
+					{"GET", "/structure?infer=false", ""},
+					{"POST", "/query?infer=false", `{"select":"steps","limit":5}`},
+					{"POST", "/lod?infer=false", `{"resolution":8}`},
+				} {
+					if rec := serveIn(srv, shed.method, base+shed.path, shed.body, true); rec.Code != http.StatusTooManyRequests {
+						t.Errorf("saturated %s %s: %d, want 429", shed.method, shed.path, rec.Code)
+					}
+				}
+				if c := <-code; c != http.StatusGatewayTimeout {
+					t.Errorf("%s %s outlived by its extraction: %d, want 504", holder.method, holder.path, c)
+				}
+			})
+			close(gate)
+			if n != 0 {
+				t.Errorf("%s holder: %d shed or timed-out responses stored", holder.method, n)
 			}
-		})
-		close(gate)
-		if n != 0 {
-			t.Errorf("%d shed or timed-out responses stored", n)
 		}
 	})
 
+	// A POST's 200 is stored once, keyed by its spec; a POST that fails is
+	// not: a bad spec, a cursor minted for another spec, an unknown digest,
+	// a body past maxSpecBytes, or a request past its deadline.
 	t.Run("POST", func(t *testing.T) {
 		srv, _ := newTestServer(t, Config{})
 		digest := residentDigest(t, srv, enc)
+		base := "/v1/traces/" + digest
 		n := stored(t, srv, func() {
 			for i := 0; i < 2; i++ {
-				if rec := serveIn(srv, "POST", "/v1/traces/"+digest+"/query", `{"select":"steps","limit":5}`, true); rec.Code != http.StatusOK {
+				if rec := serveIn(srv, "POST", base+"/query", `{"select":"steps","limit":5}`, true); rec.Code != http.StatusOK {
 					t.Errorf("POST /query: %d", rec.Code)
 				}
-				if rec := serveIn(srv, "POST", "/v1/traces/"+digest+"/lod", `{"resolution":8}`, true); rec.Code != http.StatusOK {
+				if rec := serveIn(srv, "POST", base+"/lod", `{"resolution":8}`, true); rec.Code != http.StatusOK {
 					t.Errorf("POST /lod: %d", rec.Code)
 				}
 			}
 		})
+		if n != 2 {
+			t.Errorf("%d POST responses stored, want one per spec", n)
+		}
+		cursor := firstCursor(t, srv, base)
+		unknown := "/v1/traces/" + strings.Repeat("0", 64)
+		n = stored(t, srv, func() {
+			for _, tc := range []struct {
+				path, body string
+				code       int
+			}{
+				{base + "/query", `{"select":"bogus"}`, http.StatusBadRequest},
+				{base + "/lod", `{"resolution":-1}`, http.StatusBadRequest},
+				{base + "/query", `{"select":"metrics","limit":3,"cursor":"` + cursor + `"}`, http.StatusBadRequest},
+				{unknown + "/query", `{"select":"steps","limit":5}`, http.StatusNotFound},
+				{unknown + "/lod", `{"resolution":8}`, http.StatusNotFound},
+				{base + "/query", `{"select":"steps","fields":["` + strings.Repeat("x", maxSpecBytes) + `"]}`, http.StatusBadRequest},
+			} {
+				for i := 0; i < 2; i++ {
+					if rec := serveIn(srv, "POST", tc.path, tc.body, true); rec.Code != tc.code {
+						t.Errorf("POST %.90s %.40s: %d, want %d", tc.path, tc.body, rec.Code, tc.code)
+					}
+				}
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), 0)
+			defer cancel()
+			rec := httptest.NewRecorder()
+			srv.ServeHTTP(rec, httptest.NewRequest("POST", base+"/query", strings.NewReader(`{"select":"steps","limit":6}`)).WithContext(ctx))
+			if rec.Code != http.StatusGatewayTimeout {
+				t.Errorf("POST /query past its deadline: %d, want 504", rec.Code)
+			}
+		})
 		if n != 0 {
-			t.Errorf("%d POST responses stored", n)
+			t.Errorf("%d failed POST responses stored", n)
 		}
 	})
 
@@ -338,8 +438,9 @@ func TestRenderErrorIsNotStored(t *testing.T) {
 }
 
 // TestStoredResponsesLeaveWithTheirEntry: when the entry a response was
-// stored with is evicted, cache.response_bytes returns to 0 and the next
-// request renders again — the same bytes.
+// stored with is evicted, the response goes with it — cache.response_bytes
+// falls to what the one resident entry stored — and the next request
+// renders again, the same bytes.
 func TestStoredResponsesLeaveWithTheirEntry(t *testing.T) {
 	srv, _ := newTestServer(t, Config{MaxMemEntries: 1})
 	a := residentDigest(t, srv, jacobiScaled(t, 4, 4))
@@ -353,18 +454,24 @@ func TestStoredResponsesLeaveWithTheirEntry(t *testing.T) {
 	if h == 0 {
 		t.Fatal("the repeat was not served from the stored response")
 	}
-	// Reading b evicts a's entry (one entry fits), and a POST on a — which
-	// stores nothing — evicts b's with the responses b stored: the one
-	// entry left has none.
+	// Reading b evicts a's entry (one entry fits); a POST on b stores one
+	// response more, whose gauge step gives the per-response overhead.
 	b := residentDigest(t, srv, jacobiScaled(t, 4, 5))
-	if rec := serveIn(srv, "POST", "/v1/traces/"+b+"/query", `{"select":"steps","limit":5}`, true); rec.Code != http.StatusOK {
-		t.Fatalf("POST /query: %d", rec.Code)
+	spec := `{"select":"steps","limit":5}`
+	g0 := gauge.Value()
+	postB := serveIn(srv, "POST", "/v1/traces/"+b+"/query", spec, true)
+	if postB.Code != http.StatusOK {
+		t.Fatalf("POST /query: %d", postB.Code)
 	}
-	if rec := serveIn(srv, "POST", "/v1/traces/"+a+"/query", `{"select":"steps","limit":5}`, true); rec.Code != http.StatusOK {
-		t.Fatalf("POST /query: %d", rec.Code)
+	overhead := gauge.Value() - g0 - float64(postB.Body.Len())
+	// The same POST on a evicts b's entry with every response b stored
+	// and stores its own: the one entry left holds only that one.
+	postA := serveIn(srv, "POST", "/v1/traces/"+a+"/query", spec, true)
+	if postA.Code != http.StatusOK {
+		t.Fatalf("POST /query: %d", postA.Code)
 	}
-	if got := gauge.Value(); got != 0 {
-		t.Errorf("cache.response_bytes = %v with only a re-resolved entry resident, want 0", got)
+	if got, want := gauge.Value(), float64(postA.Body.Len())+overhead; got != want {
+		t.Errorf("cache.response_bytes = %v with only a re-resolved entry and its one POST resident, want %v", got, want)
 	}
 	again := serveIn(srv, "GET", "/v1/traces/"+a+"/steps?steps=0..1", "", false)
 	if hits.Value() != h {
@@ -375,17 +482,85 @@ func TestStoredResponsesLeaveWithTheirEntry(t *testing.T) {
 	}
 }
 
+// TestPostStoredBySpec: a POST's stored response is keyed by its decoded
+// spec, options and route. Two bodies of one spec that differ in key order
+// and whitespace share it — the second is a hit, the same bytes — while a
+// different filter, a different option set (?preset=mp) and GET /lod with
+// the settings of a POST /lod spec each render their own.
+func TestPostStoredBySpec(t *testing.T) {
+	srv, _ := newTestServer(t, Config{})
+	digest := residentDigest(t, srv, jacobiScaled(t, 4, 6))
+	base := "/v1/traces/" + digest
+	reg := srv.Registry()
+	stores, hits := reg.Counter("cache.response_stores"), reg.Counter("cache.response_hits")
+	// serve answers one request and reports whether it was a stored hit.
+	serve := func(method, path, body string) (*httptest.ResponseRecorder, bool) {
+		t.Helper()
+		h0 := hits.Value()
+		rec := serveIn(srv, method, base+path, body, true)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s %s %s: %d %s", method, path, body, rec.Code, rec.Body)
+		}
+		return rec, hits.Value() != h0
+	}
+
+	spec := `{"select":"steps","filter":{"chares":[0,1],"steps":{"from":0,"to":6}},"limit":4}`
+	respelt := "{\n  \"limit\": 4,\n  \"filter\": { \"steps\": {\"to\":6, \"from\":0}, \"chares\": [0, 1] },\n  \"select\": \"steps\"\n}"
+	s0 := stores.Value()
+	rendered, hit := serve("POST", "/query", spec)
+	if hit || stores.Value() != s0+1 {
+		t.Fatalf("first POST: hit %v, %d stores, want a render and one store", hit, stores.Value()-s0)
+	}
+	stored, hit := serve("POST", "/query", respelt)
+	if !hit {
+		t.Error("a respelt body of the same spec was not served from its stored response")
+	}
+	if diff := sameResponse(rendered, stored); diff != "" {
+		t.Errorf("respelt body: %s", diff)
+	}
+	if stores.Value() != s0+1 {
+		t.Errorf("%d stores for one spec in two spellings, want 1", stores.Value()-s0)
+	}
+
+	for _, other := range []struct{ method, path, body string }{
+		{"POST", "/query", `{"select":"steps","filter":{"chares":[0,2],"steps":{"from":0,"to":6}},"limit":4}`},
+		{"POST", "/query?preset=mp", spec},
+		{"GET", "/lod?resolution=8&max_rows=4", ""},
+		{"POST", "/lod", `{"resolution":8,"max_rows":4}`},
+	} {
+		if _, hit := serve(other.method, other.path, other.body); hit {
+			t.Errorf("%s %s %s: served from another request's stored response", other.method, other.path, other.body)
+		}
+		if _, hit := serve(other.method, other.path, other.body); !hit {
+			t.Errorf("%s %s %s: the repeat was not served from its stored response", other.method, other.path, other.body)
+		}
+	}
+}
+
 // TestConcurrentReadsWhileEvicted: many goroutines read one URL, compressed
 // and not, while other requests evict its entry over and over: every answer
 // is a 200 with the bytes of the first. Run under -race by make verify.
 func TestConcurrentReadsWhileEvicted(t *testing.T) {
+	readWhileEvicted(t, "GET", "/lod?resolution=64", "")
+}
+
+// TestConcurrentPostsWhileEvicted is TestConcurrentReadsWhileEvicted for
+// one POST /query spec.
+func TestConcurrentPostsWhileEvicted(t *testing.T) {
+	readWhileEvicted(t, "POST", "/query", `{"select":"steps","filter":{"steps":{"from":0,"to":8}},"limit":20}`)
+}
+
+func readWhileEvicted(t *testing.T, method, path, body string) {
 	srv, _ := newTestServer(t, Config{MaxMemEntries: 1})
 	a := residentDigest(t, srv, jacobiScaled(t, 4, 4))
 	b := residentDigest(t, srv, jacobiScaled(t, 4, 5))
-	url := "/v1/traces/" + a + "/lod?resolution=64"
+	url := "/v1/traces/" + a + path
 	want := map[bool]*httptest.ResponseRecorder{}
 	for _, gzip := range []bool{true, false} {
-		want[gzip] = serveIn(srv, "GET", url, "", gzip)
+		want[gzip] = serveIn(srv, method, url, body, gzip)
+		if want[gzip].Code != http.StatusOK {
+			t.Fatalf("%s %s: %d %s", method, url, want[gzip].Code, want[gzip].Body)
+		}
 	}
 	const readers, reads = 8, 25
 	var wg sync.WaitGroup
@@ -407,7 +582,7 @@ func TestConcurrentReadsWhileEvicted(t *testing.T) {
 		go func(gzip bool) {
 			defer readersWG.Done()
 			for i := 0; i < reads; i++ {
-				if diff := sameResponse(want[gzip], serveIn(srv, "GET", url, "", gzip)); diff != "" {
+				if diff := sameResponse(want[gzip], serveIn(srv, method, url, body, gzip)); diff != "" {
 					t.Errorf("gzip %v: %s", gzip, diff)
 					return
 				}

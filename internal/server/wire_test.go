@@ -289,7 +289,8 @@ func TestRenderAllocationsDoNotScaleWithRows(t *testing.T) {
 // its entry's room costs no copy that grows with it. Through ServeHTTP, the
 // uncompressed full /steps of the 10x trace, over twice its entry's bytes
 // and so never stored, renders on every repeat and allocates well under its
-// own size: the capture stops at the room and its chunks are pooled.
+// own size: the capture stops at the room and its chunks are pooled. Each
+// repeat counts in cache.response_refused.
 func TestAllocationsStayBoundedWhenNotStored(t *testing.T) {
 	srv, _ := newTestServer(t, Config{})
 	large := residentDigest(t, srv, jacobiScaled(t, 4, 40))
@@ -297,13 +298,14 @@ func TestAllocationsStayBoundedWhenNotStored(t *testing.T) {
 	req := httptest.NewRequest("GET", "/v1/traces/"+large+"/steps", nil)
 	reg := srv.Registry()
 	stores, body := reg.Counter("cache.response_stores"), reg.Counter("server.body_bytes.steps")
+	refused := reg.Counter("cache.response_refused")
 	// As in TestRenderAllocationsDoNotScaleWithRows: no collection to empty
 	// the pools, and one P, whose private pool slot the loop reuses.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	w.serve(srv, req) // fill the pools
 	const runs = 20
-	s0, b0 := stores.Value(), body.Value()
+	s0, b0, r0 := stores.Value(), body.Value(), refused.Value()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i := 0; i < runs; i++ {
@@ -312,6 +314,9 @@ func TestAllocationsStayBoundedWhenNotStored(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	if n := stores.Value() - s0; n != 0 {
 		t.Fatalf("%d responses stored; the test wants one over its entry's room", n)
+	}
+	if n := refused.Value() - r0; n != runs {
+		t.Errorf("cache.response_refused moved by %d over %d complete responses past their room", n, runs)
 	}
 	size := (body.Value() - b0) / runs
 	perResp := int64(after.TotalAlloc-before.TotalAlloc) / runs
@@ -366,11 +371,8 @@ func TestBodyAndWireByteCounters(t *testing.T) {
 
 // ---- render benchmarks (make bench-wire) ----------------------------------
 
-// benchRender serves one warm request per iteration to a discarding
-// connection, compressed as the repository benchmark's clients ask, and
-// reports time and bytes per row beside the usual columns. Every iteration
-// renders (see below); BenchmarkServeStored times a repeat.
-func benchRender(b *testing.B, app string, p cli.Params, path string, rows func(body []byte) int) {
+// benchServer is a server holding app's trace, resident and warm.
+func benchServer(b *testing.B, app string, p cli.Params) (*Server, string) {
 	tr, _, err := cli.Generate(app, p)
 	if err != nil {
 		b.Fatal(err)
@@ -383,28 +385,47 @@ func benchRender(b *testing.B, app string, p cli.Params, path string, rows func(
 	if err != nil {
 		b.Fatal(err)
 	}
-	digest := residentDigest(b, srv, enc.Bytes())
-	rec := httptest.NewRecorder()
-	srv.ServeHTTP(rec, httptest.NewRequest("GET", "/v1/traces/"+digest+path, nil))
+	return srv, residentDigest(b, srv, enc.Bytes())
+}
+
+// benchRender serves one warm request per iteration to a discarding
+// connection, compressed as the repository benchmark's clients ask, and
+// reports time and bytes per row beside the usual columns. path is a GET
+// URL; with spec set the request is a POST of spec(i). Every iteration
+// renders (see below); BenchmarkServeStored times a repeat.
+func benchRender(b *testing.B, app string, p cli.Params, path string, spec func(i int) string, rows func(body []byte) int) {
+	srv, digest := benchServer(b, app, p)
+	method, body := "GET", func(int) string { return "" }
+	if spec != nil {
+		method, body = "POST", spec
+	}
+	rec := serveIn(srv, method, "/v1/traces/"+digest+path, body(-1), false)
 	if rec.Code != http.StatusOK {
-		b.Fatalf("GET %s: %d %s", path, rec.Code, rec.Body)
+		b.Fatalf("%s %s: %d %s", method, path, rec.Code, rec.Body)
 	}
 	n := rows(rec.Body.Bytes())
-	// Each iteration asks for a URL of its own — a parameter that changes
-	// nothing in the body — so that it renders, compresses and stores the
-	// response, as a first request does, instead of serving a stored one.
-	sep := "?"
-	if strings.Contains(path, "?") {
-		sep = "&"
+	// Each iteration asks for a URL or a spec of its own — a parameter that
+	// changes nothing in the body — so that it renders, compresses and
+	// stores the response, as a first request does, instead of serving a
+	// stored one.
+	if spec == nil {
+		sep := "?"
+		if strings.Contains(path, "?") {
+			sep = "&"
+		}
+		path += sep + "n="
 	}
-	base := "/v1/traces/" + digest + path + sep + "n="
-	req := httptest.NewRequest("GET", base, nil)
+	req := httptest.NewRequest(method, "/v1/traces/"+digest+path, nil)
 	req.Header.Set("Accept-Encoding", "gzip")
 	w := &discardWriter{hdr: http.Header{}}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		req.URL.RawQuery = req.URL.RawQuery[:strings.LastIndexByte(req.URL.RawQuery, '=')+1] + strconv.Itoa(i)
+		if spec == nil {
+			req.URL.RawQuery = req.URL.RawQuery[:strings.LastIndexByte(req.URL.RawQuery, '=')+1] + strconv.Itoa(i)
+		} else {
+			req.Body = io.NopCloser(strings.NewReader(spec(i)))
+		}
 		w.serve(srv, req)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/row")
@@ -418,50 +439,64 @@ func countOf(marker string) func([]byte) int {
 var benchJacobi = cli.Params{Scale: 8, Iterations: 12} // the medium jacobi of make bench-lod
 
 func BenchmarkRenderStepsFull(b *testing.B) {
-	benchRender(b, "jacobi", benchJacobi, "/steps", countOf(`"event":`))
+	benchRender(b, "jacobi", benchJacobi, "/steps", nil, countOf(`"event":`))
 }
 
 func BenchmarkRenderStepsWindow(b *testing.B) {
-	benchRender(b, "jacobi", benchJacobi, "/steps?steps=0..20", countOf(`"event":`))
+	benchRender(b, "jacobi", benchJacobi, "/steps?steps=0..20", nil, countOf(`"event":`))
 }
 
 func BenchmarkRenderMetricsGrouped(b *testing.B) {
-	benchRender(b, "jacobi", benchJacobi, "/metrics?group_by=chare", countOf(`"chare":`))
+	benchRender(b, "jacobi", benchJacobi, "/metrics?group_by=chare", nil, countOf(`"chare":`))
 }
 
 func BenchmarkRenderStructure(b *testing.B) {
-	benchRender(b, "jacobi", benchJacobi, "/structure", countOf(`"id":`))
+	benchRender(b, "jacobi", benchJacobi, "/structure", nil, countOf(`"id":`))
 }
 
-// BenchmarkServeStored times the repeat of a full /steps request: the
-// stored response's bytes, written in one call — no render, no compression.
+// BenchmarkRenderQueryPost is the repository benchmark's POST /query shape,
+// a steps query over a block of four chares; each iteration's step window
+// ends at a step of its own past the last, which changes nothing in the
+// body.
+func BenchmarkRenderQueryPost(b *testing.B) {
+	benchRender(b, "jacobi", benchJacobi, "/query", queryPostSpec, countOf(`"event":`))
+}
+
+func queryPostSpec(i int) string {
+	return `{"select":"steps","filter":{"chares":[0,1,2,3],"steps":{"from":0,"to":` + strconv.Itoa(1<<20+i) + `}}}`
+}
+
+// BenchmarkServeStored times a repeat served from the stored response's
+// bytes, written in one call — no render, no compression, no query: of a
+// full /steps GET and of a POST /query.
 func BenchmarkServeStored(b *testing.B) {
-	tr, _, err := cli.Generate("jacobi", benchJacobi)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var enc bytes.Buffer
-	if err := tracefile.WriteBinary(&enc, tr); err != nil {
-		b.Fatal(err)
-	}
-	srv, err := New(Config{DataDir: b.TempDir()})
-	if err != nil {
-		b.Fatal(err)
-	}
-	digest := residentDigest(b, srv, enc.Bytes())
-	req := httptest.NewRequest("GET", "/v1/traces/"+digest+"/steps", nil)
-	req.Header.Set("Accept-Encoding", "gzip")
-	w := &discardWriter{hdr: http.Header{}}
-	w.serve(srv, req) // renders and stores the compressed response
-	hits := srv.Registry().Counter("cache.response_hits")
-	before := hits.Value()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		w.serve(srv, req)
-	}
-	b.StopTimer()
-	if got := hits.Value() - before; got != int64(b.N) {
-		b.Fatalf("%d of %d requests served from the stored response", got, b.N)
+	srv, digest := benchServer(b, "jacobi", benchJacobi)
+	for _, rq := range []struct{ name, method, path, body string }{
+		{"steps", "GET", "/steps", ""},
+		{"query", "POST", "/query", queryPostSpec(0)},
+	} {
+		b.Run(rq.name, func(b *testing.B) {
+			req := httptest.NewRequest(rq.method, "/v1/traces/"+digest+rq.path, nil)
+			req.Header.Set("Accept-Encoding", "gzip")
+			serve := func(w *discardWriter) {
+				if rq.body != "" {
+					req.Body = io.NopCloser(strings.NewReader(rq.body))
+				}
+				w.serve(srv, req)
+			}
+			w := &discardWriter{hdr: http.Header{}}
+			serve(w) // renders and stores the compressed response
+			hits := srv.Registry().Counter("cache.response_hits")
+			before := hits.Value()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				serve(w)
+			}
+			b.StopTimer()
+			if got := hits.Value() - before; got != int64(b.N) {
+				b.Fatalf("%d of %d requests served from the stored response", got, b.N)
+			}
+		})
 	}
 }
