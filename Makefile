@@ -11,7 +11,8 @@ test:
 # verify is the tier-1 recipe (see README "Testing" and
 # .claude/skills/verify/SKILL.md), plus a -race leg over the concurrent
 # serving packages (the per-trace file store's appends, GC rewrites and
-# readers, result cache singleflight and trace-ownership hooks,
+# readers, result cache singleflight and trace-ownership hooks, stored
+# responses spilled at eviction racing their lookups on disk,
 # HTTP handlers with the trace-residency, row-route golden/differential,
 # aborted-render and pooled-compressor tests, query engine, the JSON writer,
 # the cluster gateway + multi-node E2E harness) and over the
@@ -165,7 +166,9 @@ bench-codec:
 # row. Each iteration asks for a URL or a spec not seen before, so it
 # renders, compresses and stores the response rather than serving a stored
 # one; BenchmarkServeStored times the repeats (a full /steps GET, a POST
-# /query) that are served from the stored bytes. For measuring while working
+# /query) that are served from the stored bytes kept with the resident entry,
+# and (/spilled) the /steps GET served from the section its bytes were
+# spilled to when the entry was evicted. For measuring while working
 # on the wire path (internal/jsonw, the renderers and the compressor pool in
 # internal/server, query.Rows, stored responses); claims go through
 # bench-repo. BENCHRUNS as for bench-steps.

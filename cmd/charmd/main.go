@@ -44,7 +44,7 @@ func main() {
 	reqTimeout := flag.Duration("request-timeout", 60*time.Second, "per-request analysis timeout")
 	maxExtractions := flag.Int("max-extractions", 0, "concurrent extraction slots before load shedding (0 = GOMAXPROCS, negative = unlimited)")
 	queueWait := flag.Duration("queue-wait", time.Second, "how long a request queues for an extraction slot before a 429 + Retry-After")
-	maxResultBytes := flag.Int64("max-result-bytes", 0, "on-disk result bound in bytes; past it the results of the least-recently-used traces are GCed (0 = unbounded)")
+	maxResultBytes := flag.Int64("max-result-bytes", 0, "on-disk bound in bytes on results and spilled responses together; past it the results and responses of the least-recently-used traces are GCed (0 = unbounded)")
 	nodeName := flag.String("node-name", "", "this node's cluster member name (labels metrics and logs; required with -peers)")
 	peers := flag.String("peers", "", "cluster member list as name=url,name=url (must include -node-name; enables peer cache fill)")
 	drain := flag.Duration("drain", 30*time.Second, "graceful-shutdown drain budget")

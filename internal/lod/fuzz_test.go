@@ -26,10 +26,19 @@ func FuzzLodSpec(f *testing.F) {
 	// Found by this target: a diff digest that is not UTF-8 was accepted,
 	// and came back from JSON as U+FFFD.
 	f.Add("1", "", "", "", "", "", "\x9e", []byte(nil))
+	// A spec with bytes after its JSON value: refused, naming (body).
+	f.Add("8", "", "", "", "", "", "", []byte(`{"resolution":8}{"resolution":16}`))
 	f.Fuzz(func(t *testing.T, resolution, steps, maxRows, maxEdges, edges, render, diff string, raw []byte) {
 		var le *Error
 		if _, err := ParseSpec(bytes.NewReader(raw)); err != nil && !errors.As(err, &le) {
 			t.Fatalf("ParseSpec(%q): rejection %v (%T) is not a *lod.Error", raw, err, err)
+		} else if err == nil {
+			var v json.RawMessage
+			d := json.NewDecoder(bytes.NewReader(raw))
+			d.Decode(&v)
+			if rest := bytes.Trim(raw[d.InputOffset():], " \t\r\n"); len(rest) != 0 {
+				t.Fatalf("ParseSpec(%q) accepted %q after the spec", raw, rest)
+			}
 		}
 		q := url.Values{}
 		for k, v := range map[string]string{

@@ -128,6 +128,27 @@ func TestSpecFromParams(t *testing.T) {
 	}
 }
 
+// TestParseSpecRejectsTrailingData: a body must be one JSON value and
+// nothing after it but white space; anything more is a *Error naming
+// (body), not the spec of its first value.
+func TestParseSpecRejectsTrailingData(t *testing.T) {
+	for _, body := range []string{
+		`{"resolution":8} junk`,
+		`{"resolution":8}{"resolution":-1}`,
+		`{"resolution":8}]`,
+		`{"resolution":8} "native"`,
+	} {
+		_, err := ParseSpec(strings.NewReader(body))
+		var le *Error
+		if !errors.As(err, &le) || le.Field != "(body)" {
+			t.Errorf("ParseSpec(%q) = %v, want a (body) error", body, err)
+		}
+	}
+	if sp, err := ParseSpec(strings.NewReader("{\"resolution\":8}\n\n")); err != nil || sp.Resolution != 8 {
+		t.Errorf("a spec followed by newlines: %+v, %v", sp, err)
+	}
+}
+
 func TestParseSpecUnknownField(t *testing.T) {
 	if _, err := ParseSpec(strings.NewReader(`{"resolutoin": 64}`)); err == nil {
 		t.Error("misspelled spec field accepted")

@@ -102,13 +102,17 @@ type Spec struct {
 const maxSpecBytes = 1 << 20
 
 // ParseSpec decodes and validates a JSON spec. Unknown fields are errors —
-// a misspelled option must not silently return the default aggregation.
+// a misspelled option must not silently return the default aggregation —
+// and so is anything but white space after the spec's one JSON value.
 func ParseSpec(r io.Reader) (Spec, error) {
 	var sp Spec
 	dec := json.NewDecoder(io.LimitReader(r, maxSpecBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&sp); err != nil {
 		return sp, errf("", "invalid JSON: %v", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return sp, errf("(body)", "data after the spec's JSON value")
 	}
 	if err := sp.Validate(); err != nil {
 		return sp, err

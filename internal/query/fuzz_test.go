@@ -37,9 +37,13 @@ func FuzzQuerySpec(f *testing.F) {
 	// the JSON form has none.
 	f.Add("viz", "", "", "", "", "", "", "0", "\xd8", []byte("0"))
 	f.Add("metrics", "0", "", "", "", " ", "", "", "", []byte(nil))
+	// A spec with bytes after its JSON value: refused, naming (body).
+	f.Add("steps", "", "", "", "", "", "", "2", "", []byte(`{"select":"steps","limit":2} junk`))
 	f.Fuzz(func(t *testing.T, sel, phase, chares, steps, groupBy, aggs, fields, limit, page string, raw []byte) {
 		if _, err := ParseSpec(bytes.NewReader(raw)); err != nil {
 			asSpecError(t, fmt.Sprintf("ParseSpec(%q)", raw), err)
+		} else if rest := afterValue(raw); len(rest) != 0 {
+			t.Fatalf("ParseSpec(%q) accepted %q after the spec", raw, rest)
 		}
 		q := url.Values{}
 		for k, v := range map[string]string{
@@ -70,6 +74,15 @@ func FuzzQuerySpec(f *testing.F) {
 			t.Fatalf("SpecFromParams(%q, %v) = %#v, but its JSON %s parses to %#v", sel, q, spec, body, back)
 		}
 	})
+}
+
+// afterValue is what follows the first JSON value of b, less JSON white
+// space.
+func afterValue(b []byte) []byte {
+	var v json.RawMessage
+	d := json.NewDecoder(bytes.NewReader(b))
+	d.Decode(&v)
+	return bytes.Trim(b[d.InputOffset():], " \t\r\n")
 }
 
 // FuzzStepRange: the one window parser never panics, refuses with a *Error

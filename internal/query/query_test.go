@@ -310,6 +310,30 @@ func TestExecBoundsErrors(t *testing.T) {
 	}
 }
 
+// TestParseSpecRejectsTrailingData: a body must be one JSON value and
+// nothing after it but white space; anything more — a second value, a stray
+// brace, text — is a *Error naming (body), not the spec of its first value.
+func TestParseSpecRejectsTrailingData(t *testing.T) {
+	for _, body := range []string{
+		`{"select":"steps","limit":2} junk`,
+		`{"select":"steps","limit":2}{"select":"bogus"}`,
+		`{"select":"steps","limit":2}}`,
+		`{"select":"steps","limit":2} 7`,
+		`{"select":"steps","limit":2}` + "\n\x00",
+	} {
+		_, err := ParseSpec(strings.NewReader(body))
+		var qe *Error
+		if !errors.As(err, &qe) || qe.Field != "(body)" {
+			t.Errorf("ParseSpec(%q) = %v, want a (body) error", body, err)
+		}
+	}
+	for _, body := range []string{`{"select":"steps","limit":2}`, " {\"select\":\"steps\",\"limit\":2} \r\n\t "} {
+		if spec, err := ParseSpec(strings.NewReader(body)); err != nil || spec.Limit != 2 {
+			t.Errorf("ParseSpec(%q) = %+v, %v", body, spec, err)
+		}
+	}
+}
+
 func TestParseSpecRejectsUnknownFields(t *testing.T) {
 	_, err := ParseSpec(strings.NewReader(`{"select":"steps","filters":{}}`))
 	var qe *Error

@@ -117,13 +117,16 @@ var aggNames = []string{"count", "sum", "mean", "max"}
 
 // ParseSpec decodes and validates a JSON spec, rejecting unknown fields so
 // a typo like "filters" fails loudly instead of silently selecting
-// everything.
+// everything, and anything but white space after the spec's one JSON value.
 func ParseSpec(r io.Reader) (Spec, error) {
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	var s Spec
 	if err := dec.Decode(&s); err != nil {
 		return Spec{}, specErrf("(body)", "invalid JSON: %v", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return Spec{}, specErrf("(body)", "data after the spec's JSON value")
 	}
 	if err := s.Validate(); err != nil {
 		return Spec{}, err

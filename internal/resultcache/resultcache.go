@@ -37,15 +37,16 @@
 //
 // A resident entry also keeps the finished responses the serving layer
 // rendered from it (StoreResponse, LookupResponse), within a budget of the
-// entry's own bytes, and drops them when the entry is evicted.
+// entry's own bytes. When the entry is evicted they are spilled into its
+// trace's file, from which a repeat of the request is still served.
 //
 // Cached structures are shared between requests and must be treated as
 // read-only; everything the serving layer does (rendering, metrics,
 // structdiff) only reads. Every layer's traffic is counted in a
 // telemetry.Registry so /debug/stats can report hit rates and extraction
 // latency. When Config.MaxDiskBytes is set, the disk layer is size-bounded:
-// after each write the result sections of the least-recently-used traces
-// are garbage-collected until the store fits.
+// after each write the result and response sections of the
+// least-recently-used traces are garbage-collected until the store fits.
 package resultcache
 
 import (
@@ -91,9 +92,10 @@ type Config struct {
 	// MaxMemEntries bounds the in-memory LRU (0 = DefaultMaxMemEntries,
 	// negative = no memory layer).
 	MaxMemEntries int
-	// MaxDiskBytes bounds the result sections of the on-disk store: after
-	// each write, every result of the least-recently-used trace is evicted,
-	// trace after trace, until the total fits. 0 leaves the store unbounded.
+	// MaxDiskBytes bounds the result and spilled-response sections of the
+	// on-disk store together: after each write, every result and response
+	// of the least-recently-used trace is evicted, trace after trace, until
+	// the total fits. 0 leaves the store unbounded.
 	MaxDiskBytes int64
 	// DetachedTimeout is the hard cap on one detached flight's extraction:
 	// a flight every requester has abandoned is cancelled cooperatively
@@ -161,6 +163,7 @@ type Cache struct {
 	tableOf         func(ctx context.Context, traceDigest string) (*trace.Table, error)
 	maxEntryBytes   int64
 	readResult      func(traceDigest, key string) ([]byte, error) // the store's read; swapped by fault-injection tests
+	wire            int                                           // wireVersion; bumped by tests
 
 	reg           *telemetry.Registry
 	hits          *telemetry.Counter // total hits (memory + disk)
@@ -182,6 +185,7 @@ type Cache struct {
 	respHits      *telemetry.Counter // requests answered from a stored response (cache.response_hits)
 	respStores    *telemetry.Counter // responses stored (cache.response_stores)
 	respRefused   *telemetry.Counter // complete responses past their entry's room (cache.response_refused)
+	respSpills    *telemetry.Counter // responses appended to their trace's file at eviction (cache.response_spills)
 	respBytesG    *telemetry.Gauge   // stored responses' bytes (cache.response_bytes)
 
 	mu      sync.Mutex
@@ -246,7 +250,7 @@ type viewState struct {
 // entry is one memory-resident result plus its lazily-built derived views
 // and the responses stored from it.
 type entry struct {
-	id          string
+	id, digest  string
 	s           *core.Structure
 	structBytes int64 // s.Bytes()
 	tableBytes  int64 // s.Table().Bytes() when s holds its table and no trace, else 0
@@ -347,6 +351,7 @@ func New(cfg Config) (*Cache, error) {
 		respHits:        reg.Counter("cache.response_hits"),
 		respStores:      reg.Counter("cache.response_stores"),
 		respRefused:     reg.Counter("cache.response_refused"),
+		respSpills:      reg.Counter("cache.response_spills"),
 		respBytesG:      reg.Gauge("cache.response_bytes"),
 		entries:         make(map[string]*list.Element),
 		lru:             list.New(),
@@ -359,6 +364,7 @@ func New(cfg Config) (*Cache, error) {
 	c.readResult = func(traceDigest, key string) ([]byte, error) {
 		return st.Read(traceDigest, store.Result, key)
 	}
+	c.wire = wireVersion
 	return c, nil
 }
 
@@ -626,11 +632,13 @@ func (c *Cache) launchFlightLocked(callerCtx context.Context, id, traceDigest st
 		c.mu.Lock()
 		delete(c.flights, id)
 		c.flightsG.Set(float64(len(c.flights)))
+		var evicted []*entry
 		if fl.err == nil {
-			c.insertLocked(id, fl.s)
+			evicted = c.insertLocked(id, traceDigest, fl.s)
 		}
 		c.mu.Unlock()
 		close(fl.done)
+		c.spill(evicted) // the waiters have their answer: they do not wait for the disk
 	}()
 	return fl
 }
@@ -924,21 +932,24 @@ func (c *Cache) gcDisk() {
 // Caller holds c.mu. Re-inserting a resident id keeps the existing entry
 // (the key is a content address, so the structures are interchangeable,
 // and keeping the old one preserves its built views). Evicting an entry
-// releases the bytes of its accounted views from their gauges.
-func (c *Cache) insertLocked(id string, s *core.Structure) {
+// releases the bytes of its accounted views from their gauges. It returns
+// the evicted entries that stored responses, for the caller to spill once
+// it has released c.mu.
+func (c *Cache) insertLocked(id, traceDigest string, s *core.Structure) []*entry {
 	if c.maxEntries == 0 {
-		return
+		return nil
 	}
 	if el, ok := c.entries[id]; ok {
 		c.lru.MoveToFront(el)
-		return
+		return nil
 	}
-	e := &entry{id: id, s: s, structBytes: s.Bytes()}
+	e := &entry{id: id, digest: traceDigest, s: s, structBytes: s.Bytes()}
 	if s.Trace == nil {
 		e.tableBytes = s.Table().Bytes()
 	}
 	c.tableBytes += e.tableBytes
 	c.entries[id] = c.lru.PushFront(e)
+	var evicted []*entry
 	for c.lru.Len() > c.maxEntries {
 		back := c.lru.Back()
 		c.lru.Remove(back)
@@ -953,8 +964,12 @@ func (c *Cache) insertLocked(id string, s *core.Structure) {
 			}
 		}
 		c.evictions.Add(1)
+		if len(e.responses) > 0 {
+			evicted = append(evicted, e)
+		}
 	}
 	c.memEntries.Set(float64(c.lru.Len()))
 	c.tableBytesG.Set(float64(c.tableBytes))
 	c.respBytesG.Set(float64(c.respBytes))
+	return evicted
 }

@@ -19,9 +19,9 @@ import (
 // generated by this test with -update at 51967d2, the commit before the
 // self-trace recorder was deleted; the only lines removed since are the
 // three server.{latency_ms,body_bytes,wire_bytes}.selftrace series and
-// their /metrics families, and the only ones added the four
-// cache.response_{hits,stores,bytes,refused} series of stored responses and
-// their families. -update rewrites it — only do that for an
+// their /metrics families, and the only ones added the five
+// cache.response_{hits,stores,bytes,refused,spills} series of stored
+// responses and their families. -update rewrites it — only do that for an
 // intended change to the exposition.
 func TestExpositionNamesGolden(t *testing.T) {
 	_, ts := newTestServer(t, Config{DataDir: t.TempDir()})

@@ -110,6 +110,16 @@ func TestLodValidation(t *testing.T) {
 	if code, body := postLod(t, ts, digest, "", `{"resolution": 8, "render": true}`); code != http.StatusBadRequest {
 		t.Fatalf("render at non-native resolution: status %d (%s)", code, body)
 	}
+	// POST: a body is one spec; bytes after it are refused, naming (body).
+	for _, spec := range []string{`{"resolution":8} junk`, `{"resolution":8}{"resolution":16}`} {
+		code, body := postLod(t, ts, digest, "", spec)
+		var e struct {
+			Field string `json:"field"`
+		}
+		if json.Unmarshal(body, &e); code != http.StatusBadRequest || e.Field != "(body)" {
+			t.Errorf("spec %s: status %d, field %q, want 400 naming (body) (%s)", spec, code, e.Field, body)
+		}
+	}
 
 	if code, _ := get(t, ts, "/v1/traces/"+strings.Repeat("0", 64)+"/lod"); code != http.StatusNotFound {
 		t.Fatalf("unknown digest: status %d, want 404", code)

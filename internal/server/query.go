@@ -112,16 +112,18 @@ func (s *Server) notModified(w http.ResponseWriter, r *http.Request, digest, fin
 
 // ---- stored responses ---------------------------------------------------
 
-// serveStored answers an analysis request from the response stored for it
-// with the resident cache entry, if there is one, and reports whether it
-// did: the stored bytes in one write, with no render, no compression and no
-// query or LOD call. The key is addr, which addresses the body — a GET's
-// strong ETag (a hash of the path, options and parameters) or a POST's
-// specKey (of the method, path, options and decoded spec) — and the
-// response's content coding, the one other input to the bytes on the
-// wire. Otherwise it arms w to capture the response the route is about to
-// render, up to the room its entry has left; instrument stores it once it
-// is known complete (gzipResponseWriter.storeKept).
+// serveStored answers an analysis request from the response stored for it,
+// if there is one — with the resident cache entry, or in the trace's file
+// once that entry was evicted (X-Charmd-Cache mem or disk) — and reports
+// whether it did: the stored bytes in one write, with no render, no
+// compression, no query or LOD call, and from disk no decode or view
+// build. The key is addr, which addresses the body — a GET's strong ETag
+// (a hash of the path, options and parameters) or a POST's specKey (of the
+// method, path, options and decoded spec) — and the response's content
+// coding, the one other input to the bytes on the wire. Otherwise it arms
+// w to capture the response the route is about to render, up to the room
+// its entry has left; instrument stores it once it is known complete
+// (gzipResponseWriter.storeKept).
 func (s *Server) serveStored(w http.ResponseWriter, r *http.Request, digest, fingerprint, addr string) bool {
 	g, ok := w.(*gzipResponseWriter)
 	if !ok || r.Context().Err() != nil {
@@ -132,8 +134,8 @@ func (s *Server) serveStored(w http.ResponseWriter, r *http.Request, digest, fin
 		coding = "identity"
 	}
 	key := addr + " " + coding
-	if resp, ok := s.cache.LookupResponse(digest, fingerprint, key); ok {
-		resultcache.RecordOutcome(r.Context(), resultcache.OutcomeMem)
+	if resp, outcome := s.cache.LookupResponse(digest, fingerprint, key); resp != nil {
+		resultcache.RecordOutcome(r.Context(), outcome)
 		g.writeStored(resp)
 		return true
 	}

@@ -176,6 +176,8 @@ func TestQueryErrorsAreFieldLevel400s(t *testing.T) {
 		{`{"select":"steps","filter":{"chares":[9999]}}`, "filter.chares"},
 		{`not json at all`, "(body)"},
 		{`{"select":"steps","surprise":1}`, "(body)"},
+		{`{"select":"steps","limit":2} junk`, "(body)"},
+		{`{"select":"steps","limit":2}{"select":"bogus"}`, "(body)"},
 	}
 	for _, tc := range cases {
 		code, data := postQuery(t, ts, digest, tc.spec)

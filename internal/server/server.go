@@ -66,8 +66,9 @@ type Config struct {
 	// QueueWait is how long an analysis request may wait for an extraction
 	// slot before being shed (0 = 1s).
 	QueueWait time.Duration
-	// MaxResultBytes bounds the results on disk; past it, the results of
-	// the least-recently-used traces are garbage-collected (0 = unbounded).
+	// MaxResultBytes bounds the results and spilled responses on disk
+	// together; past it, the results and responses of the
+	// least-recently-used traces are garbage-collected (0 = unbounded).
 	MaxResultBytes int64
 	// Metrics is the server-wide registry (nil = a private one).
 	Metrics *telemetry.Registry

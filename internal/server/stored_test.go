@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -113,6 +114,12 @@ func firstCursor(t *testing.T, srv *Server, base string) string {
 // fills it); its repeat renders again, the same bytes. Every request is
 // stored, in both codings, on some trace — but for the uncompressed full
 // /steps, which is 1.9 to 2.4 times its entry's bytes on the zoo traces.
+//
+// One entry fits in memory, so moving to the next trace evicts the last
+// one's entry and spills its stored responses into its trace's file. Once
+// the last entry is evicted too, every stored response is repeated again:
+// each is served from its spilled section (X-Charmd-Cache disk), with the
+// status, entity headers and body bytes of the response that was rendered.
 func TestStoredResponsesAreByteIdentical(t *testing.T) {
 	type request struct{ method, path, body string }
 	var gets, posts []request
@@ -128,13 +135,19 @@ func TestStoredResponsesAreByteIdentical(t *testing.T) {
 	// The GETs and the POSTs each get a server of their own, so that each
 	// gets the room of a fresh entry on every trace.
 	for _, requests := range [][]request{gets, posts} {
-		srv, err := New(Config{DataDir: t.TempDir()})
+		srv, err := New(Config{DataDir: t.TempDir(), MaxMemEntries: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
 		reg := srv.Registry()
 		stores, hits := reg.Counter("cache.response_stores"), reg.Counter("cache.response_hits")
 		storedOnce := map[string]bool{}
+		type repeat struct {
+			method, path, body string
+			gzip               bool
+			rendered           *httptest.ResponseRecorder
+		}
+		var repeats []repeat // every stored response, for the pass after eviction
 		for i, enc := range zoo {
 			if rec := serveIn(srv, "POST", "/v1/traces", string(enc), false); rec.Code != http.StatusCreated {
 				t.Fatalf("upload: %d %s", rec.Code, rec.Body)
@@ -169,6 +182,7 @@ func TestStoredResponsesAreByteIdentical(t *testing.T) {
 						}
 					} else {
 						storedOnce[name(rq)+" "+coding] = true
+						repeats = append(repeats, repeat{rq.method, base + rq.path, body, gzip, rendered})
 					}
 					stored := serveIn(srv, rq.method, base+rq.path, body, gzip)
 					if hits.Value() != h0+want || stores.Value() != s0+want {
@@ -191,6 +205,35 @@ func TestStoredResponsesAreByteIdentical(t *testing.T) {
 			}
 		}
 		t.Logf("%s: %d of %d responses stored", requests[0].method, stores.Value(), 2*len(requests)*len(zoo))
+
+		// A read of the first trace under other options evicts the last
+		// entry: then every stored response has been spilled, once.
+		stored := stores.Value()
+		if rec := serveIn(srv, "GET", "/v1/traces/"+tracefile.DigestBytes(zoo[0])+"/structure?infer=false", "", false); rec.Code != http.StatusOK {
+			t.Fatalf("evicting read: %d", rec.Code)
+		}
+		waitSpills(t, srv, stored)
+		if got := reg.Counter("cache.response_spills").Value(); got != stored {
+			t.Fatalf("%d responses spilled, want the %d stored", got, stored)
+		}
+		s0 := stores.Value()
+		for _, rp := range repeats {
+			h0 := hits.Value()
+			spilled := serveIn(srv, rp.method, rp.path, rp.body, rp.gzip)
+			what := fmt.Sprintf("%s %s %s (gzip %v)", rp.method, rp.path, rp.body, rp.gzip)
+			if hits.Value() != h0+1 {
+				t.Fatalf("%s: after eviction, not served from its spilled response", what)
+			}
+			if c := spilled.Header().Get("X-Charmd-Cache"); c != "disk" {
+				t.Errorf("%s: spilled response says X-Charmd-Cache %q, want disk", what, c)
+			}
+			if diff := sameResponse(rp.rendered, spilled); diff != "" {
+				t.Errorf("%s: spilled response differs from the rendered one: %s", what, diff)
+			}
+		}
+		if stores.Value() != s0 {
+			t.Errorf("serving spilled responses stored %d", stores.Value()-s0)
+		}
 	}
 }
 
@@ -437,15 +480,31 @@ func TestRenderErrorIsNotStored(t *testing.T) {
 	}
 }
 
-// TestStoredResponsesLeaveWithTheirEntry: when the entry a response was
-// stored with is evicted, the response goes with it — cache.response_bytes
-// falls to what the one resident entry stored — and the next request
-// renders again, the same bytes.
-func TestStoredResponsesLeaveWithTheirEntry(t *testing.T) {
+// waitSpills waits until the server has spilled n responses in all: an
+// evicted entry's responses are spilled after the request whose insert
+// evicted it has its answer.
+func waitSpills(t testing.TB, srv *Server, n int64) {
+	t.Helper()
+	spills := srv.Registry().Counter("cache.response_spills")
+	for deadline := time.Now().Add(10 * time.Second); spills.Value() < n; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d responses spilled, want %d", spills.Value(), n)
+		}
+	}
+}
+
+// TestStoredResponsesOutliveTheirEntry: when the entry a response was
+// stored with is evicted, the response leaves memory — cache.response_bytes
+// falls to what the one resident entry stored — and is spilled into the
+// trace's file, from which its repeat is served: the same bytes and
+// headers, X-Charmd-Cache disk, counted as a response hit and a disk hit,
+// with no extraction, no table load, no decode of the entry and no view
+// built.
+func TestStoredResponsesOutliveTheirEntry(t *testing.T) {
 	srv, _ := newTestServer(t, Config{MaxMemEntries: 1})
 	a := residentDigest(t, srv, jacobiScaled(t, 4, 4))
 	reg := srv.Registry()
-	gauge, hits := reg.Gauge("cache.response_bytes"), reg.Counter("cache.response_hits")
+	gauge, hits, stores := reg.Gauge("cache.response_bytes"), reg.Counter("cache.response_hits"), reg.Counter("cache.response_stores")
 	if gauge.Value() == 0 {
 		t.Fatal("the warm-up reads stored nothing")
 	}
@@ -454,9 +513,12 @@ func TestStoredResponsesLeaveWithTheirEntry(t *testing.T) {
 	if h == 0 {
 		t.Fatal("the repeat was not served from the stored response")
 	}
-	// Reading b evicts a's entry (one entry fits); a POST on b stores one
-	// response more, whose gauge step gives the per-response overhead.
+	// Reading b evicts a's entry (one entry fits) and spills what a stored;
+	// a POST on b stores one response more, whose gauge step gives the
+	// per-response overhead.
+	storedByA := stores.Value()
 	b := residentDigest(t, srv, jacobiScaled(t, 4, 5))
+	waitSpills(t, srv, storedByA)
 	spec := `{"select":"steps","limit":5}`
 	g0 := gauge.Value()
 	postB := serveIn(srv, "POST", "/v1/traces/"+b+"/query", spec, true)
@@ -464,8 +526,9 @@ func TestStoredResponsesLeaveWithTheirEntry(t *testing.T) {
 		t.Fatalf("POST /query: %d", postB.Code)
 	}
 	overhead := gauge.Value() - g0 - float64(postB.Body.Len())
-	// The same POST on a evicts b's entry with every response b stored
-	// and stores its own: the one entry left holds only that one.
+	// The same POST on a evicts b's entry and stores its own: the one entry
+	// left holds only that one in memory.
+	storedInAll := stores.Value()
 	postA := serveIn(srv, "POST", "/v1/traces/"+a+"/query", spec, true)
 	if postA.Code != http.StatusOK {
 		t.Fatalf("POST /query: %d", postA.Code)
@@ -473,12 +536,46 @@ func TestStoredResponsesLeaveWithTheirEntry(t *testing.T) {
 	if got, want := gauge.Value(), float64(postA.Body.Len())+overhead; got != want {
 		t.Errorf("cache.response_bytes = %v with only a re-resolved entry and its one POST resident, want %v", got, want)
 	}
-	again := serveIn(srv, "GET", "/v1/traces/"+a+"/steps?steps=0..1", "", false)
-	if hits.Value() != h {
-		t.Error("a response outlived its entry")
+	waitSpills(t, srv, storedInAll)
+
+	// Each spilled response is served from a's and b's files, whether its
+	// entry is resident again (a) or not (b).
+	work := []string{"cache.misses", "cache.mem_hits", "cache.index_builds", "cache.aux_builds", "server.table_disk_loads", "server.table_builds", "server.trace_decodes"}
+	before := map[string]int64{}
+	for _, name := range work {
+		before[name] = reg.Counter(name).Value()
 	}
-	if diff := sameResponse(first, again); diff != "" {
-		t.Errorf("re-rendered response differs from the stored one: %s", diff)
+	diskHits := reg.Counter("cache.disk_hits").Value()
+	for _, rq := range []struct {
+		method, path, body string
+		gzip               bool
+		want               *httptest.ResponseRecorder
+	}{
+		{"GET", "/v1/traces/" + a + "/steps?steps=0..1", "", false, first},
+		{"POST", "/v1/traces/" + b + "/query", spec, true, postB},
+	} {
+		h := hits.Value()
+		again := serveIn(srv, rq.method, rq.path, rq.body, rq.gzip)
+		if hits.Value() != h+1 {
+			t.Errorf("%s %s: not served from the spilled response", rq.method, rq.path)
+		}
+		if c := again.Header().Get("X-Charmd-Cache"); c != "disk" {
+			t.Errorf("%s %s: X-Charmd-Cache %q, want disk", rq.method, rq.path, c)
+		}
+		if diff := sameResponse(rq.want, again); diff != "" {
+			t.Errorf("%s %s: spilled response differs from the rendered one: %s", rq.method, rq.path, diff)
+		}
+	}
+	if got := reg.Counter("cache.disk_hits").Value() - diskHits; got != 2 {
+		t.Errorf("%d disk hits for two spilled responses served, want 2", got)
+	}
+	for _, name := range work {
+		if got := reg.Counter(name).Value(); got != before[name] {
+			t.Errorf("serving spilled responses moved %s by %d", name, got-before[name])
+		}
+	}
+	if _, ok := srv.cache.Lookup(b, core.DefaultOptions()); ok {
+		t.Error("serving b's spilled response made its entry resident")
 	}
 }
 
@@ -541,17 +638,38 @@ func TestPostStoredBySpec(t *testing.T) {
 // and not, while other requests evict its entry over and over: every answer
 // is a 200 with the bytes of the first. Run under -race by make verify.
 func TestConcurrentReadsWhileEvicted(t *testing.T) {
-	readWhileEvicted(t, "GET", "/lod?resolution=64", "")
+	readWhileEvicted(t, Config{}, "GET", "/lod?resolution=64", "")
 }
 
 // TestConcurrentPostsWhileEvicted is TestConcurrentReadsWhileEvicted for
 // one POST /query spec.
 func TestConcurrentPostsWhileEvicted(t *testing.T) {
-	readWhileEvicted(t, "POST", "/query", `{"select":"steps","filter":{"steps":{"from":0,"to":8}},"limit":20}`)
+	readWhileEvicted(t, Config{}, "POST", "/query", `{"select":"steps","filter":{"steps":{"from":0,"to":8}},"limit":20}`)
 }
 
-func readWhileEvicted(t *testing.T, method, path, body string) {
-	srv, _ := newTestServer(t, Config{MaxMemEntries: 1})
+// TestConcurrentSpillsAndLookups races the spill of one key against its
+// lookups on disk: TestConcurrentReadsWhileEvicted under a one-byte result
+// bound, so that each spill is collected at once. The readers' response is
+// then rendered, stored with its entry, spilled as the entry is evicted and
+// dropped by the disk GC over and over, while the readers look it up in the
+// trace's file. Every answer is a 200 with the bytes of the first. Run
+// under -race by make verify.
+func TestConcurrentSpillsAndLookups(t *testing.T) {
+	// The first eviction spills the key in both codings; a render after a
+	// GC stores it again, and the next eviction spills it again.
+	if n := readWhileEvicted(t, Config{MaxResultBytes: 1}, "GET", "/steps?steps=0..3", ""); n < 2 {
+		t.Errorf("%d responses spilled during the race, want the key's two codings at least", n)
+	} else {
+		t.Logf("%d responses spilled during the race", n)
+	}
+}
+
+// readWhileEvicted runs the eviction race on a server of configuration cfg
+// with one memory entry, and returns how many responses were spilled during
+// the race.
+func readWhileEvicted(t *testing.T, cfg Config, method, path, body string) int64 {
+	cfg.MaxMemEntries = 1
+	srv, _ := newTestServer(t, cfg)
 	a := residentDigest(t, srv, jacobiScaled(t, 4, 4))
 	b := residentDigest(t, srv, jacobiScaled(t, 4, 5))
 	url := "/v1/traces/" + a + path
@@ -562,6 +680,8 @@ func readWhileEvicted(t *testing.T, method, path, body string) {
 			t.Fatalf("%s %s: %d %s", method, url, want[gzip].Code, want[gzip].Body)
 		}
 	}
+	spills := srv.Registry().Counter("cache.response_spills")
+	spilled := spills.Value()
 	const readers, reads = 8, 25
 	var wg sync.WaitGroup
 	var done atomic.Bool
@@ -595,6 +715,7 @@ func readWhileEvicted(t *testing.T, method, path, body string) {
 	if srv.Registry().Counter("cache.evictions").Value() == 0 {
 		t.Error("the entry was never evicted")
 	}
+	return spills.Value() - spilled
 }
 
 // TestPyramidSharesIndexReport: a resident entry computes the §4 report

@@ -371,8 +371,9 @@ func TestBodyAndWireByteCounters(t *testing.T) {
 
 // ---- render benchmarks (make bench-wire) ----------------------------------
 
-// benchServer is a server holding app's trace, resident and warm.
-func benchServer(b *testing.B, app string, p cli.Params) (*Server, string) {
+// benchServer is a server of configuration cfg, in a data directory of its
+// own, holding app's trace, resident and warm.
+func benchServer(b *testing.B, app string, p cli.Params, cfg Config) (*Server, string) {
 	tr, _, err := cli.Generate(app, p)
 	if err != nil {
 		b.Fatal(err)
@@ -381,7 +382,8 @@ func benchServer(b *testing.B, app string, p cli.Params) (*Server, string) {
 	if err := tracefile.WriteBinary(&enc, tr); err != nil {
 		b.Fatal(err)
 	}
-	srv, err := New(Config{DataDir: b.TempDir()})
+	cfg.DataDir = b.TempDir()
+	srv, err := New(cfg)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -394,7 +396,7 @@ func benchServer(b *testing.B, app string, p cli.Params) (*Server, string) {
 // URL; with spec set the request is a POST of spec(i). Every iteration
 // renders (see below); BenchmarkServeStored times a repeat.
 func benchRender(b *testing.B, app string, p cli.Params, path string, spec func(i int) string, rows func(body []byte) int) {
-	srv, digest := benchServer(b, app, p)
+	srv, digest := benchServer(b, app, p, Config{})
 	method, body := "GET", func(int) string { return "" }
 	if spec != nil {
 		method, body = "POST", spec
@@ -468,14 +470,21 @@ func queryPostSpec(i int) string {
 
 // BenchmarkServeStored times a repeat served from the stored response's
 // bytes, written in one call — no render, no compression, no query: of a
-// full /steps GET and of a POST /query.
+// full /steps GET and of a POST /query kept with their resident entry, and
+// (spilled) of the same /steps GET once its entry was evicted and the
+// response spilled into the trace's file, read back and checked from there.
 func BenchmarkServeStored(b *testing.B) {
-	srv, digest := benchServer(b, "jacobi", benchJacobi)
+	srv, digest := benchServer(b, "jacobi", benchJacobi, Config{})
 	for _, rq := range []struct{ name, method, path, body string }{
 		{"steps", "GET", "/steps", ""},
 		{"query", "POST", "/query", queryPostSpec(0)},
+		{"spilled", "GET", "/steps", ""},
 	} {
 		b.Run(rq.name, func(b *testing.B) {
+			srv, digest := srv, digest
+			if rq.name == "spilled" {
+				srv, digest = benchServer(b, "jacobi", benchJacobi, Config{MaxMemEntries: 1})
+			}
 			req := httptest.NewRequest(rq.method, "/v1/traces/"+digest+rq.path, nil)
 			req.Header.Set("Accept-Encoding", "gzip")
 			serve := func(w *discardWriter) {
@@ -486,7 +495,16 @@ func BenchmarkServeStored(b *testing.B) {
 			}
 			w := &discardWriter{hdr: http.Header{}}
 			serve(w) // renders and stores the compressed response
-			hits := srv.Registry().Counter("cache.response_hits")
+			reg := srv.Registry()
+			hits := reg.Counter("cache.response_hits")
+			if rq.name == "spilled" {
+				// A read under other options takes the one memory slot: the
+				// default entry is evicted and its responses spilled.
+				stores := reg.Counter("cache.response_stores").Value()
+				w.serve(srv, httptest.NewRequest("GET", "/v1/traces/"+digest+"/structure?infer=false", nil))
+				waitSpills(b, srv, stores)
+				hits = reg.Counter("cache.disk_hits")
+			}
 			before := hits.Value()
 			b.ReportAllocs()
 			b.ResetTimer()

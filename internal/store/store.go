@@ -2,17 +2,19 @@
 // trace, traces/<digest> under the store's root, holding everything this
 // node knows about the trace as a run of sections:
 //
-//	trace bytes ‖ trailer │ event table ‖ trailer │ result ‖ trailer │ result ‖ trailer …
+//	trace bytes ‖ trailer │ event table ‖ trailer │ result ‖ trailer │ response ‖ trailer …
 //
-// The trace section is always first and holds the uploaded bytes verbatim;
-// it is empty when a result was stored for a digest nobody uploaded here
-// (the library and the benchmark's probe bring their own trace). The event
-// table and one encoded structure per options fingerprint follow in the
-// order they were made. Each section is self-delimiting: its payload is
-// followed by a fixed-size trailer that names its kind, its key (the trace
-// digest, or a result's content address), its length and the CRC-32C of its
-// payload, and that is itself checksummed together with its own file
-// offset, so a trailer is only ever valid where it was written.
+// A file holds four kinds of section. The trace section is always first and
+// holds the uploaded bytes verbatim; it is empty when a result was stored
+// for a digest nobody uploaded here (the library and the benchmark's probe
+// bring their own trace). The event table, one encoded structure (a result)
+// per options fingerprint, and the finished responses the serving layer
+// rendered from them follow in the order they were made. Each section is
+// self-delimiting: its payload is followed by a fixed-size trailer that
+// names its kind, its key (the trace digest, or a result's or response's
+// content address), its length and the CRC-32C of its payload, and that is
+// itself checksummed together with its own file offset, so a trailer is
+// only ever valid where it was written.
 //
 // Nothing in a file is ever rewritten in place. A file is created once, by
 // publishing an upload's spool under the trace's digest with link(2) — a
@@ -29,10 +31,11 @@
 // sections from offset 0 (found by searching backwards for a trailer that
 // leads there), and what was cut is derived and made again on demand.
 //
-// GC bounds the bytes of result sections: it drops every result of the
-// least-recently-used trace by copying the file's other sections to a new
-// file and renaming it into place, so a reader that already has the old
-// file open keeps reading the inode it opened.
+// GC bounds the bytes of result and response sections together: it drops
+// every result and response of the least-recently-used trace by copying the
+// file's other sections to a new file and renaming it into place, so a
+// reader that already has the old file open keeps reading the inode it
+// opened.
 package store
 
 import (
@@ -56,10 +59,15 @@ import (
 type Kind uint8
 
 const (
-	Trace  Kind = 1 + iota // the uploaded trace bytes; first in every file
-	Table                  // the trace's read-side event table
-	Result                 // one encoded structure, keyed by its content address
+	Trace    Kind = 1 + iota // the uploaded trace bytes; first in every file
+	Table                    // the trace's read-side event table
+	Result                   // one encoded structure, keyed by its content address
+	Response                 // one finished response, keyed by its content address
 )
+
+// keyed reports whether sections of kind k carry a key of their own rather
+// than the trace digest; those are also the kinds GC drops.
+func (k Kind) keyed() bool { return k == Result || k == Response }
 
 // ErrNotFound is returned for a section the store does not hold.
 var ErrNotFound = errors.New("store: no such section")
@@ -122,7 +130,7 @@ func trailerCRC(b []byte, at int64) uint32 {
 func parseTrailer(b []byte, at int64) (section, bool) {
 	var sec section
 	if !bytes.Equal(b[52:], magic) || binary.LittleEndian.Uint32(b[48:]) != trailerCRC(b, at) ||
-		b[45]|b[46]|b[47] != 0 || b[44] < byte(Trace) || b[44] > byte(Result) {
+		b[45]|b[46]|b[47] != 0 || b[44] < byte(Trace) || b[44] > byte(Response) {
 		return sec, false
 	}
 	n := binary.LittleEndian.Uint64(b[32:])
@@ -140,10 +148,10 @@ func parseTrailer(b []byte, at int64) (section, bool) {
 // reading and GC rewrites; results and used are read without it.
 type file struct {
 	mu      sync.Mutex
-	ok      bool      // the file on disk is a whole chain of sections
-	size    int64     // its length
-	secs    []section // in file order; secs[0] is the trace section
-	results atomic.Int64
+	ok      bool         // the file on disk is a whole chain of sections
+	size    int64        // its length
+	secs    []section    // in file order; secs[0] is the trace section
+	results atomic.Int64 // bytes of result and response sections, trailers included
 	used    atomic.Int64 // recency, on the store's clock
 }
 
@@ -167,7 +175,7 @@ type Store struct {
 	dir     string
 	mu      sync.Mutex
 	files   map[string]*file
-	results atomic.Int64 // bytes of result sections, trailers included
+	results atomic.Int64 // bytes of result and response sections, trailers included
 	clock   atomic.Int64 // recency ticks: starts at the open time, +1 per use
 	gcMu    sync.Mutex
 }
@@ -435,7 +443,7 @@ func (s *Store) reset(f *file, secs []section, size int64) {
 	f.ok, f.secs, f.size = size > 0, secs, size
 	var results int64
 	for _, sec := range secs {
-		if sec.kind == Result {
+		if sec.kind.keyed() {
 			results += sec.n + trailerSize
 		}
 	}
@@ -443,10 +451,10 @@ func (s *Store) reset(f *file, secs []section, size int64) {
 	f.used.Store(s.tick())
 }
 
-// keyOf is the key a section of kind k is stored under: a Result's own
-// key, or the digest for the trace and its table.
+// keyOf is the key a section of kind k is stored under: a Result's or a
+// Response's own key, or the digest for the trace and its table.
 func keyOf(digest string, k Kind, key string) ([32]byte, error) {
-	if k != Result {
+	if !k.keyed() {
 		key = digest
 	}
 	if !ValidDigest(digest) {
@@ -460,7 +468,7 @@ func keyOf(digest string, k Kind, key string) ([32]byte, error) {
 }
 
 // Has reports whether the store holds a section of kind k (and key, for a
-// Result) for digest that has not failed its checksum.
+// Result or a Response) for digest that has not failed its checksum.
 func (s *Store) Has(digest string, k Kind, key string) bool {
 	kb, err := keyOf(digest, k, key)
 	f := s.entry(digest, false)
@@ -472,11 +480,12 @@ func (s *Store) Has(digest string, k Kind, key string) bool {
 	return f.find(k, kb) >= 0
 }
 
-// Append adds a section of kind Table or Result to digest's file. A file
-// that does not exist yet is created with an empty trace section. A failed
-// write leaves the file as it was. The caller encodes the payload first, so
-// that the trace's lock is held only for the write.
-func (s *Store) Append(digest string, k Kind, key string, payload []byte) error {
+// Append adds a section of kind Table, Result or Response to digest's file;
+// its payload is the parts one after another. A file that does not exist
+// yet is created with an empty trace section. A failed write leaves the file
+// as it was. The caller encodes the payload first, so that the trace's lock
+// is held only for the write.
+func (s *Store) Append(digest string, k Kind, key string, payload ...[]byte) error {
 	if k == Trace {
 		return errors.New("store: a trace section is only written by a spool")
 	}
@@ -506,9 +515,15 @@ func (s *Store) Append(digest string, k Kind, key string, payload []byte) error 
 		}
 		size, secs = trailerSize, []section{empty}
 	}
-	n := int64(len(payload))
-	sec := section{off: size, n: n, crc: crc32.Checksum(payload, castagnoli), key: kb, kind: k}
-	_, err = h.WriteAt(payload, size)
+	sec := section{off: size, key: kb, kind: k}
+	for _, p := range payload {
+		sec.crc = crc32.Update(sec.crc, castagnoli, p)
+		if _, err = h.WriteAt(p, size+sec.n); err != nil {
+			break
+		}
+		sec.n += int64(len(p))
+	}
+	n := sec.n
 	if err == nil {
 		_, err = h.WriteAt(sec.trailer(size+n), size+n)
 	}
@@ -523,7 +538,7 @@ func (s *Store) Append(digest string, k Kind, key string, payload []byte) error 
 	}
 	f.secs = append(f.secs, sec)
 	f.size = size + n + trailerSize
-	if k == Result {
+	if k.keyed() {
 		f.results.Add(n + trailerSize)
 		s.results.Add(n + trailerSize)
 	}
@@ -557,8 +572,8 @@ type Section struct {
 	crc    uint32
 }
 
-// Open opens the latest section of kind k (and key, for a Result) of
-// digest, or returns ErrNotFound.
+// Open opens the latest section of kind k (and key, for a Result or a
+// Response) of digest, or returns ErrNotFound.
 func (s *Store) Open(digest string, k Kind, key string) (*Section, error) {
 	kb, err := keyOf(digest, k, key)
 	f := s.entry(digest, false)
@@ -627,8 +642,9 @@ func (sc *Section) CopyTo(w io.Writer) (int64, error) {
 func (sc *Section) Close() error { return sc.f.Close() }
 
 // Read returns the payload of the latest section of kind k (and key, for a
-// Result) of digest, checked: ErrNotFound when there is none (or it failed
-// its checksum before), ErrCorrupt when it fails its checksum now.
+// Result or a Response) of digest, checked: ErrNotFound when there is none
+// (or it failed its checksum before), ErrCorrupt when it fails its checksum
+// now.
 func (s *Store) Read(digest string, k Kind, key string) ([]byte, error) {
 	sc, err := s.Open(digest, k, key)
 	if err != nil {
@@ -663,9 +679,9 @@ func (s *Store) Touch(digest string) {
 	}
 }
 
-// GC drops result sections, every one of the least-recently-used trace's
-// at a time, until at most max bytes of them remain, and returns how many
-// it dropped.
+// GC drops result and response sections, every one of the
+// least-recently-used trace's at a time, until at most max bytes of them
+// remain, and returns how many it dropped.
 func (s *Store) GC(max int64) int {
 	s.gcMu.Lock()
 	defer s.gcMu.Unlock()
@@ -684,7 +700,8 @@ func (s *Store) GC(max int64) int {
 	return dropped
 }
 
-// leastUsed returns the least-recently-used file holding result sections.
+// leastUsed returns the least-recently-used file holding result or
+// response sections.
 func (s *Store) leastUsed() (string, *file) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -698,9 +715,9 @@ func (s *Store) leastUsed() (string, *file) {
 	return digest, lru
 }
 
-// dropResults rewrites a file without its result sections: the trace
-// section and the latest good table go to a new file, renamed over the
-// old. A file left with neither trace bytes nor a table is removed.
+// dropResults rewrites a file without its result and response sections:
+// the trace section and the latest good table go to a new file, renamed over
+// the old. A file left with neither trace bytes nor a table is removed.
 func (s *Store) dropResults(digest string, f *file) (int, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -711,7 +728,7 @@ func (s *Store) dropResults(digest string, f *file) (int, error) {
 	dropped := 0
 	for i, sec := range f.secs[1:] {
 		switch {
-		case sec.kind == Result:
+		case sec.kind.keyed():
 			dropped++
 		case i+1 == f.find(sec.kind, sec.key):
 			keep = append(keep, sec)

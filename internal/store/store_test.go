@@ -29,6 +29,8 @@ func digestOf(b []byte) string {
 
 func keyOfResult(i int) string { return digestOf([]byte{byte(i), 'k'}) }
 
+func keyOfResponse(i int) string { return digestOf([]byte{byte(i), 'r'}) }
+
 func mustOpen(t testing.TB, root string) *Store {
 	t.Helper()
 	s, err := Open(root)
@@ -61,17 +63,18 @@ func appendBytes(t testing.TB, s *Store, digest string, k Kind, key string, data
 	}
 }
 
-// sample is a file with a trace, a table and two results.
+// sample is a file with a trace, a table, two results and a response.
 type sample struct {
 	root, digest      string
 	trace, table      []byte
 	results           [2][]byte
+	response          []byte
 	tableOff, lastOff int64 // where the table section and the last section start
 }
 
 func newSample(t testing.TB) sample {
 	t.Helper()
-	sm := sample{root: t.TempDir(), trace: payload(1, 300), table: payload(2, 120)}
+	sm := sample{root: t.TempDir(), trace: payload(1, 300), table: payload(2, 120), response: payload(5, 50)}
 	sm.results[0], sm.results[1] = payload(3, 90), payload(4, 70)
 	s := mustOpen(t, sm.root)
 	sm.digest = publish(t, s, sm.trace)
@@ -79,9 +82,16 @@ func newSample(t testing.TB) sample {
 	for i, r := range sm.results {
 		appendBytes(t, s, sm.digest, Result, keyOfResult(i), r)
 	}
+	appendBytes(t, s, sm.digest, Response, keyOfResponse(0), sm.response)
 	sm.tableOff = int64(len(sm.trace)) + trailerSize
-	sm.lastOff = sm.tableOff + int64(len(sm.table)+trailerSize+len(sm.results[0])+trailerSize)
+	sm.lastOff = sm.tableOff + int64(len(sm.table)+len(sm.results[0])+len(sm.results[1])+3*trailerSize)
 	return sm
+}
+
+// keyedBytes is what the sample's result and response sections count
+// toward the GC bound.
+func (sm sample) keyedBytes() int64 {
+	return int64(len(sm.results[0]) + len(sm.results[1]) + len(sm.response) + 3*trailerSize)
 }
 
 // check reads every section of the sample from s: the trace must read back
@@ -97,7 +107,7 @@ func (sm sample) check(t *testing.T, s *Store) {
 		key  string
 		data []byte
 	}
-	for _, w := range []want{{Table, "", sm.table}, {Result, keyOfResult(0), sm.results[0]}, {Result, keyOfResult(1), sm.results[1]}} {
+	for _, w := range []want{{Table, "", sm.table}, {Result, keyOfResult(0), sm.results[0]}, {Result, keyOfResult(1), sm.results[1]}, {Response, keyOfResponse(0), sm.response}} {
 		got, err := s.Read(sm.digest, w.k, w.key)
 		switch {
 		case err == nil && !bytes.Equal(got, w.data):
@@ -121,15 +131,15 @@ func TestRoundTripAndReopen(t *testing.T) {
 		if got := s.Traces(); len(got) != 1 || got[0] != (Info{sm.digest, int64(len(sm.trace))}) {
 			t.Errorf("Traces() = %v", got)
 		}
-		if got, want := s.results.Load(), int64(len(sm.results[0])+len(sm.results[1])+2*trailerSize); got != want {
-			t.Errorf("result bytes = %d, want %d", got, want)
+		if got, want := s.results.Load(), sm.keyedBytes(); got != want {
+			t.Errorf("result and response bytes = %d, want %d", got, want)
 		}
 	}
 	info, err := os.Stat(mustOpen(t, sm.root).Path(sm.digest))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := sm.lastOff + int64(len(sm.results[1])+trailerSize); info.Size() != want {
+	if want := sm.lastOff + int64(len(sm.response)+trailerSize); info.Size() != want {
 		t.Errorf("file is %d bytes, want %d: sections were not appended end to end", info.Size(), want)
 	}
 }
@@ -169,6 +179,73 @@ func TestLaterSectionSupersedes(t *testing.T) {
 	}
 }
 
+// TestTrailerKinds: a trailer of each of the four kinds parses, and one of
+// a kind past Response, or of kind 0, does not, however well it is
+// checksummed.
+func TestTrailerKinds(t *testing.T) {
+	const at = 100
+	for k := Kind(0); k <= Response+1; k++ {
+		sec := section{n: 10, crc: 7, key: [32]byte{1}, kind: k}
+		got, ok := parseTrailer(sec.trailer(at), at)
+		if want := k >= Trace && k <= Response; ok != want {
+			t.Errorf("kind %d: parsed = %v, want %v", k, ok, want)
+		} else if ok && (got.kind != k || got.off != at-10 || got.n != 10 || got.key != sec.key) {
+			t.Errorf("kind %d parsed as %+v", k, got)
+		}
+	}
+}
+
+// TestResponseSections: a response section is appended in parts and reads
+// back as their concatenation; one that fails its checksum is ErrCorrupt
+// once and then never served, until it is appended again.
+func TestResponseSections(t *testing.T) {
+	sm := newSample(t)
+	s := mustOpen(t, sm.root)
+	head, wire := payload(10, 9), payload(11, 80)
+	appendBytes(t, s, sm.digest, Response, keyOfResponse(1), head)
+	if err := s.Append(sm.digest, Response, keyOfResponse(2), head, wire); err != nil {
+		t.Fatal(err)
+	}
+	whole := append(bytes.Clone(head), wire...)
+	if got, err := s.Read(sm.digest, Response, keyOfResponse(2)); err != nil || !bytes.Equal(got, whole) {
+		t.Fatalf("a response appended in two parts reads back %d bytes (err %v), want %d", len(got), err, len(whole))
+	}
+	if s.Has(sm.digest, Result, keyOfResponse(2)) {
+		t.Error("a response section is held as a result")
+	}
+	f, err := os.OpenFile(s.Path(sm.digest), os.O_RDWR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	info, _ := f.Stat()
+	f.WriteAt([]byte{wire[5] ^ 1}, info.Size()-trailerSize-int64(len(wire))+5)
+	f.Close()
+	if _, err := s.Read(sm.digest, Response, keyOfResponse(2)); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("damaged response read: %v, want ErrCorrupt", err)
+	}
+	if _, err := s.Read(sm.digest, Response, keyOfResponse(2)); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("after a checksum failure: %v, want ErrNotFound", err)
+	}
+	if s.Has(sm.digest, Response, keyOfResponse(2)) {
+		t.Fatal("Has reports a response that failed its checksum")
+	}
+	if got, err := s.Read(sm.digest, Response, keyOfResponse(1)); err != nil || !bytes.Equal(got, head) {
+		t.Errorf("the other response was lost (err %v)", err)
+	}
+	if err := s.Append(sm.digest, Response, keyOfResponse(2), head, wire); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := s.Read(sm.digest, Response, keyOfResponse(2)); err != nil || !bytes.Equal(got, whole) {
+		t.Fatalf("the response appended after a checksum failure does not read back (err %v)", err)
+	}
+	want := sm.keyedBytes() + int64(len(head)+2*len(whole)+3*trailerSize)
+	for pass, st := range []*Store{s, mustOpen(t, sm.root)} {
+		if got := st.results.Load(); got != want {
+			t.Errorf("pass %d: result and response bytes = %d, want %d", pass, got, want)
+		}
+	}
+}
+
 // TestTornTail cuts the file at every offset inside its last section, as a
 // crash mid-append does, and reopens: the cut section is gone, every
 // section before it survives, and the section can be appended again.
@@ -185,7 +262,7 @@ func TestTornTail(t *testing.T) {
 			t.Fatal(err)
 		}
 		s = mustOpen(t, root)
-		if s.Has(sm.digest, Result, keyOfResult(1)) {
+		if s.Has(sm.digest, Response, keyOfResponse(0)) {
 			t.Fatalf("cut at %d: the torn section is still held", cut)
 		}
 		if info, _ := os.Stat(s.Path(sm.digest)); info.Size() != sm.lastOff {
@@ -254,14 +331,15 @@ func TestPublishKeepsFileWithSections(t *testing.T) {
 	if got, err := s.Read(d, Trace, ""); err != nil || !bytes.Equal(got, other) {
 		t.Fatalf("upload over a result-only file: err %v", err)
 	}
-	if got := s.results.Load(); got != int64(len(sm.results[0])+len(sm.results[1])+2*trailerSize) {
-		t.Errorf("result bytes = %d after the result-only file was replaced", got)
+	if got := s.results.Load(); got != sm.keyedBytes() {
+		t.Errorf("result and response bytes = %d after the result-only file was replaced", got)
 	}
 }
 
-// TestGCDropsLeastRecentlyUsedTrace: GC drops every result of the least
-// recently used trace first, keeps its trace and table, and a reader that
-// opened a section before the rewrite reads it whole.
+// TestGCDropsLeastRecentlyUsedTrace: GC drops every result and response of
+// the least recently used trace first, counting both toward its bound,
+// keeps its trace and table, and a reader that opened a section before the
+// rewrite reads it whole.
 func TestGCDropsLeastRecentlyUsedTrace(t *testing.T) {
 	root := t.TempDir()
 	s := mustOpen(t, root)
@@ -271,6 +349,7 @@ func TestGCDropsLeastRecentlyUsedTrace(t *testing.T) {
 		appendBytes(t, s, d, Table, "", payload(int64(20+i), 40))
 		appendBytes(t, s, d, Result, keyOfResult(0), payload(int64(30+i), 60))
 		appendBytes(t, s, d, Result, keyOfResult(1), payload(int64(40+i), 60))
+		appendBytes(t, s, d, Response, keyOfResponse(0), payload(int64(50+i), 30))
 		digests = append(digests, d)
 	}
 	s.Touch(digests[0]) // now digests[1] is the least recently used
@@ -279,13 +358,19 @@ func TestGCDropsLeastRecentlyUsedTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer open.Close()
-	per := int64(2 * (60 + trailerSize))
-	if n := s.GC(2 * per); n != 2 {
-		t.Fatalf("GC dropped %d sections, want the 2 results of one trace", n)
+	per := int64(2*(60+trailerSize) + 30 + trailerSize)
+	if s.results.Load() != 3*per {
+		t.Fatalf("result and response bytes = %d, want %d", s.results.Load(), 3*per)
+	}
+	if n := s.GC(3*per - 1); n != 3 {
+		t.Fatalf("GC dropped %d sections, want the 2 results and the response of one trace", n)
 	}
 	for i, d := range digests {
 		if got := s.Has(d, Result, keyOfResult(0)); got != (i != 1) {
 			t.Errorf("trace %d: result held = %v after GC", i, got)
+		}
+		if got := s.Has(d, Response, keyOfResponse(0)); got != (i != 1) {
+			t.Errorf("trace %d: response held = %v after GC", i, got)
 		}
 		if !s.Has(d, Table, "") || !s.Has(d, Trace, "") {
 			t.Errorf("trace %d lost its trace or table to GC", i)
@@ -296,7 +381,7 @@ func TestGCDropsLeastRecentlyUsedTrace(t *testing.T) {
 	}
 	s2 := mustOpen(t, root)
 	if s2.results.Load() != 2*per || s.results.Load() != 2*per {
-		t.Errorf("result bytes = %d (reopened %d), want %d", s.results.Load(), s2.results.Load(), 2*per)
+		t.Errorf("result and response bytes = %d (reopened %d), want %d", s.results.Load(), s2.results.Load(), 2*per)
 	}
 	if got, _ := s2.Read(digests[1], Table, ""); !bytes.Equal(got, payload(21, 40)) {
 		t.Error("the rewritten file's table does not read back")
@@ -380,7 +465,7 @@ func FuzzStoreOpen(f *testing.F) {
 		for _, k := range []struct {
 			kind Kind
 			key  string
-		}{{Trace, ""}, {Table, ""}, {Result, keyOfResult(0)}, {Result, keyOfResult(1)}} {
+		}{{Trace, ""}, {Table, ""}, {Result, keyOfResult(0)}, {Result, keyOfResult(1)}, {Response, keyOfResponse(0)}} {
 			if b, err := s.Read(sm.digest, k.kind, k.key); err == nil {
 				read += int64(len(b))
 			}
